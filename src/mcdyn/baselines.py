@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quaternions as quat
-from .block_solver import LOOP_NODE, BlockSystem, augment_loop_node, sparse_ldu_factorize, sparse_ldu_solve
-from .integrator import StepContext
+from .block_solver import sparse_ldu_factorize, sparse_ldu_solve
+from .integrator import StepContext, stacked_system
 from .mechanism import WORLD, Mechanism, joint_jacobian_raw, joint_residual
 
 _EZ = np.array([0.0, 0.0, 1.0])
@@ -132,11 +132,7 @@ def _acceleration_rates(mech: Mechanism, state: _State, ctx: StepContext) -> _Ra
         for bid, blk in _coupling_block(joint, state).items():
             offdiag[(jid, bid)] = blk
             offdiag[(bid, jid)] = -blk.T
-    order = [n for n in mech.graph.order if n != LOOP_NODE]
-    order.extend(sorted(mech.graph.loop_joints))
-    system = BlockSystem(diag=diag, offdiag=offdiag, order=order, rhs=rhs)
-    system = augment_loop_node(system, mech.graph.loop_joints)
-    sol = sparse_ldu_solve(sparse_ldu_factorize(system))
+    sol = sparse_ldu_solve(sparse_ldu_factorize(stacked_system(mech, diag, offdiag, rhs)))
 
     xdot = {b: state.v[b].copy() for b in mech.body_ids}
     qdot = {
@@ -191,7 +187,3 @@ def heun_simulate(mech: Mechanism, ctx: StepContext, n_steps: int) -> list[Basel
             )
         )
     return records
-
-
-def heun_initial_energy(mech: Mechanism, ctx: StepContext) -> float:
-    return _energy(mech, _State(mech), ctx)

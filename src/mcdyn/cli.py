@@ -22,12 +22,11 @@ from .experiments import (
 )
 from .integrator import (
     StepContext,
-    assemble_jacobian,
     assemble_residual,
     build_layout,
+    newton_system,
     run_simulation,
 )
-from .block_solver import augment_loop_node
 from .mechanism import load_mechanism, save_mechanism
 from .scenarios import Scenario, generate_scenario
 
@@ -109,13 +108,7 @@ def _cmd_simulate(args) -> int:
     mech.initialize(args.h)
     if args.dump_pattern:
         layout = build_layout(mech)
-        system = assemble_jacobian(mech, ctx, layout)
-        f = assemble_residual(mech, ctx, layout)
-        for bid, sl in layout.body_slices.items():
-            system.rhs[bid] = f[sl]
-        for jid, sl in layout.joint_slices.items():
-            system.rhs[jid] = f[sl]
-        system = augment_loop_node(system, mech.graph.loop_joints)
+        system = newton_system(mech, ctx, layout, assemble_residual(mech, ctx, layout))
         fact = sparse_ldu_factorize(system.copy())
         with open(args.dump_pattern, "w", encoding="utf-8") as fh:
             fh.write(pattern_report(system, fact) + "\n")
@@ -130,7 +123,6 @@ def _cmd_simulate(args) -> int:
             "gravity": args.gravity,
         },
         records=records,
-        wall_time=0.0,
     )
     write_trajectory_csv(args.out, report)
     print(f"wrote {len(records)} steps to {args.out}")

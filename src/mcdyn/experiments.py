@@ -27,10 +27,10 @@ from .baselines import heun_simulate
 from .block_solver import dense_ldu_factorize, dense_ldu_solve, sparse_ldu_factorize, sparse_ldu_solve
 from .integrator import (
     StepContext,
-    assemble_jacobian,
     assemble_residual,
     build_layout,
     newton_solve,
+    newton_system,
     run_simulation,
     step,
     total_energy,
@@ -41,12 +41,10 @@ from .scenarios import Scenario, generate_scenario
 
 @dataclass
 class RunReport:
-    """One simulation run: configuration, per-step records, wall-clock total."""
+    """One simulation run: configuration and per-step records."""
 
     config: dict
     records: list
-    wall_time: float
-    best_timing: float | None = None
 
 
 def _scenario_config(sc: Scenario, **extra) -> dict:
@@ -73,15 +71,10 @@ def _build(sc: Scenario):
 
 def simulate_scenario(sc: Scenario, record_bodies: bool = True) -> RunReport:
     mech, ctx = _build(sc)
-    t0 = time.perf_counter()
     records = run_simulation(
         mech, ctx, sc.n_steps, tol=sc.tolerance, record_bodies=record_bodies
     )
-    return RunReport(
-        config=_scenario_config(sc),
-        records=records,
-        wall_time=time.perf_counter() - t0,
-    )
+    return RunReport(config=_scenario_config(sc), records=records)
 
 
 # ---------------------------------------------------------------------------
@@ -154,57 +147,62 @@ def run_timing_experiment(
     """Best-of-`repeats` wall time of one factorize-and-substitute pass.
 
     For each pendulum size, the mechanism is stepped a few times to a
-    representative warm state, the Newton matrix is assembled once, and the
-    linear-solve kernel is timed: (a) the graph-ordered sparse pass, (b) the
-    dense in-place pass over the same blocks, skipped above `dense_max`.
-    Assembly cost is identical for both and excluded; timings use a
-    monotonic clock and the first (warm-up) repeat is discarded.
+    representative warm state and the Newton matrix is assembled once; then
+    the linear-solve kernel is timed: (a) the graph-ordered sparse pass, (b)
+    the dense in-place pass over the same blocks, skipped above `dense_max`.
+    Assembly cost is identical for both and excluded. The repeats run in
+    rounds that time every size once, so a slow spell of the host inflates
+    one round of all sizes instead of every repeat of one size. Timings use
+    a monotonic clock and the first (warm-up) round is discarded.
     """
-    rows = []
+    cases = []
     for n in n_list:
         sc = Scenario(kind="pendulum", n_links=int(n), joint_kind=joint_kind)
         mech, ctx = _build(sc)
         for _ in range(warmup_steps):
             step(mech, ctx)
         layout = build_layout(mech)
-        system = assemble_jacobian(mech, ctx, layout)
-        f = assemble_residual(mech, ctx, layout)
-        for bid, sl in layout.body_slices.items():
-            system.rhs[bid] = f[sl]
-        for jid, sl in layout.joint_slices.items():
-            system.rhs[jid] = f[sl]
+        system = newton_system(mech, ctx, layout, assemble_residual(mech, ctx, layout))
+        dense = None
+        if n <= dense_max:
+            full, _ = system.assembled()
+            sizes = [system.diag[node].shape[0] for node in system.order]
+            dense = (full, sizes, system.assembled_rhs())
+        cases.append((int(n), system, dense))
 
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            best_sparse = np.inf
-            for rep in range(repeats + 1):
+    best_sparse = [np.inf] * len(cases)
+    best_dense = [np.inf] * len(cases)
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for rep in range(repeats + 1):
+            for i, (n, system, dense) in enumerate(cases):
                 work = system.copy()
                 t0 = time.perf_counter()
                 fact = sparse_ldu_factorize(work)
                 sparse_ldu_solve(fact)
                 dt = time.perf_counter() - t0
                 if rep > 0:
-                    best_sparse = min(best_sparse, dt)
-
-            best_dense = None
-            if n <= dense_max:
-                full, _ = system.assembled()
-                sizes = [system.diag[node].shape[0] for node in system.order]
-                b = system.assembled_rhs()
-                best_dense = np.inf
-                for rep in range(repeats + 1):
+                    best_sparse[i] = min(best_sparse[i], dt)
+                if dense is not None:
+                    full, sizes, b = dense
                     t0 = time.perf_counter()
                     fact = dense_ldu_factorize(full, sizes)
                     dense_ldu_solve(fact, b)
                     dt = time.perf_counter() - t0
                     if rep > 0:
-                        best_dense = min(best_dense, dt)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-        rows.append(TimingRow(n=int(n), t_sparse=float(best_sparse), t_dense=best_dense))
-    return rows
+                        best_dense[i] = min(best_dense[i], dt)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    return [
+        TimingRow(
+            n=n,
+            t_sparse=float(best_sparse[i]),
+            t_dense=float(best_dense[i]) if dense is not None else None,
+        )
+        for i, (n, _, dense) in enumerate(cases)
+    ]
 
 
 def run_convergence_experiment(n_list, tolerance: float = 1e-10, joint_kind: str = "revolute") -> dict:

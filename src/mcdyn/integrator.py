@@ -28,7 +28,7 @@ from .block_solver import (
     sparse_ldu_factorize,
     sparse_ldu_solve,
 )
-from .errors import AngularRateError, LineSearchError, NonConvergenceError
+from .errors import AngularRateError, LineSearchError, NonConvergenceError, SimulationError
 from .mechanism import (
     WORLD,
     Mechanism,
@@ -39,6 +39,7 @@ from .mechanism import (
 
 _EZ = np.array([0.0, 0.0, 1.0])
 _ZERO3 = np.zeros(3)
+_ZERO3.setflags(write=False)  # shared default load; never written through
 _IDQ = np.array([1.0, 0.0, 0.0, 0.0])
 _MAX_HALVINGS = 20
 
@@ -57,10 +58,26 @@ class StepContext:
     torques: dict = field(default_factory=dict)
 
     def force(self, bid) -> np.ndarray:
-        return np.asarray(self.forces.get(bid, np.zeros(3)), dtype=float)
+        return np.asarray(self.forces.get(bid, _ZERO3), dtype=float)
 
     def torque(self, bid) -> np.ndarray:
-        return np.asarray(self.torques.get(bid, np.zeros(3)), dtype=float)
+        return np.asarray(self.torques.get(bid, _ZERO3), dtype=float)
+
+
+def _check_loads(mech: Mechanism, ctx: StepContext) -> None:
+    """Reject loads on unknown bodies and loads that are not finite 3-vectors."""
+    for name, loads in (("force", ctx.forces), ("torque", ctx.torques)):
+        for bid, value in loads.items():
+            if bid not in mech.bodies:
+                raise SimulationError(f"{name} on unknown body {bid!r}")
+            try:
+                value = np.asarray(value, dtype=float)
+            except (TypeError, ValueError) as err:
+                raise SimulationError(f"{name} on body {bid} is not numeric") from err
+            if value.shape != (3,):
+                raise SimulationError(f"{name} on body {bid} has shape {value.shape}, not (3,)")
+            if not np.isfinite(value).all():
+                raise SimulationError(f"{name} on body {bid} is not finite: {value}")
 
 
 @dataclass
@@ -110,30 +127,6 @@ def set_unknowns(mech: Mechanism, layout: SystemLayout, s: np.ndarray) -> None:
 # residual
 
 
-def position_update(x2: np.ndarray, v2: np.ndarray, h: float) -> np.ndarray:
-    """Next position from the current one and the interval velocity."""
-    return x2 + v2 * h
-
-
-# re-exported: the rotational counterpart lives with the quaternion algebra
-orientation_update = quat.orientation_update
-
-
-def _generalized_torque(q2: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    # Literal product V L(q)^T L(q) V^T tau; collapses to tau for unit q.
-    L = quat.lmat(q2)
-    return (quat.VMAT @ L.T @ L @ quat.VMAT.T) @ tau
-
-
-def _rate_scalars(w: np.ndarray, h: float) -> float:
-    arg = 4.0 / h**2 - w @ w
-    if arg <= 0.0:
-        raise AngularRateError(
-            f"time step {h} too large for angular rate {np.linalg.norm(w):.6g}"
-        )
-    return float(np.sqrt(arg))
-
-
 def _body_residual(body, pull: np.ndarray, ctx: StepContext) -> np.ndarray:
     st = body.state
     h = ctx.h
@@ -141,8 +134,8 @@ def _body_residual(body, pull: np.ndarray, ctx: StepContext) -> np.ndarray:
     J = body.inertia
     out = np.empty(6)
     out[:3] = m * ((st.v2 - st.v1) / h + ctx.gravity * _EZ) - ctx.force(body.id) - pull[:3]
-    s2 = _rate_scalars(st.w2, h)
-    s1 = _rate_scalars(st.w1, h)
+    s2 = quat._rate_scalar(st.w2, h)
+    s1 = quat._rate_scalar(st.w1, h)
     Jw2 = J @ st.w2
     Jw1 = J @ st.w1
     out[3:] = (
@@ -150,35 +143,10 @@ def _body_residual(body, pull: np.ndarray, ctx: StepContext) -> np.ndarray:
         + quat.cross(st.w2, Jw2)
         - Jw1 * s1
         + quat.cross(st.w1, Jw1)
-        - 2.0 * _generalized_torque(st.q2, ctx.torque(body.id))
+        - 2.0 * ctx.torque(body.id)
         - pull[3:]
     )
     return out
-
-
-def _constraint_pull(mech: Mechanism, body_id, pose2) -> np.ndarray:
-    """Sum of transposed position-Jacobian blocks times the joint impulses."""
-    pull = np.zeros(6)
-    for jid in mech.graph.adjacency.get(body_id, []):
-        joint = mech.joints[jid]
-        blocks = constraint_jacobian_position(joint, pose2)
-        if body_id in blocks:
-            pull += blocks[body_id].T @ mech.multipliers[jid]
-    return pull
-
-
-def translational_residual(mech: Mechanism, body_id: int, ctx: StepContext) -> np.ndarray:
-    """Momentum balance of one body's translation over the current interval."""
-    body = mech.bodies[body_id]
-    pull = _constraint_pull(mech, body_id, mech.pose(2))
-    return _body_residual(body, pull, ctx)[:3]
-
-
-def rotational_residual(mech: Mechanism, body_id: int, ctx: StepContext) -> np.ndarray:
-    """Momentum balance of one body's rotation over the current interval."""
-    body = mech.bodies[body_id]
-    pull = _constraint_pull(mech, body_id, mech.pose(2))
-    return _body_residual(body, pull, ctx)[3:]
 
 
 def position_jacobian_blocks(mech: Mechanism) -> dict:
@@ -195,6 +163,7 @@ def position_jacobian_blocks(mech: Mechanism) -> dict:
 
 
 def _predicted_pose(mech: Mechanism, h: float):
+    """Pose accessor for the next knot predicted from the current (v2, w2)."""
     cache = {}
     for bid in mech.body_ids:
         st = mech.bodies[bid].state
@@ -240,7 +209,7 @@ def _body_diag_block(body, ctx: StepContext) -> np.ndarray:
     st = body.state
     h = ctx.h
     J = body.inertia
-    s2 = _rate_scalars(st.w2, h)
+    s2 = quat._rate_scalar(st.w2, h)
     Jw = J @ st.w2
     out = np.zeros((6, 6))
     out[:3, :3] = (body.mass / h) * np.eye(3)
@@ -260,16 +229,13 @@ def assemble_jacobian(
     blocks: minus the transposed position-Jacobian (body row, constraint
     column; the impulse direction) and the predicted-knot velocity Jacobian
     (constraint row, body column).  The zero/non-zero pattern is symmetric
-    and identical to the mechanism's incidence graph.
+    and identical to the mechanism's incidence graph.  Blocks are ordered
+    like the residual vector (bodies, then joints) and the right-hand side
+    is empty; :func:`newton_system` gives the form the solver factorizes.
     """
-    pose2 = mech.pose(2)
     if pos_blocks is None:
         pos_blocks = position_jacobian_blocks(mech)
-
-    def unknowns_of(bid):
-        st = mech.bodies[bid].state
-        return st.v2, st.w2
-
+    pose3 = _predicted_pose(mech, ctx.h)
     diag = {}
     offdiag = {}
     for bid in mech.body_ids:
@@ -277,20 +243,38 @@ def assemble_jacobian(
     for jid in mech.joint_ids:
         joint = mech.joints[jid]
         diag[jid] = np.zeros((joint.rows, joint.rows))
-        vel_blocks = constraint_jacobian_velocity(joint, pose2, unknowns_of, ctx.h)
+        vel_blocks = constraint_jacobian_velocity(joint, pose3, mech.bodies, ctx.h)
         for bid in pos_blocks[jid]:
             offdiag[(bid, jid)] = -pos_blocks[jid][bid].T
             offdiag[(jid, bid)] = vel_blocks[bid]
-    order = [n for n in mech.graph.order if n != LOOP_NODE]
-    order.extend(sorted(mech.graph.loop_joints))
+    order = list(layout.body_slices) + list(layout.joint_slices)
     return BlockSystem(diag=diag, offdiag=offdiag, order=order, rhs={})
 
 
-def _fill_rhs(system: BlockSystem, f: np.ndarray, layout: SystemLayout) -> None:
-    for bid, sl in layout.body_slices.items():
-        system.rhs[bid] = f[sl]
-    for jid, sl in layout.joint_slices.items():
-        system.rhs[jid] = f[sl]
+def stacked_system(mech: Mechanism, diag: dict, offdiag: dict, rhs: dict) -> BlockSystem:
+    """Block system over the mechanism graph in the sparse solver's form.
+
+    Nodes follow the graph's elimination order, and the loop-closure joints
+    are stacked into the loop node.
+    """
+    loops = mech.graph.loop_joints
+    order = [n for n in mech.graph.order if n != LOOP_NODE] + sorted(loops)
+    return augment_loop_node(BlockSystem(diag=diag, offdiag=offdiag, order=order, rhs=rhs), loops)
+
+
+def newton_system(
+    mech: Mechanism, ctx: StepContext, layout: SystemLayout, f: np.ndarray,
+    pos_blocks: dict | None = None,
+) -> BlockSystem:
+    """The Newton system at the current unknowns, ready to factorize.
+
+    ``f`` is the stacked residual at the same unknowns; it becomes the
+    right-hand side of the Jacobian from :func:`assemble_jacobian`.
+    """
+    system = assemble_jacobian(mech, ctx, layout, pos_blocks)
+    for node, sl in (*layout.body_slices.items(), *layout.joint_slices.items()):
+        system.rhs[node] = f[sl]
+    return stacked_system(mech, system.diag, system.offdiag, system.rhs)
 
 
 def _solution_vector(sol: dict, layout: SystemLayout, loop_layout) -> np.ndarray:
@@ -330,10 +314,13 @@ def newton_solve(
 
     Iterates factor-and-substitute updates with a backtracking line search
     (first step-halving that decreases the residual 2-norm is accepted, up
-    to 20 halvings).  Terminates when the residual norm drops below `tol`
-    or when two successive Newton increments differ by less than `tol`.
-    Converged unknowns are left in the mechanism state.
+    to 20 halvings).  Returns only once the residual norm is below `tol`,
+    leaving the converged unknowns in the mechanism state.  Raises
+    SimulationError for a load on an unknown body or a load that is not a
+    finite 3-vector, LineSearchError when no halving reduces the residual,
+    and NonConvergenceError when `max_iters` iterations do not reach `tol`.
     """
+    _check_loads(mech, ctx)
     mech.ensure_initialized(ctx.h)
     layout = build_layout(mech)
     pos_blocks = position_jacobian_blocks(mech)
@@ -343,11 +330,8 @@ def newton_solve(
     history = [norm]
     if norm < tol:
         return NewtonInfo(iterations=0, residual_norm=norm, history=history)
-    prev_ds = None
     for it in range(1, max_iters + 1):
-        system = assemble_jacobian(mech, ctx, layout, pos_blocks)
-        _fill_rhs(system, f, layout)
-        system = augment_loop_node(system, mech.graph.loop_joints)
+        system = newton_system(mech, ctx, layout, f, pos_blocks)
         fact = sparse_ldu_factorize(system)
         sol = sparse_ldu_solve(fact)
         ds = _solution_vector(sol, layout, system.loop_layout)
@@ -375,9 +359,6 @@ def newton_solve(
         history.append(norm)
         if norm < tol:
             return NewtonInfo(iterations=it, residual_norm=norm, history=history)
-        if prev_ds is not None and float(np.linalg.norm(ds - prev_ds)) < tol:
-            return NewtonInfo(iterations=it, residual_norm=norm, history=history)
-        prev_ds = ds
     raise NonConvergenceError(
         f"no convergence after {max_iters} iterations (residual {norm:.3e})"
     )
@@ -395,12 +376,11 @@ def step(
     shifts the knots, and keeps the solution as the next warm start.
     """
     info = newton_solve(mech, ctx, tol=tol, max_iters=max_iters)
-    h = ctx.h
-    for body in mech.bodies.values():
+    pose3 = _predicted_pose(mech, ctx.h)
+    for bid, body in mech.bodies.items():
         st = body.state
         st.x1, st.q1 = st.x2, st.q2
-        st.x2 = position_update(st.x2, st.v2, h)
-        st.q2 = quat.orientation_update(st.q1, st.w2, h)
+        st.x2, st.q2 = pose3(bid)
         st.v1 = st.v2.copy()
         st.w1 = st.w2.copy()
     return info
@@ -426,7 +406,7 @@ def angular_momentum(body, h: float) -> np.ndarray:
     for an isolated torque-free body.
     """
     st = body.state
-    s1 = _rate_scalars(st.w1, h)
+    s1 = quat._rate_scalar(st.w1, h)
     Jw = body.inertia @ st.w1
     return quat.rotate(st.q2, (h / 2.0) * (s1 * Jw - quat.cross(st.w1, Jw)))
 

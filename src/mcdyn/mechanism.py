@@ -140,18 +140,6 @@ def joint_residual(joint: JointConstraint, pose) -> np.ndarray:
     return np.concatenate([ball, rel])
 
 
-def ball_residual(joint: JointConstraint, pose) -> np.ndarray:
-    if joint.kind != KIND_BALL:
-        raise MechanismError(f"joint {joint.id} is not a ball joint")
-    return joint_residual(joint, pose)
-
-
-def revolute_residual(joint: JointConstraint, pose) -> np.ndarray:
-    if joint.kind != KIND_REVOLUTE:
-        raise MechanismError(f"joint {joint.id} is not a revolute joint")
-    return joint_residual(joint, pose)
-
-
 # ---------------------------------------------------------------------------
 # Jacobians
 
@@ -206,29 +194,21 @@ def constraint_jacobian_position(joint: JointConstraint, pose) -> dict:
     return out
 
 
-def constraint_jacobian_velocity(joint: JointConstraint, pose2, unknowns_of, h: float) -> dict:
+def constraint_jacobian_velocity(joint: JointConstraint, pose3, bodies: dict, h: float) -> dict:
     """Per-body (rows, 6) derivative of the predicted-knot residual.
 
     The residual is imposed at the predicted knot obtained from the current
     velocity unknowns, so the chain rule carries the factor h through the
     position update and the norm-preserving orientation-update derivative
     (including the -w/sqrt((2/h)^2 - w.w) sensitivity of its scalar part)
-    through the rotational columns.  ``pose2`` gives committed poses,
-    ``unknowns_of(body_id) -> (v2, w2)`` the current velocity guesses.
+    through the rotational columns.  ``pose3`` gives the predicted poses
+    (x2 + h v2, orientation_update(q2, w2, h)); ``bodies`` maps body ids to
+    bodies whose states hold the committed q2 and the velocity guess w2.
     """
-
-    def pose3(bid):
-        if bid == WORLD:
-            return pose2(bid)
-        x2, q2 = pose2(bid)
-        v2, w2 = unknowns_of(bid)
-        return x2 + h * v2, quat.orientation_update(q2, w2, h)
-
     out = {}
     for bid, (dx, dq) in joint_jacobian_raw(joint, pose3).items():
-        _, q2 = pose2(bid)
-        _, w2 = unknowns_of(bid)
-        out[bid] = np.hstack([h * dx, dq @ quat.orientation_update_jacobian(q2, w2, h)])
+        st = bodies[bid].state
+        out[bid] = np.hstack([h * dx, dq @ quat.orientation_update_jacobian(st.q2, st.w2, h)])
     return out
 
 
@@ -246,15 +226,10 @@ class MechanismGraph:
     non-root tree node to its parent.
     """
 
-    nodes: list
     adjacency: dict
     order: list
     parent: dict
     loop_joints: set
-    root: object
-
-    def children(self, node):
-        return [c for c, p in self.parent.items() if p == node]
 
 
 def build_graph(bodies: dict, joints: dict, root=None) -> MechanismGraph:
@@ -335,14 +310,11 @@ def build_graph(bodies: dict, joints: dict, root=None) -> MechanismGraph:
     order = list(reversed(discovery))
     if loops:
         order.append(LOOP_NODE)
-    nodes = sorted(bodies) + sorted(joints)
     return MechanismGraph(
-        nodes=nodes,
         adjacency={k: v for k, v in adjacency.items() if k != WORLD},
         order=order,
         parent=parent,
         loop_joints=loops,
-        root=order[-1] if not loops else order[-2],
     )
 
 
@@ -409,7 +381,9 @@ class Mechanism:
         for body in self.bodies.values():
             st = body.state
             st.x1 = st.x2 - h * st.v1
-            st.q1 = quat.multiply(st.q2, quat.inverse(_step_quat(st.w1, h)))
+            # lmat(identity) is the identity, so this is the bare step quaternion
+            q_step = quat.orientation_update(quat.identity(), st.w1, h)
+            st.q1 = quat.multiply(st.q2, quat.inverse(q_step))
             st.v2 = st.v1.copy()
             st.w2 = st.w1.copy()
         for jid, joint in self.joints.items():
@@ -421,9 +395,9 @@ class Mechanism:
             self.initialize(h)
 
     def pose(self, at: int):
-        """Pose accessor for knot 1, 2, or 3 (3 = predicted from v2/w2)."""
-        if at not in (1, 2, 3):
-            raise ValueError("knot selector must be 1, 2 or 3")
+        """Pose accessor for committed knot 1 or 2."""
+        if at not in (1, 2):
+            raise ValueError("knot selector must be 1 or 2")
 
         def _pose(bid):
             if bid == WORLD:
@@ -431,11 +405,7 @@ class Mechanism:
             st = self.bodies[bid].state
             if at == 1:
                 return st.x1, st.q1
-            if at == 2:
-                return st.x2, st.q2
-            if self.h is None:
-                raise MechanismError("mechanism not initialized with a time step")
-            return st.x2 + self.h * st.v2, quat.orientation_update(st.q2, st.w2, self.h)
+            return st.x2, st.q2
 
         return _pose
 
@@ -446,15 +416,6 @@ class Mechanism:
             r = joint_residual(joint, pose)
             worst = max(worst, float(np.abs(r).max()))
         return worst
-
-
-def _step_quat(w: np.ndarray, h: float) -> np.ndarray:
-    arg = (2.0 / h) ** 2 - w @ w
-    if arg <= 0.0:
-        from .errors import AngularRateError
-
-        raise AngularRateError(f"time step {h} too large for angular rate {np.linalg.norm(w):.3f}")
-    return (h / 2.0) * np.concatenate([[np.sqrt(arg)], w])
 
 
 def load_mechanism(source) -> Mechanism:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import MechanismError
 
-KINDS = ("pendulum", "closed_chain", "segmented_chain", "free_body", "custom_file")
+KINDS = ("pendulum", "closed_chain", "segmented_chain", "free_body")
 JOINT_KINDS = ("revolute", "ball")
 
 
@@ -38,7 +38,6 @@ class Scenario:
     link_mass: float = 1.0
     rod_radius: float = 0.05
     pivot_height: float | None = None
-    path: str | None = None  # custom_file only
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -102,8 +101,6 @@ def generate_scenario(sc: Scenario) -> dict:
     segmented_chain: four-link parallelogram segments in series.  free_body:
     a single unconstrained rod.
     """
-    if sc.kind == "custom_file":
-        raise MechanismError("custom_file scenarios are loaded, not generated")
     if sc.kind == "free_body":
         return {
             "bodies": [_rod_body(1, (0.0, 0.0, 0.0), (0.0, 0.0, 1.0), sc)],

@@ -9,7 +9,6 @@ import numpy as np
 import mcdyn.quaternions as quat
 from conftest import make_closed_chain, make_pendulum, make_segmented_chain
 from mcdyn.block_solver import (
-    augment_loop_node,
     dense_ldu_factorize,
     dense_ldu_solve,
     sparse_ldu_factorize,
@@ -25,9 +24,9 @@ from mcdyn.experiments import (
 from mcdyn.integrator import (
     StepContext,
     angular_momentum,
-    assemble_jacobian,
     assemble_residual,
     build_layout,
+    newton_system,
     step,
 )
 from mcdyn.scenarios import Scenario
@@ -146,13 +145,7 @@ def test_criterion_5_solver_equivalence():
         ctx = StepContext(h=0.01)
         mech = randomized_feasible_state(builder(), ctx, rng, warm_steps=2)
         layout = build_layout(mech)
-        system = assemble_jacobian(mech, ctx, layout)
-        f = assemble_residual(mech, ctx, layout)
-        for bid, sl in layout.body_slices.items():
-            system.rhs[bid] = f[sl]
-        for jid, sl in layout.joint_slices.items():
-            system.rhs[jid] = f[sl]
-        system = augment_loop_node(system, mech.graph.loop_joints)
+        system = newton_system(mech, ctx, layout, assemble_residual(mech, ctx, layout))
         full, _ = system.assembled()
         b = system.assembled_rhs()
         work = system.copy()

@@ -2,8 +2,8 @@ import numpy as np
 from numpy.testing import assert_allclose
 
 from conftest import make_closed_chain, make_pendulum
-from mcdyn.baselines import _State, _acceleration_rates, heun_initial_energy, heun_simulate
-from mcdyn.integrator import StepContext, run_simulation
+from mcdyn.baselines import _State, _acceleration_rates, heun_simulate
+from mcdyn.integrator import StepContext, run_simulation, total_energy
 from test_integrator import free_body
 
 
@@ -47,7 +47,7 @@ class TestHeun:
     def test_energy_error_grows_on_pendulum(self):
         mech = make_pendulum(2)
         ctx = StepContext(h=0.01)
-        e0 = heun_initial_energy(mech, ctx)
+        e0 = total_energy(mech, ctx)
         recs = heun_simulate(mech, ctx, 600)
         err = np.abs(np.array([r.energy for r in recs]) - e0)
         assert err[-1] > 10.0 * max(err[49], 1e-12)

@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 import mcdyn.quaternions as quat
 from conftest import make_closed_chain, make_pendulum, star_mechanism
-from mcdyn.errors import AngularRateError
+from mcdyn.errors import AngularRateError, NewtonError, SimulationError
 from mcdyn.integrator import (
     StepContext,
     angular_momentum,
@@ -13,13 +13,10 @@ from mcdyn.integrator import (
     build_layout,
     get_unknowns,
     newton_solve,
-    position_update,
-    rotational_residual,
     run_simulation,
     set_unknowns,
     step,
     total_energy,
-    translational_residual,
 )
 from mcdyn.mechanism import load_mechanism
 from oracles import euler_free_body
@@ -98,12 +95,18 @@ def randomized_feasible_state(mech, ctx, rng, warm_steps=3):
     return mech
 
 
+def body_residual(mech, bid, ctx):
+    """Body ``bid``'s six momentum-balance rows of the stacked residual."""
+    layout = build_layout(mech)
+    return assemble_residual(mech, ctx, layout)[layout.body_slices[bid]]
+
+
 class TestTranslationalResidual:
     def test_force_balance(self):
         mech = free_body()
         ctx = StepContext(h=0.01, forces={1: np.array([0.0, 0.0, 9.81])})
         mech.initialize(0.01)
-        assert_allclose(translational_residual(mech, 1, ctx), np.zeros(3), atol=1e-12)
+        assert_allclose(body_residual(mech, 1, ctx)[:3], np.zeros(3), atol=1e-12)
 
     def test_free_fall_one_step(self):
         mech = free_body()
@@ -126,14 +129,14 @@ class TestRotationalResidual:
         mech = free_body(inertia=(0.2, 0.2, 0.2), w=w)
         ctx = StepContext(h=0.01, gravity=0.0)
         mech.initialize(0.01)
-        assert_allclose(rotational_residual(mech, 1, ctx), np.zeros(3), atol=1e-12)
+        assert_allclose(body_residual(mech, 1, ctx)[3:], np.zeros(3), atol=1e-12)
 
     def test_rate_domain_error(self):
         mech = free_body(w=(0.0, 0.0, 100.0))
         mech.initialize(0.01)
         mech.bodies[1].state.w2 = np.array([0.0, 0.0, 250.0])
         with pytest.raises(AngularRateError):
-            rotational_residual(mech, 1, StepContext(h=0.01))
+            body_residual(mech, 1, StepContext(h=0.01))
 
     def test_torque_free_step_matches_fine_ode(self):
         J = (1.0, 2.0, 3.0)
@@ -166,11 +169,13 @@ class TestRotationalResidual:
 
 class TestUpdates:
     def test_position_update(self):
-        assert_allclose(position_update(np.zeros(3), np.zeros(3), 0.5), np.zeros(3))
-        x3 = position_update(np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]), 0.5)
-        assert_allclose(x3, [1.0, 0.5, 0.0])
-        v_back = (x3 - np.array([1.0, 0.0, 0.0])) / 0.5
-        assert_allclose(v_back, [0.0, 1.0, 0.0])
+        mech = free_body(v=(0.0, 1.0, 0.0), x=(1.0, 0.0, 0.0))
+        mech.initialize(0.5)
+        st = mech.bodies[1].state
+        x_old = st.x2.copy()
+        step(mech, StepContext(h=0.5, gravity=0.0))
+        np.testing.assert_array_equal(st.x2, x_old + 0.5 * st.v2)
+        assert_allclose(st.x2, [1.0, 0.5, 0.0])
 
 
 class TestAssembledSystem:
@@ -256,10 +261,26 @@ class TestNewton:
 
     def test_nonconvergence_budget(self):
         mech = make_pendulum(1)
-        from mcdyn.errors import NewtonError
-
         with pytest.raises(NewtonError):
             newton_solve(mech, StepContext(h=0.01), tol=1e-30, max_iters=2)
+
+
+class TestLoadGuards:
+    @pytest.mark.parametrize("loads,bid", [
+        ({"forces": {1: np.array([np.nan, 0.0, 0.0])}}, 1),
+        ({"torques": {2: np.array([0.0, np.inf, 0.0])}}, 2),
+        ({"forces": {2: np.zeros(2)}}, 2),
+        ({"torques": {1: "spin"}}, 1),
+        ({"forces": {99: np.zeros(3)}}, 99),
+    ])
+    def test_bad_load_rejected_before_solving(self, loads, bid):
+        mech = make_pendulum(2)
+        x_before = mech.bodies[1].state.x2.copy()
+        with pytest.raises(SimulationError) as err:
+            step(mech, StepContext(h=0.01, **loads))
+        assert not isinstance(err.value, NewtonError)
+        assert f"body {bid}" in str(err.value)
+        np.testing.assert_array_equal(mech.bodies[1].state.x2, x_before)
 
 
 class TestStep:

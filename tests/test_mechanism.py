@@ -9,7 +9,6 @@ from mcdyn.errors import MechanismError
 from mcdyn.mechanism import (
     WORLD,
     JointConstraint,
-    ball_residual,
     build_graph,
     constraint_jacobian_position,
     constraint_jacobian_velocity,
@@ -17,7 +16,6 @@ from mcdyn.mechanism import (
     dfs_order,
     joint_residual,
     load_mechanism,
-    revolute_residual,
 )
 from mcdyn.scenarios import Scenario, generate_scenario
 from oracles import count_independent_cycles, random_unit_quat, rotmat_from_axis_angle, rotmat_from_quat
@@ -42,7 +40,7 @@ class TestBallResidual:
             1: (np.zeros(3), quat.identity()),
             2: (np.array([1.0, 0.0, 0.0]), quat.identity()),
         })
-        assert_allclose(ball_residual(joint, pose), np.zeros(3), atol=1e-15)
+        assert_allclose(joint_residual(joint, pose), np.zeros(3), atol=1e-15)
 
     def test_pendulum_rest_pose(self):
         # hanging rod: anchors meet at (0, 0, -0.5)
@@ -61,16 +59,7 @@ class TestBallResidual:
             joint = JointConstraint(id=9, kind="ball", parent=1, child=2, p_a=pa, p_b=pb)
             pose = fixed_pose({1: (xa, qa), 2: (xb, qb)})
             expected = xa + rotmat_from_quat(qa) @ pa - xb - rotmat_from_quat(qb) @ pb
-            assert_allclose(ball_residual(joint, pose), expected, atol=1e-12)
-
-    def test_kind_checked(self):
-        joint = JointConstraint(
-            id=1, kind="revolute", parent=WORLD, child=1,
-            p_a=np.zeros(3), p_b=np.zeros(3),
-            axis_a=np.array([0.0, 1.0, 0.0]), axis_b=np.array([0.0, 1.0, 0.0]),
-        )
-        with pytest.raises(MechanismError):
-            ball_residual(joint, fixed_pose({1: (np.zeros(3), quat.identity())}))
+            assert_allclose(joint_residual(joint, pose), expected, atol=1e-12)
 
 
 def _hinge_joint():
@@ -85,14 +74,14 @@ class TestRevoluteResidual:
     def test_aligned_zero(self):
         joint = _hinge_joint()
         pose = fixed_pose({1: (np.array([0.0, 0.0, 0.5]), quat.identity())})
-        assert_allclose(revolute_residual(joint, pose), np.zeros(5), atol=1e-15)
+        assert_allclose(joint_residual(joint, pose), np.zeros(5), atol=1e-15)
 
     def test_rotation_about_hinge_is_free(self, rng):
         joint = _hinge_joint()
         for angle in rng.uniform(-np.pi, np.pi, size=8):
             q = quat.from_axis_angle([0.0, 1.0, 0.0], angle)
             x = -quat.rotate(q, joint.p_b)
-            residual = revolute_residual(joint, fixed_pose({1: (x, q)}))
+            residual = joint_residual(joint, fixed_pose({1: (x, q)}))
             assert_allclose(residual, np.zeros(5), atol=1e-13)
 
     def test_off_axis_tilt_matches_matrix_oracle(self):
@@ -100,7 +89,7 @@ class TestRevoluteResidual:
         tilt = rotmat_from_axis_angle([1.0, 0.0, 0.0], 0.1)
         q = quat.from_axis_angle([1.0, 0.0, 0.0], 0.1)
         x = -quat.rotate(q, joint.p_b)
-        residual = revolute_residual(joint, fixed_pose({1: (x, q)}))
+        residual = joint_residual(joint, fixed_pose({1: (x, q)}))
         assert_allclose(residual[:3], np.zeros(3), atol=1e-14)
         axis_world = np.array([0.0, 1.0, 0.0])  # world-side hinge
         expected = [axis_world @ (tilt @ joint.n1), axis_world @ (tilt @ joint.n2)]
@@ -193,29 +182,30 @@ class TestPositionJacobian:
                 assert np.abs(blocks[bid] - fd).max() < 1e-6
 
 
+def predicted_pose(mech, h):
+    """Predicted next-knot poses, read from the body states at each call."""
+
+    def pose3(b):
+        if b == WORLD:
+            return np.zeros(3), quat.identity()
+        s = mech.bodies[b].state
+        return s.x2 + h * s.v2, quat.orientation_update(s.q2, s.w2, h)
+
+    return pose3
+
+
 class TestVelocityJacobian:
     def _blocks_and_fd(self, mech, h):
-        pose2 = mech.pose(2)
-
-        def unknowns_of(bid):
-            st = mech.bodies[bid].state
-            return st.v2, st.w2
-
+        pose3 = predicted_pose(mech, h)
         out = {}
         for jid, joint in mech.joints.items():
-            blocks = constraint_jacobian_velocity(joint, pose2, unknowns_of, h)
+            blocks = constraint_jacobian_velocity(joint, pose3, mech.bodies, h)
             fd = {}
             for bid in blocks:
                 st = mech.bodies[bid].state
                 base_v, base_w = st.v2.copy(), st.w2.copy()
 
                 def predicted_residual():
-                    def pose3(b):
-                        if b == WORLD:
-                            return np.zeros(3), quat.identity()
-                        s = mech.bodies[b].state
-                        return s.x2 + h * s.v2, quat.orientation_update(s.q2, s.w2, h)
-
                     return joint_residual(joint, pose3)
 
                 eps = 1e-6
@@ -238,13 +228,9 @@ class TestVelocityJacobian:
 
     def test_zero_rate_translational_block(self):
         mech = make_pendulum(1, joint_kind="ball", h=0.01)
-        pose2 = mech.pose(2)
-        joint = mech.joints[2]
-
-        def unknowns_of(bid):
-            return np.zeros(3), np.zeros(3)
-
-        blocks = constraint_jacobian_velocity(joint, pose2, unknowns_of, 0.01)
+        st = mech.bodies[1].state
+        st.v2, st.w2 = np.zeros(3), np.zeros(3)
+        blocks = constraint_jacobian_velocity(mech.joints[2], predicted_pose(mech, 0.01), mech.bodies, 0.01)
         assert_allclose(blocks[1][:, :3], -0.01 * np.eye(3), atol=1e-15)
 
     def test_matches_finite_differences(self, rng):
@@ -265,15 +251,10 @@ class TestVelocityJacobian:
         st.v2 = rng.normal(size=3)
         st.w2 = rng.normal(size=3)
         joint = mech.joints[2]
-        pose2 = mech.pose(2)
-        pos = constraint_jacobian_position(joint, pose2)[1]
-
-        def unknowns_of(bid):
-            return st.v2, st.w2
-
+        pos = constraint_jacobian_position(joint, mech.pose(2))[1]
         errs = []
         for h in (1e-3, 1e-4):
-            vel = constraint_jacobian_velocity(joint, pose2, unknowns_of, h)[1]
+            vel = constraint_jacobian_velocity(joint, predicted_pose(mech, h), mech.bodies, h)[1]
             approx = np.hstack([h * pos[:, :3], 0.5 * h * pos[:, 3:]])
             errs.append(np.abs(vel - approx).max() / h)
         assert errs[0] < 5e-3
@@ -321,7 +302,8 @@ class TestGraph:
             pos = {n: i for i, n in enumerate(graph.order)}
             for node, parent in graph.parent.items():
                 assert pos[node] < pos[parent]
-            assert set(graph.order) - {LOOP_NODE} == set(graph.nodes) - graph.loop_joints
+            nodes = set(mech.bodies) | set(mech.joints)
+            assert set(graph.order) - {LOOP_NODE} == nodes - graph.loop_joints
 
     def test_pendulum_counts(self):
         for n in (1, 4, 9):

@@ -24,7 +24,7 @@ class TestScenarioValidation:
 
     def test_custom_file_not_generated(self):
         with pytest.raises(MechanismError):
-            generate_scenario(Scenario(kind="custom_file", path="x.yaml"))
+            generate_scenario(Scenario(kind="custom_file"))
 
     def test_n_steps(self):
         assert Scenario(kind="pendulum", h=0.01, duration=10.0).n_steps == 1000
