@@ -19,14 +19,14 @@ exactly zero diagonal and become invertible through the Schur updates of
 their eliminated neighbors; a constraint node reaching its pivot without
 any update is reported as a modeling error (dangling constraint).
 
-For the stacked loop node only, near-zero pivots are relieved by clamping
-them to a small multiple of the block scale.  Closed loops of parallel-axis
-joints carry structurally redundant constraint rows, so the loop node's
-Schur complement is rank-deficient by construction; clamping selects one
-multiplier solution out of the affine family without affecting body motion
+Pivot blocks are inverted with LAPACK.  The stacked loop node's pivot uses
+a truncated-SVD pseudo-inverse that drops singular values below a small
+multiple of the block scale: closed loops of parallel-axis joints carry
+structurally redundant constraint rows, so its Schur complement is
+rank-deficient by construction.  This selects one multiplier solution out
+of the affine family, stably under rounding, without affecting body motion
 (null-space components of the multipliers do not enter the equations of
-motion).  The relieved matrix is still used inside an iteration that drives
-the true residual to tolerance, so constraint satisfaction is unaffected.
+motion); the iteration still drives the true residual to tolerance.
 """
 
 from __future__ import annotations
@@ -40,52 +40,40 @@ from .errors import DanglingConstraintError, SingularBlockError
 # Node key of the stacked loop-closure node; always last in the order.
 LOOP_NODE = "loop"
 
-# Relative pivot magnitude below which an unrelieved factorization fails.
+# An unrelieved block fails once max|A| * max|A^-1| reaches 1/_SINGULAR_RTOL.
 _SINGULAR_RTOL = 1e-13
 
-# Relative clamp applied to loop-node pivots.
+# Relative singular-value cut of the loop node's pseudo-inverse.
 _LOOP_PIVOT_RELIEF = 1e-10
 
 
 # ---------------------------------------------------------------------------
-# small-block LDU inverse
+# pivot-block inverse
 
 
 def ldu_inverse(block: np.ndarray, pivot_relief: float = 0.0) -> np.ndarray:
-    """Invert one block by scalar Gaussian elimination with row pivoting.
+    """Invert one pivot block with LAPACK.
 
-    Pivoting here is confined to the inside of a single block: it changes
-    nothing structurally (the return value is just the inverse) but keeps
-    invertible blocks with zero leading minors from failing spuriously.
-    Near-singular pivot columns raise; with ``pivot_relief`` > 0 they are
-    instead replaced at full block scale, so the deficient directions
-    contribute ~nothing to the solution rather than amplifying their
-    right-hand side by 1/pivot (used for the stacked loop node only).
+    Without relief, raises SingularBlockError for an exactly singular block,
+    a non-finite inverse, or max|A| * max|A^-1| >= 1/_SINGULAR_RTOL.  With
+    ``pivot_relief`` > 0, returns the truncated-SVD pseudo-inverse: singular
+    values at or below ``pivot_relief * max|A|`` get weight 0, so deficient
+    directions contribute nothing, and rounding noise cannot move the cut.
     """
+    scale = np.abs(block).max(initial=0.0)
+    if pivot_relief > 0.0:
+        u, sig, vt = np.linalg.svd(block)
+        keep = sig > pivot_relief * scale
+        return (vt[keep].T / sig[keep]) @ u[:, keep].T
     k = block.shape[0]
-    if k == 0:
-        return block.copy()
-    aug = np.hstack([np.array(block, dtype=float), np.eye(k)])
-    scale = max(np.abs(block).max(), 1e-300)
-    for i in range(k):
-        col = np.abs(aug[i:, i])
-        r = i + int(np.argmax(col))
-        if abs(aug[r, i]) <= max(pivot_relief, _SINGULAR_RTOL) * scale:
-            if pivot_relief > 0.0:
-                aug[i, i] += scale if aug[i, i] >= 0.0 else -scale
-                r = i
-            else:
-                raise SingularBlockError(
-                    f"singular pivot column {i} (magnitude {abs(aug[r, i]):.3e}) "
-                    f"in a {k}x{k} block"
-                )
-        if r != i:
-            aug[[i, r]] = aug[[r, i]]
-        aug[i] /= aug[i, i]
-        factors = aug[:, i].copy()
-        factors[i] = 0.0
-        aug -= factors[:, None] * aug[i][None, :]
-    return aug[:, k:]
+    try:
+        inv = np.linalg.inv(block)
+    except np.linalg.LinAlgError as err:
+        raise SingularBlockError(f"exactly singular {k}x{k} block") from err
+    growth = scale * np.abs(inv).max(initial=0.0)
+    if not np.isfinite(inv).all() or growth * _SINGULAR_RTOL >= 1.0:
+        raise SingularBlockError(f"ill-conditioned {k}x{k} block (max|A| max|A^-1| {growth:.3e})")
+    return inv
 
 
 # ---------------------------------------------------------------------------

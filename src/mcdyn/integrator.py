@@ -238,12 +238,15 @@ def assemble_jacobian(
     pose3 = _predicted_pose(mech, ctx.h)
     diag = {}
     offdiag = {}
+    rot_jac = {}
     for bid in mech.body_ids:
-        diag[bid] = _body_diag_block(mech.bodies[bid], ctx)
+        body = mech.bodies[bid]
+        diag[bid] = _body_diag_block(body, ctx)
+        rot_jac[bid] = quat.orientation_update_jacobian(body.state.q2, body.state.w2, ctx.h)
     for jid in mech.joint_ids:
         joint = mech.joints[jid]
         diag[jid] = np.zeros((joint.rows, joint.rows))
-        vel_blocks = constraint_jacobian_velocity(joint, pose3, mech.bodies, ctx.h)
+        vel_blocks = constraint_jacobian_velocity(joint, pose3, rot_jac, ctx.h)
         for bid in pos_blocks[jid]:
             offdiag[(bid, jid)] = -pos_blocks[jid][bid].T
             offdiag[(jid, bid)] = vel_blocks[bid]

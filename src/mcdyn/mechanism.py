@@ -24,7 +24,7 @@ import yaml
 
 from . import quaternions as quat
 from .block_solver import LOOP_NODE
-from .errors import MechanismError
+from .errors import MechanismError, SimulationError
 
 WORLD = "world"
 
@@ -194,22 +194,20 @@ def constraint_jacobian_position(joint: JointConstraint, pose) -> dict:
     return out
 
 
-def constraint_jacobian_velocity(joint: JointConstraint, pose3, bodies: dict, h: float) -> dict:
+def constraint_jacobian_velocity(joint: JointConstraint, pose3, rot_jac: dict, h: float) -> dict:
     """Per-body (rows, 6) derivative of the predicted-knot residual.
 
     The residual is imposed at the predicted knot obtained from the current
     velocity unknowns, so the chain rule carries the factor h through the
-    position update and the norm-preserving orientation-update derivative
-    (including the -w/sqrt((2/h)^2 - w.w) sensitivity of its scalar part)
-    through the rotational columns.  ``pose3`` gives the predicted poses
-    (x2 + h v2, orientation_update(q2, w2, h)); ``bodies`` maps body ids to
-    bodies whose states hold the committed q2 and the velocity guess w2.
+    position update and the orientation-update derivative through the
+    rotational columns.  ``pose3`` gives the predicted poses
+    (x2 + h v2, orientation_update(q2, w2, h)); ``rot_jac`` maps body ids
+    to their (4, 3) orientation_update_jacobian(q2, w2, h).
     """
-    out = {}
-    for bid, (dx, dq) in joint_jacobian_raw(joint, pose3).items():
-        st = bodies[bid].state
-        out[bid] = np.hstack([h * dx, dq @ quat.orientation_update_jacobian(st.q2, st.w2, h)])
-    return out
+    return {
+        bid: np.hstack([h * dx, dq @ rot_jac[bid]])
+        for bid, (dx, dq) in joint_jacobian_raw(joint, pose3).items()
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +389,14 @@ class Mechanism:
         self.h = h
 
     def ensure_initialized(self, h: float) -> None:
-        if self.h != h:
+        """Initialize on first use; another h raises (``initialize`` restarts)."""
+        if self.h is None:
             self.initialize(h)
+        elif self.h != h:
+            raise SimulationError(
+                f"time step {h} differs from the initialized {self.h}; "
+                "call initialize(h) to restart with the new step"
+            )
 
     def pose(self, at: int):
         """Pose accessor for committed knot 1 or 2."""

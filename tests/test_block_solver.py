@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import mcdyn.block_solver as block_solver
+from conftest import make_closed_chain, make_segmented_chain
 from mcdyn.block_solver import (
     LOOP_NODE,
     BlockSystem,
@@ -14,6 +16,7 @@ from mcdyn.block_solver import (
     sparse_ldu_solve,
 )
 from mcdyn.errors import DanglingConstraintError, SingularBlockError
+from mcdyn.integrator import StepContext, step
 
 
 def random_tree_system(rng, n_nodes, min_size=2, max_size=6):
@@ -80,6 +83,39 @@ class TestLduInverse:
         assert_allclose(inv[0, 0], 0.5)
         # relieved direction contributes at most ~1/scale, not 1/epsilon
         assert abs(inv[1, 1]) <= 1.0
+
+    def test_ill_conditioned_raises(self):
+        with pytest.raises(SingularBlockError):
+            ldu_inverse(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]]))
+
+    def test_relief_is_truncated_pseudo_inverse(self, rng):
+        a = rng.normal(size=(6, 4)) @ rng.normal(size=(4, 6))
+        # minimum-norm least-squares solutions for every unit right-hand side
+        pinv = np.linalg.lstsq(a, np.eye(6), rcond=1e-10)[0]
+        assert_allclose(ldu_inverse(a, pivot_relief=1e-10), pinv, atol=1e-12)
+
+    @pytest.mark.parametrize("build", [lambda: make_closed_chain(4), lambda: make_segmented_chain(3)])
+    def test_relief_stable_under_rounding_noise(self, rng, monkeypatch, build):
+        # the loop-node pivots of a real step are rank-deficient; noise at
+        # the level of rounding must not change which inverse is chosen
+        blocks = []
+        inner = block_solver.ldu_inverse
+
+        def capture(block, pivot_relief=0.0):
+            if pivot_relief > 0.0:
+                blocks.append(block.copy())
+            return inner(block, pivot_relief=pivot_relief)
+
+        monkeypatch.setattr(block_solver, "ldu_inverse", capture)
+        step(build(), StepContext(h=0.01))
+        monkeypatch.undo()
+        assert blocks
+        for a in blocks:
+            inv = ldu_inverse(a, pivot_relief=1e-10)
+            for _ in range(20):
+                noise = rng.normal(size=a.shape) * 1e-15 * np.abs(a).max()
+                moved = ldu_inverse(a + noise, pivot_relief=1e-10) - inv
+                assert np.linalg.norm(moved) <= 1e-8 * np.linalg.norm(inv)
 
 
 class TestDenseLdu:

@@ -3,7 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import mcdyn.quaternions as quat
-from conftest import make_closed_chain, make_pendulum, star_mechanism
+from conftest import make_closed_chain, make_pendulum, make_segmented_chain, star_mechanism
+from mcdyn.block_solver import sparse_ldu_factorize, sparse_ldu_solve
 from mcdyn.errors import AngularRateError, NewtonError, SimulationError
 from mcdyn.integrator import (
     StepContext,
@@ -13,6 +14,7 @@ from mcdyn.integrator import (
     build_layout,
     get_unknowns,
     newton_solve,
+    newton_system,
     run_simulation,
     set_unknowns,
     step,
@@ -244,6 +246,34 @@ class TestAssembledSystem:
         assert dev < 1e-6
 
 
+class TestLoopNodeRelief:
+    @pytest.mark.parametrize("build", [
+        lambda: make_closed_chain(4),
+        lambda: make_segmented_chain(2),
+        lambda: make_segmented_chain(6),
+    ])
+    def test_body_motion_matches_lstsq(self, rng, build):
+        # the loop node is rank-deficient, so only the multipliers depend on
+        # how its null space is chosen; the body rows of a consistent system
+        # are unique and must match the planted solution and lstsq
+        ctx = StepContext(h=0.01)
+        mech = randomized_feasible_state(build(), ctx, rng, warm_steps=2)
+        layout = build_layout(mech)
+        system = newton_system(mech, ctx, layout, assemble_residual(mech, ctx, layout))
+        full, slices = system.assembled()
+        x0 = rng.normal(size=full.shape[0])
+        b = full @ x0
+        for n, sl in slices.items():
+            system.rhs[n] = b[sl]
+        sol = sparse_ldu_solve(sparse_ldu_factorize(system.copy()))
+        x = np.concatenate([sol[n] for n in system.order])
+        assert np.linalg.norm(full @ x - b) <= 1e-10 * np.linalg.norm(b)
+        body = np.concatenate([np.arange(full.shape[0])[slices[bid]] for bid in mech.body_ids])
+        x_ls = np.linalg.lstsq(full, b, rcond=None)[0]
+        for ref in (x0, x_ls):
+            assert np.linalg.norm(x[body] - ref[body]) <= 1e-9 * np.linalg.norm(ref[body])
+
+
 class TestNewton:
     def test_one_link_trace_is_quadratic(self):
         mech = make_pendulum(1)
@@ -284,6 +314,25 @@ class TestLoadGuards:
 
 
 class TestStep:
+    def test_changed_step_size_raises_and_keeps_state(self):
+        mech = make_pendulum(2)
+        step(mech, StepContext(h=0.01))
+        knots = ("x1", "q1", "x2", "q2", "v1", "w1", "v2", "w2")
+        states = {b: [getattr(body.state, k).copy() for k in knots] for b, body in mech.bodies.items()}
+        lams = {j: lam.copy() for j, lam in mech.multipliers.items()}
+        assert any(lam.any() for lam in lams.values())
+        with pytest.raises(SimulationError, match=r"0\.02.*0\.01") as err:
+            newton_solve(mech, StepContext(h=0.02))
+        assert not isinstance(err.value, NewtonError)
+        for b, body in mech.bodies.items():
+            for k, before in zip(knots, states[b]):
+                np.testing.assert_array_equal(getattr(body.state, k), before)
+        for j, lam in mech.multipliers.items():
+            np.testing.assert_array_equal(lam, lams[j])
+        # an explicit initialize is the way to restart with a new step
+        mech.initialize(0.02)
+        assert step(mech, StepContext(h=0.02), tol=1e-10).residual_norm < 1e-10
+
     def test_constant_velocity_free_body(self):
         mech = free_body(v=(0.3, -0.2, 0.1))
         ctx = StepContext(h=0.01, gravity=0.0)

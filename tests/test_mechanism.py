@@ -194,12 +194,20 @@ def predicted_pose(mech, h):
     return pose3
 
 
+def rotation_jacobians(mech, h):
+    """Per-body derivative of the predicted orientation with respect to w2."""
+    return {
+        b: quat.orientation_update_jacobian(body.state.q2, body.state.w2, h)
+        for b, body in mech.bodies.items()
+    }
+
+
 class TestVelocityJacobian:
     def _blocks_and_fd(self, mech, h):
         pose3 = predicted_pose(mech, h)
         out = {}
         for jid, joint in mech.joints.items():
-            blocks = constraint_jacobian_velocity(joint, pose3, mech.bodies, h)
+            blocks = constraint_jacobian_velocity(joint, pose3, rotation_jacobians(mech, h), h)
             fd = {}
             for bid in blocks:
                 st = mech.bodies[bid].state
@@ -230,7 +238,9 @@ class TestVelocityJacobian:
         mech = make_pendulum(1, joint_kind="ball", h=0.01)
         st = mech.bodies[1].state
         st.v2, st.w2 = np.zeros(3), np.zeros(3)
-        blocks = constraint_jacobian_velocity(mech.joints[2], predicted_pose(mech, 0.01), mech.bodies, 0.01)
+        blocks = constraint_jacobian_velocity(
+            mech.joints[2], predicted_pose(mech, 0.01), rotation_jacobians(mech, 0.01), 0.01
+        )
         assert_allclose(blocks[1][:, :3], -0.01 * np.eye(3), atol=1e-15)
 
     def test_matches_finite_differences(self, rng):
@@ -254,7 +264,8 @@ class TestVelocityJacobian:
         pos = constraint_jacobian_position(joint, mech.pose(2))[1]
         errs = []
         for h in (1e-3, 1e-4):
-            vel = constraint_jacobian_velocity(joint, predicted_pose(mech, h), mech.bodies, h)[1]
+            pose3, rot_jac = predicted_pose(mech, h), rotation_jacobians(mech, h)
+            vel = constraint_jacobian_velocity(joint, pose3, rot_jac, h)[1]
             approx = np.hstack([h * pos[:, :3], 0.5 * h * pos[:, 3:]])
             errs.append(np.abs(vel - approx).max() / h)
         assert errs[0] < 5e-3
