@@ -43,8 +43,6 @@ from .mechanism import (
     Mechanism,
     MechanismGraph,
     RigidBody,
-    detect_loops,
-    dfs_order,
     load_mechanism,
     save_mechanism,
 )
@@ -75,8 +73,6 @@ __all__ = [
     "augment_loop_node",
     "dense_ldu_factorize",
     "dense_ldu_solve",
-    "detect_loops",
-    "dfs_order",
     "generate_scenario",
     "load_mechanism",
     "newton_solve",

@@ -18,7 +18,7 @@ import numpy as np
 from . import quaternions as quat
 from .block_solver import sparse_ldu_factorize, sparse_ldu_solve
 from .integrator import StepContext, stacked_system
-from .mechanism import WORLD, Mechanism, joint_jacobian_raw, joint_residual
+from .mechanism import WORLD, Mechanism, joint_jacobian_raw, max_violation
 
 _EZ = np.array([0.0, 0.0, 1.0])
 _DIRECTIONAL_EPS = 1e-5
@@ -153,14 +153,6 @@ def _energy(mech: Mechanism, state: _State, ctx: StepContext) -> float:
     return float(e)
 
 
-def _max_violation(mech: Mechanism, state: _State) -> float:
-    pose = _pose_fn(state)
-    worst = 0.0
-    for joint in mech.joints.values():
-        worst = max(worst, float(np.abs(joint_residual(joint, pose)).max()))
-    return worst
-
-
 def heun_simulate(mech: Mechanism, ctx: StepContext, n_steps: int) -> list[BaselineRecord]:
     """Integrate with Heun's method; mechanism states are left untouched."""
     state = _State(mech)
@@ -183,7 +175,7 @@ def heun_simulate(mech: Mechanism, ctx: StepContext, n_steps: int) -> list[Basel
                 step=k,
                 time=k * h,
                 energy=_energy(mech, state, ctx),
-                max_violation=_max_violation(mech, state),
+                max_violation=max_violation(mech.joints.values(), _pose_fn(state)),
             )
         )
     return records

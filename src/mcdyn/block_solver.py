@@ -4,8 +4,8 @@ Two solvers live here:
 
 - A dense in-place LDU over an explicit matrix partitioned into blocks
   (scalar entries are the all-ones partition).  O(N^3) in the number of
-  blocks; used as the reference solver, for the stacked loop node, and
-  as the timing baseline.
+  blocks; used as the reference solver in tests and as the timing
+  baseline.
 - A graph-ordered sparse in-place LDU over a :class:`BlockSystem`.  When
   the off-diagonal pattern is a tree and the elimination order places
   children before parents, factorization and back-substitution touch
@@ -31,7 +31,7 @@ motion); the iteration still drives the true residual to tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -222,13 +222,12 @@ class BlockSystem:
             loop_layout=None if self.loop_layout is None else list(self.loop_layout),
         )
 
-    def assembled(self, order: list | None = None) -> tuple[np.ndarray, dict]:
-        """Materialize the dense matrix in the given node order.
+    def assembled(self) -> tuple[np.ndarray, dict]:
+        """Materialize the dense matrix in the system's node order.
 
         Returns the matrix and a map node -> slice of its rows/columns.
         """
-        if order is None:
-            order = self.order
+        order = self.order
         sizes = [self.diag[n].shape[0] for n in order]
         offsets = np.concatenate([[0], np.cumsum(sizes)])
         slices = {n: slice(offsets[k], offsets[k + 1]) for k, n in enumerate(order)}
@@ -240,10 +239,8 @@ class BlockSystem:
             full[slices[i], slices[j]] = blk
         return full, slices
 
-    def assembled_rhs(self, order: list | None = None) -> np.ndarray:
-        if order is None:
-            order = self.order
-        return np.concatenate([self.rhs[n] for n in order])
+    def assembled_rhs(self) -> np.ndarray:
+        return np.concatenate([self.rhs[n] for n in self.order])
 
 
 def augment_loop_node(system: BlockSystem, loop_ids) -> BlockSystem:
@@ -289,7 +286,7 @@ def augment_loop_node(system: BlockSystem, loop_ids) -> BlockSystem:
     for b, blk in loop_cols.items():
         offdiag[(b, LOOP_NODE)] = blk
 
-    order = [n for n in system.order if n not in loop_ids and n != LOOP_NODE]
+    order = [n for n in system.order if n not in loop_ids]
     order.append(LOOP_NODE)
     return BlockSystem(diag=diag, offdiag=offdiag, order=order, rhs=rhs, loop_layout=layout)
 
@@ -302,7 +299,7 @@ class SparseFactor:
     diag_inv: dict
     positions: dict
     adjacency: dict
-    fill_events: list = field(default_factory=list)
+    fill_events: list
 
     @property
     def fill_count(self) -> int:
@@ -376,7 +373,7 @@ def sparse_ldu_factorize(system: BlockSystem) -> SparseFactor:
     )
 
 
-def sparse_ldu_solve(fact: SparseFactor, rhs: dict | None = None) -> dict:
+def sparse_ldu_solve(fact: SparseFactor) -> dict:
     """Back-substitute a factored BlockSystem; returns node -> solution segment.
 
     A forward sweep over the elimination order removes the contributions
@@ -384,11 +381,9 @@ def sparse_ldu_solve(fact: SparseFactor, rhs: dict | None = None) -> dict:
     inverses and the parent (and loop-node) couplings.
     """
     system = fact.system
-    if rhs is None:
-        rhs = system.rhs
     pos = fact.positions
     off = system.offdiag
-    x = {n: np.array(rhs[n], dtype=float) for n in system.order}
+    x = {n: np.array(system.rhs[n], dtype=float) for n in system.order}
     for i in system.order:
         for c in sorted(
             (c for c in fact.adjacency[i] if pos[c] < pos[i]), key=pos.__getitem__
@@ -403,8 +398,8 @@ def sparse_ldu_solve(fact: SparseFactor, rhs: dict | None = None) -> dict:
     return x
 
 
-def pattern_report(system: BlockSystem, fact: SparseFactor | None = None) -> str:
-    """Readable dump of the block pattern and, if given, the factorization trace."""
+def pattern_report(system: BlockSystem, fact: SparseFactor) -> str:
+    """Readable dump of the block pattern and the factorization trace."""
     lines = ["block system"]
     lines.append(f"  nodes: {len(system.order)}")
     lines.append(f"  order: {system.order}")
@@ -416,8 +411,7 @@ def pattern_report(system: BlockSystem, fact: SparseFactor | None = None) -> str
         lines.append(f"  node {n!r}: size {system.diag[n].shape[0]}, coupled to {nbrs}")
     if system.loop_layout:
         lines.append(f"  loop node stacks: {system.loop_layout}")
-    if fact is not None:
-        lines.append(f"  fill events: {fact.fill_count}")
-        for (i, j) in fact.fill_events:
-            lines.append(f"    fill at ({i!r}, {j!r})")
+    lines.append(f"  fill events: {fact.fill_count}")
+    for (i, j) in fact.fill_events:
+        lines.append(f"    fill at ({i!r}, {j!r})")
     return "\n".join(lines)

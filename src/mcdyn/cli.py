@@ -25,6 +25,7 @@ from .integrator import (
     assemble_residual,
     build_layout,
     newton_system,
+    position_jacobian_blocks,
     run_simulation,
 )
 from .mechanism import load_mechanism, save_mechanism
@@ -108,7 +109,9 @@ def _cmd_simulate(args) -> int:
     mech.initialize(args.h)
     if args.dump_pattern:
         layout = build_layout(mech)
-        system = newton_system(mech, ctx, layout, assemble_residual(mech, ctx, layout))
+        pos_blocks = position_jacobian_blocks(mech)
+        f = assemble_residual(mech, ctx, layout, pos_blocks)
+        system = newton_system(mech, ctx, layout, f, pos_blocks)
         fact = sparse_ldu_factorize(system.copy())
         with open(args.dump_pattern, "w", encoding="utf-8") as fh:
             fh.write(pattern_report(system, fact) + "\n")

@@ -31,6 +31,7 @@ from .integrator import (
     build_layout,
     newton_solve,
     newton_system,
+    position_jacobian_blocks,
     run_simulation,
     step,
     total_energy,
@@ -67,14 +68,6 @@ def _build(sc: Scenario):
     ctx = StepContext(h=sc.h)
     mech.initialize(sc.h)
     return mech, ctx
-
-
-def simulate_scenario(sc: Scenario, record_bodies: bool = True) -> RunReport:
-    mech, ctx = _build(sc)
-    records = run_simulation(
-        mech, ctx, sc.n_steps, tol=sc.tolerance, record_bodies=record_bodies
-    )
-    return RunReport(config=_scenario_config(sc), records=records)
 
 
 # ---------------------------------------------------------------------------
@@ -142,11 +135,10 @@ def run_timing_experiment(
     repeats: int = 100,
     dense_max: int = 10,
     joint_kind: str = "revolute",
-    warmup_steps: int = 3,
 ) -> list[TimingRow]:
     """Best-of-`repeats` wall time of one factorize-and-substitute pass.
 
-    For each pendulum size, the mechanism is stepped a few times to a
+    For each pendulum size, the mechanism is stepped three times to a
     representative warm state and the Newton matrix is assembled once; then
     the linear-solve kernel is timed: (a) the graph-ordered sparse pass, (b)
     the dense in-place pass over the same blocks, skipped above `dense_max`.
@@ -159,10 +151,12 @@ def run_timing_experiment(
     for n in n_list:
         sc = Scenario(kind="pendulum", n_links=int(n), joint_kind=joint_kind)
         mech, ctx = _build(sc)
-        for _ in range(warmup_steps):
+        for _ in range(3):
             step(mech, ctx)
         layout = build_layout(mech)
-        system = newton_system(mech, ctx, layout, assemble_residual(mech, ctx, layout))
+        pos_blocks = position_jacobian_blocks(mech)
+        f = assemble_residual(mech, ctx, layout, pos_blocks)
+        system = newton_system(mech, ctx, layout, f, pos_blocks)
         dense = None
         if n <= dense_max:
             full, _ = system.assembled()

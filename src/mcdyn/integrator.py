@@ -178,15 +178,14 @@ def _predicted_pose(mech: Mechanism, h: float):
 
 
 def assemble_residual(
-    mech: Mechanism, ctx: StepContext, layout: SystemLayout, pos_blocks: dict | None = None
+    mech: Mechanism, ctx: StepContext, layout: SystemLayout, pos_blocks: dict
 ) -> np.ndarray:
     """Stacked residual at the current unknowns (body rows, then joint rows).
 
     Joint rows evaluate at the predicted next knot so that the converged
-    step satisfies the constraints at the position level.
+    step satisfies the constraints at the position level.  ``pos_blocks``
+    comes from :func:`position_jacobian_blocks` at the committed knot 2.
     """
-    if pos_blocks is None:
-        pos_blocks = position_jacobian_blocks(mech)
     pose3 = _predicted_pose(mech, ctx.h)
     f = np.empty(layout.dim)
     pulls = {bid: np.zeros(6) for bid in mech.body_ids}
@@ -220,7 +219,7 @@ def _body_diag_block(body, ctx: StepContext) -> np.ndarray:
 
 
 def assemble_jacobian(
-    mech: Mechanism, ctx: StepContext, layout: SystemLayout, pos_blocks: dict | None = None
+    mech: Mechanism, ctx: StepContext, layout: SystemLayout, pos_blocks: dict
 ) -> BlockSystem:
     """Exact Jacobian of the stacked residual as a graph-structured block system.
 
@@ -233,8 +232,6 @@ def assemble_jacobian(
     like the residual vector (bodies, then joints) and the right-hand side
     is empty; :func:`newton_system` gives the form the solver factorizes.
     """
-    if pos_blocks is None:
-        pos_blocks = position_jacobian_blocks(mech)
     pose3 = _predicted_pose(mech, ctx.h)
     diag = {}
     offdiag = {}
@@ -261,13 +258,12 @@ def stacked_system(mech: Mechanism, diag: dict, offdiag: dict, rhs: dict) -> Blo
     are stacked into the loop node.
     """
     loops = mech.graph.loop_joints
-    order = [n for n in mech.graph.order if n != LOOP_NODE] + sorted(loops)
+    order = mech.graph.order + sorted(loops)
     return augment_loop_node(BlockSystem(diag=diag, offdiag=offdiag, order=order, rhs=rhs), loops)
 
 
 def newton_system(
-    mech: Mechanism, ctx: StepContext, layout: SystemLayout, f: np.ndarray,
-    pos_blocks: dict | None = None,
+    mech: Mechanism, ctx: StepContext, layout: SystemLayout, f: np.ndarray, pos_blocks: dict
 ) -> BlockSystem:
     """The Newton system at the current unknowns, ready to factorize.
 
@@ -432,18 +428,11 @@ def run_simulation(
     tol: float = 1e-10,
     max_iters: int = 100,
     record_bodies: bool = False,
-    loads_fn=None,
 ) -> list[StepRecord]:
-    """Step `n_steps` times, returning one record per committed step.
-
-    ``loads_fn(t) -> (forces, torques)``, when given, refreshes the
-    exogenous loads before each step (piecewise constant over the step).
-    """
+    """Step `n_steps` times under ``ctx``, returning one record per committed step."""
     mech.ensure_initialized(ctx.h)
     records = []
     for k in range(1, n_steps + 1):
-        if loads_fn is not None:
-            ctx.forces, ctx.torques = loads_fn((k - 1) * ctx.h)
         info = step(mech, ctx, tol=tol, max_iters=max_iters)
         rec = StepRecord(
             step=k,

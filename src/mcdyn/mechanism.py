@@ -23,7 +23,6 @@ import numpy as np
 import yaml
 
 from . import quaternions as quat
-from .block_solver import LOOP_NODE
 from .errors import MechanismError, SimulationError
 
 WORLD = "world"
@@ -62,7 +61,7 @@ class RigidBody:
     id: int
     mass: float
     inertia: np.ndarray  # 3x3 body-frame inertia about the center of mass
-    state: BodyState | None = None
+    state: BodyState
 
 
 @dataclass
@@ -216,27 +215,26 @@ def constraint_jacobian_velocity(joint: JointConstraint, pose3, rot_jac: dict, h
 
 @dataclass
 class MechanismGraph:
-    """Incidence graph of bodies and constraints with its elimination order.
+    """Elimination order and loop-closure set of the incidence graph.
 
-    ``order`` lists nodes children-before-parent with the root last; when
-    loop-closure constraints exist they are excluded from the tree and the
-    stacked loop node is appended after the root.  ``parent`` maps each
-    non-root tree node to its parent.
+    ``order`` lists the tree's body and constraint nodes children-before-
+    parent with the root last; the loop-closure constraints in
+    ``loop_joints`` are left out of it.  ``parent`` maps each non-root tree
+    node to its parent.
     """
 
-    adjacency: dict
     order: list
     parent: dict
     loop_joints: set
 
 
-def build_graph(bodies: dict, joints: dict, root=None) -> MechanismGraph:
+def build_graph(bodies: dict, joints: dict) -> MechanismGraph:
     """DFS the incidence graph: elimination order plus loop-closure set.
 
     A virtual world vertex ties all world attachments together so loops
     closed through the ground are found as DFS back edges.  Neighbor lists
-    iterate in ascending id for reproducible orderings.  The default root
-    is the virtual world vertex when the mechanism is grounded (making the
+    iterate in ascending id for reproducible orderings.  The root is the
+    virtual world vertex when the mechanism is grounded (making the
     smallest-id world joint the last-eliminated node), else the
     smallest-id body.
     """
@@ -261,11 +259,7 @@ def build_graph(bodies: dict, joints: dict, root=None) -> MechanismGraph:
         if k != WORLD:
             adjacency[k] = sorted(adjacency[k], key=_id_sort_key)
 
-    if root is None:
-        root = WORLD if world_joints else min(bodies)
-    elif root not in adjacency:
-        raise MechanismError(f"root {root!r} is not a node of the mechanism graph")
-
+    root = WORLD if world_joints else min(bodies)
     visited = {root}
     discovery = [] if root == WORLD else [root]
     parent: dict = {}
@@ -305,41 +299,16 @@ def build_graph(bodies: dict, joints: dict, root=None) -> MechanismGraph:
             f"mechanism graph is disconnected; unreachable nodes: {sorted(unreached, key=_id_sort_key)}"
         )
     parent = {n: p for n, p in parent.items() if p != WORLD and n != WORLD}
-    order = list(reversed(discovery))
-    if loops:
-        order.append(LOOP_NODE)
-    return MechanismGraph(
-        adjacency={k: v for k, v in adjacency.items() if k != WORLD},
-        order=order,
-        parent=parent,
-        loop_joints=loops,
-    )
+    return MechanismGraph(order=list(reversed(discovery)), parent=parent, loop_joints=loops)
 
 
 def _id_sort_key(n):
     return (0, n) if isinstance(n, int) else (1, str(n))
 
 
-def dfs_order(mech_or_graph, root=None) -> list:
-    """Elimination order of the mechanism graph (children first, root last)."""
-    graph = _as_graph(mech_or_graph, root)
-    return list(graph.order)
-
-
-def detect_loops(mech_or_graph, root=None) -> set:
-    """Ids of the constraints whose removal makes the incidence graph acyclic."""
-    graph = _as_graph(mech_or_graph, root)
-    return set(graph.loop_joints)
-
-
-def _as_graph(mech_or_graph, root):
-    if isinstance(mech_or_graph, MechanismGraph):
-        return mech_or_graph
-    if isinstance(mech_or_graph, Mechanism):
-        if root is None:
-            return mech_or_graph.graph
-        return build_graph(mech_or_graph.bodies, mech_or_graph.joints, root=root)
-    raise TypeError("expected a Mechanism or MechanismGraph")
+def max_violation(joints, pose) -> float:
+    """Largest absolute joint residual entry at ``pose``; NaN if any entry is NaN."""
+    return float(np.max([np.abs(joint_residual(j, pose)).max() for j in joints], initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -414,19 +383,14 @@ class Mechanism:
         return _pose
 
     def max_constraint_violation(self, at: int = 2) -> float:
-        pose = self.pose(at)
-        worst = 0.0
-        for joint in self.joints.values():
-            r = joint_residual(joint, pose)
-            worst = max(worst, float(np.abs(r).max()))
-        return worst
+        return max_violation(self.joints.values(), self.pose(at))
 
 
 def load_mechanism(source) -> Mechanism:
     """Build and validate a mechanism from a description dict or YAML file path.
 
-    Raises MechanismError on any invariant violation: bad masses or inertia,
-    non-unit quaternions or axes, unknown references, inconsistent assembly,
+    Raises MechanismError on any invariant violation: non-finite numbers,
+    bad masses or inertia, non-unit quaternions or axes, unknown references, inconsistent assembly,
     or a disconnected constraint graph.
     """
     if isinstance(source, dict):
@@ -458,7 +422,7 @@ def load_mechanism(source) -> Mechanism:
 
     mech = Mechanism(bodies, joints)
     viol = mech.max_constraint_violation(at=2)
-    if viol > _ASSEMBLY_TOL:
+    if not viol <= _ASSEMBLY_TOL:
         raise MechanismError(
             f"assembly inconsistent: initial constraint violation {viol:.3e} exceeds {_ASSEMBLY_TOL}"
         )
@@ -472,12 +436,16 @@ def _parse_body(entry: dict) -> RigidBody:
         inertia6 = [float(v) for v in entry["inertia"]]
         x = np.array([float(v) for v in entry["position"]])
         q = np.array([float(v) for v in entry["quaternion"]])
+        v = np.array([float(c) for c in entry.get("velocity", (0.0, 0.0, 0.0))])
+        w = np.array([float(c) for c in entry.get("angular_velocity", (0.0, 0.0, 0.0))])
     except (KeyError, TypeError, ValueError) as err:
         raise MechanismError(f"malformed body entry: {entry!r}") from err
-    v = np.array([float(c) for c in entry.get("velocity", (0.0, 0.0, 0.0))])
-    w = np.array([float(c) for c in entry.get("angular_velocity", (0.0, 0.0, 0.0))])
     if bid < 0:
         raise MechanismError(f"body id must be nonnegative, got {bid}")
+    _require_finite(
+        f"body {bid}", mass=mass, inertia=inertia6, position=x, quaternion=q,
+        velocity=v, angular_velocity=w,
+    )
     if mass <= 0.0:
         raise MechanismError(f"body {bid}: mass must be positive")
     if len(inertia6) != 6:
@@ -507,6 +475,7 @@ def _parse_joint(entry: dict, bodies: dict) -> JointConstraint:
         p_b = np.array([float(v) for v in entry["child_anchor"]])
     except (KeyError, TypeError, ValueError) as err:
         raise MechanismError(f"malformed joint entry: {entry!r}") from err
+    _require_finite(f"joint {jid}", parent_anchor=p_a, child_anchor=p_b)
     parent = WORLD if parent == WORLD else int(parent)
     if child not in bodies:
         raise MechanismError(f"joint {jid}: unknown child body {child}")
@@ -521,6 +490,7 @@ def _parse_joint(entry: dict, bodies: dict) -> JointConstraint:
             axis_b = np.array([float(v) for v in entry["child_axis"]])
         except (KeyError, TypeError, ValueError) as err:
             raise MechanismError(f"joint {jid}: revolute joint needs parent/child axes") from err
+        _require_finite(f"joint {jid}", parent_axis=axis_a, child_axis=axis_b)
         for name, ax in (("parent_axis", axis_a), ("child_axis", axis_b)):
             if abs(np.linalg.norm(ax) - 1.0) > 1e-9:
                 raise MechanismError(f"joint {jid}: {name} must be a unit vector")
@@ -530,6 +500,7 @@ def _parse_joint(entry: dict, bodies: dict) -> JointConstraint:
             raise MechanismError(f"joint {jid}: fixed joints attach to the world")
         if "orientation_target" in entry:
             target = np.array([float(v) for v in entry["orientation_target"]])
+            _require_finite(f"joint {jid}", orientation_target=target)
             if abs(np.linalg.norm(target) - 1.0) > 1e-9:
                 raise MechanismError(f"joint {jid}: orientation_target must be unit")
         else:
@@ -538,6 +509,12 @@ def _parse_joint(entry: dict, bodies: dict) -> JointConstraint:
         id=jid, kind=kind, parent=parent, child=child,
         p_a=p_a, p_b=p_b, axis_a=axis_a, axis_b=axis_b, orientation_target=target,
     )
+
+
+def _require_finite(owner: str, **fields) -> None:
+    for name, value in fields.items():
+        if not np.isfinite(value).all():
+            raise MechanismError(f"{owner}: {name} is not finite: {value}")
 
 
 def save_mechanism(data: dict, path) -> None:

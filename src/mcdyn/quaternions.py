@@ -118,27 +118,13 @@ def rotate(q: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (w * w - v @ v) * x + 2.0 * (v @ x) * v + 2.0 * w * cross(v, x)
 
 
-def angular_velocity(q: np.ndarray, qdot: np.ndarray) -> np.ndarray:
-    """Body-frame angular velocity 2 V L(q)^T qdot for a unit q."""
-    return 2.0 * (lmat(q).T @ qdot)[1:]
+def rotational_jacobian(q: np.ndarray, jac_q: np.ndarray) -> np.ndarray:
+    """Reduce an (m, 4) Jacobian at unit q to the (m, 3) rotation Jacobian.
 
-
-def rotational_gradient(q: np.ndarray, grad_q: np.ndarray) -> np.ndarray:
-    """Reduce a 4-gradient at unit q to the 3-dimensional rotation gradient.
-
-    ``grad_q`` is the ordinary gradient of a scalar function of q.  The
-    result V L(q)^T grad_q is the sensitivity to infinitesimal body-frame
+    ``jac_q`` is the ordinary Jacobian of an m-valued function of q.  The
+    result jac_q L(q) V^T is the sensitivity to infinitesimal body-frame
     rotations; it matches the multiplicative finite-difference limit with
     perturbations q ⊗ [1, eps].
-    """
-    return (lmat(q).T @ grad_q)[1:]
-
-
-def rotational_jacobian(q: np.ndarray, jac_q: np.ndarray) -> np.ndarray:
-    """Row-wise version of rotational_gradient.
-
-    Maps an (m, 4) Jacobian of an m-valued function of q to the (m, 3)
-    Jacobian with respect to infinitesimal body-frame rotations.
     """
     return jac_q @ lmat(q) @ VMAT.T
 

@@ -18,6 +18,7 @@ from .errors import MechanismError
 
 KINDS = ("pendulum", "closed_chain", "segmented_chain", "free_body")
 JOINT_KINDS = ("revolute", "ball")
+_ROD_RADIUS = 0.05
 
 
 @dataclass
@@ -36,8 +37,6 @@ class Scenario:
     tolerance: float = 1e-10
     link_length: float = 1.0
     link_mass: float = 1.0
-    rod_radius: float = 0.05
-    pivot_height: float | None = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -68,7 +67,7 @@ def _rod_body(bid: int, center, direction, sc: Scenario) -> dict:
     return {
         "id": bid,
         "mass": sc.link_mass,
-        "inertia": _rod_inertia(sc.link_mass, sc.link_length, sc.rod_radius),
+        "inertia": _rod_inertia(sc.link_mass, sc.link_length, _ROD_RADIUS),
         "position": [float(c) for c in center],
         "quaternion": [math.cos(angle / 2.0), 0.0, math.sin(angle / 2.0), 0.0],
         "velocity": [0.0, 0.0, 0.0],
@@ -116,7 +115,7 @@ def generate_scenario(sc: Scenario) -> dict:
 def _chain(sc: Scenario) -> dict:
     n = sc.n_links
     length = sc.link_length
-    z0 = sc.pivot_height if sc.pivot_height is not None else n * length
+    z0 = n * length
     half = length / 2.0
     bodies = []
     joints = []
@@ -143,7 +142,7 @@ def _closed_chain(sc: Scenario) -> dict:
     if n < 3:
         raise MechanismError("closed_chain needs at least 3 links to articulate")
     length = sc.link_length
-    z0 = sc.pivot_height if sc.pivot_height is not None else n * length
+    z0 = n * length
     half = length / 2.0
     circum = length / (2.0 * math.sin(math.pi / n))
     center = np.array([-circum, 0.0, z0])
@@ -177,7 +176,7 @@ def _segmented_chain(sc: Scenario) -> dict:
     k = sc.n_links
     length = sc.link_length
     diag = math.sqrt(2.0) * length
-    z0 = sc.pivot_height if sc.pivot_height is not None else 4 * k * length
+    z0 = 4 * k * length
     half = length / 2.0
     bodies = []
     joints = []

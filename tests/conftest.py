@@ -6,6 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from mcdyn.integrator import assemble_residual, build_layout, newton_system, position_jacobian_blocks
 from mcdyn.mechanism import load_mechanism
 from mcdyn.scenarios import Scenario, generate_scenario
 
@@ -31,6 +32,14 @@ def make_segmented_chain(k=2, h=0.01):
     mech = load_mechanism(generate_scenario(Scenario(kind="segmented_chain", n_links=k)))
     mech.initialize(h)
     return mech
+
+
+def newton_system_at(mech, ctx):
+    """The Newton system the solver would factorize at the current unknowns."""
+    layout = build_layout(mech)
+    pos_blocks = position_jacobian_blocks(mech)
+    f = assemble_residual(mech, ctx, layout, pos_blocks)
+    return newton_system(mech, ctx, layout, f, pos_blocks)
 
 
 def star_mechanism():

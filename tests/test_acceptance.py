@@ -7,7 +7,7 @@ here, not calibrated at runtime.
 import numpy as np
 
 import mcdyn.quaternions as quat
-from conftest import make_closed_chain, make_pendulum, make_segmented_chain
+from conftest import make_closed_chain, make_pendulum, make_segmented_chain, newton_system_at
 from mcdyn.block_solver import (
     dense_ldu_factorize,
     dense_ldu_solve,
@@ -21,17 +21,15 @@ from mcdyn.experiments import (
     run_energy_experiment,
     run_timing_experiment,
 )
-from mcdyn.integrator import (
-    StepContext,
-    angular_momentum,
-    assemble_residual,
-    build_layout,
-    newton_system,
-    step,
-)
+from mcdyn.integrator import StepContext, angular_momentum, build_layout, step
 from mcdyn.scenarios import Scenario
 from test_block_solver import random_loop_system, random_tree_system, solve_dense_reference, sparse_solution_vector
-from test_integrator import dense_newton_matrix, fd_newton_matrix, free_body, randomized_feasible_state
+from test_integrator import (
+    dense_newton_matrix,
+    fd_newton_matrix,
+    free_body,
+    randomized_feasible_state,
+)
 
 
 def _verdict(cid, ok, detail):
@@ -144,8 +142,7 @@ def test_criterion_5_solver_equivalence():
     for builder in builders:
         ctx = StepContext(h=0.01)
         mech = randomized_feasible_state(builder(), ctx, rng, warm_steps=2)
-        layout = build_layout(mech)
-        system = newton_system(mech, ctx, layout, assemble_residual(mech, ctx, layout))
+        system = newton_system_at(mech, ctx)
         full, _ = system.assembled()
         b = system.assembled_rhs()
         work = system.copy()

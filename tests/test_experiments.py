@@ -1,19 +1,21 @@
 import numpy as np
 
 from mcdyn.experiments import (
+    RunReport,
     linear_fit,
     run_convergence_experiment,
     run_drift_experiment,
     run_energy_experiment,
     run_timing_experiment,
-    simulate_scenario,
     write_convergence_csv,
     write_drift_csv,
     write_energy_csv,
     write_timing_csv,
     write_trajectory_csv,
 )
-from mcdyn.scenarios import Scenario
+from mcdyn.integrator import StepContext, run_simulation
+from mcdyn.mechanism import load_mechanism
+from mcdyn.scenarios import Scenario, generate_scenario
 
 
 def read_csv(path):
@@ -110,7 +112,9 @@ class TestConvergenceExperiment:
 class TestTrajectoryReport:
     def test_csv_schema(self, tmp_path):
         sc = Scenario(kind="pendulum", n_links=2, duration=0.1)
-        report = simulate_scenario(sc)
+        mech = load_mechanism(generate_scenario(sc))
+        records = run_simulation(mech, StepContext(h=sc.h), sc.n_steps, record_bodies=True)
+        report = RunReport(config={"h": sc.h}, records=records)
         path = tmp_path / "traj.csv"
         write_trajectory_csv(path, report)
         config, header, rows = read_csv(path)

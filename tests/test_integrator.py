@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import mcdyn.quaternions as quat
-from conftest import make_closed_chain, make_pendulum, make_segmented_chain, star_mechanism
+from conftest import make_closed_chain, make_pendulum, make_segmented_chain, newton_system_at, star_mechanism
 from mcdyn.block_solver import sparse_ldu_factorize, sparse_ldu_solve
 from mcdyn.errors import AngularRateError, NewtonError, SimulationError
 from mcdyn.integrator import (
@@ -14,7 +14,7 @@ from mcdyn.integrator import (
     build_layout,
     get_unknowns,
     newton_solve,
-    newton_system,
+    position_jacobian_blocks,
     run_simulation,
     set_unknowns,
     step,
@@ -61,22 +61,23 @@ def hanging_pendulum(n=2):
 
 def dense_newton_matrix(mech, ctx):
     layout = build_layout(mech)
-    system = assemble_jacobian(mech, ctx, layout)
-    full, _ = system.assembled(order=mech.body_ids + mech.joint_ids)
+    system = assemble_jacobian(mech, ctx, layout, position_jacobian_blocks(mech))
+    full, _ = system.assembled()
     return full
 
 
 def fd_newton_matrix(mech, ctx, eps=1e-6):
     layout = build_layout(mech)
     s0 = get_unknowns(mech, layout)
+    pos_blocks = position_jacobian_blocks(mech)
     cols = []
     for j in range(layout.dim):
         e = np.zeros(layout.dim)
         e[j] = eps
         set_unknowns(mech, layout, s0 + e)
-        fp = assemble_residual(mech, ctx, layout)
+        fp = assemble_residual(mech, ctx, layout, pos_blocks)
         set_unknowns(mech, layout, s0 - e)
-        fm = assemble_residual(mech, ctx, layout)
+        fm = assemble_residual(mech, ctx, layout, pos_blocks)
         cols.append((fp - fm) / (2 * eps))
     set_unknowns(mech, layout, s0)
     return np.stack(cols, axis=1)
@@ -100,7 +101,7 @@ def randomized_feasible_state(mech, ctx, rng, warm_steps=3):
 def body_residual(mech, bid, ctx):
     """Body ``bid``'s six momentum-balance rows of the stacked residual."""
     layout = build_layout(mech)
-    return assemble_residual(mech, ctx, layout)[layout.body_slices[bid]]
+    return assemble_residual(mech, ctx, layout, position_jacobian_blocks(mech))[layout.body_slices[bid]]
 
 
 class TestTranslationalResidual:
@@ -121,7 +122,7 @@ class TestTranslationalResidual:
         mech = make_pendulum(1)
         ctx = StepContext(h=0.01)
         layout = build_layout(mech)
-        f = assemble_residual(mech, ctx, layout)
+        f = assemble_residual(mech, ctx, layout, position_jacobian_blocks(mech))
         assert np.isclose(np.linalg.norm(f), 9.81, rtol=1e-12)
 
 
@@ -192,7 +193,7 @@ class TestAssembledSystem:
         mech.initialize(0.01)
         newton_solve(mech, ctx, tol=1e-12)
         layout = build_layout(mech)
-        f = assemble_residual(mech, ctx, layout)
+        f = assemble_residual(mech, ctx, layout, position_jacobian_blocks(mech))
         assert np.linalg.norm(f) <= 1e-10
         info = newton_solve(mech, ctx, tol=1e-10)
         assert info.iterations == 0
@@ -210,7 +211,7 @@ class TestAssembledSystem:
         # per-body weight stacks in quadrature: ||f|| = 9.81 sqrt(n)
         mech = make_pendulum(n)
         layout = build_layout(mech)
-        f = assemble_residual(mech, StepContext(h=0.01), layout)
+        f = assemble_residual(mech, StepContext(h=0.01), layout, position_jacobian_blocks(mech))
         assert np.isclose(np.linalg.norm(f), expected, rtol=1e-3)
         assert np.isclose(np.linalg.norm(f), 9.81 * np.sqrt(n), rtol=1e-12)
 
@@ -226,7 +227,9 @@ class TestAssembledSystem:
     def test_pattern_matches_incidence(self):
         mech = star_mechanism()
         mech.initialize(0.01)
-        system = assemble_jacobian(mech, StepContext(h=0.01), build_layout(mech))
+        system = assemble_jacobian(
+            mech, StepContext(h=0.01), build_layout(mech), position_jacobian_blocks(mech)
+        )
         expected_edges = {(6, 1), (6, 2), (7, 2), (7, 3), (8, 2), (8, 4), (9, 1), (9, 5)}
         seen = set()
         for (i, j) in system.offdiag:
@@ -258,8 +261,7 @@ class TestLoopNodeRelief:
         # are unique and must match the planted solution and lstsq
         ctx = StepContext(h=0.01)
         mech = randomized_feasible_state(build(), ctx, rng, warm_steps=2)
-        layout = build_layout(mech)
-        system = newton_system(mech, ctx, layout, assemble_residual(mech, ctx, layout))
+        system = newton_system_at(mech, ctx)
         full, slices = system.assembled()
         x0 = rng.normal(size=full.shape[0])
         b = full @ x0

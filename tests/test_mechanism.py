@@ -3,19 +3,18 @@ import pytest
 from numpy.testing import assert_allclose
 
 import mcdyn.quaternions as quat
-from conftest import make_closed_chain, make_pendulum, make_segmented_chain, star_mechanism
+from conftest import make_closed_chain, make_pendulum, make_segmented_chain, newton_system_at, star_mechanism
 from mcdyn.block_solver import LOOP_NODE
 from mcdyn.errors import MechanismError
+from mcdyn.integrator import StepContext
 from mcdyn.mechanism import (
     WORLD,
     JointConstraint,
-    build_graph,
     constraint_jacobian_position,
     constraint_jacobian_velocity,
-    detect_loops,
-    dfs_order,
     joint_residual,
     load_mechanism,
+    max_violation,
 )
 from mcdyn.scenarios import Scenario, generate_scenario
 from oracles import count_independent_cycles, random_unit_quat, rotmat_from_axis_angle, rotmat_from_quat
@@ -286,26 +285,17 @@ class TestGraph:
                 ],
             }
         )
-        order = dfs_order(mech)
+        order = mech.graph.order
         assert sorted(order) == [1, 2]
         assert order[-1] == 2  # grounded: the world joint is the root
 
     def test_star_mechanism_matches_reference_order(self):
         mech = star_mechanism()
-        order = dfs_order(mech)
+        order = mech.graph.order
         assert order == [5, 9, 4, 8, 3, 7, 2, 6, 1]
         pos = {n: i for i, n in enumerate(order)}
         for child, parent in [(3, 7), (7, 2), (4, 8), (8, 2), (2, 6), (6, 1), (5, 9), (9, 1)]:
             assert pos[child] < pos[parent]
-
-    def test_star_mechanism_explicit_root(self):
-        mech = star_mechanism()
-        order = dfs_order(mech, root=2)
-        assert order[-1] == 2
-        graph = build_graph(mech.bodies, mech.joints, root=2)
-        pos = {n: i for i, n in enumerate(graph.order)}
-        for node, parent in graph.parent.items():
-            assert pos[node] < pos[parent]
 
     def test_children_before_parent_invariant(self):
         for mech in (make_pendulum(5), make_closed_chain(4), make_segmented_chain(2)):
@@ -314,7 +304,7 @@ class TestGraph:
             for node, parent in graph.parent.items():
                 assert pos[node] < pos[parent]
             nodes = set(mech.bodies) | set(mech.joints)
-            assert set(graph.order) - {LOOP_NODE} == nodes - graph.loop_joints
+            assert set(graph.order) == nodes - graph.loop_joints
 
     def test_pendulum_counts(self):
         for n in (1, 4, 9):
@@ -324,7 +314,7 @@ class TestGraph:
             assert not mech.graph.loop_joints
 
     def test_detect_loops_pendulum_empty(self):
-        assert detect_loops(make_pendulum(3)) == set()
+        assert make_pendulum(3).graph.loop_joints == set()
 
     def test_detect_loops_floating_ring(self):
         corners = [np.array(c, dtype=float) for c in
@@ -348,7 +338,7 @@ class TestGraph:
                  "parent_anchor": list(a - xa), "child_anchor": list(a - xb)}
             )
         mech = load_mechanism({"bodies": bodies, "joints": joints})
-        loops = detect_loops(mech)
+        loops = mech.graph.loop_joints
         assert len(loops) == 1
         # cycle-count oracle on the incidence graph
         index = {n: i for i, n in enumerate(sorted(mech.bodies) + sorted(mech.joints))}
@@ -360,13 +350,16 @@ class TestGraph:
 
     def test_detect_loops_grounded_chain(self):
         mech = make_closed_chain(4)
-        assert detect_loops(mech) == {9}
-        assert mech.graph.order[-1] == LOOP_NODE
+        assert mech.graph.loop_joints == {9}
+        assert 9 not in mech.graph.order
+        system = newton_system_at(mech, StepContext(h=0.01))
+        assert system.order[-1] == LOOP_NODE
+        assert system.loop_layout == [(9, 5)]
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_detect_loops_segmented(self, k):
         mech = make_segmented_chain(k)
-        assert len(detect_loops(mech)) == k
+        assert len(mech.graph.loop_joints) == k
         # oracle: cycle space of the incidence graph with a world vertex
         index = {n: i for i, n in enumerate(sorted(mech.bodies) + sorted(mech.joints))}
         index[WORLD] = len(index)
@@ -442,6 +435,44 @@ class TestLoader:
                              "parent_anchor": [0.5, 0, 0], "child_anchor": [0, 0, 0]}]}
             )
 
+    @staticmethod
+    def _pendulum_and_fixed_body():
+        data = generate_scenario(Scenario(kind="pendulum", n_links=2))
+        data["bodies"].append(
+            {"id": 5, "mass": 1.0, "inertia": [0.1, 0.1, 0.1, 0, 0, 0],
+             "position": [0.0, 0.0, -3.0], "quaternion": [1.0, 0.0, 0.0, 0.0]}
+        )
+        data["joints"].append(
+            {"id": 6, "kind": "fixed_to_world", "parent": "world", "child": 5,
+             "parent_anchor": [0.0, 0.0, -3.0], "child_anchor": [0.0, 0.0, 0.0],
+             "orientation_target": [1.0, 0.0, 0.0, 0.0]}
+        )
+        return data
+
+    @pytest.mark.parametrize("group,index,field,value", [
+        ("bodies", 0, "mass", np.nan),
+        ("bodies", 1, "inertia", np.inf),
+        ("bodies", 0, "position", np.nan),
+        ("bodies", 1, "quaternion", np.nan),
+        ("bodies", 0, "velocity", np.nan),
+        ("bodies", 1, "angular_velocity", np.inf),
+        ("joints", 0, "parent_anchor", np.nan),
+        ("joints", 1, "child_anchor", np.nan),
+        ("joints", 1, "parent_axis", np.nan),
+        ("joints", 0, "child_axis", np.nan),
+        ("joints", 2, "orientation_target", np.nan),
+    ])
+    def test_non_finite_number_rejected(self, group, index, field, value):
+        data = self._pendulum_and_fixed_body()
+        entry = data[group][index]
+        if field == "mass":
+            entry[field] = value
+        else:
+            entry[field] = [value] + list(entry[field])[1:]
+        owner = f"{'body' if group == 'bodies' else 'joint'} {entry['id']}"
+        with pytest.raises(MechanismError, match=f"{owner}: {field} is not finite"):
+            load_mechanism(data)
+
     def test_initial_violation_is_zero_for_generated(self):
         for sc in (
             Scenario(kind="pendulum", n_links=4, joint_kind="ball"),
@@ -450,3 +481,24 @@ class TestLoader:
         ):
             mech = load_mechanism(generate_scenario(sc))
             assert mech.max_constraint_violation() < 1e-12
+
+
+class TestMaxViolation:
+    @pytest.mark.parametrize("bid", [1, 3])
+    def test_nan_pose_propagates(self, bid):
+        # body 1 touches the first two joints, body 3 only the last one
+        mech = make_pendulum(3)
+        mech.bodies[bid].state.x2 = np.array([np.nan, 0.0, 0.0])
+        assert np.isnan(mech.max_constraint_violation())
+        assert mech.max_constraint_violation(at=1) < 1e-12
+
+    def test_helper_propagates_nan_in_any_position(self):
+        mech = make_pendulum(3)
+        pose = mech.pose(2)
+        for bid in mech.body_ids:
+            def bad(b, bid=bid):
+                x, q = pose(b)
+                return (x * np.nan, q) if b == bid else (x, q)
+
+            assert np.isnan(max_violation(mech.joints.values(), bad))
+        assert max_violation([], pose) == 0.0
