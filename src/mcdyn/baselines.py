@@ -17,8 +17,8 @@ import numpy as np
 
 from . import quaternions as quat
 from .block_solver import sparse_ldu_factorize, sparse_ldu_solve
-from .integrator import StepContext, stacked_system
-from .mechanism import WORLD, Mechanism, joint_jacobian_raw, max_violation
+from .integrator import StepContext, incidence_blocks, stacked_system
+from .mechanism import Mechanism, constraint_jacobian_position, max_violation, with_world
 
 _EZ = np.array([0.0, 0.0, 1.0])
 _DIRECTIONAL_EPS = 1e-5
@@ -32,150 +32,130 @@ class BaselineRecord:
     max_violation: float
 
 
+@dataclass
 class _State:
-    """Plain pose/velocity arrays per body, detached from the mechanism knots."""
+    """Stacked poses and velocities (or their rates), one row per body in id order."""
 
-    def __init__(self, mech: Mechanism):
-        self.x = {b: mech.bodies[b].state.x2.copy() for b in mech.body_ids}
-        self.q = {b: mech.bodies[b].state.q2.copy() for b in mech.body_ids}
-        self.v = {b: mech.bodies[b].state.v1.copy() for b in mech.body_ids}
-        self.w = {b: mech.bodies[b].state.w1.copy() for b in mech.body_ids}
+    x: np.ndarray
+    q: np.ndarray
+    v: np.ndarray
+    w: np.ndarray
 
-    def shifted(self, rates, dt):
-        out = _State.__new__(_State)
-        out.x = {b: self.x[b] + dt * rates.xdot[b] for b in self.x}
-        out.q = {b: self.q[b] + dt * rates.qdot[b] for b in self.q}
-        out.v = {b: self.v[b] + dt * rates.vdot[b] for b in self.v}
-        out.w = {b: self.w[b] + dt * rates.wdot[b] for b in self.w}
-        return out
+    @classmethod
+    def committed(cls, mech: Mechanism) -> "_State":
+        """Knot-2 poses and the velocities (v1, w1) that reached them."""
+        return cls(*mech.knots("x2", "q2", "v1", "w1"))
 
-
-class _Rates:
-    def __init__(self, xdot, qdot, vdot, wdot):
-        self.xdot, self.qdot, self.vdot, self.wdot = xdot, qdot, vdot, wdot
+    def shifted(self, rates: "_State", dt: float) -> "_State":
+        return _State(
+            self.x + dt * rates.x, self.q + dt * rates.q, self.v + dt * rates.v, self.w + dt * rates.w
+        )
 
 
-def _pose_fn(state: _State):
-    def pose(bid):
-        if bid == WORLD:
-            return np.zeros(3), quat.identity()
-        return state.x[bid], state.q[bid]
-
-    return pose
+def _qdot(q: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Quaternion rates (1/2) L(q) V^T w of body angular velocities w."""
+    return 0.5 * (quat.lmat(q) @ quat.VMAT.T @ w[:, :, None])[..., 0]
 
 
-def _coupling_block(joint, state: _State):
-    """Per-body (rows, 6) blocks [dg/dx, (1/2) rotational dg/dq] at a state.
+def _coupling_blocks(mech: Mechanism, state: _State) -> list:
+    """Per kind group, (parent, child) blocks [dg/dx, (1/2) rotational dg/dq].
 
     The half factor makes block @ [v; w] the time derivative of the
     residual (q-dot is half the angular-velocity embedding).
     """
-    pose = _pose_fn(state)
-    out = {}
-    for bid, (dx, dq) in joint_jacobian_raw(joint, pose).items():
-        q = state.q[bid]
-        out[bid] = np.hstack([dx, 0.5 * quat.rotational_jacobian(q, dq)])
+    _, q = with_world(state.x, state.q)
+    out = []
+    for group in mech.groups:
+        blocks = constraint_jacobian_position(group, q)
+        for blk in blocks:
+            blk[..., 3:] *= 0.5
+        out.append(blocks)
     return out
 
 
-def _residual_rate(joint, state: _State) -> np.ndarray:
-    blocks = _coupling_block(joint, state)
-    out = np.zeros(joint.rows)
-    for bid, blk in blocks.items():
-        out += blk @ np.concatenate([state.v[bid], state.w[bid]])
-    return out
+def _residual_rates(mech: Mechanism, state: _State) -> list:
+    """Per kind group, the (M, rows) time derivatives of the joint residuals."""
+    vel = np.concatenate([state.v, state.w], axis=1)
+    vel = np.concatenate([vel, np.zeros((1, 6))])[..., None]  # the world is at rest
+    return [
+        (blk_a @ vel[group.parent] + blk_b @ vel[group.child])[..., 0]
+        for group, (blk_a, blk_b) in zip(mech.groups, _coupling_blocks(mech, state))
+    ]
 
 
-def _rate_bias(joint, state: _State) -> np.ndarray:
-    """Directional derivative of the residual rate along the current motion.
+def _rate_bias(mech: Mechanism, state: _State) -> list:
+    """Per kind group, the directional derivative of the residual rates along the motion.
 
     Central finite difference of d(g)/dt along (x-dot, q-dot) with the
     velocities held fixed; this is the bias term of the twice-differentiated
     constraint.
     """
     eps = _DIRECTIONAL_EPS
-    plus = _State.__new__(_State)
-    minus = _State.__new__(_State)
-    for sgn, dst in ((+1.0, plus), (-1.0, minus)):
-        dst.x = {b: state.x[b] + sgn * eps * state.v[b] for b in state.x}
-        dst.q = {
-            b: state.q[b] + sgn * eps * 0.5 * (quat.lmat(state.q[b]) @ quat.VMAT.T @ state.w[b])
-            for b in state.q
-        }
-        dst.v = state.v
-        dst.w = state.w
-    return (_residual_rate(joint, plus) - _residual_rate(joint, minus)) / (2.0 * eps)
+    qdot = _qdot(state.q, state.w)
+    plus = _State(state.x + eps * state.v, state.q + eps * qdot, state.v, state.w)
+    minus = _State(state.x - eps * state.v, state.q - eps * qdot, state.v, state.w)
+    return [
+        (up - down) / (2.0 * eps)
+        for up, down in zip(_residual_rates(mech, plus), _residual_rates(mech, minus))
+    ]
 
 
-def _acceleration_rates(mech: Mechanism, state: _State, ctx: StepContext) -> _Rates:
+def _acceleration_rates(mech: Mechanism, state: _State, ctx: StepContext) -> _State:
     """Accelerations and multipliers from the index-reduced saddle system."""
-    diag = {}
-    rhs = {}
-    offdiag = {}
-    for bid in mech.body_ids:
-        body = mech.bodies[bid]
-        blk = np.zeros((6, 6))
-        blk[:3, :3] = body.mass * np.eye(3)
-        blk[3:, 3:] = body.inertia
-        diag[bid] = blk
-        w = state.w[bid]
-        rhs[bid] = np.concatenate(
-            [
-                ctx.force(bid) - body.mass * ctx.gravity * _EZ,
-                ctx.torque(bid) - np.cross(w, body.inertia @ w),
-            ]
-        )
-    for jid in mech.joint_ids:
-        joint = mech.joints[jid]
-        diag[jid] = np.zeros((joint.rows, joint.rows))
-        rhs[jid] = -_rate_bias(joint, state)
-        for bid, blk in _coupling_block(joint, state).items():
-            offdiag[(jid, bid)] = blk
-            offdiag[(bid, jid)] = -blk.T
-    sol = sparse_ldu_solve(sparse_ldu_factorize(stacked_system(mech, diag, offdiag, rhs)))
-
-    xdot = {b: state.v[b].copy() for b in mech.body_ids}
-    qdot = {
-        b: 0.5 * (quat.lmat(state.q[b]) @ quat.VMAT.T @ state.w[b]) for b in mech.body_ids
-    }
-    vdot = {b: sol[b][:3] for b in mech.body_ids}
-    wdot = {b: sol[b][3:] for b in mech.body_ids}
-    return _Rates(xdot, qdot, vdot, wdot)
+    n = len(mech.body_ids)
+    body_diag = np.zeros((n, 6, 6))
+    body_diag[:, :3, :3] = mech.mass[:, None, None] * np.eye(3)
+    body_diag[:, 3:, 3:] = mech.inertia
+    rhs = np.empty(mech.dim)
+    body = rhs[: 6 * n].reshape(n, 6)
+    forces = np.array([ctx.force(b) for b in mech.body_ids])
+    body[:, :3] = forces - mech.mass[:, None] * ctx.gravity * _EZ
+    jw = (mech.inertia @ state.w[:, :, None])[..., 0]
+    body[:, 3:] = np.array([ctx.torque(b) for b in mech.body_ids]) - quat.cross(state.w, jw)
+    couplings = []
+    for group, (blk_a, blk_b), bias in zip(
+        mech.groups, _coupling_blocks(mech, state), _rate_bias(mech, state)
+    ):
+        rhs[group.rows] = -bias
+        couplings.append((blk_a, blk_b, -blk_a.transpose(0, 2, 1), -blk_b.transpose(0, 2, 1)))
+    system = stacked_system(mech, *incidence_blocks(mech, body_diag, couplings), rhs)
+    sol = sparse_ldu_solve(sparse_ldu_factorize(system))
+    acc = np.array([sol[b] for b in mech.body_ids])
+    return _State(state.v.copy(), _qdot(state.q, state.w), acc[:, :3], acc[:, 3:])
 
 
 def _energy(mech: Mechanism, state: _State, ctx: StepContext) -> float:
-    e = 0.0
-    for bid in mech.body_ids:
-        body = mech.bodies[bid]
-        e += 0.5 * body.mass * (state.v[bid] @ state.v[bid])
-        e += 0.5 * (state.w[bid] @ body.inertia @ state.w[bid])
-        e += ctx.gravity * body.mass * state.x[bid][2]
-    return float(e)
+    jw = (mech.inertia @ state.w[:, :, None])[..., 0]
+    return float(
+        np.sum(
+            0.5 * mech.mass * (state.v * state.v).sum(axis=1)
+            + 0.5 * (state.w * jw).sum(axis=1)
+            + ctx.gravity * mech.mass * state.x[:, 2]
+        )
+    )
 
 
 def heun_simulate(mech: Mechanism, ctx: StepContext, n_steps: int) -> list[BaselineRecord]:
     """Integrate with Heun's method; mechanism states are left untouched."""
-    state = _State(mech)
+    state = _State.committed(mech)
     h = ctx.h
     records = []
     for k in range(1, n_steps + 1):
         k1 = _acceleration_rates(mech, state, ctx)
-        predictor = state.shifted(k1, h)
-        k2 = _acceleration_rates(mech, predictor, ctx)
-        nxt = _State.__new__(_State)
-        nxt.x = {b: state.x[b] + 0.5 * h * (k1.xdot[b] + k2.xdot[b]) for b in state.x}
-        nxt.q = {b: state.q[b] + 0.5 * h * (k1.qdot[b] + k2.qdot[b]) for b in state.q}
-        nxt.v = {b: state.v[b] + 0.5 * h * (k1.vdot[b] + k2.vdot[b]) for b in state.v}
-        nxt.w = {b: state.w[b] + 0.5 * h * (k1.wdot[b] + k2.wdot[b]) for b in state.w}
-        for b in nxt.q:
-            nxt.q[b] = nxt.q[b] / np.linalg.norm(nxt.q[b])
-        state = nxt
+        k2 = _acceleration_rates(mech, state.shifted(k1, h), ctx)
+        q = state.q + 0.5 * h * (k1.q + k2.q)
+        state = _State(
+            state.x + 0.5 * h * (k1.x + k2.x),
+            q / np.linalg.norm(q, axis=1, keepdims=True),
+            state.v + 0.5 * h * (k1.v + k2.v),
+            state.w + 0.5 * h * (k1.w + k2.w),
+        )
         records.append(
             BaselineRecord(
                 step=k,
                 time=k * h,
                 energy=_energy(mech, state, ctx),
-                max_violation=max_violation(mech.joints.values(), _pose_fn(state)),
+                max_violation=max_violation(mech.groups, *with_world(state.x, state.q)),
             )
         )
     return records

@@ -20,14 +20,7 @@ from .experiments import (
     write_timing_csv,
     write_trajectory_csv,
 )
-from .integrator import (
-    StepContext,
-    assemble_residual,
-    build_layout,
-    newton_system,
-    position_jacobian_blocks,
-    run_simulation,
-)
+from .integrator import StepContext, newton_system_at, run_simulation
 from .mechanism import load_mechanism, save_mechanism
 from .scenarios import Scenario, generate_scenario
 
@@ -108,10 +101,7 @@ def _cmd_simulate(args) -> int:
     ctx = StepContext(h=args.h, gravity=args.gravity)
     mech.initialize(args.h)
     if args.dump_pattern:
-        layout = build_layout(mech)
-        pos_blocks = position_jacobian_blocks(mech)
-        f = assemble_residual(mech, ctx, layout, pos_blocks)
-        system = newton_system(mech, ctx, layout, f, pos_blocks)
+        system = newton_system_at(mech, ctx)
         fact = sparse_ldu_factorize(system.copy())
         with open(args.dump_pattern, "w", encoding="utf-8") as fh:
             fh.write(pattern_report(system, fact) + "\n")

@@ -27,11 +27,8 @@ from .baselines import heun_simulate
 from .block_solver import dense_ldu_factorize, dense_ldu_solve, sparse_ldu_factorize, sparse_ldu_solve
 from .integrator import (
     StepContext,
-    assemble_residual,
-    build_layout,
     newton_solve,
-    newton_system,
-    position_jacobian_blocks,
+    newton_system_at,
     run_simulation,
     step,
     total_energy,
@@ -153,10 +150,7 @@ def run_timing_experiment(
         mech, ctx = _build(sc)
         for _ in range(3):
             step(mech, ctx)
-        layout = build_layout(mech)
-        pos_blocks = position_jacobian_blocks(mech)
-        f = assemble_residual(mech, ctx, layout, pos_blocks)
-        system = newton_system(mech, ctx, layout, f, pos_blocks)
+        system = newton_system_at(mech, ctx)
         dense = None
         if n <= dense_max:
             full, _ = system.assembled()

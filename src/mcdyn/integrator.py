@@ -9,9 +9,13 @@ the graph-ordered sparse block solver drives the residual to tolerance;
 the converged velocities then advance the poses through the norm-preserving
 update rules and the solution warm-starts the next step.
 
-One simulation context is single-threaded: the solver scribbles trial
-velocities into the body states while iterating.  Independent mechanisms
-may run in parallel.
+Every residual and Jacobian evaluation works on stacked arrays: all bodies
+at once, and all joints of one kind at once.  A solve reads the committed
+knots and loads into arrays once and iterates on the unknown vector
+itself; it writes the last accepted velocities and multipliers back into
+the body states and the mechanism when it ends, also when it raises.
+One simulation context is single-threaded; independent mechanisms may run
+in parallel.
 """
 
 from __future__ import annotations
@@ -21,13 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import quaternions as quat
-from .block_solver import (
-    LOOP_NODE,
-    BlockSystem,
-    augment_loop_node,
-    sparse_ldu_factorize,
-    sparse_ldu_solve,
-)
+from .block_solver import BlockSystem, augment_loop_node, sparse_ldu_factorize, sparse_ldu_solve
 from .errors import AngularRateError, LineSearchError, NonConvergenceError, SimulationError
 from .mechanism import (
     WORLD,
@@ -35,12 +33,12 @@ from .mechanism import (
     constraint_jacobian_position,
     constraint_jacobian_velocity,
     joint_residual,
+    with_world,
 )
 
 _EZ = np.array([0.0, 0.0, 1.0])
 _ZERO3 = np.zeros(3)
 _ZERO3.setflags(write=False)  # shared default load; never written through
-_IDQ = np.array([1.0, 0.0, 0.0, 0.0])
 _MAX_HALVINGS = 20
 
 
@@ -82,121 +80,132 @@ def _check_loads(mech: Mechanism, ctx: StepContext) -> None:
 
 @dataclass
 class SystemLayout:
-    """Slices of the stacked unknown/residual vector, bodies then joints."""
+    """The committed state one step's stacked residual is read against.
 
-    body_slices: dict
-    joint_slices: dict
-    dim: int
+    The arrays have one row per body in id order, like the unknown vector
+    (see :func:`get_unknowns`).  The w1 terms of the rotational momentum
+    balance do not change during a step and are computed once.
+    """
 
-
-def build_layout(mech: Mechanism) -> SystemLayout:
-    body_slices = {}
-    off = 0
-    for bid in mech.body_ids:
-        body_slices[bid] = slice(off, off + 6)
-        off += 6
-    joint_slices = {}
-    for jid in mech.joint_ids:
-        rows = mech.joints[jid].rows
-        joint_slices[jid] = slice(off, off + rows)
-        off += rows
-    return SystemLayout(body_slices=body_slices, joint_slices=joint_slices, dim=off)
+    h: float
+    gravity: float
+    x2: np.ndarray  # (N, 3)
+    q2: np.ndarray  # (N, 4)
+    v1: np.ndarray  # (N, 3)
+    force: np.ndarray  # (N, 3)
+    torque2: np.ndarray  # (N, 3), twice the body torque
+    jw1s1: np.ndarray  # (N, 3), J w1 sqrt((2/h)^2 - w1.w1)
+    cross1: np.ndarray  # (N, 3), w1 x J w1
 
 
-def get_unknowns(mech: Mechanism, layout: SystemLayout) -> np.ndarray:
-    s = np.empty(layout.dim)
-    for bid, sl in layout.body_slices.items():
-        st = mech.bodies[bid].state
-        s[sl.start : sl.start + 3] = st.v2
-        s[sl.start + 3 : sl.stop] = st.w2
-    for jid, sl in layout.joint_slices.items():
-        s[sl] = mech.multipliers[jid]
+def build_layout(mech: Mechanism, ctx: StepContext) -> SystemLayout:
+    """Read the committed knots and the loads of ``ctx`` into stacked arrays."""
+    x2, q2, v1, w1 = mech.knots("x2", "q2", "v1", "w1")
+    loads = {}
+    for name, given in (("force", ctx.forces), ("torque", ctx.torques)):
+        loads[name] = np.zeros_like(x2)
+        for bid, value in given.items():
+            loads[name][mech.body_index[bid]] = value
+    jw1 = (mech.inertia @ w1[:, :, None])[..., 0]
+    return SystemLayout(
+        h=ctx.h,
+        gravity=ctx.gravity,
+        x2=x2,
+        q2=q2,
+        v1=v1,
+        force=loads["force"],
+        torque2=2.0 * loads["torque"],
+        jw1s1=jw1 * quat._rate_scalar(w1, ctx.h)[:, None],
+        cross1=quat.cross(w1, jw1),
+    )
+
+
+def get_unknowns(mech: Mechanism) -> np.ndarray:
+    """The warm start held by the body states and multipliers as one vector.
+
+    The vector holds (v2, w2) of each body in id order, then the
+    multipliers of each joint in id order; ``mech.body_slices`` and
+    ``mech.joint_slices`` map ids to their rows.
+    """
+    s = np.empty(mech.dim)
+    v2, w2 = _velocities(s, len(mech.body_ids))
+    v2[:], w2[:] = mech.knots("v2", "w2")
+    for group in mech.groups:
+        s[group.rows] = [mech.multipliers[jid] for jid in group.ids]
     return s
 
 
-def set_unknowns(mech: Mechanism, layout: SystemLayout, s: np.ndarray) -> None:
-    for bid, sl in layout.body_slices.items():
-        st = mech.bodies[bid].state
-        st.v2 = s[sl.start : sl.start + 3].copy()
-        st.w2 = s[sl.start + 3 : sl.stop].copy()
-    for jid, sl in layout.joint_slices.items():
-        mech.multipliers[jid] = s[sl].copy()
+def set_unknowns(mech: Mechanism, s: np.ndarray) -> None:
+    """Write a stacked vector back into the body states (v2, w2) and multipliers."""
+    v2, w2 = _velocities(s, len(mech.body_ids))
+    mech.store(v2=v2.copy(), w2=w2.copy())
+    for group in mech.groups:
+        mech.multipliers.update(zip(group.ids, s[group.rows]))
+
+
+def _velocities(s: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(N, 3) views of v2 and w2 in a stacked vector of n bodies."""
+    body = s[: 6 * n].reshape(n, 6)
+    return body[:, :3], body[:, 3:]
+
+
+def _predicted_pose(x2, q2, v2, w2, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """The next knot's stacked poses predicted from the velocities (v2, w2)."""
+    return x2 + h * v2, quat.orientation_update(q2, w2, h)
 
 
 # ---------------------------------------------------------------------------
 # residual
 
 
-def _body_residual(body, pull: np.ndarray, ctx: StepContext) -> np.ndarray:
-    st = body.state
-    h = ctx.h
-    m = body.mass
-    J = body.inertia
-    out = np.empty(6)
-    out[:3] = m * ((st.v2 - st.v1) / h + ctx.gravity * _EZ) - ctx.force(body.id) - pull[:3]
-    s2 = quat._rate_scalar(st.w2, h)
-    s1 = quat._rate_scalar(st.w1, h)
-    Jw2 = J @ st.w2
-    Jw1 = J @ st.w1
-    out[3:] = (
-        Jw2 * s2
-        + quat.cross(st.w2, Jw2)
-        - Jw1 * s1
-        + quat.cross(st.w1, Jw1)
-        - 2.0 * ctx.torque(body.id)
-        - pull[3:]
-    )
-    return out
-
-
-def position_jacobian_blocks(mech: Mechanism) -> dict:
-    """Knot-2 position-Jacobian blocks of every joint.
+def position_jacobian_blocks(mech: Mechanism, layout: SystemLayout) -> list:
+    """Knot-2 (parent, child) position-Jacobian blocks of every kind group.
 
     These depend only on committed poses, so one computation serves every
     residual and Jacobian evaluation within a step's solve.
     """
-    pose2 = mech.pose(2)
-    return {
-        jid: constraint_jacobian_position(mech.joints[jid], pose2)
-        for jid in mech.joint_ids
-    }
-
-
-def _predicted_pose(mech: Mechanism, h: float):
-    """Pose accessor for the next knot predicted from the current (v2, w2)."""
-    cache = {}
-    for bid in mech.body_ids:
-        st = mech.bodies[bid].state
-        cache[bid] = (st.x2 + h * st.v2, quat.orientation_update(st.q2, st.w2, h))
-
-    def pose(bid):
-        if bid == WORLD:
-            return _ZERO3, _IDQ
-        return cache[bid]
-
-    return pose
+    _, q2 = with_world(layout.x2, layout.q2)
+    return [constraint_jacobian_position(group, q2) for group in mech.groups]
 
 
 def assemble_residual(
-    mech: Mechanism, ctx: StepContext, layout: SystemLayout, pos_blocks: dict
+    mech: Mechanism, layout: SystemLayout, pos_blocks: list, s: np.ndarray
 ) -> np.ndarray:
-    """Stacked residual at the current unknowns (body rows, then joint rows).
+    """Stacked residual at the unknowns ``s`` (body rows, then joint rows).
 
     Joint rows evaluate at the predicted next knot so that the converged
-    step satisfies the constraints at the position level.  ``pos_blocks``
-    comes from :func:`position_jacobian_blocks` at the committed knot 2.
+    step satisfies the constraints at the position level.  Body rows
+    subtract the impulse pull, the transposed knot-2 position Jacobian
+    (``pos_blocks`` from :func:`position_jacobian_blocks`) applied to the
+    multipliers.  Raises AngularRateError when some ||w2|| >= 2/h.
     """
-    pose3 = _predicted_pose(mech, ctx.h)
-    f = np.empty(layout.dim)
-    pulls = {bid: np.zeros(6) for bid in mech.body_ids}
-    for jid, sl in layout.joint_slices.items():
-        joint = mech.joints[jid]
-        lam = mech.multipliers[jid]
-        for bid, blk in pos_blocks[jid].items():
-            pulls[bid] += blk.T @ lam
-        f[sl] = joint_residual(joint, pose3)
-    for bid, sl in layout.body_slices.items():
-        f[sl] = _body_residual(mech.bodies[bid], pulls[bid], ctx)
+    n = len(mech.body_ids)
+    h = layout.h
+    v2, w2 = _velocities(s, n)
+    x3, q3 = with_world(*_predicted_pose(layout.x2, layout.q2, v2, w2, h))
+    f = np.empty(mech.dim)
+    pull = np.zeros((n + 1, 6))  # the last row collects the world's share
+    for group, (pos_a, pos_b) in zip(mech.groups, pos_blocks):
+        lam = s[group.rows][:, None, :]
+        np.add.at(pull, group.parent, (lam @ pos_a)[:, 0])
+        np.add.at(pull, group.child, (lam @ pos_b)[:, 0])
+        f[group.rows] = joint_residual(group, x3, q3)
+    jw2 = (mech.inertia @ w2[:, :, None])[..., 0]
+    s2 = quat._rate_scalar(w2, h)[:, None]
+    body = f[: 6 * n].reshape(n, 6)
+    body[:, :3] = (
+        mech.mass[:, None] * ((v2 - layout.v1) / h + layout.gravity * _EZ)
+        - layout.force
+        - pull[:n, :3]
+    )
+    body[:, 3:] = (
+        jw2 * s2
+        + quat.cross(w2, jw2)
+        - layout.jw1s1
+        + layout.cross1
+        - layout.torque2
+        - pull[:n, 3:]
+    )
     return f
 
 
@@ -204,22 +213,32 @@ def assemble_residual(
 # Jacobian
 
 
-def _body_diag_block(body, ctx: StepContext) -> np.ndarray:
-    st = body.state
-    h = ctx.h
-    J = body.inertia
-    s2 = quat._rate_scalar(st.w2, h)
-    Jw = J @ st.w2
-    out = np.zeros((6, 6))
-    out[:3, :3] = (body.mass / h) * np.eye(3)
-    out[3:, 3:] = (
-        J * s2 - Jw[:, None] * (st.w2[None, :] / s2) + quat.skew(st.w2) @ J - quat.skew(Jw)
-    )
-    return out
+def incidence_blocks(mech: Mechanism, body_diag: np.ndarray, couplings: list) -> tuple[dict, dict]:
+    """Block dicts of a system on the mechanism's incidence pattern.
+
+    ``body_diag`` stacks the (N, 6, 6) body diagonal blocks; joint diagonal
+    blocks are zero.  ``couplings`` holds per kind group the stacked blocks
+    (row_a, row_b, col_a, col_b): (M, rows, 6) blocks in the joints' rows
+    and (M, 6, rows) blocks in the bodies' rows, on the parent (a) and
+    child (b) side.  World parents contribute no blocks.
+    """
+    diag = dict(zip(mech.body_ids, body_diag))
+    offdiag: dict = {}
+    for group, (row_a, row_b, col_a, col_b) in zip(mech.groups, couplings):
+        diag.update(zip(group.ids, np.zeros((len(group.ids), group.width, group.width))))
+        for jid, a, b, ra, rb, ca, cb in zip(
+            group.ids, group.parent_ids, group.child_ids, row_a, row_b, col_a, col_b
+        ):
+            offdiag[(jid, b)] = rb
+            offdiag[(b, jid)] = cb
+            if a != WORLD:
+                offdiag[(jid, a)] = ra
+                offdiag[(a, jid)] = ca
+    return diag, offdiag
 
 
 def assemble_jacobian(
-    mech: Mechanism, ctx: StepContext, layout: SystemLayout, pos_blocks: dict
+    mech: Mechanism, layout: SystemLayout, pos_blocks: list, s: np.ndarray
 ) -> BlockSystem:
     """Exact Jacobian of the stacked residual as a graph-structured block system.
 
@@ -232,63 +251,71 @@ def assemble_jacobian(
     like the residual vector (bodies, then joints) and the right-hand side
     is empty; :func:`newton_system` gives the form the solver factorizes.
     """
-    pose3 = _predicted_pose(mech, ctx.h)
-    diag = {}
-    offdiag = {}
-    rot_jac = {}
-    for bid in mech.body_ids:
-        body = mech.bodies[bid]
-        diag[bid] = _body_diag_block(body, ctx)
-        rot_jac[bid] = quat.orientation_update_jacobian(body.state.q2, body.state.w2, ctx.h)
-    for jid in mech.joint_ids:
-        joint = mech.joints[jid]
-        diag[jid] = np.zeros((joint.rows, joint.rows))
-        vel_blocks = constraint_jacobian_velocity(joint, pose3, rot_jac, ctx.h)
-        for bid in pos_blocks[jid]:
-            offdiag[(bid, jid)] = -pos_blocks[jid][bid].T
-            offdiag[(jid, bid)] = vel_blocks[bid]
-    order = list(layout.body_slices) + list(layout.joint_slices)
-    return BlockSystem(diag=diag, offdiag=offdiag, order=order, rhs={})
+    n = len(mech.body_ids)
+    h = layout.h
+    v2, w2 = _velocities(s, n)
+    _, q3 = with_world(*_predicted_pose(layout.x2, layout.q2, v2, w2, h))
+    rot_jac = np.zeros((n + 1, 4, 3))
+    rot_jac[:n] = quat.orientation_update_jacobian(layout.q2, w2, h)
+    J = mech.inertia
+    jw = (J @ w2[:, :, None])[..., 0]
+    s2 = quat._rate_scalar(w2, h)[:, None, None]
+    body_diag = np.zeros((n, 6, 6))
+    body_diag[:, :3, :3] = (mech.mass / h)[:, None, None] * np.eye(3)
+    body_diag[:, 3:, 3:] = (
+        J * s2 - jw[:, :, None] * (w2[:, None, :] / s2) + quat.skew(w2) @ J - quat.skew(jw)
+    )
+    couplings = [
+        (
+            *constraint_jacobian_velocity(group, q3, rot_jac, h),
+            -pos_a.transpose(0, 2, 1),
+            -pos_b.transpose(0, 2, 1),
+        )
+        for group, (pos_a, pos_b) in zip(mech.groups, pos_blocks)
+    ]
+    diag, offdiag = incidence_blocks(mech, body_diag, couplings)
+    return BlockSystem(diag=diag, offdiag=offdiag, order=mech.body_ids + mech.joint_ids, rhs={})
 
 
-def stacked_system(mech: Mechanism, diag: dict, offdiag: dict, rhs: dict) -> BlockSystem:
+def stacked_system(mech: Mechanism, diag: dict, offdiag: dict, rhs: np.ndarray) -> BlockSystem:
     """Block system over the mechanism graph in the sparse solver's form.
 
-    Nodes follow the graph's elimination order, and the loop-closure joints
-    are stacked into the loop node.
+    ``rhs`` is a stacked vector laid out like the unknowns.  Nodes follow
+    the graph's elimination order, and the loop-closure joints are stacked
+    into the loop node.
     """
+    n = len(mech.body_ids)
+    rhs_blocks = dict(zip(mech.body_ids, rhs[: 6 * n].reshape(n, 6)))
+    for group in mech.groups:
+        rhs_blocks.update(zip(group.ids, rhs[group.rows]))
     loops = mech.graph.loop_joints
     order = mech.graph.order + sorted(loops)
-    return augment_loop_node(BlockSystem(diag=diag, offdiag=offdiag, order=order, rhs=rhs), loops)
+    return augment_loop_node(BlockSystem(diag=diag, offdiag=offdiag, order=order, rhs=rhs_blocks), loops)
 
 
 def newton_system(
-    mech: Mechanism, ctx: StepContext, layout: SystemLayout, f: np.ndarray, pos_blocks: dict
+    mech: Mechanism, layout: SystemLayout, pos_blocks: list, s: np.ndarray, f: np.ndarray
 ) -> BlockSystem:
-    """The Newton system at the current unknowns, ready to factorize.
+    """The Newton system at the unknowns ``s``, ready to factorize.
 
     ``f`` is the stacked residual at the same unknowns; it becomes the
     right-hand side of the Jacobian from :func:`assemble_jacobian`.
     """
-    system = assemble_jacobian(mech, ctx, layout, pos_blocks)
-    for node, sl in (*layout.body_slices.items(), *layout.joint_slices.items()):
-        system.rhs[node] = f[sl]
-    return stacked_system(mech, system.diag, system.offdiag, system.rhs)
+    system = assemble_jacobian(mech, layout, pos_blocks, s)
+    return stacked_system(mech, system.diag, system.offdiag, f)
 
 
-def _solution_vector(sol: dict, layout: SystemLayout, loop_layout) -> np.ndarray:
-    ds = np.empty(layout.dim)
-    for bid, sl in layout.body_slices.items():
-        ds[sl] = sol[bid]
-    if loop_layout:
-        seg = sol[LOOP_NODE]
-        off = 0
-        for jid, rows in loop_layout:
-            ds[layout.joint_slices[jid]] = seg[off : off + rows]
-            off += rows
-    for jid, sl in layout.joint_slices.items():
-        if jid in sol:
-            ds[sl] = sol[jid]
+def newton_system_at(mech: Mechanism, ctx: StepContext) -> BlockSystem:
+    """The first Newton system a solve from the current state would factorize."""
+    layout = build_layout(mech, ctx)
+    pos_blocks = position_jacobian_blocks(mech, layout)
+    s = get_unknowns(mech)
+    return newton_system(mech, layout, pos_blocks, s, assemble_residual(mech, layout, pos_blocks, s))
+
+
+def _solution_vector(mech: Mechanism, system: BlockSystem, sol: dict) -> np.ndarray:
+    ds = np.empty(mech.dim)
+    ds[mech.elimination_rows] = np.concatenate([sol[node] for node in system.order])
     return ds
 
 
@@ -317,50 +344,52 @@ def newton_solve(
     leaving the converged unknowns in the mechanism state.  Raises
     SimulationError for a load on an unknown body or a load that is not a
     finite 3-vector, LineSearchError when no halving reduces the residual,
-    and NonConvergenceError when `max_iters` iterations do not reach `tol`.
+    and NonConvergenceError when `max_iters` iterations do not reach `tol`;
+    either way the last accepted unknowns are left in the state.
     """
     _check_loads(mech, ctx)
     mech.ensure_initialized(ctx.h)
-    layout = build_layout(mech)
-    pos_blocks = position_jacobian_blocks(mech)
-    s = get_unknowns(mech, layout)
-    f = assemble_residual(mech, ctx, layout, pos_blocks)
-    norm = float(np.linalg.norm(f))
-    history = [norm]
-    if norm < tol:
-        return NewtonInfo(iterations=0, residual_norm=norm, history=history)
-    for it in range(1, max_iters + 1):
-        system = newton_system(mech, ctx, layout, f, pos_blocks)
-        fact = sparse_ldu_factorize(system)
-        sol = sparse_ldu_solve(fact)
-        ds = _solution_vector(sol, layout, system.loop_layout)
-
-        alpha = 1.0
-        accepted = False
-        for _ in range(_MAX_HALVINGS + 1):
-            s_try = s - alpha * ds
-            set_unknowns(mech, layout, s_try)
-            try:
-                f_try = assemble_residual(mech, ctx, layout, pos_blocks)
-                norm_try = float(np.linalg.norm(f_try))
-            except AngularRateError:
-                norm_try = np.inf
-            if norm_try < norm:
-                accepted = True
-                break
-            alpha *= 0.5
-        if not accepted:
-            set_unknowns(mech, layout, s)
-            raise LineSearchError(
-                f"line search stalled at residual {norm:.3e} after {_MAX_HALVINGS} halvings"
-            )
-        s, f, norm = s_try, f_try, norm_try
-        history.append(norm)
+    layout = build_layout(mech, ctx)
+    pos_blocks = position_jacobian_blocks(mech, layout)
+    s = get_unknowns(mech)
+    try:
+        f = assemble_residual(mech, layout, pos_blocks, s)
+        norm = float(np.linalg.norm(f))
+        history = [norm]
         if norm < tol:
-            return NewtonInfo(iterations=it, residual_norm=norm, history=history)
-    raise NonConvergenceError(
-        f"no convergence after {max_iters} iterations (residual {norm:.3e})"
-    )
+            return NewtonInfo(iterations=0, residual_norm=norm, history=history)
+        for it in range(1, max_iters + 1):
+            system = newton_system(mech, layout, pos_blocks, s, f)
+            fact = sparse_ldu_factorize(system)
+            sol = sparse_ldu_solve(fact)
+            ds = _solution_vector(mech, system, sol)
+
+            alpha = 1.0
+            accepted = False
+            for _ in range(_MAX_HALVINGS + 1):
+                s_try = s - alpha * ds
+                try:
+                    f_try = assemble_residual(mech, layout, pos_blocks, s_try)
+                    norm_try = float(np.linalg.norm(f_try))
+                except AngularRateError:
+                    norm_try = np.inf
+                if norm_try < norm:
+                    accepted = True
+                    break
+                alpha *= 0.5
+            if not accepted:
+                raise LineSearchError(
+                    f"line search stalled at residual {norm:.3e} after {_MAX_HALVINGS} halvings"
+                )
+            s, f, norm = s_try, f_try, norm_try
+            history.append(norm)
+            if norm < tol:
+                return NewtonInfo(iterations=it, residual_norm=norm, history=history)
+        raise NonConvergenceError(
+            f"no convergence after {max_iters} iterations (residual {norm:.3e})"
+        )
+    finally:
+        set_unknowns(mech, s)
 
 
 def step(
@@ -375,13 +404,9 @@ def step(
     shifts the knots, and keeps the solution as the next warm start.
     """
     info = newton_solve(mech, ctx, tol=tol, max_iters=max_iters)
-    pose3 = _predicted_pose(mech, ctx.h)
-    for bid, body in mech.bodies.items():
-        st = body.state
-        st.x1, st.q1 = st.x2, st.q2
-        st.x2, st.q2 = pose3(bid)
-        st.v1 = st.v2.copy()
-        st.w1 = st.w2.copy()
+    x2, q2, v2, w2 = mech.knots("x2", "q2", "v2", "w2")
+    x3, q3 = _predicted_pose(x2, q2, v2, w2, ctx.h)
+    mech.store(x1=x2, q1=q2, x2=x3, q2=q3, v1=v2, w1=w2)
     return info
 
 

@@ -110,103 +110,167 @@ def _axis_complement(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# residuals
+# kind groups and batched kernels
 
 
-def joint_residual(joint: JointConstraint, pose) -> np.ndarray:
-    """Constraint residual at the poses given by ``pose(body_id) -> (x, q)``.
+@dataclass
+class JointGroup:
+    """All joints of one kind, stacked for the batched kernels.
 
-    The world parent reads as the origin pose.  Zero iff the joint is
-    satisfied: coincident anchor points, plus aligned hinge axes for
-    revolute joints, plus matched orientation for fixed attachments.
+    The kernels read stacked pose arrays with one row per body in id order
+    and a last row for the world (origin, identity orientation), as built
+    by :func:`with_world`; ``parent`` and ``child`` index those rows.
+    ``rows`` holds, per joint, the indices of its residual rows (and of its
+    multipliers) in the stacked Newton vector.  ``normals`` stacks each
+    revolute joint's n1, n2; ``target`` holds rows 1-3 of
+    lmat(orientation_target)^T of each fixed joint.  Fields that do not
+    apply to the kind are None.
     """
-    xa, qa = pose(joint.parent)
-    xb, qb = pose(joint.child)
-    ball = xa + quat.rotate(qa, joint.p_a) - xb - quat.rotate(qb, joint.p_b)
-    if joint.kind == KIND_BALL:
+
+    kind: str
+    ids: list
+    parent_ids: list
+    child_ids: list
+    parent: np.ndarray  # (M,)
+    child: np.ndarray  # (M,)
+    p_a: np.ndarray  # (M, 3)
+    p_b: np.ndarray  # (M, 3)
+    rows: np.ndarray  # (M, rows)
+    axis_a: np.ndarray | None  # (M, 3)
+    normals: np.ndarray | None  # (M, 2, 3)
+    target: np.ndarray | None  # (M, 3, 4)
+
+    @property
+    def width(self) -> int:
+        return ROWS_BY_KIND[self.kind]
+
+
+_WORLD_X = np.zeros((1, 3))
+_WORLD_Q = np.array([[1.0, 0.0, 0.0, 0.0]])
+
+
+def with_world(x: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked body poses with the world pose appended as the last row."""
+    return np.concatenate([x, _WORLD_X]), np.concatenate([q, _WORLD_Q])
+
+
+def joint_residual(group: JointGroup, x: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """(M, rows) constraint residuals of one kind group at stacked poses.
+
+    Zero iff the joint is satisfied: coincident anchor points, plus aligned
+    hinge axes for revolute joints, plus matched orientation for fixed
+    attachments.
+    """
+    qa, qb = q[group.parent], q[group.child]
+    ball = x[group.parent] + quat.rotate(qa, group.p_a) - x[group.child] - quat.rotate(qb, group.p_b)
+    if group.kind == KIND_BALL:
         return ball
-    if joint.kind == KIND_REVOLUTE:
-        axis_w = quat.rotate(qa, joint.axis_a)
-        return np.concatenate(
-            [
-                ball,
-                [axis_w @ quat.rotate(qb, joint.n1), axis_w @ quat.rotate(qb, joint.n2)],
-            ]
-        )
+    if group.kind == KIND_REVOLUTE:
+        axis_w = quat.rotate(qa, group.axis_a)
+        normals_w = quat.rotate(qb[:, None], group.normals)
+        return np.concatenate([ball, (normals_w @ axis_w[:, :, None])[..., 0]], axis=1)
     # fixed to world: lock orientation to the target via the relative
     # quaternion's vector part
-    rel = (quat.lmat(joint.orientation_target).T @ qb)[1:]
-    return np.concatenate([ball, rel])
+    return np.concatenate([ball, (group.target @ qb[:, :, None])[..., 0]], axis=1)
 
 
-# ---------------------------------------------------------------------------
-# Jacobians
+def joint_jacobian_raw(group: JointGroup, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orientation derivatives of one kind group's residuals at stacked poses.
 
-
-def joint_jacobian_raw(joint: JointConstraint, pose) -> dict:
-    """Per-body raw derivative blocks of the residual.
-
-    Returns ``{body_id: (dg_dx, dg_dq)}`` with shapes (rows, 3) and
-    (rows, 4); the world side contributes nothing.  Exact for any q.
+    Returns (dg/dq_parent, dg/dq_child), each (M, rows, 4).  The position
+    derivatives are constant: +I for the parent and -I for the child on
+    the three anchor rows, zero below.  Blocks of a world parent are
+    computed like the others and left out by the callers.  Exact for any q.
     """
-    out = {}
-    xa, qa = pose(joint.parent)
-    xb, qb = pose(joint.child)
-    rows = joint.rows
+    qa, qb = q[group.parent], q[group.child]
+    shape = (len(group.ids), group.width, 4)
+    dq_a, dq_b = np.zeros(shape), np.zeros(shape)
+    dq_a[:, :3] = quat.rotate_jacobian(qa, group.p_a)
+    dq_b[:, :3] = -quat.rotate_jacobian(qb, group.p_b)
+    if group.kind == KIND_REVOLUTE:
+        normals_w = quat.rotate(qb[:, None], group.normals)
+        dq_a[:, 3:] = normals_w @ quat.rotate_jacobian(qa, group.axis_a)
+        axis_w = quat.rotate(qa, group.axis_a)
+        dq_b[:, 3:] = (axis_w[:, None, None] @ quat.rotate_jacobian(qb[:, None], group.normals))[:, :, 0]
+    elif group.kind == KIND_FIXED:
+        dq_b[:, 3:] = group.target
+    return dq_a, dq_b
 
-    if joint.parent != WORLD:
-        dx = np.zeros((rows, 3))
-        dq = np.zeros((rows, 4))
-        dx[:3] = np.eye(3)
-        dq[:3] = quat.rotate_jacobian(qa, joint.p_a)
-        if joint.kind == KIND_REVOLUTE:
-            daxis = quat.rotate_jacobian(qa, joint.axis_a)
-            dq[3] = quat.rotate(qb, joint.n1) @ daxis
-            dq[4] = quat.rotate(qb, joint.n2) @ daxis
-        out[joint.parent] = (dx, dq)
 
-    dx = np.zeros((rows, 3))
-    dq = np.zeros((rows, 4))
-    dx[:3] = -np.eye(3)
-    dq[:3] = -quat.rotate_jacobian(qb, joint.p_b)
-    if joint.kind == KIND_REVOLUTE:
-        axis_w = quat.rotate(qa, joint.axis_a)
-        dq[3] = axis_w @ quat.rotate_jacobian(qb, joint.n1)
-        dq[4] = axis_w @ quat.rotate_jacobian(qb, joint.n2)
-    elif joint.kind == KIND_FIXED:
-        dq[3:] = quat.lmat(joint.orientation_target).T[1:]
-    out[joint.child] = (dx, dq)
+def _with_translation(sign: float, rot: np.ndarray) -> np.ndarray:
+    """(M, rows, 6) blocks: sign * I on the anchor rows' position columns, then rot."""
+    out = np.zeros(rot.shape[:2] + (6,))
+    out[:, :3, :3] = sign * np.eye(3)
+    out[:, :, 3:] = rot
     return out
 
 
-def constraint_jacobian_position(joint: JointConstraint, pose) -> dict:
-    """Per-body (rows, 6) blocks [dg/dx , rotational dg/dq] at the given poses.
+def constraint_jacobian_position(group: JointGroup, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(parent, child) (M, rows, 6) blocks [dg/dx, rotational dg/dq] at stacked poses.
 
     The rotational part reduces the raw 4-column derivative to the three
     body-frame rotation directions; these blocks enter the equations of
     motion transposed, multiplied by the constraint impulses.
     """
-    out = {}
-    for bid, (dx, dq) in joint_jacobian_raw(joint, pose).items():
-        _, q = pose(bid)
-        out[bid] = np.hstack([dx, quat.rotational_jacobian(q, dq)])
-    return out
+    dq_a, dq_b = joint_jacobian_raw(group, q)
+    return (
+        _with_translation(1.0, quat.rotational_jacobian(q[group.parent], dq_a)),
+        _with_translation(-1.0, quat.rotational_jacobian(q[group.child], dq_b)),
+    )
 
 
-def constraint_jacobian_velocity(joint: JointConstraint, pose3, rot_jac: dict, h: float) -> dict:
-    """Per-body (rows, 6) derivative of the predicted-knot residual.
+def constraint_jacobian_velocity(
+    group: JointGroup, q3: np.ndarray, rot_jac: np.ndarray, h: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(parent, child) (M, rows, 6) derivatives of the predicted-knot residual.
 
     The residual is imposed at the predicted knot obtained from the current
     velocity unknowns, so the chain rule carries the factor h through the
     position update and the orientation-update derivative through the
-    rotational columns.  ``pose3`` gives the predicted poses
-    (x2 + h v2, orientation_update(q2, w2, h)); ``rot_jac`` maps body ids
-    to their (4, 3) orientation_update_jacobian(q2, w2, h).
+    rotational columns.  ``q3`` stacks the predicted orientations
+    orientation_update(q2, w2, h) and ``rot_jac`` their (4, 3) derivatives
+    orientation_update_jacobian(q2, w2, h), both with a world row.
     """
-    return {
-        bid: np.hstack([h * dx, dq @ rot_jac[bid]])
-        for bid, (dx, dq) in joint_jacobian_raw(joint, pose3).items()
-    }
+    dq_a, dq_b = joint_jacobian_raw(group, q3)
+    return (
+        _with_translation(h, dq_a @ rot_jac[group.parent]),
+        _with_translation(-h, dq_b @ rot_jac[group.child]),
+    )
+
+
+def _indices(sl: slice) -> np.ndarray:
+    return np.arange(sl.start, sl.stop)
+
+
+def _kind_groups(body_index: dict, joints: dict, joint_slices: dict) -> list[JointGroup]:
+    """One JointGroup per joint kind present, joints in ascending id."""
+    row = body_index | {WORLD: len(body_index)}
+    groups = []
+    for kind in ROWS_BY_KIND:
+        members = [joints[j] for j in sorted(joints) if joints[j].kind == kind]
+        if not members:
+            continue
+        revolute = kind == KIND_REVOLUTE
+        groups.append(
+            JointGroup(
+                kind=kind,
+                ids=[j.id for j in members],
+                parent_ids=[j.parent for j in members],
+                child_ids=[j.child for j in members],
+                parent=np.array([row[j.parent] for j in members]),
+                child=np.array([row[j.child] for j in members]),
+                p_a=np.array([j.p_a for j in members]),
+                p_b=np.array([j.p_b for j in members]),
+                rows=np.array([_indices(joint_slices[j.id]) for j in members]),
+                axis_a=np.array([j.axis_a for j in members]) if revolute else None,
+                normals=np.array([[j.n1, j.n2] for j in members]) if revolute else None,
+                target=(
+                    quat.lmat(np.array([j.orientation_target for j in members])).transpose(0, 2, 1)[:, 1:]
+                    if kind == KIND_FIXED else None
+                ),
+            )
+        )
+    return groups
 
 
 # ---------------------------------------------------------------------------
@@ -306,9 +370,9 @@ def _id_sort_key(n):
     return (0, n) if isinstance(n, int) else (1, str(n))
 
 
-def max_violation(joints, pose) -> float:
-    """Largest absolute joint residual entry at ``pose``; NaN if any entry is NaN."""
-    return float(np.max([np.abs(joint_residual(j, pose)).max() for j in joints], initial=0.0))
+def max_violation(groups, x: np.ndarray, q: np.ndarray) -> float:
+    """Largest absolute joint residual entry at stacked poses; NaN if any entry is NaN."""
+    return float(np.max([np.abs(joint_residual(g, x, q)).max() for g in groups], initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -318,25 +382,50 @@ def max_violation(joints, pose) -> float:
 class Mechanism:
     """Immutable topology (bodies, joints, graph) plus mutable body states.
 
-    Joint definitions and the graph are fixed after construction; body
-    states and warm-start multipliers are owned by one simulation context
-    at a time.
+    Joint definitions, the graph and everything derived from them are fixed
+    after construction: the stacked Newton vector (the 6 velocity unknowns
+    of each body in id order, then the multipliers of each joint in id
+    order), its rows in the solver's elimination order, the kind groups
+    and the stacked masses and inertias.  Body states and warm-start
+    multipliers are owned by one simulation context at a time.
     """
 
     def __init__(self, bodies: dict, joints: dict):
         self.bodies = bodies
         self.joints = joints
         self.graph = build_graph(bodies, joints)
+        self.body_ids = sorted(bodies)
+        self.joint_ids = sorted(joints)
+        self.body_index = {b: i for i, b in enumerate(self.body_ids)}
+        self.body_slices = {b: slice(6 * i, 6 * i + 6) for i, b in enumerate(self.body_ids)}
+        self.joint_slices = {}
+        off = 6 * len(self.body_ids)
+        for jid in self.joint_ids:
+            self.joint_slices[jid] = slice(off, off + joints[jid].rows)
+            off += joints[jid].rows
+        self.dim = off
+        # the elimination order of the Newton system: the graph's tree
+        # nodes, then the loop joints stacked in id order
+        slices = self.body_slices | self.joint_slices
+        nodes = self.graph.order + sorted(self.graph.loop_joints)
+        self.elimination_rows = np.concatenate([_indices(slices[n]) for n in nodes])
+        self.groups = _kind_groups(self.body_index, joints, self.joint_slices)
+        self.mass = np.array([bodies[b].mass for b in self.body_ids])
+        self.inertia = np.array([bodies[b].inertia for b in self.body_ids])
         self.multipliers = {jid: np.zeros(j.rows) for jid, j in joints.items()}
         self.h: float | None = None
 
-    @property
-    def body_ids(self) -> list:
-        return sorted(self.bodies)
+    def knots(self, *names: str) -> list[np.ndarray]:
+        """Named BodyState fields stacked over the bodies in id order."""
+        states = [self.bodies[b].state for b in self.body_ids]
+        return [np.array([getattr(st, name) for st in states]) for name in names]
 
-    @property
-    def joint_ids(self) -> list:
-        return sorted(self.joints)
+    def store(self, **knots: np.ndarray) -> None:
+        """Write stacked BodyState fields back, one row per body in id order."""
+        states = [self.bodies[b].state for b in self.body_ids]
+        for name, rows in knots.items():
+            for st, row in zip(states, rows):
+                setattr(st, name, row)
 
     def initialize(self, h: float) -> None:
         """Build the knot-1 states consistent with the declared velocities.
@@ -345,14 +434,10 @@ class Mechanism:
         it reproduces the current pose exactly; the current velocities
         double as the cold-start guess for the first implicit solve.
         """
-        for body in self.bodies.values():
-            st = body.state
-            st.x1 = st.x2 - h * st.v1
-            # lmat(identity) is the identity, so this is the bare step quaternion
-            q_step = quat.orientation_update(quat.identity(), st.w1, h)
-            st.q1 = quat.multiply(st.q2, quat.inverse(q_step))
-            st.v2 = st.v1.copy()
-            st.w2 = st.w1.copy()
+        x2, q2, v1, w1 = self.knots("x2", "q2", "v1", "w1")
+        # lmat(identity) is the identity, so this is the bare step quaternion
+        q_step = quat.orientation_update(quat.identity(), w1, h)
+        self.store(x1=x2 - h * v1, q1=quat.multiply(q2, quat.inverse(q_step)), v2=v1, w2=w1)
         for jid, joint in self.joints.items():
             self.multipliers[jid] = np.zeros(joint.rows)
         self.h = h
@@ -367,23 +452,14 @@ class Mechanism:
                 "call initialize(h) to restart with the new step"
             )
 
-    def pose(self, at: int):
-        """Pose accessor for committed knot 1 or 2."""
+    def poses(self, at: int) -> tuple[np.ndarray, np.ndarray]:
+        """Stacked poses of committed knot 1 or 2, world row included."""
         if at not in (1, 2):
             raise ValueError("knot selector must be 1 or 2")
-
-        def _pose(bid):
-            if bid == WORLD:
-                return np.zeros(3), quat.identity()
-            st = self.bodies[bid].state
-            if at == 1:
-                return st.x1, st.q1
-            return st.x2, st.q2
-
-        return _pose
+        return with_world(*self.knots(f"x{at}", f"q{at}"))
 
     def max_constraint_violation(self, at: int = 2) -> float:
-        return max_violation(self.joints.values(), self.pose(at))
+        return max_violation(self.groups, *self.poses(at))
 
 
 def load_mechanism(source) -> Mechanism:
@@ -476,6 +552,7 @@ def _parse_joint(entry: dict, bodies: dict) -> JointConstraint:
     except (KeyError, TypeError, ValueError) as err:
         raise MechanismError(f"malformed joint entry: {entry!r}") from err
     _require_finite(f"joint {jid}", parent_anchor=p_a, child_anchor=p_b)
+    _require_length(f"joint {jid}", 3, parent_anchor=p_a, child_anchor=p_b)
     parent = WORLD if parent == WORLD else int(parent)
     if child not in bodies:
         raise MechanismError(f"joint {jid}: unknown child body {child}")
@@ -491,6 +568,7 @@ def _parse_joint(entry: dict, bodies: dict) -> JointConstraint:
         except (KeyError, TypeError, ValueError) as err:
             raise MechanismError(f"joint {jid}: revolute joint needs parent/child axes") from err
         _require_finite(f"joint {jid}", parent_axis=axis_a, child_axis=axis_b)
+        _require_length(f"joint {jid}", 3, parent_axis=axis_a, child_axis=axis_b)
         for name, ax in (("parent_axis", axis_a), ("child_axis", axis_b)):
             if abs(np.linalg.norm(ax) - 1.0) > 1e-9:
                 raise MechanismError(f"joint {jid}: {name} must be a unit vector")
@@ -501,6 +579,7 @@ def _parse_joint(entry: dict, bodies: dict) -> JointConstraint:
         if "orientation_target" in entry:
             target = np.array([float(v) for v in entry["orientation_target"]])
             _require_finite(f"joint {jid}", orientation_target=target)
+            _require_length(f"joint {jid}", 4, orientation_target=target)
             if abs(np.linalg.norm(target) - 1.0) > 1e-9:
                 raise MechanismError(f"joint {jid}: orientation_target must be unit")
         else:
@@ -515,6 +594,12 @@ def _require_finite(owner: str, **fields) -> None:
     for name, value in fields.items():
         if not np.isfinite(value).all():
             raise MechanismError(f"{owner}: {name} is not finite: {value}")
+
+
+def _require_length(owner: str, n: int, **fields) -> None:
+    for name, value in fields.items():
+        if value.shape != (n,):
+            raise MechanismError(f"{owner}: {name} must have {n} components, got {value.size}")
 
 
 def save_mechanism(data: dict, path) -> None:

@@ -4,6 +4,9 @@ Conventions used throughout the package:
 
 - Quaternions are numpy arrays of shape (4,) stored scalar-first,
   ``q = [w, v1, v2, v3]``.  Serialization uses the same order (wxyz).
+- Every function broadcasts over leading axes: a stack of quaternions
+  has shape (..., 4) and a stack of vectors (..., 3), and a single
+  quaternion or vector is the batch of one.
 - Hamilton product, local-to-global rotation action: ``rotate(q, x)``
   maps a body-frame vector into the world frame, ``rotate(inverse(q), x)``
   maps back.
@@ -18,6 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import AngularRateError
+
 # Conjugation matrix: TMAT @ q is the inverse of a unit quaternion.
 TMAT = np.diag([1.0, -1.0, -1.0, -1.0])
 
@@ -25,7 +30,25 @@ TMAT = np.diag([1.0, -1.0, -1.0, -1.0])
 # a 3-vector as a pure quaternion.
 VMAT = np.hstack([np.zeros((3, 1)), np.eye(3)])
 
-_EZ = np.array([0.0, 0.0, 1.0])
+_DIAG3 = np.arange(3)
+
+# Component gathers: M(q) == q[..., _IDX] * _SIGN for each matrix below.
+_CROSS_A = np.array([1, 2, 0])
+_CROSS_B = np.array([2, 0, 1])
+_SKEW_IDX = np.array([[0, 2, 1], [2, 0, 0], [1, 0, 0]])
+_SKEW_SIGN = np.array([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
+_QUAT_IDX = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
+_LMAT_SIGN = np.array(
+    [[1.0, -1.0, -1.0, -1.0], [1.0, 1.0, -1.0, 1.0], [1.0, 1.0, 1.0, -1.0], [1.0, -1.0, 1.0, 1.0]]
+)
+_RMAT_SIGN = np.array(
+    [[1.0, -1.0, -1.0, -1.0], [1.0, 1.0, 1.0, -1.0], [1.0, -1.0, 1.0, 1.0], [1.0, 1.0, -1.0, 1.0]]
+)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot product over the last axis, kept as a length-1 axis."""
+    return (a * b).sum(axis=-1, keepdims=True)
 
 
 def identity() -> np.ndarray:
@@ -34,61 +57,30 @@ def identity() -> np.ndarray:
 
 
 def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cross product of two 3-vectors (faster than numpy's general version)."""
-    return np.array(
-        [
-            a[1] * b[2] - a[2] * b[1],
-            a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0],
-        ]
-    )
+    """Cross product of 3-vectors (faster than numpy's general version)."""
+    return a[..., _CROSS_A] * b[..., _CROSS_B] - a[..., _CROSS_B] * b[..., _CROSS_A]
 
 
 def skew(x: np.ndarray) -> np.ndarray:
     """Skew-symmetric matrix with skew(x) @ y == cross(x, y)."""
-    return np.array(
-        [
-            [0.0, -x[2], x[1]],
-            [x[2], 0.0, -x[0]],
-            [-x[1], x[0], 0.0],
-        ]
-    )
+    return x[..., _SKEW_IDX] * _SKEW_SIGN
 
 
 def lmat(q: np.ndarray) -> np.ndarray:
     """Left-multiplication matrix: lmat(q1) @ q2 == multiply(q1, q2)."""
-    w, v1, v2, v3 = q
-    return np.array(
-        [
-            [w, -v1, -v2, -v3],
-            [v1, w, -v3, v2],
-            [v2, v3, w, -v1],
-            [v3, -v2, v1, w],
-        ]
-    )
+    return q[..., _QUAT_IDX] * _LMAT_SIGN
 
 
 def rmat(q: np.ndarray) -> np.ndarray:
     """Right-multiplication matrix: rmat(q2) @ q1 == multiply(q1, q2)."""
-    w, v1, v2, v3 = q
-    return np.array(
-        [
-            [w, -v1, -v2, -v3],
-            [v1, w, v3, -v2],
-            [v2, -v3, w, v1],
-            [v3, v2, -v1, w],
-        ]
-    )
+    return q[..., _QUAT_IDX] * _RMAT_SIGN
 
 
 def multiply(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
     """Hamilton product q1 ⊗ q2."""
-    w1, v1 = q1[0], q1[1:]
-    w2, v2 = q2[0], q2[1:]
-    out = np.empty(4)
-    out[0] = w1 * w2 - v1 @ v2
-    out[1:] = w1 * v2 + w2 * v1 + cross(v1, v2)
-    return out
+    w1, v1 = q1[..., :1], q1[..., 1:]
+    w2, v2 = q2[..., :1], q2[..., 1:]
+    return np.concatenate([w1 * w2 - _dot(v1, v2), w1 * v2 + w2 * v1 + cross(v1, v2)], axis=-1)
 
 
 def inverse(q: np.ndarray) -> np.ndarray:
@@ -97,10 +89,10 @@ def inverse(q: np.ndarray) -> np.ndarray:
     Raises ValueError for a near-zero quaternion instead of silently
     normalizing; callers are expected to hand in unit quaternions.
     """
-    n = np.linalg.norm(q)
-    if n < 1e-8:
-        raise ValueError(f"cannot invert near-zero quaternion (norm {n:.3e})")
-    return TMAT @ q
+    n = np.linalg.norm(q, axis=-1)
+    if (n < 1e-8).any():
+        raise ValueError(f"cannot invert near-zero quaternion (norm {n.min():.3e})")
+    return q @ TMAT
 
 
 def rotation_matrix(q: np.ndarray) -> np.ndarray:
@@ -108,14 +100,18 @@ def rotation_matrix(q: np.ndarray) -> np.ndarray:
 
     Evaluated in closed form; exact for any q, rotation only for unit q.
     """
-    w, v = q[0], q[1:]
-    return (w * w - v @ v) * np.eye(3) + 2.0 * np.outer(v, v) + 2.0 * w * skew(v)
+    w, v = q[..., :1, None], q[..., 1:]
+    return (
+        (w * w - _dot(v, v)[..., None]) * np.eye(3)
+        + 2.0 * v[..., :, None] * v[..., None, :]
+        + 2.0 * w * skew(v)
+    )
 
 
 def rotate(q: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Rotate a body-frame vector x into the world frame."""
-    w, v = q[0], q[1:]
-    return (w * w - v @ v) * x + 2.0 * (v @ x) * v + 2.0 * w * cross(v, x)
+    w, v = q[..., :1], q[..., 1:]
+    return (w * w - _dot(v, v)) * x + 2.0 * _dot(v, x) * v + 2.0 * w * cross(v, x)
 
 
 def rotational_jacobian(q: np.ndarray, jac_q: np.ndarray) -> np.ndarray:
@@ -126,7 +122,7 @@ def rotational_jacobian(q: np.ndarray, jac_q: np.ndarray) -> np.ndarray:
     rotations; it matches the multiplicative finite-difference limit with
     perturbations q ⊗ [1, eps].
     """
-    return jac_q @ lmat(q) @ VMAT.T
+    return (jac_q @ lmat(q))[..., 1:]
 
 
 def rotate_jacobian(q: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -134,40 +130,39 @@ def rotate_jacobian(q: np.ndarray, p: np.ndarray) -> np.ndarray:
 
     Exact for any q (rotate is quadratic in q).
     """
-    w, v = q[0], q[1:]
-    pv = p @ v
-    out = np.empty((3, 4))
-    out[:, 0] = 2.0 * (w * p + cross(v, p))
-    block = v[:, None] * p[None, :] - p[:, None] * v[None, :] - w * skew(p)
-    block[0, 0] += pv
-    block[1, 1] += pv
-    block[2, 2] += pv
-    out[:, 1:] = 2.0 * block
+    w, v = q[..., :1], q[..., 1:]
+    out = np.empty(np.broadcast_shapes(q.shape[:-1], p.shape[:-1]) + (3, 4))
+    out[..., 0] = 2.0 * (w * p + cross(v, p))
+    block = (
+        v[..., :, None] * p[..., None, :] - p[..., :, None] * v[..., None, :] - w[..., None] * skew(p)
+    )
+    block[..., _DIAG3, _DIAG3] += _dot(p, v)
+    out[..., 1:] = 2.0 * block
     return out
 
 
 def from_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
     """Unit quaternion for a rotation of `angle` radians about `axis`."""
     axis = np.asarray(axis, dtype=float)
-    n = np.linalg.norm(axis)
-    if n == 0.0:
+    half = 0.5 * np.asarray(angle, dtype=float)
+    n = np.linalg.norm(axis, axis=-1, keepdims=True)
+    if (n == 0.0).any():
         raise ValueError("rotation axis must be nonzero")
-    half = 0.5 * angle
-    out = np.empty(4)
-    out[0] = np.cos(half)
-    out[1:] = np.sin(half) * axis / n
+    out = np.empty(np.broadcast_shapes(half.shape, axis.shape[:-1]) + (4,))
+    out[..., 0] = np.cos(half)
+    out[..., 1:] = np.sin(half)[..., None] * axis / n
     return out
 
 
-def _rate_scalar(w: np.ndarray, h: float) -> float:
-    arg = (2.0 / h) ** 2 - w @ w
-    if arg <= 0.0:
-        from .errors import AngularRateError
-
+def _rate_scalar(w: np.ndarray, h: float) -> np.ndarray:
+    """sqrt((2/h)^2 - w.w) per rate; AngularRateError if any ||w|| >= 2/h."""
+    arg = (2.0 / h) ** 2 - (w * w).sum(axis=-1)
+    if (arg <= 0.0).any():
         raise AngularRateError(
-            f"time step {h} too large for angular rate {np.linalg.norm(w):.6g} (needs ||w|| < 2/h)"
+            f"time step {h} too large for angular rate "
+            f"{np.linalg.norm(w, axis=-1).max():.6g} (needs ||w|| < 2/h)"
         )
-    return float(np.sqrt(arg))
+    return np.sqrt(arg)
 
 
 def orientation_update(q: np.ndarray, w: np.ndarray, h: float) -> np.ndarray:
@@ -177,8 +172,9 @@ def orientation_update(q: np.ndarray, w: np.ndarray, h: float) -> np.ndarray:
     so the result has unit norm by construction (up to rounding), with no
     renormalization.  Requires ||w|| < 2/h.
     """
-    s = _rate_scalar(w, h)
-    return (h / 2.0) * (lmat(q) @ np.concatenate([[s], w]))
+    s = np.asarray(_rate_scalar(w, h))
+    step = np.concatenate([s[..., None], w], axis=-1)
+    return (h / 2.0) * (lmat(q) @ step[..., None])[..., 0]
 
 
 def orientation_update_jacobian(q: np.ndarray, w: np.ndarray, h: float) -> np.ndarray:
@@ -187,6 +183,8 @@ def orientation_update_jacobian(q: np.ndarray, w: np.ndarray, h: float) -> np.nd
     Includes the -w/sqrt((2/h)^2 - w.w) sensitivity of the norm-preserving
     scalar entry.
     """
-    s = _rate_scalar(w, h)
-    inner = np.vstack([-w / s, np.eye(3)])
+    s = np.asarray(_rate_scalar(w, h))
+    inner = np.empty(w.shape[:-1] + (4, 3))
+    inner[..., 0, :] = -w / s[..., None]
+    inner[..., 1:, :] = np.eye(3)
     return (h / 2.0) * (lmat(q) @ inner)

@@ -6,7 +6,6 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from mcdyn.integrator import assemble_residual, build_layout, newton_system, position_jacobian_blocks
 from mcdyn.mechanism import load_mechanism
 from mcdyn.scenarios import Scenario, generate_scenario
 
@@ -32,14 +31,6 @@ def make_segmented_chain(k=2, h=0.01):
     mech = load_mechanism(generate_scenario(Scenario(kind="segmented_chain", n_links=k)))
     mech.initialize(h)
     return mech
-
-
-def newton_system_at(mech, ctx):
-    """The Newton system the solver would factorize at the current unknowns."""
-    layout = build_layout(mech)
-    pos_blocks = position_jacobian_blocks(mech)
-    f = assemble_residual(mech, ctx, layout, pos_blocks)
-    return newton_system(mech, ctx, layout, f, pos_blocks)
 
 
 def star_mechanism():
@@ -84,3 +75,19 @@ def star_mechanism():
         for jid, (a, b, w) in joint_points.items()
     ]
     return load_mechanism({"bodies": bodies, "joints": joints})
+
+
+def mixed_kind_pendulum():
+    """Three-link pendulum with one joint of each kind.
+
+    Link 1 is fixed to the world (at its initial orientation), link 2
+    hangs from it on a revolute joint and link 3 from link 2 on a ball
+    joint.
+    """
+    data = generate_scenario(Scenario(kind="pendulum", n_links=3, joint_kind="revolute"))
+    fixed, _, ball = data["joints"]
+    fixed["kind"] = "fixed_to_world"
+    ball["kind"] = "ball"
+    for joint in (fixed, ball):
+        del joint["parent_axis"], joint["child_axis"]
+    return load_mechanism(data)

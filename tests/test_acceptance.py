@@ -7,7 +7,7 @@ here, not calibrated at runtime.
 import numpy as np
 
 import mcdyn.quaternions as quat
-from conftest import make_closed_chain, make_pendulum, make_segmented_chain, newton_system_at
+from conftest import make_closed_chain, make_pendulum, make_segmented_chain
 from mcdyn.block_solver import (
     dense_ldu_factorize,
     dense_ldu_solve,
@@ -21,7 +21,7 @@ from mcdyn.experiments import (
     run_energy_experiment,
     run_timing_experiment,
 )
-from mcdyn.integrator import StepContext, angular_momentum, build_layout, step
+from mcdyn.integrator import StepContext, angular_momentum, newton_system_at, step
 from mcdyn.scenarios import Scenario
 from test_block_solver import random_loop_system, random_tree_system, solve_dense_reference, sparse_solution_vector
 from test_integrator import (
@@ -206,7 +206,7 @@ def test_criterion_7_structural_invariants():
         step(mech_m, ctx, tol=1e-12)
     momentum_drift = np.abs(angular_momentum(mech_m.bodies[1], 0.01) - L0).max()
 
-    dims_ok = all(build_layout(make_pendulum(n)).dim == 11 * n for n in (1, 5, 17))
+    dims_ok = all(make_pendulum(n).dim == 11 * n for n in (1, 5, 17))
     ok = norm_drift <= 1e-12 and momentum_drift <= 1e-10 and dims_ok
     _verdict(
         7,

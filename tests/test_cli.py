@@ -1,4 +1,6 @@
 from mcdyn.cli import main
+from mcdyn.mechanism import save_mechanism
+from mcdyn.scenarios import Scenario, generate_scenario
 
 
 def test_gen_and_simulate_round_trip(tmp_path, capsys):
@@ -96,3 +98,13 @@ def test_invalid_mechanism_exits_nonzero(tmp_path, capsys):
     )
     assert main(["simulate", str(bad), "--out", str(tmp_path / "t.csv")]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_simulate_bad_anchor_length_is_an_error(tmp_path, capsys):
+    data = generate_scenario(Scenario(kind="pendulum", n_links=2))
+    data["joints"][0]["parent_anchor"] = [0.0, 0.0]
+    mech_path = tmp_path / "bad.yaml"
+    save_mechanism(data, mech_path)
+    code = main(["simulate", str(mech_path), "--duration", "0.02", "--out", str(tmp_path / "t.csv")])
+    assert code == 1
+    assert "error: joint 3: parent_anchor must have 3 components" in capsys.readouterr().err

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import mcdyn.quaternions as quat
-from conftest import make_closed_chain, make_pendulum, make_segmented_chain, newton_system_at, star_mechanism
+from conftest import make_closed_chain, make_pendulum, make_segmented_chain, mixed_kind_pendulum, star_mechanism
 from mcdyn.block_solver import sparse_ldu_factorize, sparse_ldu_solve
 from mcdyn.errors import AngularRateError, NewtonError, SimulationError
 from mcdyn.integrator import (
@@ -14,6 +14,7 @@ from mcdyn.integrator import (
     build_layout,
     get_unknowns,
     newton_solve,
+    newton_system_at,
     position_jacobian_blocks,
     run_simulation,
     set_unknowns,
@@ -60,26 +61,24 @@ def hanging_pendulum(n=2):
 
 
 def dense_newton_matrix(mech, ctx):
-    layout = build_layout(mech)
-    system = assemble_jacobian(mech, ctx, layout, position_jacobian_blocks(mech))
+    layout = build_layout(mech, ctx)
+    system = assemble_jacobian(mech, layout, position_jacobian_blocks(mech, layout), get_unknowns(mech))
     full, _ = system.assembled()
     return full
 
 
 def fd_newton_matrix(mech, ctx, eps=1e-6):
-    layout = build_layout(mech)
-    s0 = get_unknowns(mech, layout)
-    pos_blocks = position_jacobian_blocks(mech)
+    """Central differences of the stacked residual at the current unknowns."""
+    layout = build_layout(mech, ctx)
+    s0 = get_unknowns(mech)
+    pos_blocks = position_jacobian_blocks(mech, layout)
     cols = []
-    for j in range(layout.dim):
-        e = np.zeros(layout.dim)
+    for j in range(mech.dim):
+        e = np.zeros(mech.dim)
         e[j] = eps
-        set_unknowns(mech, layout, s0 + e)
-        fp = assemble_residual(mech, ctx, layout, pos_blocks)
-        set_unknowns(mech, layout, s0 - e)
-        fm = assemble_residual(mech, ctx, layout, pos_blocks)
+        fp = assemble_residual(mech, layout, pos_blocks, s0 + e)
+        fm = assemble_residual(mech, layout, pos_blocks, s0 - e)
         cols.append((fp - fm) / (2 * eps))
-    set_unknowns(mech, layout, s0)
     return np.stack(cols, axis=1)
 
 
@@ -92,16 +91,19 @@ def randomized_feasible_state(mech, ctx, rng, warm_steps=3):
     mech.initialize(ctx.h)
     for _ in range(warm_steps):
         step(mech, ctx)
-    layout = build_layout(mech)
-    s = get_unknowns(mech, layout)
-    set_unknowns(mech, layout, s + rng.normal(size=layout.dim) * 0.05)
+    set_unknowns(mech, get_unknowns(mech) + rng.normal(size=mech.dim) * 0.05)
     return mech
+
+
+def residual_at(mech, ctx):
+    """The stacked residual at the current unknowns."""
+    layout = build_layout(mech, ctx)
+    return assemble_residual(mech, layout, position_jacobian_blocks(mech, layout), get_unknowns(mech))
 
 
 def body_residual(mech, bid, ctx):
     """Body ``bid``'s six momentum-balance rows of the stacked residual."""
-    layout = build_layout(mech)
-    return assemble_residual(mech, ctx, layout, position_jacobian_blocks(mech))[layout.body_slices[bid]]
+    return residual_at(mech, ctx)[mech.body_slices[bid]]
 
 
 class TestTranslationalResidual:
@@ -121,8 +123,7 @@ class TestTranslationalResidual:
     def test_one_link_initial_residual(self):
         mech = make_pendulum(1)
         ctx = StepContext(h=0.01)
-        layout = build_layout(mech)
-        f = assemble_residual(mech, ctx, layout, position_jacobian_blocks(mech))
+        f = residual_at(mech, ctx)
         assert np.isclose(np.linalg.norm(f), 9.81, rtol=1e-12)
 
 
@@ -140,6 +141,22 @@ class TestRotationalResidual:
         mech.bodies[1].state.w2 = np.array([0.0, 0.0, 250.0])
         with pytest.raises(AngularRateError):
             body_residual(mech, 1, StepContext(h=0.01))
+
+    def test_overshooting_newton_step_is_halved(self):
+        # torque-free spin about the symmetry axis: the momentum balance is
+        # w sqrt((2/h)^2 - w^2) = const, which is flat near ||w|| = 141, so
+        # the full Newton step from a warm start at 140 lands outside
+        # ||w|| < 2/h and the line search must halve it back into the domain
+        mech = free_body(inertia=(0.2, 0.2, 0.2), w=(0.0, 0.0, 100.0))
+        ctx = StepContext(h=0.01, gravity=0.0)
+        mech.initialize(0.01)
+        mech.bodies[1].state.w2 = np.array([0.0, 0.0, 140.0])
+        s = get_unknowns(mech)
+        full_step = s - np.linalg.solve(dense_newton_matrix(mech, ctx), residual_at(mech, ctx))
+        assert np.linalg.norm(full_step[3:6]) >= 2.0 / ctx.h
+        info = newton_solve(mech, ctx, tol=1e-10)
+        assert info.residual_norm < 1e-10
+        assert_allclose(mech.bodies[1].state.w2, [0.0, 0.0, 100.0], atol=1e-9)
 
     def test_torque_free_step_matches_fine_ode(self):
         J = (1.0, 2.0, 3.0)
@@ -184,16 +201,15 @@ class TestUpdates:
 class TestAssembledSystem:
     def test_dimension_revolute_and_ball(self):
         for n in (1, 3, 7):
-            assert build_layout(make_pendulum(n, "revolute")).dim == 11 * n
-            assert build_layout(make_pendulum(n, "ball")).dim == 9 * n
+            assert make_pendulum(n, "revolute").dim == 11 * n
+            assert make_pendulum(n, "ball").dim == 9 * n
 
     def test_equilibrium_is_fixed_point(self):
         mech = hanging_pendulum(2)
         ctx = StepContext(h=0.01)
         mech.initialize(0.01)
         newton_solve(mech, ctx, tol=1e-12)
-        layout = build_layout(mech)
-        f = assemble_residual(mech, ctx, layout, position_jacobian_blocks(mech))
+        f = residual_at(mech, ctx)
         assert np.linalg.norm(f) <= 1e-10
         info = newton_solve(mech, ctx, tol=1e-10)
         assert info.iterations == 0
@@ -210,8 +226,7 @@ class TestAssembledSystem:
     def test_initial_residual_scaling(self, n, expected):
         # per-body weight stacks in quadrature: ||f|| = 9.81 sqrt(n)
         mech = make_pendulum(n)
-        layout = build_layout(mech)
-        f = assemble_residual(mech, StepContext(h=0.01), layout, position_jacobian_blocks(mech))
+        f = residual_at(mech, StepContext(h=0.01))
         assert np.isclose(np.linalg.norm(f), expected, rtol=1e-3)
         assert np.isclose(np.linalg.norm(f), 9.81 * np.sqrt(n), rtol=1e-12)
 
@@ -227,9 +242,9 @@ class TestAssembledSystem:
     def test_pattern_matches_incidence(self):
         mech = star_mechanism()
         mech.initialize(0.01)
-        system = assemble_jacobian(
-            mech, StepContext(h=0.01), build_layout(mech), position_jacobian_blocks(mech)
-        )
+        ctx = StepContext(h=0.01)
+        layout = build_layout(mech, ctx)
+        system = assemble_jacobian(mech, layout, position_jacobian_blocks(mech, layout), get_unknowns(mech))
         expected_edges = {(6, 1), (6, 2), (7, 2), (7, 3), (8, 2), (8, 4), (9, 1), (9, 5)}
         seen = set()
         for (i, j) in system.offdiag:
@@ -241,6 +256,8 @@ class TestAssembledSystem:
         lambda: make_pendulum(3, "revolute"),
         lambda: make_pendulum(3, "ball"),
         lambda: make_closed_chain(4),
+        star_mechanism,
+        mixed_kind_pendulum,
     ])
     def test_jacobian_matches_finite_differences(self, rng, builder):
         ctx = StepContext(h=0.01)

@@ -3,30 +3,53 @@ import pytest
 from numpy.testing import assert_allclose
 
 import mcdyn.quaternions as quat
-from conftest import make_closed_chain, make_pendulum, make_segmented_chain, newton_system_at, star_mechanism
+from conftest import make_closed_chain, make_pendulum, make_segmented_chain, star_mechanism
 from mcdyn.block_solver import LOOP_NODE
 from mcdyn.errors import MechanismError
-from mcdyn.integrator import StepContext
+from mcdyn.integrator import StepContext, newton_system_at
 from mcdyn.mechanism import (
     WORLD,
+    BodyState,
     JointConstraint,
+    Mechanism,
+    RigidBody,
     constraint_jacobian_position,
     constraint_jacobian_velocity,
     joint_residual,
     load_mechanism,
     max_violation,
+    with_world,
 )
 from mcdyn.scenarios import Scenario, generate_scenario
 from oracles import count_independent_cycles, random_unit_quat, rotmat_from_axis_angle, rotmat_from_quat
 
 
-def fixed_pose(mapping):
-    def pose(bid):
-        if bid == WORLD:
-            return np.zeros(3), quat.identity()
-        return mapping[bid]
+def one_joint(joint, states):
+    """A mechanism of ``joint`` alone, its bodies at the poses {bid: (x, q)}."""
+    bodies = {}
+    for bid, (x, q) in states.items():
+        zero = np.zeros(3)
+        state = BodyState(x1=x, q1=q, x2=x, q2=q, v1=zero, w1=zero, v2=zero, w2=zero)
+        bodies[bid] = RigidBody(id=bid, mass=1.0, inertia=0.1 * np.eye(3), state=state)
+    return Mechanism(bodies, {joint.id: joint})
 
-    return pose
+
+def residual(joint, states):
+    """The residual of ``joint`` alone at the poses {bid: (x, q)}."""
+    mech = one_joint(joint, states)
+    (group,) = mech.groups
+    return joint_residual(group, *mech.poses(2))[0]
+
+
+def position_blocks(joint, states):
+    """{bid: (rows, 6) knot-2 position block} of ``joint`` alone at the poses {bid: (x, q)}."""
+    mech = one_joint(joint, states)
+    (group,) = mech.groups
+    blk_a, blk_b = constraint_jacobian_position(group, mech.poses(2)[1])
+    out = {joint.child: blk_b[0]}
+    if joint.parent != WORLD:
+        out[joint.parent] = blk_a[0]
+    return out
 
 
 class TestBallResidual:
@@ -35,11 +58,11 @@ class TestBallResidual:
             id=3, kind="ball", parent=1, child=2,
             p_a=np.array([0.5, 0.0, 0.0]), p_b=np.array([-0.5, 0.0, 0.0]),
         )
-        pose = fixed_pose({
+        pose = {
             1: (np.zeros(3), quat.identity()),
             2: (np.array([1.0, 0.0, 0.0]), quat.identity()),
-        })
-        assert_allclose(joint_residual(joint, pose), np.zeros(3), atol=1e-15)
+        }
+        assert_allclose(residual(joint, pose), np.zeros(3), atol=1e-15)
 
     def test_pendulum_rest_pose(self):
         # hanging rod: anchors meet at (0, 0, -0.5)
@@ -47,8 +70,8 @@ class TestBallResidual:
             id=2, kind="ball", parent=WORLD, child=1,
             p_a=np.array([0.0, 0.0, -0.5]), p_b=np.array([0.0, 0.0, 0.5]),
         )
-        pose = fixed_pose({1: (np.array([0.0, 0.0, -1.0]), quat.identity())})
-        assert_allclose(joint_residual(joint, pose), np.zeros(3), atol=1e-15)
+        pose = {1: (np.array([0.0, 0.0, -1.0]), quat.identity())}
+        assert_allclose(residual(joint, pose), np.zeros(3), atol=1e-15)
 
     def test_randomized_pose_matches_matrix_oracle(self, rng):
         for _ in range(10):
@@ -56,9 +79,9 @@ class TestBallResidual:
             xa, xb = rng.normal(size=3), rng.normal(size=3)
             qa, qb = random_unit_quat(rng), random_unit_quat(rng)
             joint = JointConstraint(id=9, kind="ball", parent=1, child=2, p_a=pa, p_b=pb)
-            pose = fixed_pose({1: (xa, qa), 2: (xb, qb)})
+            pose = {1: (xa, qa), 2: (xb, qb)}
             expected = xa + rotmat_from_quat(qa) @ pa - xb - rotmat_from_quat(qb) @ pb
-            assert_allclose(joint_residual(joint, pose), expected, atol=1e-12)
+            assert_allclose(residual(joint, pose), expected, atol=1e-12)
 
 
 def _hinge_joint():
@@ -72,28 +95,27 @@ def _hinge_joint():
 class TestRevoluteResidual:
     def test_aligned_zero(self):
         joint = _hinge_joint()
-        pose = fixed_pose({1: (np.array([0.0, 0.0, 0.5]), quat.identity())})
-        assert_allclose(joint_residual(joint, pose), np.zeros(5), atol=1e-15)
+        pose = {1: (np.array([0.0, 0.0, 0.5]), quat.identity())}
+        assert_allclose(residual(joint, pose), np.zeros(5), atol=1e-15)
 
     def test_rotation_about_hinge_is_free(self, rng):
         joint = _hinge_joint()
         for angle in rng.uniform(-np.pi, np.pi, size=8):
             q = quat.from_axis_angle([0.0, 1.0, 0.0], angle)
             x = -quat.rotate(q, joint.p_b)
-            residual = joint_residual(joint, fixed_pose({1: (x, q)}))
-            assert_allclose(residual, np.zeros(5), atol=1e-13)
+            assert_allclose(residual(joint, {1: (x, q)}), np.zeros(5), atol=1e-13)
 
     def test_off_axis_tilt_matches_matrix_oracle(self):
         joint = _hinge_joint()
         tilt = rotmat_from_axis_angle([1.0, 0.0, 0.0], 0.1)
         q = quat.from_axis_angle([1.0, 0.0, 0.0], 0.1)
         x = -quat.rotate(q, joint.p_b)
-        residual = joint_residual(joint, fixed_pose({1: (x, q)}))
-        assert_allclose(residual[:3], np.zeros(3), atol=1e-14)
+        res = residual(joint, {1: (x, q)})
+        assert_allclose(res[:3], np.zeros(3), atol=1e-14)
         axis_world = np.array([0.0, 1.0, 0.0])  # world-side hinge
         expected = [axis_world @ (tilt @ joint.n1), axis_world @ (tilt @ joint.n2)]
-        assert np.abs(residual[3:]).max() > 1e-3
-        assert_allclose(residual[3:], expected, atol=1e-12)
+        assert np.abs(res[3:]).max() > 1e-3
+        assert_allclose(res[3:], expected, atol=1e-12)
 
 
 class TestFixedResidual:
@@ -104,10 +126,10 @@ class TestFixedResidual:
             p_a=np.array([1.0, 0.0, 0.0]), p_b=np.zeros(3), orientation_target=q0,
         )
         assert joint.rows == 6
-        pose = fixed_pose({1: (np.array([1.0, 0.0, 0.0]), q0)})
-        assert_allclose(joint_residual(joint, pose), np.zeros(6), atol=1e-15)
+        pose = {1: (np.array([1.0, 0.0, 0.0]), q0)}
+        assert_allclose(residual(joint, pose), np.zeros(6), atol=1e-15)
         q1 = quat.multiply(q0, quat.from_axis_angle([0, 0, 1], 0.2))
-        res = joint_residual(joint, fixed_pose({1: (np.array([1.0, 0.0, 0.0]), q1)}))
+        res = residual(joint, {1: (np.array([1.0, 0.0, 0.0]), q1)})
         assert np.abs(res[3:]).max() > 1e-3
 
 
@@ -117,9 +139,9 @@ class TestPositionJacobian:
             id=9, kind="ball", parent=1, child=2,
             p_a=rng.normal(size=3), p_b=rng.normal(size=3),
         )
-        pose = fixed_pose({1: (rng.normal(size=3), random_unit_quat(rng)),
-                           2: (rng.normal(size=3), random_unit_quat(rng))})
-        blocks = constraint_jacobian_position(joint, pose)
+        pose = {1: (rng.normal(size=3), random_unit_quat(rng)),
+                           2: (rng.normal(size=3), random_unit_quat(rng))}
+        blocks = position_blocks(joint, pose)
         assert_allclose(blocks[1][:, :3], np.eye(3))
         assert_allclose(blocks[2][:, :3], -np.eye(3))
 
@@ -127,8 +149,8 @@ class TestPositionJacobian:
         # the multiplicative-perturbation convention doubles the lever arm
         p = np.array([0.0, 0.0, -0.5])
         joint = JointConstraint(id=9, kind="ball", parent=1, child=2, p_a=p, p_b=np.zeros(3))
-        pose = fixed_pose({1: (np.zeros(3), quat.identity()), 2: (p, quat.identity())})
-        blocks = constraint_jacobian_position(joint, pose)
+        pose = {1: (np.zeros(3), quat.identity()), 2: (p, quat.identity())}
+        blocks = position_blocks(joint, pose)
         assert_allclose(blocks[1][:, 3:], -2.0 * quat.skew(p), atol=1e-14)
 
     @pytest.mark.parametrize("kind", ["ball", "revolute"])
@@ -149,7 +171,7 @@ class TestPositionJacobian:
                 )
             states = {1: (rng.normal(size=3), random_unit_quat(rng)),
                       2: (rng.normal(size=3), random_unit_quat(rng))}
-            blocks = constraint_jacobian_position(joint, fixed_pose(states))
+            blocks = position_blocks(joint, states)
             eps = 1e-6
             for bid in (1, 2):
                 x0, q0 = states[bid]
@@ -162,8 +184,8 @@ class TestPositionJacobian:
                     down = dict(states)
                     down[bid] = (x0 - e, q0)
                     fd[:, j] = (
-                        joint_residual(joint, fixed_pose(up))
-                        - joint_residual(joint, fixed_pose(down))
+                        residual(joint, up)
+                        - residual(joint, down)
                     ) / (2 * eps)
                 for j in range(3):
                     d = np.zeros(3)
@@ -175,46 +197,48 @@ class TestPositionJacobian:
                     down = dict(states)
                     down[bid] = (x0, qm)
                     fd[:, 3 + j] = (
-                        joint_residual(joint, fixed_pose(up))
-                        - joint_residual(joint, fixed_pose(down))
+                        residual(joint, up)
+                        - residual(joint, down)
                     ) / (2 * eps)
                 assert np.abs(blocks[bid] - fd).max() < 1e-6
 
 
-def predicted_pose(mech, h):
-    """Predicted next-knot poses, read from the body states at each call."""
-
-    def pose3(b):
-        if b == WORLD:
-            return np.zeros(3), quat.identity()
-        s = mech.bodies[b].state
-        return s.x2 + h * s.v2, quat.orientation_update(s.q2, s.w2, h)
-
-    return pose3
+def predicted_knot(mech, h):
+    """Stacked next-knot poses predicted from the body states' (v2, w2), world row included."""
+    x2, q2, v2, w2 = mech.knots("x2", "q2", "v2", "w2")
+    return with_world(x2 + h * v2, quat.orientation_update(q2, w2, h))
 
 
-def rotation_jacobians(mech, h):
-    """Per-body derivative of the predicted orientation with respect to w2."""
-    return {
-        b: quat.orientation_update_jacobian(body.state.q2, body.state.w2, h)
-        for b, body in mech.bodies.items()
-    }
+def predicted_residuals(mech, h):
+    """{joint id: residual at the predicted next knot}."""
+    x3, q3 = predicted_knot(mech, h)
+    return {jid: r for g in mech.groups for jid, r in zip(g.ids, joint_residual(g, x3, q3))}
+
+
+def velocity_blocks(mech, h):
+    """{joint id: {body id: (rows, 6) velocity block}} at the body states' (v2, w2)."""
+    q2, w2 = mech.knots("q2", "w2")
+    rot_jac = np.zeros((len(q2) + 1, 4, 3))
+    rot_jac[:-1] = quat.orientation_update_jacobian(q2, w2, h)
+    _, q3 = predicted_knot(mech, h)
+    out = {}
+    for group in mech.groups:
+        blk_a, blk_b = constraint_jacobian_velocity(group, q3, rot_jac, h)
+        for k, (jid, a, b) in enumerate(zip(group.ids, group.parent_ids, group.child_ids)):
+            out[jid] = {b: blk_b[k]}
+            if a != WORLD:
+                out[jid][a] = blk_a[k]
+    return out
 
 
 class TestVelocityJacobian:
     def _blocks_and_fd(self, mech, h):
-        pose3 = predicted_pose(mech, h)
         out = {}
-        for jid, joint in mech.joints.items():
-            blocks = constraint_jacobian_velocity(joint, pose3, rotation_jacobians(mech, h), h)
+        for jid, blocks in velocity_blocks(mech, h).items():
             fd = {}
             for bid in blocks:
                 st = mech.bodies[bid].state
                 base_v, base_w = st.v2.copy(), st.w2.copy()
-
-                def predicted_residual():
-                    return joint_residual(joint, pose3)
-
                 eps = 1e-6
                 cols = []
                 for j in range(6):
@@ -224,9 +248,9 @@ class TestVelocityJacobian:
                         else:
                             st.w2 = base_w + sgn * eps * np.eye(3)[j - 3]
                         if sgn > 0:
-                            plus = predicted_residual()
+                            plus = predicted_residuals(mech, h)[jid]
                         else:
-                            minus = predicted_residual()
+                            minus = predicted_residuals(mech, h)[jid]
                         st.v2, st.w2 = base_v.copy(), base_w.copy()
                     cols.append((plus - minus) / (2 * eps))
                 fd[bid] = np.stack(cols, axis=1)
@@ -237,9 +261,7 @@ class TestVelocityJacobian:
         mech = make_pendulum(1, joint_kind="ball", h=0.01)
         st = mech.bodies[1].state
         st.v2, st.w2 = np.zeros(3), np.zeros(3)
-        blocks = constraint_jacobian_velocity(
-            mech.joints[2], predicted_pose(mech, 0.01), rotation_jacobians(mech, 0.01), 0.01
-        )
+        blocks = velocity_blocks(mech, 0.01)[2]
         assert_allclose(blocks[1][:, :3], -0.01 * np.eye(3), atol=1e-15)
 
     def test_matches_finite_differences(self, rng):
@@ -259,12 +281,11 @@ class TestVelocityJacobian:
         st = mech.bodies[1].state
         st.v2 = rng.normal(size=3)
         st.w2 = rng.normal(size=3)
-        joint = mech.joints[2]
-        pos = constraint_jacobian_position(joint, mech.pose(2))[1]
+        (group,) = mech.groups
+        pos = constraint_jacobian_position(group, mech.poses(2)[1])[1][0]
         errs = []
         for h in (1e-3, 1e-4):
-            pose3, rot_jac = predicted_pose(mech, h), rotation_jacobians(mech, h)
-            vel = constraint_jacobian_velocity(joint, pose3, rot_jac, h)[1]
+            vel = velocity_blocks(mech, h)[2][1]
             approx = np.hstack([h * pos[:, :3], 0.5 * h * pos[:, 3:]])
             errs.append(np.abs(vel - approx).max() / h)
         assert errs[0] < 5e-3
@@ -473,6 +494,20 @@ class TestLoader:
         with pytest.raises(MechanismError, match=f"{owner}: {field} is not finite"):
             load_mechanism(data)
 
+    @pytest.mark.parametrize("index,field,value,n", [
+        (0, "parent_anchor", [0.0, 0.0], 3),
+        (1, "child_anchor", [0.0, 0.0, -0.5, 0.0], 3),
+        (1, "parent_axis", [0.0, 1.0], 3),
+        (0, "child_axis", [0.0, 1.0, 0.0, 0.0], 3),
+        (2, "orientation_target", [1.0, 0.0, 0.0], 4),
+    ])
+    def test_wrong_vector_length_rejected(self, index, field, value, n):
+        data = self._pendulum_and_fixed_body()
+        entry = data["joints"][index]
+        entry[field] = value
+        with pytest.raises(MechanismError, match=f"joint {entry['id']}: {field} must have {n} components"):
+            load_mechanism(data)
+
     def test_initial_violation_is_zero_for_generated(self):
         for sc in (
             Scenario(kind="pendulum", n_links=4, joint_kind="ball"),
@@ -494,11 +529,9 @@ class TestMaxViolation:
 
     def test_helper_propagates_nan_in_any_position(self):
         mech = make_pendulum(3)
-        pose = mech.pose(2)
-        for bid in mech.body_ids:
-            def bad(b, bid=bid):
-                x, q = pose(b)
-                return (x * np.nan, q) if b == bid else (x, q)
-
-            assert np.isnan(max_violation(mech.joints.values(), bad))
-        assert max_violation([], pose) == 0.0
+        x, q = mech.poses(2)
+        for row in range(len(mech.body_ids)):
+            bad = x.copy()
+            bad[row] *= np.nan
+            assert np.isnan(max_violation(mech.groups, bad, q))
+        assert max_violation([], x, q) == 0.0

@@ -224,3 +224,72 @@ class TestOrientationUpdate:
                     quat.orientation_update(q, w + e, h) - quat.orientation_update(q, w - e, h)
                 ) / (2 * eps)
                 assert_allclose(jac[:, j], fd, atol=1e-8)
+
+
+def _unit_rows(rng, n):
+    q = rng.normal(size=(n, 4))
+    return q / np.linalg.norm(q, axis=1, keepdims=True)
+
+
+H = 0.01
+# name -> (function, argument shapes: "q" unit quaternion, "v" 3-vector,
+# "w" angular rate below 2/h, "j" (2, 4) Jacobian, "a" angle)
+BROADCAST_CASES = {
+    "cross": (quat.cross, "vv"),
+    "skew": (quat.skew, "v"),
+    "lmat": (quat.lmat, "q"),
+    "rmat": (quat.rmat, "q"),
+    "multiply": (quat.multiply, "qq"),
+    "inverse": (quat.inverse, "q"),
+    "rotation_matrix": (quat.rotation_matrix, "q"),
+    "rotate": (quat.rotate, "qv"),
+    "rotational_jacobian": (quat.rotational_jacobian, "qj"),
+    "rotate_jacobian": (quat.rotate_jacobian, "qv"),
+    "from_axis_angle": (quat.from_axis_angle, "va"),
+    "orientation_update": (lambda q, w: quat.orientation_update(q, w, H), "qw"),
+    "orientation_update_jacobian": (lambda q, w: quat.orientation_update_jacobian(q, w, H), "qw"),
+    "_rate_scalar": (lambda w: quat._rate_scalar(w, H), "w"),
+}
+
+
+class TestBroadcasting:
+    @staticmethod
+    def _batch(rng, kind, n):
+        return {
+            "q": lambda: _unit_rows(rng, n),
+            "v": lambda: rng.normal(size=(n, 3)),
+            "w": lambda: rng.normal(size=(n, 3)) * 50.0,
+            "j": lambda: rng.normal(size=(n, 2, 4)),
+            "a": lambda: rng.uniform(-np.pi, np.pi, size=n),
+        }[kind]()
+
+    @pytest.mark.parametrize("name", sorted(BROADCAST_CASES))
+    def test_batch_equals_row_by_row(self, rng, name):
+        fn, kinds = BROADCAST_CASES[name]
+        args = [self._batch(rng, k, 7) for k in kinds]
+        batch = fn(*args)
+        rows = np.array([fn(*(a[i] for a in args)) for i in range(7)])
+        assert batch.shape == rows.shape
+        assert_allclose(batch, rows, rtol=1e-15, atol=1e-15)
+
+    def test_mixed_leading_axes(self, rng):
+        # one quaternion per joint against two vectors per joint
+        q, x = _unit_rows(rng, 5), rng.normal(size=(5, 2, 3))
+        batch = quat.rotate(q[:, None], x)
+        jac = quat.rotate_jacobian(q[:, None], x)
+        for i in range(5):
+            for k in range(2):
+                assert_allclose(batch[i, k], quat.rotate(q[i], x[i, k]), rtol=1e-15, atol=1e-15)
+                assert_allclose(jac[i, k], quat.rotate_jacobian(q[i], x[i, k]), rtol=1e-15, atol=1e-15)
+
+    @pytest.mark.parametrize("fn", [
+        lambda q, w: quat._rate_scalar(w, H),
+        lambda q, w: quat.orientation_update(q, w, H),
+        lambda q, w: quat.orientation_update_jacobian(q, w, H),
+    ])
+    def test_one_row_out_of_rate_domain_raises(self, rng, fn):
+        q, w = _unit_rows(rng, 6), rng.normal(size=(6, 3))
+        w[4] = [0.0, 2.0 / H, 0.0]  # exactly on the bound
+        with pytest.raises(AngularRateError):
+            fn(q, w)
+        fn(np.delete(q, 4, axis=0), np.delete(w, 4, axis=0))

@@ -10,12 +10,11 @@ mechanism graph against an independent cycle count.
 import numpy as np
 import pytest
 
-from conftest import newton_system_at
 from mcdyn.block_solver import dense_ldu_factorize, dense_ldu_solve, sparse_ldu_factorize, sparse_ldu_solve
-from mcdyn.integrator import StepContext
+from mcdyn.integrator import StepContext, newton_system_at
 from mcdyn.mechanism import WORLD, load_mechanism
 from oracles import count_independent_cycles, random_unit_quat, rotmat_from_quat
-from test_integrator import randomized_feasible_state
+from test_integrator import dense_newton_matrix, fd_newton_matrix, randomized_feasible_state
 
 SEEDS = range(8)
 
@@ -116,3 +115,11 @@ def test_sparse_solve_matches_dense_and_lstsq(random_case):
     x_ls = np.linalg.lstsq(full, b, rcond=None)[0]
     for ref in (x0, x_ls):
         assert np.linalg.norm(x[body] - ref[body]) <= 1e-9 * np.linalg.norm(ref[body])
+
+
+def test_jacobian_matches_finite_differences(random_case):
+    mech, rng = random_case
+    ctx = StepContext(h=0.01)
+    randomized_feasible_state(mech, ctx, rng, warm_steps=2)
+    jac = dense_newton_matrix(mech, ctx)
+    assert np.abs(jac - fd_newton_matrix(mech, ctx)).max() <= 1e-6 * np.abs(jac).max()
