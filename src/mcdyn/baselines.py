@@ -17,7 +17,14 @@ import numpy as np
 
 from . import quaternions as quat
 from .block_solver import sparse_ldu_factorize, sparse_ldu_solve
-from .integrator import StepContext, incidence_blocks, stacked_system
+from .integrator import (
+    StepContext,
+    check_loads,
+    incidence_blocks,
+    mechanical_energy,
+    stacked_loads,
+    stacked_system,
+)
 from .mechanism import Mechanism, constraint_jacobian_position, max_violation, with_world
 
 _EZ = np.array([0.0, 0.0, 1.0])
@@ -43,8 +50,8 @@ class _State:
 
     @classmethod
     def committed(cls, mech: Mechanism) -> "_State":
-        """Knot-2 poses and the velocities (v1, w1) that reached them."""
-        return cls(*mech.knots("x2", "q2", "v1", "w1"))
+        """Knot-2 poses and the velocities (v1, w1) that reached them (not copied)."""
+        return cls(mech.x2, mech.q2, mech.v1, mech.w1)
 
     def shifted(self, rates: "_State", dt: float) -> "_State":
         return _State(
@@ -108,10 +115,10 @@ def _acceleration_rates(mech: Mechanism, state: _State, ctx: StepContext) -> _St
     body_diag[:, 3:, 3:] = mech.inertia
     rhs = np.empty(mech.dim)
     body = rhs[: 6 * n].reshape(n, 6)
-    forces = np.array([ctx.force(b) for b in mech.body_ids])
-    body[:, :3] = forces - mech.mass[:, None] * ctx.gravity * _EZ
+    force, torque = stacked_loads(mech, ctx)
+    body[:, :3] = force - mech.mass[:, None] * ctx.gravity * _EZ
     jw = (mech.inertia @ state.w[:, :, None])[..., 0]
-    body[:, 3:] = np.array([ctx.torque(b) for b in mech.body_ids]) - quat.cross(state.w, jw)
+    body[:, 3:] = torque - quat.cross(state.w, jw)
     couplings = []
     for group, (blk_a, blk_b), bias in zip(
         mech.groups, _coupling_blocks(mech, state), _rate_bias(mech, state)
@@ -124,19 +131,13 @@ def _acceleration_rates(mech: Mechanism, state: _State, ctx: StepContext) -> _St
     return _State(state.v.copy(), _qdot(state.q, state.w), acc[:, :3], acc[:, 3:])
 
 
-def _energy(mech: Mechanism, state: _State, ctx: StepContext) -> float:
-    jw = (mech.inertia @ state.w[:, :, None])[..., 0]
-    return float(
-        np.sum(
-            0.5 * mech.mass * (state.v * state.v).sum(axis=1)
-            + 0.5 * (state.w * jw).sum(axis=1)
-            + ctx.gravity * mech.mass * state.x[:, 2]
-        )
-    )
-
-
 def heun_simulate(mech: Mechanism, ctx: StepContext, n_steps: int) -> list[BaselineRecord]:
-    """Integrate with Heun's method; mechanism states are left untouched."""
+    """Integrate with Heun's method; the mechanism's state is left untouched.
+
+    Raises SimulationError, before integrating, for a load on an unknown
+    body or a load that is not a finite 3-vector.
+    """
+    check_loads(mech, ctx)
     state = _State.committed(mech)
     h = ctx.h
     records = []
@@ -154,7 +155,7 @@ def heun_simulate(mech: Mechanism, ctx: StepContext, n_steps: int) -> list[Basel
             BaselineRecord(
                 step=k,
                 time=k * h,
-                energy=_energy(mech, state, ctx),
+                energy=mechanical_energy(mech, ctx.gravity, state.x, state.v, state.w),
                 max_violation=max_violation(mech.groups, *with_world(state.x, state.q)),
             )
         )

@@ -100,32 +100,6 @@ class DenseFactor:
     def n_blocks(self) -> int:
         return len(self.offsets) - 1
 
-    def l_matrix(self) -> np.ndarray:
-        out = np.eye(self.matrix.shape[0])
-        for i in range(self.n_blocks):
-            for j in range(i):
-                o = self.offsets
-                out[o[i] : o[i + 1], o[j] : o[j + 1]] = self._blk(i, j)
-        return out
-
-    def d_matrix(self) -> np.ndarray:
-        out = np.zeros_like(self.matrix)
-        for i in range(self.n_blocks):
-            o = self.offsets
-            out[o[i] : o[i + 1], o[i] : o[i + 1]] = self._blk(i, i)
-        return out
-
-    def u_matrix(self) -> np.ndarray:
-        out = np.eye(self.matrix.shape[0])
-        for i in range(self.n_blocks):
-            for j in range(i + 1, self.n_blocks):
-                o = self.offsets
-                out[o[i] : o[i + 1], o[j] : o[j + 1]] = self._blk(i, j)
-        return out
-
-    def reconstruct(self) -> np.ndarray:
-        return self.l_matrix() @ self.d_matrix() @ self.u_matrix()
-
 
 def dense_ldu_factorize(
     matrix: np.ndarray,

@@ -10,12 +10,12 @@ the converged velocities then advance the poses through the norm-preserving
 update rules and the solution warm-starts the next step.
 
 Every residual and Jacobian evaluation works on stacked arrays: all bodies
-at once, and all joints of one kind at once.  A solve reads the committed
-knots and loads into arrays once and iterates on the unknown vector
-itself; it writes the last accepted velocities and multipliers back into
-the body states and the mechanism when it ends, also when it raises.
-One simulation context is single-threaded; independent mechanisms may run
-in parallel.
+at once, and all joints of one kind at once.  The state is the
+mechanism's knot arrays and its stacked unknown vector ``mech.unknowns``
+(see :class:`~mcdyn.mechanism.Mechanism`).  A solve iterates on a copy of
+``mech.unknowns`` and puts the last accepted vector back when it ends,
+also when it raises; a step then rebinds the knot arrays.  One simulation
+context is single-threaded; independent mechanisms may run in parallel.
 """
 
 from __future__ import annotations
@@ -33,12 +33,11 @@ from .mechanism import (
     constraint_jacobian_position,
     constraint_jacobian_velocity,
     joint_residual,
+    velocities,
     with_world,
 )
 
 _EZ = np.array([0.0, 0.0, 1.0])
-_ZERO3 = np.zeros(3)
-_ZERO3.setflags(write=False)  # shared default load; never written through
 _MAX_HALVINGS = 20
 
 
@@ -55,14 +54,8 @@ class StepContext:
     forces: dict = field(default_factory=dict)
     torques: dict = field(default_factory=dict)
 
-    def force(self, bid) -> np.ndarray:
-        return np.asarray(self.forces.get(bid, _ZERO3), dtype=float)
 
-    def torque(self, bid) -> np.ndarray:
-        return np.asarray(self.torques.get(bid, _ZERO3), dtype=float)
-
-
-def _check_loads(mech: Mechanism, ctx: StepContext) -> None:
+def check_loads(mech: Mechanism, ctx: StepContext) -> None:
     """Reject loads on unknown bodies and loads that are not finite 3-vectors."""
     for name, loads in (("force", ctx.forces), ("torque", ctx.torques)):
         for bid, value in loads.items():
@@ -78,13 +71,22 @@ def _check_loads(mech: Mechanism, ctx: StepContext) -> None:
                 raise SimulationError(f"{name} on body {bid} is not finite: {value}")
 
 
+def stacked_loads(mech: Mechanism, ctx: StepContext) -> tuple[np.ndarray, np.ndarray]:
+    """(N, 3) forces and torques of ``ctx``, one row per body in id order."""
+    force, torque = np.zeros((2, len(mech.body_ids), 3))
+    for rows, given in ((force, ctx.forces), (torque, ctx.torques)):
+        for bid, value in given.items():
+            rows[mech.body_index[bid]] = value
+    return force, torque
+
+
 @dataclass
 class SystemLayout:
     """The committed state one step's stacked residual is read against.
 
-    The arrays have one row per body in id order, like the unknown vector
-    (see :func:`get_unknowns`).  The w1 terms of the rotational momentum
-    balance do not change during a step and are computed once.
+    The arrays have one row per body in id order, like the mechanism's
+    state arrays.  The w1 terms of the rotational momentum balance do not
+    change during a step and are computed once.
     """
 
     h: float
@@ -100,53 +102,20 @@ class SystemLayout:
 
 def build_layout(mech: Mechanism, ctx: StepContext) -> SystemLayout:
     """Read the committed knots and the loads of ``ctx`` into stacked arrays."""
-    x2, q2, v1, w1 = mech.knots("x2", "q2", "v1", "w1")
-    loads = {}
-    for name, given in (("force", ctx.forces), ("torque", ctx.torques)):
-        loads[name] = np.zeros_like(x2)
-        for bid, value in given.items():
-            loads[name][mech.body_index[bid]] = value
+    w1 = mech.w1
+    force, torque = stacked_loads(mech, ctx)
     jw1 = (mech.inertia @ w1[:, :, None])[..., 0]
     return SystemLayout(
         h=ctx.h,
         gravity=ctx.gravity,
-        x2=x2,
-        q2=q2,
-        v1=v1,
-        force=loads["force"],
-        torque2=2.0 * loads["torque"],
+        x2=mech.x2,
+        q2=mech.q2,
+        v1=mech.v1,
+        force=force,
+        torque2=2.0 * torque,
         jw1s1=jw1 * quat._rate_scalar(w1, ctx.h)[:, None],
         cross1=quat.cross(w1, jw1),
     )
-
-
-def get_unknowns(mech: Mechanism) -> np.ndarray:
-    """The warm start held by the body states and multipliers as one vector.
-
-    The vector holds (v2, w2) of each body in id order, then the
-    multipliers of each joint in id order; ``mech.body_slices`` and
-    ``mech.joint_slices`` map ids to their rows.
-    """
-    s = np.empty(mech.dim)
-    v2, w2 = _velocities(s, len(mech.body_ids))
-    v2[:], w2[:] = mech.knots("v2", "w2")
-    for group in mech.groups:
-        s[group.rows] = [mech.multipliers[jid] for jid in group.ids]
-    return s
-
-
-def set_unknowns(mech: Mechanism, s: np.ndarray) -> None:
-    """Write a stacked vector back into the body states (v2, w2) and multipliers."""
-    v2, w2 = _velocities(s, len(mech.body_ids))
-    mech.store(v2=v2.copy(), w2=w2.copy())
-    for group in mech.groups:
-        mech.multipliers.update(zip(group.ids, s[group.rows]))
-
-
-def _velocities(s: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(N, 3) views of v2 and w2 in a stacked vector of n bodies."""
-    body = s[: 6 * n].reshape(n, 6)
-    return body[:, :3], body[:, 3:]
 
 
 def _predicted_pose(x2, q2, v2, w2, h: float) -> tuple[np.ndarray, np.ndarray]:
@@ -181,7 +150,7 @@ def assemble_residual(
     """
     n = len(mech.body_ids)
     h = layout.h
-    v2, w2 = _velocities(s, n)
+    v2, w2 = velocities(s, n)
     x3, q3 = with_world(*_predicted_pose(layout.x2, layout.q2, v2, w2, h))
     f = np.empty(mech.dim)
     pull = np.zeros((n + 1, 6))  # the last row collects the world's share
@@ -253,7 +222,7 @@ def assemble_jacobian(
     """
     n = len(mech.body_ids)
     h = layout.h
-    v2, w2 = _velocities(s, n)
+    v2, w2 = velocities(s, n)
     _, q3 = with_world(*_predicted_pose(layout.x2, layout.q2, v2, w2, h))
     rot_jac = np.zeros((n + 1, 4, 3))
     rot_jac[:n] = quat.orientation_update_jacobian(layout.q2, w2, h)
@@ -309,7 +278,7 @@ def newton_system_at(mech: Mechanism, ctx: StepContext) -> BlockSystem:
     """The first Newton system a solve from the current state would factorize."""
     layout = build_layout(mech, ctx)
     pos_blocks = position_jacobian_blocks(mech, layout)
-    s = get_unknowns(mech)
+    s = mech.unknowns
     return newton_system(mech, layout, pos_blocks, s, assemble_residual(mech, layout, pos_blocks, s))
 
 
@@ -340,18 +309,19 @@ def newton_solve(
 
     Iterates factor-and-substitute updates with a backtracking line search
     (first step-halving that decreases the residual 2-norm is accepted, up
-    to 20 halvings).  Returns only once the residual norm is below `tol`,
-    leaving the converged unknowns in the mechanism state.  Raises
-    SimulationError for a load on an unknown body or a load that is not a
-    finite 3-vector, LineSearchError when no halving reduces the residual,
-    and NonConvergenceError when `max_iters` iterations do not reach `tol`;
-    either way the last accepted unknowns are left in the state.
+    to 20 halvings) on a copy of ``mech.unknowns``.  Returns only once the
+    residual norm is below `tol`, leaving the converged vector in
+    ``mech.unknowns``.  Raises SimulationError for a load on an unknown
+    body or a load that is not a finite 3-vector, LineSearchError when no
+    halving reduces the residual, and NonConvergenceError when `max_iters`
+    iterations do not reach `tol`; either way the last accepted vector is
+    left in ``mech.unknowns``.
     """
-    _check_loads(mech, ctx)
+    check_loads(mech, ctx)
     mech.ensure_initialized(ctx.h)
     layout = build_layout(mech, ctx)
     pos_blocks = position_jacobian_blocks(mech, layout)
-    s = get_unknowns(mech)
+    s = mech.unknowns.copy()
     try:
         f = assemble_residual(mech, layout, pos_blocks, s)
         norm = float(np.linalg.norm(f))
@@ -389,7 +359,7 @@ def newton_solve(
             f"no convergence after {max_iters} iterations (residual {norm:.3e})"
         )
     finally:
-        set_unknowns(mech, s)
+        mech.unknowns = s
 
 
 def step(
@@ -401,24 +371,31 @@ def step(
     """Advance the mechanism by one time step.
 
     Runs the implicit solve, applies the position/orientation updates,
-    shifts the knots, and keeps the solution as the next warm start.
+    shifts the knots by rebinding the mechanism's knot arrays, and keeps
+    the solution as the next warm start.
     """
     info = newton_solve(mech, ctx, tol=tol, max_iters=max_iters)
-    x2, q2, v2, w2 = mech.knots("x2", "q2", "v2", "w2")
-    x3, q3 = _predicted_pose(x2, q2, v2, w2, ctx.h)
-    mech.store(x1=x2, q1=q2, x2=x3, q2=q3, v1=v2, w1=w2)
+    x3, q3 = _predicted_pose(mech.x2, mech.q2, mech.v2, mech.w2, ctx.h)
+    mech.x1, mech.q1, mech.x2, mech.q2 = mech.x2, mech.q2, x3, q3
+    mech.v1, mech.w1 = mech.v2.copy(), mech.w2.copy()
     return info
 
 
+def mechanical_energy(mech: Mechanism, gravity: float, x, v, w) -> float:
+    """Kinetic plus gravitational potential energy of stacked positions and velocities."""
+    jw = (mech.inertia @ w[:, :, None])[..., 0]
+    return float(
+        np.sum(
+            0.5 * mech.mass * (v * v).sum(axis=1)
+            + 0.5 * (w * jw).sum(axis=1)
+            + gravity * mech.mass * x[:, 2]
+        )
+    )
+
+
 def total_energy(mech: Mechanism, ctx: StepContext) -> float:
-    """Kinetic plus gravitational potential energy of the committed state."""
-    e = 0.0
-    for body in mech.bodies.values():
-        st = body.state
-        e += 0.5 * body.mass * (st.v1 @ st.v1)
-        e += 0.5 * (st.w1 @ body.inertia @ st.w1)
-        e += ctx.gravity * body.mass * st.x2[2]
-    return float(e)
+    """Energy of the committed state: knot-2 positions, velocities (v1, w1)."""
+    return mechanical_energy(mech, ctx.gravity, mech.x2, mech.v1, mech.w1)
 
 
 def angular_momentum(body, h: float) -> np.ndarray:
@@ -468,15 +445,7 @@ def run_simulation(
             residual=info.residual_norm,
         )
         if record_bodies:
-            rec.bodies = [
-                (
-                    bid,
-                    mech.bodies[bid].state.x2.copy(),
-                    mech.bodies[bid].state.q2.copy(),
-                    mech.bodies[bid].state.v1.copy(),
-                    mech.bodies[bid].state.w1.copy(),
-                )
-                for bid in mech.body_ids
-            ]
+            knots = (mech.x2.copy(), mech.q2.copy(), mech.v1.copy(), mech.w1.copy())
+            rec.bodies = list(zip(mech.body_ids, *knots))
         records.append(rec)
     return records

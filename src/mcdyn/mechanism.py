@@ -17,6 +17,7 @@ the ground are recognized as kinematic loops.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,32 +37,49 @@ ROWS_BY_KIND = {KIND_BALL: 3, KIND_REVOLUTE: 5, KIND_FIXED: 6}
 _ASSEMBLY_TOL = 1e-8
 
 
-@dataclass
+def _row_view(name: str) -> property:
+    return property(lambda self: getattr(self._mech, name)[self._row])
+
+
 class BodyState:
-    """Pose and velocity knots of one body.
+    """One body's rows of its mechanism's state arrays; it stores nothing.
 
     Knots 1 and 2 are the two most recent committed states; (v1, w1) is the
     velocity over that interval, with w1 expressed in the knot-1 body frame.
-    (v2, w2) is the current guess (or converged value) for the next interval
-    and doubles as the warm start of the implicit solve.
+    (v2, w2) are the body's rows of ``mech.unknowns``: the current guess (or
+    converged value) for the next interval, which doubles as the warm start
+    of the implicit solve.  Each field is a read-only property returning a
+    writable view of the body's row of the array the mechanism holds now,
+    so ``state.w2[:] = w`` writes through and ``state.w2 = w`` raises
+    AttributeError.  The mechanism is held by a weak reference, so a
+    mechanism and its bodies form no reference cycle and are freed as
+    soon as the last outside reference goes; the state of a freed
+    mechanism raises ReferenceError.
     """
 
-    x1: np.ndarray
-    q1: np.ndarray
-    x2: np.ndarray
-    q2: np.ndarray
-    v1: np.ndarray
-    w1: np.ndarray
-    v2: np.ndarray
-    w2: np.ndarray
+    __slots__ = ("_mech", "_row")
+
+    def __init__(self, mech: "Mechanism", row: int):
+        self._mech = weakref.proxy(mech)
+        self._row = row
+
+    x1 = _row_view("x1")
+    q1 = _row_view("q1")
+    x2 = _row_view("x2")
+    q2 = _row_view("q2")
+    v1 = _row_view("v1")
+    w1 = _row_view("w1")
+    v2 = _row_view("v2")
+    w2 = _row_view("w2")
 
 
 @dataclass
 class RigidBody:
+    """Mass properties of one body; ``state`` is bound by the Mechanism holding it."""
+
     id: int
     mass: float
     inertia: np.ndarray  # 3x3 body-frame inertia about the center of mass
-    state: BodyState
 
 
 @dataclass
@@ -379,18 +397,34 @@ def max_violation(groups, x: np.ndarray, q: np.ndarray) -> float:
 # mechanism container and loader
 
 
+def velocities(s: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(N, 3) views of v2 and w2 in a stacked Newton vector of n bodies."""
+    body = s[: 6 * n].reshape(n, 6)
+    return body[:, :3], body[:, 3:]
+
+
 class Mechanism:
-    """Immutable topology (bodies, joints, graph) plus mutable body states.
+    """Immutable topology (bodies, joints, graph) plus the one copy of the state.
 
     Joint definitions, the graph and everything derived from them are fixed
     after construction: the stacked Newton vector (the 6 velocity unknowns
     of each body in id order, then the multipliers of each joint in id
     order), its rows in the solver's elimination order, the kind groups
-    and the stacked masses and inertias.  Body states and warm-start
-    multipliers are owned by one simulation context at a time.
+    and the stacked masses and inertias.
+
+    The state is the knot arrays ``x1, q1, x2, q2, v1, w1`` ((N, 3) or
+    (N, 4), one row per body in id order) and ``unknowns``, the stacked
+    Newton vector of the last solve, which is the next solve's warm start.
+    ``v2`` and ``w2`` are views of its body rows and the multipliers are
+    its joint rows (``joint_slices``).  ``x``, ``q``, ``v`` and ``w`` give
+    the declared poses and velocities, stacked in body id order; they fill
+    both knots and the warm start, with zero multipliers.  A step rebinds
+    the knot arrays and the solve rebinds ``unknowns``; each body's
+    ``state`` reads its rows of whichever arrays are current.  The state
+    is owned by one simulation context at a time.
     """
 
-    def __init__(self, bodies: dict, joints: dict):
+    def __init__(self, bodies: dict, joints: dict, x, q, v, w):
         self.bodies = bodies
         self.joints = joints
         self.graph = build_graph(bodies, joints)
@@ -412,34 +446,40 @@ class Mechanism:
         self.groups = _kind_groups(self.body_index, joints, self.joint_slices)
         self.mass = np.array([bodies[b].mass for b in self.body_ids])
         self.inertia = np.array([bodies[b].inertia for b in self.body_ids])
-        self.multipliers = {jid: np.zeros(j.rows) for jid, j in joints.items()}
+        self.x1, self.q1, self.v1, self.w1 = (np.array(a, dtype=float) for a in (x, q, v, w))
+        self.x2, self.q2 = self.x1.copy(), self.q1.copy()
+        self._cold_start()
+        for row, bid in enumerate(self.body_ids):
+            bodies[bid].state = BodyState(self, row)
         self.h: float | None = None
 
-    def knots(self, *names: str) -> list[np.ndarray]:
-        """Named BodyState fields stacked over the bodies in id order."""
-        states = [self.bodies[b].state for b in self.body_ids]
-        return [np.array([getattr(st, name) for st in states]) for name in names]
+    @property
+    def v2(self) -> np.ndarray:
+        return velocities(self.unknowns, len(self.body_ids))[0]
 
-    def store(self, **knots: np.ndarray) -> None:
-        """Write stacked BodyState fields back, one row per body in id order."""
-        states = [self.bodies[b].state for b in self.body_ids]
-        for name, rows in knots.items():
-            for st, row in zip(states, rows):
-                setattr(st, name, row)
+    @property
+    def w2(self) -> np.ndarray:
+        return velocities(self.unknowns, len(self.body_ids))[1]
+
+    def _cold_start(self) -> None:
+        """A new warm start: the velocities (v1, w1) and zero multipliers."""
+        self.unknowns = np.zeros(self.dim)
+        v2, w2 = velocities(self.unknowns, len(self.body_ids))
+        v2[:], w2[:] = self.v1, self.w1
 
     def initialize(self, h: float) -> None:
         """Build the knot-1 states consistent with the declared velocities.
 
         The previous knot is reconstructed so that one discrete update from
         it reproduces the current pose exactly; the current velocities
-        double as the cold-start guess for the first implicit solve.
+        double as the cold-start guess for the first implicit solve, and
+        every multiplier restarts at zero.
         """
-        x2, q2, v1, w1 = self.knots("x2", "q2", "v1", "w1")
         # lmat(identity) is the identity, so this is the bare step quaternion
-        q_step = quat.orientation_update(quat.identity(), w1, h)
-        self.store(x1=x2 - h * v1, q1=quat.multiply(q2, quat.inverse(q_step)), v2=v1, w2=w1)
-        for jid, joint in self.joints.items():
-            self.multipliers[jid] = np.zeros(joint.rows)
+        q_step = quat.orientation_update(quat.identity(), self.w1, h)
+        self.x1 = self.x2 - h * self.v1
+        self.q1 = quat.multiply(self.q2, quat.inverse(q_step))
+        self._cold_start()
         self.h = h
 
     def ensure_initialized(self, h: float) -> None:
@@ -456,7 +496,7 @@ class Mechanism:
         """Stacked poses of committed knot 1 or 2, world row included."""
         if at not in (1, 2):
             raise ValueError("knot selector must be 1 or 2")
-        return with_world(*self.knots(f"x{at}", f"q{at}"))
+        return with_world(getattr(self, f"x{at}"), getattr(self, f"q{at}"))
 
     def max_constraint_violation(self, at: int = 2) -> float:
         return max_violation(self.groups, *self.poses(at))
@@ -483,20 +523,24 @@ def load_mechanism(source) -> Mechanism:
         raise MechanismError("mechanism description must be a mapping with a 'bodies' list")
 
     bodies: dict = {}
+    declared: dict = {}  # body id -> (x, q, v, w)
     for entry in data.get("bodies", []):
-        body = _parse_body(entry)
+        body, knots = _parse_body(entry)
         if body.id in bodies:
             raise MechanismError(f"duplicate body id {body.id}")
         bodies[body.id] = body
+        declared[body.id] = knots
 
+    quaternions = {bid: q for bid, (_, q, _, _) in declared.items()}
     joints: dict = {}
     for entry in data.get("joints", []):
-        joint = _parse_joint(entry, bodies)
+        joint = _parse_joint(entry, quaternions)
         if joint.id in joints or joint.id in bodies:
             raise MechanismError(f"duplicate node id {joint.id}")
         joints[joint.id] = joint
 
-    mech = Mechanism(bodies, joints)
+    ids = sorted(bodies)
+    mech = Mechanism(bodies, joints, *(np.array([declared[b][k] for b in ids]) for k in range(4)))
     viol = mech.max_constraint_violation(at=2)
     if not viol <= _ASSEMBLY_TOL:
         raise MechanismError(
@@ -505,7 +549,8 @@ def load_mechanism(source) -> Mechanism:
     return mech
 
 
-def _parse_body(entry: dict) -> RigidBody:
+def _parse_body(entry: dict) -> tuple[RigidBody, tuple]:
+    """A body and its declared (x, q, v, w)."""
     try:
         bid = int(entry["id"])
         mass = float(entry["mass"])
@@ -534,14 +579,11 @@ def _parse_body(entry: dict) -> RigidBody:
         raise MechanismError(f"body {bid}: vectors must have 3 components")
     if q.shape != (4,) or abs(np.linalg.norm(q) - 1.0) > 1e-9:
         raise MechanismError(f"body {bid}: quaternion must be unit (wxyz order)")
-    state = BodyState(
-        x1=x.copy(), q1=q.copy(), x2=x.copy(), q2=q.copy(),
-        v1=v.copy(), w1=w.copy(), v2=v.copy(), w2=w.copy(),
-    )
-    return RigidBody(id=bid, mass=mass, inertia=J, state=state)
+    return RigidBody(id=bid, mass=mass, inertia=J), (x, q, v, w)
 
 
-def _parse_joint(entry: dict, bodies: dict) -> JointConstraint:
+def _parse_joint(entry: dict, quaternions: dict) -> JointConstraint:
+    """A joint between parsed bodies; ``quaternions`` maps each body id to its declared orientation."""
     try:
         jid = int(entry["id"])
         kind = str(entry["kind"])
@@ -554,9 +596,9 @@ def _parse_joint(entry: dict, bodies: dict) -> JointConstraint:
     _require_finite(f"joint {jid}", parent_anchor=p_a, child_anchor=p_b)
     _require_length(f"joint {jid}", 3, parent_anchor=p_a, child_anchor=p_b)
     parent = WORLD if parent == WORLD else int(parent)
-    if child not in bodies:
+    if child not in quaternions:
         raise MechanismError(f"joint {jid}: unknown child body {child}")
-    if parent != WORLD and parent not in bodies:
+    if parent != WORLD and parent not in quaternions:
         raise MechanismError(f"joint {jid}: unknown parent body {parent}")
     if parent == child:
         raise MechanismError(f"joint {jid}: parent and child must differ")
@@ -583,7 +625,7 @@ def _parse_joint(entry: dict, bodies: dict) -> JointConstraint:
             if abs(np.linalg.norm(target) - 1.0) > 1e-9:
                 raise MechanismError(f"joint {jid}: orientation_target must be unit")
         else:
-            target = bodies[child].state.q2.copy()
+            target = quaternions[child].copy()
     return JointConstraint(
         id=jid, kind=kind, parent=parent, child=child,
         p_a=p_a, p_b=p_b, axis_a=axis_a, axis_b=axis_b, orientation_target=target,

@@ -141,3 +141,31 @@ def count_independent_cycles(n_vertices, edges):
             parent[ra] = rb
             components -= 1
     return len(edges) - n_vertices + components
+
+
+def _block_ids(fact):
+    """Block index of each row (and column) of a DenseFactor's matrix."""
+    return np.repeat(np.arange(len(fact.offsets) - 1), np.diff(fact.offsets))
+
+
+def l_matrix(fact):
+    """Unit block-lower-triangular L of an in-place dense LDU factor."""
+    b = _block_ids(fact)
+    return np.where(b[:, None] > b[None, :], fact.matrix, 0.0) + np.eye(b.size)
+
+
+def d_matrix(fact):
+    """Block-diagonal D of an in-place dense LDU factor."""
+    b = _block_ids(fact)
+    return np.where(b[:, None] == b[None, :], fact.matrix, 0.0)
+
+
+def u_matrix(fact):
+    """Unit block-upper-triangular U of an in-place dense LDU factor."""
+    b = _block_ids(fact)
+    return np.where(b[:, None] < b[None, :], fact.matrix, 0.0) + np.eye(b.size)
+
+
+def reconstruct(fact):
+    """The matrix L D U that a dense LDU factor represents."""
+    return l_matrix(fact) @ d_matrix(fact) @ u_matrix(fact)

@@ -68,5 +68,9 @@ class TestHeun:
     def test_leaves_mechanism_untouched(self):
         mech = make_pendulum(1)
         x_before = mech.bodies[1].state.x2.copy()
+        names = ("x1", "q1", "x2", "q2", "v1", "w1", "unknowns")
+        arrays_before = {name: getattr(mech, name).copy() for name in names}
         heun_simulate(mech, StepContext(h=0.01), 10)
         assert_allclose(mech.bodies[1].state.x2, x_before)
+        for name in names:
+            np.testing.assert_array_equal(getattr(mech, name), arrays_before[name])

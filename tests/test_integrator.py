@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -12,15 +14,14 @@ from mcdyn.integrator import (
     assemble_jacobian,
     assemble_residual,
     build_layout,
-    get_unknowns,
     newton_solve,
     newton_system_at,
     position_jacobian_blocks,
     run_simulation,
-    set_unknowns,
     step,
     total_energy,
 )
+from mcdyn.baselines import heun_simulate
 from mcdyn.mechanism import load_mechanism
 from oracles import euler_free_body
 
@@ -62,7 +63,7 @@ def hanging_pendulum(n=2):
 
 def dense_newton_matrix(mech, ctx):
     layout = build_layout(mech, ctx)
-    system = assemble_jacobian(mech, layout, position_jacobian_blocks(mech, layout), get_unknowns(mech))
+    system = assemble_jacobian(mech, layout, position_jacobian_blocks(mech, layout), mech.unknowns)
     full, _ = system.assembled()
     return full
 
@@ -70,7 +71,7 @@ def dense_newton_matrix(mech, ctx):
 def fd_newton_matrix(mech, ctx, eps=1e-6):
     """Central differences of the stacked residual at the current unknowns."""
     layout = build_layout(mech, ctx)
-    s0 = get_unknowns(mech)
+    s0 = mech.unknowns
     pos_blocks = position_jacobian_blocks(mech, layout)
     cols = []
     for j in range(mech.dim):
@@ -86,19 +87,19 @@ def randomized_feasible_state(mech, ctx, rng, warm_steps=3):
     """Advance from random initial velocities to a dynamically consistent state."""
     for bid in mech.body_ids:
         st = mech.bodies[bid].state
-        st.v1 = rng.normal(size=3) * 0.5
-        st.w1 = rng.normal(size=3) * 0.5
+        st.v1[:] = rng.normal(size=3) * 0.5
+        st.w1[:] = rng.normal(size=3) * 0.5
     mech.initialize(ctx.h)
     for _ in range(warm_steps):
         step(mech, ctx)
-    set_unknowns(mech, get_unknowns(mech) + rng.normal(size=mech.dim) * 0.05)
+    mech.unknowns += rng.normal(size=mech.dim) * 0.05
     return mech
 
 
 def residual_at(mech, ctx):
     """The stacked residual at the current unknowns."""
     layout = build_layout(mech, ctx)
-    return assemble_residual(mech, layout, position_jacobian_blocks(mech, layout), get_unknowns(mech))
+    return assemble_residual(mech, layout, position_jacobian_blocks(mech, layout), mech.unknowns)
 
 
 def body_residual(mech, bid, ctx):
@@ -138,7 +139,7 @@ class TestRotationalResidual:
     def test_rate_domain_error(self):
         mech = free_body(w=(0.0, 0.0, 100.0))
         mech.initialize(0.01)
-        mech.bodies[1].state.w2 = np.array([0.0, 0.0, 250.0])
+        mech.bodies[1].state.w2[:] = np.array([0.0, 0.0, 250.0])
         with pytest.raises(AngularRateError):
             body_residual(mech, 1, StepContext(h=0.01))
 
@@ -150,8 +151,8 @@ class TestRotationalResidual:
         mech = free_body(inertia=(0.2, 0.2, 0.2), w=(0.0, 0.0, 100.0))
         ctx = StepContext(h=0.01, gravity=0.0)
         mech.initialize(0.01)
-        mech.bodies[1].state.w2 = np.array([0.0, 0.0, 140.0])
-        s = get_unknowns(mech)
+        mech.bodies[1].state.w2[:] = np.array([0.0, 0.0, 140.0])
+        s = mech.unknowns
         full_step = s - np.linalg.solve(dense_newton_matrix(mech, ctx), residual_at(mech, ctx))
         assert np.linalg.norm(full_step[3:6]) >= 2.0 / ctx.h
         info = newton_solve(mech, ctx, tol=1e-10)
@@ -244,7 +245,7 @@ class TestAssembledSystem:
         mech.initialize(0.01)
         ctx = StepContext(h=0.01)
         layout = build_layout(mech, ctx)
-        system = assemble_jacobian(mech, layout, position_jacobian_blocks(mech, layout), get_unknowns(mech))
+        system = assemble_jacobian(mech, layout, position_jacobian_blocks(mech, layout), mech.unknowns)
         expected_edges = {(6, 1), (6, 2), (7, 2), (7, 3), (8, 2), (8, 4), (9, 1), (9, 5)}
         seen = set()
         for (i, j) in system.offdiag:
@@ -314,14 +315,17 @@ class TestNewton:
             newton_solve(mech, StepContext(h=0.01), tol=1e-30, max_iters=2)
 
 
+BAD_LOADS = [
+    ({"forces": {1: np.array([np.nan, 0.0, 0.0])}}, 1),
+    ({"torques": {2: np.array([0.0, np.inf, 0.0])}}, 2),
+    ({"forces": {2: np.zeros(2)}}, 2),
+    ({"torques": {1: "spin"}}, 1),
+    ({"forces": {99: np.zeros(3)}}, 99),
+]
+
+
 class TestLoadGuards:
-    @pytest.mark.parametrize("loads,bid", [
-        ({"forces": {1: np.array([np.nan, 0.0, 0.0])}}, 1),
-        ({"torques": {2: np.array([0.0, np.inf, 0.0])}}, 2),
-        ({"forces": {2: np.zeros(2)}}, 2),
-        ({"torques": {1: "spin"}}, 1),
-        ({"forces": {99: np.zeros(3)}}, 99),
-    ])
+    @pytest.mark.parametrize("loads,bid", BAD_LOADS)
     def test_bad_load_rejected_before_solving(self, loads, bid):
         mech = make_pendulum(2)
         x_before = mech.bodies[1].state.x2.copy()
@@ -331,6 +335,96 @@ class TestLoadGuards:
         assert f"body {bid}" in str(err.value)
         np.testing.assert_array_equal(mech.bodies[1].state.x2, x_before)
 
+    @pytest.mark.parametrize("loads,bid", BAD_LOADS)
+    def test_bad_load_rejected_by_heun_baseline(self, loads, bid):
+        with pytest.raises(SimulationError) as err:
+            heun_simulate(make_pendulum(2), StepContext(h=0.01, **loads), 5)
+        assert not isinstance(err.value, NewtonError)
+        assert f"body {bid}" in str(err.value)
+
+
+KNOTS = ("x1", "q1", "x2", "q2", "v1", "w1", "v2", "w2")
+
+
+class TestStateArrays:
+    def test_state_fields_are_rows_of_the_mechanism_arrays(self):
+        mech = make_pendulum(3)
+        step(mech, StepContext(h=0.01))
+        for row, bid in enumerate(mech.body_ids):
+            st = mech.bodies[bid].state
+            for knot in KNOTS:
+                array = getattr(mech, knot)
+                assert np.shares_memory(getattr(st, knot), array)
+                np.testing.assert_array_equal(getattr(st, knot), array[row])
+        v2, w2 = mech.unknowns[mech.body_slices[2]].reshape(2, 3)
+        np.testing.assert_array_equal(mech.bodies[2].state.v2, v2)
+        np.testing.assert_array_equal(mech.bodies[2].state.w2, w2)
+
+    def test_write_through_state_reaches_unknowns_and_residual(self):
+        mech = make_pendulum(2)
+        ctx = StepContext(h=0.01)
+        step(mech, ctx)
+        f_before = residual_at(mech, ctx)
+        w1_before = mech.w1.copy()
+        mech.bodies[1].state.w2[:] = [0.0, 0.3, 0.0]
+        np.testing.assert_array_equal(mech.unknowns[mech.body_slices[1]][3:], [0.0, 0.3, 0.0])
+        np.testing.assert_array_equal(mech.w1, w1_before)  # the committed knot is not a view of it
+        f_after = residual_at(mech, ctx)
+        assert np.abs(f_after[mech.body_slices[1]][3:] - f_before[mech.body_slices[1]][3:]).max() > 1e-3
+        np.testing.assert_array_equal(f_after[mech.body_slices[2]][:3], f_before[mech.body_slices[2]][:3])
+
+    @pytest.mark.parametrize("knot", KNOTS)
+    def test_state_fields_cannot_be_rebound(self, knot):
+        mech = make_pendulum(1)
+        with pytest.raises(AttributeError):
+            setattr(mech.bodies[1].state, knot, np.zeros(3))
+
+    def test_mechanism_is_freed_without_cycle_collection(self):
+        # body states refer back to their mechanism; a reference cycle there
+        # would keep every dead mechanism alive until a full gc pass
+        mech = make_pendulum(3)
+        step(mech, StepContext(h=0.01))
+        ref = weakref.ref(mech)
+        del mech
+        assert ref() is None
+
+    def test_initialize_zeroes_every_joint_row(self):
+        mech = make_pendulum(3)
+        for _ in range(3):
+            step(mech, StepContext(h=0.01))
+        assert all(mech.unknowns[sl].any() for sl in mech.joint_slices.values())
+        mech.initialize(0.01)
+        for sl in mech.joint_slices.values():
+            np.testing.assert_array_equal(mech.unknowns[sl], 0.0)
+        np.testing.assert_array_equal(mech.v2, mech.v1)
+        np.testing.assert_array_equal(mech.w2, mech.w1)
+
+    def test_failed_solve_keeps_last_accepted_vector(self):
+        mech = make_pendulum(2)
+        ctx = StepContext(h=0.01)
+        s_start = mech.unknowns.copy()
+        f_start = np.linalg.norm(residual_at(mech, ctx))
+        with pytest.raises(NewtonError):
+            newton_solve(mech, ctx, tol=1e-30, max_iters=2)
+        assert np.linalg.norm(residual_at(mech, ctx)) < 1e-3 * f_start
+        assert not np.array_equal(mech.unknowns, s_start)
+
+    def test_recorded_bodies_are_snapshots(self):
+        mech = make_pendulum(2)
+        ctx = StepContext(h=0.01)
+        records, expected = [], []
+        for _ in range(4):
+            (rec,) = run_simulation(mech, ctx, 1, record_bodies=True)
+            records.append(rec)
+            expected.append([(mech.x2[i].copy(), mech.q2[i].copy(), mech.v1[i].copy(), mech.w1[i].copy())
+                             for i in range(len(mech.body_ids))])
+        mech.bodies[1].state.x2[:] = np.nan
+        for rec, knots in zip(records, expected):
+            assert [bid for bid, *_ in rec.bodies] == mech.body_ids
+            for (_, *got), want in zip(rec.bodies, knots):
+                for a, b in zip(got, want):
+                    np.testing.assert_array_equal(a, b)
+
 
 class TestStep:
     def test_changed_step_size_raises_and_keeps_state(self):
@@ -338,7 +432,7 @@ class TestStep:
         step(mech, StepContext(h=0.01))
         knots = ("x1", "q1", "x2", "q2", "v1", "w1", "v2", "w2")
         states = {b: [getattr(body.state, k).copy() for k in knots] for b, body in mech.bodies.items()}
-        lams = {j: lam.copy() for j, lam in mech.multipliers.items()}
+        lams = {j: mech.unknowns[sl].copy() for j, sl in mech.joint_slices.items()}
         assert any(lam.any() for lam in lams.values())
         with pytest.raises(SimulationError, match=r"0\.02.*0\.01") as err:
             newton_solve(mech, StepContext(h=0.02))
@@ -346,8 +440,8 @@ class TestStep:
         for b, body in mech.bodies.items():
             for k, before in zip(knots, states[b]):
                 np.testing.assert_array_equal(getattr(body.state, k), before)
-        for j, lam in mech.multipliers.items():
-            np.testing.assert_array_equal(lam, lams[j])
+        for j, sl in mech.joint_slices.items():
+            np.testing.assert_array_equal(mech.unknowns[sl], lams[j])
         # an explicit initialize is the way to restart with a new step
         mech.initialize(0.02)
         assert step(mech, StepContext(h=0.02), tol=1e-10).residual_norm < 1e-10
@@ -432,6 +526,24 @@ class TestEnergy:
         mech = make_pendulum(2)
         # two unit rods horizontal at pivot height 2: E = 2 * m*g*z0
         assert np.isclose(total_energy(mech, StepContext(h=0.01)), 2 * 9.81 * 2.0)
+
+    def test_matches_per_body_sum(self, rng):
+        # the array formula sums in another order than this loop, so the
+        # two agree to rounding, bounded relative to the summed magnitudes
+        mech = make_pendulum(6, "ball")
+        ctx = StepContext(h=0.01, forces={b: rng.normal(size=3) * 9.81 for b in mech.body_ids})
+        for _ in range(5):
+            step(mech, ctx)
+        terms = []
+        for body in mech.bodies.values():
+            st = body.state
+            terms += [
+                0.5 * body.mass * (st.v1 @ st.v1),
+                0.5 * (st.w1 @ body.inertia @ st.w1),
+                ctx.gravity * body.mass * st.x2[2],
+            ]
+        scale = np.sum(np.abs(terms))
+        assert abs(total_energy(mech, ctx) - sum(terms)) <= 64 * np.finfo(float).eps * scale
 
     def test_moving_body(self):
         mech = free_body(v=(1.0, 0.0, 0.0), w=(0.0, 0.0, 2.0), x=(0.0, 0.0, 0.5))

@@ -9,7 +9,6 @@ from mcdyn.errors import MechanismError
 from mcdyn.integrator import StepContext, newton_system_at
 from mcdyn.mechanism import (
     WORLD,
-    BodyState,
     JointConstraint,
     Mechanism,
     RigidBody,
@@ -26,12 +25,11 @@ from oracles import count_independent_cycles, random_unit_quat, rotmat_from_axis
 
 def one_joint(joint, states):
     """A mechanism of ``joint`` alone, its bodies at the poses {bid: (x, q)}."""
-    bodies = {}
-    for bid, (x, q) in states.items():
-        zero = np.zeros(3)
-        state = BodyState(x1=x, q1=q, x2=x, q2=q, v1=zero, w1=zero, v2=zero, w2=zero)
-        bodies[bid] = RigidBody(id=bid, mass=1.0, inertia=0.1 * np.eye(3), state=state)
-    return Mechanism(bodies, {joint.id: joint})
+    ids = sorted(states)
+    bodies = {bid: RigidBody(id=bid, mass=1.0, inertia=0.1 * np.eye(3)) for bid in ids}
+    x, q = (np.array([states[bid][k] for bid in ids]) for k in (0, 1))
+    zero = np.zeros((len(ids), 3))
+    return Mechanism(bodies, {joint.id: joint}, x, q, zero, zero)
 
 
 def residual(joint, states):
@@ -204,9 +202,8 @@ class TestPositionJacobian:
 
 
 def predicted_knot(mech, h):
-    """Stacked next-knot poses predicted from the body states' (v2, w2), world row included."""
-    x2, q2, v2, w2 = mech.knots("x2", "q2", "v2", "w2")
-    return with_world(x2 + h * v2, quat.orientation_update(q2, w2, h))
+    """Stacked next-knot poses predicted from the mechanism's (v2, w2), world row included."""
+    return with_world(mech.x2 + h * mech.v2, quat.orientation_update(mech.q2, mech.w2, h))
 
 
 def predicted_residuals(mech, h):
@@ -216,8 +213,8 @@ def predicted_residuals(mech, h):
 
 
 def velocity_blocks(mech, h):
-    """{joint id: {body id: (rows, 6) velocity block}} at the body states' (v2, w2)."""
-    q2, w2 = mech.knots("q2", "w2")
+    """{joint id: {body id: (rows, 6) velocity block}} at the mechanism's (v2, w2)."""
+    q2, w2 = mech.q2, mech.w2
     rot_jac = np.zeros((len(q2) + 1, 4, 3))
     rot_jac[:-1] = quat.orientation_update_jacobian(q2, w2, h)
     _, q3 = predicted_knot(mech, h)
@@ -244,14 +241,14 @@ class TestVelocityJacobian:
                 for j in range(6):
                     for sgn in (+1, -1):
                         if j < 3:
-                            st.v2 = base_v + sgn * eps * np.eye(3)[j]
+                            st.v2[:] = base_v + sgn * eps * np.eye(3)[j]
                         else:
-                            st.w2 = base_w + sgn * eps * np.eye(3)[j - 3]
+                            st.w2[:] = base_w + sgn * eps * np.eye(3)[j - 3]
                         if sgn > 0:
                             plus = predicted_residuals(mech, h)[jid]
                         else:
                             minus = predicted_residuals(mech, h)[jid]
-                        st.v2, st.w2 = base_v.copy(), base_w.copy()
+                        st.v2[:], st.w2[:] = base_v, base_w
                     cols.append((plus - minus) / (2 * eps))
                 fd[bid] = np.stack(cols, axis=1)
             out[jid] = (blocks, fd)
@@ -260,7 +257,7 @@ class TestVelocityJacobian:
     def test_zero_rate_translational_block(self):
         mech = make_pendulum(1, joint_kind="ball", h=0.01)
         st = mech.bodies[1].state
-        st.v2, st.w2 = np.zeros(3), np.zeros(3)
+        st.v2[:], st.w2[:] = np.zeros(3), np.zeros(3)
         blocks = velocity_blocks(mech, 0.01)[2]
         assert_allclose(blocks[1][:, :3], -0.01 * np.eye(3), atol=1e-15)
 
@@ -268,8 +265,8 @@ class TestVelocityJacobian:
         mech = make_pendulum(2, joint_kind="revolute", h=0.01)
         for bid in mech.body_ids:
             st = mech.bodies[bid].state
-            st.v2 = rng.normal(size=3)
-            st.w2 = rng.normal(size=3)
+            st.v2[:] = rng.normal(size=3)
+            st.w2[:] = rng.normal(size=3)
         for jid, (blocks, fd) in self._blocks_and_fd(mech, 0.01).items():
             for bid in blocks:
                 assert np.abs(blocks[bid] - fd[bid]).max() < 1e-6
@@ -279,8 +276,8 @@ class TestVelocityJacobian:
         # orientation update advances by half-angle parameters)
         mech = make_pendulum(1, joint_kind="ball")
         st = mech.bodies[1].state
-        st.v2 = rng.normal(size=3)
-        st.w2 = rng.normal(size=3)
+        st.v2[:] = rng.normal(size=3)
+        st.w2[:] = rng.normal(size=3)
         (group,) = mech.groups
         pos = constraint_jacobian_position(group, mech.poses(2)[1])[1][0]
         errs = []
@@ -523,7 +520,7 @@ class TestMaxViolation:
     def test_nan_pose_propagates(self, bid):
         # body 1 touches the first two joints, body 3 only the last one
         mech = make_pendulum(3)
-        mech.bodies[bid].state.x2 = np.array([np.nan, 0.0, 0.0])
+        mech.bodies[bid].state.x2[:] = np.array([np.nan, 0.0, 0.0])
         assert np.isnan(mech.max_constraint_violation())
         assert mech.max_constraint_violation(at=1) < 1e-12
 
