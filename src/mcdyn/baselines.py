@@ -17,15 +17,8 @@ import numpy as np
 
 from . import quaternions as quat
 from .block_solver import sparse_ldu_factorize, sparse_ldu_solve
-from .integrator import (
-    StepContext,
-    check_loads,
-    incidence_blocks,
-    mechanical_energy,
-    stacked_loads,
-    stacked_system,
-)
-from .mechanism import Mechanism, constraint_jacobian_position, max_violation, with_world
+from .integrator import StepContext, check_loads, mechanical_energy, node_system, stacked_loads
+from .mechanism import Mechanism, constraint_jacobian_position, max_violation, velocities, with_world
 
 _EZ = np.array([0.0, 0.0, 1.0])
 _DIRECTIONAL_EPS = 1e-5
@@ -125,10 +118,8 @@ def _acceleration_rates(mech: Mechanism, state: _State, ctx: StepContext) -> _St
     ):
         rhs[group.rows] = -bias
         couplings.append((blk_a, blk_b, -blk_a.transpose(0, 2, 1), -blk_b.transpose(0, 2, 1)))
-    system = stacked_system(mech, *incidence_blocks(mech, body_diag, couplings), rhs)
-    sol = sparse_ldu_solve(sparse_ldu_factorize(system))
-    acc = np.array([sol[b] for b in mech.body_ids])
-    return _State(state.v.copy(), _qdot(state.q, state.w), acc[:, :3], acc[:, 3:])
+    sol = sparse_ldu_solve(sparse_ldu_factorize(node_system(mech, body_diag, couplings, rhs)))
+    return _State(state.v.copy(), _qdot(state.q, state.w), *velocities(sol, n))
 
 
 def heun_simulate(mech: Mechanism, ctx: StepContext, n_steps: int) -> list[BaselineRecord]:

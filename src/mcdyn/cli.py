@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .block_solver import pattern_report, sparse_ldu_factorize
+from .block_solver import pattern_report
 from .errors import SimulationError
 from .experiments import (
     RunReport,
@@ -20,8 +20,8 @@ from .experiments import (
     write_timing_csv,
     write_trajectory_csv,
 )
-from .integrator import StepContext, newton_system_at, run_simulation
-from .mechanism import load_mechanism, save_mechanism
+from .integrator import StepContext, run_simulation
+from .mechanism import check_parameter, load_mechanism, save_mechanism
 from .scenarios import Scenario, generate_scenario
 
 
@@ -97,14 +97,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args) -> int:
+    check_parameter("duration", args.duration, positive=True)
     mech = load_mechanism(args.mechanism)
     ctx = StepContext(h=args.h, gravity=args.gravity)
     mech.initialize(args.h)
     if args.dump_pattern:
-        system = newton_system_at(mech, ctx)
-        fact = sparse_ldu_factorize(system.copy())
         with open(args.dump_pattern, "w", encoding="utf-8") as fh:
-            fh.write(pattern_report(system, fact) + "\n")
+            fh.write(pattern_report(mech.solver_layout) + "\n")
     n_steps = int(round(args.duration / args.h))
     records = run_simulation(mech, ctx, n_steps, tol=args.tol, record_bodies=True)
     report = RunReport(

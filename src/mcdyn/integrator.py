@@ -25,11 +25,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import quaternions as quat
-from .block_solver import BlockSystem, augment_loop_node, sparse_ldu_factorize, sparse_ldu_solve
+from .block_solver import BlockSystem, NodeSystem, sparse_ldu_factorize, sparse_ldu_solve
+# stepbench/tracing.py times augment_loop_node under this name; the Newton
+# loop stacks loops through the mechanism's layout and never calls it
+from .block_solver import augment_loop_node  # noqa: F401
 from .errors import AngularRateError, LineSearchError, NonConvergenceError, SimulationError
 from .mechanism import (
-    WORLD,
     Mechanism,
+    check_parameter,
     constraint_jacobian_position,
     constraint_jacobian_velocity,
     joint_residual,
@@ -182,43 +185,38 @@ def assemble_residual(
 # Jacobian
 
 
-def incidence_blocks(mech: Mechanism, body_diag: np.ndarray, couplings: list) -> tuple[dict, dict]:
-    """Block dicts of a system on the mechanism's incidence pattern.
+def node_system(
+    mech: Mechanism, body_diag: np.ndarray, couplings: list, rhs: np.ndarray
+) -> NodeSystem:
+    """A system with the Newton pattern on the mechanism's solver layout.
 
     ``body_diag`` stacks the (N, 6, 6) body diagonal blocks; joint diagonal
     blocks are zero.  ``couplings`` holds per kind group the stacked blocks
     (row_a, row_b, col_a, col_b): (M, rows, 6) blocks in the joints' rows
     and (M, 6, rows) blocks in the bodies' rows, on the parent (a) and
-    child (b) side.  World parents contribute no blocks.
+    child (b) side; world parents contribute no blocks.  ``rhs`` is laid
+    out like the unknowns.
     """
-    diag = dict(zip(mech.body_ids, body_diag))
-    offdiag: dict = {}
-    for group, (row_a, row_b, col_a, col_b) in zip(mech.groups, couplings):
-        diag.update(zip(group.ids, np.zeros((len(group.ids), group.width, group.width))))
-        for jid, a, b, ra, rb, ca, cb in zip(
-            group.ids, group.parent_ids, group.child_ids, row_a, row_b, col_a, col_b
-        ):
-            offdiag[(jid, b)] = rb
-            offdiag[(b, jid)] = cb
-            if a != WORLD:
-                offdiag[(jid, a)] = ra
-                offdiag[(a, jid)] = ca
-    return diag, offdiag
+    blocks = [*body_diag]
+    for stacks in couplings:
+        for stack in stacks:
+            blocks += [*stack]
+    return mech.solver_layout.system(blocks, rhs)
 
 
 def assemble_jacobian(
-    mech: Mechanism, layout: SystemLayout, pos_blocks: list, s: np.ndarray
-) -> BlockSystem:
-    """Exact Jacobian of the stacked residual as a graph-structured block system.
+    mech: Mechanism, layout: SystemLayout, pos_blocks: list, s: np.ndarray, f: np.ndarray
+) -> NodeSystem:
+    """The Newton system at the unknowns ``s``: the exact Jacobian of the residual.
 
     Diagonal blocks: the 6x6 velocity derivative of each body's momentum
     balance; an exactly zero block for each constraint.  Off-diagonal
     blocks: minus the transposed position-Jacobian (body row, constraint
     column; the impulse direction) and the predicted-knot velocity Jacobian
     (constraint row, body column).  The zero/non-zero pattern is symmetric
-    and identical to the mechanism's incidence graph.  Blocks are ordered
-    like the residual vector (bodies, then joints) and the right-hand side
-    is empty; :func:`newton_system` gives the form the solver factorizes.
+    and identical to the mechanism's incidence graph.  The blocks go
+    straight into the slots of the mechanism's solver layout, with the
+    residual ``f`` at the same unknowns as the right-hand side.
     """
     n = len(mech.body_ids)
     h = layout.h
@@ -242,50 +240,16 @@ def assemble_jacobian(
         )
         for group, (pos_a, pos_b) in zip(mech.groups, pos_blocks)
     ]
-    diag, offdiag = incidence_blocks(mech, body_diag, couplings)
-    return BlockSystem(diag=diag, offdiag=offdiag, order=mech.body_ids + mech.joint_ids, rhs={})
-
-
-def stacked_system(mech: Mechanism, diag: dict, offdiag: dict, rhs: np.ndarray) -> BlockSystem:
-    """Block system over the mechanism graph in the sparse solver's form.
-
-    ``rhs`` is a stacked vector laid out like the unknowns.  Nodes follow
-    the graph's elimination order, and the loop-closure joints are stacked
-    into the loop node.
-    """
-    n = len(mech.body_ids)
-    rhs_blocks = dict(zip(mech.body_ids, rhs[: 6 * n].reshape(n, 6)))
-    for group in mech.groups:
-        rhs_blocks.update(zip(group.ids, rhs[group.rows]))
-    loops = mech.graph.loop_joints
-    order = mech.graph.order + sorted(loops)
-    return augment_loop_node(BlockSystem(diag=diag, offdiag=offdiag, order=order, rhs=rhs_blocks), loops)
-
-
-def newton_system(
-    mech: Mechanism, layout: SystemLayout, pos_blocks: list, s: np.ndarray, f: np.ndarray
-) -> BlockSystem:
-    """The Newton system at the unknowns ``s``, ready to factorize.
-
-    ``f`` is the stacked residual at the same unknowns; it becomes the
-    right-hand side of the Jacobian from :func:`assemble_jacobian`.
-    """
-    system = assemble_jacobian(mech, layout, pos_blocks, s)
-    return stacked_system(mech, system.diag, system.offdiag, f)
+    return node_system(mech, body_diag, couplings, f)
 
 
 def newton_system_at(mech: Mechanism, ctx: StepContext) -> BlockSystem:
-    """The first Newton system a solve from the current state would factorize."""
+    """The first Newton system a solve from the current state would factorize, as block dicts."""
     layout = build_layout(mech, ctx)
     pos_blocks = position_jacobian_blocks(mech, layout)
     s = mech.unknowns
-    return newton_system(mech, layout, pos_blocks, s, assemble_residual(mech, layout, pos_blocks, s))
-
-
-def _solution_vector(mech: Mechanism, system: BlockSystem, sol: dict) -> np.ndarray:
-    ds = np.empty(mech.dim)
-    ds[mech.elimination_rows] = np.concatenate([sol[node] for node in system.order])
-    return ds
+    f = assemble_residual(mech, layout, pos_blocks, s)
+    return assemble_jacobian(mech, layout, pos_blocks, s, f).as_block_system()
 
 
 # ---------------------------------------------------------------------------
@@ -312,12 +276,17 @@ def newton_solve(
     to 20 halvings) on a copy of ``mech.unknowns``.  Returns only once the
     residual norm is below `tol`, leaving the converged vector in
     ``mech.unknowns``.  Raises SimulationError for a load on an unknown
-    body or a load that is not a finite 3-vector, LineSearchError when no
-    halving reduces the residual, and NonConvergenceError when `max_iters`
-    iterations do not reach `tol`; either way the last accepted vector is
-    left in ``mech.unknowns``.
+    body or a load that is not a finite 3-vector, for an h or `tol` that
+    is not finite and positive and for gravity that is not finite, all
+    before any state changes; LineSearchError when no halving reduces the
+    residual, and NonConvergenceError when `max_iters` iterations do not
+    reach `tol`; either way the last accepted vector is left in
+    ``mech.unknowns``.
     """
     check_loads(mech, ctx)
+    check_parameter("h", ctx.h, positive=True)
+    check_parameter("tol", tol, positive=True)
+    check_parameter("gravity", ctx.gravity, positive=False)
     mech.ensure_initialized(ctx.h)
     layout = build_layout(mech, ctx)
     pos_blocks = position_jacobian_blocks(mech, layout)
@@ -329,10 +298,8 @@ def newton_solve(
         if norm < tol:
             return NewtonInfo(iterations=0, residual_norm=norm, history=history)
         for it in range(1, max_iters + 1):
-            system = newton_system(mech, layout, pos_blocks, s, f)
-            fact = sparse_ldu_factorize(system)
-            sol = sparse_ldu_solve(fact)
-            ds = _solution_vector(mech, system, sol)
+            system = assemble_jacobian(mech, layout, pos_blocks, s, f)
+            ds = sparse_ldu_solve(sparse_ldu_factorize(system))
 
             alpha = 1.0
             accepted = False

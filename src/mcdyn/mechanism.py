@@ -24,6 +24,7 @@ import numpy as np
 import yaml
 
 from . import quaternions as quat
+from .block_solver import SymbolicLayout, symbolic_layout
 from .errors import MechanismError, SimulationError
 
 WORLD = "world"
@@ -260,6 +261,26 @@ def _indices(sl: slice) -> np.ndarray:
     return np.arange(sl.start, sl.stop)
 
 
+def _solver_layout(mech) -> SymbolicLayout:
+    """The sparse solver's layout of every system on the Newton pattern.
+
+    Blocks come as the body diagonals in id order, then per kind group the
+    coupling stacks (joint, parent), (joint, child), (parent, joint) and
+    (child, joint) of ``integrator.assemble_jacobian``; world parents
+    supply nothing.  Joint diagonals are zero, the graph's order is the
+    elimination order, and the loop joints are stacked into the loop node.
+    """
+    sources = [(b, b) for b in mech.body_ids]
+    for g in mech.groups:
+        parents = [None if a == WORLD else a for a in g.parent_ids]
+        for ends in ((g.ids, parents), (g.ids, g.child_ids), (parents, g.ids), (g.child_ids, g.ids)):
+            sources += [None if None in pair else pair for pair in zip(*ends)]
+    slices = mech.body_slices | mech.joint_slices
+    sizes = {n: sl.stop - sl.start for n, sl in slices.items()}
+    rows = {n: _indices(sl) for n, sl in slices.items()}
+    return symbolic_layout(mech.graph.order, sizes, rows, sources, mech.graph.loop_joints)
+
+
 def _kind_groups(body_index: dict, joints: dict, joint_slices: dict) -> list[JointGroup]:
     """One JointGroup per joint kind present, joints in ascending id."""
     row = body_index | {WORLD: len(body_index)}
@@ -388,6 +409,12 @@ def _id_sort_key(n):
     return (0, n) if isinstance(n, int) else (1, str(n))
 
 
+def check_parameter(name: str, value, positive: bool) -> None:
+    """Raise SimulationError naming ``name`` unless ``value`` is finite (and > 0 if ``positive``)."""
+    if not (np.isfinite(value) and (value > 0 or not positive)):
+        raise SimulationError(f"{name} must be finite{' and positive' * positive}, got {value}")
+
+
 def max_violation(groups, x: np.ndarray, q: np.ndarray) -> float:
     """Largest absolute joint residual entry at stacked poses; NaN if any entry is NaN."""
     return float(np.max([np.abs(joint_residual(g, x, q)).max() for g in groups], initial=0.0))
@@ -409,8 +436,9 @@ class Mechanism:
     Joint definitions, the graph and everything derived from them are fixed
     after construction: the stacked Newton vector (the 6 velocity unknowns
     of each body in id order, then the multipliers of each joint in id
-    order), its rows in the solver's elimination order, the kind groups
-    and the stacked masses and inertias.
+    order), the kind groups, the stacked masses and inertias, and
+    ``solver_layout``, the sparse solver's symbolic layout of the Newton
+    system, built once here.
 
     The state is the knot arrays ``x1, q1, x2, q2, v1, w1`` ((N, 3) or
     (N, 4), one row per body in id order) and ``unknowns``, the stacked
@@ -438,12 +466,8 @@ class Mechanism:
             self.joint_slices[jid] = slice(off, off + joints[jid].rows)
             off += joints[jid].rows
         self.dim = off
-        # the elimination order of the Newton system: the graph's tree
-        # nodes, then the loop joints stacked in id order
-        slices = self.body_slices | self.joint_slices
-        nodes = self.graph.order + sorted(self.graph.loop_joints)
-        self.elimination_rows = np.concatenate([_indices(slices[n]) for n in nodes])
         self.groups = _kind_groups(self.body_index, joints, self.joint_slices)
+        self.solver_layout = _solver_layout(self)
         self.mass = np.array([bodies[b].mass for b in self.body_ids])
         self.inertia = np.array([bodies[b].inertia for b in self.body_ids])
         self.x1, self.q1, self.v1, self.w1 = (np.array(a, dtype=float) for a in (x, q, v, w))
@@ -473,8 +497,10 @@ class Mechanism:
         The previous knot is reconstructed so that one discrete update from
         it reproduces the current pose exactly; the current velocities
         double as the cold-start guess for the first implicit solve, and
-        every multiplier restarts at zero.
+        every multiplier restarts at zero.  Raises SimulationError unless h
+        is finite and positive.
         """
+        check_parameter("h", h, positive=True)
         # lmat(identity) is the identity, so this is the bare step quaternion
         q_step = quat.orientation_update(quat.identity(), self.w1, h)
         self.x1 = self.x2 - h * self.v1

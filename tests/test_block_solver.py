@@ -212,7 +212,7 @@ class TestSparseLdu:
             rel = np.linalg.norm(x_sparse - x_ref) / np.linalg.norm(x_ref)
             assert rel < 1e-9
             # fill is confined to the stacked node's row and column
-            for (i, j) in fact.fill_events:
+            for (i, j) in fact.system.layout.fill_events:
                 assert LOOP_NODE in (i, j)
 
     def test_sibling_permutation_invariance(self, rng):
@@ -242,8 +242,8 @@ class TestSparseLdu:
         x1, fact1 = sparse_solution_vector(system)
         x2, fact2 = sparse_solution_vector(system)
         assert np.array_equal(x1, x2)
-        for key in fact1.system.offdiag:
-            assert np.array_equal(fact1.system.offdiag[key], fact2.system.offdiag[key])
+        for blk1, blk2 in zip(fact1.blocks, fact2.blocks, strict=True):
+            assert np.array_equal(blk1, blk2)
 
     def test_dangling_constraint_detected(self, rng):
         # zero-diagonal node eliminated before receiving any update
@@ -254,6 +254,51 @@ class TestSparseLdu:
         }
         system = BlockSystem(diag=diag, offdiag=offdiag, order=[0, 1], rhs={0: np.zeros(3), 1: np.zeros(6)})
         with pytest.raises(DanglingConstraintError):
+            sparse_ldu_factorize(system)
+
+
+def chain_system(pivots):
+    """A chain 0-1-...-n with zero couplings: each pivot reaches its elimination unchanged."""
+    n = len(pivots)
+    diag = {k: np.array(p, dtype=float) for k, p in enumerate(pivots)}
+    offdiag = {}
+    for k in range(n - 1):
+        offdiag[(k, k + 1)] = np.zeros((diag[k].shape[0], diag[k + 1].shape[0]))
+        offdiag[(k + 1, k)] = offdiag[(k, k + 1)].T.copy()
+    rhs = {k: np.ones(d.shape[0]) for k, d in diag.items()}
+    return BlockSystem(diag=diag, offdiag=offdiag, order=list(range(n)), rhs=rhs)
+
+
+GOOD = 2.0 * np.eye(2)
+ILL = [[1.0, 1.0], [1.0, 1.0 + 1e-15]]  # max|A| max|A^-1| ~ 9e14
+SINGULAR = [[1.0, 2.0], [2.0, 4.0]]
+
+
+class TestPivotCheck:
+    def test_earlier_ill_conditioned_pivot_is_reported_before_a_later_singular_one(self):
+        system = chain_system([GOOD, ILL, GOOD, SINGULAR, GOOD])
+        with pytest.raises(SingularBlockError, match=r"at node 1: ill-conditioned 2x2") as err:
+            sparse_ldu_factorize(system)
+        assert isinstance(err.value.__context__, np.linalg.LinAlgError)  # raised mid-sweep
+
+    @pytest.mark.parametrize("k", [0, 2, 4])
+    def test_single_ill_conditioned_pivot_raises_after_the_sweep(self, k):
+        pivots = [GOOD] * 5
+        pivots[k] = ILL
+        with pytest.raises(SingularBlockError, match=f"at node {k}: ill-conditioned") as err:
+            sparse_ldu_factorize(chain_system(pivots))
+        assert err.value.__context__ is None  # no LinAlgError: found by the batched check
+
+    def test_first_failure_in_elimination_order_across_block_sizes(self):
+        big_ill = np.eye(3)
+        big_ill[2, 2] = 1e-14
+        system = chain_system([GOOD, np.eye(3), big_ill, ILL, GOOD])
+        with pytest.raises(SingularBlockError, match="at node 2: ill-conditioned 3x3"):
+            sparse_ldu_factorize(system)
+
+    def test_singular_pivot_alone_names_its_node(self):
+        system = chain_system([GOOD, GOOD, SINGULAR, GOOD])
+        with pytest.raises(SingularBlockError, match="at node 2: exactly singular 2x2"):
             sparse_ldu_factorize(system)
 
 
@@ -278,6 +323,6 @@ class TestAugmentLoopNode:
     def test_report_mentions_fill(self, rng):
         system = random_loop_system(rng, 6)
         fact = sparse_ldu_factorize(system.copy())
-        text = pattern_report(system, fact)
+        text = pattern_report(fact.system.layout)
         assert "fill events" in text
         assert "order" in text

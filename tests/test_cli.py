@@ -1,3 +1,5 @@
+import pytest
+
 from mcdyn.cli import main
 from mcdyn.mechanism import save_mechanism
 from mcdyn.scenarios import Scenario, generate_scenario
@@ -108,3 +110,17 @@ def test_simulate_bad_anchor_length_is_an_error(tmp_path, capsys):
     code = main(["simulate", str(mech_path), "--duration", "0.02", "--out", str(tmp_path / "t.csv")])
     assert code == 1
     assert "error: joint 3: parent_anchor must have 3 components" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "option,value",
+    [("--h", "0"), ("--h", "nan"), ("--h", "-0.01"), ("--duration", "0"), ("--duration", "nan"), ("--duration", "-1")],
+)
+def test_simulate_bad_step_or_duration_is_an_error(tmp_path, capsys, option, value):
+    mech_path = tmp_path / "pendulum.yaml"
+    save_mechanism(generate_scenario(Scenario(kind="pendulum", n_links=2)), mech_path)
+    traj_path = tmp_path / "t.csv"
+    code = main(["simulate", str(mech_path), "--out", str(traj_path), option, value])
+    assert code == 1
+    assert f"error: {option[2:]} must be finite and positive" in capsys.readouterr().err
+    assert not traj_path.exists()

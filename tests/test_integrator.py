@@ -23,6 +23,7 @@ from mcdyn.integrator import (
 )
 from mcdyn.baselines import heun_simulate
 from mcdyn.mechanism import load_mechanism
+from mcdyn.scenarios import Scenario, generate_scenario
 from oracles import euler_free_body
 
 
@@ -62,9 +63,14 @@ def hanging_pendulum(n=2):
 
 
 def dense_newton_matrix(mech, ctx):
+    """The assembled Jacobian, rows and columns in the order of the unknowns."""
     layout = build_layout(mech, ctx)
-    system = assemble_jacobian(mech, layout, position_jacobian_blocks(mech, layout), mech.unknowns)
-    full, _ = system.assembled()
+    pos_blocks = position_jacobian_blocks(mech, layout)
+    system = assemble_jacobian(mech, layout, pos_blocks, mech.unknowns, np.zeros(mech.dim))
+    elim, _ = system.as_block_system().assembled()
+    perm = system.layout.perm  # stacked row of each elimination-order row
+    full = np.empty_like(elim)
+    full[np.ix_(perm, perm)] = elim
     return full
 
 
@@ -245,7 +251,9 @@ class TestAssembledSystem:
         mech.initialize(0.01)
         ctx = StepContext(h=0.01)
         layout = build_layout(mech, ctx)
-        system = assemble_jacobian(mech, layout, position_jacobian_blocks(mech, layout), mech.unknowns)
+        pos_blocks = position_jacobian_blocks(mech, layout)
+        system = assemble_jacobian(mech, layout, pos_blocks, mech.unknowns, np.zeros(mech.dim))
+        system = system.as_block_system()
         expected_edges = {(6, 1), (6, 2), (7, 2), (7, 3), (8, 2), (8, 4), (9, 1), (9, 5)}
         seen = set()
         for (i, j) in system.offdiag:
@@ -341,6 +349,39 @@ class TestLoadGuards:
             heun_simulate(make_pendulum(2), StepContext(h=0.01, **loads), 5)
         assert not isinstance(err.value, NewtonError)
         assert f"body {bid}" in str(err.value)
+
+
+# (field named in the error, StepContext arguments, step arguments)
+BAD_PARAMETERS = [
+    ("h", {"h": 0.0}, {}),
+    ("h", {"h": -0.01}, {}),
+    ("h", {"h": np.nan}, {}),
+    ("h", {"h": np.inf}, {}),
+    ("gravity", {"h": 0.01, "gravity": np.nan}, {}),
+    ("gravity", {"h": 0.01, "gravity": np.inf}, {}),
+    ("tol", {"h": 0.01}, {"tol": -1.0}),
+    ("tol", {"h": 0.01}, {"tol": np.nan}),
+]
+
+
+class TestStepParameters:
+    @pytest.mark.parametrize("name,ctx_args,step_args", BAD_PARAMETERS)
+    def test_bad_parameter_rejected_before_solving(self, name, ctx_args, step_args):
+        mech = load_mechanism(generate_scenario(Scenario(kind="pendulum", n_links=2)))
+        x_before, s_before = mech.x2.copy(), mech.unknowns.copy()
+        with pytest.raises(SimulationError, match=f"^{name} must be finite") as err:
+            step(mech, StepContext(**ctx_args), **step_args)
+        assert not isinstance(err.value, NewtonError)
+        assert mech.h is None
+        np.testing.assert_array_equal(mech.x2, x_before)
+        np.testing.assert_array_equal(mech.unknowns, s_before)
+
+    @pytest.mark.parametrize("h", [0.0, -0.01, np.nan, np.inf])
+    def test_initialize_rejects_bad_step(self, h):
+        mech = make_pendulum(2)
+        with pytest.raises(SimulationError, match="^h must be finite and positive"):
+            mech.initialize(h)
+        assert mech.h == 0.01
 
 
 KNOTS = ("x1", "q1", "x2", "q2", "v1", "w1", "v2", "w2")

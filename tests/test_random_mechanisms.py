@@ -3,17 +3,21 @@ plus a few loop closures, at random dynamically consistent states.
 
 Anchors and hinge axes are derived from shared world points and axes, so
 every mechanism assembles exactly.  The sparse Newton solve is checked
-against the dense block LDU and against numpy's least squares, and the
-mechanism graph against an independent cycle count.
+against the dense block LDU and against numpy's least squares, the
+solver layout's pattern against the dense LDU factors, and the mechanism
+graph against an independent cycle count.
 """
 
 import numpy as np
 import pytest
 
+import mcdyn.block_solver
+import mcdyn.mechanism
+from conftest import make_closed_chain, make_pendulum, make_segmented_chain
 from mcdyn.block_solver import dense_ldu_factorize, dense_ldu_solve, sparse_ldu_factorize, sparse_ldu_solve
-from mcdyn.integrator import StepContext, newton_system_at
+from mcdyn.integrator import StepContext, newton_system_at, run_simulation
 from mcdyn.mechanism import WORLD, load_mechanism
-from oracles import count_independent_cycles, random_unit_quat, rotmat_from_quat
+from oracles import count_independent_cycles, l_matrix, random_unit_quat, rotmat_from_quat, u_matrix
 from test_integrator import dense_newton_matrix, fd_newton_matrix, randomized_feasible_state
 
 SEEDS = range(8)
@@ -123,3 +127,61 @@ def test_jacobian_matches_finite_differences(random_case):
     randomized_feasible_state(mech, ctx, rng, warm_steps=2)
     jac = dense_newton_matrix(mech, ctx)
     assert np.abs(jac - fd_newton_matrix(mech, ctx)).max() <= 1e-6 * np.abs(jac).max()
+
+
+def assert_layout_covers_dense_factors(mech, rng):
+    """Every block the dense LDU oracle fills in L or U lies in the layout's pattern or fill."""
+    ctx = StepContext(h=0.01)
+    randomized_feasible_state(mech, ctx, rng, warm_steps=2)
+    system = newton_system_at(mech, ctx)
+    layout = mech.solver_layout
+    assert system.order == layout.order
+    full, _ = system.assembled()
+    sizes = [system.diag[node].shape[0] for node in system.order]
+    fact = dense_ldu_factorize(full, sizes, pivot_relief=1e-10)
+    pattern = set(layout.pairs) | set(layout.fill_events)
+    offsets = fact.offsets
+    for factor in (l_matrix(fact), u_matrix(fact)):
+        for i, a in enumerate(system.order):
+            for j, b in enumerate(system.order):
+                block = factor[offsets[i] : offsets[i + 1], offsets[j] : offsets[j + 1]]
+                if i != j and block.any():
+                    assert (a, b) in pattern
+    # fill blocks are the blocks numbered past the diagonal and the pattern
+    n_fill = len(layout.sources) - len(layout.order) - len(layout.pairs)
+    assert layout.fill_count == n_fill == len(set(layout.fill_events))
+    return layout
+
+
+def test_layout_covers_dense_factors(random_case):
+    mech, rng = random_case
+    assert_layout_covers_dense_factors(mech, rng)
+
+
+@pytest.mark.parametrize("build", [lambda: make_closed_chain(4), lambda: make_segmented_chain(3)])
+def test_layout_covers_dense_factors_on_chains(rng, build):
+    layout = assert_layout_covers_dense_factors(build(), rng)
+    assert layout.fill_count > 0
+
+
+@pytest.mark.parametrize("n,joint", [(1, "revolute"), (5, "ball"), (20, "revolute")])
+def test_pendulum_layout_has_no_fill(n, joint):
+    layout = make_pendulum(n, joint).solver_layout
+    assert layout.fill_count == 0
+    assert len(layout.sources) == len(layout.order) + len(layout.pairs)
+
+
+def test_layout_is_built_once_per_mechanism(monkeypatch):
+    calls = []
+    build = mcdyn.block_solver.symbolic_layout
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    for module in (mcdyn.block_solver, mcdyn.mechanism):
+        monkeypatch.setattr(module, "symbolic_layout", counted)
+    mech = make_segmented_chain(3)
+    records = run_simulation(mech, StepContext(h=0.01), 3)
+    assert [r.iterations > 0 for r in records] == [True] * 3
+    assert len(calls) == 1
