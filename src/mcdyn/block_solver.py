@@ -13,9 +13,12 @@ Two solvers live here:
   tree and the order places children before parents, the sweep touches
   each node a constant number of times, runs in O(N), and creates no
   fill.  Loop-closure constraints are stacked into a single node appended
-  after the root; fill is then confined to that node's row and column,
-  and its diagonal is handled densely.  :class:`BlockSystem` dicts are an
-  input adapter onto the same layout and sweep.
+  after the root; fill is then confined to that node's row and column.
+  Its dense diagonal is read only at its own pivot, so the nodes' Schur
+  updates of it are collected into panels of at least as many columns as
+  it has rows, and each panel is applied as one matrix product.
+  :class:`BlockSystem` dicts are an input adapter onto the same layout
+  and sweep.
 
 Neither solver pivots across blocks.  Constraint nodes start with an
 exactly zero diagonal and become invertible through the Schur updates of
@@ -205,17 +208,22 @@ class SymbolicLayout:
     ``elimination[k]`` lists, per later neighbour p of k (ascending, fill
     included), the blocks (p, k) and (k, p) and the Schur updates as
     (block (k, q), target block (p, q)) pairs.  ``relieved`` is the
-    position of :data:`LOOP_NODE` or -1, and ``pivot_groups`` lists the
-    positions of the other pivots per block size.  ``loop_layout`` lists
-    the (node id, rows) stacked into :data:`LOOP_NODE`.  ``sources``,
-    ``stacked`` and ``zeros`` say where :meth:`system` takes each block
-    from.
+    position of :data:`LOOP_NODE` (last) or -1, and ``pivot_groups``
+    lists the positions of the other pivots per block size.  The updates
+    of the relieved node's diagonal are not in ``elimination``:
+    ``panel[k]`` is None or (block (k, relieved), flush), and a flush
+    applies the panel gathered since the last one, which is at least as
+    wide as the relieved node has rows or holds its last contributor.
+    ``loop_layout`` lists the (node id, rows) stacked into
+    :data:`LOOP_NODE`.  ``sources``, ``stacked`` and ``zeros`` say where
+    :meth:`system` takes each block from.
     """
 
     order: list
     segments: list
     perm: np.ndarray
     elimination: list
+    panel: list
     relieved: int
     pivot_groups: list
     pairs: list
@@ -287,7 +295,11 @@ def symbolic_layout(order, sizes, rows, sources, loop_ids) -> SymbolicLayout:
     neighbours = [set() for _ in range(n)]
     for p, q in slot:
         neighbours[p].add(q)
-    elimination, fill_events = [], []
+    if LOOP_NODE in nodes[:-1]:
+        raise ValueError(f"node {LOOP_NODE!r} must be last in the elimination order")
+    relieved = n - 1 if LOOP_NODE in nodes else -1
+    deferred = (relieved, relieved)  # updates of the relieved node's diagonal go to ``panel``
+    elimination, fill_events, panel = [], [], [None] * n
     for k in range(n):
         later = sorted(p for p in neighbours[k] if p > k)
         for p, q in product(later, later):
@@ -295,8 +307,16 @@ def symbolic_layout(order, sizes, rows, sources, loop_ids) -> SymbolicLayout:
                 slot[(p, q)] = len(slot)
                 fill_events.append((nodes[p], nodes[q]))
                 neighbours[p].add(q)
-        updates = {p: [(slot[(k, q)], slot[(p, q)]) for q in later] for p in later}
+        updates = {p: [(slot[(k, q)], slot[(p, q)]) for q in later if (p, q) != deferred] for p in later}
         elimination.append([(p, slot[(p, k)], slot[(k, p)], updates[p]) for p in later])
+        if relieved in later:
+            panel[k] = (slot[(k, relieved)], False)
+    # flush once the pending columns reach the relieved node's rows, and after the last node
+    width, pending = 0, [k for k, entry in enumerate(panel) if entry]
+    for k in pending:
+        width += block_sizes[k]
+        if width >= block_sizes[relieved] or k == pending[-1]:
+            panel[k], width = (panel[k][0], True), 0
 
     shapes = [(block_sizes[p], block_sizes[q]) for p, q in slot]
     zero_at = {shape: len(sources) + i for i, shape in enumerate(dict.fromkeys(shapes))}
@@ -307,7 +327,8 @@ def symbolic_layout(order, sizes, rows, sources, loop_ids) -> SymbolicLayout:
         segments=[slice(end - size, end) for size, end in zip(block_sizes, ends)],
         perm=np.concatenate([np.asarray(rows[node], dtype=int) for node in covered]),
         elimination=elimination,
-        relieved=nodes.index(LOOP_NODE) if LOOP_NODE in nodes else -1,
+        panel=panel,
+        relieved=relieved,
         pivot_groups=[[k for k in pivots if block_sizes[k] == size] for size in set(block_sizes)],
         pairs=pairs,
         fill_events=fill_events,
@@ -472,7 +493,10 @@ def sparse_ldu_factorize(system: NodeSystem | BlockSystem) -> SparseFactor:
     most one later neighbour (its parent), so the cost is linear in the
     number of nodes.  With a stacked loop node a node can have two (parent
     and loop node), and the cross updates land in the layout's fill
-    blocks.  A BlockSystem goes through :meth:`BlockSystem.on_layout`.
+    blocks.  The loop node's own diagonal updates wait in a panel of the
+    nodes' L·D columns and U rows until the layout flushes it, which
+    applies them as one product.  A BlockSystem goes through
+    :meth:`BlockSystem.on_layout`.
 
     Pivots are inverted with ``np.linalg.inv`` (the loop node's by
     truncated SVD) and checked together after the sweep; an exactly
@@ -485,12 +509,13 @@ def sparse_ldu_factorize(system: NodeSystem | BlockSystem) -> SparseFactor:
     lay = system.layout
     blocks = list(system.blocks)
     inverses: list = []
+    r, lds, ups = lay.relieved, [], []  # the relieved node's pending panel
     k = 0
     try:
         # ndarray.dot: the same BLAS products as @, with less overhead per call
         for k, steps in enumerate(lay.elimination):
             d = blocks[k]
-            if k == lay.relieved:
+            if k == r:
                 d_inv = ldu_inverse(d, pivot_relief=_LOOP_PIVOT_RELIEF)
             else:
                 d_inv = np.linalg.inv(d)
@@ -502,6 +527,14 @@ def sparse_ldu_factorize(system: NodeSystem | BlockSystem) -> SparseFactor:
                 ld = blocks[lo].dot(d)
                 for up, target in updates:
                     blocks[target] = blocks[target] - ld.dot(blocks[up])
+            if lay.panel[k]:
+                # the relieved node is the last later neighbour, so ld is its L·D
+                up, flush = lay.panel[k]
+                lds.append(ld)
+                ups.append(blocks[up])
+                if flush:
+                    blocks[r] = blocks[r] - np.hstack(lds).dot(np.vstack(ups))
+                    lds, ups = [], []
     except np.linalg.LinAlgError as err:
         _check_pivots(lay, blocks, inverses)
         node, size = lay.order[k], blocks[k].shape[0]
@@ -556,6 +589,9 @@ def pattern_report(layout: SymbolicLayout) -> str:
         lines.append(f"  node {node!r}: size {size}, coupled to {nbrs} (fill included)")
     if layout.loop_layout:
         lines.append(f"  loop node stacks: {layout.loop_layout}")
+    if layout.relieved >= 0:
+        panel = [flush for _, flush in filter(None, layout.panel)]
+        lines.append(f"  loop panel: {len(panel)} contributing nodes, {sum(panel)} products per factorization")
     lines.append(f"  fill events: {layout.fill_count}")
     lines += [f"    fill at ({i!r}, {j!r})" for i, j in layout.fill_events]
     return "\n".join(lines)

@@ -45,6 +45,9 @@ class Scenario:
             raise MechanismError(f"unknown joint kind {self.joint_kind!r}")
         if self.n_links < 1:
             raise MechanismError("n_links must be at least 1")
+        for name in ("h", "tolerance", "duration"):
+            if not math.isfinite(getattr(self, name)):
+                raise MechanismError(f"{name} must be finite, got {getattr(self, name)}")
         if self.h <= 0.0 or self.tolerance <= 0.0 or self.duration < 0.0:
             raise MechanismError("h and tolerance must be positive, duration nonnegative")
 

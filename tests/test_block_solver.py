@@ -320,9 +320,20 @@ class TestAugmentLoopNode:
             merged.rhs[LOOP_NODE], np.concatenate([system.rhs[3], system.rhs[4]])
         )
 
+    def test_loop_node_must_be_last(self, rng):
+        # the loop node's deferred diagonal updates assume no node follows it
+        system = random_loop_system(rng, 4)
+        system.order = [*system.order[:-2], LOOP_NODE, system.order[-2]]
+        with pytest.raises(ValueError, match="must be last"):
+            sparse_ldu_factorize(system)
+
     def test_report_mentions_fill(self, rng):
         system = random_loop_system(rng, 6)
         fact = sparse_ldu_factorize(system.copy())
         text = pattern_report(fact.system.layout)
         assert "fill events" in text
         assert "order" in text
+        panel = [entry for entry in fact.system.layout.panel if entry]
+        flushes = sum(flush for _, flush in panel)
+        assert f"loop panel: {len(panel)} contributing nodes, {flushes} products per factorization" in text
+        assert 1 <= flushes <= len(panel) and panel[-1][1]

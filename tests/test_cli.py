@@ -43,6 +43,8 @@ def test_simulate_dump_pattern(tmp_path):
     assert "order" in text
     assert "loop" in text
     assert "fill events" in text
+    # closed_chain 4: a 5-row loop node, fed by all 8 tree nodes, each at least 5 wide
+    assert "loop panel: 8 contributing nodes, 8 products per factorization" in text
 
 
 def test_bench_convergence(tmp_path, capsys):
@@ -83,6 +85,16 @@ def test_bench_energy_and_drift(tmp_path):
         == 0
     )
     assert e_path.exists() and d_path.exists()
+
+
+@pytest.mark.parametrize("experiment", [["energy", "--n", "1"], ["drift", "--kind", "closed_chain", "--n", "4"]])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_bench_non_finite_duration_is_an_error(tmp_path, capsys, experiment, value):
+    out_path = tmp_path / "out.csv"
+    code = main(["bench", *experiment, "--duration", value, "--out", str(out_path)])
+    assert code == 1
+    assert "error: duration must be finite" in capsys.readouterr().err
+    assert not out_path.exists()
 
 
 def test_missing_file_fails(tmp_path, capsys):

@@ -14,7 +14,7 @@ import pytest
 import mcdyn.block_solver
 import mcdyn.mechanism
 from conftest import make_closed_chain, make_pendulum, make_segmented_chain
-from mcdyn.block_solver import dense_ldu_factorize, dense_ldu_solve, sparse_ldu_factorize, sparse_ldu_solve
+from mcdyn.block_solver import LOOP_NODE, dense_ldu_factorize, dense_ldu_solve, sparse_ldu_factorize, sparse_ldu_solve
 from mcdyn.integrator import StepContext, newton_system_at, run_simulation
 from mcdyn.mechanism import WORLD, load_mechanism
 from oracles import count_independent_cycles, l_matrix, random_unit_quat, rotmat_from_quat, u_matrix
@@ -95,10 +95,23 @@ def test_graph_partitions_nodes(random_case):
     assert 1 <= len(graph.loop_joints) == count_independent_cycles(len(index), edges)
 
 
-def test_sparse_solve_matches_dense_and_lstsq(random_case):
+CHAINS = {"segmented_chain_8": lambda: make_segmented_chain(8), "closed_chain_8": lambda: make_closed_chain(8)}
+
+
+@pytest.fixture(params=[*SEEDS, *CHAINS])
+def solve_case(request):
+    # segmented_chain 8 (40 loop rows, 352 tree rows) applies the loop node's
+    # deferred updates in several panels; closed_chain 8 in one per node
+    if request.param in CHAINS:
+        return CHAINS[request.param](), np.random.default_rng(2000)
+    rng = np.random.default_rng(1000 + request.param)
+    return random_mechanism(rng), rng
+
+
+def test_sparse_solve_matches_dense_and_lstsq(solve_case):
     # plant a solution so the right-hand side is consistent even where the
     # loop node is rank-deficient; body rows are then unique
-    mech, rng = random_case
+    mech, rng = solve_case
     ctx = StepContext(h=0.01)
     randomized_feasible_state(mech, ctx, rng, warm_steps=2)
     system = newton_system_at(mech, ctx)
@@ -108,11 +121,17 @@ def test_sparse_solve_matches_dense_and_lstsq(random_case):
     for node, sl in slices.items():
         system.rhs[node] = b[sl]
 
-    sol = sparse_ldu_solve(sparse_ldu_factorize(system.copy()))
+    fact = sparse_ldu_factorize(system.copy())
+    sol = sparse_ldu_solve(fact)
     x = np.concatenate([sol[node] for node in system.order])
     sizes = [system.diag[node].shape[0] for node in system.order]
-    x_dense = dense_ldu_solve(dense_ldu_factorize(full, sizes, pivot_relief=1e-10), b)
+    dense = dense_ldu_factorize(full, sizes, pivot_relief=1e-10)
+    x_dense = dense_ldu_solve(dense, b)
     assert np.linalg.norm(x - x_dense) <= 1e-9 * np.linalg.norm(x_dense)
+    # the loop node's pivot after all Schur updates, panels included
+    loop = system.order.index(LOOP_NODE)
+    pivot, ref = fact.blocks[loop], dense._blk(loop, loop)
+    assert np.abs(pivot - ref).max() <= 1e-10 * np.abs(ref).max()
     assert np.linalg.norm(full @ x - b) <= 1e-10 * np.linalg.norm(b)
 
     body = np.concatenate([np.arange(full.shape[0])[slices[bid]] for bid in mech.body_ids])
@@ -162,12 +181,20 @@ def test_layout_covers_dense_factors(random_case):
 def test_layout_covers_dense_factors_on_chains(rng, build):
     layout = assert_layout_covers_dense_factors(build(), rng)
     assert layout.fill_count > 0
+    # every update of the loop node's diagonal is routed to its panel, symbolically
+    loop = layout.relieved
+    assert loop == len(layout.order) - 1
+    feeding = [k for k, steps in enumerate(layout.elimination) if loop in [p for p, *_ in steps]]
+    assert [k for k, entry in enumerate(layout.panel) if entry] == feeding
+    targets = [target for steps in layout.elimination for *_, updates in steps for _, target in updates]
+    assert loop not in targets  # block number of the loop node's diagonal
 
 
 @pytest.mark.parametrize("n,joint", [(1, "revolute"), (5, "ball"), (20, "revolute")])
 def test_pendulum_layout_has_no_fill(n, joint):
     layout = make_pendulum(n, joint).solver_layout
     assert layout.fill_count == 0
+    assert layout.relieved == -1 and not any(layout.panel)
     assert len(layout.sources) == len(layout.order) + len(layout.pairs)
 
 

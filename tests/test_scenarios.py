@@ -22,6 +22,12 @@ class TestScenarioValidation:
         with pytest.raises(MechanismError):
             Scenario(kind="pendulum", h=0.0)
 
+    @pytest.mark.parametrize("field", ["h", "tolerance", "duration"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_values(self, field, value):
+        with pytest.raises(MechanismError, match=f"{field} must be finite"):
+            Scenario(kind="pendulum", **{field: value})
+
     def test_custom_file_not_generated(self):
         with pytest.raises(MechanismError):
             generate_scenario(Scenario(kind="custom_file"))
