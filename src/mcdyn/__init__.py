@@ -2,10 +2,11 @@
 
 Rigid bodies carry their full 6-DOF pose; joints are explicit constraints
 enforced at the position level through impulses.  Time stepping is implicit
-and structure-preserving, and the per-step Newton systems are solved by a
-graph-ordered sparse block LDU that runs in linear time on loop-free
-mechanisms and stacks loop-closure constraints into one densely handled
-node.
+and structure-preserving.  Each Newton system is solved by eliminating
+every body with at most three joints in one batched pass, then a
+graph-ordered sparse block LDU over the joints and the remaining hub
+bodies that runs in linear time on loop-free mechanisms and stacks
+loop-closure constraints into one densely handled node.
 """
 
 from .block_solver import (

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quaternions as quat
-from .block_solver import sparse_ldu_factorize, sparse_ldu_solve
-from .integrator import StepContext, check_loads, mechanical_energy, node_system, stacked_loads
+from .integrator import StepContext, check_loads, eliminate_bodies, mechanical_energy, solve_reduced, stacked_loads
 from .mechanism import Mechanism, constraint_jacobian_position, max_violation, velocities, with_world
 
 _EZ = np.array([0.0, 0.0, 1.0])
@@ -77,10 +76,11 @@ def _residual_rates(mech: Mechanism, state: _State) -> list:
     """Per kind group, the (M, rows) time derivatives of the joint residuals."""
     vel = np.concatenate([state.v, state.w], axis=1)
     vel = np.concatenate([vel, np.zeros((1, 6))])[..., None]  # the world is at rest
-    return [
-        (blk_a @ vel[group.parent] + blk_b @ vel[group.child])[..., 0]
-        for group, (blk_a, blk_b) in zip(mech.groups, _coupling_blocks(mech, state))
-    ]
+    rates = []
+    for group, (blk_a, blk_b) in zip(mech.groups, _coupling_blocks(mech, state)):
+        vel_a, vel_b = vel[group.ends]
+        rates.append((blk_a @ vel_a + blk_b @ vel_b)[..., 0])
+    return rates
 
 
 def _rate_bias(mech: Mechanism, state: _State) -> list:
@@ -118,7 +118,7 @@ def _acceleration_rates(mech: Mechanism, state: _State, ctx: StepContext) -> _St
     ):
         rhs[group.rows] = -bias
         couplings.append((blk_a, blk_b, -blk_a.transpose(0, 2, 1), -blk_b.transpose(0, 2, 1)))
-    sol = sparse_ldu_solve(sparse_ldu_factorize(node_system(mech, body_diag, couplings, rhs)))
+    sol = solve_reduced(mech, eliminate_bodies(mech, body_diag, couplings, rhs))
     return _State(state.v.copy(), _qdot(state.q, state.w), *velocities(sol, n))
 
 

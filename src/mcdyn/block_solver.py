@@ -20,10 +20,15 @@ Two solvers live here:
   :class:`BlockSystem` dicts are an input adapter onto the same layout
   and sweep.
 
-Neither solver pivots across blocks.  Constraint nodes start with an
-exactly zero diagonal and become invertible through the Schur updates of
-their eliminated neighbors; a constraint node reaching its pivot without
-any update is reported as a modeling error (dangling constraint).
+The Newton loop eliminates the bodies with at most three joints itself
+(``integrator``) and hands the sweep the joints and the remaining hub
+bodies; a joint's diagonal block is then non-zero where it meets a body
+eliminated first.  Constraint nodes with an exactly zero diagonal (a
+joint between hubs or from a hub to the world, or any joint of a
+:class:`BlockSystem` over bodies and joints) become invertible through
+the Schur updates of their eliminated neighbours; a constraint node
+reaching its pivot without any update is reported as a modeling error
+(dangling constraint).  Neither solver pivots across blocks.
 
 Pivot blocks are inverted with LAPACK under one conditioning rule, checked
 in one batched pass per block size: the inverse must be finite and
@@ -325,7 +330,7 @@ def symbolic_layout(order, sizes, rows, sources, loop_ids) -> SymbolicLayout:
     return SymbolicLayout(
         order=nodes,
         segments=[slice(end - size, end) for size, end in zip(block_sizes, ends)],
-        perm=np.concatenate([np.asarray(rows[node], dtype=int) for node in covered]),
+        perm=np.array([r for node in covered for r in rows[node]], dtype=int),
         elimination=elimination,
         panel=panel,
         relieved=relieved,
@@ -489,11 +494,14 @@ def sparse_ldu_factorize(system: NodeSystem | BlockSystem) -> SparseFactor:
 
     Eliminates nodes in the layout's order; each eliminated node divides
     its couplings by its own diagonal and pushes a Schur update onto the
-    blocks of its later neighbours.  On a tree pattern every node has at
-    most one later neighbour (its parent), so the cost is linear in the
-    number of nodes.  With a stacked loop node a node can have two (parent
-    and loop node), and the cross updates land in the layout's fill
-    blocks.  The loop node's own diagonal updates wait in a panel of the
+    blocks of its later neighbours.  On a tree pattern in children-first
+    order every node has at most one later neighbour (its parent), so the
+    cost is linear in the number of nodes.  The Newton loop's pattern,
+    with the bodies of at most three joints eliminated before the sweep,
+    gives a joint at most two later neighbours on a tree, which already
+    couple to each other, so it stays linear without fill.  With a stacked
+    loop node a node gains one more later neighbour, and the cross updates
+    land in the layout's fill blocks.  The loop node's own diagonal updates wait in a panel of the
     nodes' L·D columns and U rows until the layout flushes it, which
     applies them as one product.  A BlockSystem goes through
     :meth:`BlockSystem.on_layout`.

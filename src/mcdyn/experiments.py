@@ -136,11 +136,14 @@ def run_timing_experiment(
     """Best-of-`repeats` wall time of one factorize-and-substitute pass.
 
     For each pendulum size, the mechanism is stepped three times to a
-    representative warm state and the Newton matrix is assembled once and
-    put on the sparse solver's layout; then the linear-solve kernel is
-    timed: (a) the numeric sparse factorize and substitute of the Newton
-    loop, (b) the dense in-place pass over the same blocks, skipped above
-    `dense_max`.  Assembly and the layout build are excluded. The repeats run in
+    representative warm state and the full Newton matrix, bodies and joints
+    as graph nodes, is assembled once and put on a layout of its pattern;
+    then the linear-solve kernel is timed: (a) the numeric sparse factorize
+    and substitute over that graph, the paper's O(n) block LDU, which is
+    not the step's own solve (that one eliminates the bodies with at most
+    three joints in one batch first and runs the same sweep over the rest),
+    (b) the dense in-place pass over the same
+    blocks, skipped above `dense_max`.  Assembly and the layout build are excluded. The repeats run in
     rounds that time every size once, so a slow spell of the host inflates
     one round of all sizes instead of every repeat of one size. Timings use
     a monotonic clock and the first (warm-up) round is discarded.

@@ -4,10 +4,18 @@ Each step solves the nonlinear system stacking, for every body, the
 discrete translational and rotational momentum-balance residuals over the
 last two knots and, for every constraint, the joint residual evaluated at
 the predicted next knot.  The unknowns are the next-interval velocities of
-all bodies plus the constraint impulses.  A damped Newton iteration with
-the graph-ordered sparse block solver drives the residual to tolerance;
-the converged velocities then advance the poses through the norm-preserving
-update rules and the solution warm-starts the next step.
+all bodies plus the constraint impulses.  A damped Newton iteration drives
+the residual to tolerance; the converged velocities then advance the poses
+through the norm-preserving update rules and the solution warm-starts the
+next step.
+
+Each Newton step is solved body first.  Bodies couple only to joints, so
+all bodies with at most three joints are eliminated in one batched pass
+while the Jacobian is assembled (:func:`eliminate_bodies`); the
+graph-ordered sparse block LDU then runs over the joints and the hubs
+(bodies with more joints), which creates no fill on a tree, and one
+batched back-substitution recovers the other body rows
+(:func:`solve_reduced`).
 
 Every residual and Jacobian evaluation works on stacked arrays: all bodies
 at once, and all joints of one kind at once.  The state is the
@@ -25,12 +33,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import quaternions as quat
-from .block_solver import BlockSystem, NodeSystem, sparse_ldu_factorize, sparse_ldu_solve
-# stepbench/tracing.py times augment_loop_node under this name; the Newton
-# loop stacks loops through the mechanism's layout and never calls it
-from .block_solver import augment_loop_node  # noqa: F401
-from .errors import AngularRateError, LineSearchError, NonConvergenceError, SimulationError
+from .block_solver import (
+    BlockSystem,
+    NodeSystem,
+    _pivot_failures,
+    augment_loop_node,
+    ldu_inverse,
+    sparse_ldu_factorize,
+    sparse_ldu_solve,
+)
+from .errors import AngularRateError, LineSearchError, NonConvergenceError, SimulationError, SingularBlockError
 from .mechanism import (
+    WORLD,
     Mechanism,
     check_parameter,
     constraint_jacobian_position,
@@ -159,8 +173,8 @@ def assemble_residual(
     pull = np.zeros((n + 1, 6))  # the last row collects the world's share
     for group, (pos_a, pos_b) in zip(mech.groups, pos_blocks):
         lam = s[group.rows][:, None, :]
-        np.add.at(pull, group.parent, (lam @ pos_a)[:, 0])
-        np.add.at(pull, group.child, (lam @ pos_b)[:, 0])
+        np.add.at(pull, group.ends[0], (lam @ pos_a)[:, 0])
+        np.add.at(pull, group.ends[1], (lam @ pos_b)[:, 0])
         f[group.rows] = joint_residual(group, x3, q3)
     jw2 = (mech.inertia @ w2[:, :, None])[..., 0]
     s2 = quat._rate_scalar(w2, h)[:, None]
@@ -185,38 +199,122 @@ def assemble_residual(
 # Jacobian
 
 
-def node_system(
-    mech: Mechanism, body_diag: np.ndarray, couplings: list, rhs: np.ndarray
-) -> NodeSystem:
-    """A system with the Newton pattern on the mechanism's solver layout.
+@dataclass
+class ReducedSystem:
+    """A Newton-pattern system with the bodies outside the hubs eliminated.
 
-    ``body_diag`` stacks the (N, 6, 6) body diagonal blocks; joint diagonal
-    blocks are zero.  ``couplings`` holds per kind group the stacked blocks
-    (row_a, row_b, col_a, col_b): (M, rows, 6) blocks in the joints' rows
-    and (M, 6, rows) blocks in the bodies' rows, on the parent (a) and
-    child (b) side; world parents contribute no blocks.  ``rhs`` is laid
-    out like the unknowns.
+    The system is [[B, C], [V, 0]] over (body rows, joint rows), with B the
+    block-diagonal body blocks, C the couplings in the bodies' rows and V
+    those in the joints' rows.  With E the bodies eliminated first
+    (``Mechanism.first_rows``), ``joints`` is the system left over the
+    hubs and joints, with the Schur complement -V_E B_E^-1 C_E added to
+    the joint block and the right-hand side f_J - V_E B_E^-1 f_E, on the
+    mechanism's solver layout.  ``inverse`` stacks B_E^-1 with zero rows
+    for the hubs and a zero last row for the world, ``body_rhs`` stacks
+    f_B with a zero last row, and ``cols`` keeps each kind group's C
+    blocks, (2, M, 6, rows) on its parent and child side, for the
+    back-substitution.
     """
-    blocks = [*body_diag]
-    for stacks in couplings:
-        for stack in stacks:
-            blocks += [*stack]
-    return mech.solver_layout.system(blocks, rhs)
+
+    joints: NodeSystem
+    inverse: np.ndarray  # (N + 1, 6, 6)
+    body_rhs: np.ndarray  # (N + 1, 6)
+    cols: list
 
 
-def assemble_jacobian(
-    mech: Mechanism, layout: SystemLayout, pos_blocks: list, s: np.ndarray, f: np.ndarray
-) -> NodeSystem:
-    """The Newton system at the unknowns ``s``: the exact Jacobian of the residual.
+def eliminate_bodies(
+    mech: Mechanism, body_diag: np.ndarray, couplings: list, rhs: np.ndarray
+) -> ReducedSystem:
+    """Eliminate the bodies outside the hubs of a Newton-pattern system in one batched pass.
 
-    Diagonal blocks: the 6x6 velocity derivative of each body's momentum
-    balance; an exactly zero block for each constraint.  Off-diagonal
-    blocks: minus the transposed position-Jacobian (body row, constraint
-    column; the impulse direction) and the predicted-knot velocity Jacobian
-    (constraint row, body column).  The zero/non-zero pattern is symmetric
-    and identical to the mechanism's incidence graph.  The blocks go
-    straight into the slots of the mechanism's solver layout, with the
-    residual ``f`` at the same unknowns as the right-hand side.
+    ``body_diag`` stacks the (N, 6, 6) body blocks, whose translational
+    parts are multiples of the identity and which have no translational-
+    rotational coupling; joint diagonal blocks are zero.  ``couplings``
+    holds per kind group the stacked blocks (row_a, row_b, col_a, col_b):
+    (M, rows, 6) blocks in the joints' rows and (M, 6, rows) blocks in the
+    bodies' rows, on the parent (a) and child (b) side; world parents
+    contribute nothing.  ``rhs`` is laid out like the unknowns.  Bodies are
+    never adjacent to each other, so the pivots of those eliminated here
+    are their body blocks: the rotational parts are inverted together and
+    all body blocks are checked in one pass, raising SingularBlockError
+    naming the first failing body in id order.  The Schur blocks, the
+    hubs' blocks and their couplings go into the mechanism's solver layout,
+    whose sweep pivots the hubs.
+    """
+    n = len(mech.body_ids)
+    inverse = np.zeros((n + 1, 6, 6))  # world parents meet the zero last row
+    inverse[:n, :3, :3] = np.eye(3) / body_diag[:, :1, :1]
+    try:
+        inverse[:n, 3:, 3:] = np.linalg.inv(body_diag[:, 3:, 3:])
+    except np.linalg.LinAlgError:
+        for k, bid in enumerate(mech.body_ids):  # one at a time, to name the first failing body
+            try:
+                ldu_inverse(body_diag[k])
+            except SingularBlockError as err:
+                raise SingularBlockError(f"singular diagonal block at node {bid!r}: {err}") from None
+        raise
+    for k, reason in _pivot_failures(np.concatenate([body_diag, inverse[:n]]))[:1]:
+        raise SingularBlockError(f"singular diagonal block at node {mech.body_ids[k]!r}: {reason}")
+    inverse[mech.hub_rows] = 0.0  # the sweep pivots the hubs
+    body_rhs = np.zeros((n + 1, 6))
+    body_rhs[:n] = rhs[: 6 * n].reshape(n, 6)
+    rhs = rhs.copy()
+    blocks, left, cols, hub_blocks = [], [], [], []  # per group, V B^-1 and C on both sides
+    for group, (row_a, row_b, col_a, col_b), hub in zip(mech.groups, couplings, mech.hub_sides):
+        # concatenate and reshape: the stacks np.stack makes, at under half its call cost
+        row = np.concatenate([row_a, row_b]).reshape(2, *row_a.shape)
+        col = np.concatenate([col_a, col_b]).reshape(2, *col_a.shape)
+        vb = row @ inverse[group.ends]
+        diag = vb @ col
+        blocks += [*-(diag[0] + diag[1])]
+        pull = vb @ body_rhs[group.ends][..., None]
+        rhs[group.rows] -= (pull[0] + pull[1])[..., 0]
+        left.append(vb)
+        cols.append(col)
+        if len(hub[0]):
+            hub_blocks += [*row[hub], *col[hub]]
+    for g, h, pairs, rows, cs, twice in mech.joint_pairs:
+        terms = left[g][rows] @ cols[h][cs]
+        stack = -terms[: len(pairs)]
+        if len(twice):
+            stack[twice] -= terms[len(pairs) :]
+        blocks += [*stack]
+    blocks += [*body_diag[mech.hub_rows], *hub_blocks]
+    joints = mech.solver_layout.system(blocks, rhs[mech.sweep_rows])
+    return ReducedSystem(joints=joints, inverse=inverse, body_rhs=body_rhs, cols=cols)
+
+
+def solve_reduced(mech: Mechanism, system: ReducedSystem) -> np.ndarray:
+    """The solution of a body-eliminated system, laid out like the unknowns.
+
+    The sparse LDU over the solver layout gives the hub and joint rows (a
+    mechanism without joints has no sweep); the rows of the bodies
+    eliminated first are then B^-1 (f_B - C x_J), all at once.
+    """
+    n = len(mech.body_ids)
+    x = np.zeros(mech.dim)
+    rest = system.body_rhs.copy()
+    if mech.solver_layout.order:
+        x[mech.sweep_rows] = sparse_ldu_solve(sparse_ldu_factorize(system.joints))
+        for group, col in zip(mech.groups, system.cols):
+            np.subtract.at(rest, group.ends, (col @ x[group.rows][..., None])[..., 0])
+    # the hubs' rows of B^-1 are zero: this adds to the other bodies' rows only
+    x[: 6 * n] += (system.inverse[:n] @ rest[:n, :, None]).ravel()
+    return x
+
+
+def jacobian_blocks(
+    mech: Mechanism, layout: SystemLayout, pos_blocks: list, s: np.ndarray
+) -> tuple[np.ndarray, list]:
+    """The exact Jacobian of the residual at the unknowns ``s``, as stacked blocks.
+
+    Returns the (N, 6, 6) velocity derivatives of the bodies' momentum
+    balances and, per kind group, the couplings (row_a, row_b, col_a,
+    col_b) of :func:`eliminate_bodies`: the predicted-knot velocity
+    Jacobian in the joints' rows and minus the transposed knot-2 position
+    Jacobian (the impulse direction) in the bodies' rows.  The joint
+    diagonal blocks are exactly zero, so the pattern is the mechanism's
+    incidence graph.
     """
     n = len(mech.body_ids)
     h = layout.h
@@ -240,16 +338,45 @@ def assemble_jacobian(
         )
         for group, (pos_a, pos_b) in zip(mech.groups, pos_blocks)
     ]
-    return node_system(mech, body_diag, couplings, f)
+    return body_diag, couplings
+
+
+def assemble_jacobian(
+    mech: Mechanism, layout: SystemLayout, pos_blocks: list, s: np.ndarray, f: np.ndarray
+) -> ReducedSystem:
+    """The Newton system at the unknowns ``s`` with the bodies outside the hubs eliminated.
+
+    The blocks of :func:`jacobian_blocks`, with the residual ``f`` at the
+    same unknowns as the right-hand side, go through
+    :func:`eliminate_bodies`; :func:`solve_reduced` solves the result.
+    """
+    return eliminate_bodies(mech, *jacobian_blocks(mech, layout, pos_blocks, s), f)
 
 
 def newton_system_at(mech: Mechanism, ctx: StepContext) -> BlockSystem:
-    """The first Newton system a solve from the current state would factorize, as block dicts."""
+    """The first Newton system a solve from the current state would solve, as block dicts.
+
+    The full system over bodies and joints, in the graph's elimination
+    order with the loop joints stacked into the loop node, built from the
+    same blocks as the Newton loop's body-eliminated system.
+    """
     layout = build_layout(mech, ctx)
     pos_blocks = position_jacobian_blocks(mech, layout)
     s = mech.unknowns
     f = assemble_residual(mech, layout, pos_blocks, s)
-    return assemble_jacobian(mech, layout, pos_blocks, s, f).as_block_system()
+    body_diag, couplings = jacobian_blocks(mech, layout, pos_blocks, s)
+    diag = dict(zip(mech.body_ids, body_diag))
+    offdiag = {}
+    for group, (row_a, row_b, col_a, col_b) in zip(mech.groups, couplings):
+        for k, (jid, a, b) in enumerate(zip(group.ids, group.parent_ids, group.child_ids)):
+            diag[jid] = np.zeros((group.width, group.width))
+            if a != WORLD:
+                offdiag[jid, a], offdiag[a, jid] = row_a[k], col_a[k]
+            offdiag[jid, b], offdiag[b, jid] = row_b[k], col_b[k]
+    rhs = {node: f[sl] for node, sl in (mech.body_slices | mech.joint_slices).items()}
+    loops = mech.graph.loop_joints
+    system = BlockSystem(diag, offdiag, [*mech.graph.order, *sorted(loops)], rhs)
+    return augment_loop_node(system, loops)
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +425,7 @@ def newton_solve(
         if norm < tol:
             return NewtonInfo(iterations=0, residual_norm=norm, history=history)
         for it in range(1, max_iters + 1):
-            system = assemble_jacobian(mech, layout, pos_blocks, s, f)
-            ds = sparse_ldu_solve(sparse_ldu_factorize(system))
+            ds = solve_reduced(mech, assemble_jacobian(mech, layout, pos_blocks, s, f))
 
             alpha = 1.0
             accepted = False

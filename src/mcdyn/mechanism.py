@@ -6,8 +6,10 @@ explicit constraint equations g = 0 enforced at the position level.
 
 The incidence structure (bodies and constraints as nodes, one edge per
 body-constraint attachment) mirrors the block pattern of the implicit
-step's Newton matrix, so the elimination order and loop-closure detection
-computed here drive the sparse solver directly.
+step's Newton matrix.  The solver eliminates every body with at most
+three joints first, which couples the joints that share such a body; the
+elimination order of the joints and hub bodies that remain and the
+loop-closure set computed here drive the sparse solver directly.
 
 World attachments are constraints against an immovable environment: the
 world contributes no unknowns and no graph node of its own, but a virtual
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 import yaml
@@ -138,7 +141,8 @@ class JointGroup:
 
     The kernels read stacked pose arrays with one row per body in id order
     and a last row for the world (origin, identity orientation), as built
-    by :func:`with_world`; ``parent`` and ``child`` index those rows.
+    by :func:`with_world`; ``ends`` indexes those rows, the parents' then
+    the children's, along a leading sides axis.
     ``rows`` holds, per joint, the indices of its residual rows (and of its
     multipliers) in the stacked Newton vector.  ``normals`` stacks each
     revolute joint's n1, n2; ``target`` holds rows 1-3 of
@@ -150,11 +154,10 @@ class JointGroup:
     ids: list
     parent_ids: list
     child_ids: list
-    parent: np.ndarray  # (M,)
-    child: np.ndarray  # (M,)
     p_a: np.ndarray  # (M, 3)
     p_b: np.ndarray  # (M, 3)
     rows: np.ndarray  # (M, rows)
+    ends: np.ndarray  # (2, M): parent, child
     axis_a: np.ndarray | None  # (M, 3)
     normals: np.ndarray | None  # (M, 2, 3)
     target: np.ndarray | None  # (M, 3, 4)
@@ -180,8 +183,9 @@ def joint_residual(group: JointGroup, x: np.ndarray, q: np.ndarray) -> np.ndarra
     hinge axes for revolute joints, plus matched orientation for fixed
     attachments.
     """
-    qa, qb = q[group.parent], q[group.child]
-    ball = x[group.parent] + quat.rotate(qa, group.p_a) - x[group.child] - quat.rotate(qb, group.p_b)
+    qa, qb = q[group.ends]
+    xa, xb = x[group.ends]
+    ball = xa + quat.rotate(qa, group.p_a) - xb - quat.rotate(qb, group.p_b)
     if group.kind == KIND_BALL:
         return ball
     if group.kind == KIND_REVOLUTE:
@@ -201,7 +205,7 @@ def joint_jacobian_raw(group: JointGroup, q: np.ndarray) -> tuple[np.ndarray, np
     the three anchor rows, zero below.  Blocks of a world parent are
     computed like the others and left out by the callers.  Exact for any q.
     """
-    qa, qb = q[group.parent], q[group.child]
+    qa, qb = q[group.ends]
     shape = (len(group.ids), group.width, 4)
     dq_a, dq_b = np.zeros(shape), np.zeros(shape)
     dq_a[:, :3] = quat.rotate_jacobian(qa, group.p_a)
@@ -232,9 +236,10 @@ def constraint_jacobian_position(group: JointGroup, q: np.ndarray) -> tuple[np.n
     motion transposed, multiplied by the constraint impulses.
     """
     dq_a, dq_b = joint_jacobian_raw(group, q)
+    qa, qb = q[group.ends]
     return (
-        _with_translation(1.0, quat.rotational_jacobian(q[group.parent], dq_a)),
-        _with_translation(-1.0, quat.rotational_jacobian(q[group.child], dq_b)),
+        _with_translation(1.0, quat.rotational_jacobian(qa, dq_a)),
+        _with_translation(-1.0, quat.rotational_jacobian(qb, dq_b)),
     )
 
 
@@ -251,9 +256,10 @@ def constraint_jacobian_velocity(
     orientation_update_jacobian(q2, w2, h), both with a world row.
     """
     dq_a, dq_b = joint_jacobian_raw(group, q3)
+    jac_a, jac_b = rot_jac[group.ends]
     return (
-        _with_translation(h, dq_a @ rot_jac[group.parent]),
-        _with_translation(-h, dq_b @ rot_jac[group.child]),
+        _with_translation(h, dq_a @ jac_a),
+        _with_translation(-h, dq_b @ jac_b),
     )
 
 
@@ -261,24 +267,96 @@ def _indices(sl: slice) -> np.ndarray:
     return np.arange(sl.start, sl.stop)
 
 
-def _solver_layout(mech) -> SymbolicLayout:
-    """The sparse solver's layout of every system on the Newton pattern.
+def _hubs(body_index: dict, joints: dict) -> np.ndarray:
+    """Per stacked pose row, whether the sparse sweep keeps that body as a node (a hub).
 
-    Blocks come as the body diagonals in id order, then per kind group the
-    coupling stacks (joint, parent), (joint, child), (parent, joint) and
-    (child, joint) of ``integrator.assemble_jacobian``; world parents
-    supply nothing.  Joint diagonals are zero, the graph's order is the
-    elimination order, and the loop joints are stacked into the loop node.
+    Eliminating a body with d joints before the sweep couples each ordered
+    pair of them: d(d - 1) joint-pair blocks in place of the 2d body-joint
+    blocks it has as a node, and a dense d-clique whose elimination costs
+    O(d^3).  A body therefore goes first only where that adds no block,
+    d(d - 1) <= 2d, i.e. d <= 3; a hub, with four or more joints, stays a
+    node of the sweep, where it costs O(d), so the step stays linear in
+    the size of any tree.  The last row, the world's, is no hub.
     """
-    sources = [(b, b) for b in mech.body_ids]
-    for g in mech.groups:
-        parents = [None if a == WORLD else a for a in g.parent_ids]
-        for ends in ((g.ids, parents), (g.ids, g.child_ids), (parents, g.ids), (g.child_ids, g.ids)):
-            sources += [None if None in pair else pair for pair in zip(*ends)]
-    slices = mech.body_slices | mech.joint_slices
-    sizes = {n: sl.stop - sl.start for n, sl in slices.items()}
-    rows = {n: _indices(sl) for n, sl in slices.items()}
-    return symbolic_layout(mech.graph.order, sizes, rows, sources, mech.graph.loop_joints)
+    degree = np.zeros(len(body_index) + 1, dtype=int)
+    for joint in joints.values():
+        for b in (joint.parent, joint.child):
+            if b != WORLD:
+                degree[body_index[b]] += 1
+    return degree * (degree - 1) > 2 * degree
+
+
+def _joint_pairs(groups: list, hubs: set) -> list:
+    """Which kind-group stacks couple two joints once the bodies are eliminated.
+
+    Two joints attached to one body outside ``hubs`` get a Schur term from
+    it, one per ordered pair; a pair sharing two such bodies gets one block,
+    the sum of both terms.  Returns per (row group, column group) with such
+    pairs the tuple (row group, column group, pairs, rows, cols, twice).
+    ``pairs`` are the ordered (row joint id, column joint id) whose blocks
+    the stack holds.  ``rows`` and ``cols`` index the terms as (side,
+    position) arrays into the groups' stacks with a leading sides axis
+    (``JointGroup.ends``): the row joint's side and position, and the
+    column joint's.  The first ``len(pairs)`` terms are the pairs in order;
+    the terms after them add to the pairs ``twice``, those sharing both
+    bodies.
+    """
+    attached: dict = {}  # body id -> [(group, side, position)]
+    for g, group in enumerate(groups):
+        for side, ends in enumerate((group.parent_ids, group.child_ids)):
+            for i, b in enumerate(ends):
+                if b != WORLD and b not in hubs:
+                    attached.setdefault(b, []).append((g, side, i))
+    stacks: dict = {}  # (row group, column group) -> ({(row id, column id): pair}, [first terms], [second terms])
+    for b in sorted(attached):
+        for (g, s, i), (h, t, j) in product(attached[b], attached[b]):
+            key = (groups[g].ids[i], groups[h].ids[j])
+            if key[0] != key[1]:
+                pairs, first, second = stacks.setdefault((g, h), ({}, [], []))
+                if key in pairs:
+                    second.append((pairs[key], s, i, t, j))
+                else:
+                    pairs[key] = len(pairs)
+                    first.append((pairs[key], s, i, t, j))
+    out = []
+    for (g, h), (pairs, first, second) in stacks.items():
+        terms = np.array(first + second, dtype=int).T
+        out.append((g, h, list(pairs), (terms[1], terms[2]), (terms[3], terms[4]), terms[0][len(pairs) :]))
+    return out
+
+
+def _solver_layout(mech) -> tuple[SymbolicLayout, np.ndarray]:
+    """The sparse solver's layout of the Newton system once the non-hub bodies are eliminated.
+
+    Its nodes are the joints and the hubs (``mech.hub_rows``).  Its rows
+    are the stacked Newton vector's hub rows, then its joint rows; the
+    stacked row of each is returned with the layout.  Blocks come as each
+    kind group's joint diagonals, the pair stacks of ``mech.joint_pairs``
+    (:func:`_joint_pairs`), the hubs' diagonals, then per kind group the
+    couplings (joint, hub) and (hub, joint) at ``mech.hub_sides``, as
+    ``integrator.eliminate_bodies`` supplies them.  The graph's order
+    (children first) over these nodes is the elimination order, and the
+    loop joints are stacked into the loop node.  On a tree the later
+    neighbours of each node then already couple to each other, so the
+    sweep creates no fill.
+    """
+    hubs = [mech.body_ids[r] for r in mech.hub_rows]
+    slices = {b: mech.body_slices[b] for b in hubs} | mech.joint_slices
+    sweep_rows = np.array([r for sl in slices.values() for r in range(sl.start, sl.stop)], dtype=int)
+    place = np.empty(mech.dim, dtype=int)
+    place[sweep_rows] = np.arange(len(sweep_rows))
+    sizes = {node: sl.stop - sl.start for node, sl in slices.items()}
+    rows = {node: place[sl] for node, sl in slices.items()}
+    sources = [(j, j) for g in mech.groups for j in g.ids]
+    for _, _, pairs, *_ in mech.joint_pairs:
+        sources += pairs
+    sources += [(b, b) for b in hubs]
+    for g, (sides, positions) in zip(mech.groups, mech.hub_sides):
+        ends = [(g.parent_ids, g.child_ids)[s][i] for s, i in zip(sides, positions)]
+        ids = [g.ids[i] for i in positions]
+        sources += [*zip(ids, ends), *zip(ends, ids)]
+    order = [node for node in mech.graph.order if node in sizes]
+    return symbolic_layout(order, sizes, rows, sources, mech.graph.loop_joints), sweep_rows
 
 
 def _kind_groups(body_index: dict, joints: dict, joint_slices: dict) -> list[JointGroup]:
@@ -296,11 +374,10 @@ def _kind_groups(body_index: dict, joints: dict, joint_slices: dict) -> list[Joi
                 ids=[j.id for j in members],
                 parent_ids=[j.parent for j in members],
                 child_ids=[j.child for j in members],
-                parent=np.array([row[j.parent] for j in members]),
-                child=np.array([row[j.child] for j in members]),
                 p_a=np.array([j.p_a for j in members]),
                 p_b=np.array([j.p_b for j in members]),
                 rows=np.array([_indices(joint_slices[j.id]) for j in members]),
+                ends=np.array([[row[j.parent] for j in members], [row[j.child] for j in members]]),
                 axis_a=np.array([j.axis_a for j in members]) if revolute else None,
                 normals=np.array([[j.n1, j.n2] for j in members]) if revolute else None,
                 target=(
@@ -436,9 +513,14 @@ class Mechanism:
     Joint definitions, the graph and everything derived from them are fixed
     after construction: the stacked Newton vector (the 6 velocity unknowns
     of each body in id order, then the multipliers of each joint in id
-    order), the kind groups, the stacked masses and inertias, and
-    ``solver_layout``, the sparse solver's symbolic layout of the Newton
-    system, built once here.
+    order), the kind groups, the stacked masses and inertias, and the
+    structure of the Newton system once the bodies with at most three
+    joints (rows ``first_rows``) are eliminated: ``hub_rows``, the other
+    bodies, and ``hub_sides``, per kind group the (sides, positions) of
+    the joint ends at a hub; ``joint_pairs``, the joint pairs coupled
+    through an eliminated body; and ``solver_layout``, the sparse solver's
+    symbolic layout over the joints and hubs, whose rows are the stacked
+    rows ``sweep_rows``; all built once here.
 
     The state is the knot arrays ``x1, q1, x2, q2, v1, w1`` ((N, 3) or
     (N, 4), one row per body in id order) and ``unknowns``, the stacked
@@ -467,7 +549,13 @@ class Mechanism:
             off += joints[jid].rows
         self.dim = off
         self.groups = _kind_groups(self.body_index, joints, self.joint_slices)
-        self.solver_layout = _solver_layout(self)
+        # np.isin and np.setdiff1d would import numpy.ma, over 1 MB of RSS
+        is_hub = _hubs(self.body_index, joints)
+        self.hub_rows = np.flatnonzero(is_hub)
+        self.first_rows = np.flatnonzero(~is_hub[:-1])
+        self.hub_sides = [np.nonzero(is_hub[g.ends]) for g in self.groups]
+        self.joint_pairs = _joint_pairs(self.groups, {self.body_ids[r] for r in self.hub_rows})
+        self.solver_layout, self.sweep_rows = _solver_layout(self)
         self.mass = np.array([bodies[b].mass for b in self.body_ids])
         self.inertia = np.array([bodies[b].inertia for b in self.body_ids])
         self.x1, self.q1, self.v1, self.w1 = (np.array(a, dtype=float) for a in (x, q, v, w))

@@ -91,3 +91,52 @@ def mixed_kind_pendulum():
     for joint in (fixed, ball):
         del joint["parent_axis"], joint["child_axis"]
     return load_mechanism(data)
+
+
+def _ball_jointed(positions, joint_points):
+    """Description of ball-jointed bodies at identity orientations.
+
+    ``positions`` maps body id -> centre; ``joint_points`` maps joint id ->
+    (parent, child, world point), so the assembly is exact.
+    """
+    frame = {**positions, "world": np.zeros(3)}
+    bodies = [
+        {"id": b, "mass": 1.0, "inertia": [0.1, 0.1, 0.05, 0.0, 0.0, 0.0],
+         "position": list(map(float, x)), "quaternion": [1.0, 0.0, 0.0, 0.0]}
+        for b, x in positions.items()
+    ]
+    joints = [
+        {"id": jid, "kind": "ball", "parent": a, "child": b,
+         "parent_anchor": list(map(float, w - frame[a])), "child_anchor": list(map(float, w - frame[b]))}
+        for jid, (a, b, w) in joint_points.items()
+    ]
+    return {"bodies": bodies, "joints": joints}
+
+
+def _initialized(data, h=0.01):
+    mech = load_mechanism(data)
+    mech.initialize(h)
+    return mech
+
+
+def hub_star_description(d=20):
+    """A hub hung from the world carrying ``d`` radial rods: one body with d + 1 joints."""
+    angles = np.linspace(0.0, 2.0 * np.pi, d, endpoint=False)
+    dirs = {i + 2: np.array([np.cos(a), np.sin(a), 0.0]) for i, a in enumerate(angles)}
+    positions = {1: np.zeros(3), **dirs}
+    joints = {2 * d + 2: ("world", 1, np.array([0.0, 0.0, 0.5]))}
+    joints |= {d + b: (1, b, 0.5 * u) for b, u in dirs.items()}
+    return _ball_jointed(positions, joints)
+
+
+def hub_star(d=20):
+    return _initialized(hub_star_description(d))
+
+
+def comb(k=10):
+    """A chain of ``k`` spine links hung from the world, each carrying a tooth: spine links have three joints."""
+    positions = {i: np.array([i - 0.5, 0.0, 0.0]) for i in range(1, k + 1)}
+    positions |= {k + i: np.array([i - 0.5, 0.0, -0.5]) for i in range(1, k + 1)}
+    joints = {2 * k + i: ("world" if i == 1 else i - 1, i, np.array([i - 1.0, 0.0, 0.0])) for i in range(1, k + 1)}
+    joints |= {3 * k + i: (i, k + i, np.array([i - 0.5, 0.0, 0.0])) for i in range(1, k + 1)}
+    return _initialized(_ball_jointed(positions, joints))

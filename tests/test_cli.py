@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import hub_star_description
 from mcdyn.cli import main
 from mcdyn.mechanism import save_mechanism
 from mcdyn.scenarios import Scenario, generate_scenario
@@ -43,8 +44,22 @@ def test_simulate_dump_pattern(tmp_path):
     assert "order" in text
     assert "loop" in text
     assert "fill events" in text
-    # closed_chain 4: a 5-row loop node, fed by all 8 tree nodes, each at least 5 wide
-    assert "loop panel: 8 contributing nodes, 8 products per factorization" in text
+    # closed_chain 4: the 4 bodies go first; a 5-row loop node, fed by all
+    # 4 tree joints, each 5 wide
+    assert text.startswith("4 bodies eliminated first in one batch; 5 joint nodes\n")
+    assert "loop panel: 4 contributing nodes, 4 products per factorization" in text
+
+
+def test_simulate_dump_pattern_names_hubs(tmp_path):
+    # the hub has 21 joints and stays a node of the sweep; its 20 rods go first
+    mech_path = tmp_path / "hub.yaml"
+    save_mechanism(hub_star_description(20), mech_path)
+    pattern_path = tmp_path / "pattern.txt"
+    args = ["simulate", str(mech_path), "--duration", "0.02", "--out", str(tmp_path / "traj.csv")]
+    assert main([*args, "--dump-pattern", str(pattern_path)]) == 0
+    text = pattern_path.read_text()
+    assert text.startswith("20 bodies eliminated first in one batch; 21 joint nodes; hubs kept as nodes: 1\n")
+    assert "fill events: 0" in text
 
 
 def test_bench_convergence(tmp_path, capsys):

@@ -4,20 +4,24 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import mcdyn.integrator
 import mcdyn.quaternions as quat
 from conftest import make_closed_chain, make_pendulum, make_segmented_chain, mixed_kind_pendulum, star_mechanism
-from mcdyn.block_solver import sparse_ldu_factorize, sparse_ldu_solve
-from mcdyn.errors import AngularRateError, NewtonError, SimulationError
+from mcdyn.block_solver import LOOP_NODE, sparse_ldu_factorize, sparse_ldu_solve
+from mcdyn.errors import AngularRateError, NewtonError, SimulationError, SingularBlockError
 from mcdyn.integrator import (
     StepContext,
     angular_momentum,
     assemble_jacobian,
     assemble_residual,
     build_layout,
+    eliminate_bodies,
+    jacobian_blocks,
     newton_solve,
     newton_system_at,
     position_jacobian_blocks,
     run_simulation,
+    solve_reduced,
     step,
     total_energy,
 )
@@ -62,16 +66,44 @@ def hanging_pendulum(n=2):
     return load_mechanism({"bodies": bodies, "joints": joints})
 
 
+def elimination_rows(mech, system):
+    """The unknown's row of each row of ``newton_system_at``'s system, in its node order."""
+    rows = {n: np.arange(mech.dim)[sl] for n, sl in (mech.body_slices | mech.joint_slices).items()}
+    if system.loop_layout:
+        rows[LOOP_NODE] = np.concatenate([rows[j] for j, _ in system.loop_layout])
+    return np.concatenate([rows[n] for n in system.order])
+
+
 def dense_newton_matrix(mech, ctx):
     """The assembled Jacobian, rows and columns in the order of the unknowns."""
-    layout = build_layout(mech, ctx)
-    pos_blocks = position_jacobian_blocks(mech, layout)
-    system = assemble_jacobian(mech, layout, pos_blocks, mech.unknowns, np.zeros(mech.dim))
-    elim, _ = system.as_block_system().assembled()
-    perm = system.layout.perm  # stacked row of each elimination-order row
+    system = newton_system_at(mech, ctx)
+    elim, _ = system.assembled()
+    perm = elimination_rows(mech, system)
     full = np.empty_like(elim)
     full[np.ix_(perm, perm)] = elim
     return full
+
+
+def reduced_newton_system(mech, ctx, rhs):
+    """The Newton loop's body-eliminated system at the current unknowns, right-hand side ``rhs``."""
+    layout = build_layout(mech, ctx)
+    return assemble_jacobian(mech, layout, position_jacobian_blocks(mech, layout), mech.unknowns, rhs)
+
+
+def dense_schur_complement(mech, ctx):
+    """The dense Newton matrix with the bodies of ``first_rows`` eliminated.
+
+    Over the hubs and joints in the solver layout's order; returns the
+    matrix and its node block sizes.
+    """
+    full = dense_newton_matrix(mech, ctx)
+    first = (6 * mech.first_rows[:, None] + np.arange(6)).ravel()
+    rest = mech.sweep_rows
+    schur = full[np.ix_(rest, rest)] - full[np.ix_(rest, first)] @ np.linalg.solve(
+        full[np.ix_(first, first)], full[np.ix_(first, rest)]
+    )
+    layout = mech.solver_layout
+    return schur[np.ix_(layout.perm, layout.perm)], [seg.stop - seg.start for seg in layout.segments]
 
 
 def fd_newton_matrix(mech, ctx, eps=1e-6):
@@ -249,11 +281,7 @@ class TestAssembledSystem:
     def test_pattern_matches_incidence(self):
         mech = star_mechanism()
         mech.initialize(0.01)
-        ctx = StepContext(h=0.01)
-        layout = build_layout(mech, ctx)
-        pos_blocks = position_jacobian_blocks(mech, layout)
-        system = assemble_jacobian(mech, layout, pos_blocks, mech.unknowns, np.zeros(mech.dim))
-        system = system.as_block_system()
+        system = newton_system_at(mech, StepContext(h=0.01))
         expected_edges = {(6, 1), (6, 2), (7, 2), (7, 3), (8, 2), (8, 4), (9, 1), (9, 5)}
         seen = set()
         for (i, j) in system.offdiag:
@@ -273,6 +301,50 @@ class TestAssembledSystem:
         mech = randomized_feasible_state(builder(), ctx, rng)
         dev = np.abs(dense_newton_matrix(mech, ctx) - fd_newton_matrix(mech, ctx)).max()
         assert dev < 1e-6
+
+
+class TestBodyElimination:
+    def blocks(self):
+        mech = make_pendulum(4)
+        ctx = StepContext(h=0.01)
+        layout = build_layout(mech, ctx)
+        body_diag, couplings = jacobian_blocks(mech, layout, position_jacobian_blocks(mech, layout), mech.unknowns)
+        return mech, body_diag, couplings
+
+    def test_singular_body_block_names_the_body(self):
+        mech, body_diag, couplings = self.blocks()
+        body_diag[2, 3:, 3:] = 0.0
+        with pytest.raises(SingularBlockError, match="at node 3: exactly singular 6x6 block"):
+            eliminate_bodies(mech, body_diag, couplings, np.zeros(mech.dim))
+
+    def test_first_ill_conditioned_body_is_named(self):
+        mech, body_diag, couplings = self.blocks()
+        for row in (3, 1):
+            body_diag[row, 5, 5] = 1e-16
+        with pytest.raises(SingularBlockError, match="at node 2: ill-conditioned 6x6 block"):
+            eliminate_bodies(mech, body_diag, couplings, np.zeros(mech.dim))
+
+    def test_ill_conditioned_body_before_a_singular_one_is_named(self):
+        # the batched inverse raises on body 4; bodies are then checked one at a time in id order
+        mech, body_diag, couplings = self.blocks()
+        body_diag[1, 5, 5] = 1e-16
+        body_diag[3, 3:, 3:] = 0.0
+        with pytest.raises(SingularBlockError, match="at node 2: ill-conditioned 6x6 block"):
+            eliminate_bodies(mech, body_diag, couplings, np.zeros(mech.dim))
+
+    def test_free_body_has_no_joint_sweep(self, monkeypatch):
+        # without joints the step is ds = B^-1 f, all bodies at once
+        def no_sweep(system):
+            raise AssertionError("a jointless mechanism reached the joint sweep")
+
+        monkeypatch.setattr(mcdyn.integrator, "sparse_ldu_factorize", no_sweep)
+        mech = free_body(w=(0.3, -0.5, 0.8))
+        mech.initialize(0.01)
+        ctx = StepContext(h=0.01, gravity=0.0)
+        rhs = residual_at(mech, ctx)
+        ds = solve_reduced(mech, reduced_newton_system(mech, ctx, rhs))
+        assert_allclose(dense_newton_matrix(mech, ctx) @ ds, rhs, rtol=1e-13, atol=1e-15)
+        assert step(mech, ctx, tol=1e-12).iterations > 0
 
 
 class TestLoopNodeRelief:
