@@ -118,7 +118,7 @@ def _acceleration_rates(mech: Mechanism, state: _State, ctx: StepContext) -> _St
     ):
         rhs[group.rows] = -bias
         couplings.append((blk_a, blk_b, -blk_a.transpose(0, 2, 1), -blk_b.transpose(0, 2, 1)))
-    sol = solve_reduced(mech, eliminate_bodies(mech, body_diag, couplings, rhs))
+    sol = solve_reduced(mech, eliminate_bodies(mech, mech.plan, body_diag, couplings, rhs))
     return _State(state.v.copy(), _qdot(state.q, state.w), *velocities(sol, n))
 
 

@@ -17,18 +17,20 @@ Two solvers live here:
   Its dense diagonal is read only at its own pivot, so the nodes' Schur
   updates of it are collected into panels of at least as many columns as
   it has rows, and each panel is applied as one matrix product.
-  :class:`BlockSystem` dicts are an input adapter onto the same layout
-  and sweep.
+  :class:`BlockSystem` dicts are a view of a NodeSystem for tests and the
+  dense oracle; :meth:`BlockSystem.on_layout` puts one on a layout.
 
-The Newton loop eliminates the bodies with at most three joints itself
-(``integrator``) and hands the sweep the joints and the remaining hub
-bodies; a joint's diagonal block is then non-zero where it meets a body
-eliminated first.  Constraint nodes with an exactly zero diagonal (a
-joint between hubs or from a hub to the world, or any joint of a
-:class:`BlockSystem` over bodies and joints) become invertible through
-the Schur updates of their eliminated neighbours; a constraint node
-reaching its pivot without any update is reported as a modeling error
-(dangling constraint).  Neither solver pivots across blocks.
+The Newton system reaches the sweep through one builder
+(``integrator.eliminate_bodies``) under an elimination plan: the step
+eliminates the bodies with at most three joints first and hands the
+sweep the joints and the remaining hub bodies, whose diagonal block is
+non-zero where a joint meets a body eliminated first; the full
+bodies-and-joints system eliminates no body first.  Constraint nodes
+with an exactly zero diagonal (a joint between hubs or from a hub to the
+world, or any joint of the full system) become invertible through the
+Schur updates of their eliminated neighbours; a constraint node reaching
+its pivot without any update is reported as a modeling error (dangling
+constraint).  Neither solver pivots across blocks.
 
 Pivot blocks are inverted with LAPACK under one conditioning rule, checked
 in one batched pass per block size: the inverse must be finite and
@@ -364,16 +366,11 @@ class NodeSystem:
     def diag(self) -> dict:
         return dict(zip(self.layout.order, self.blocks))
 
-    def segments(self, x: np.ndarray) -> dict:
-        """Node id -> its rows of the stacked vector ``x``."""
-        lay = self.layout
-        return {node: x[lay.perm[seg]] for node, seg in zip(lay.order, lay.segments)}
-
     def as_block_system(self) -> BlockSystem:
         """The same system as block dicts without the fill, sharing the blocks."""
         lay = self.layout
         offdiag = dict(zip(lay.pairs, self.blocks[len(lay.order) :]))
-        rhs = self.segments(self.rhs)
+        rhs = {node: self.rhs[lay.perm[seg]] for node, seg in zip(lay.order, lay.segments)}
         return BlockSystem(self.diag, offdiag, list(lay.order), rhs, lay.loop_layout or None)
 
 
@@ -381,8 +378,8 @@ class NodeSystem:
 class BlockSystem:
     """A block matrix and right-hand side as dicts over a graph's nodes.
 
-    The sparse solver's input adapter for tests, reports and oracles:
-    :meth:`on_layout` puts it on a layout of its own pattern.  ``diag``
+    The dict view of a system for tests and oracles: :meth:`on_layout`
+    puts it on a layout of its own pattern for the sparse solver.  ``diag``
     maps node id to its square diagonal block, ``offdiag`` maps ordered
     pairs (i, j) to the coupling block in row i, column j; a pair is
     present exactly when its transpose pair is (symmetric pattern,
@@ -397,15 +394,6 @@ class BlockSystem:
     rhs: dict
     # layout of the stacked loop node: [(constraint id, rows)] in stacking order
     loop_layout: list | None = None
-
-    def copy(self) -> "BlockSystem":
-        return BlockSystem(
-            diag={k: v.copy() for k, v in self.diag.items()},
-            offdiag={k: v.copy() for k, v in self.offdiag.items()},
-            order=list(self.order),
-            rhs={k: v.copy() for k, v in self.rhs.items()},
-            loop_layout=None if self.loop_layout is None else list(self.loop_layout),
-        )
 
     def assembled(self) -> tuple[np.ndarray, dict]:
         """Materialize the dense matrix in the system's node order.
@@ -460,13 +448,11 @@ class SparseFactor:
 
     ``blocks`` holds D on the diagonal and L = A[p, k] D[k]^-1, U =
     D[k]^-1 A[k, p] off it; ``inverses`` holds the pivot inverses.
-    ``keyed`` marks a BlockSystem input, whose solution is per node.
     """
 
     system: NodeSystem
     blocks: list
     inverses: list
-    keyed: bool
 
     @property
     def fill_count(self) -> int:
@@ -489,7 +475,7 @@ def _check_pivots(lay: SymbolicLayout, blocks: list, inverses: list) -> None:
         raise SingularBlockError(f"singular diagonal block at node {lay.order[k]!r}: {reason}")
 
 
-def sparse_ldu_factorize(system: NodeSystem | BlockSystem) -> SparseFactor:
+def sparse_ldu_factorize(system: NodeSystem) -> SparseFactor:
     """Graph-ordered LDU factorization: the numeric sweep over a layout.
 
     Eliminates nodes in the layout's order; each eliminated node divides
@@ -503,17 +489,13 @@ def sparse_ldu_factorize(system: NodeSystem | BlockSystem) -> SparseFactor:
     loop node a node gains one more later neighbour, and the cross updates
     land in the layout's fill blocks.  The loop node's own diagonal updates wait in a panel of the
     nodes' L·D columns and U rows until the layout flushes it, which
-    applies them as one product.  A BlockSystem goes through
-    :meth:`BlockSystem.on_layout`.
+    applies them as one product.
 
     Pivots are inverted with ``np.linalg.inv`` (the loop node's by
     truncated SVD) and checked together after the sweep; an exactly
     singular pivot stops the sweep once the pivots before it pass.  A zero
     pivot that no update reached raises DanglingConstraintError.
     """
-    keyed = isinstance(system, BlockSystem)
-    if keyed:
-        system = system.on_layout(())
     lay = system.layout
     blocks = list(system.blocks)
     inverses: list = []
@@ -555,16 +537,16 @@ def sparse_ldu_factorize(system: NodeSystem | BlockSystem) -> SparseFactor:
             f"singular diagonal block at node {node!r}: exactly singular {size}x{size} block"
         ) from err
     _check_pivots(lay, blocks, inverses)
-    return SparseFactor(system=system, blocks=blocks, inverses=inverses, keyed=keyed)
+    return SparseFactor(system=system, blocks=blocks, inverses=inverses)
 
 
-def sparse_ldu_solve(fact: SparseFactor) -> np.ndarray | dict:
+def sparse_ldu_solve(fact: SparseFactor) -> np.ndarray:
     """Back-substitute a factored system; returns the stacked solution.
 
     The forward sweep pushes each node's value into its later neighbours,
     the reverse sweep applies the pivot inverses and the couplings to the
     later neighbours, and one scatter puts the result in the stacked
-    vector's rows.  A BlockSystem input gets node -> segment instead.
+    vector's rows.
     """
     system, blocks = fact.system, fact.blocks
     lay = system.layout
@@ -580,7 +562,7 @@ def sparse_ldu_solve(fact: SparseFactor) -> np.ndarray | dict:
         ys[k] = yk
     x = np.empty(len(y))
     x[lay.perm] = np.concatenate(ys)
-    return system.segments(x) if fact.keyed else x
+    return x
 
 
 def pattern_report(layout: SymbolicLayout) -> str:

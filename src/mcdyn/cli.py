@@ -49,7 +49,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument(
         "--dump-pattern",
         metavar="FILE",
-        help="write the solver's block pattern and factorization trace to FILE",
+        help="write the step's elimination plan (mech.plan) to FILE: the bodies eliminated first, "
+        "then the sparse sweep's block pattern",
     )
 
     gen = sub.add_parser("gen", help="generate a benchmark mechanism file")
@@ -103,12 +104,12 @@ def _cmd_simulate(args) -> int:
     mech.initialize(args.h)
     if args.dump_pattern:
         with open(args.dump_pattern, "w", encoding="utf-8") as fh:
-            layout, hubs = mech.solver_layout, len(mech.hub_rows)
+            plan, hubs = mech.plan, len(mech.plan.hubs)
             fh.write(
-                f"{len(mech.first_rows)} bodies eliminated first in one batch; "
-                f"{len(layout.order) - hubs} joint nodes" + f"; hubs kept as nodes: {hubs}" * bool(hubs) + "\n"
+                f"{len(plan.first)} bodies eliminated first in one batch; "
+                f"{len(plan.layout.order) - hubs} joint nodes" + f"; hubs kept as nodes: {hubs}" * bool(hubs) + "\n"
             )
-            fh.write(pattern_report(layout) + "\n")
+            fh.write(pattern_report(plan.layout) + "\n")
     n_steps = int(round(args.duration / args.h))
     records = run_simulation(mech, ctx, n_steps, tol=args.tol, record_bodies=True)
     report = RunReport(
@@ -153,14 +154,14 @@ def _cmd_bench(args) -> int:
             "dense_max": args.dense_max,
             "joint_kind": args.joint,
             "measured": (
-                "factorize+substitute of the full bodies-and-joints Newton matrix, best of repeats; "
-                "not the step's body-first solve"
+                "factorize+substitute of the full bodies-and-joints Newton system, built by the step's own "
+                "builder with no body eliminated first, best of repeats; not the step's body-first sweep"
             ),
         }
         write_timing_csv(args.out, rows, cfg)
         slope, intercept, r2 = linear_fit([r.n for r in rows], [r.t_sparse for r in rows])
         print(f"sparse fit: t = {slope * 1e3:.6f} ms/link * n + {intercept * 1e3:.6f} ms (R^2 = {r2:.4f})")
-        print("(full bodies-and-joints LDU, the paper's O(n) kernel; not the step's body-first solve)")
+        print("(full bodies-and-joints LDU, the paper's O(n) kernel; not the step's body-first sweep)")
     elif args.experiment == "energy":
         sc = Scenario(
             kind="pendulum", n_links=args.n, joint_kind=args.joint,

@@ -25,6 +25,7 @@ import numpy as np
 
 from .baselines import heun_simulate
 from .block_solver import dense_ldu_factorize, dense_ldu_solve, sparse_ldu_factorize, sparse_ldu_solve
+from .errors import SimulationError
 from .integrator import (
     StepContext,
     newton_solve,
@@ -136,18 +137,24 @@ def run_timing_experiment(
     """Best-of-`repeats` wall time of one factorize-and-substitute pass.
 
     For each pendulum size, the mechanism is stepped three times to a
-    representative warm state and the full Newton matrix, bodies and joints
-    as graph nodes, is assembled once and put on a layout of its pattern;
-    then the linear-solve kernel is timed: (a) the numeric sparse factorize
-    and substitute over that graph, the paper's O(n) block LDU, which is
-    not the step's own solve (that one eliminates the bodies with at most
-    three joints in one batch first and runs the same sweep over the rest),
-    (b) the dense in-place pass over the same
-    blocks, skipped above `dense_max`.  Assembly and the layout build are excluded. The repeats run in
-    rounds that time every size once, so a slow spell of the host inflates
-    one round of all sizes instead of every repeat of one size. Timings use
-    a monotonic clock and the first (warm-up) round is discarded.
+    representative warm state and the full Newton system, bodies and
+    joints as graph nodes (:func:`newton_system_at`), is built once; then
+    the linear-solve kernel is timed: (a) the numeric sparse factorize and
+    substitute over that graph, the paper's O(n) block LDU, which is not
+    the step's own sweep (that one eliminates the bodies with at most
+    three joints in one batch first and sweeps the rest), (b) the dense
+    in-place pass over the same blocks, skipped above `dense_max`.
+    Assembly and the layout build are excluded. The repeats run in rounds
+    that time every size once, so a slow spell of the host inflates one
+    round of all sizes instead of every repeat of one size. Timings use a
+    monotonic clock and the first (warm-up) round is discarded.  Raises
+    SimulationError unless `repeats` is at least 1 and there are at least
+    two distinct sizes to fit.
     """
+    if repeats < 1:
+        raise SimulationError(f"repeats must be at least 1, got {repeats}")
+    if len(set(n_list)) < 2:
+        raise SimulationError(f"the timing fit needs at least two distinct sizes, got {list(n_list)}")
     cases = []
     for n in n_list:
         sc = Scenario(kind="pendulum", n_links=int(n), joint_kind=joint_kind)
@@ -157,10 +164,10 @@ def run_timing_experiment(
         system = newton_system_at(mech, ctx)
         dense = None
         if n <= dense_max:
-            full, _ = system.assembled()
-            sizes = [system.diag[node].shape[0] for node in system.order]
-            dense = (full, sizes, system.assembled_rhs())
-        cases.append((int(n), system.on_layout(()), dense))
+            view = system.as_block_system()
+            sizes = [view.diag[node].shape[0] for node in view.order]
+            dense = (view.assembled()[0], sizes, view.assembled_rhs())
+        cases.append((int(n), system, dense))
 
     best_sparse = [np.inf] * len(cases)
     best_dense = [np.inf] * len(cases)

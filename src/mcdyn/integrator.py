@@ -9,13 +9,15 @@ the residual to tolerance; the converged velocities then advance the poses
 through the norm-preserving update rules and the solution warm-starts the
 next step.
 
-Each Newton step is solved body first.  Bodies couple only to joints, so
-all bodies with at most three joints are eliminated in one batched pass
-while the Jacobian is assembled (:func:`eliminate_bodies`); the
-graph-ordered sparse block LDU then runs over the joints and the hubs
-(bodies with more joints), which creates no fill on a tree, and one
-batched back-substitution recovers the other body rows
-(:func:`solve_reduced`).
+Each Newton step is solved body first, by the mechanism's elimination
+plan (``mech.plan``).  Bodies couple only to joints, so all bodies with
+at most three joints are eliminated in one batched pass while the
+Jacobian is assembled (:func:`eliminate_bodies`); the graph-ordered
+sparse block LDU then runs over the joints and the hubs (bodies with
+more joints), which creates no fill on a tree, and one batched
+back-substitution recovers the other body rows (:func:`solve_reduced`).
+The full bodies-and-joints system (:func:`newton_system_at`) is built by
+the same code under a plan that eliminates no body first.
 
 Every residual and Jacobian evaluation works on stacked arrays: all bodies
 at once, and all joints of one kind at once.  The state is the
@@ -34,21 +36,21 @@ import numpy as np
 
 from . import quaternions as quat
 from .block_solver import (
-    BlockSystem,
     NodeSystem,
     _pivot_failures,
-    augment_loop_node,
+    augment_loop_node,  # unused here; stepbench's tracer still patches this name
     ldu_inverse,
     sparse_ldu_factorize,
     sparse_ldu_solve,
 )
 from .errors import AngularRateError, LineSearchError, NonConvergenceError, SimulationError, SingularBlockError
 from .mechanism import (
-    WORLD,
+    EliminationPlan,
     Mechanism,
     check_parameter,
     constraint_jacobian_position,
     constraint_jacobian_velocity,
+    elimination_plan,
     joint_residual,
     velocities,
     with_world,
@@ -56,6 +58,7 @@ from .mechanism import (
 
 _EZ = np.array([0.0, 0.0, 1.0])
 _MAX_HALVINGS = 20
+_MAX_ITERS = 100
 
 
 @dataclass
@@ -201,21 +204,21 @@ def assemble_residual(
 
 @dataclass
 class ReducedSystem:
-    """A Newton-pattern system with the bodies outside the hubs eliminated.
+    """A Newton-pattern system with the bodies outside the hubs of ``plan`` eliminated.
 
     The system is [[B, C], [V, 0]] over (body rows, joint rows), with B the
     block-diagonal body blocks, C the couplings in the bodies' rows and V
     those in the joints' rows.  With E the bodies eliminated first
-    (``Mechanism.first_rows``), ``joints`` is the system left over the
-    hubs and joints, with the Schur complement -V_E B_E^-1 C_E added to
-    the joint block and the right-hand side f_J - V_E B_E^-1 f_E, on the
-    mechanism's solver layout.  ``inverse`` stacks B_E^-1 with zero rows
-    for the hubs and a zero last row for the world, ``body_rhs`` stacks
-    f_B with a zero last row, and ``cols`` keeps each kind group's C
-    blocks, (2, M, 6, rows) on its parent and child side, for the
-    back-substitution.
+    (``plan.first``), ``joints`` is the system left over the hubs and
+    joints, with the Schur complement -V_E B_E^-1 C_E added to the joint
+    block and the right-hand side f_J - V_E B_E^-1 f_E, on the plan's
+    layout.  ``inverse`` stacks B_E^-1 with zero rows for the hubs and a
+    zero last row for the world, ``body_rhs`` stacks f_B with a zero last
+    row, and ``cols`` keeps each kind group's C blocks, (2, M, 6, rows)
+    on its parent and child side, for the back-substitution.
     """
 
+    plan: EliminationPlan
     joints: NodeSystem
     inverse: np.ndarray  # (N + 1, 6, 6)
     body_rhs: np.ndarray  # (N + 1, 6)
@@ -223,9 +226,9 @@ class ReducedSystem:
 
 
 def eliminate_bodies(
-    mech: Mechanism, body_diag: np.ndarray, couplings: list, rhs: np.ndarray
+    mech: Mechanism, plan: EliminationPlan, body_diag: np.ndarray, couplings: list, rhs: np.ndarray
 ) -> ReducedSystem:
-    """Eliminate the bodies outside the hubs of a Newton-pattern system in one batched pass.
+    """Eliminate the bodies outside the hubs of ``plan`` from a Newton-pattern system in one batched pass.
 
     ``body_diag`` stacks the (N, 6, 6) body blocks, whose translational
     parts are multiples of the identity and which have no translational-
@@ -238,8 +241,8 @@ def eliminate_bodies(
     are their body blocks: the rotational parts are inverted together and
     all body blocks are checked in one pass, raising SingularBlockError
     naming the first failing body in id order.  The Schur blocks, the
-    hubs' blocks and their couplings go into the mechanism's solver layout,
-    whose sweep pivots the hubs.
+    hubs' blocks and their couplings go into the plan's layout, whose
+    sweep pivots the hubs.
     """
     n = len(mech.body_ids)
     inverse = np.zeros((n + 1, 6, 6))  # world parents meet the zero last row
@@ -255,12 +258,12 @@ def eliminate_bodies(
         raise
     for k, reason in _pivot_failures(np.concatenate([body_diag, inverse[:n]]))[:1]:
         raise SingularBlockError(f"singular diagonal block at node {mech.body_ids[k]!r}: {reason}")
-    inverse[mech.hub_rows] = 0.0  # the sweep pivots the hubs
+    inverse[plan.hubs] = 0.0  # the sweep pivots the hubs
     body_rhs = np.zeros((n + 1, 6))
     body_rhs[:n] = rhs[: 6 * n].reshape(n, 6)
     rhs = rhs.copy()
     blocks, left, cols, hub_blocks = [], [], [], []  # per group, V B^-1 and C on both sides
-    for group, (row_a, row_b, col_a, col_b), hub in zip(mech.groups, couplings, mech.hub_sides):
+    for group, (row_a, row_b, col_a, col_b), hub in zip(mech.groups, couplings, plan.hub_sides):
         # concatenate and reshape: the stacks np.stack makes, at under half its call cost
         row = np.concatenate([row_a, row_b]).reshape(2, *row_a.shape)
         col = np.concatenate([col_a, col_b]).reshape(2, *col_a.shape)
@@ -273,29 +276,30 @@ def eliminate_bodies(
         cols.append(col)
         if len(hub[0]):
             hub_blocks += [*row[hub], *col[hub]]
-    for g, h, pairs, rows, cs, twice in mech.joint_pairs:
+    for g, h, pairs, rows, cs, twice in plan.joint_pairs:
         terms = left[g][rows] @ cols[h][cs]
         stack = -terms[: len(pairs)]
         if len(twice):
             stack[twice] -= terms[len(pairs) :]
         blocks += [*stack]
-    blocks += [*body_diag[mech.hub_rows], *hub_blocks]
-    joints = mech.solver_layout.system(blocks, rhs[mech.sweep_rows])
-    return ReducedSystem(joints=joints, inverse=inverse, body_rhs=body_rhs, cols=cols)
+    blocks += [*body_diag[plan.hubs], *hub_blocks]
+    joints = plan.layout.system(blocks, rhs[plan.rows])
+    return ReducedSystem(plan=plan, joints=joints, inverse=inverse, body_rhs=body_rhs, cols=cols)
 
 
 def solve_reduced(mech: Mechanism, system: ReducedSystem) -> np.ndarray:
     """The solution of a body-eliminated system, laid out like the unknowns.
 
-    The sparse LDU over the solver layout gives the hub and joint rows (a
+    The sparse LDU over the plan's layout gives the hub and joint rows (a
     mechanism without joints has no sweep); the rows of the bodies
     eliminated first are then B^-1 (f_B - C x_J), all at once.
     """
     n = len(mech.body_ids)
     x = np.zeros(mech.dim)
     rest = system.body_rhs.copy()
-    if mech.solver_layout.order:
-        x[mech.sweep_rows] = sparse_ldu_solve(sparse_ldu_factorize(system.joints))
+    plan = system.plan
+    if plan.layout.order:
+        x[plan.rows] = sparse_ldu_solve(sparse_ldu_factorize(system.joints))
         for group, col in zip(mech.groups, system.cols):
             np.subtract.at(rest, group.ends, (col @ x[group.rows][..., None])[..., 0])
     # the hubs' rows of B^-1 are zero: this adds to the other bodies' rows only
@@ -348,35 +352,27 @@ def assemble_jacobian(
 
     The blocks of :func:`jacobian_blocks`, with the residual ``f`` at the
     same unknowns as the right-hand side, go through
-    :func:`eliminate_bodies`; :func:`solve_reduced` solves the result.
+    :func:`eliminate_bodies` under ``mech.plan``; :func:`solve_reduced`
+    solves the result.
     """
-    return eliminate_bodies(mech, *jacobian_blocks(mech, layout, pos_blocks, s), f)
+    return eliminate_bodies(mech, mech.plan, *jacobian_blocks(mech, layout, pos_blocks, s), f)
 
 
-def newton_system_at(mech: Mechanism, ctx: StepContext) -> BlockSystem:
-    """The first Newton system a solve from the current state would solve, as block dicts.
+def newton_system_at(mech: Mechanism, ctx: StepContext) -> NodeSystem:
+    """The first Newton system a solve from the current state would solve, bodies and joints as nodes.
 
-    The full system over bodies and joints, in the graph's elimination
-    order with the loop joints stacked into the loop node, built from the
-    same blocks as the Newton loop's body-eliminated system.
+    The Newton loop's own builder under a plan that eliminates no body
+    first: the full system over bodies and joints in the graph's
+    elimination order, the loop joints stacked into the loop node last.
+    Its stacked vector is the unknown vector, so ``layout.perm`` maps the
+    unknowns into elimination order.
     """
     layout = build_layout(mech, ctx)
     pos_blocks = position_jacobian_blocks(mech, layout)
     s = mech.unknowns
     f = assemble_residual(mech, layout, pos_blocks, s)
-    body_diag, couplings = jacobian_blocks(mech, layout, pos_blocks, s)
-    diag = dict(zip(mech.body_ids, body_diag))
-    offdiag = {}
-    for group, (row_a, row_b, col_a, col_b) in zip(mech.groups, couplings):
-        for k, (jid, a, b) in enumerate(zip(group.ids, group.parent_ids, group.child_ids)):
-            diag[jid] = np.zeros((group.width, group.width))
-            if a != WORLD:
-                offdiag[jid, a], offdiag[a, jid] = row_a[k], col_a[k]
-            offdiag[jid, b], offdiag[b, jid] = row_b[k], col_b[k]
-    rhs = {node: f[sl] for node, sl in (mech.body_slices | mech.joint_slices).items()}
-    loops = mech.graph.loop_joints
-    system = BlockSystem(diag, offdiag, [*mech.graph.order, *sorted(loops)], rhs)
-    return augment_loop_node(system, loops)
+    plan = elimination_plan(mech, np.ones(len(mech.body_ids), dtype=bool))
+    return eliminate_bodies(mech, plan, *jacobian_blocks(mech, layout, pos_blocks, s), f).joints
 
 
 # ---------------------------------------------------------------------------
@@ -390,12 +386,7 @@ class NewtonInfo:
     history: list  # residual 2-norm before the first and after each iteration
 
 
-def newton_solve(
-    mech: Mechanism,
-    ctx: StepContext,
-    tol: float = 1e-10,
-    max_iters: int = 100,
-) -> NewtonInfo:
+def newton_solve(mech: Mechanism, ctx: StepContext, tol: float = 1e-10) -> NewtonInfo:
     """Solve the implicit step equations from the current warm start.
 
     Iterates factor-and-substitute updates with a backtracking line search
@@ -406,7 +397,7 @@ def newton_solve(
     body or a load that is not a finite 3-vector, for an h or `tol` that
     is not finite and positive and for gravity that is not finite, all
     before any state changes; LineSearchError when no halving reduces the
-    residual, and NonConvergenceError when `max_iters` iterations do not
+    residual, and NonConvergenceError when _MAX_ITERS iterations do not
     reach `tol`; either way the last accepted vector is left in
     ``mech.unknowns``.
     """
@@ -424,7 +415,7 @@ def newton_solve(
         history = [norm]
         if norm < tol:
             return NewtonInfo(iterations=0, residual_norm=norm, history=history)
-        for it in range(1, max_iters + 1):
+        for it in range(1, _MAX_ITERS + 1):
             ds = solve_reduced(mech, assemble_jacobian(mech, layout, pos_blocks, s, f))
 
             alpha = 1.0
@@ -449,25 +440,20 @@ def newton_solve(
             if norm < tol:
                 return NewtonInfo(iterations=it, residual_norm=norm, history=history)
         raise NonConvergenceError(
-            f"no convergence after {max_iters} iterations (residual {norm:.3e})"
+            f"no convergence after {_MAX_ITERS} iterations (residual {norm:.3e})"
         )
     finally:
         mech.unknowns = s
 
 
-def step(
-    mech: Mechanism,
-    ctx: StepContext,
-    tol: float = 1e-10,
-    max_iters: int = 100,
-) -> NewtonInfo:
+def step(mech: Mechanism, ctx: StepContext, tol: float = 1e-10) -> NewtonInfo:
     """Advance the mechanism by one time step.
 
     Runs the implicit solve, applies the position/orientation updates,
     shifts the knots by rebinding the mechanism's knot arrays, and keeps
     the solution as the next warm start.
     """
-    info = newton_solve(mech, ctx, tol=tol, max_iters=max_iters)
+    info = newton_solve(mech, ctx, tol=tol)
     x3, q3 = _predicted_pose(mech.x2, mech.q2, mech.v2, mech.w2, ctx.h)
     mech.x1, mech.q1, mech.x2, mech.q2 = mech.x2, mech.q2, x3, q3
     mech.v1, mech.w1 = mech.v2.copy(), mech.w2.copy()
@@ -521,14 +507,13 @@ def run_simulation(
     ctx: StepContext,
     n_steps: int,
     tol: float = 1e-10,
-    max_iters: int = 100,
     record_bodies: bool = False,
 ) -> list[StepRecord]:
     """Step `n_steps` times under ``ctx``, returning one record per committed step."""
     mech.ensure_initialized(ctx.h)
     records = []
     for k in range(1, n_steps + 1):
-        info = step(mech, ctx, tol=tol, max_iters=max_iters)
+        info = step(mech, ctx, tol=tol)
         rec = StepRecord(
             step=k,
             time=k * ctx.h,

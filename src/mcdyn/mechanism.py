@@ -6,10 +6,10 @@ explicit constraint equations g = 0 enforced at the position level.
 
 The incidence structure (bodies and constraints as nodes, one edge per
 body-constraint attachment) mirrors the block pattern of the implicit
-step's Newton matrix.  The solver eliminates every body with at most
-three joints first, which couples the joints that share such a body; the
-elimination order of the joints and hub bodies that remain and the
-loop-closure set computed here drive the sparse solver directly.
+step's Newton matrix.  An elimination plan (:func:`elimination_plan`)
+says which bodies go first and lays the sparse sweep over the joints and
+the other bodies in the graph's order: the step eliminates every body
+with at most three joints first, the full bodies-and-joints view none.
 
 World attachments are constraints against an immovable environment: the
 world contributes no unknowns and no graph node of its own, but a virtual
@@ -268,7 +268,7 @@ def _indices(sl: slice) -> np.ndarray:
 
 
 def _hubs(body_index: dict, joints: dict) -> np.ndarray:
-    """Per stacked pose row, whether the sparse sweep keeps that body as a node (a hub).
+    """Per body in id order, whether the sparse sweep keeps it as a node (a hub).
 
     Eliminating a body with d joints before the sweep couples each ordered
     pair of them: d(d - 1) joint-pair blocks in place of the 2d body-joint
@@ -276,9 +276,9 @@ def _hubs(body_index: dict, joints: dict) -> np.ndarray:
     O(d^3).  A body therefore goes first only where that adds no block,
     d(d - 1) <= 2d, i.e. d <= 3; a hub, with four or more joints, stays a
     node of the sweep, where it costs O(d), so the step stays linear in
-    the size of any tree.  The last row, the world's, is no hub.
+    the size of any tree.
     """
-    degree = np.zeros(len(body_index) + 1, dtype=int)
+    degree = np.zeros(len(body_index), dtype=int)
     for joint in joints.values():
         for b in (joint.parent, joint.child):
             if b != WORLD:
@@ -325,38 +325,60 @@ def _joint_pairs(groups: list, hubs: set) -> list:
     return out
 
 
-def _solver_layout(mech) -> tuple[SymbolicLayout, np.ndarray]:
-    """The sparse solver's layout of the Newton system once the non-hub bodies are eliminated.
+@dataclass
+class EliminationPlan:
+    """Which bodies a Newton-pattern system eliminates first, and the sparse sweep of the rest.
 
-    Its nodes are the joints and the hubs (``mech.hub_rows``).  Its rows
-    are the stacked Newton vector's hub rows, then its joint rows; the
-    stacked row of each is returned with the layout.  Blocks come as each
-    kind group's joint diagonals, the pair stacks of ``mech.joint_pairs``
-    (:func:`_joint_pairs`), the hubs' diagonals, then per kind group the
-    couplings (joint, hub) and (hub, joint) at ``mech.hub_sides``, as
+    ``first`` and ``hubs`` are the body rows (id order) eliminated in one
+    batch and kept as nodes; ``hub_sides`` holds per kind group the
+    (sides, positions) of the joint ends at a hub, and ``joint_pairs``
+    the joints coupled through a body eliminated first (:func:`_joint_pairs`).
+    ``layout`` is the sweep's symbolic layout over the joints and hubs;
+    ``rows`` are the Newton vector's rows of its stacked vector.
+    """
+
+    first: np.ndarray
+    hubs: np.ndarray
+    hub_sides: list
+    joint_pairs: list
+    layout: SymbolicLayout
+    rows: np.ndarray
+
+
+def elimination_plan(mech: Mechanism, is_hub: np.ndarray) -> EliminationPlan:
+    """The plan keeping the bodies flagged in ``is_hub`` (per body in id order) as nodes of the sweep.
+
+    The layout's rows are the hub rows, then the joint rows.  Blocks come as each kind group's joint diagonals, the pair
+    stacks of ``joint_pairs``, the hubs' diagonals, then per kind group
+    the couplings (joint, hub) and (hub, joint) at ``hub_sides``, as
     ``integrator.eliminate_bodies`` supplies them.  The graph's order
     (children first) over these nodes is the elimination order, and the
     loop joints are stacked into the loop node.  On a tree the later
     neighbours of each node then already couple to each other, so the
-    sweep creates no fill.
+    sweep creates no fill.  With every body a hub, the layout is the full
+    bodies-and-joints graph, whose rows are the Newton vector's.
     """
-    hubs = [mech.body_ids[r] for r in mech.hub_rows]
-    slices = {b: mech.body_slices[b] for b in hubs} | mech.joint_slices
-    sweep_rows = np.array([r for sl in slices.values() for r in range(sl.start, sl.stop)], dtype=int)
+    hubs = np.flatnonzero(is_hub)  # np.isin and np.setdiff1d would import numpy.ma, over 1 MB of RSS
+    hub_ids = [mech.body_ids[r] for r in hubs]
+    at_hub = np.append(is_hub, False)  # the world, the ends' last row, is no hub
+    hub_sides = [np.nonzero(at_hub[g.ends]) for g in mech.groups]
+    joint_pairs = _joint_pairs(mech.groups, set(hub_ids))
+    slices = {b: mech.body_slices[b] for b in hub_ids} | mech.joint_slices
+    rows = np.array([r for sl in slices.values() for r in range(sl.start, sl.stop)], dtype=int)
     place = np.empty(mech.dim, dtype=int)
-    place[sweep_rows] = np.arange(len(sweep_rows))
+    place[rows] = np.arange(len(rows))
     sizes = {node: sl.stop - sl.start for node, sl in slices.items()}
-    rows = {node: place[sl] for node, sl in slices.items()}
     sources = [(j, j) for g in mech.groups for j in g.ids]
-    for _, _, pairs, *_ in mech.joint_pairs:
+    for _, _, pairs, *_ in joint_pairs:
         sources += pairs
-    sources += [(b, b) for b in hubs]
-    for g, (sides, positions) in zip(mech.groups, mech.hub_sides):
+    sources += [(b, b) for b in hub_ids]
+    for g, (sides, positions) in zip(mech.groups, hub_sides):
         ends = [(g.parent_ids, g.child_ids)[s][i] for s, i in zip(sides, positions)]
         ids = [g.ids[i] for i in positions]
         sources += [*zip(ids, ends), *zip(ends, ids)]
     order = [node for node in mech.graph.order if node in sizes]
-    return symbolic_layout(order, sizes, rows, sources, mech.graph.loop_joints), sweep_rows
+    layout = symbolic_layout(order, sizes, {n: place[sl] for n, sl in slices.items()}, sources, mech.graph.loop_joints)
+    return EliminationPlan(np.flatnonzero(~is_hub), hubs, hub_sides, joint_pairs, layout, rows)
 
 
 def _kind_groups(body_index: dict, joints: dict, joint_slices: dict) -> list[JointGroup]:
@@ -513,14 +535,11 @@ class Mechanism:
     Joint definitions, the graph and everything derived from them are fixed
     after construction: the stacked Newton vector (the 6 velocity unknowns
     of each body in id order, then the multipliers of each joint in id
-    order), the kind groups, the stacked masses and inertias, and the
-    structure of the Newton system once the bodies with at most three
-    joints (rows ``first_rows``) are eliminated: ``hub_rows``, the other
-    bodies, and ``hub_sides``, per kind group the (sides, positions) of
-    the joint ends at a hub; ``joint_pairs``, the joint pairs coupled
-    through an eliminated body; and ``solver_layout``, the sparse solver's
-    symbolic layout over the joints and hubs, whose rows are the stacked
-    rows ``sweep_rows``; all built once here.
+    order), the kind groups, the stacked masses and inertias, and
+    ``plan``, the :class:`EliminationPlan` every Newton system of a step
+    is solved by: the bodies with at most three joints are eliminated
+    first and the sparse sweep runs over the joints and the other bodies,
+    the hubs.  All are built once here.
 
     The state is the knot arrays ``x1, q1, x2, q2, v1, w1`` ((N, 3) or
     (N, 4), one row per body in id order) and ``unknowns``, the stacked
@@ -549,13 +568,7 @@ class Mechanism:
             off += joints[jid].rows
         self.dim = off
         self.groups = _kind_groups(self.body_index, joints, self.joint_slices)
-        # np.isin and np.setdiff1d would import numpy.ma, over 1 MB of RSS
-        is_hub = _hubs(self.body_index, joints)
-        self.hub_rows = np.flatnonzero(is_hub)
-        self.first_rows = np.flatnonzero(~is_hub[:-1])
-        self.hub_sides = [np.nonzero(is_hub[g.ends]) for g in self.groups]
-        self.joint_pairs = _joint_pairs(self.groups, {self.body_ids[r] for r in self.hub_rows})
-        self.solver_layout, self.sweep_rows = _solver_layout(self)
+        self.plan = elimination_plan(self, _hubs(self.body_index, joints))
         self.mass = np.array([bodies[b].mass for b in self.body_ids])
         self.inertia = np.array([bodies[b].inertia for b in self.body_ids])
         self.x1, self.q1, self.v1, self.w1 = (np.array(a, dtype=float) for a in (x, q, v, w))

@@ -143,12 +143,11 @@ def test_criterion_5_solver_equivalence():
         ctx = StepContext(h=0.01)
         mech = randomized_feasible_state(builder(), ctx, rng, warm_steps=2)
         system = newton_system_at(mech, ctx)
-        full, _ = system.assembled()
-        b = system.assembled_rhs()
-        work = system.copy()
-        sol = sparse_ldu_solve(sparse_ldu_factorize(work))
-        x_sparse = np.concatenate([sol[n] for n in system.order])
-        sizes = [system.diag[n].shape[0] for n in system.order]
+        view = system.as_block_system()
+        full, _ = view.assembled()
+        b = view.assembled_rhs()
+        x_sparse = sparse_ldu_solve(sparse_ldu_factorize(system))[system.layout.perm]
+        sizes = [view.diag[n].shape[0] for n in view.order]
         fact_dense = dense_ldu_factorize(full, sizes, pivot_relief=1e-10)
         x_dense = dense_ldu_solve(fact_dense, b)
         worst_mech = max(

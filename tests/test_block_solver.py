@@ -59,9 +59,9 @@ def solve_dense_reference(system):
 
 
 def sparse_solution_vector(system):
-    fact = sparse_ldu_factorize(system.copy())
-    sol = sparse_ldu_solve(fact)
-    return np.concatenate([sol[n] for n in system.order]), fact
+    """The sparse solution of a BlockSystem, its nodes' segments in ``order``."""
+    fact = sparse_ldu_factorize(system.on_layout(()))
+    return sparse_ldu_solve(fact), fact
 
 
 class TestLduInverse:
@@ -176,10 +176,9 @@ class TestSparseLdu:
         d = rng.normal(size=(6, 6)) + 4.0 * np.eye(6)
         b = rng.normal(size=6)
         system = BlockSystem(diag={0: d.copy()}, offdiag={}, order=[0], rhs={0: b})
-        fact = sparse_ldu_factorize(system)
+        sol, _ = sparse_solution_vector(system)
         assert_allclose(system.diag[0], d)
-        sol = sparse_ldu_solve(fact)
-        assert_allclose(sol[0], np.linalg.solve(d, b), atol=1e-11)
+        assert_allclose(sol, np.linalg.solve(d, b), atol=1e-11)
 
     @pytest.mark.parametrize("n_nodes", [2, 5, 9, 17])
     def test_tree_matches_dense_reference(self, rng, n_nodes):
@@ -227,13 +226,8 @@ class TestSparseLdu:
         sol_a = {}
         sol_b = {}
         for order, out in (([3, 1, 4, 2, 0], sol_a), ([4, 2, 3, 1, 0], sol_b)):
-            system = BlockSystem(
-                diag={k: v.copy() for k, v in diag.items()},
-                offdiag={k: v.copy() for k, v in offdiag.items()},
-                order=order,
-                rhs={k: v.copy() for k, v in rhs.items()},
-            )
-            out.update(sparse_ldu_solve(sparse_ldu_factorize(system)))
+            x, _ = sparse_solution_vector(BlockSystem(diag=diag, offdiag=offdiag, order=order, rhs=rhs))
+            out.update(zip(order, np.split(x, np.cumsum([sizes[i] for i in order])[:-1])))
         for i in sizes:
             assert_allclose(sol_a[i], sol_b[i], atol=1e-12)
 
@@ -254,11 +248,11 @@ class TestSparseLdu:
         }
         system = BlockSystem(diag=diag, offdiag=offdiag, order=[0, 1], rhs={0: np.zeros(3), 1: np.zeros(6)})
         with pytest.raises(DanglingConstraintError):
-            sparse_ldu_factorize(system)
+            sparse_ldu_factorize(system.on_layout(()))
 
 
 def chain_system(pivots):
-    """A chain 0-1-...-n with zero couplings: each pivot reaches its elimination unchanged."""
+    """A chain 0-1-...-n with zero couplings on its layout: each pivot reaches its elimination unchanged."""
     n = len(pivots)
     diag = {k: np.array(p, dtype=float) for k, p in enumerate(pivots)}
     offdiag = {}
@@ -266,7 +260,7 @@ def chain_system(pivots):
         offdiag[(k, k + 1)] = np.zeros((diag[k].shape[0], diag[k + 1].shape[0]))
         offdiag[(k + 1, k)] = offdiag[(k, k + 1)].T.copy()
     rhs = {k: np.ones(d.shape[0]) for k, d in diag.items()}
-    return BlockSystem(diag=diag, offdiag=offdiag, order=list(range(n)), rhs=rhs)
+    return BlockSystem(diag=diag, offdiag=offdiag, order=list(range(n)), rhs=rhs).on_layout(())
 
 
 GOOD = 2.0 * np.eye(2)
@@ -325,11 +319,10 @@ class TestAugmentLoopNode:
         system = random_loop_system(rng, 4)
         system.order = [*system.order[:-2], LOOP_NODE, system.order[-2]]
         with pytest.raises(ValueError, match="must be last"):
-            sparse_ldu_factorize(system)
+            system.on_layout(())
 
     def test_report_mentions_fill(self, rng):
-        system = random_loop_system(rng, 6)
-        fact = sparse_ldu_factorize(system.copy())
+        _, fact = sparse_solution_vector(random_loop_system(rng, 6))
         text = pattern_report(fact.system.layout)
         assert "fill events" in text
         assert "order" in text

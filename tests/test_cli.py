@@ -112,6 +112,20 @@ def test_bench_non_finite_duration_is_an_error(tmp_path, capsys, experiment, val
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("args,message", [
+    (["--n-list", "2,3", "--repeats", "0"], "repeats must be at least 1"),
+    (["--n-list", ","], "the timing fit needs at least two distinct sizes"),
+    (["--n-list", "3"], "the timing fit needs at least two distinct sizes"),
+    (["--n-list", "3,3"], "the timing fit needs at least two distinct sizes"),
+])
+def test_bench_timing_bad_input_is_an_error(tmp_path, capsys, args, message):
+    out_path = tmp_path / "timing.csv"
+    code = main(["bench", "timing", *args, "--out", str(out_path)])
+    assert code == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
 def test_missing_file_fails(tmp_path, capsys):
     code = main(["simulate", str(tmp_path / "nope.yaml"), "--out", str(tmp_path / "t.csv")])
     assert code == 1

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import mcdyn.quaternions as quat
-from conftest import make_closed_chain, make_pendulum, make_segmented_chain, star_mechanism
+from conftest import make_closed_chain, make_pendulum, make_segmented_chain, mixed_kind_pendulum, star_mechanism
 from mcdyn.block_solver import LOOP_NODE
 from mcdyn.errors import MechanismError
 from mcdyn.integrator import StepContext, newton_system_at
@@ -372,7 +372,27 @@ class TestGraph:
         assert 9 not in mech.graph.order
         system = newton_system_at(mech, StepContext(h=0.01))
         assert system.order[-1] == LOOP_NODE
-        assert system.loop_layout == [(9, 5)]
+        assert system.layout.loop_layout == [(9, 5)]
+
+    @pytest.mark.parametrize("build,fill", [
+        (lambda: make_pendulum(3, "revolute"), 0),
+        (lambda: make_pendulum(3, "ball"), 0),
+        (lambda: make_closed_chain(4), 14),
+        (lambda: make_segmented_chain(3), 36),
+        (star_mechanism, 0),
+        (mixed_kind_pendulum, 0),
+    ])
+    def test_detect_loops_full_system_is_the_graph(self, build, fill):
+        # what acceptance criterion 4 and `bench timing` time: every body a
+        # node, in the graph's order, the loop joints stacked last
+        mech = build()
+        plan = mech.plan
+        system = newton_system_at(mech, StepContext(h=0.01))
+        loop = [LOOP_NODE] if mech.graph.loop_joints else []
+        assert system.order == [*mech.graph.order, *loop]
+        assert set(mech.body_ids) <= set(system.order)
+        assert system.layout.fill_count == fill
+        assert mech.plan is plan
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_detect_loops_segmented(self, k):

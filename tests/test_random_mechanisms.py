@@ -10,6 +10,8 @@ solver layout's pattern against its dense LDU factors; and the mechanism
 graph against an independent cycle count.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -31,7 +33,6 @@ from oracles import count_independent_cycles, l_matrix, random_unit_quat, rotmat
 from test_integrator import (
     dense_newton_matrix,
     dense_schur_complement,
-    elimination_rows,
     fd_newton_matrix,
     randomized_feasible_state,
     reduced_newton_system,
@@ -143,25 +144,22 @@ def test_sparse_solve_matches_dense_and_lstsq(solve_case):
     ctx = StepContext(h=0.01)
     randomized_feasible_state(mech, ctx, rng, warm_steps=2)
     system = newton_system_at(mech, ctx)
-    full, slices = system.assembled()
-    x0 = rng.normal(size=full.shape[0])
+    full = dense_newton_matrix(mech, ctx)
+    x0 = rng.normal(size=mech.dim)
     b = full @ x0
-    for node, sl in slices.items():
-        system.rhs[node] = b[sl]
 
-    fact = sparse_ldu_factorize(system.copy())
-    sol = sparse_ldu_solve(fact)
-    x = np.concatenate([sol[node] for node in system.order])
-    sizes = [system.diag[node].shape[0] for node in system.order]
-    dense = dense_ldu_factorize(full, sizes, pivot_relief=1e-10)
-    x_dense = dense_ldu_solve(dense, b)
+    fact = sparse_ldu_factorize(replace(system, rhs=b))
+    x = sparse_ldu_solve(fact)
+    lay = system.layout
+    perm = lay.perm  # elimination order -> the unknowns' rows
+    sizes = [seg.stop - seg.start for seg in lay.segments]
+    dense = dense_ldu_factorize(full[np.ix_(perm, perm)], sizes, pivot_relief=1e-10)
+    x_dense = np.empty_like(b)
+    x_dense[perm] = dense_ldu_solve(dense, b[perm])
     assert np.linalg.norm(x - x_dense) <= 1e-9 * np.linalg.norm(x_dense)
     # the Newton loop's body-first solve at the same right-hand side
-    rows = elimination_rows(mech, system)
-    b_unknowns = np.empty_like(b)
-    b_unknowns[rows] = b
-    reduced = reduced_newton_system(mech, ctx, b_unknowns)
-    x_first = solve_reduced(mech, reduced)[rows]
+    reduced = reduced_newton_system(mech, ctx, b)
+    x_first = solve_reduced(mech, reduced)
     assert np.linalg.norm(full @ x - b) <= 1e-10 * np.linalg.norm(b)
     assert np.linalg.norm(full @ x_first - b) <= 1e-10 * np.linalg.norm(b)
     if LOOP_NODE in system.order:
@@ -173,7 +171,7 @@ def test_sparse_solve_matches_dense_and_lstsq(solve_case):
         for pivot in (fact.blocks[loop], first.blocks[first.system.layout.relieved]):
             assert np.abs(pivot - ref).max() <= 1e-10 * np.abs(ref).max()
 
-    body = np.concatenate([np.arange(full.shape[0])[slices[bid]] for bid in mech.body_ids])
+    body = slice(0, 6 * len(mech.body_ids))
     x_ls = np.linalg.lstsq(full, b, rcond=None)[0]
     for ref in (x0, x_ls):
         for sol in (x, x_first):
@@ -194,7 +192,7 @@ def assert_layout_covers_dense_factors(mech, rng):
     layout's pattern or fill."""
     ctx = StepContext(h=0.01)
     randomized_feasible_state(mech, ctx, rng, warm_steps=2)
-    layout = mech.solver_layout
+    layout = mech.plan.layout
     schur, sizes = dense_schur_complement(mech, ctx)
     reduced, _ = reduced_newton_system(mech, ctx, np.zeros(mech.dim)).joints.as_block_system().assembled()
     assert np.abs(reduced - schur).max() <= 1e-12 * np.abs(schur).max()
@@ -233,7 +231,7 @@ def test_layout_covers_dense_factors_on_chains(rng, build):
 
 @pytest.mark.parametrize("n,joint", [(1, "revolute"), (5, "ball"), (20, "revolute")])
 def test_pendulum_layout_has_no_fill(n, joint):
-    layout = make_pendulum(n, joint).solver_layout
+    layout = make_pendulum(n, joint).plan.layout
     assert layout.fill_count == 0
     assert layout.relieved == -1 and not any(layout.panel)
     assert len(layout.sources) == len(layout.order) + len(layout.pairs)
@@ -281,9 +279,9 @@ def hinged_by_two_balls():
 
 def test_joints_sharing_both_bodies_sum_their_schur_terms(rng):
     mech = hinged_by_two_balls()
-    pairs = [pair for _, _, stack, *_ in mech.joint_pairs for pair in stack]
+    pairs = [pair for _, _, stack, *_ in mech.plan.joint_pairs for pair in stack]
     assert pairs.count((4, 5)) == pairs.count((5, 4)) == 1
-    assert sum(len(twice) for *_, twice in mech.joint_pairs) == 2  # (4, 5) and (5, 4)
+    assert sum(len(twice) for *_, twice in mech.plan.joint_pairs) == 2  # (4, 5) and (5, 4)
     # the pair block holds both bodies' terms: equal to the dense Schur complement
     assert_layout_covers_dense_factors(mech, rng)
     mech.initialize(0.01)
@@ -306,10 +304,10 @@ def test_branching_tree_layout_has_no_fill(name):
     # children-first order: the later neighbours of a joint are its parent
     # hub, or the joints at its parent body, which already couple to each other
     mech = TREES[name]()
-    layout = mech.solver_layout
+    layout = mech.plan.layout
     assert not mech.graph.loop_joints
     assert layout.fill_count == 0
-    assert len(layout.order) == len(mech.joints) + len(mech.hub_rows)
+    assert len(layout.order) == len(mech.joints) + len(mech.plan.hubs)
 
 
 def block_products(mech):
@@ -319,8 +317,8 @@ def block_products(mech):
     later neighbour and each Schur update; per-body and per-joint work on
     top of this is linear by construction.
     """
-    pairs = sum(len(terms[0]) for _, _, _, terms, _, _ in mech.joint_pairs)
-    sweep = sum(2 + len(updates) for steps in mech.solver_layout.elimination for *_, updates in steps)
+    pairs = sum(len(terms[0]) for _, _, _, terms, _, _ in mech.plan.joint_pairs)
+    sweep = sum(2 + len(updates) for steps in mech.plan.layout.elimination for *_, updates in steps)
     return pairs + sweep
 
 
@@ -330,4 +328,4 @@ def test_step_solve_is_linear_in_size(build):
     # a clique costing O(d^3) per factorization: 7x here from 16 to 32 links
     small, large = build(16), build(32)
     assert block_products(large) <= 2.1 * block_products(small)
-    assert len(large.hub_rows) == len(small.hub_rows) <= 1
+    assert len(large.plan.hubs) == len(small.plan.hubs) <= 1
