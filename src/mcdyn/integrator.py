@@ -6,8 +6,11 @@ last two knots and, for every constraint, the joint residual evaluated at
 the predicted next knot.  The unknowns are the next-interval velocities of
 all bodies plus the constraint impulses.  A damped Newton iteration drives
 the residual to tolerance; the converged velocities then advance the poses
-through the norm-preserving update rules and the solution warm-starts the
-next step.
+through the norm-preserving update rules.  The next step's solve starts
+from the velocities extrapolated over the last two steps, 2 (v1, w1) -
+(v0, w0), which are O(h^2) off its solution where the last solution is
+O(h) off (Hairer, Lubich & Wanner, *Geometric Numerical Integration*,
+2006, VIII.6), and from the last solution's multipliers.
 
 Each Newton step is solved body first, by the mechanism's elimination
 plan (``mech.plan``).  Bodies couple only to joints, so all bodies with
@@ -24,7 +27,8 @@ at once, and all joints of one kind at once.  The state is the
 mechanism's knot arrays and its stacked unknown vector ``mech.unknowns``
 (see :class:`~mcdyn.mechanism.Mechanism`).  A solve iterates on a copy of
 ``mech.unknowns`` and puts the last accepted vector back when it ends,
-also when it raises; a step then rebinds the knot arrays.  One simulation
+also when it raises; a step puts its predicted start there first and
+rebinds the knot arrays after the solve.  One simulation
 context is single-threaded; independent mechanisms may run in parallel.
 """
 
@@ -242,23 +246,27 @@ def eliminate_bodies(
     all body blocks are checked in one pass, raising SingularBlockError
     naming the first failing body in id order.  The Schur blocks, the
     hubs' blocks and their couplings go into the plan's layout, whose
-    sweep pivots the hubs.
+    sweep pivots the hubs.  A plan that eliminates no body first skips
+    the inversion, the check and the Schur products: the joint diagonal
+    blocks stay zero, and the sweep inverts and checks every body block.
     """
     n = len(mech.body_ids)
     inverse = np.zeros((n + 1, 6, 6))  # world parents meet the zero last row
-    inverse[:n, :3, :3] = np.eye(3) / body_diag[:, :1, :1]
-    try:
-        inverse[:n, 3:, 3:] = np.linalg.inv(body_diag[:, 3:, 3:])
-    except np.linalg.LinAlgError:
-        for k, bid in enumerate(mech.body_ids):  # one at a time, to name the first failing body
-            try:
-                ldu_inverse(body_diag[k])
-            except SingularBlockError as err:
-                raise SingularBlockError(f"singular diagonal block at node {bid!r}: {err}") from None
-        raise
-    for k, reason in _pivot_failures(np.concatenate([body_diag, inverse[:n]]))[:1]:
-        raise SingularBlockError(f"singular diagonal block at node {mech.body_ids[k]!r}: {reason}")
-    inverse[plan.hubs] = 0.0  # the sweep pivots the hubs
+    eliminating = len(plan.first) > 0
+    if eliminating:
+        inverse[:n, :3, :3] = np.eye(3) / body_diag[:, :1, :1]
+        try:
+            inverse[:n, 3:, 3:] = np.linalg.inv(body_diag[:, 3:, 3:])
+        except np.linalg.LinAlgError:
+            for k, bid in enumerate(mech.body_ids):  # one at a time, to name the first failing body
+                try:
+                    ldu_inverse(body_diag[k])
+                except SingularBlockError as err:
+                    raise SingularBlockError(f"singular diagonal block at node {bid!r}: {err}") from None
+            raise
+        for k, reason in _pivot_failures(np.concatenate([body_diag, inverse[:n]]))[:1]:
+            raise SingularBlockError(f"singular diagonal block at node {mech.body_ids[k]!r}: {reason}")
+        inverse[plan.hubs] = 0.0  # the sweep pivots the hubs
     body_rhs = np.zeros((n + 1, 6))
     body_rhs[:n] = rhs[: 6 * n].reshape(n, 6)
     rhs = rhs.copy()
@@ -267,12 +275,15 @@ def eliminate_bodies(
         # concatenate and reshape: the stacks np.stack makes, at under half its call cost
         row = np.concatenate([row_a, row_b]).reshape(2, *row_a.shape)
         col = np.concatenate([col_a, col_b]).reshape(2, *col_a.shape)
-        vb = row @ inverse[group.ends]
-        diag = vb @ col
-        blocks += [*-(diag[0] + diag[1])]
-        pull = vb @ body_rhs[group.ends][..., None]
-        rhs[group.rows] -= (pull[0] + pull[1])[..., 0]
-        left.append(vb)
+        if eliminating:
+            vb = row @ inverse[group.ends]
+            diag = vb @ col
+            blocks += [*-(diag[0] + diag[1])]
+            pull = vb @ body_rhs[group.ends][..., None]
+            rhs[group.rows] -= (pull[0] + pull[1])[..., 0]
+            left.append(vb)
+        else:
+            blocks += [*np.zeros((len(row_a), group.width, group.width))]
         cols.append(col)
         if len(hub[0]):
             hub_blocks += [*row[hub], *col[hub]]
@@ -359,12 +370,15 @@ def assemble_jacobian(
 
 
 def newton_system_at(mech: Mechanism, ctx: StepContext) -> NodeSystem:
-    """The first Newton system a solve from the current state would solve, bodies and joints as nodes.
+    """The first Newton system of a solve from ``mech.unknowns``, bodies and joints as nodes.
 
     The Newton loop's own builder under a plan that eliminates no body
     first: the full system over bodies and joints in the graph's
     elimination order, the loop joints stacked into the loop node last.
-    Its stacked vector is the unknown vector, so ``layout.perm`` maps the
+    It is evaluated at ``mech.unknowns`` (between steps, the last
+    solution), as :func:`newton_solve` called directly starts; a
+    :func:`step` would start from its predicted velocities instead.  Its
+    stacked vector is the unknown vector, so ``layout.perm`` maps the
     unknowns into elimination order.
     """
     layout = build_layout(mech, ctx)
@@ -387,7 +401,7 @@ class NewtonInfo:
 
 
 def newton_solve(mech: Mechanism, ctx: StepContext, tol: float = 1e-10) -> NewtonInfo:
-    """Solve the implicit step equations from the current warm start.
+    """Solve the implicit step equations starting from ``mech.unknowns``.
 
     Iterates factor-and-substitute updates with a backtracking line search
     (first step-halving that decreases the residual 2-norm is accepted, up
@@ -446,17 +460,51 @@ def newton_solve(mech: Mechanism, ctx: StepContext, tol: float = 1e-10) -> Newto
         mech.unknowns = s
 
 
+def _predicted_start(mech: Mechanism, h: float) -> np.ndarray:
+    """The unknowns a step's solve starts from: extrapolated velocities, the last multipliers.
+
+    The body rows are 2 (v1, w1) - (v0, w0), the interval velocities
+    extrapolated linearly over the last two steps; the joint rows are the
+    last solution's.  The multipliers are not extrapolated: the Newton
+    correction never touches their null-space part on redundant loops, so
+    extrapolating it could let it drift.  When some predicted ||w|| >= 2/h,
+    returns ``mech.unknowns`` itself, the last solution.
+    """
+    w = 2.0 * mech.w1 - mech.w0
+    try:
+        quat._rate_scalar(w, h)
+    except AngularRateError:
+        return mech.unknowns
+    s = mech.unknowns.copy()
+    v2, w2 = velocities(s, len(mech.body_ids))
+    v2[:], w2[:] = 2.0 * mech.v1 - mech.v0, w
+    return s
+
+
 def step(mech: Mechanism, ctx: StepContext, tol: float = 1e-10) -> NewtonInfo:
     """Advance the mechanism by one time step.
 
-    Runs the implicit solve, applies the position/orientation updates,
-    shifts the knots by rebinding the mechanism's knot arrays, and keeps
-    the solution as the next warm start.
+    Runs the implicit solve from :func:`_predicted_start` (on first use,
+    from the start ``initialize`` makes), applies the
+    position/orientation updates, and shifts the knots by rebinding the
+    mechanism's knot arrays; the solution stays in ``mech.unknowns``.
+    Input that :func:`newton_solve` rejects leaves every state array as
+    it was; after a failed solve, ``mech.unknowns`` holds its last
+    accepted vector.
     """
-    info = newton_solve(mech, ctx, tol=tol)
+    last = mech.unknowns
+    if mech.h == ctx.h:  # initialized with this h, which was checked then
+        mech.unknowns = _predicted_start(mech, ctx.h)
+    start = mech.unknowns
+    try:
+        info = newton_solve(mech, ctx, tol=tol)
+    except SimulationError:
+        if mech.unknowns is start:  # rejected before the solve took its copy
+            mech.unknowns = last
+        raise
     x3, q3 = _predicted_pose(mech.x2, mech.q2, mech.v2, mech.w2, ctx.h)
     mech.x1, mech.q1, mech.x2, mech.q2 = mech.x2, mech.q2, x3, q3
-    mech.v1, mech.w1 = mech.v2.copy(), mech.w2.copy()
+    mech.v0, mech.w0, mech.v1, mech.w1 = mech.v1, mech.w1, mech.v2.copy(), mech.w2.copy()
     return info
 
 

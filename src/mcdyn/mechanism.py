@@ -49,10 +49,12 @@ class BodyState:
     """One body's rows of its mechanism's state arrays; it stores nothing.
 
     Knots 1 and 2 are the two most recent committed states; (v1, w1) is the
-    velocity over that interval, with w1 expressed in the knot-1 body frame.
-    (v2, w2) are the body's rows of ``mech.unknowns``: the current guess (or
-    converged value) for the next interval, which doubles as the warm start
-    of the implicit solve.  Each field is a read-only property returning a
+    velocity over that interval, with w1 expressed in the knot-1 body frame,
+    and (v0, w0) the velocity over the interval before it.  (v2, w2) are
+    the body's rows of ``mech.unknowns``: the current guess (or converged
+    value) for the next interval.  Between steps they hold the last
+    solution; a step starts its solve from 2 (v1, w1) - (v0, w0) instead.
+    Each field is a read-only property returning a
     writable view of the body's row of the array the mechanism holds now,
     so ``state.w2[:] = w`` writes through and ``state.w2 = w`` raises
     AttributeError.  The mechanism is held by a weak reference, so a
@@ -71,6 +73,8 @@ class BodyState:
     q1 = _row_view("q1")
     x2 = _row_view("x2")
     q2 = _row_view("q2")
+    v0 = _row_view("v0")
+    w0 = _row_view("w0")
     v1 = _row_view("v1")
     w1 = _row_view("w1")
     v2 = _row_view("v2")
@@ -541,16 +545,20 @@ class Mechanism:
     first and the sparse sweep runs over the joints and the other bodies,
     the hubs.  All are built once here.
 
-    The state is the knot arrays ``x1, q1, x2, q2, v1, w1`` ((N, 3) or
-    (N, 4), one row per body in id order) and ``unknowns``, the stacked
-    Newton vector of the last solve, which is the next solve's warm start.
-    ``v2`` and ``w2`` are views of its body rows and the multipliers are
-    its joint rows (``joint_slices``).  ``x``, ``q``, ``v`` and ``w`` give
-    the declared poses and velocities, stacked in body id order; they fill
-    both knots and the warm start, with zero multipliers.  A step rebinds
-    the knot arrays and the solve rebinds ``unknowns``; each body's
-    ``state`` reads its rows of whichever arrays are current.  The state
-    is owned by one simulation context at a time.
+    The state is the knot arrays ``x1, q1, x2, q2, v0, w0, v1, w1`` ((N, 3)
+    or (N, 4), one row per body in id order) and ``unknowns``, the stacked
+    Newton vector of the last solve.  (v0, w0) are the velocities of the
+    interval before (v1, w1).  ``v2`` and ``w2`` are views of the body rows
+    of ``unknowns`` and the multipliers are its joint rows
+    (``joint_slices``).  Between steps ``unknowns`` holds the last
+    solution; a step starts its solve from body rows 2 (v1, w1) - (v0, w0)
+    and the last solution's multipliers.  ``x``, ``q``, ``v`` and ``w``
+    give the declared poses and velocities, stacked in body id order; they
+    fill both knots, both velocity knots and the start of the first solve,
+    with zero multipliers.  A step rebinds the knot arrays and the solve
+    rebinds ``unknowns``; each body's ``state`` reads its rows of whichever
+    arrays are current.  The state is owned by one simulation context at a
+    time.
     """
 
     def __init__(self, bodies: dict, joints: dict, x, q, v, w):
@@ -587,7 +595,8 @@ class Mechanism:
         return velocities(self.unknowns, len(self.body_ids))[1]
 
     def _cold_start(self) -> None:
-        """A new warm start: the velocities (v1, w1) and zero multipliers."""
+        """A new start: (v0, w0) and the unknowns' velocities equal to (v1, w1), zero multipliers."""
+        self.v0, self.w0 = self.v1.copy(), self.w1.copy()
         self.unknowns = np.zeros(self.dim)
         v2, w2 = velocities(self.unknowns, len(self.body_ids))
         v2[:], w2[:] = self.v1, self.w1
@@ -596,9 +605,9 @@ class Mechanism:
         """Build the knot-1 states consistent with the declared velocities.
 
         The previous knot is reconstructed so that one discrete update from
-        it reproduces the current pose exactly; the current velocities
-        double as the cold-start guess for the first implicit solve, and
-        every multiplier restarts at zero.  Raises SimulationError unless h
+        it reproduces the current pose exactly; the current velocities fill
+        (v0, w0) and double as the cold-start guess for the first implicit
+        solve, and every multiplier restarts at zero.  Raises SimulationError unless h
         is finite and positive.
         """
         check_parameter("h", h, positive=True)

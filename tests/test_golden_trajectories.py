@@ -7,6 +7,12 @@ stored ones, and the final x2, q2, v1 and w1 of every body must match to
 1e-9.  This catches any change of results, not just a change of the
 verified physical properties.
 
+To compare the current code with the stored results, per run the stored
+and current iteration totals and the largest final-state deviation (exit
+code 1 when a deviation is above the state bound):
+
+    PYTHONPATH=src python tests/test_golden_trajectories.py --diff
+
 To store new results after an intended change of results:
 
     PYTHONPATH=src python tests/test_golden_trajectories.py --write
@@ -60,19 +66,42 @@ def golden():
     return json.loads(DATA.read_text())
 
 
+def deviations(got, want):
+    """((body, knot), largest absolute deviation) of every stored final knot."""
+    return [
+        ((bid, knot), np.abs(np.array(got["final"][bid][knot]) - value).max())
+        for bid, knots in want["final"].items()
+        for knot, value in knots.items()
+    ]
+
+
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_matches_golden(golden, name):
     got, want = run(name), golden[name]
     assert got["iterations"] == want["iterations"]
     assert got["final"].keys() == want["final"].keys()
-    for bid, knots in want["final"].items():
-        for knot, value in knots.items():
-            dev = np.abs(np.array(got["final"][bid][knot]) - value).max()
-            assert dev <= STATE_TOL, f"body {bid} {knot} off by {dev:.3e}"
+    for (bid, knot), dev in deviations(got, want):
+        assert dev <= STATE_TOL, f"body {bid} {knot} off by {dev:.3e}"
+
+
+def diff() -> int:
+    """Print stored vs current iteration totals and state deviations; 1 if a state is off."""
+    golden, worst = json.loads(DATA.read_text()), 0.0
+    for name in sorted(RUNS):
+        got, want = run(name), golden[name]
+        (bid, knot), dev = max(deviations(got, want), key=lambda item: item[1])
+        worst = max(worst, dev)
+        print(
+            f"{name}: iterations {sum(want['iterations'])} stored, {sum(got['iterations'])} now; "
+            f"largest final-state deviation {dev:.3e} (body {bid} {knot})"
+        )
+    return int(not worst <= STATE_TOL)
 
 
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--diff"]:
+        sys.exit(diff())
     if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: test_golden_trajectories.py --write")
+        sys.exit("usage: test_golden_trajectories.py --diff | --write")
     DATA.write_text(json.dumps({name: run(name) for name in sorted(RUNS)}, indent=1) + "\n")
     print(f"wrote {DATA}")

@@ -27,7 +27,7 @@ from mcdyn.integrator import (
     total_energy,
 )
 from mcdyn.baselines import heun_simulate
-from mcdyn.mechanism import load_mechanism
+from mcdyn.mechanism import elimination_plan, load_mechanism, velocities
 from mcdyn.scenarios import Scenario, generate_scenario
 from oracles import euler_free_body
 
@@ -325,6 +325,27 @@ class TestBodyElimination:
         with pytest.raises(SingularBlockError, match="at node 2: ill-conditioned 6x6 block"):
             eliminate_bodies(mech, mech.plan, body_diag, couplings, np.zeros(mech.dim))
 
+    @pytest.mark.parametrize("entries,value,message", [
+        (np.s_[3:, 3:], 0.0, "exactly singular 6x6 block"),
+        (np.s_[5, 5], 1e-16, "ill-conditioned 6x6 block"),
+    ])
+    def test_plan_without_first_leaves_the_bodies_to_the_sweep(self, monkeypatch, entries, value, message):
+        # no body is eliminated first: no batched inverse or check, and the
+        # sweep's own pivot check names the bad body, the leaf link 4, whose
+        # block is the sweep's first pivot as it stands
+        def no_batch(*args):
+            raise AssertionError("a plan without first bodies ran the batched body check")
+
+        monkeypatch.setattr(mcdyn.integrator, "_pivot_failures", no_batch)
+        mech, body_diag, couplings = self.blocks()
+        body_diag[3][entries] = value
+        plan = elimination_plan(mech, np.ones(len(mech.body_ids), dtype=bool))
+        rhs = np.arange(mech.dim, dtype=float)
+        system = eliminate_bodies(mech, plan, body_diag, couplings, rhs).joints
+        np.testing.assert_array_equal(system.rhs, rhs[plan.rows])
+        with pytest.raises(SingularBlockError, match=f"at node 4: {message}"):
+            sparse_ldu_factorize(system)
+
     def test_free_body_has_no_joint_sweep(self, monkeypatch):
         # without joints the step is ds = B^-1 f, all bodies at once
         def no_sweep(system):
@@ -446,7 +467,7 @@ class TestStepParameters:
         assert mech.h == 0.01
 
 
-KNOTS = ("x1", "q1", "x2", "q2", "v1", "w1", "v2", "w2")
+KNOTS = ("x1", "q1", "x2", "q2", "v0", "w0", "v1", "w1", "v2", "w2")
 
 
 class TestStateArrays:
@@ -613,6 +634,99 @@ class TestStep:
         J = np.diag([1.0, 2.0, 3.0])
         w0 = np.array([0.3, -0.5, 0.8])
         assert np.linalg.norm(L0 - quat.rotate(quat.identity(), J @ w0)) < 1e-2
+
+
+def record_starts(monkeypatch):
+    """The unknowns every newton_solve call starts from, appended as copies."""
+    starts = []
+    solve = mcdyn.integrator.newton_solve
+
+    def recording(mech, ctx, tol):
+        starts.append(mech.unknowns.copy())
+        return solve(mech, ctx, tol=tol)
+
+    monkeypatch.setattr(mcdyn.integrator, "newton_solve", recording)
+    return starts
+
+
+def extrapolated(mech):
+    """The unknowns with the body rows moved to 2 (v1, w1) - (v0, w0)."""
+    s = mech.unknowns.copy()
+    v, w = velocities(s, len(mech.body_ids))
+    v[:], w[:] = 2.0 * mech.v1 - mech.v0, 2.0 * mech.w1 - mech.w0
+    return s
+
+
+class TestPredictedStart:
+    def test_first_step_after_initialize_starts_from_the_warm_start(self, monkeypatch):
+        starts = record_starts(monkeypatch)
+        mech = make_pendulum(3, "ball")
+        ctx = StepContext(h=0.01)
+        for _ in range(3):
+            step(mech, ctx)
+        mech.bodies[2].state.w1[:] = [0.4, -0.2, 0.1]
+        mech.initialize(0.01)
+        cold = mech.unknowns.copy()
+        step(mech, ctx)
+        np.testing.assert_array_equal(starts[-1], cold)
+
+    def test_later_steps_extrapolate_the_velocities_only(self, monkeypatch):
+        starts = record_starts(monkeypatch)
+        mech = make_closed_chain(4)
+        ctx = StepContext(h=0.01)
+        step(mech, ctx)
+        for _ in range(5):
+            last, want = mech.unknowns.copy(), extrapolated(mech)
+            assert not np.array_equal(want, last)
+            step(mech, ctx)
+            np.testing.assert_array_equal(starts[-1], want)
+            n = 6 * len(mech.body_ids)
+            np.testing.assert_array_equal(starts[-1][n:], last[n:])
+            # between steps the unknowns hold the solution, which the knots shifted in
+            np.testing.assert_array_equal(mech.v1, mech.v2)
+            np.testing.assert_array_equal(mech.w1, mech.w2)
+
+    def test_prediction_beyond_the_rate_limit_falls_back(self, monkeypatch):
+        starts = record_starts(monkeypatch)
+        ctx = StepContext(h=0.01, gravity=0.0)
+        runs = []
+        for w0 in ([0.0, 0.0, -120.0], [0.0, 0.0, 50.0]):
+            mech = free_body(inertia=(1.0, 2.0, 3.0), w=(0.0, 0.0, 50.0), v=(0.1, 0.0, 0.0))
+            mech.initialize(0.01)
+            mech.bodies[1].state.w0[:] = w0  # 2 * 50 + 120 >= 2/h; the second run keeps w0 = w1
+            plain = mech.unknowns.copy()
+            step(mech, ctx, tol=1e-12)
+            np.testing.assert_array_equal(starts[-1], plain)
+            runs.append([mech.x2, mech.q2, mech.v1, mech.w1, mech.unknowns])
+        for fell_back, plain_run in zip(*runs):
+            np.testing.assert_array_equal(fell_back, plain_run)
+
+    def test_newton_solve_starts_from_the_unknowns(self, monkeypatch):
+        mech = make_pendulum(3)
+        ctx = StepContext(h=0.01)
+        for _ in range(3):
+            step(mech, ctx)
+        assert not np.array_equal(extrapolated(mech), mech.unknowns)
+        starts = []
+        residual = mcdyn.integrator.assemble_residual
+        monkeypatch.setattr(
+            mcdyn.integrator, "assemble_residual", lambda m, lay, pos, s: starts.append(s.copy()) or residual(m, lay, pos, s)
+        )
+        start = mech.unknowns.copy()
+        newton_solve(mech, ctx)
+        np.testing.assert_array_equal(starts[0], start)
+
+    def test_rejected_load_keeps_the_last_solution(self):
+        mech = make_pendulum(3)
+        ctx = StepContext(h=0.01)
+        for _ in range(3):
+            step(mech, ctx)
+        before = {name: getattr(mech, name).copy() for name in (*KNOTS, "unknowns")}
+        assert not np.array_equal(extrapolated(mech), mech.unknowns)
+        with pytest.raises(SimulationError, match="body 1"):
+            step(mech, StepContext(h=0.01, forces={1: np.array([np.nan, 0.0, 0.0])}))
+        for name, value in before.items():
+            np.testing.assert_array_equal(getattr(mech, name), value)
 
 
 class TestEnergy:
