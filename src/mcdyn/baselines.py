@@ -16,11 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quaternions as quat
-from .integrator import StepContext, check_loads, eliminate_bodies, mechanical_energy, solve_reduced, stacked_loads
+from .integrator import StepContext, eliminate_bodies, mechanical_energy, solve_reduced, stacked_loads
 from .mechanism import Mechanism, constraint_jacobian_position, max_violation, velocities, with_world
 
 _EZ = np.array([0.0, 0.0, 1.0])
 _DIRECTIONAL_EPS = 1e-5
+_HALF_ROTATION = np.array([1.0, 1.0, 1.0, 0.5, 0.5, 0.5])  # column scales of [dg/dx, (1/2) rotational dg/dq]
 
 
 @dataclass
@@ -57,30 +58,21 @@ def _qdot(q: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def _coupling_blocks(mech: Mechanism, state: _State) -> list:
-    """Per kind group, (parent, child) blocks [dg/dx, (1/2) rotational dg/dq].
+    """Per kind group, the (2, M, rows, 6) parent and child blocks [dg/dx, (1/2) rotational dg/dq].
 
     The half factor makes block @ [v; w] the time derivative of the
     residual (q-dot is half the angular-velocity embedding).
     """
-    _, q = with_world(state.x, state.q)
-    out = []
-    for group in mech.groups:
-        blocks = constraint_jacobian_position(group, q)
-        for blk in blocks:
-            blk[..., 3:] *= 0.5
-        out.append(blocks)
-    return out
+    _, q, rot = with_world(state.x, state.q)
+    return [constraint_jacobian_position(group, q, rot) * _HALF_ROTATION for group in mech.groups]
 
 
 def _residual_rates(mech: Mechanism, state: _State) -> list:
     """Per kind group, the (M, rows) time derivatives of the joint residuals."""
     vel = np.concatenate([state.v, state.w], axis=1)
     vel = np.concatenate([vel, np.zeros((1, 6))])[..., None]  # the world is at rest
-    rates = []
-    for group, (blk_a, blk_b) in zip(mech.groups, _coupling_blocks(mech, state)):
-        vel_a, vel_b = vel[group.ends]
-        rates.append((blk_a @ vel_a + blk_b @ vel_b)[..., 0])
-    return rates
+    blocks = _coupling_blocks(mech, state)
+    return [(blk @ vel[g.ends]).sum(axis=0)[..., 0] for g, blk in zip(mech.groups, blocks)]
 
 
 def _rate_bias(mech: Mechanism, state: _State) -> list:
@@ -100,24 +92,22 @@ def _rate_bias(mech: Mechanism, state: _State) -> list:
     ]
 
 
-def _acceleration_rates(mech: Mechanism, state: _State, ctx: StepContext) -> _State:
-    """Accelerations and multipliers from the index-reduced saddle system."""
+def _acceleration_rates(mech: Mechanism, state: _State, ctx: StepContext, loads: tuple) -> _State:
+    """Accelerations and multipliers from the index-reduced saddle system under ``loads`` (stacked_loads)."""
     n = len(mech.body_ids)
     body_diag = np.zeros((n, 6, 6))
     body_diag[:, :3, :3] = mech.mass[:, None, None] * np.eye(3)
     body_diag[:, 3:, 3:] = mech.inertia
     rhs = np.empty(mech.dim)
     body = rhs[: 6 * n].reshape(n, 6)
-    force, torque = stacked_loads(mech, ctx)
+    force, torque = loads
     body[:, :3] = force - mech.mass[:, None] * ctx.gravity * _EZ
     jw = (mech.inertia @ state.w[:, :, None])[..., 0]
     body[:, 3:] = torque - quat.cross(state.w, jw)
     couplings = []
-    for group, (blk_a, blk_b), bias in zip(
-        mech.groups, _coupling_blocks(mech, state), _rate_bias(mech, state)
-    ):
+    for group, blocks, bias in zip(mech.groups, _coupling_blocks(mech, state), _rate_bias(mech, state)):
         rhs[group.rows] = -bias
-        couplings.append((blk_a, blk_b, -blk_a.transpose(0, 2, 1), -blk_b.transpose(0, 2, 1)))
+        couplings.append((blocks, -blocks.transpose(0, 1, 3, 2)))
     sol = solve_reduced(mech, eliminate_bodies(mech, mech.plan, body_diag, couplings, rhs))
     return _State(state.v.copy(), _qdot(state.q, state.w), *velocities(sol, n))
 
@@ -128,13 +118,13 @@ def heun_simulate(mech: Mechanism, ctx: StepContext, n_steps: int) -> list[Basel
     Raises SimulationError, before integrating, for a load on an unknown
     body or a load that is not a finite 3-vector.
     """
-    check_loads(mech, ctx)
+    loads = stacked_loads(mech, ctx)
     state = _State.committed(mech)
     h = ctx.h
     records = []
     for k in range(1, n_steps + 1):
-        k1 = _acceleration_rates(mech, state, ctx)
-        k2 = _acceleration_rates(mech, state.shifted(k1, h), ctx)
+        k1 = _acceleration_rates(mech, state, ctx, loads)
+        k2 = _acceleration_rates(mech, state.shifted(k1, h), ctx, loads)
         q = state.q + 0.5 * h * (k1.q + k2.q)
         state = _State(
             state.x + 0.5 * h * (k1.x + k2.x),

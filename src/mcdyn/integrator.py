@@ -23,7 +23,8 @@ The full bodies-and-joints system (:func:`newton_system_at`) is built by
 the same code under a plan that eliminates no body first.
 
 Every residual and Jacobian evaluation works on stacked arrays: all bodies
-at once, and all joints of one kind at once.  The state is the
+at once, and all joints of one kind at once, from one batched evaluation
+of the pose's rotation matrices.  The state is the
 mechanism's knot arrays and its stacked unknown vector ``mech.unknowns``
 (see :class:`~mcdyn.mechanism.Mechanism`).  A solve iterates on a copy of
 ``mech.unknowns`` and puts the last accepted vector back when it ends,
@@ -54,7 +55,6 @@ from .mechanism import (
     check_parameter,
     constraint_jacobian_position,
     constraint_jacobian_velocity,
-    elimination_plan,
     joint_residual,
     velocities,
     with_world,
@@ -79,9 +79,26 @@ class StepContext:
     torques: dict = field(default_factory=dict)
 
 
-def check_loads(mech: Mechanism, ctx: StepContext) -> None:
-    """Reject loads on unknown bodies and loads that are not finite 3-vectors."""
-    for name, loads in (("force", ctx.forces), ("torque", ctx.torques)):
+def stacked_loads(mech: Mechanism, ctx: StepContext) -> tuple[np.ndarray, np.ndarray]:
+    """(N, 3) forces and torques of ``ctx``, one row per body in id order.
+
+    Raises SimulationError for a load on an unknown body or a load that is
+    not a finite 3-vector.  Each kind of load is stacked and checked in one
+    pass; only a failing pass walks its entries, to name the first bad one.
+    """
+    out = np.zeros((2, len(mech.body_ids), 3))
+    for rows, (name, loads) in zip(out, (("force", ctx.forces), ("torque", ctx.torques))):
+        if not loads:
+            continue
+        try:
+            at = [mech.body_index[bid] for bid in loads]
+            values = np.array(list(loads.values()), dtype=float)
+            ok = values.shape == (len(at), 3) and np.isfinite(values).all()
+        except (KeyError, TypeError, ValueError):
+            ok = False
+        if ok:
+            rows[at] = values
+            continue
         for bid, value in loads.items():
             if bid not in mech.bodies:
                 raise SimulationError(f"{name} on unknown body {bid!r}")
@@ -93,15 +110,7 @@ def check_loads(mech: Mechanism, ctx: StepContext) -> None:
                 raise SimulationError(f"{name} on body {bid} has shape {value.shape}, not (3,)")
             if not np.isfinite(value).all():
                 raise SimulationError(f"{name} on body {bid} is not finite: {value}")
-
-
-def stacked_loads(mech: Mechanism, ctx: StepContext) -> tuple[np.ndarray, np.ndarray]:
-    """(N, 3) forces and torques of ``ctx``, one row per body in id order."""
-    force, torque = np.zeros((2, len(mech.body_ids), 3))
-    for rows, given in ((force, ctx.forces), (torque, ctx.torques)):
-        for bid, value in given.items():
-            rows[mech.body_index[bid]] = value
-    return force, torque
+    return out[0], out[1]
 
 
 @dataclass
@@ -125,7 +134,10 @@ class SystemLayout:
 
 
 def build_layout(mech: Mechanism, ctx: StepContext) -> SystemLayout:
-    """Read the committed knots and the loads of ``ctx`` into stacked arrays."""
+    """Read the committed knots and the loads of ``ctx`` into stacked arrays.
+
+    Raises SimulationError for bad loads (:func:`stacked_loads`).
+    """
     w1 = mech.w1
     force, torque = stacked_loads(mech, ctx)
     jw1 = (mech.inertia @ w1[:, :, None])[..., 0]
@@ -157,8 +169,8 @@ def position_jacobian_blocks(mech: Mechanism, layout: SystemLayout) -> list:
     These depend only on committed poses, so one computation serves every
     residual and Jacobian evaluation within a step's solve.
     """
-    _, q2 = with_world(layout.x2, layout.q2)
-    return [constraint_jacobian_position(group, q2) for group in mech.groups]
+    _, q2, rot2 = with_world(layout.x2, layout.q2)
+    return [constraint_jacobian_position(group, q2, rot2) for group in mech.groups]
 
 
 def assemble_residual(
@@ -175,14 +187,12 @@ def assemble_residual(
     n = len(mech.body_ids)
     h = layout.h
     v2, w2 = velocities(s, n)
-    x3, q3 = with_world(*_predicted_pose(layout.x2, layout.q2, v2, w2, h))
+    pose = with_world(*_predicted_pose(layout.x2, layout.q2, v2, w2, h))
     f = np.empty(mech.dim)
     pull = np.zeros((n + 1, 6))  # the last row collects the world's share
-    for group, (pos_a, pos_b) in zip(mech.groups, pos_blocks):
-        lam = s[group.rows][:, None, :]
-        np.add.at(pull, group.ends[0], (lam @ pos_a)[:, 0])
-        np.add.at(pull, group.ends[1], (lam @ pos_b)[:, 0])
-        f[group.rows] = joint_residual(group, x3, q3)
+    for group, pos in zip(mech.groups, pos_blocks):
+        np.add.at(pull, group.ends, (s[group.rows][:, None, :] @ pos)[..., 0, :])
+        f[group.rows] = joint_residual(group, *pose)
     jw2 = (mech.inertia @ w2[:, :, None])[..., 0]
     s2 = quat._rate_scalar(w2, h)[:, None]
     body = f[: 6 * n].reshape(n, 6)
@@ -237,9 +247,9 @@ def eliminate_bodies(
     ``body_diag`` stacks the (N, 6, 6) body blocks, whose translational
     parts are multiples of the identity and which have no translational-
     rotational coupling; joint diagonal blocks are zero.  ``couplings``
-    holds per kind group the stacked blocks (row_a, row_b, col_a, col_b):
-    (M, rows, 6) blocks in the joints' rows and (M, 6, rows) blocks in the
-    bodies' rows, on the parent (a) and child (b) side; world parents
+    holds per kind group the stacked blocks (row, col): (2, M, rows, 6)
+    blocks in the joints' rows and (2, M, 6, rows) blocks in the bodies'
+    rows, on the parent side, then the child side; world parents
     contribute nothing.  ``rhs`` is laid out like the unknowns.  Bodies are
     never adjacent to each other, so the pivots of those eliminated here
     are their body blocks: the rotational parts are inverted together and
@@ -271,10 +281,7 @@ def eliminate_bodies(
     body_rhs[:n] = rhs[: 6 * n].reshape(n, 6)
     rhs = rhs.copy()
     blocks, left, cols, hub_blocks = [], [], [], []  # per group, V B^-1 and C on both sides
-    for group, (row_a, row_b, col_a, col_b), hub in zip(mech.groups, couplings, plan.hub_sides):
-        # concatenate and reshape: the stacks np.stack makes, at under half its call cost
-        row = np.concatenate([row_a, row_b]).reshape(2, *row_a.shape)
-        col = np.concatenate([col_a, col_b]).reshape(2, *col_a.shape)
+    for group, (row, col), hub in zip(mech.groups, couplings, plan.hub_sides):
         if eliminating:
             vb = row @ inverse[group.ends]
             diag = vb @ col
@@ -283,7 +290,7 @@ def eliminate_bodies(
             rhs[group.rows] -= (pull[0] + pull[1])[..., 0]
             left.append(vb)
         else:
-            blocks += [*np.zeros((len(row_a), group.width, group.width))]
+            blocks += [*np.zeros((len(group.ids), group.width, group.width))]
         cols.append(col)
         if len(hub[0]):
             hub_blocks += [*row[hub], *col[hub]]
@@ -324,8 +331,8 @@ def jacobian_blocks(
     """The exact Jacobian of the residual at the unknowns ``s``, as stacked blocks.
 
     Returns the (N, 6, 6) velocity derivatives of the bodies' momentum
-    balances and, per kind group, the couplings (row_a, row_b, col_a,
-    col_b) of :func:`eliminate_bodies`: the predicted-knot velocity
+    balances and, per kind group, the couplings (row, col) of
+    :func:`eliminate_bodies`: the predicted-knot velocity
     Jacobian in the joints' rows and minus the transposed knot-2 position
     Jacobian (the impulse direction) in the bodies' rows.  The joint
     diagonal blocks are exactly zero, so the pattern is the mechanism's
@@ -334,9 +341,8 @@ def jacobian_blocks(
     n = len(mech.body_ids)
     h = layout.h
     v2, w2 = velocities(s, n)
-    _, q3 = with_world(*_predicted_pose(layout.x2, layout.q2, v2, w2, h))
-    rot_jac = np.zeros((n + 1, 4, 3))
-    rot_jac[:n] = quat.orientation_update_jacobian(layout.q2, w2, h)
+    _, q3, rot3 = with_world(*_predicted_pose(layout.x2, layout.q2, v2, w2, h))
+    delta = np.concatenate([quat.update_rotation_jacobian(w2, h), np.zeros((1, 3, 3))])  # the world does not move
     J = mech.inertia
     jw = (J @ w2[:, :, None])[..., 0]
     s2 = quat._rate_scalar(w2, h)[:, None, None]
@@ -346,12 +352,8 @@ def jacobian_blocks(
         J * s2 - jw[:, :, None] * (w2[:, None, :] / s2) + quat.skew(w2) @ J - quat.skew(jw)
     )
     couplings = [
-        (
-            *constraint_jacobian_velocity(group, q3, rot_jac, h),
-            -pos_a.transpose(0, 2, 1),
-            -pos_b.transpose(0, 2, 1),
-        )
-        for group, (pos_a, pos_b) in zip(mech.groups, pos_blocks)
+        (constraint_jacobian_velocity(group, q3, rot3, delta, h), -pos.transpose(0, 1, 3, 2))
+        for group, pos in zip(mech.groups, pos_blocks)
     ]
     return body_diag, couplings
 
@@ -385,8 +387,7 @@ def newton_system_at(mech: Mechanism, ctx: StepContext) -> NodeSystem:
     pos_blocks = position_jacobian_blocks(mech, layout)
     s = mech.unknowns
     f = assemble_residual(mech, layout, pos_blocks, s)
-    plan = elimination_plan(mech, np.ones(len(mech.body_ids), dtype=bool))
-    return eliminate_bodies(mech, plan, *jacobian_blocks(mech, layout, pos_blocks, s), f).joints
+    return eliminate_bodies(mech, mech.full_plan, *jacobian_blocks(mech, layout, pos_blocks, s), f).joints
 
 
 # ---------------------------------------------------------------------------
@@ -415,12 +416,11 @@ def newton_solve(mech: Mechanism, ctx: StepContext, tol: float = 1e-10) -> Newto
     reach `tol`; either way the last accepted vector is left in
     ``mech.unknowns``.
     """
-    check_loads(mech, ctx)
     check_parameter("h", ctx.h, positive=True)
     check_parameter("tol", tol, positive=True)
     check_parameter("gravity", ctx.gravity, positive=False)
+    layout = build_layout(mech, ctx)  # reads no knot that initializing sets
     mech.ensure_initialized(ctx.h)
-    layout = build_layout(mech, ctx)
     pos_blocks = position_jacobian_blocks(mech, layout)
     s = mech.unknowns.copy()
     try:
@@ -447,7 +447,8 @@ def newton_solve(mech: Mechanism, ctx: StepContext, tol: float = 1e-10) -> Newto
                 alpha *= 0.5
             if not accepted:
                 raise LineSearchError(
-                    f"line search stalled at residual {norm:.3e} after {_MAX_HALVINGS} halvings"
+                    f"line search stalled at residual {norm:.3e} after {_MAX_HALVINGS} halvings; last Newton step "
+                    f"norm {np.linalg.norm(ds):.3e}, residual history [{', '.join(f'{r:.3e}' for r in history)}]"
                 )
             s, f, norm = s_try, f_try, norm_try
             history.append(norm)

@@ -11,6 +11,10 @@ says which bodies go first and lays the sparse sweep over the joints and
 the other bodies in the graph's order: the step eliminates every body
 with at most three joints first, the full bodies-and-joints view none.
 
+The joint kernels read the rotation matrices of a pose, computed once for
+all bodies (:func:`with_world`), and multiply them by constants each kind
+group makes once.
+
 World attachments are constraints against an immovable environment: the
 world contributes no unknowns and no graph node of its own, but a virtual
 world vertex participates in cycle detection so that chains closed through
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -143,27 +148,26 @@ def _axis_complement(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class JointGroup:
     """All joints of one kind, stacked for the batched kernels.
 
-    The kernels read stacked pose arrays with one row per body in id order
-    and a last row for the world (origin, identity orientation), as built
-    by :func:`with_world`; ``ends`` indexes those rows, the parents' then
-    the children's, along a leading sides axis.
-    ``rows`` holds, per joint, the indices of its residual rows (and of its
-    multipliers) in the stacked Newton vector.  ``normals`` stacks each
-    revolute joint's n1, n2; ``target`` holds rows 1-3 of
-    lmat(orientation_target)^T of each fixed joint.  Fields that do not
-    apply to the kind are None.
+    The kernels read stacked poses and their rotations with a last row for
+    the world (:func:`with_world`); ``ends`` indexes those rows, the
+    parents' then the children's, along a leading sides axis, and ``rows``
+    holds the joints' rows of the stacked Newton vector.  Per side,
+    ``points`` holds the body-frame vectors the residual rotates, as
+    columns: the parent's anchor or the child's negated, then for revolute
+    joints the parent's hinge axis and a zero column, or the child's n1
+    and n2.  ``levers`` holds -2 [v]× per column v of ``points``, then
+    ``points``.  ``target`` holds rows 1-3 of
+    lmat(orientation_target)^T of each fixed joint, None for other kinds.
     """
 
     kind: str
     ids: list
     parent_ids: list
     child_ids: list
-    p_a: np.ndarray  # (M, 3)
-    p_b: np.ndarray  # (M, 3)
+    points: np.ndarray  # (2, M, 3, k): k = 3 for revolute joints, else 1
+    levers: np.ndarray  # (2, M, 3, 4k)
     rows: np.ndarray  # (M, rows)
     ends: np.ndarray  # (2, M): parent, child
-    axis_a: np.ndarray | None  # (M, 3)
-    normals: np.ndarray | None  # (M, 2, 3)
     target: np.ndarray | None  # (M, 3, 4)
 
     @property
@@ -173,98 +177,76 @@ class JointGroup:
 
 _WORLD_X = np.zeros((1, 3))
 _WORLD_Q = np.array([[1.0, 0.0, 0.0, 0.0]])
+_SIDE_SIGN = np.array([1.0, -1.0])[:, None, None, None] * np.eye(3)  # +I on the parent, -I on the child
 
 
-def with_world(x: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked body poses with the world pose appended as the last row."""
-    return np.concatenate([x, _WORLD_X]), np.concatenate([q, _WORLD_Q])
+def with_world(x: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stacked poses with the world's appended as the last row, and their rotation matrices: (x, q, rot)."""
+    q = np.concatenate([q, _WORLD_Q])
+    return np.concatenate([x, _WORLD_X]), q, quat.rotation_matrix(q)
 
 
-def joint_residual(group: JointGroup, x: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """(M, rows) constraint residuals of one kind group at stacked poses.
+def joint_residual(group: JointGroup, x: np.ndarray, q: np.ndarray, rot: np.ndarray) -> np.ndarray:
+    """(M, rows) constraint residuals of one kind group at stacked poses (:func:`with_world`).
 
-    Zero iff the joint is satisfied: coincident anchor points, plus aligned
-    hinge axes for revolute joints, plus matched orientation for fixed
-    attachments.
+    Zero iff the joint is satisfied: x_a + R_a p_a = x_b + R_b p_b, plus
+    (R_b n_i) . (R_a axis_a) = 0 for revolute joints, plus for fixed ones
+    the vector part of the target's conjugate times q_b.
     """
-    qa, qb = q[group.ends]
-    xa, xb = x[group.ends]
-    ball = xa + quat.rotate(qa, group.p_a) - xb - quat.rotate(qb, group.p_b)
+    world = rot[group.ends] @ group.points
+    ball = x[group.ends[0]] - x[group.ends[1]] + world[0, :, :, 0] + world[1, :, :, 0]
     if group.kind == KIND_BALL:
         return ball
     if group.kind == KIND_REVOLUTE:
-        axis_w = quat.rotate(qa, group.axis_a)
-        normals_w = quat.rotate(qb[:, None], group.normals)
-        return np.concatenate([ball, (normals_w @ axis_w[:, :, None])[..., 0]], axis=1)
-    # fixed to world: lock orientation to the target via the relative
-    # quaternion's vector part
-    return np.concatenate([ball, (group.target @ qb[:, :, None])[..., 0]], axis=1)
+        return np.concatenate([ball, (world[1, :, :, 1:] * world[0, :, :, 1:2]).sum(axis=1)], axis=1)
+    return np.concatenate([ball, (group.target @ q[group.ends[1], :, None])[..., 0]], axis=1)
 
 
-def joint_jacobian_raw(group: JointGroup, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orientation derivatives of one kind group's residuals at stacked poses.
+def joint_jacobian_raw(group: JointGroup, q: np.ndarray, rot: np.ndarray) -> np.ndarray:
+    """(2, M, rows, 3) body-frame rotational Jacobians of one kind group, parents then children.
 
-    Returns (dg/dq_parent, dg/dq_child), each (M, rows, 4).  The position
-    derivatives are constant: +I for the parent and -I for the child on
-    the three anchor rows, zero below.  Blocks of a world parent are
-    computed like the others and left out by the callers.  Exact for any q.
+    R v turns by -2 R [v]× e under q ⊗ [1, e] for any q, so one product
+    of the ends' rotations with ``group.levers`` gives the anchor rows
+    -2 R_a [p_a]× and 2 R_b [p_b]× and the revolute rows
+    -2 (R_b n_i)^T R_a [axis_a]× and -2 (R_a axis_a)^T R_b [n_i]×; fixed
+    rows are target lmat(q_b) on its vector columns.  Blocks of a world
+    parent are computed like the others and left out by the callers.
     """
-    qa, qb = q[group.ends]
-    shape = (len(group.ids), group.width, 4)
-    dq_a, dq_b = np.zeros(shape), np.zeros(shape)
-    dq_a[:, :3] = quat.rotate_jacobian(qa, group.p_a)
-    dq_b[:, :3] = -quat.rotate_jacobian(qb, group.p_b)
-    if group.kind == KIND_REVOLUTE:
-        normals_w = quat.rotate(qb[:, None], group.normals)
-        dq_a[:, 3:] = normals_w @ quat.rotate_jacobian(qa, group.axis_a)
-        axis_w = quat.rotate(qa, group.axis_a)
-        dq_b[:, 3:] = (axis_w[:, None, None] @ quat.rotate_jacobian(qb[:, None], group.normals))[:, :, 0]
+    turned = rot[group.ends] @ group.levers
+    out = np.zeros((2, len(group.ids), group.width, 3))
+    out[:, :, :3] = turned[..., :3]
+    if group.kind == KIND_REVOLUTE:  # columns 3:9 are R (-2 [v]×) of the axis or n1, n2; 10: R v
+        out[0, :, 3:] = turned[1, :, :, 10:].transpose(0, 2, 1) @ turned[0, :, :, 3:6]
+        out[1, :, 3:] = (turned[0, :, None, :, 10] @ turned[1, :, :, 3:9]).reshape(-1, 2, 3)
     elif group.kind == KIND_FIXED:
-        dq_b[:, 3:] = group.target
-    return dq_a, dq_b
-
-
-def _with_translation(sign: float, rot: np.ndarray) -> np.ndarray:
-    """(M, rows, 6) blocks: sign * I on the anchor rows' position columns, then rot."""
-    out = np.zeros(rot.shape[:2] + (6,))
-    out[:, :3, :3] = sign * np.eye(3)
-    out[:, :, 3:] = rot
+        out[1, :, 3:] = quat.rotational_jacobian(q[group.ends[1]], group.target)
     return out
 
 
-def constraint_jacobian_position(group: JointGroup, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(parent, child) (M, rows, 6) blocks [dg/dx, rotational dg/dq] at stacked poses.
+def _with_translation(scale: float, rot: np.ndarray) -> np.ndarray:
+    """(2, M, rows, 6) blocks: scale I (parent) or -scale I (child) on the anchor rows' dg/dx, then rot."""
+    out = np.zeros(rot.shape[:3] + (6,))
+    out[:, :, :3, :3] = scale * _SIDE_SIGN
+    out[..., 3:] = rot
+    return out
 
-    The rotational part reduces the raw 4-column derivative to the three
-    body-frame rotation directions; these blocks enter the equations of
-    motion transposed, multiplied by the constraint impulses.
-    """
-    dq_a, dq_b = joint_jacobian_raw(group, q)
-    qa, qb = q[group.ends]
-    return (
-        _with_translation(1.0, quat.rotational_jacobian(qa, dq_a)),
-        _with_translation(-1.0, quat.rotational_jacobian(qb, dq_b)),
-    )
+
+def constraint_jacobian_position(group: JointGroup, q: np.ndarray, rot: np.ndarray) -> np.ndarray:
+    """(2, M, rows, 6) blocks [dg/dx, rotational dg/dq], parents then children; transposed, they carry the impulses."""
+    return _with_translation(1.0, joint_jacobian_raw(group, q, rot))
 
 
 def constraint_jacobian_velocity(
-    group: JointGroup, q3: np.ndarray, rot_jac: np.ndarray, h: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """(parent, child) (M, rows, 6) derivatives of the predicted-knot residual.
+    group: JointGroup, q3: np.ndarray, rot3: np.ndarray, delta: np.ndarray, h: float
+) -> np.ndarray:
+    """(2, M, rows, 6) derivatives of the predicted-knot residual in the velocities, parents then children.
 
-    The residual is imposed at the predicted knot obtained from the current
-    velocity unknowns, so the chain rule carries the factor h through the
-    position update and the orientation-update derivative through the
-    rotational columns.  ``q3`` stacks the predicted orientations
-    orientation_update(q2, w2, h) and ``rot_jac`` their (4, 3) derivatives
-    orientation_update_jacobian(q2, w2, h), both with a world row.
+    The chain rule carries h through the position update and Δ(w) through
+    the rotational columns: ``q3`` and ``rot3`` are the predicted pose
+    (:func:`with_world`), ``delta`` stacks quat.update_rotation_jacobian(w2, h)
+    with a zero world row.
     """
-    dq_a, dq_b = joint_jacobian_raw(group, q3)
-    jac_a, jac_b = rot_jac[group.ends]
-    return (
-        _with_translation(h, dq_a @ jac_a),
-        _with_translation(-h, dq_b @ jac_b),
-    )
+    return _with_translation(h, joint_jacobian_raw(group, q3, rot3) @ delta[group.ends])
 
 
 def _indices(sl: slice) -> np.ndarray:
@@ -393,19 +375,21 @@ def _kind_groups(body_index: dict, joints: dict, joint_slices: dict) -> list[Joi
         members = [joints[j] for j in sorted(joints) if joints[j].kind == kind]
         if not members:
             continue
-        revolute = kind == KIND_REVOLUTE
+        k = 3 if kind == KIND_REVOLUTE else 1
+        vectors = np.array([  # (2, M, k, 3)
+            [(j.p_a, j.axis_a, np.zeros(3))[:k] for j in members], [(-j.p_b, j.n1, j.n2)[:k] for j in members]
+        ])
+        points = vectors.transpose(0, 1, 3, 2).copy()
         groups.append(
             JointGroup(
                 kind=kind,
                 ids=[j.id for j in members],
                 parent_ids=[j.parent for j in members],
                 child_ids=[j.child for j in members],
-                p_a=np.array([j.p_a for j in members]),
-                p_b=np.array([j.p_b for j in members]),
+                points=points,
+                levers=np.concatenate([*(-2.0 * quat.skew(vectors)).transpose(2, 0, 1, 3, 4), points], axis=-1),
                 rows=np.array([_indices(joint_slices[j.id]) for j in members]),
                 ends=np.array([[row[j.parent] for j in members], [row[j.child] for j in members]]),
-                axis_a=np.array([j.axis_a for j in members]) if revolute else None,
-                normals=np.array([[j.n1, j.n2] for j in members]) if revolute else None,
                 target=(
                     quat.lmat(np.array([j.orientation_target for j in members])).transpose(0, 2, 1)[:, 1:]
                     if kind == KIND_FIXED else None
@@ -518,9 +502,9 @@ def check_parameter(name: str, value, positive: bool) -> None:
         raise SimulationError(f"{name} must be finite{' and positive' * positive}, got {value}")
 
 
-def max_violation(groups, x: np.ndarray, q: np.ndarray) -> float:
-    """Largest absolute joint residual entry at stacked poses; NaN if any entry is NaN."""
-    return float(np.max([np.abs(joint_residual(g, x, q)).max() for g in groups], initial=0.0))
+def max_violation(groups, x: np.ndarray, q: np.ndarray, rot: np.ndarray) -> float:
+    """Largest absolute joint residual entry at stacked poses (:func:`with_world`); NaN if any entry is NaN."""
+    return float(np.max([np.abs(joint_residual(g, x, q, rot)).max() for g in groups], initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -594,6 +578,11 @@ class Mechanism:
     def w2(self) -> np.ndarray:
         return velocities(self.unknowns, len(self.body_ids))[1]
 
+    @cached_property
+    def full_plan(self) -> EliminationPlan:
+        """The plan that eliminates no body first: the full bodies-and-joints system, built on first use."""
+        return elimination_plan(self, np.ones(len(self.body_ids), dtype=bool))
+
     def _cold_start(self) -> None:
         """A new start: (v0, w0) and the unknowns' velocities equal to (v1, w1), zero multipliers."""
         self.v0, self.w0 = self.v1.copy(), self.w1.copy()
@@ -628,8 +617,8 @@ class Mechanism:
                 "call initialize(h) to restart with the new step"
             )
 
-    def poses(self, at: int) -> tuple[np.ndarray, np.ndarray]:
-        """Stacked poses of committed knot 1 or 2, world row included."""
+    def poses(self, at: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Stacked poses of committed knot 1 or 2 and their rotations, world row included."""
         if at not in (1, 2):
             raise ValueError("knot selector must be 1 or 2")
         return with_world(getattr(self, f"x{at}"), getattr(self, f"q{at}"))

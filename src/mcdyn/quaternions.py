@@ -12,6 +12,9 @@ Conventions used throughout the package:
   maps back.
 - Orientations are unit quaternions.  No operation renormalizes its
   output; norm drift is a measurable quantity, not something to hide.
+- Rotational Jacobians are body-frame, in e of f(q ⊗ [1, e]) at e = 0.
+  As R(q1 ⊗ q2) = R(q1) R(q2) for any q1, q2 (``rotation_matrix``),
+  R(q ⊗ [1, e]) p = R(q) p - 2 R(q) [p]× e + O(e^2) for any q.
 
 All operations are pure functions on value types and safe to call
 concurrently.
@@ -98,14 +101,10 @@ def inverse(q: np.ndarray) -> np.ndarray:
 def rotation_matrix(q: np.ndarray) -> np.ndarray:
     """The 3x3 matrix of the rotation action, VMAT @ rmat(q).T @ lmat(q) @ VMAT.T.
 
-    Evaluated in closed form; exact for any q, rotation only for unit q.
+    Exact for any q, rotation only for unit q; R(q1 ⊗ q2) == R(q1) R(q2)
+    for any q1, q2.  One product of the ten q_i q_j for the whole stack.
     """
-    w, v = q[..., :1, None], q[..., 1:]
-    return (
-        (w * w - _dot(v, v)[..., None]) * np.eye(3)
-        + 2.0 * v[..., :, None] * v[..., None, :]
-        + 2.0 * w * skew(v)
-    )
+    return ((q[..., _PAIR_I] * q[..., _PAIR_J]) @ _ROT_MAP).reshape(q.shape[:-1] + (3, 3))
 
 
 def rotate(q: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -188,3 +187,22 @@ def orientation_update_jacobian(q: np.ndarray, w: np.ndarray, h: float) -> np.nd
     inner[..., 0, :] = -w / s[..., None]
     inner[..., 1:, :] = np.eye(3)
     return (h / 2.0) * (lmat(q) @ inner)
+
+
+def update_rotation_jacobian(w: np.ndarray, h: float) -> np.ndarray:
+    """Δ(w) = (h^2/4) (s I + w w^T / s - [w]×), s = sqrt((2/h)^2 - w.w): the update's body-frame rotation.
+
+    orientation_update_jacobian(q, w, h) == lmat(q3) @ VMAT.T @ Δ(w) for
+    any q, with q3 = orientation_update(q, w, h).
+    """
+    s = _rate_scalar(w, h)[..., None]
+    out = w[..., :, None] * (w / s)[..., None, :] - skew(w)
+    out[..., _DIAG3, _DIAG3] += s
+    return (0.25 * h * h) * out
+
+
+# R(q) == (q[_PAIR_I] * q[_PAIR_J]) @ _ROT_MAP, row-major: the bilinear form
+# _FORM[i, j] = VMAT rmat(e_i)^T lmat(e_j) VMAT^T folded onto the q_i q_j, i <= j
+_PAIR_I, _PAIR_J = np.triu_indices(4)
+_FORM = np.array([[VMAT @ rmat(a).T @ lmat(b) @ VMAT.T for b in np.eye(4)] for a in np.eye(4)])
+_ROT_MAP = np.array([(_FORM[i, j] + _FORM[j, i] * (i != j)).ravel() for i, j in zip(_PAIR_I, _PAIR_J)])

@@ -4,10 +4,14 @@ Everything here is written from standard textbook formulas, deliberately
 avoiding the code paths under test: rotations go through explicit 3x3
 matrices (Rodrigues / Shepperd), derivatives through finite differences,
 and rigid-body motion through fine-step integration of the classical
-equations.
+equations.  The joint kernels' reference is their quaternion-derivative
+form, which the library's rotation-matrix kernels replaced: the (3, 4)
+derivatives of each rotated vector, reduced to body-frame rotations.
 """
 
 import numpy as np
+
+import mcdyn.quaternions as quat
 
 
 def rotmat_from_quat(q):
@@ -169,3 +173,39 @@ def u_matrix(fact):
 def reconstruct(fact):
     """The matrix L D U that a dense LDU factor represents."""
     return l_matrix(fact) @ d_matrix(fact) @ u_matrix(fact)
+
+
+def quaternion_joint_kernels(mech, group, x, q):
+    """One kind group's residuals and orientation derivatives in the quaternion-derivative form.
+
+    Joint by joint from the mechanism's JointConstraint definitions, at
+    stacked body poses ``x``, ``q`` without a world row (a world parent
+    sits at the origin with the identity orientation).  Returns the
+    (M, rows) residuals, the (M, rows, 4) derivatives in the parent's and
+    the child's orientation, each rotated vector differentiated with
+    quat.rotate_jacobian, and the (M, 4) orientations of the parents and
+    the children.  The fixed rows are the vector part of conj(target) q_b.
+    """
+    out = []
+    for jid in group.ids:
+        joint = mech.joints[jid]
+        if joint.parent == "world":
+            xa, qa = np.zeros(3), quat.identity()
+        else:
+            xa, qa = x[mech.body_index[joint.parent]], q[mech.body_index[joint.parent]]
+        xb, qb = x[mech.body_index[joint.child]], q[mech.body_index[joint.child]]
+        g = [xa + quat.rotate(qa, joint.p_a) - xb - quat.rotate(qb, joint.p_b)]
+        ga, gb = [quat.rotate_jacobian(qa, joint.p_a)], [-quat.rotate_jacobian(qb, joint.p_b)]
+        if joint.kind == "revolute":
+            axis_w = quat.rotate(qa, joint.axis_a)
+            for n in (joint.n1, joint.n2):
+                g.append([quat.rotate(qb, n) @ axis_w])
+                ga.append([quat.rotate(qb, n) @ quat.rotate_jacobian(qa, joint.axis_a)])
+                gb.append([axis_w @ quat.rotate_jacobian(qb, n)])
+        elif joint.kind == "fixed_to_world":
+            target = quat.lmat(joint.orientation_target).T[1:]
+            g.append(target @ qb)
+            ga.append(np.zeros((3, 4)))
+            gb.append(target)
+        out.append((np.concatenate(g), np.concatenate(ga), np.concatenate(gb), qa, qb))
+    return tuple(np.array(part) for part in zip(*out))

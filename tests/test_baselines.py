@@ -3,7 +3,7 @@ from numpy.testing import assert_allclose
 
 from conftest import make_closed_chain, make_pendulum
 from mcdyn.baselines import _State, _acceleration_rates, heun_simulate
-from mcdyn.integrator import StepContext, run_simulation, total_energy
+from mcdyn.integrator import StepContext, run_simulation, stacked_loads, total_energy
 from test_integrator import free_body
 
 
@@ -11,7 +11,7 @@ class TestAccelerationSolve:
     def test_free_fall_rates(self):
         mech = free_body()
         ctx = StepContext(h=0.01)
-        rates = _acceleration_rates(mech, _State.committed(mech), ctx)
+        rates = _acceleration_rates(mech, _State.committed(mech), ctx, stacked_loads(mech, ctx))
         assert_allclose(rates.v[0], [0.0, 0.0, -9.81])
         assert_allclose(rates.w[0], np.zeros(3), atol=1e-12)
 
@@ -20,7 +20,7 @@ class TestAccelerationSolve:
         # acceleration is m g (L/2) / (I_center + m (L/2)^2)
         mech = make_pendulum(1)
         ctx = StepContext(h=0.01)
-        rates = _acceleration_rates(mech, _State.committed(mech), ctx)
+        rates = _acceleration_rates(mech, _State.committed(mech), ctx, stacked_loads(mech, ctx))
         i_center = (1.0 + 3 * 0.05**2) / 12.0
         alpha = 9.81 * 0.5 / (i_center + 0.25)
         assert_allclose(np.abs(rates.w[0]), [0.0, alpha, 0.0], atol=1e-9)

@@ -9,7 +9,7 @@ import mcdyn.integrator
 import mcdyn.quaternions as quat
 from conftest import make_closed_chain, make_pendulum, make_segmented_chain, mixed_kind_pendulum, star_mechanism
 from mcdyn.block_solver import sparse_ldu_factorize, sparse_ldu_solve
-from mcdyn.errors import AngularRateError, NewtonError, SimulationError, SingularBlockError
+from mcdyn.errors import AngularRateError, LineSearchError, NewtonError, SimulationError, SingularBlockError
 from mcdyn.integrator import (
     StepContext,
     angular_momentum,
@@ -236,6 +236,15 @@ class TestAssembledSystem:
             assert make_pendulum(n, "revolute").dim == 11 * n
             assert make_pendulum(n, "ball").dim == 9 * n
 
+    def test_full_plan_is_built_once_on_first_use(self):
+        mech = make_pendulum(3)
+        assert "full_plan" not in vars(mech)
+        first = newton_system_at(mech, StepContext(h=0.01))
+        plan = mech.full_plan
+        second = newton_system_at(mech, StepContext(h=0.01))
+        assert mech.full_plan is plan
+        assert second.layout is first.layout is plan.layout
+
     def test_equilibrium_is_fixed_point(self):
         mech = hanging_pendulum(2)
         ctx = StepContext(h=0.01)
@@ -405,6 +414,25 @@ class TestNewton:
         with pytest.raises(NewtonError, match="after 2 iterations"):
             newton_solve(mech, StepContext(h=0.01), tol=1e-30)
 
+    def test_line_search_error_names_the_step_and_the_history(self, monkeypatch):
+        # every trial point reads a larger residual, so the first iteration stalls
+        residual = mcdyn.integrator.assemble_residual
+        calls = []
+
+        def growing(mech, layout, pos, s):
+            calls.append(s)
+            return residual(mech, layout, pos, s) + (100.0 if len(calls) > 1 else 0.0)
+
+        monkeypatch.setattr(mcdyn.integrator, "assemble_residual", growing)
+        mech = make_pendulum(1)
+        with pytest.raises(LineSearchError) as err:
+            newton_solve(mech, StepContext(h=0.01))
+        step_norm = np.linalg.norm(calls[0] - calls[1])  # the first trial takes the full step
+        assert str(err.value) == (
+            "line search stalled at residual 9.810e+00 after 20 halvings; "
+            f"last Newton step norm {step_norm:.3e}, residual history [9.810e+00]"
+        )
+
 
 BAD_LOADS = [
     ({"forces": {1: np.array([np.nan, 0.0, 0.0])}}, 1),
@@ -412,6 +440,7 @@ BAD_LOADS = [
     ({"forces": {2: np.zeros(2)}}, 2),
     ({"torques": {1: "spin"}}, 1),
     ({"forces": {99: np.zeros(3)}}, 99),
+    ({"forces": {1: np.zeros(3), 2: np.zeros(2)}}, 2),  # shapes that do not stack
 ]
 
 

@@ -20,7 +20,13 @@ from mcdyn.mechanism import (
     with_world,
 )
 from mcdyn.scenarios import Scenario, generate_scenario
-from oracles import count_independent_cycles, random_unit_quat, rotmat_from_axis_angle, rotmat_from_quat
+from oracles import (
+    count_independent_cycles,
+    quaternion_joint_kernels,
+    random_unit_quat,
+    rotmat_from_axis_angle,
+    rotmat_from_quat,
+)
 
 
 def one_joint(joint, states):
@@ -43,7 +49,7 @@ def position_blocks(joint, states):
     """{bid: (rows, 6) knot-2 position block} of ``joint`` alone at the poses {bid: (x, q)}."""
     mech = one_joint(joint, states)
     (group,) = mech.groups
-    blk_a, blk_b = constraint_jacobian_position(group, mech.poses(2)[1])
+    blk_a, blk_b = constraint_jacobian_position(group, *mech.poses(2)[1:])
     out = {joint.child: blk_b[0]}
     if joint.parent != WORLD:
         out[joint.parent] = blk_a[0]
@@ -202,25 +208,25 @@ class TestPositionJacobian:
 
 
 def predicted_knot(mech, h):
-    """Stacked next-knot poses predicted from the mechanism's (v2, w2), world row included."""
+    """Stacked next-knot poses predicted from the mechanism's (v2, w2) and their rotations, world row included."""
     return with_world(mech.x2 + h * mech.v2, quat.orientation_update(mech.q2, mech.w2, h))
 
 
 def predicted_residuals(mech, h):
     """{joint id: residual at the predicted next knot}."""
-    x3, q3 = predicted_knot(mech, h)
-    return {jid: r for g in mech.groups for jid, r in zip(g.ids, joint_residual(g, x3, q3))}
+    pose = predicted_knot(mech, h)
+    return {jid: r for g in mech.groups for jid, r in zip(g.ids, joint_residual(g, *pose))}
 
 
 def velocity_blocks(mech, h):
     """{joint id: {body id: (rows, 6) velocity block}} at the mechanism's (v2, w2)."""
     q2, w2 = mech.q2, mech.w2
-    rot_jac = np.zeros((len(q2) + 1, 4, 3))
-    rot_jac[:-1] = quat.orientation_update_jacobian(q2, w2, h)
-    _, q3 = predicted_knot(mech, h)
+    delta = np.zeros((len(q2) + 1, 3, 3))
+    delta[:-1] = quat.update_rotation_jacobian(w2, h)
+    _, q3, rot3 = predicted_knot(mech, h)
     out = {}
     for group in mech.groups:
-        blk_a, blk_b = constraint_jacobian_velocity(group, q3, rot_jac, h)
+        blk_a, blk_b = constraint_jacobian_velocity(group, q3, rot3, delta, h)
         for k, (jid, a, b) in enumerate(zip(group.ids, group.parent_ids, group.child_ids)):
             out[jid] = {b: blk_b[k]}
             if a != WORLD:
@@ -279,7 +285,7 @@ class TestVelocityJacobian:
         st.v2[:] = rng.normal(size=3)
         st.w2[:] = rng.normal(size=3)
         (group,) = mech.groups
-        pos = constraint_jacobian_position(group, mech.poses(2)[1])[1][0]
+        pos = constraint_jacobian_position(group, *mech.poses(2)[1:])[1][0]
         errs = []
         for h in (1e-3, 1e-4):
             vel = velocity_blocks(mech, h)[2][1]
@@ -287,6 +293,68 @@ class TestVelocityJacobian:
             errs.append(np.abs(vel - approx).max() / h)
         assert errs[0] < 5e-3
         assert errs[1] < 0.2 * errs[0]
+
+
+# Every kind with a body parent and with the world as parent: fixed joints
+# attach to the world, the mixed pendulum hangs a revolute and a ball joint
+# from bodies, the pendulums hang their first joint from the world.
+ORACLE_MECHANISMS = {
+    "mixed_kind": mixed_kind_pendulum,
+    "revolute": lambda: make_pendulum(3, "revolute"),
+    "ball": lambda: make_pendulum(3, "ball"),
+}
+
+
+def assert_relative_gap(new, ref, tol=1e-13):
+    assert np.abs(new - ref).max() <= tol * np.abs(ref).max()
+
+
+class TestQuaternionFormOracle:
+    """The rotation-matrix kernels against their quaternion-derivative form, at unit and non-unit q."""
+
+    @staticmethod
+    def _poses(rng, mech, unit):
+        n = len(mech.body_ids)
+        q = rng.normal(size=(n, 4))
+        q /= np.linalg.norm(q, axis=1, keepdims=True)
+        if not unit:
+            q *= rng.uniform(0.5, 1.5, size=(n, 1))
+        return rng.normal(size=(n, 3)), q
+
+    @pytest.mark.parametrize("unit", [True, False])
+    @pytest.mark.parametrize("name", sorted(ORACLE_MECHANISMS))
+    def test_residuals_and_position_jacobians(self, rng, name, unit):
+        mech = ORACLE_MECHANISMS[name]()
+        for _ in range(5):
+            x, q = self._poses(rng, mech, unit)
+            pose = with_world(x, q)
+            for group in mech.groups:
+                residual, dq_a, dq_b, q_a, q_b = quaternion_joint_kernels(mech, group, x, q)
+                assert_relative_gap(joint_residual(group, *pose), residual)
+                blk_a, blk_b = constraint_jacobian_position(group, *pose[1:])
+                assert_relative_gap(blk_a[..., 3:], quat.rotational_jacobian(q_a, dq_a))
+                assert_relative_gap(blk_b[..., 3:], quat.rotational_jacobian(q_b, dq_b))
+
+    @pytest.mark.parametrize("unit", [True, False])
+    @pytest.mark.parametrize("name", sorted(ORACLE_MECHANISMS))
+    def test_velocity_jacobians(self, rng, name, unit):
+        # the quaternion form chains the (rows, 4) derivative at the
+        # predicted knot with orientation_update_jacobian
+        mech, h = ORACLE_MECHANISMS[name](), 0.01
+        n = len(mech.body_ids)
+        for _ in range(5):
+            x, q2 = self._poses(rng, mech, unit)
+            w2 = rng.normal(size=(n, 3)) * 30.0
+            _, q3, rot3 = with_world(x, quat.orientation_update(q2, w2, h))
+            delta = np.zeros((n + 1, 3, 3))
+            delta[:n] = quat.update_rotation_jacobian(w2, h)
+            update = np.zeros((n + 1, 4, 3))  # the world does not move
+            update[:n] = quat.orientation_update_jacobian(q2, w2, h)
+            for group in mech.groups:
+                _, dq_a, dq_b, _, _ = quaternion_joint_kernels(mech, group, x, q3[:n])
+                blk_a, blk_b = constraint_jacobian_velocity(group, q3, rot3, delta, h)
+                assert_relative_gap(blk_a[..., 3:], dq_a @ update[group.ends[0]])
+                assert_relative_gap(blk_b[..., 3:], dq_b @ update[group.ends[1]])
 
 
 class TestGraph:
@@ -546,9 +614,9 @@ class TestMaxViolation:
 
     def test_helper_propagates_nan_in_any_position(self):
         mech = make_pendulum(3)
-        x, q = mech.poses(2)
+        x, q, rot = mech.poses(2)
         for row in range(len(mech.body_ids)):
             bad = x.copy()
             bad[row] *= np.nan
-            assert np.isnan(max_violation(mech.groups, bad, q))
-        assert max_violation([], x, q) == 0.0
+            assert np.isnan(max_violation(mech.groups, bad, q, rot))
+        assert max_violation([], x, q, rot) == 0.0

@@ -145,6 +145,23 @@ def rotational_gradient(q, grad4):
     return quat.rotational_jacobian(q, grad4[None, :])[0]
 
 
+class TestRotationMatrix:
+    def test_multiplicative_for_any_quaternion(self, rng):
+        # the identity behind the joint kernels' -2 R [p]x Jacobians
+        for _ in range(10):
+            q1, q2 = rng.normal(size=4), rng.normal(size=4)
+            assert_allclose(
+                quat.rotation_matrix(quat.multiply(q1, q2)),
+                quat.rotation_matrix(q1) @ quat.rotation_matrix(q2),
+                rtol=0, atol=1e-13 * (q1 @ q1) * (q2 @ q2),
+            )
+
+    def test_matches_component_formula(self, rng):
+        for _ in range(10):
+            q = random_unit_quat(rng)
+            assert_allclose(quat.rotation_matrix(q), rotmat_from_quat(q), rtol=0, atol=1e-15)
+
+
 class TestRotationalGradient:
     def test_zero_gradient(self, rng):
         assert_allclose(rotational_gradient(random_unit_quat(rng), np.zeros(4)), np.zeros(3))
@@ -210,6 +227,16 @@ class TestOrientationUpdate:
         with pytest.raises(AngularRateError):
             quat.orientation_update(quat.identity(), np.array([0.0, 0.0, 201.0]), 0.01)
 
+    @pytest.mark.parametrize("scale", [1.0, 0.6, 1.7])
+    def test_rotation_jacobian_matches_quaternion_derivative(self, rng, scale):
+        # orientation_update_jacobian == lmat(q3) VMAT^T Δ(w), for unit and non-unit q
+        h = 0.01
+        for _ in range(10):
+            q, w = scale * random_unit_quat(rng), rng.normal(size=3) * 50.0
+            jac = quat.orientation_update_jacobian(q, w, h)
+            via_delta = quat.lmat(quat.orientation_update(q, w, h)) @ quat.VMAT.T @ quat.update_rotation_jacobian(w, h)
+            assert np.abs(via_delta - jac).max() <= 1e-13 * np.abs(jac).max()
+
     def test_jacobian_matches_finite_differences(self, rng):
         h = 0.01
         for _ in range(5):
@@ -248,6 +275,7 @@ BROADCAST_CASES = {
     "from_axis_angle": (quat.from_axis_angle, "va"),
     "orientation_update": (lambda q, w: quat.orientation_update(q, w, H), "qw"),
     "orientation_update_jacobian": (lambda q, w: quat.orientation_update_jacobian(q, w, H), "qw"),
+    "update_rotation_jacobian": (lambda w: quat.update_rotation_jacobian(w, H), "w"),
     "_rate_scalar": (lambda w: quat._rate_scalar(w, H), "w"),
 }
 
@@ -286,6 +314,7 @@ class TestBroadcasting:
         lambda q, w: quat._rate_scalar(w, H),
         lambda q, w: quat.orientation_update(q, w, H),
         lambda q, w: quat.orientation_update_jacobian(q, w, H),
+        lambda q, w: quat.update_rotation_jacobian(w, H),
     ])
     def test_one_row_out_of_rate_domain_raises(self, rng, fn):
         q, w = _unit_rows(rng, 6), rng.normal(size=(6, 3))
