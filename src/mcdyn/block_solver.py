@@ -35,10 +35,13 @@ constraint).  Neither solver pivots across blocks.
 Pivot blocks are inverted with LAPACK under one conditioning rule, checked
 in one batched pass per block size: the inverse must be finite and
 max|A| * max|A^-1| below 1/_SINGULAR_RTOL.  The stacked loop node's pivot
-instead uses a truncated-SVD pseudo-inverse that drops singular values
-below a small multiple of the block scale: closed loops of parallel-axis
-joints carry structurally redundant constraint rows, so its Schur
-complement is rank-deficient by construction.  This selects one
+instead uses a truncated-SVD pseudo-inverse under one cut, a small
+multiple of the block scale: closed loops of parallel-axis joints carry
+structurally redundant constraint rows, so its Schur complement is
+rank-deficient by construction, its redundant rows and columns zero to
+rounding.  Those at or below the cut are deflated first (3 of every 5 on
+a planar chain of parallelograms), the SVD decomposes only the rest, and
+its singular values at or below the same cut are dropped.  This selects one
 multiplier solution out of the affine family, stably under rounding,
 without affecting body motion (null-space components of the multipliers
 do not enter the equations of motion); the iteration still drives the
@@ -61,7 +64,7 @@ LOOP_NODE = "loop"
 # An unrelieved block fails once max|A| * max|A^-1| reaches 1/_SINGULAR_RTOL.
 _SINGULAR_RTOL = 1e-13
 
-# Relative singular-value cut of the loop node's pseudo-inverse.
+# The loop pivot's one cut, relative to max|A|: rows, columns and singular values at or below it go.
 _LOOP_PIVOT_RELIEF = 1e-10
 
 
@@ -92,14 +95,30 @@ def ldu_inverse(block: np.ndarray, pivot_relief: float = 0.0) -> np.ndarray:
 
     Without relief, raises SingularBlockError for an exactly singular block
     or one failing the conditioning rule.  With ``pivot_relief`` > 0,
-    returns the truncated-SVD pseudo-inverse: singular values at or below
-    ``pivot_relief * max|A|`` get weight 0, so deficient directions
-    contribute nothing, and rounding noise cannot move the cut.
+    returns the truncated-SVD pseudo-inverse under one cut,
+    ``pivot_relief * max|A|``: rows and columns of 2-norm at or below the
+    cut are deflated first, the SVD decomposes the rest, and its singular
+    values at or below the cut get weight 0, so deficient directions
+    contribute nothing.  Deflation moves a singular value by at most
+    sqrt(m) cuts (Weyl), so only values in the rounding band of the cut can
+    change.  An SVD that does not converge raises LinAlgError naming both
+    sizes.
     """
     if pivot_relief > 0.0:
-        u, sig, vt = np.linalg.svd(block)
-        keep = sig > pivot_relief * np.abs(block).max(initial=0.0)
-        return (vt[keep].T / sig[keep]) @ u[:, keep].T
+        cut = pivot_relief * np.abs(block).max(initial=0.0)
+        rows = np.flatnonzero(np.linalg.norm(block, axis=1) > cut)
+        cols = np.flatnonzero(np.linalg.norm(block, axis=0) > cut)
+        try:
+            u, sig, vt = np.linalg.svd(block[np.ix_(rows, cols)], full_matrices=False)
+        except np.linalg.LinAlgError as err:
+            raise np.linalg.LinAlgError(
+                f"SVD did not converge on the {len(rows)}x{len(cols)} part above the relief cut "
+                f"of a {block.shape[0]}x{block.shape[1]} block"
+            ) from err
+        keep = sig > cut
+        inv = np.zeros(block.shape[::-1])
+        inv[np.ix_(cols, rows)] = (vt[keep].T / sig[keep]) @ u[:, keep].T
+        return inv
     k = block.shape[0]
     try:
         inv = np.linalg.inv(block)
@@ -533,6 +552,8 @@ def sparse_ldu_factorize(system: NodeSystem) -> SparseFactor:
                 f"constraint node {node!r} reached its pivot with a zero diagonal "
                 "and no coupling updates"
             ) from err
+        if k == r:  # the relieved pivot's SVD did not converge; ldu_inverse names the sizes
+            raise SingularBlockError(f"loop pivot at node {node!r}: {err}") from err
         raise SingularBlockError(
             f"singular diagonal block at node {node!r}: exactly singular {size}x{size} block"
         ) from err

@@ -119,6 +119,156 @@ class TestLduInverse:
                 assert np.linalg.norm(moved) <= 1e-8 * np.linalg.norm(inv)
 
 
+RELIEF = 1e-10
+
+
+@pytest.fixture
+def svd_shapes(monkeypatch):
+    """Shapes of the matrices np.linalg.svd receives while the test runs."""
+    shapes, svd = [], np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(block_solver.np.linalg, "svd", recording)
+    return shapes
+
+
+def assert_truncated_pinv(inv, a):
+    """``inv`` equals pinv and lstsq of ``a`` truncated at ldu_inverse's cut, to 1e-12 relative."""
+    rcond = RELIEF * np.abs(a).max() / np.linalg.norm(a, 2)  # the same absolute cut
+    for ref in (np.linalg.pinv(a, rcond=rcond), np.linalg.lstsq(a, np.eye(len(a)), rcond=rcond)[0]):
+        assert np.linalg.norm(inv - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def planted(rng, n, rows, cols, rank):
+    """An n×n block, exactly zero outside rows × cols, where it has the given rank."""
+    a = np.zeros((n, n))
+    a[np.ix_(rows, cols)] = rng.normal(size=(len(rows), rank)) @ rng.normal(size=(rank, len(cols)))
+    return a
+
+
+class TestDeflatedPseudoInverse:
+    """The relieved inverse decomposes only the rows and columns above the cut."""
+
+    @pytest.mark.parametrize("n,rows,cols,rank", [
+        (10, [0, 2, 5, 7], [1, 2, 5, 8], 2),
+        (10, [0, 2, 5, 7], [1, 2, 5, 8], 4),
+        (12, [1, 3, 4, 6, 9, 11], [0, 3, 4, 6, 9, 10], 3),
+    ])
+    def test_planted_zero_rows_and_columns(self, rng, svd_shapes, n, rows, cols, rank):
+        a = planted(rng, n, rows, cols, rank)
+        inv = ldu_inverse(a, pivot_relief=RELIEF)
+        assert svd_shapes == [(len(rows), len(cols))]
+        assert_truncated_pinv(inv, a)
+
+    def test_rows_and_columns_just_below_and_just_above_the_cut(self, rng, svd_shapes):
+        # rank-3 block in rows 0-3, columns 0-4; the near-cut lines above it lie
+        # in its row or column space, those below it are orthogonal to both
+        a = planted(rng, 8, range(4), range(5), 3)
+        cut = RELIEF * np.abs(a).max()
+        u, _, vt = np.linalg.svd(a[:4, :5])
+        a[4, :5] = 1.01 * cut * vt[0]  # kept: it changes the inverse by ~1e-10 relative
+        a[5, :5] = 0.99 * cut * vt[3]  # deflated
+        a[:4, 5] = 1.01 * cut * u[:, 0]  # kept
+        a[:4, 6] = 0.99 * cut * u[:, 3]  # deflated
+        svd_shapes.clear()
+        inv = ldu_inverse(a, pivot_relief=RELIEF)
+        assert svd_shapes == [(5, 6)]
+        assert_truncated_pinv(inv, a)
+        assert not inv[:, 5].any() and not inv[6].any()
+
+    def test_singular_values_at_the_cut_inside_kept_lines_get_weight_zero(self, rng, svd_shapes):
+        # a 45-degree rotation spreads singular values 2·cut and 0.9·cut over
+        # two rows and columns of norm ~1.55·cut: none is deflated, the SVD drops one
+        a = planted(rng, 6, range(4), range(4), 4)
+        cut = RELIEF * np.abs(a).max()
+        rot = np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2.0)
+        a[4:, 4:] = rot @ np.diag([2.0 * cut, 0.9 * cut]) @ rot.T
+        svd_shapes.clear()
+        inv = ldu_inverse(a, pivot_relief=RELIEF)
+        assert svd_shapes == [(6, 6)]
+        assert np.linalg.norm(inv, 2) == pytest.approx(1.0 / (2.0 * cut), rel=1e-3)
+
+    @pytest.mark.parametrize("rows,cols", [([0, 3, 4, 6, 8], [1, 2, 7]), ([2, 5], [0, 1, 3, 4])])
+    def test_kept_row_and_column_counts_differ(self, rng, svd_shapes, rows, cols):
+        a = planted(rng, 9, rows, cols, min(len(rows), len(cols)))
+        inv = ldu_inverse(a, pivot_relief=RELIEF)
+        assert svd_shapes == [(len(rows), len(cols))]
+        assert_truncated_pinv(inv, a)
+
+    @pytest.mark.parametrize("n", [1, 5, 30])
+    def test_all_zero_block_gives_zeros(self, n):
+        inv = ldu_inverse(np.zeros((n, n)), pivot_relief=RELIEF)
+        assert inv.shape == (n, n) and not inv.any()
+
+    def test_rotated_block_is_not_deflated(self, rng, svd_shapes):
+        q, _ = np.linalg.qr(rng.normal(size=(10, 10)))
+        a = q @ planted(rng, 10, [0, 2, 5, 7], [1, 2, 5, 8], 3) @ q.T
+        inv = ldu_inverse(a, pivot_relief=RELIEF)
+        assert svd_shapes == [(10, 10)]
+        assert_truncated_pinv(inv, a)
+
+
+def captured_loop_pivots(monkeypatch, mech, steps=3):
+    """The relieved pivots that ``steps`` steps of ``mech`` invert."""
+    blocks, inner = [], block_solver.ldu_inverse
+
+    def capture(block, pivot_relief=0.0):
+        if pivot_relief > 0.0:
+            blocks.append(block.copy())
+        return inner(block, pivot_relief=pivot_relief)
+
+    monkeypatch.setattr(block_solver, "ldu_inverse", capture)
+    for _ in range(steps):
+        step(mech, StepContext(h=0.01))
+    monkeypatch.undo()
+    return blocks
+
+
+class TestLoopPivotDeflation:
+    """Planar loop pivots: only the rows and columns above the relief cut reach the SVD."""
+
+    @pytest.mark.parametrize("build,deflated", [
+        (lambda: make_segmented_chain(6), (12, 12)),  # of 30x30
+        (lambda: make_closed_chain(4), (2, 2)),  # of 5x5
+    ])
+    def test_step_decomposes_only_the_deflated_pivot(self, svd_shapes, build, deflated):
+        mech = build()
+        for _ in range(3):
+            step(mech, StepContext(h=0.01))
+        assert svd_shapes and set(svd_shapes) == {deflated}
+
+    @pytest.mark.parametrize("build", [
+        lambda: make_segmented_chain(2),
+        lambda: make_segmented_chain(6),
+        lambda: make_closed_chain(4),
+    ])
+    def test_captured_pivots_match_the_full_truncated_svd(self, monkeypatch, build):
+        blocks = captured_loop_pivots(monkeypatch, build())
+        assert blocks
+        for a in blocks:
+            u, sig, vt = np.linalg.svd(a)
+            keep = sig > RELIEF * np.abs(a).max()
+            full = (vt[keep].T / sig[keep]) @ u[:, keep].T
+            inv = ldu_inverse(a, pivot_relief=RELIEF)
+            assert np.linalg.norm(inv - full) <= 1e-12 * np.linalg.norm(full)
+
+    def test_svd_failure_names_the_loop_pivot_and_both_sizes(self, monkeypatch):
+        def no_convergence(a, *args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        mech = make_segmented_chain(6)
+        monkeypatch.setattr(block_solver.np.linalg, "svd", no_convergence)
+        with pytest.raises(SingularBlockError) as err:
+            step(mech, StepContext(h=0.01))
+        assert str(err.value) == (
+            "loop pivot at node 'loop': SVD did not converge on the 12x12 part above "
+            "the relief cut of a 30x30 block"
+        )
+
+
 class TestDenseLdu:
     def test_identity(self):
         fact = dense_ldu_factorize(np.eye(5))
