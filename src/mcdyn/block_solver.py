@@ -8,15 +8,15 @@ Two solvers live here:
   baseline.
 - A graph-ordered sparse LDU, split into a :class:`SymbolicLayout` built
   once per pattern (elimination order, node rows, neighbours with fill,
-  loop stacking, where each block lands) and a numeric sweep over a
+  relieved nodes, where each block lands) and a numeric sweep over a
   :class:`NodeSystem`'s node-indexed block lists.  When the pattern is a
   tree and the order places children before parents, the sweep touches
   each node a constant number of times, runs in O(N), and creates no
-  fill.  Loop-closure constraints are stacked into a single node appended
-  after the root; fill is then confined to that node's row and column.
-  Its dense diagonal is read only at its own pivot, so the nodes' Schur
-  updates of it are collected into panels of at least as many columns as
-  it has rows, and each panel is applied as one matrix product.
+  fill.  The loop-closure constraints of each independent cycle (cycles
+  sharing a body or joint count as one) are stacked into one relieved
+  node placed right after the cycle's highest node (Baraff, "Linear-time
+  dynamics using Lagrange multipliers", SIGGRAPH 1996); fill then stays
+  on that cycle, and a chain of k disjoint loops factors in O(k).
   :class:`BlockSystem` dicts are a view of a NodeSystem for tests and the
   dense oracle; :meth:`BlockSystem.on_layout` puts one on a layout.
 
@@ -34,18 +34,21 @@ constraint).  Neither solver pivots across blocks.
 
 Pivot blocks are inverted with LAPACK under one conditioning rule, checked
 in one batched pass per block size: the inverse must be finite and
-max|A| * max|A^-1| below 1/_SINGULAR_RTOL.  The stacked loop node's pivot
+max|A| * max|A^-1| below 1/_SINGULAR_RTOL.  A relieved node's pivot
 instead uses a truncated-SVD pseudo-inverse under one cut, a small
 multiple of the block scale: closed loops of parallel-axis joints carry
 structurally redundant constraint rows, so its Schur complement is
 rank-deficient by construction, its redundant rows and columns zero to
-rounding.  Those at or below the cut are deflated first (3 of every 5 on
-a planar chain of parallelograms), the SVD decomposes only the rest, and
-its singular values at or below the same cut are dropped.  This selects one
+rounding.  Those at or below the cut are deflated first (3 of the 5 of
+each planar parallelogram), the SVD decomposes only the rest, and its
+singular values at or below the same cut are dropped.  This selects one
 multiplier solution out of the affine family, stably under rounding,
 without affecting body motion (null-space components of the multipliers
 do not enter the equations of motion); the iteration still drives the
-true residual to tolerance.
+true residual to tolerance.  The redundancy of a cycle involves only its
+own joints, all eliminated before its relieved node, so the nodes after
+it see an exact Schur complement through the pseudo-inverse; this is why
+cycles that share a body or joint must share one relieved node.
 """
 
 from __future__ import annotations
@@ -58,13 +61,13 @@ import numpy as np
 
 from .errors import DanglingConstraintError, SingularBlockError
 
-# Node key of the stacked loop-closure node; always last in the order.
+# Key of the relieved node nearest the root; the others are (LOOP_NODE, smallest loop joint id).
 LOOP_NODE = "loop"
 
 # An unrelieved block fails once max|A| * max|A^-1| reaches 1/_SINGULAR_RTOL.
 _SINGULAR_RTOL = 1e-13
 
-# The loop pivot's one cut, relative to max|A|: rows, columns and singular values at or below it go.
+# A relieved pivot's one cut, relative to max|A|: rows, columns and singular values at or below it go.
 _LOOP_PIVOT_RELIEF = 1e-10
 
 
@@ -106,19 +109,22 @@ def ldu_inverse(block: np.ndarray, pivot_relief: float = 0.0) -> np.ndarray:
     """
     if pivot_relief > 0.0:
         cut = pivot_relief * np.abs(block).max(initial=0.0)
-        rows = np.flatnonzero(np.linalg.norm(block, axis=1) > cut)
-        cols = np.flatnonzero(np.linalg.norm(block, axis=0) > cut)
+        square = block * block
+        rows = np.sqrt(square.sum(axis=1)) > cut  # the 2-norms, as np.linalg.norm computes them
+        cols = np.sqrt(square.sum(axis=0)) > cut
         try:
-            u, sig, vt = np.linalg.svd(block[np.ix_(rows, cols)], full_matrices=False)
+            u, sig, vt = np.linalg.svd(block[rows][:, cols], full_matrices=False)
         except np.linalg.LinAlgError as err:
             raise np.linalg.LinAlgError(
-                f"SVD did not converge on the {len(rows)}x{len(cols)} part above the relief cut "
+                f"SVD did not converge on the {rows.sum()}x{cols.sum()} part above the relief cut "
                 f"of a {block.shape[0]}x{block.shape[1]} block"
             ) from err
-        keep = sig > cut
-        inv = np.zeros(block.shape[::-1])
-        inv[np.ix_(cols, rows)] = (vt[keep].T / sig[keep]) @ u[:, keep].T
-        return inv
+        rank = np.count_nonzero(sig > cut)  # sig is descending
+        left = np.zeros((block.shape[0], rank))
+        left[rows] = u[:, :rank]
+        right = np.zeros((block.shape[1], rank))
+        right[cols] = vt[:rank].T / sig[:rank]
+        return right @ left.T
     k = block.shape[0]
     try:
         inv = np.linalg.inv(block)
@@ -226,35 +232,30 @@ class SymbolicLayout:
     """Topology-only structure of a sparse block system, built once per pattern.
 
     Positions number the nodes of ``order``, the elimination order
-    (children before parents, :data:`LOOP_NODE` last when loops are
-    stacked).  Blocks are numbered too: each position's diagonal, then the
-    pattern's off-diagonal blocks (node ids in ``pairs``), then the fill
-    blocks (``fill_events``).  ``segments[k]`` are position k's rows in
-    elimination order and ``perm`` maps them to the stacked vector's rows.
-    ``elimination[k]`` lists, per later neighbour p of k (ascending, fill
-    included), the blocks (p, k) and (k, p) and the Schur updates as
-    (block (k, q), target block (p, q)) pairs.  ``relieved`` is the
-    position of :data:`LOOP_NODE` (last) or -1, and ``pivot_groups``
-    lists the positions of the other pivots per block size.  The updates
-    of the relieved node's diagonal are not in ``elimination``:
-    ``panel[k]`` is None or (block (k, relieved), flush), and a flush
-    applies the panel gathered since the last one, which is at least as
-    wide as the relieved node has rows or holds its last contributor.
-    ``loop_layout`` lists the (node id, rows) stacked into
-    :data:`LOOP_NODE`.  ``sources``, ``stacked`` and ``zeros`` say where
-    :meth:`system` takes each block from.
+    (children before parents), which holds the relieved nodes where
+    they are eliminated.  Blocks are numbered too: each position's
+    diagonal, then the pattern's off-diagonal blocks (node ids in
+    ``pairs``), then the fill blocks (``fill_events``).  ``segments[k]``
+    are position k's rows in elimination order and ``perm`` maps them to
+    the stacked vector's rows.  ``elimination[k]`` lists, per later
+    neighbour p of k (ascending, fill included), the blocks (p, k) and
+    (k, p) and the Schur updates as (block (k, q), target block (p, q))
+    pairs.  ``relieved`` lists the positions of the relieved nodes,
+    ascending, and ``pivot_groups`` the positions of the other pivots per
+    block size.  ``loop_layout`` maps each relieved node to the (node id,
+    rows) stacked into it.  ``sources``, ``stacked`` and ``zeros`` say
+    where :meth:`system` takes each block from.
     """
 
     order: list
     segments: list
     perm: np.ndarray
     elimination: list
-    panel: list
-    relieved: int
+    relieved: list
     pivot_groups: list
     pairs: list
     fill_events: list
-    loop_layout: list
+    loop_layout: dict
     sources: list
     stacked: list
     zeros: list
@@ -267,8 +268,8 @@ class SymbolicLayout:
         """A system on this layout from ``blocks`` in the order of its sources.
 
         The blocks are used as given (a skipped source keeps its place); the
-        stacked node's blocks are assembled anew, and blocks without a source
-        are read-only zeros.  ``rhs`` is in the stacked vector's rows.
+        relieved nodes' blocks are assembled anew, and blocks without a
+        source are read-only zeros.  ``rhs`` is in the stacked vector's rows.
         """
         src = blocks + self.zeros
         out = [src[i] for i in self.sources]
@@ -279,86 +280,75 @@ class SymbolicLayout:
         return NodeSystem(layout=self, blocks=out, rhs=rhs)
 
 
-def symbolic_layout(order, sizes, rows, sources, loop_ids) -> SymbolicLayout:
+def symbolic_layout(order, sizes, rows, sources, stacks) -> SymbolicLayout:
     """Eliminate a block pattern symbolically, in the numeric sweep's order.
 
-    ``order`` is the elimination order of the nodes outside ``loop_ids``,
-    which are stacked in ascending id into one node keyed
-    :data:`LOOP_NODE`, placed last.  ``sizes`` and ``rows`` give each
-    node's block size and its rows in the stacked vector.  ``sources``
-    lists the (row node, column node) of each block a system supplies, or
-    None for one to skip; other blocks are zero.  The pattern must be
-    symmetric.
+    ``order`` is the elimination order.  Each key of ``stacks`` in it is a
+    relieved node: the nodes it maps to are stacked into it in ascending
+    id and its pivot is inverted under relief.  ``sizes`` and ``rows``
+    give each other node's block size and its rows in the stacked vector.
+    ``sources`` lists the (row node, column node) of each block a system
+    supplies, or None for one to skip; other blocks are zero.  The pattern
+    must be symmetric.
     """
-    loop_ids = sorted(loop_ids)
-    covered = list(order) + loop_ids
+    stacks = {key: sorted(ids) for key, ids in stacks.items()}
+    covered = [node for key in order for node in stacks.get(key, [key])]
     if len(covered) != len(sizes) or set(covered) != set(sizes):
         raise ValueError("elimination order does not cover all nodes")
-    nodes = list(order) + [LOOP_NODE] * bool(loop_ids)
-    n = len(nodes)
-    place = {node: (k, 0) for k, node in enumerate(order)}  # position, row offset in it
-    block_sizes = [sizes[node] for node in order]
-    if loop_ids:
-        offsets = np.cumsum([0] + [sizes[cid] for cid in loop_ids]).tolist()
-        place.update((cid, (n - 1, off)) for cid, off in zip(loop_ids, offsets))
-        block_sizes.append(offsets[-1])
+    n = len(order)
+    place, block_sizes = {}, []  # node -> (position, row offset in it); rows per position
+    for k, key in enumerate(order):
+        offset = 0
+        for node in stacks.get(key, [key]):
+            place[node] = (k, offset)
+            offset += sizes[node]
+        block_sizes.append(offset)
+    relieved = [k for k, key in enumerate(order) if key in stacks]
+    at_relieved = set(relieved)
 
     slot = {(k, k): k for k in range(n)}  # (row position, column position) -> block
     direct: dict = {}
-    parts: dict = {}  # the stacked node's blocks: [(source, rows, cols)]
+    parts: dict = {}  # the relieved nodes' blocks: [(source, rows, cols)]
     for s, pair in enumerate(sources):
         if pair is None:
             continue
         i, j = pair
         (p, ri), (q, rj) = place[i], place[j]
         b = slot.setdefault((p, q), len(slot))
-        if loop_ids and n - 1 in (p, q):
+        if p in at_relieved or q in at_relieved:
             parts.setdefault(b, []).append((s, slice(ri, ri + sizes[i]), slice(rj, rj + sizes[j])))
         else:
             direct[b] = s
-    pairs = [(nodes[p], nodes[q]) for p, q in list(slot)[n:]]
+    pairs = [(order[p], order[q]) for p, q in list(slot)[n:]]
 
     neighbours = [set() for _ in range(n)]
     for p, q in slot:
         neighbours[p].add(q)
-    if LOOP_NODE in nodes[:-1]:
-        raise ValueError(f"node {LOOP_NODE!r} must be last in the elimination order")
-    relieved = n - 1 if LOOP_NODE in nodes else -1
-    deferred = (relieved, relieved)  # updates of the relieved node's diagonal go to ``panel``
-    elimination, fill_events, panel = [], [], [None] * n
+    elimination, fill_events = [], []
     for k in range(n):
         later = sorted(p for p in neighbours[k] if p > k)
         for p, q in product(later, later):
             if (p, q) not in slot:
                 slot[(p, q)] = len(slot)
-                fill_events.append((nodes[p], nodes[q]))
+                fill_events.append((order[p], order[q]))
                 neighbours[p].add(q)
-        updates = {p: [(slot[(k, q)], slot[(p, q)]) for q in later if (p, q) != deferred] for p in later}
+        updates = {p: [(slot[(k, q)], slot[(p, q)]) for q in later] for p in later}
         elimination.append([(p, slot[(p, k)], slot[(k, p)], updates[p]) for p in later])
-        if relieved in later:
-            panel[k] = (slot[(k, relieved)], False)
-    # flush once the pending columns reach the relieved node's rows, and after the last node
-    width, pending = 0, [k for k, entry in enumerate(panel) if entry]
-    for k in pending:
-        width += block_sizes[k]
-        if width >= block_sizes[relieved] or k == pending[-1]:
-            panel[k], width = (panel[k][0], True), 0
 
     shapes = [(block_sizes[p], block_sizes[q]) for p, q in slot]
     zero_at = {shape: len(sources) + i for i, shape in enumerate(dict.fromkeys(shapes))}
-    pivots = [k for k in range(n) if nodes[k] != LOOP_NODE]
+    pivots = [k for k in range(n) if k not in at_relieved]
     ends = np.cumsum(block_sizes).tolist()
     return SymbolicLayout(
-        order=nodes,
+        order=list(order),
         segments=[slice(end - size, end) for size, end in zip(block_sizes, ends)],
         perm=np.array([r for node in covered for r in rows[node]], dtype=int),
         elimination=elimination,
-        panel=panel,
         relieved=relieved,
         pivot_groups=[[k for k in pivots if block_sizes[k] == size] for size in set(block_sizes)],
         pairs=pairs,
         fill_events=fill_events,
-        loop_layout=[(cid, sizes[cid]) for cid in loop_ids],
+        loop_layout={key: [(node, sizes[node]) for node in ids] for key, ids in stacks.items()},
         sources=[direct.get(b, zero_at[shape]) for b, shape in enumerate(shapes)],
         stacked=[(b, shapes[b], bparts) for b, bparts in parts.items()],
         zeros=[np.broadcast_to(0.0, shape) for shape in zero_at],
@@ -403,16 +393,15 @@ class BlockSystem:
     pairs (i, j) to the coupling block in row i, column j; a pair is
     present exactly when its transpose pair is (symmetric pattern,
     asymmetric values).  ``order`` is the elimination order, children
-    before parents, loop node (if any) last.  ``rhs`` maps node id to its
-    residual segment.
+    before parents.  ``rhs`` maps node id to its residual segment.
     """
 
     diag: dict
     offdiag: dict
     order: list
     rhs: dict
-    # layout of the stacked loop node: [(constraint id, rows)] in stacking order
-    loop_layout: list | None = None
+    # per relieved node, the [(constraint id, rows)] stacked into it in stacking order
+    loop_layout: dict | None = None
 
     def assembled(self) -> tuple[np.ndarray, dict]:
         """Materialize the dense matrix in the system's node order.
@@ -435,26 +424,27 @@ class BlockSystem:
         return np.concatenate([self.rhs[n] for n in self.order])
 
     def on_layout(self, loop_ids) -> NodeSystem:
-        """This system on a layout of its own pattern, ``loop_ids`` stacked.
+        """This system on a layout of its own pattern, ``loop_ids`` stacked into one relieved node last.
 
         Its stacked vector is the nodes' segments in ``order``.
         """
         sizes = {n: blk.shape[0] for n, blk in self.diag.items()}
         ends = np.cumsum([sizes[n] for n in self.order])
         rows = {n: np.arange(end - sizes[n], end) for n, end in zip(self.order, ends)}
-        order = [n for n in self.order if n not in loop_ids]
+        order = [n for n in self.order if n not in loop_ids] + [LOOP_NODE] * bool(loop_ids)
         sources = [(n, n) for n in self.diag] + list(self.offdiag)
-        layout = symbolic_layout(order, sizes, rows, sources, loop_ids)
+        layout = symbolic_layout(order, sizes, rows, sources, {LOOP_NODE: loop_ids} if loop_ids else {})
         return layout.system([*self.diag.values(), *self.offdiag.values()], self.assembled_rhs())
 
 
 def augment_loop_node(system: BlockSystem, loop_ids) -> BlockSystem:
-    """Stack loop-closure constraint nodes into a single final node.
+    """Stack loop-closure constraint nodes into a single final relieved node.
 
     The nodes in ``loop_ids`` are replaced by one node keyed
     :data:`LOOP_NODE`, placed last in the elimination order, whose rows are
-    theirs in ascending id (``loop_layout``), as :func:`symbolic_layout`
-    stacks them.  Returns the system unchanged when ``loop_ids`` is empty.
+    theirs in ascending id (``loop_layout[LOOP_NODE]``), as
+    :func:`symbolic_layout` stacks them.  Returns the system unchanged when
+    ``loop_ids`` is empty.
     """
     if not loop_ids:
         return system
@@ -504,13 +494,12 @@ def sparse_ldu_factorize(system: NodeSystem) -> SparseFactor:
     cost is linear in the number of nodes.  The Newton loop's pattern,
     with the bodies of at most three joints eliminated before the sweep,
     gives a joint at most two later neighbours on a tree, which already
-    couple to each other, so it stays linear without fill.  With a stacked
-    loop node a node gains one more later neighbour, and the cross updates
-    land in the layout's fill blocks.  The loop node's own diagonal updates wait in a panel of the
-    nodes' L·D columns and U rows until the layout flushes it, which
-    applies them as one product.
+    couple to each other, so it stays linear without fill.  A relieved
+    node sits right after the highest node of its cycles, so a node on a
+    cycle gains one more later neighbour and the cross updates land in
+    the layout's fill blocks on that cycle.
 
-    Pivots are inverted with ``np.linalg.inv`` (the loop node's by
+    Pivots are inverted with ``np.linalg.inv`` (relieved ones by
     truncated SVD) and checked together after the sweep; an exactly
     singular pivot stops the sweep once the pivots before it pass.  A zero
     pivot that no update reached raises DanglingConstraintError.
@@ -518,13 +507,13 @@ def sparse_ldu_factorize(system: NodeSystem) -> SparseFactor:
     lay = system.layout
     blocks = list(system.blocks)
     inverses: list = []
-    r, lds, ups = lay.relieved, [], []  # the relieved node's pending panel
+    relieved = set(lay.relieved)
     k = 0
     try:
         # ndarray.dot: the same BLAS products as @, with less overhead per call
         for k, steps in enumerate(lay.elimination):
             d = blocks[k]
-            if k == r:
+            if k in relieved:
                 d_inv = ldu_inverse(d, pivot_relief=_LOOP_PIVOT_RELIEF)
             else:
                 d_inv = np.linalg.inv(d)
@@ -536,14 +525,6 @@ def sparse_ldu_factorize(system: NodeSystem) -> SparseFactor:
                 ld = blocks[lo].dot(d)
                 for up, target in updates:
                     blocks[target] = blocks[target] - ld.dot(blocks[up])
-            if lay.panel[k]:
-                # the relieved node is the last later neighbour, so ld is its L·D
-                up, flush = lay.panel[k]
-                lds.append(ld)
-                ups.append(blocks[up])
-                if flush:
-                    blocks[r] = blocks[r] - np.hstack(lds).dot(np.vstack(ups))
-                    lds, ups = [], []
     except np.linalg.LinAlgError as err:
         _check_pivots(lay, blocks, inverses)
         node, size = lay.order[k], blocks[k].shape[0]
@@ -552,7 +533,7 @@ def sparse_ldu_factorize(system: NodeSystem) -> SparseFactor:
                 f"constraint node {node!r} reached its pivot with a zero diagonal "
                 "and no coupling updates"
             ) from err
-        if k == r:  # the relieved pivot's SVD did not converge; ldu_inverse names the sizes
+        if k in relieved:  # the relieved pivot's SVD did not converge; ldu_inverse names the sizes
             raise SingularBlockError(f"loop pivot at node {node!r}: {err}") from err
         raise SingularBlockError(
             f"singular diagonal block at node {node!r}: exactly singular {size}x{size} block"
@@ -587,7 +568,7 @@ def sparse_ldu_solve(fact: SparseFactor) -> np.ndarray:
 
 
 def pattern_report(layout: SymbolicLayout) -> str:
-    """Readable dump of a layout: nodes, neighbours, loop stacking and fill."""
+    """Readable dump of a layout: nodes, neighbours, relieved nodes and fill."""
     order = layout.order
     neighbours: list = [[] for _ in order]
     for k, steps in enumerate(layout.elimination):
@@ -598,11 +579,11 @@ def pattern_report(layout: SymbolicLayout) -> str:
     for node, seg, nbrs in zip(order, layout.segments, neighbours):
         size = seg.stop - seg.start
         lines.append(f"  node {node!r}: size {size}, coupled to {nbrs} (fill included)")
-    if layout.loop_layout:
-        lines.append(f"  loop node stacks: {layout.loop_layout}")
-    if layout.relieved >= 0:
-        panel = [flush for _, flush in filter(None, layout.panel)]
-        lines.append(f"  loop panel: {len(panel)} contributing nodes, {sum(panel)} products per factorization")
+    if layout.relieved:
+        lines.append(f"  relieved nodes: {len(layout.relieved)}")
+    for k in layout.relieved:
+        stack = layout.loop_layout[order[k]]
+        lines.append(f"    relieved node {order[k]!r}: {sum(r for _, r in stack)} rows, loop joints {[i for i, _ in stack]}")
     lines.append(f"  fill events: {layout.fill_count}")
     lines += [f"    fill at ({i!r}, {j!r})" for i, j in layout.fill_events]
     return "\n".join(lines)

@@ -154,9 +154,17 @@ def build_layout(mech: Mechanism, ctx: StepContext) -> SystemLayout:
     )
 
 
-def _predicted_pose(x2, q2, v2, w2, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """The next knot's stacked poses predicted from the velocities (v2, w2)."""
-    return x2 + h * v2, quat.orientation_update(q2, w2, h)
+def _predicted_pose(layout: SystemLayout, v2: np.ndarray, w2: np.ndarray) -> tuple:
+    """The next knot predicted from the velocities (v2, w2): (x, q, rot, rate).
+
+    ``x``, ``q`` and ``rot`` are its stacked poses and their rotations with
+    the world's row last (:func:`~mcdyn.mechanism.with_world`), ``rate`` the
+    rate scalars sqrt((2/h)^2 - w2.w2).  Raises AngularRateError when some
+    ||w2|| >= 2/h.
+    """
+    h = layout.h
+    rate = quat._rate_scalar(w2, h)
+    return (*with_world(layout.x2 + h * v2, quat._orientation_update(layout.q2, w2, rate, h)), rate)
 
 
 # ---------------------------------------------------------------------------
@@ -175,26 +183,28 @@ def position_jacobian_blocks(mech: Mechanism, layout: SystemLayout) -> list:
 
 def assemble_residual(
     mech: Mechanism, layout: SystemLayout, pos_blocks: list, s: np.ndarray
-) -> np.ndarray:
-    """Stacked residual at the unknowns ``s`` (body rows, then joint rows).
+) -> tuple[np.ndarray, tuple]:
+    """Stacked residual at the unknowns ``s`` (body rows, then joint rows), and the pose it read.
 
     Joint rows evaluate at the predicted next knot so that the converged
     step satisfies the constraints at the position level.  Body rows
     subtract the impulse pull, the transposed knot-2 position Jacobian
     (``pos_blocks`` from :func:`position_jacobian_blocks`) applied to the
-    multipliers.  Raises AngularRateError when some ||w2|| >= 2/h.
+    multipliers.  Returns (f, pose), ``pose`` the predicted knot of
+    :func:`_predicted_pose`, which :func:`jacobian_blocks` at the same
+    unknowns reads.  Raises AngularRateError when some ||w2|| >= 2/h.
     """
     n = len(mech.body_ids)
     h = layout.h
     v2, w2 = velocities(s, n)
-    pose = with_world(*_predicted_pose(layout.x2, layout.q2, v2, w2, h))
+    pose = _predicted_pose(layout, v2, w2)
     f = np.empty(mech.dim)
     pull = np.zeros((n + 1, 6))  # the last row collects the world's share
     for group, pos in zip(mech.groups, pos_blocks):
         np.add.at(pull, group.ends, (s[group.rows][:, None, :] @ pos)[..., 0, :])
-        f[group.rows] = joint_residual(group, *pose)
+        f[group.rows] = joint_residual(group, *pose[:3])
     jw2 = (mech.inertia @ w2[:, :, None])[..., 0]
-    s2 = quat._rate_scalar(w2, h)[:, None]
+    s2 = pose[3][:, None]
     body = f[: 6 * n].reshape(n, 6)
     body[:, :3] = (
         mech.mass[:, None] * ((v2 - layout.v1) / h + layout.gravity * _EZ)
@@ -209,7 +219,7 @@ def assemble_residual(
         - layout.torque2
         - pull[:n, 3:]
     )
-    return f
+    return f, pose
 
 
 # ---------------------------------------------------------------------------
@@ -326,13 +336,14 @@ def solve_reduced(mech: Mechanism, system: ReducedSystem) -> np.ndarray:
 
 
 def jacobian_blocks(
-    mech: Mechanism, layout: SystemLayout, pos_blocks: list, s: np.ndarray
+    mech: Mechanism, layout: SystemLayout, pos_blocks: list, s: np.ndarray, pose: tuple
 ) -> tuple[np.ndarray, list]:
     """The exact Jacobian of the residual at the unknowns ``s``, as stacked blocks.
 
-    Returns the (N, 6, 6) velocity derivatives of the bodies' momentum
-    balances and, per kind group, the couplings (row, col) of
-    :func:`eliminate_bodies`: the predicted-knot velocity
+    ``pose`` is the predicted knot :func:`assemble_residual` returned at
+    the same unknowns.  Returns the (N, 6, 6) velocity derivatives of the
+    bodies' momentum balances and, per kind group, the couplings (row,
+    col) of :func:`eliminate_bodies`: the predicted-knot velocity
     Jacobian in the joints' rows and minus the transposed knot-2 position
     Jacobian (the impulse direction) in the bodies' rows.  The joint
     diagonal blocks are exactly zero, so the pattern is the mechanism's
@@ -340,12 +351,12 @@ def jacobian_blocks(
     """
     n = len(mech.body_ids)
     h = layout.h
-    v2, w2 = velocities(s, n)
-    _, q3, rot3 = with_world(*_predicted_pose(layout.x2, layout.q2, v2, w2, h))
-    delta = np.concatenate([quat.update_rotation_jacobian(w2, h), np.zeros((1, 3, 3))])  # the world does not move
+    _, w2 = velocities(s, n)
+    _, q3, rot3, rate = pose
+    delta = np.concatenate([quat._update_rotation_jacobian(w2, rate, h), np.zeros((1, 3, 3))])  # the world does not move
     J = mech.inertia
     jw = (J @ w2[:, :, None])[..., 0]
-    s2 = quat._rate_scalar(w2, h)[:, None, None]
+    s2 = rate[:, None, None]
     body_diag = np.zeros((n, 6, 6))
     body_diag[:, :3, :3] = (mech.mass / h)[:, None, None] * np.eye(3)
     body_diag[:, 3:, 3:] = (
@@ -359,16 +370,16 @@ def jacobian_blocks(
 
 
 def assemble_jacobian(
-    mech: Mechanism, layout: SystemLayout, pos_blocks: list, s: np.ndarray, f: np.ndarray
+    mech: Mechanism, layout: SystemLayout, pos_blocks: list, s: np.ndarray, pose: tuple, f: np.ndarray
 ) -> ReducedSystem:
     """The Newton system at the unknowns ``s`` with the bodies outside the hubs eliminated.
 
-    The blocks of :func:`jacobian_blocks`, with the residual ``f`` at the
-    same unknowns as the right-hand side, go through
+    The blocks of :func:`jacobian_blocks` at ``pose``, with the residual
+    ``f`` at the same unknowns as the right-hand side, go through
     :func:`eliminate_bodies` under ``mech.plan``; :func:`solve_reduced`
     solves the result.
     """
-    return eliminate_bodies(mech, mech.plan, *jacobian_blocks(mech, layout, pos_blocks, s), f)
+    return eliminate_bodies(mech, mech.plan, *jacobian_blocks(mech, layout, pos_blocks, s, pose), f)
 
 
 def newton_system_at(mech: Mechanism, ctx: StepContext) -> NodeSystem:
@@ -376,7 +387,8 @@ def newton_system_at(mech: Mechanism, ctx: StepContext) -> NodeSystem:
 
     The Newton loop's own builder under a plan that eliminates no body
     first: the full system over bodies and joints in the graph's
-    elimination order, the loop joints stacked into the loop node last.
+    elimination order, each cycle's loop joints stacked into a relieved
+    node right after the cycle's highest node.
     It is evaluated at ``mech.unknowns`` (between steps, the last
     solution), as :func:`newton_solve` called directly starts; a
     :func:`step` would start from its predicted velocities instead.  Its
@@ -386,8 +398,8 @@ def newton_system_at(mech: Mechanism, ctx: StepContext) -> NodeSystem:
     layout = build_layout(mech, ctx)
     pos_blocks = position_jacobian_blocks(mech, layout)
     s = mech.unknowns
-    f = assemble_residual(mech, layout, pos_blocks, s)
-    return eliminate_bodies(mech, mech.full_plan, *jacobian_blocks(mech, layout, pos_blocks, s), f).joints
+    f, pose = assemble_residual(mech, layout, pos_blocks, s)
+    return eliminate_bodies(mech, mech.full_plan, *jacobian_blocks(mech, layout, pos_blocks, s, pose), f).joints
 
 
 # ---------------------------------------------------------------------------
@@ -424,20 +436,20 @@ def newton_solve(mech: Mechanism, ctx: StepContext, tol: float = 1e-10) -> Newto
     pos_blocks = position_jacobian_blocks(mech, layout)
     s = mech.unknowns.copy()
     try:
-        f = assemble_residual(mech, layout, pos_blocks, s)
+        f, pose = assemble_residual(mech, layout, pos_blocks, s)
         norm = float(np.linalg.norm(f))
         history = [norm]
         if norm < tol:
             return NewtonInfo(iterations=0, residual_norm=norm, history=history)
         for it in range(1, _MAX_ITERS + 1):
-            ds = solve_reduced(mech, assemble_jacobian(mech, layout, pos_blocks, s, f))
+            ds = solve_reduced(mech, assemble_jacobian(mech, layout, pos_blocks, s, pose, f))
 
             alpha = 1.0
             accepted = False
             for _ in range(_MAX_HALVINGS + 1):
                 s_try = s - alpha * ds
                 try:
-                    f_try = assemble_residual(mech, layout, pos_blocks, s_try)
+                    f_try, pose_try = assemble_residual(mech, layout, pos_blocks, s_try)
                     norm_try = float(np.linalg.norm(f_try))
                 except AngularRateError:
                     norm_try = np.inf
@@ -450,7 +462,7 @@ def newton_solve(mech: Mechanism, ctx: StepContext, tol: float = 1e-10) -> Newto
                     f"line search stalled at residual {norm:.3e} after {_MAX_HALVINGS} halvings; last Newton step "
                     f"norm {np.linalg.norm(ds):.3e}, residual history [{', '.join(f'{r:.3e}' for r in history)}]"
                 )
-            s, f, norm = s_try, f_try, norm_try
+            s, f, pose, norm = s_try, f_try, pose_try, norm_try
             history.append(norm)
             if norm < tol:
                 return NewtonInfo(iterations=it, residual_norm=norm, history=history)
@@ -503,7 +515,7 @@ def step(mech: Mechanism, ctx: StepContext, tol: float = 1e-10) -> NewtonInfo:
         if mech.unknowns is start:  # rejected before the solve took its copy
             mech.unknowns = last
         raise
-    x3, q3 = _predicted_pose(mech.x2, mech.q2, mech.v2, mech.w2, ctx.h)
+    x3, q3 = mech.x2 + ctx.h * mech.v2, quat.orientation_update(mech.q2, mech.w2, ctx.h)
     mech.x1, mech.q1, mech.x2, mech.q2 = mech.x2, mech.q2, x3, q3
     mech.v0, mech.w0, mech.v1, mech.w1 = mech.v1, mech.w1, mech.v2.copy(), mech.w2.copy()
     return info

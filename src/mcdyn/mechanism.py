@@ -8,8 +8,10 @@ The incidence structure (bodies and constraints as nodes, one edge per
 body-constraint attachment) mirrors the block pattern of the implicit
 step's Newton matrix.  An elimination plan (:func:`elimination_plan`)
 says which bodies go first and lays the sparse sweep over the joints and
-the other bodies in the graph's order: the step eliminates every body
-with at most three joints first, the full bodies-and-joints view none.
+the other bodies in the graph's order, each independent cycle's loop
+joints in one relieved node after the cycle: the step eliminates every
+body with at most three joints first, the full bodies-and-joints view
+none.
 
 The joint kernels read the rotation matrices of a pose, computed once for
 all bodies (:func:`with_world`), and multiply them by constants each kind
@@ -32,7 +34,7 @@ import numpy as np
 import yaml
 
 from . import quaternions as quat
-from .block_solver import SymbolicLayout, symbolic_layout
+from .block_solver import LOOP_NODE, SymbolicLayout, symbolic_layout
 from .errors import MechanismError, SimulationError
 
 WORLD = "world"
@@ -338,11 +340,15 @@ def elimination_plan(mech: Mechanism, is_hub: np.ndarray) -> EliminationPlan:
     stacks of ``joint_pairs``, the hubs' diagonals, then per kind group
     the couplings (joint, hub) and (hub, joint) at ``hub_sides``, as
     ``integrator.eliminate_bodies`` supplies them.  The graph's order
-    (children first) over these nodes is the elimination order, and the
-    loop joints are stacked into the loop node.  On a tree the later
-    neighbours of each node then already couple to each other, so the
-    sweep creates no fill.  With every body a hub, the layout is the full
-    bodies-and-joints graph, whose rows are the Newton vector's.
+    (children first) over these nodes is the elimination order.  On a
+    tree the later neighbours of each node then already couple to each
+    other, so the sweep creates no fill.  The loop joints of each of the
+    graph's ``cycles`` are stacked into one relieved node placed right
+    after the highest node of the cycle in that order, so the fill stays
+    on the cycle; the relieved node nearest the root is keyed
+    :data:`LOOP_NODE`, each other one (LOOP_NODE, smallest loop joint id).
+    With every body a hub, the layout is the full bodies-and-joints graph,
+    whose rows are the Newton vector's.
     """
     hubs = np.flatnonzero(is_hub)  # np.isin and np.setdiff1d would import numpy.ma, over 1 MB of RSS
     hub_ids = [mech.body_ids[r] for r in hubs]
@@ -362,8 +368,18 @@ def elimination_plan(mech: Mechanism, is_hub: np.ndarray) -> EliminationPlan:
         ends = [(g.parent_ids, g.child_ids)[s][i] for s, i in zip(sides, positions)]
         ids = [g.ids[i] for i in positions]
         sources += [*zip(ids, ends), *zip(ends, ids)]
-    order = [node for node in mech.graph.order if node in sizes]
-    layout = symbolic_layout(order, sizes, {n: place[sl] for n, sl in slices.items()}, sources, mech.graph.loop_joints)
+    tree = [node for node in mech.graph.order if node in sizes]
+    at = {node: k for k, node in enumerate(tree)}
+    after = {max(at[n] for n in nodes if n in at): ids for ids, nodes in mech.graph.cycles}
+    nearest_root = max(after, default=-1)
+    order, stacks = [], {}
+    for k, node in enumerate(tree):
+        order.append(node)
+        if k in after:
+            key = LOOP_NODE if k == nearest_root else (LOOP_NODE, after[k][0])
+            stacks[key] = after[k]
+            order.append(key)
+    layout = symbolic_layout(order, sizes, {n: place[sl] for n, sl in slices.items()}, sources, stacks)
     return EliminationPlan(np.flatnonzero(~is_hub), hubs, hub_sides, joint_pairs, layout, rows)
 
 
@@ -405,17 +421,22 @@ def _kind_groups(body_index: dict, joints: dict, joint_slices: dict) -> list[Joi
 
 @dataclass
 class MechanismGraph:
-    """Elimination order and loop-closure set of the incidence graph.
+    """Elimination order, loop-closure set and independent cycles of the incidence graph.
 
     ``order`` lists the tree's body and constraint nodes children-before-
     parent with the root last; the loop-closure constraints in
     ``loop_joints`` are left out of it.  ``parent`` maps each non-root tree
-    node to its parent.
+    node to its parent.  ``cycles`` holds one (loop joint ids ascending,
+    tree nodes) pair per independent cycle: the fundamental cycles of the
+    loop joints (the tree path between a loop joint's two ends), those
+    sharing a body or joint merged; the world is no shared node and is
+    not listed.  They are ordered by smallest loop joint id.
     """
 
     order: list
     parent: dict
     loop_joints: set
+    cycles: list
 
 
 def build_graph(bodies: dict, joints: dict) -> MechanismGraph:
@@ -453,7 +474,8 @@ def build_graph(bodies: dict, joints: dict) -> MechanismGraph:
     visited = {root}
     discovery = [] if root == WORLD else [root]
     parent: dict = {}
-    loops: set = set()
+    depth = {root: 0}
+    loops: dict = {}  # loop joint -> its two ends in the tree
     stack = [(root, None, iter(adjacency[root]))]
     while stack:
         u, par, it = stack[-1]
@@ -470,7 +492,7 @@ def build_graph(bodies: dict, joints: dict) -> MechanismGraph:
                 raise MechanismError(
                     f"unexpected cycle through node {u!r}; duplicate joint edges?"
                 )
-            loops.add(u)
+            loops[u] = (par, v)
             assert discovery[-1] == u
             discovery.pop()
             parent.pop(u, None)
@@ -481,6 +503,7 @@ def build_graph(bodies: dict, joints: dict) -> MechanismGraph:
         if v != WORLD:
             discovery.append(v)
         parent[v] = u
+        depth[v] = depth[u] + 1
         stack.append((v, u, iter(adjacency[v])))
 
     unreached = [n for n in adjacency if n not in visited and n not in loops and n != WORLD]
@@ -488,8 +511,49 @@ def build_graph(bodies: dict, joints: dict) -> MechanismGraph:
         raise MechanismError(
             f"mechanism graph is disconnected; unreachable nodes: {sorted(unreached, key=_id_sort_key)}"
         )
+    cycles = _independent_cycles(loops, parent, depth)
     parent = {n: p for n, p in parent.items() if p != WORLD and n != WORLD}
-    return MechanismGraph(order=list(reversed(discovery)), parent=parent, loop_joints=loops)
+    return MechanismGraph(order=list(reversed(discovery)), parent=parent, loop_joints=set(loops), cycles=cycles)
+
+
+def _independent_cycles(loops: dict, parent: dict, depth: dict) -> list:
+    """The fundamental cycles of the loop joints, merged where they share a body or joint.
+
+    ``loops`` maps each loop joint to its two ends; ``parent`` and
+    ``depth`` describe the DFS tree.  Each cycle climbs from both ends to
+    their common ancestor, the deeper end first, in O(cycle length).
+    Returns (loop joint ids ascending, tree nodes without the world) per
+    merged cycle, by smallest loop joint id.
+    """
+    group = {u: u for u in loops}  # union-find over the loop joints
+
+    def find(u):
+        while group[u] != u:
+            group[u] = group[group[u]]
+            u = group[u]
+        return u
+
+    owner: dict = {}  # tree node -> a loop joint whose cycle holds it
+    nodes: dict = {}
+    for u in sorted(loops):
+        a, b = loops[u]
+        path = {a, b}
+        while a != b:
+            if depth[a] < depth[b]:
+                a, b = b, a
+            a = parent[a]
+            path.add(a)
+        path.discard(WORLD)
+        nodes[u] = path
+        for node in path:
+            first = owner.setdefault(node, u)
+            group[find(u)] = find(first)
+    merged: dict = {}
+    for u in sorted(loops):
+        ids, tree = merged.setdefault(find(u), ([], set()))
+        ids.append(u)
+        tree |= nodes[u]
+    return sorted(merged.values(), key=lambda cycle: cycle[0][0])
 
 
 def _id_sort_key(n):

@@ -171,7 +171,11 @@ def orientation_update(q: np.ndarray, w: np.ndarray, h: float) -> np.ndarray:
     so the result has unit norm by construction (up to rounding), with no
     renormalization.  Requires ||w|| < 2/h.
     """
-    s = np.asarray(_rate_scalar(w, h))
+    return _orientation_update(q, w, np.asarray(_rate_scalar(w, h)), h)
+
+
+def _orientation_update(q: np.ndarray, w: np.ndarray, s: np.ndarray, h: float) -> np.ndarray:
+    """orientation_update(q, w, h) from its rate scalars s = _rate_scalar(w, h)."""
     step = np.concatenate([s[..., None], w], axis=-1)
     return (h / 2.0) * (lmat(q) @ step[..., None])[..., 0]
 
@@ -195,7 +199,12 @@ def update_rotation_jacobian(w: np.ndarray, h: float) -> np.ndarray:
     orientation_update_jacobian(q, w, h) == lmat(q3) @ VMAT.T @ Δ(w) for
     any q, with q3 = orientation_update(q, w, h).
     """
-    s = _rate_scalar(w, h)[..., None]
+    return _update_rotation_jacobian(w, _rate_scalar(w, h), h)
+
+
+def _update_rotation_jacobian(w: np.ndarray, s: np.ndarray, h: float) -> np.ndarray:
+    """update_rotation_jacobian(w, h) from its rate scalars s = _rate_scalar(w, h)."""
+    s = s[..., None]
     out = w[..., :, None] * (w / s)[..., None, :] - skew(w)
     out[..., _DIAG3, _DIAG3] += s
     return (0.25 * h * h) * out

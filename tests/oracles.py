@@ -12,6 +12,7 @@ derivatives of each rotated vector, reduced to body-frame rotations.
 import numpy as np
 
 import mcdyn.quaternions as quat
+from mcdyn.block_solver import DenseFactor
 
 
 def rotmat_from_quat(q):
@@ -168,6 +169,34 @@ def u_matrix(fact):
     """Unit block-upper-triangular U of an in-place dense LDU factor."""
     b = _block_ids(fact)
     return np.where(b[:, None] < b[None, :], fact.matrix, 0.0) + np.eye(b.size)
+
+
+def dense_block_ldu(matrix, sizes, relieved, relief=1e-10):
+    """Right-looking block LDU without pivoting, relieving the pivots the sparse sweep relieves.
+
+    The pivots at the block positions in ``relieved`` are inverted by
+    np.linalg.pinv truncated at the absolute cut relief·max|A|, the others
+    by np.linalg.inv; each step subtracts A[rest, k] D^+ A[k, rest] from the
+    trailing block.  Returns the factors in place, as a DenseFactor that
+    mcdyn's dense_ldu_solve and the helpers above read.
+    """
+    f = np.array(matrix, dtype=float)
+    offsets = [0, *np.cumsum(sizes).tolist()]
+    inverses = []
+    for k in range(len(sizes)):
+        piv, rest = slice(offsets[k], offsets[k + 1]), slice(offsets[k + 1], None)
+        d = f[piv, piv]
+        if k in relieved:
+            cut = relief * np.abs(d).max()
+            d_inv = np.linalg.pinv(d, rcond=cut / max(np.linalg.norm(d, 2), cut))
+        else:
+            d_inv = np.linalg.inv(d)
+        upper = d_inv @ f[piv, rest]
+        f[rest, rest] -= f[rest, piv] @ upper
+        f[rest, piv] = f[rest, piv] @ d_inv
+        f[piv, rest] = upper
+        inverses.append(d_inv)
+    return DenseFactor(matrix=f, offsets=offsets, diag_inv=inverses)
 
 
 def reconstruct(fact):

@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import mcdyn.block_solver as block_solver
+import mcdyn.integrator
 from conftest import make_closed_chain, make_segmented_chain
 from mcdyn.block_solver import (
     LOOP_NODE,
@@ -14,6 +15,7 @@ from mcdyn.block_solver import (
     pattern_report,
     sparse_ldu_factorize,
     sparse_ldu_solve,
+    symbolic_layout,
 )
 from mcdyn.errors import DanglingConstraintError, SingularBlockError
 from mcdyn.integrator import StepContext, step
@@ -231,14 +233,23 @@ class TestLoopPivotDeflation:
     """Planar loop pivots: only the rows and columns above the relief cut reach the SVD."""
 
     @pytest.mark.parametrize("build,deflated", [
-        (lambda: make_segmented_chain(6), (12, 12)),  # of 30x30
-        (lambda: make_closed_chain(4), (2, 2)),  # of 5x5
+        (lambda: make_segmented_chain(6), ((2, 2), 6)),  # of each parallelogram's 5x5 pivot, six per factorization
+        (lambda: make_closed_chain(4), ((2, 2), 1)),  # of 5x5
     ])
-    def test_step_decomposes_only_the_deflated_pivot(self, svd_shapes, build, deflated):
+    def test_step_decomposes_only_the_deflated_pivot(self, monkeypatch, svd_shapes, build, deflated):
+        shape, per_factorization = deflated
+        factorizations, factorize = [], mcdyn.integrator.sparse_ldu_factorize
+
+        def counted(system):
+            factorizations.append(system)
+            return factorize(system)
+
+        monkeypatch.setattr(mcdyn.integrator, "sparse_ldu_factorize", counted)
         mech = build()
         for _ in range(3):
             step(mech, StepContext(h=0.01))
-        assert svd_shapes and set(svd_shapes) == {deflated}
+        assert svd_shapes and set(svd_shapes) == {shape}
+        assert len(svd_shapes) == per_factorization * len(factorizations)
 
     @pytest.mark.parametrize("build", [
         lambda: make_segmented_chain(2),
@@ -263,9 +274,10 @@ class TestLoopPivotDeflation:
         monkeypatch.setattr(block_solver.np.linalg, "svd", no_convergence)
         with pytest.raises(SingularBlockError) as err:
             step(mech, StepContext(h=0.01))
+        # the deepest parallelogram's relieved node is the first to reach its pivot
         assert str(err.value) == (
-            "loop pivot at node 'loop': SVD did not converge on the 12x12 part above "
-            "the relief cut of a 30x30 block"
+            "loop pivot at node ('loop', 52): SVD did not converge on the 2x2 part above "
+            "the relief cut of a 5x5 block"
         )
 
 
@@ -457,26 +469,39 @@ class TestAugmentLoopNode:
         merged = augment_loop_node(system, {3, 4})
         assert merged.order[-1] == LOOP_NODE
         assert 3 not in merged.diag and 4 not in merged.diag
-        assert merged.loop_layout == [(3, system.diag[3].shape[0]), (4, system.diag[4].shape[0])]
-        total = sum(r for _, r in merged.loop_layout)
+        assert merged.loop_layout == {LOOP_NODE: [(3, system.diag[3].shape[0]), (4, system.diag[4].shape[0])]}
+        total = sum(r for _, r in merged.loop_layout[LOOP_NODE])
         assert merged.diag[LOOP_NODE].shape == (total, total)
         assert_allclose(
             merged.rhs[LOOP_NODE], np.concatenate([system.rhs[3], system.rhs[4]])
         )
 
-    def test_loop_node_must_be_last(self, rng):
-        # the loop node's deferred diagonal updates assume no node follows it
-        system = random_loop_system(rng, 4)
-        system.order = [*system.order[:-2], LOOP_NODE, system.order[-2]]
-        with pytest.raises(ValueError, match="must be last"):
-            system.on_layout(())
+    def test_relieved_nodes_may_sit_inside_the_order(self, rng):
+        # two stacks relieved mid-order, each right after the nodes stacked into it
+        system = random_tree_system(rng, 9)
+        sizes = {n: blk.shape[0] for n, blk in system.diag.items()}
+        ends = np.cumsum([sizes[n] for n in system.order])
+        rows = {n: np.arange(end - sizes[n], end) for n, end in zip(system.order, ends)}
+        stacks = {(LOOP_NODE, 7): [8, 7], LOOP_NODE: [3]}  # order is 8, 7, ..., 0
+        order = [(LOOP_NODE, 7), 6, 5, 4, LOOP_NODE, 2, 1, 0]
+        sources = [(n, n) for n in system.diag] + list(system.offdiag)
+        layout = symbolic_layout(order, sizes, rows, sources, stacks)
+        assert layout.relieved == [0, 4]
+        assert layout.loop_layout == {(LOOP_NODE, 7): [(7, sizes[7]), (8, sizes[8])], LOOP_NODE: [(3, sizes[3])]}
+        fact = sparse_ldu_factorize(layout.system([*system.diag.values(), *system.offdiag.values()], system.assembled_rhs()))
+        x_ref = solve_dense_reference(system)
+        assert np.linalg.norm(sparse_ldu_solve(fact) - x_ref) <= 1e-9 * np.linalg.norm(x_ref)
 
     def test_report_mentions_fill(self, rng):
         _, fact = sparse_solution_vector(random_loop_system(rng, 6))
         text = pattern_report(fact.system.layout)
         assert "fill events" in text
         assert "order" in text
-        panel = [entry for entry in fact.system.layout.panel if entry]
-        flushes = sum(flush for _, flush in panel)
-        assert f"loop panel: {len(panel)} contributing nodes, {flushes} products per factorization" in text
-        assert 1 <= flushes <= len(panel) and panel[-1][1]
+        assert "relieved" not in text
+        stacked = random_tree_system(rng, 6).on_layout({4, 5})
+        rows = stacked.blocks[len(stacked.order) - 1].shape[0]
+        assert pattern_report(stacked.layout).endswith(
+            f"  relieved nodes: 1\n    relieved node 'loop': {rows} rows, loop joints [4, 5]\n"
+            f"  fill events: {stacked.layout.fill_count}"
+            + "".join(f"\n    fill at ({i!r}, {j!r})" for i, j in stacked.layout.fill_events)
+        )

@@ -44,10 +44,25 @@ def test_simulate_dump_pattern(tmp_path):
     assert "order" in text
     assert "loop" in text
     assert "fill events" in text
-    # closed_chain 4: the 4 bodies go first; a 5-row loop node, fed by all
-    # 4 tree joints, each 5 wide
+    # closed_chain 4: the 4 bodies go first; one 5-row relieved node for the
+    # loop joint, last
     assert text.startswith("4 bodies eliminated first in one batch; 5 joint nodes\n")
-    assert "loop panel: 4 contributing nodes, 4 products per factorization" in text
+    assert "  relieved nodes: 1\n    relieved node 'loop': 5 rows, loop joints [9]\n" in text
+
+
+def test_simulate_dump_pattern_lists_one_relieved_node_per_loop(tmp_path):
+    mech_path = tmp_path / "segments.yaml"
+    assert main(["gen", "--kind", "segmented_chain", "--n", "3", "--out", str(mech_path)]) == 0
+    pattern_path = tmp_path / "pattern.txt"
+    args = ["simulate", str(mech_path), "--duration", "0.02", "--out", str(tmp_path / "traj.csv")]
+    assert main([*args, "--dump-pattern", str(pattern_path)]) == 0
+    text = pattern_path.read_text()
+    assert (
+        "  relieved nodes: 3\n"
+        "    relieved node ('loop', 25): 5 rows, loop joints [25]\n"
+        "    relieved node ('loop', 20): 5 rows, loop joints [20]\n"
+        "    relieved node 'loop': 5 rows, loop joints [15]\n"
+    ) in text
 
 
 def test_simulate_dump_pattern_names_hubs(tmp_path):

@@ -80,7 +80,9 @@ def dense_newton_matrix(mech, ctx):
 def reduced_newton_system(mech, ctx, rhs):
     """The Newton loop's body-eliminated system at the current unknowns, right-hand side ``rhs``."""
     layout = build_layout(mech, ctx)
-    return assemble_jacobian(mech, layout, position_jacobian_blocks(mech, layout), mech.unknowns, rhs)
+    pos_blocks = position_jacobian_blocks(mech, layout)
+    _, pose = assemble_residual(mech, layout, pos_blocks, mech.unknowns)
+    return assemble_jacobian(mech, layout, pos_blocks, mech.unknowns, pose, rhs)
 
 
 def dense_schur_complement(mech, ctx):
@@ -108,8 +110,8 @@ def fd_newton_matrix(mech, ctx, eps=1e-6):
     for j in range(mech.dim):
         e = np.zeros(mech.dim)
         e[j] = eps
-        fp = assemble_residual(mech, layout, pos_blocks, s0 + e)
-        fm = assemble_residual(mech, layout, pos_blocks, s0 - e)
+        fp, _ = assemble_residual(mech, layout, pos_blocks, s0 + e)
+        fm, _ = assemble_residual(mech, layout, pos_blocks, s0 - e)
         cols.append((fp - fm) / (2 * eps))
     return np.stack(cols, axis=1)
 
@@ -130,7 +132,7 @@ def randomized_feasible_state(mech, ctx, rng, warm_steps=3):
 def residual_at(mech, ctx):
     """The stacked residual at the current unknowns."""
     layout = build_layout(mech, ctx)
-    return assemble_residual(mech, layout, position_jacobian_blocks(mech, layout), mech.unknowns)
+    return assemble_residual(mech, layout, position_jacobian_blocks(mech, layout), mech.unknowns)[0]
 
 
 def body_residual(mech, bid, ctx):
@@ -310,7 +312,9 @@ class TestBodyElimination:
         mech = make_pendulum(4)
         ctx = StepContext(h=0.01)
         layout = build_layout(mech, ctx)
-        body_diag, couplings = jacobian_blocks(mech, layout, position_jacobian_blocks(mech, layout), mech.unknowns)
+        pos_blocks = position_jacobian_blocks(mech, layout)
+        _, pose = assemble_residual(mech, layout, pos_blocks, mech.unknowns)
+        body_diag, couplings = jacobian_blocks(mech, layout, pos_blocks, mech.unknowns, pose)
         return mech, body_diag, couplings
 
     def test_singular_body_block_names_the_body(self):
@@ -421,7 +425,8 @@ class TestNewton:
 
         def growing(mech, layout, pos, s):
             calls.append(s)
-            return residual(mech, layout, pos, s) + (100.0 if len(calls) > 1 else 0.0)
+            f, pose = residual(mech, layout, pos, s)
+            return f + (100.0 if len(calls) > 1 else 0.0), pose
 
         monkeypatch.setattr(mcdyn.integrator, "assemble_residual", growing)
         mech = make_pendulum(1)

@@ -438,9 +438,12 @@ class TestGraph:
         mech = make_closed_chain(4)
         assert mech.graph.loop_joints == {9}
         assert 9 not in mech.graph.order
+        # the cycle runs from the world through every link and tree joint
+        assert mech.graph.cycles == [([9], {1, 2, 3, 4, 5, 6, 7, 8})]
         system = newton_system_at(mech, StepContext(h=0.01))
         assert system.order[-1] == LOOP_NODE
-        assert system.layout.loop_layout == [(9, 5)]
+        assert system.layout.relieved == [len(system.order) - 1]
+        assert system.layout.loop_layout == {LOOP_NODE: [(9, 5)]}
 
     @pytest.mark.parametrize("build,fill", [
         (lambda: make_pendulum(3, "revolute"), 0),
@@ -452,20 +455,38 @@ class TestGraph:
     ])
     def test_detect_loops_full_system_is_the_graph(self, build, fill):
         # what acceptance criterion 4 and `bench timing` time: every body a
-        # node, in the graph's order, the loop joints stacked last
+        # node, in the graph's order, each cycle's loop joints stacked into a
+        # relieved node right after the cycle's highest node; the one nearest
+        # the root is LOOP_NODE
         mech = build()
         plan = mech.plan
         system = newton_system_at(mech, StepContext(h=0.01))
-        loop = [LOOP_NODE] if mech.graph.loop_joints else []
-        assert system.order == [*mech.graph.order, *loop]
+        lay = system.layout
+        relieved = [system.order[k] for k in lay.relieved]
+        assert [n for n in system.order if n not in relieved] == mech.graph.order
+        expected = {}
+        for ids, nodes in mech.graph.cycles:
+            highest = max(nodes, key=mech.graph.order.index)
+            expected[highest] = (ids, mech.graph.order.index(highest))
+        keys = [LOOP_NODE if pos == max(p for _, p in expected.values()) else (LOOP_NODE, ids[0])
+                for ids, pos in expected.values()]
+        assert sorted(map(str, relieved)) == sorted(map(str, keys))
+        for k in lay.relieved:
+            ids, _ = expected[system.order[k - 1]]
+            assert lay.loop_layout[system.order[k]] == [(i, mech.joints[i].rows) for i in ids]
         assert set(mech.body_ids) <= set(system.order)
-        assert system.layout.fill_count == fill
+        assert lay.fill_count == fill
         assert mech.plan is plan
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_detect_loops_segmented(self, k):
         mech = make_segmented_chain(k)
         assert len(mech.graph.loop_joints) == k
+        # one disjoint cycle per parallelogram: its four rods and three tree joints
+        cycles = mech.graph.cycles
+        assert [ids for ids, _ in cycles] == [[4 * k + 5 * j + 3] for j in range(k)]
+        assert [len(nodes) for _, nodes in cycles] == [7] * k
+        assert all(not a & b for i, (_, a) in enumerate(cycles) for _, b in cycles[i + 1 :])
         # oracle: cycle space of the incidence graph with a world vertex
         index = {n: i for i, n in enumerate(sorted(mech.bodies) + sorted(mech.joints))}
         index[WORLD] = len(index)

@@ -29,7 +29,7 @@ from conftest import (
 from mcdyn.block_solver import LOOP_NODE, dense_ldu_factorize, dense_ldu_solve, sparse_ldu_factorize, sparse_ldu_solve
 from mcdyn.integrator import StepContext, newton_system_at, run_simulation, solve_reduced
 from mcdyn.mechanism import WORLD, load_mechanism
-from oracles import count_independent_cycles, l_matrix, random_unit_quat, rotmat_from_quat, u_matrix
+from oracles import count_independent_cycles, dense_block_ldu, l_matrix, random_unit_quat, rotmat_from_quat, u_matrix
 from test_integrator import (
     dense_newton_matrix,
     dense_schur_complement,
@@ -44,6 +44,17 @@ SEEDS = range(8)
 def random_mechanism(rng, loops=True):
     """A grounded random tree of 3-8 bodies closed by 1-3 extra joints (none without ``loops``)."""
     n = int(rng.integers(3, 9))
+    x, q, bodies = random_bodies(rng, n)
+    pairs = [(WORLD, 1)] + [(int(rng.integers(1, b)), b) for b in range(2, n + 1)]
+    candidates = [(a, b) for a in [WORLD, *x] for b in x if a != b and (a, b) not in pairs]
+    if loops:
+        picks = rng.choice(len(candidates), size=int(rng.integers(1, 4)), replace=False)
+        pairs += [candidates[k] for k in picks]
+    return joined(rng, x, q, bodies, pairs)
+
+
+def random_bodies(rng, n):
+    """Random positions, orientations and body entries of bodies 1..n."""
     x = {b: rng.normal(size=3) for b in range(1, n + 1)}
     q = {b: random_unit_quat(rng) for b in range(1, n + 1)}
     bodies = [
@@ -56,11 +67,44 @@ def random_mechanism(rng, loops=True):
         }
         for b in x
     ]
-    pairs = [(WORLD, 1)] + [(int(rng.integers(1, b)), b) for b in range(2, n + 1)]
-    candidates = [(a, b) for a in [WORLD, *x] for b in x if a != b and (a, b) not in pairs]
-    if loops:
-        picks = rng.choice(len(candidates), size=int(rng.integers(1, 4)), replace=False)
-        pairs += [candidates[k] for k in picks]
+    return x, q, bodies
+
+
+def two_disjoint_loops(rng):
+    """Two random trees of 3-5 bodies, each hung from the world and closed by one extra joint of its own.
+
+    Each tree meets the rest only at the world, so its cycle shares no body
+    or joint with the other's.
+    """
+    sizes = [int(k) for k in rng.integers(3, 6, size=2)]
+    x, q, bodies = random_bodies(rng, sum(sizes))
+    pairs, first = [], 1
+    for size in sizes:
+        ids = range(first, first + size)
+        tree = [(WORLD, first)] + [(int(rng.integers(first, b)), b) for b in ids[1:]]
+        candidates = [(a, b) for a in ids for b in ids if a < b and (a, b) not in tree]
+        pairs += tree + [candidates[int(rng.integers(len(candidates)))]]
+        first += size
+    return joined(rng, x, q, bodies, pairs)
+
+
+def loops_sharing_a_body(rng):
+    """Two random triangles of bodies sharing only body 1, a hub hung from the world.
+
+    Body 1 closes one loop through bodies 2 and 3 and one through 4 and 5:
+    five joints, so it stays a node of the step's sweep.
+    """
+    x, q, bodies = random_bodies(rng, 5)
+    return joined(rng, x, q, bodies, [(WORLD, 1), (1, 2), (2, 3), (3, 1), (1, 4), (4, 5), (5, 1)])
+
+
+def joined(rng, x, q, bodies, pairs):
+    """The mechanism of ``bodies`` with one random ball or revolute joint per (parent, child) pair.
+
+    Each joint sits near its bodies at a random world point, a revolute one
+    about a random world axis, so the assembly is exact.
+    """
+    n = len(bodies)
 
     def local(b, vec, point):
         # body-frame image of a world point (or direction); world is the identity frame
@@ -89,8 +133,18 @@ def random_mechanism(rng, loops=True):
     return load_mechanism({"bodies": bodies, "joints": joints})
 
 
-@pytest.fixture(params=SEEDS)
+# several loops: disjoint, one relieved node each, or sharing one body, merged into one
+LOOP_MECHANISMS = {
+    "segmented_chain_3": lambda: make_segmented_chain(3),
+    "two_disjoint_loops": lambda: two_disjoint_loops(np.random.default_rng(4004)),
+    "loops_sharing_a_body": lambda: loops_sharing_a_body(np.random.default_rng(4001)),
+}
+
+
+@pytest.fixture(params=[*SEEDS, *LOOP_MECHANISMS])
 def random_case(request):
+    if request.param in LOOP_MECHANISMS:
+        return LOOP_MECHANISMS[request.param](), np.random.default_rng(2000)
     rng = np.random.default_rng(1000 + request.param)
     return random_mechanism(rng), rng
 
@@ -114,6 +168,35 @@ def test_graph_partitions_nodes(random_case):
     assert 1 <= len(graph.loop_joints) == count_independent_cycles(len(index), edges)
 
 
+def test_cycles_are_disjoint_and_close_their_loop_joints(random_case):
+    # merged cycles share no body or joint; each loop joint's two ends lie on
+    # its own cycle (or are the world), and each tree node on a cycle is
+    # joined to two others of it or to the world
+    mech, _ = random_case
+    cycles = mech.graph.cycles
+    assert sorted(i for ids, _ in cycles for i in ids) == sorted(mech.graph.loop_joints)
+    assert all(not a & b for k, (_, a) in enumerate(cycles) for _, b in cycles[k + 1 :])
+    for ids, nodes in cycles:
+        assert nodes <= set(mech.graph.order)
+        members = nodes | set(ids) | {WORLD}
+        for i in ids:
+            assert {mech.joints[i].parent, mech.joints[i].child} <= members
+        for node in nodes:
+            if node in mech.joints:
+                assert {mech.joints[node].parent, mech.joints[node].child} <= members
+            else:
+                attached = [j for j in members & set(mech.joints) if node in (mech.joints[j].parent, mech.joints[j].child)]
+                assert len(attached) >= 2
+
+
+@pytest.mark.parametrize("name,loops", [("two_disjoint_loops", [[13], [22]]), ("loops_sharing_a_body", [[9, 12]])])
+def test_cycles_merge_only_where_they_share_a_body(name, loops):
+    mech = LOOP_MECHANISMS[name]()
+    assert [ids for ids, _ in mech.graph.cycles] == loops
+    layout = mech.plan.layout
+    assert [[i for i, _ in layout.loop_layout[layout.order[k]]] for k in layout.relieved] == loops[::-1]
+
+
 MECHANISMS = {
     "segmented_chain_8": lambda: make_segmented_chain(8),
     "closed_chain_8": lambda: make_closed_chain(8),
@@ -121,16 +204,17 @@ MECHANISMS = {
     "mixed_kind_pendulum": mixed_kind_pendulum,
     "hub_star_6": lambda: hub_star(6),
     "comb_4": lambda: comb(4),
+    **LOOP_MECHANISMS,
 }
 
 
 @pytest.fixture(params=[*SEEDS, *MECHANISMS])
 def solve_case(request):
-    # segmented_chain 8 (40 loop rows, 352 tree rows) applies the loop node's
-    # deferred updates in several panels; closed_chain 8 in one per node; the
-    # star branches, the mixed-kind pendulum has all three joint kinds, the
-    # hub star keeps its hub in the sweep and the comb's spine links have
-    # three joints each
+    # segmented_chain 8 and 3 and the two disjoint loops have one relieved
+    # node per loop; closed_chain 8 one fed by every joint; the loops sharing
+    # a body merge into one relieved node; the star branches, the mixed-kind
+    # pendulum has all three joint kinds, the hub star keeps its hub in the
+    # sweep and the comb's spine links have three joints each
     if request.param in MECHANISMS:
         return MECHANISMS[request.param](), np.random.default_rng(2000)
     rng = np.random.default_rng(1000 + request.param)
@@ -153,7 +237,10 @@ def test_sparse_solve_matches_dense_and_lstsq(solve_case):
     lay = system.layout
     perm = lay.perm  # elimination order -> the unknowns' rows
     sizes = [seg.stop - seg.start for seg in lay.segments]
-    dense = dense_ldu_factorize(full[np.ix_(perm, perm)], sizes, pivot_relief=1e-10)
+    # relieving every pivot, as dense_ldu_factorize's pivot_relief does, would
+    # invert the tree pivots by SVD, which differs from their LU inverse by
+    # eps·cond: 1.6e-9 of x on segmented_chain 8 (cond 5.5e9 on the range)
+    dense = dense_block_ldu(full[np.ix_(perm, perm)], sizes, lay.relieved)
     x_dense = np.empty_like(b)
     x_dense[perm] = dense_ldu_solve(dense, b[perm])
     assert np.linalg.norm(x - x_dense) <= 1e-9 * np.linalg.norm(x_dense)
@@ -162,14 +249,16 @@ def test_sparse_solve_matches_dense_and_lstsq(solve_case):
     x_first = solve_reduced(mech, reduced)
     assert np.linalg.norm(full @ x - b) <= 1e-10 * np.linalg.norm(b)
     assert np.linalg.norm(full @ x_first - b) <= 1e-10 * np.linalg.norm(b)
-    if LOOP_NODE in system.order:
-        # the loop node's pivot after all Schur updates, panels included,
-        # in the full graph and with the bodies eliminated first
-        loop = system.order.index(LOOP_NODE)
-        ref = dense._blk(loop, loop)
-        first = sparse_ldu_factorize(reduced.joints)
-        for pivot in (fact.blocks[loop], first.blocks[first.system.layout.relieved]):
-            assert np.abs(pivot - ref).max() <= 1e-10 * np.abs(ref).max()
+    # every relieved pivot after its Schur updates, in the full graph and
+    # with the bodies eliminated first, against the dense LDU in the same order
+    schur, schur_sizes = dense_schur_complement(mech, ctx)
+    first = sparse_ldu_factorize(reduced.joints)
+    dense_first = dense_block_ldu(schur, schur_sizes, first.system.layout.relieved)
+    assert len(lay.relieved) == len(first.system.layout.relieved) == len(mech.graph.cycles)
+    for sparse, oracle in ((fact, dense), (first, dense_first)):
+        for k in sparse.system.layout.relieved:
+            ref = oracle._blk(k, k)
+            assert np.abs(sparse.blocks[k] - ref).max() <= 1e-10 * np.abs(ref).max()
 
     body = slice(0, 6 * len(mech.body_ids))
     x_ls = np.linalg.lstsq(full, b, rcond=None)[0]
@@ -216,24 +305,35 @@ def test_layout_covers_dense_factors(random_case):
     assert_layout_covers_dense_factors(mech, rng)
 
 
-@pytest.mark.parametrize("build", [lambda: make_closed_chain(4), lambda: make_segmented_chain(3)])
+# each builds (mechanism, loops, fill blocks of the step's layout)
+@pytest.mark.parametrize("build", [lambda: (make_closed_chain(4), 1, 6), lambda: (make_segmented_chain(3), 3, 6)])
 def test_layout_covers_dense_factors_on_chains(rng, build):
-    layout = assert_layout_covers_dense_factors(build(), rng)
-    assert layout.fill_count > 0
-    # every update of the loop node's diagonal is routed to its panel, symbolically
-    loop = layout.relieved
-    assert loop == len(layout.order) - 1
-    feeding = [k for k, steps in enumerate(layout.elimination) if loop in [p for p, *_ in steps]]
-    assert [k for k, entry in enumerate(layout.panel) if entry] == feeding
-    targets = [target for steps in layout.elimination for *_, updates in steps for _, target in updates]
-    assert loop not in targets  # block number of the loop node's diagonal
+    mech, loops, fill = build()
+    layout = assert_layout_covers_dense_factors(mech, rng)
+    # one 5-row relieved node per loop, right after the highest node of its
+    # cycle; the one nearest the root is LOOP_NODE
+    assert len(layout.relieved) == len(mech.graph.cycles) == loops
+    assert layout.order[layout.relieved[-1]] == LOOP_NODE
+    cycle_of = {}
+    for k in layout.relieved:
+        key = layout.order[k]
+        (ids, nodes), = [(ids, nodes) for ids, nodes in mech.graph.cycles if layout.loop_layout[key] == [(i, 5) for i in ids]]
+        assert key == LOOP_NODE or key == (LOOP_NODE, ids[0])
+        assert layout.order[k - 1] == max(nodes & set(layout.order), key=layout.order.index)
+        cycle_of[key] = nodes
+    # every diagonal update is in the sweep, and the fill pairs a relieved node with a node of its cycle
+    targets = {target for steps in layout.elimination for *_, updates in steps for _, target in updates}
+    assert set(layout.relieved) <= targets  # block number of each relieved node's diagonal
+    assert layout.fill_count == fill
+    for i, j in layout.fill_events:
+        assert (i in cycle_of and j in cycle_of[i]) or (j in cycle_of and i in cycle_of[j])
 
 
 @pytest.mark.parametrize("n,joint", [(1, "revolute"), (5, "ball"), (20, "revolute")])
 def test_pendulum_layout_has_no_fill(n, joint):
     layout = make_pendulum(n, joint).plan.layout
     assert layout.fill_count == 0
-    assert layout.relieved == -1 and not any(layout.panel)
+    assert layout.relieved == [] and layout.loop_layout == {}
     assert len(layout.sources) == len(layout.order) + len(layout.pairs)
 
 
@@ -329,3 +429,29 @@ def test_step_solve_is_linear_in_size(build):
     small, large = build(16), build(32)
     assert block_products(large) <= 2.1 * block_products(small)
     assert len(large.plan.hubs) == len(small.plan.hubs) <= 1
+
+
+def weighted_products(layout):
+    """Scalar multiply-adds of one factorization of a layout, rows·inner·cols per block product.
+
+    Counts each pivot inverse as size³, each eliminated node's two coupling
+    products and its L·D per later neighbour p, and each Schur update of a
+    block (p, q), over the later neighbours q of the node.
+    """
+    size = [seg.stop - seg.start for seg in layout.segments]
+    total = sum(n**3 for n in size)
+    for k, steps in enumerate(layout.elimination):
+        later = [p for p, *_ in steps]
+        for p in later:
+            total += 3 * size[p] * size[k] ** 2 + sum(size[p] * size[k] * size[q] for q in later)
+    return total
+
+
+def test_loop_chain_solve_is_linear_in_size():
+    # one stacked node of all loops fills a row and column as wide as every
+    # loop together, so its cost grows with the square of their number
+    small, large = make_segmented_chain(16), make_segmented_chain(32)
+    assert weighted_products(large.plan.layout) <= 2.1 * weighted_products(small.plan.layout)
+    for k, mech in ((16, small), (32, large)):
+        layout = mech.plan.layout
+        assert [layout.segments[r].stop - layout.segments[r].start for r in layout.relieved] == [5] * k
