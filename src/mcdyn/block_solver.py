@@ -8,17 +8,22 @@ Two solvers live here:
   baseline.
 - A graph-ordered sparse LDU, split into a :class:`SymbolicLayout` built
   once per pattern (elimination order, node rows, neighbours with fill,
-  relieved nodes, where each block lands) and a numeric sweep over a
-  :class:`NodeSystem`'s node-indexed block lists.  When the pattern is a
-  tree and the order places children before parents, the sweep touches
-  each node a constant number of times, runs in O(N), and creates no
-  fill.  The loop-closure constraints of each independent cycle (cycles
-  sharing a body or joint count as one) are stacked into one relieved
-  node placed right after the cycle's highest node (Baraff, "Linear-time
-  dynamics using Lagrange multipliers", SIGGRAPH 1996); fill then stays
-  on that cycle, and a chain of k disjoint loops factors in O(k).
-  :class:`BlockSystem` dicts are a view of a NodeSystem for tests and the
-  dense oracle; :meth:`BlockSystem.on_layout` puts one on a layout.
+  relieved nodes, levels, and where each block lives in a system's
+  storage) and a numeric sweep over a :class:`NodeSystem`'s storage.  The
+  sweep goes one level at a time, a level being a run of consecutive
+  nodes of the order that share no block, so they are eliminated
+  together with a few batched numpy calls and nothing loops over nodes.
+  Its work is that of the block eliminations: on a tree in
+  children-first order each node has one later neighbour and there is
+  no fill, O(N) work; the step's level order (``mechanism``) trades
+  linear fill for O(log N) levels.  The loop-closure constraints of each
+  independent cycle (cycles sharing a body or joint count as one) are
+  stacked into one relieved node eliminated after the cycle's nodes
+  (Baraff, "Linear-time dynamics using Lagrange multipliers", SIGGRAPH
+  1996); fill then stays near that cycle, and a chain of k disjoint
+  loops factors in O(k) work.  :class:`BlockSystem` dicts are a view of
+  a NodeSystem for tests and the dense oracle; :meth:`BlockSystem.on_layout`
+  puts one on a layout.
 
 The Newton system reaches the sweep through one builder
 (``integrator.eliminate_bodies``) under an elimination plan: the step
@@ -32,9 +37,9 @@ Schur updates of their eliminated neighbours; a constraint node reaching
 its pivot without any update is reported as a modeling error (dangling
 constraint).  Neither solver pivots across blocks.
 
-Pivot blocks are inverted with LAPACK under one conditioning rule, checked
-in one batched pass per block size: the inverse must be finite and
-max|A| * max|A^-1| below 1/_SINGULAR_RTOL.  A relieved node's pivot
+Pivot blocks are inverted with LAPACK under one conditioning rule,
+checked for all pivots in one batched pass: the inverse must be finite
+and max|A| * max|A^-1| below 1/_SINGULAR_RTOL.  A relieved node's pivot
 instead uses a truncated-SVD pseudo-inverse under one cut, a small
 multiple of the block scale: closed loops of parallel-axis joints carry
 structurally redundant constraint rows, so its Schur complement is
@@ -55,7 +60,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import product
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -75,6 +81,10 @@ _LOOP_PIVOT_RELIEF = 1e-10
 # pivot-block inverse
 
 
+def _ill_conditioned(k: int, growth: float) -> str:
+    return f"ill-conditioned {k}x{k} block (max|A| max|A^-1| {growth:.3e})"
+
+
 def _pivot_failures(blocks: list) -> list:
     """(index, reason) of each pivot failing the conditioning rule, in one batched pass.
 
@@ -86,45 +96,53 @@ def _pivot_failures(blocks: list) -> list:
     growth = scale[: len(blocks) // 2] * scale[len(blocks) // 2 :]
     if growth.max() * _SINGULAR_RTOL < 1.0:
         return []
-    k = blocks[0].shape[0]
-    return [
-        (j, f"ill-conditioned {k}x{k} block (max|A| max|A^-1| {growth[j]:.3e})")
-        for j in np.flatnonzero(~(growth * _SINGULAR_RTOL < 1.0))
-    ]
+    return [(j, _ill_conditioned(blocks[0].shape[0], growth[j])) for j in np.flatnonzero(~(growth * _SINGULAR_RTOL < 1.0))]
 
 
 def ldu_inverse(block: np.ndarray, pivot_relief: float = 0.0) -> np.ndarray:
-    """Invert one pivot block with LAPACK.
+    """Invert one pivot block, or a stack of them along leading axes, with LAPACK.
 
     Without relief, raises SingularBlockError for an exactly singular block
     or one failing the conditioning rule.  With ``pivot_relief`` > 0,
-    returns the truncated-SVD pseudo-inverse under one cut,
-    ``pivot_relief * max|A|``: rows and columns of 2-norm at or below the
-    cut are deflated first, the SVD decomposes the rest, and its singular
-    values at or below the cut get weight 0, so deficient directions
-    contribute nothing.  Deflation moves a singular value by at most
-    sqrt(m) cuts (Weyl), so only values in the rounding band of the cut can
-    change.  An SVD that does not converge raises LinAlgError naming both
+    returns each block's truncated-SVD pseudo-inverse under one cut,
+    ``pivot_relief * max|A|`` of that block: rows and columns of 2-norm at
+    or below the cut are deflated first, the SVD decomposes the rest, and
+    its singular values at or below the cut get weight 0, so deficient
+    directions contribute nothing.  Deflation moves a singular value by at
+    most sqrt(m) cuts (Weyl), so only values in the rounding band of the
+    cut can change.  The blocks of a stack that keep the same numbers of
+    rows and columns are decomposed in one batched SVD (a lone block as a
+    matrix).  An SVD that does not converge raises LinAlgError naming both
     sizes.
     """
     if pivot_relief > 0.0:
-        cut = pivot_relief * np.abs(block).max(initial=0.0)
-        square = block * block
-        rows = np.sqrt(square.sum(axis=1)) > cut  # the 2-norms, as np.linalg.norm computes them
-        cols = np.sqrt(square.sum(axis=0)) > cut
-        try:
-            u, sig, vt = np.linalg.svd(block[rows][:, cols], full_matrices=False)
-        except np.linalg.LinAlgError as err:
-            raise np.linalg.LinAlgError(
-                f"SVD did not converge on the {rows.sum()}x{cols.sum()} part above the relief cut "
-                f"of a {block.shape[0]}x{block.shape[1]} block"
-            ) from err
-        rank = np.count_nonzero(sig > cut)  # sig is descending
-        left = np.zeros((block.shape[0], rank))
-        left[rows] = u[:, :rank]
-        right = np.zeros((block.shape[1], rank))
-        right[cols] = vt[:rank].T / sig[:rank]
-        return right @ left.T
+        shape = block.shape
+        stack = block.reshape(-1, *shape[-2:])
+        cut = pivot_relief * np.abs(stack).max(axis=(1, 2), initial=0.0)[:, None]
+        square = stack * stack
+        rows = np.sqrt(square.sum(axis=2)) > cut  # the 2-norms, as np.linalg.norm computes them
+        cols = np.sqrt(square.sum(axis=1)) > cut
+        kept = rows.sum(axis=1) * (shape[-1] + 1) + cols.sum(axis=1)  # the kept shape, as one number
+        out = np.zeros((len(stack), shape[-1], shape[-2]))
+        for nr, nc in (divmod(k, shape[-1] + 1) for k in sorted(set(kept.tolist()))):  # np.unique would import numpy.ma
+            if not nr or not nc:  # nothing kept: a zero inverse
+                continue
+            at = np.flatnonzero(kept == nr * (shape[-1] + 1) + nc)
+            r = np.nonzero(rows[at])[1].reshape(len(at), 1, nr)
+            c = np.nonzero(cols[at])[1].reshape(len(at), 1, nc)
+            part = stack[at[:, None, None], r.transpose(0, 2, 1), c]
+            try:
+                u, sig, vt = np.linalg.svd(part[0] if len(part) == 1 else part, full_matrices=False)
+            except np.linalg.LinAlgError as err:
+                raise np.linalg.LinAlgError(
+                    f"SVD did not converge on the {nr}x{nc} part above the relief cut "
+                    f"of a {shape[-2]}x{shape[-1]} block"
+                ) from err
+            sig = sig.reshape(len(part), -1)
+            weight = np.divide(1.0, sig, out=np.zeros_like(sig), where=sig > cut[at])
+            right = vt.reshape(len(part), -1, nc).transpose(0, 2, 1) * weight[:, None, :]
+            out[at[:, None, None], c.transpose(0, 2, 1), r] = right @ u.reshape(len(part), nr, -1).transpose(0, 2, 1)
+        return out.reshape(shape[:-2] + (shape[-1], shape[-2]))
     k = block.shape[0]
     try:
         inv = np.linalg.inv(block)
@@ -227,131 +245,359 @@ def dense_ldu_solve(fact: DenseFactor, b: np.ndarray) -> np.ndarray:
 # sparse graph-ordered LDU
 
 
+def _cells(rows: np.ndarray, cols: np.ndarray, *maps):
+    """The cells first + stride a + b of rectangles of ``rows`` × ``cols``, per map (first, stride) of them.
+
+    Each map gives the first cell and row stride of every rectangle;
+    the cells run rectangle by rectangle, row by row.  Yields them map by
+    map, so a caller can drop one before the next is made.
+    """
+    rect = np.arange(len(rows)).repeat(rows)
+    a = np.arange(len(rect)) - _starts(rows).repeat(rows)
+    width = cols[rect]
+    b = np.arange(width.sum()) - _starts(width).repeat(width)
+    for first, stride in maps:
+        yield (first[rect] + stride[rect] * a).repeat(width) + b
+
+
+def _where(storage: tuple, p: np.ndarray, q: np.ndarray) -> tuple:
+    """(first cell, row stride, block key) of the blocks (p, q) of positions, in a layout's ``storage``.
+
+    A diagonal block lies in its pivot, one with p < q in p's row panel, one
+    with p > q in q's column panel (:class:`Level`).  ``storage`` holds the
+    position count n, the sorted keys k n + p of the entries (a position k,
+    a later neighbour p), the entries' offsets in k's panels, then per
+    position its pivot's, row panel's and column panel's first cells, its
+    padded block size and its row panel's width.  Keys number the blocks:
+    the entries' (k, p), then their (p, k), then the diagonal.
+    """
+    n, ekey, eoff, piv, up, lo, m, w = storage
+    e = np.searchsorted(ekey, np.minimum(p, q) * n + np.maximum(p, q))
+    off = np.append(eoff, 0)[e]
+    diag, upper = p == q, p < q
+    return (
+        np.where(diag, piv[p], np.where(upper, up[p] + off, lo[q] + off * m[q])),
+        np.where(diag, m[p], np.where(upper, w[p], m[q])),
+        np.where(diag, 2 * len(ekey) + p, e + len(ekey) * (p > q)),
+    )
+
+
+def _starts(counts: np.ndarray) -> np.ndarray:
+    """Where each of consecutive runs of ``counts`` items starts."""
+    return counts.cumsum() - counts
+
+
+@dataclass
+class Level:
+    """A run of mutually non-adjacent positions, ``start`` to ``stop``, eliminated together.
+
+    Position j of the run owns three stretches of a :class:`NodeSystem`'s
+    storage, stacked over the run with m its largest block: an m×m pivot
+    in ``pivots`` (padded with the identity), an m×W row panel in
+    ``upper`` (its blocks to its later neighbours in ascending position,
+    zeros, and its right-hand side as the last column) and an H×m column
+    panel in ``lower`` (the later neighbours' blocks to it, in the same
+    rows; None when no position has a later neighbour), H + 1 = W.
+    ``regular`` indexes the pivots LAPACK inverts; ``relieved`` lists the
+    relieved ones as (indices, block size).  ``schur``, ``sums``,
+    ``later`` and ``rows`` are the run's stretches of the layout's index
+    arrays of those names (:class:`SymbolicLayout`).
+    """
+
+    start: int
+    stop: int
+    pivots: slice
+    pivot_shape: tuple
+    regular: slice | np.ndarray
+    relieved: list
+    upper: slice
+    upper_shape: tuple
+    lower: slice | None
+    lower_shape: tuple
+    schur: slice
+    sums: slice
+    later: slice
+    rows: slice
+
+
 @dataclass
 class SymbolicLayout:
     """Topology-only structure of a sparse block system, built once per pattern.
 
-    Positions number the nodes of ``order``, the elimination order
-    (children before parents), which holds the relieved nodes where
-    they are eliminated.  Blocks are numbered too: each position's
-    diagonal, then the pattern's off-diagonal blocks (node ids in
-    ``pairs``), then the fill blocks (``fill_events``).  ``segments[k]``
+    Positions number the nodes of ``order``, the elimination order, which
+    holds the relieved nodes where they are eliminated.  ``segments[k]``
     are position k's rows in elimination order and ``perm`` maps them to
-    the stacked vector's rows.  ``elimination[k]`` lists, per later
-    neighbour p of k (ascending, fill included), the blocks (p, k) and
-    (k, p) and the Schur updates as (block (k, q), target block (p, q))
-    pairs.  ``relieved`` lists the positions of the relieved nodes,
-    ascending, and ``pivot_groups`` the positions of the other pivots per
-    block size.  ``loop_layout`` maps each relieved node to the (node id,
-    rows) stacked into it.  ``sources``, ``stacked`` and ``zeros`` say
-    where :meth:`system` takes each block from.
+    the stacked vector's rows.  ``later[k]`` lists the later neighbours of
+    k (ascending, fill included).  Blocks are numbered too: each
+    position's diagonal, then the pattern's off-diagonal blocks (node ids
+    in ``pairs``), then the fill blocks (``fill_events``);
+    :attr:`elimination` spells out the blocks each elimination touches and
+    :attr:`places` where each block lies in the storage that ``storage``
+    describes (:func:`_where`).  ``levels`` splits the positions into
+    maximal runs of consecutive, mutually non-adjacent positions
+    (:class:`Level`), each of which the sweep eliminates at once.  A
+    level's Schur product cells add into the storage cells
+    ``targets[sums][ids[schur]]``, its last target taking the padding.
+    ``gathered[later]`` holds, per position of a level, its later
+    neighbours' solution rows, then -1 against the right-hand side, and
+    ``own[rows]`` its own rows; both index the solution vector extended by
+    the values 0 (for padding) and -1 and a last cell for padding rows.
+    ``relieved`` lists the positions of the relieved nodes, ascending, and
+    ``loop_layout`` maps each relieved node to the (node id, rows) stacked
+    into it.  A system's storage holds ``cells`` cells, zero but 1 at
+    ``ones`` (the pivots' padding) and the sources' blocks at ``scatter``;
+    its right-hand side goes to ``rhs_at``.  ``checked`` lists the
+    positions of the other pivots, which the conditioning rule checks, and
+    ``pivot_at`` where each position's pivot starts.
     """
 
     order: list
     segments: list
     perm: np.ndarray
-    elimination: list
+    later: list
     relieved: list
-    pivot_groups: list
     pairs: list
     fill_events: list
     loop_layout: dict
-    sources: list
-    stacked: list
-    zeros: list
+    levels: list
+    ids: np.ndarray
+    targets: np.ndarray
+    gathered: np.ndarray
+    own: np.ndarray
+    storage: tuple
+    cells: int
+    ones: np.ndarray
+    scatter: np.ndarray
+    rhs_at: np.ndarray
+    checked: list
+    pivot_at: np.ndarray
 
     @property
     def fill_count(self) -> int:
         return len(self.fill_events)
 
     def system(self, blocks: list, rhs: np.ndarray) -> NodeSystem:
-        """A system on this layout from ``blocks`` in the order of its sources.
+        """A system on this layout from ``blocks``, arrays holding the blocks of its sources in order.
 
-        The blocks are used as given (a skipped source keeps its place); the
-        relieved nodes' blocks are assembled anew, and blocks without a
-        source are read-only zeros.  ``rhs`` is in the stacked vector's rows.
+        Blocks without a source are zero.  ``rhs`` is in the stacked vector's rows.
         """
-        src = blocks + self.zeros
-        out = [src[i] for i in self.sources]
-        for b, shape, parts in self.stacked:
-            out[b] = np.zeros(shape)
-            for i, rows, cols in parts:
-                out[b][rows, cols] = src[i]
-        return NodeSystem(layout=self, blocks=out, rhs=rhs)
+        vals = np.zeros(self.cells)
+        vals[self.ones] = 1.0
+        vals[self.scatter] = np.concatenate(blocks, axis=None)
+        return NodeSystem(layout=self, vals=vals, rhs=rhs)
+
+    @cached_property
+    def elimination(self) -> list:
+        """Per position k, per later neighbour p: (p, block (p, k), block (k, p), its Schur updates as (block (k, q), target block (p, q)))."""
+        at = {node: k for k, node in enumerate(self.order)}
+        slot = {(k, k): k for k in range(len(self.order))}
+        for i, j in self.pairs + self.fill_events:
+            slot[(at[i], at[j])] = len(slot)
+        return [
+            [(p, slot[(p, k)], slot[(k, p)], [(slot[(k, q)], slot[(p, q)]) for q in lk]) for p in lk]
+            for k, lk in enumerate(self.later)
+        ]
+
+    def blocks(self, vals: np.ndarray, count: int) -> list:
+        """Copies of the first ``count`` blocks of the storage ``vals``, in block numbering."""
+        return [vals[base + stride * np.arange(r)[:, None] + np.arange(c)] for base, stride, r, c in self.places[:count]]
+
+    @cached_property
+    def places(self) -> np.ndarray:
+        """Each block's (first cell, row stride, rows, columns) in the storage, in block numbering."""
+        at = {node: k for k, node in enumerate(self.order)}
+        pq = np.array([(k, k) for k in range(len(self.order))] + [(at[i], at[j]) for i, j in self.pairs + self.fill_events], dtype=np.intp)
+        size = np.array([seg.stop - seg.start for seg in self.segments], dtype=np.intp)
+        return np.stack([*_where(self.storage, pq[:, 0], pq[:, 1])[:2], size[pq[:, 0]], size[pq[:, 1]]], axis=1)
 
 
 def symbolic_layout(order, sizes, rows, sources, stacks) -> SymbolicLayout:
-    """Eliminate a block pattern symbolically, in the numeric sweep's order.
+    """Eliminate a block pattern symbolically, in the numeric sweep's order, and lay out its storage.
 
     ``order`` is the elimination order.  Each key of ``stacks`` in it is a
     relieved node: the nodes it maps to are stacked into it in ascending
     id and its pivot is inverted under relief.  ``sizes`` and ``rows``
     give each other node's block size and its rows in the stacked vector.
     ``sources`` lists the (row node, column node) of each block a system
-    supplies, or None for one to skip; other blocks are zero.  The pattern
-    must be symmetric.
+    supplies; other blocks are zero.  The pattern must be symmetric.
     """
     stacks = {key: sorted(ids) for key, ids in stacks.items()}
     covered = [node for key in order for node in stacks.get(key, [key])]
     if len(covered) != len(sizes) or set(covered) != set(sizes):
         raise ValueError("elimination order does not cover all nodes")
     n = len(order)
-    place, block_sizes = {}, []  # node -> (position, row offset in it); rows per position
+    place, size = {}, []  # node -> (position, row offset in it, rows); rows per position
     for k, key in enumerate(order):
         offset = 0
         for node in stacks.get(key, [key]):
-            place[node] = (k, offset)
+            place[node] = (k, offset, sizes[node])
             offset += sizes[node]
-        block_sizes.append(offset)
+        size.append(offset)
     relieved = [k for k, key in enumerate(order) if key in stacks]
     at_relieved = set(relieved)
 
-    slot = {(k, k): k for k in range(n)}  # (row position, column position) -> block
-    direct: dict = {}
-    parts: dict = {}  # the relieved nodes' blocks: [(source, rows, cols)]
-    for s, pair in enumerate(sources):
-        if pair is None:
-            continue
-        i, j = pair
-        (p, ri), (q, rj) = place[i], place[j]
-        b = slot.setdefault((p, q), len(slot))
-        if p in at_relieved or q in at_relieved:
-            parts.setdefault(b, []).append((s, slice(ri, ri + sizes[i]), slice(rj, rj + sizes[j])))
-        else:
-            direct[b] = s
-    pairs = [(order[p], order[q]) for p, q in list(slot)[n:]]
-
+    # per source: its row node's position, offset and rows, then its column node's
+    src = np.fromiter(chain.from_iterable(place[i] + place[j] for i, j in sources), dtype=np.intp).reshape(-1, 6)
+    pattern = dict.fromkeys(zip(src[:, 0].tolist(), src[:, 3].tolist()))  # (row position, column position), first seen first
     neighbours = [set() for _ in range(n)]
-    for p, q in slot:
+    for p, q in pattern:
         neighbours[p].add(q)
-    elimination, fill_events = [], []
+    later, fill = [], []
     for k in range(n):
-        later = sorted(p for p in neighbours[k] if p > k)
-        for p, q in product(later, later):
-            if (p, q) not in slot:
-                slot[(p, q)] = len(slot)
-                fill_events.append((order[p], order[q]))
-                neighbours[p].add(q)
-        updates = {p: [(slot[(k, q)], slot[(p, q)]) for q in later] for p in later}
-        elimination.append([(p, slot[(p, k)], slot[(k, p)], updates[p]) for p in later])
+        lk = sorted(p for p in neighbours[k] if p > k)
+        for p in lk:
+            missing = [q for q in lk if q != p and q not in neighbours[p]]
+            neighbours[p].update(missing)
+            fill += [(p, q) for q in missing]
+        later.append(lk)
+    bounds, blocked = [0], set()
+    for k in range(n):
+        if k in blocked:
+            bounds.append(k)
+            blocked = set()
+        blocked |= neighbours[k]
+    bounds = list(dict.fromkeys(bounds + [n]))
 
-    shapes = [(block_sizes[p], block_sizes[q]) for p, q in slot]
-    zero_at = {shape: len(sources) + i for i, shape in enumerate(dict.fromkeys(shapes))}
-    pivots = [k for k in range(n) if k not in at_relieved]
-    ends = np.cumsum(block_sizes).tolist()
+    # Entries e list each k's later neighbours ep (owner ek) with their
+    # row offset eoff in k's column panel.  Per level: its positions c,
+    # padded block m and row-panel width h + 1, and the cells of its
+    # pivots, row panels, column panels, Schur products, gathered rows and
+    # own rows; the storage holds every level's pivots, then row panels,
+    # then column panels, then one cell for padding.  Per position k:
+    # its level, m, h and where each of its six stretches starts.
+    entries, width = [], []
+    for k, lk in enumerate(later):
+        offset = 0
+        for p in lk:
+            entries.append((k, p, offset))
+            offset += size[p]
+        width.append(offset)
+    dims = [(b - a, max(size[a:b]), max(width[a:b])) for a, b in zip(bounds, bounds[1:])]
+    region = [(c * m * m, c * m * (h + 1), c * h * m, c * h * (h + 1), c * (h + 1), c * m) for c, m, h in dims]
+    totals = [sum(r) for r in zip(*region)] or [0] * 6
+    cursor = [0, totals[0], totals[0] + totals[1], 0, 0, 0]
+    starts, per, ones, row, entry = [], [], [], 0, 0
+    for lv, ((c, mm, hh), reg, first) in enumerate(zip(dims, region, bounds)):
+        starts.append(cursor)
+        p0, u0, l0, s0, g0, r0 = cursor
+        for j, k in enumerate(range(first, first + c)):
+            piv = p0 + j * mm * mm
+            per.append((lv, mm, hh, piv, u0 + j * mm * (hh + 1), l0 + j * hh * mm, s0 + j * hh * (hh + 1),
+                        g0 + j * (hh + 1), r0 + j * mm, size[k], len(later[k]), entry, row))
+            ones += range(piv + (mm + 1) * size[k], piv + mm * mm, mm + 1)  # the pivot's padding
+            row += size[k]
+            entry += len(later[k])
+        cursor = [x + r for x, r in zip(cursor, reg)]
+    trash = sum(totals[:3])
+    lev, m, h, piv_at, up_at, lo_at, s_at, g_at, r_at, sz, deg, estart, row0 = np.array(per, dtype=np.intp).reshape(-1, 13).T
+    w = h + 1
+    ek, ep, eoff = np.array(entries, dtype=np.intp).reshape(-1, 3).T
+    levels_n = len(dims)
+
+    # one lookup for the Schur blocks and the sources' blocks
+    E = len(ep)
+    storage = (n, ek * n + ep, eoff, piv_at, up_at, lo_at, m, w)
+    pp = deg * deg
+    tk = np.arange(n).repeat(pp)
+    pair = np.arange(len(tk)) - _starts(pp).repeat(pp)
+    e1, e2 = estart[tk] + pair // deg[tk], estart[tk] + pair % deg[tk]
+    base, stride, key = ((v[: len(tk)], v[len(tk) :]) for v in _where(
+        storage, np.concatenate([ep[e1], src[:, 0]]), np.concatenate([ep[e2], src[:, 3]])
+    ))
+
+    # Schur cells: per eliminated k, the blocks (p, q) of its later
+    # neighbours, then their right-hand sides.  Numbers go level by level
+    # to the distinct target blocks' cells, then to the level's padding:
+    # slot K - 1 of a level's K slots of block keys.
+    owner = np.concatenate([tk, ek])
+    nr = sz[np.concatenate([ep[e1], ep])]
+    nc = np.concatenate([sz[ep[e2]], np.ones_like(ep)])
+    cell0 = np.concatenate([base[0], up_at[ep] + w[ep] - 1])
+    cell_stride = np.concatenate([stride[0], w[ep]])
+    first = s_at[owner] + np.concatenate([eoff[e1] * w[tk] + eoff[e2], eoff * w[ek] + h[ek]])
+    K = 2 * E + 2 * n + 1
+    slot = lev[owner] * K + np.concatenate([key[0], 2 * E + n + ep])
+    count = np.zeros(levels_n * K, dtype=np.intp)
+    count[slot] = nr * nc  # a block targeted twice in a level is numbered once
+    count[K - 1 :: K] = 1
+    number = count.cumsum() - count
+    level_at = np.append(number[::K], count.sum())  # a level's numbers, its padding's last
+    # one cell map at a time: storage cells by number, then S cells by number within the level
+    maps = _cells(nr, nc, (cell0, cell_stride), (number[slot], nc), (first, w[owner]), (number[slot] - level_at[lev[owner]], nc))
+    targets = np.full(level_at[-1], trash, dtype=np.intp)
+    cell = next(maps)
+    targets[next(maps)] = cell
+    del cell
+    numbered = (np.diff(level_at) - 1).astype(np.int32).repeat([r[3] for r in region])  # bincount's input: half the memory, as fast
+    spot = next(maps)
+    numbered[spot] = next(maps)
+    del spot
+
+    # solution rows: stacked, then the cells 0, -1 and padding
+    perm = np.fromiter(chain.from_iterable(rows[node] for node in covered), dtype=np.intp)
+    extended = np.concatenate([perm, len(perm) + np.arange(3)])
+    row_of = np.arange(n).repeat(sz)
+    row_in = np.arange(len(perm)) - row0[row_of]
+    gathered = np.full(totals[4], len(perm), dtype=np.intp)
+    gathered[g_at + h] = len(perm) + 1
+    row_at = sz[ep]  # each entry's rows: its later neighbour's
+    within = np.arange(row_at.sum()) - _starts(row_at).repeat(row_at)
+    gathered[(g_at[ek] + eoff).repeat(row_at) + within] = row0[ep].repeat(row_at) + within
+    gathered = extended[gathered]
+    own = np.full(totals[5], len(perm) + 2, dtype=np.intp)
+    own[r_at[row_of] + row_in] = np.arange(len(perm))
+    own = extended[own]
+
+    levels = []
+    numbers_at = level_at.tolist()
+    for lv, (start, stop, first, reg, (c, mm, hh)) in enumerate(zip(bounds, bounds[1:], starts, region, dims)):
+        spans = [slice(a, a + r) for a, r in zip(first, reg)]
+        groups: dict = {}
+        for k in at_relieved.intersection(range(start, stop)):
+            groups.setdefault(size[k], []).append(k - start)
+        regular = [j for j in range(c) if start + j not in at_relieved] if groups else range(c)
+        levels.append(Level(
+            start=start,
+            stop=stop,
+            pivots=spans[0],
+            pivot_shape=(c, mm, mm),
+            regular=slice(None) if len(regular) == c else np.array(regular, dtype=np.intp),
+            relieved=[(np.array(sorted(js), dtype=np.intp), s) for s, js in groups.items()],
+            upper=spans[1],
+            upper_shape=(c, mm, hh + 1),
+            lower=spans[2] if hh else None,
+            lower_shape=(c, hh, mm),
+            schur=spans[3],
+            sums=slice(numbers_at[lv], numbers_at[lv + 1]),
+            later=spans[4],
+            rows=spans[5],
+        ))
+
+    scatter = next(_cells(src[:, 2], src[:, 5], (base[1] + stride[1] * src[:, 1] + src[:, 4], stride[1])))
+    rhs_at = np.empty(len(perm), dtype=np.intp)
+    rhs_at[perm] = (up_at + w - 1)[row_of] + w[row_of] * row_in
+    row_ends = np.cumsum(size).tolist()
     return SymbolicLayout(
         order=list(order),
-        segments=[slice(end - size, end) for size, end in zip(block_sizes, ends)],
-        perm=np.array([r for node in covered for r in rows[node]], dtype=int),
-        elimination=elimination,
+        segments=[slice(e - s, e) for s, e in zip(size, row_ends)],
+        perm=perm,
+        later=later,
         relieved=relieved,
-        pivot_groups=[[k for k in pivots if block_sizes[k] == size] for size in set(block_sizes)],
-        pairs=pairs,
-        fill_events=fill_events,
+        pairs=[(order[p], order[q]) for p, q in pattern if p != q],
+        fill_events=[(order[p], order[q]) for p, q in fill],
         loop_layout={key: [(node, sizes[node]) for node in ids] for key, ids in stacks.items()},
-        sources=[direct.get(b, zero_at[shape]) for b, shape in enumerate(shapes)],
-        stacked=[(b, shapes[b], bparts) for b, bparts in parts.items()],
-        zeros=[np.broadcast_to(0.0, shape) for shape in zero_at],
+        levels=levels,
+        ids=numbered,
+        targets=targets,
+        gathered=gathered,
+        own=own,
+        storage=storage,
+        cells=trash + 1,
+        ones=np.array(ones, dtype=np.intp),
+        scatter=scatter,
+        rhs_at=rhs_at,
+        checked=[k for k in range(n) if k not in at_relieved],
+        pivot_at=piv_at,
     )
 
 
@@ -359,12 +605,13 @@ def symbolic_layout(order, sizes, rows, sources, stacks) -> SymbolicLayout:
 class NodeSystem:
     """One block system's numbers on a :class:`SymbolicLayout`.
 
-    ``blocks`` follows the layout's block numbering and ``rhs`` the stacked
-    vector's rows.  Factorizing reads the blocks and never writes them.
+    ``vals`` is the storage the layout's levels address and ``rhs`` the
+    right-hand side in the stacked vector's rows.  Factorizing reads them
+    and never writes them.
     """
 
     layout: SymbolicLayout
-    blocks: list
+    vals: np.ndarray
     rhs: np.ndarray
 
     @property
@@ -372,15 +619,20 @@ class NodeSystem:
         return self.layout.order
 
     @property
+    def blocks(self) -> list:
+        return self.layout.blocks(self.vals, len(self.layout.places))
+
+    @property
     def diag(self) -> dict:
-        return dict(zip(self.layout.order, self.blocks))
+        return dict(zip(self.layout.order, self.layout.blocks(self.vals, len(self.layout.order))))
 
     def as_block_system(self) -> BlockSystem:
-        """The same system as block dicts without the fill, sharing the blocks."""
+        """The same system as block dicts without the fill, with copies of the blocks."""
         lay = self.layout
-        offdiag = dict(zip(lay.pairs, self.blocks[len(lay.order) :]))
+        blocks = lay.blocks(self.vals, len(lay.order) + len(lay.pairs))
+        offdiag = dict(zip(lay.pairs, blocks[len(lay.order) :]))
         rhs = {node: self.rhs[lay.perm[seg]] for node, seg in zip(lay.order, lay.segments)}
-        return BlockSystem(self.diag, offdiag, list(lay.order), rhs, lay.loop_layout or None)
+        return BlockSystem(dict(zip(lay.order, blocks)), offdiag, list(lay.order), rhs, lay.loop_layout or None)
 
 
 @dataclass
@@ -429,8 +681,8 @@ class BlockSystem:
         Its stacked vector is the nodes' segments in ``order``.
         """
         sizes = {n: blk.shape[0] for n, blk in self.diag.items()}
-        ends = np.cumsum([sizes[n] for n in self.order])
-        rows = {n: np.arange(end - sizes[n], end) for n, end in zip(self.order, ends)}
+        ends = np.cumsum([sizes[n] for n in self.order]).tolist()
+        rows = {n: range(end - sizes[n], end) for n, end in zip(self.order, ends)}
         order = [n for n in self.order if n not in loop_ids] + [LOOP_NODE] * bool(loop_ids)
         sources = [(n, n) for n in self.diag] + list(self.offdiag)
         layout = symbolic_layout(order, sizes, rows, sources, {LOOP_NODE: loop_ids} if loop_ids else {})
@@ -453,132 +705,153 @@ def augment_loop_node(system: BlockSystem, loop_ids) -> BlockSystem:
 
 @dataclass
 class SparseFactor:
-    """The factors of a NodeSystem in its layout's block numbering.
+    """The factors of a NodeSystem: ``vals`` in its layout's storage, ``inverses`` the pivots' in theirs.
 
-    ``blocks`` holds D on the diagonal and L = A[p, k] D[k]^-1, U =
-    D[k]^-1 A[k, p] off it; ``inverses`` holds the pivot inverses.
+    The storage holds D on the diagonal, U = D[k]^-1 A[k, p] above it and
+    A[p, k], Schur-updated, below it (L = A[p, k] D[k]^-1 is never formed),
+    and U's last column per position: the right-hand side, carried
+    through the sweep, so the forward substitution is done.
     """
 
     system: NodeSystem
-    blocks: list
-    inverses: list
+    vals: np.ndarray
+    inverses: np.ndarray
 
     @property
     def fill_count(self) -> int:
         return self.system.layout.fill_count
 
+    @property
+    def blocks(self) -> list:
+        return self.system.layout.blocks(self.vals, len(self.system.layout.places))
 
-def _check_pivots(lay: SymbolicLayout, blocks: list, inverses: list) -> None:
-    """The conditioning rule over the pivots inverted so far, one batch per block size.
+
+def _check_pivots(lay: SymbolicLayout, vals: np.ndarray, inverses: np.ndarray, stop: int) -> None:
+    """The conditioning rule over the unrelieved pivots before position ``stop``, in one batched pass.
 
     Raises SingularBlockError naming the first failing node in elimination order.
     """
-    failures = []
-    for positions in lay.pivot_groups:
-        done = positions[: bisect_left(positions, len(inverses))]
-        if done:
-            found = _pivot_failures([blocks[k] for k in done] + [inverses[k] for k in done])
-            failures += [(done[j], reason) for j, reason in found[:1]]
-    if failures:
-        k, reason = min(failures)
+    positions = lay.checked[: bisect_left(lay.checked, stop)]
+    if not positions:
+        return
+    vals[lay.ones] = inverses[lay.ones] = 0.0  # the padding takes no part; only the solve reads this storage on
+    growth = np.maximum.reduceat(np.abs(vals[: len(inverses)]), lay.pivot_at)[positions]
+    growth *= np.maximum.reduceat(np.abs(inverses), lay.pivot_at)[positions]
+    for j in np.flatnonzero(~(growth * _SINGULAR_RTOL < 1.0))[:1]:
+        k = positions[j]
+        reason = _ill_conditioned(lay.segments[k].stop - lay.segments[k].start, growth[j])
         raise SingularBlockError(f"singular diagonal block at node {lay.order[k]!r}: {reason}")
 
 
+def _name_failure(lay: SymbolicLayout, vals: np.ndarray, inverses: np.ndarray, level: Level, err) -> None:
+    """Raise the error of the first failing pivot in elimination order, once ``level``'s batched inverse failed.
+
+    The pivots of the levels before it are checked first (the others'
+    inverses are not made yet; their growth is not read); then the
+    level's pivots are inverted one at a time.  A zero pivot that no
+    update reached raises DanglingConstraintError.
+    """
+    _check_pivots(lay, vals, inverses, level.start)
+    pivots = vals[level.pivots].reshape(level.pivot_shape)
+    for j, k in enumerate(range(level.start, level.stop)):
+        node, size = lay.order[k], lay.segments[k].stop - lay.segments[k].start
+        block = pivots[j, :size, :size]
+        if k in lay.relieved:
+            try:
+                ldu_inverse(block, pivot_relief=_LOOP_PIVOT_RELIEF)
+            except np.linalg.LinAlgError as fail:  # the SVD did not converge; ldu_inverse names the sizes
+                raise SingularBlockError(f"loop pivot at node {node!r}: {fail}") from err
+            continue
+        if not block.any() and all(k not in lk for lk in lay.later[:k]):
+            raise DanglingConstraintError(
+                f"constraint node {node!r} reached its pivot with a zero diagonal and no coupling updates"
+            ) from err
+        try:
+            ldu_inverse(block)
+        except SingularBlockError as fail:
+            raise SingularBlockError(f"singular diagonal block at node {node!r}: {fail}") from err
+    raise err
+
+
 def sparse_ldu_factorize(system: NodeSystem) -> SparseFactor:
-    """Graph-ordered LDU factorization: the numeric sweep over a layout.
+    """Graph-ordered LDU factorization: the numeric sweep over a layout, one level at a time.
 
-    Eliminates nodes in the layout's order; each eliminated node divides
-    its couplings by its own diagonal and pushes a Schur update onto the
-    blocks of its later neighbours.  On a tree pattern in children-first
-    order every node has at most one later neighbour (its parent), so the
-    cost is linear in the number of nodes.  The Newton loop's pattern,
-    with the bodies of at most three joints eliminated before the sweep,
-    gives a joint at most two later neighbours on a tree, which already
-    couple to each other, so it stays linear without fill.  A relieved
-    node sits right after the highest node of its cycles, so a node on a
-    cycle gains one more later neighbour and the cross updates land in
-    the layout's fill blocks on that cycle.
+    A level's positions share no block, so they are eliminated together:
+    one batched inverse of its pivots (the relieved ones by truncated
+    SVD, stacked per block size), one batched product for its row panels
+    U = D^-1 [A[k, later] | b_k] and one for the Schur updates
+    A[later, k] U, summed into their target blocks.  The right-hand side
+    rides along as the panels' last column, so the forward substitution
+    is done here.  The work is the Schur updates': on a tree in
+    children-first order each node has at most two later neighbours
+    (with the bodies of at most three joints eliminated before the sweep,
+    a joint's two ends), which already couple, so the sweep is O(N)
+    without fill; the step's level order (``mechanism.elimination_plan``)
+    adds linear fill and needs O(log N) levels.  A relieved node comes
+    after its cycle's nodes, so the cross updates land in fill on that
+    cycle.
 
-    Pivots are inverted with ``np.linalg.inv`` (relieved ones by
-    truncated SVD) and checked together after the sweep; an exactly
-    singular pivot stops the sweep once the pivots before it pass.  A zero
+    Pivots are checked together after the sweep under the conditioning
+    rule; an exactly singular pivot stops the sweep once the pivots before
+    it pass, naming the first failing node in elimination order.  A zero
     pivot that no update reached raises DanglingConstraintError.
     """
     lay = system.layout
-    blocks = list(system.blocks)
-    inverses: list = []
-    relieved = set(lay.relieved)
-    k = 0
-    try:
-        # ndarray.dot: the same BLAS products as @, with less overhead per call
-        for k, steps in enumerate(lay.elimination):
-            d = blocks[k]
-            if k in relieved:
-                d_inv = ldu_inverse(d, pivot_relief=_LOOP_PIVOT_RELIEF)
-            else:
-                d_inv = np.linalg.inv(d)
-            inverses.append(d_inv)
-            for _, lo, up, _ in steps:
-                blocks[lo] = blocks[lo].dot(d_inv)
-                blocks[up] = d_inv.dot(blocks[up])
-            for _, lo, _, updates in steps:
-                ld = blocks[lo].dot(d)
-                for up, target in updates:
-                    blocks[target] = blocks[target] - ld.dot(blocks[up])
-    except np.linalg.LinAlgError as err:
-        _check_pivots(lay, blocks, inverses)
-        node, size = lay.order[k], blocks[k].shape[0]
-        if not blocks[k].any() and all(p != k for steps in lay.elimination[:k] for p, *_ in steps):
-            raise DanglingConstraintError(
-                f"constraint node {node!r} reached its pivot with a zero diagonal "
-                "and no coupling updates"
-            ) from err
-        if k in relieved:  # the relieved pivot's SVD did not converge; ldu_inverse names the sizes
-            raise SingularBlockError(f"loop pivot at node {node!r}: {err}") from err
-        raise SingularBlockError(
-            f"singular diagonal block at node {node!r}: exactly singular {size}x{size} block"
-        ) from err
-    _check_pivots(lay, blocks, inverses)
-    return SparseFactor(system=system, blocks=blocks, inverses=inverses)
+    vals = system.vals.copy()
+    vals[lay.rhs_at] = system.rhs
+    inverses = np.zeros(lay.levels[-1].pivots.stop if lay.levels else 0)  # the check reads unmade ones on the error path
+    for level in lay.levels:
+        pivots = vals[level.pivots].reshape(level.pivot_shape)
+        inv = inverses[level.pivots].reshape(level.pivot_shape)
+        try:
+            inv[level.regular] = np.linalg.inv(pivots[level.regular])
+            for at, size in level.relieved:
+                inv[at] = 0.0
+                inv[at, :size, :size] = ldu_inverse(pivots[at, :size, :size], pivot_relief=_LOOP_PIVOT_RELIEF)
+        except np.linalg.LinAlgError as err:
+            _name_failure(lay, vals, inverses, level, err)
+        upper = vals[level.upper].reshape(level.upper_shape)
+        upper[...] = inv @ upper
+        if level.lower is not None:
+            schur = vals[level.lower].reshape(level.lower_shape) @ upper
+            targets = lay.targets[level.sums]
+            vals[targets] -= np.bincount(lay.ids[level.schur], schur.ravel(), len(targets))
+    _check_pivots(lay, vals, inverses, len(lay.order))
+    return SparseFactor(system=system, vals=vals, inverses=inverses)
 
 
 def sparse_ldu_solve(fact: SparseFactor) -> np.ndarray:
-    """Back-substitute a factored system; returns the stacked solution.
+    """Back-substitute a factored system; returns the solution in the stacked vector's rows.
 
-    The forward sweep pushes each node's value into its later neighbours,
-    the reverse sweep applies the pivot inverses and the couplings to the
-    later neighbours, and one scatter puts the result in the stacked
-    vector's rows.
+    The factorization did the forward substitution; the levels, last
+    first, give x_k = z_k - U[k, later] x_later in one batched product
+    each, written straight to the stacked rows.
     """
-    system, blocks = fact.system, fact.blocks
-    lay = system.layout
-    y = np.asarray(system.rhs, dtype=float)[lay.perm]
-    ys = [y[seg] for seg in lay.segments]
-    for yk, steps in zip(ys, lay.elimination):
-        for p, lo, _, _ in steps:
-            ys[p] -= blocks[lo].dot(yk)
-    for k in range(len(ys) - 1, -1, -1):
-        yk = fact.inverses[k].dot(ys[k])
-        for p, _, up, _ in lay.elimination[k]:
-            yk -= blocks[up].dot(ys[p])
-        ys[k] = yk
-    x = np.empty(len(y))
-    x[lay.perm] = np.concatenate(ys)
-    return x
+    lay, vals = fact.system.layout, fact.vals
+    x = np.empty(len(lay.perm) + 3)
+    x[-3:-1] = 0.0, -1.0
+    for level in reversed(lay.levels):
+        c, _, w = level.upper_shape
+        x[lay.own[level.rows]] = -(vals[level.upper].reshape(level.upper_shape) @ x[lay.gathered[level.later]].reshape(c, w, 1)).ravel()
+    return x[:-3]
 
 
 def pattern_report(layout: SymbolicLayout) -> str:
-    """Readable dump of a layout: nodes, neighbours, relieved nodes and fill."""
+    """Readable dump of a layout: nodes, neighbours, levels, relieved nodes and fill."""
     order = layout.order
     neighbours: list = [[] for _ in order]
-    for k, steps in enumerate(layout.elimination):
-        for p, *_ in steps:
+    for k, lk in enumerate(layout.later):
+        for p in lk:
             neighbours[k].append(order[p])
             neighbours[p].append(order[k])
     lines = ["block system", f"  nodes: {len(order)}", f"  order: {order}"]
     for node, seg, nbrs in zip(order, layout.segments, neighbours):
         size = seg.stop - seg.start
         lines.append(f"  node {node!r}: size {size}, coupled to {nbrs} (fill included)")
+    lines.append(f"  levels: {len(layout.levels)}")
+    for i, level in enumerate(layout.levels, 1):
+        count = level.stop - level.start
+        lines.append(f"    level {i}: {count} node{'s' * (count > 1)} {order[level.start : level.stop]}")
     if layout.relieved:
         lines.append(f"  relieved nodes: {len(layout.relieved)}")
     for k in layout.relieved:

@@ -15,10 +15,11 @@ O(h) off (Hairer, Lubich & Wanner, *Geometric Numerical Integration*,
 Each Newton step is solved body first, by the mechanism's elimination
 plan (``mech.plan``).  Bodies couple only to joints, so all bodies with
 at most three joints are eliminated in one batched pass while the
-Jacobian is assembled (:func:`eliminate_bodies`); the graph-ordered
-sparse block LDU then runs over the joints and the hubs (bodies with
-more joints), which creates no fill on a tree, and one batched
-back-substitution recovers the other body rows (:func:`solve_reduced`).
+Jacobian is assembled (:func:`eliminate_bodies`); the sparse block LDU
+then runs over the joints and the hubs (bodies with more joints), a
+level of mutually independent nodes at a time in the plan's level
+order, and one batched back-substitution recovers the other body rows
+(:func:`solve_reduced`).
 The full bodies-and-joints system (:func:`newton_system_at`) is built by
 the same code under a plan that eliminates no body first.
 
@@ -295,22 +296,22 @@ def eliminate_bodies(
         if eliminating:
             vb = row @ inverse[group.ends]
             diag = vb @ col
-            blocks += [*-(diag[0] + diag[1])]
+            blocks.append(-(diag[0] + diag[1]))
             pull = vb @ body_rhs[group.ends][..., None]
             rhs[group.rows] -= (pull[0] + pull[1])[..., 0]
             left.append(vb)
         else:
-            blocks += [*np.zeros((len(group.ids), group.width, group.width))]
+            blocks.append(np.zeros((len(group.ids), group.width, group.width)))
         cols.append(col)
         if len(hub[0]):
-            hub_blocks += [*row[hub], *col[hub]]
+            hub_blocks += [row[hub], col[hub]]
     for g, h, pairs, rows, cs, twice in plan.joint_pairs:
         terms = left[g][rows] @ cols[h][cs]
         stack = -terms[: len(pairs)]
         if len(twice):
             stack[twice] -= terms[len(pairs) :]
-        blocks += [*stack]
-    blocks += [*body_diag[plan.hubs], *hub_blocks]
+        blocks.append(stack)
+    blocks += [body_diag[plan.hubs], *hub_blocks]
     joints = plan.layout.system(blocks, rhs[plan.rows])
     return ReducedSystem(plan=plan, joints=joints, inverse=inverse, body_rhs=body_rhs, cols=cols)
 
@@ -387,8 +388,8 @@ def newton_system_at(mech: Mechanism, ctx: StepContext) -> NodeSystem:
 
     The Newton loop's own builder under a plan that eliminates no body
     first: the full system over bodies and joints in the graph's
-    elimination order, each cycle's loop joints stacked into a relieved
-    node right after the cycle's highest node.
+    children-first order, each cycle's loop joints stacked into a
+    relieved node right after the cycle's highest node.
     It is evaluated at ``mech.unknowns`` (between steps, the last
     solution), as :func:`newton_solve` called directly starts; a
     :func:`step` would start from its predicted velocities instead.  Its
@@ -411,6 +412,7 @@ class NewtonInfo:
     iterations: int
     residual_norm: float
     history: list  # residual 2-norm before the first and after each iteration
+    knot: tuple  # (x, q): the next knot the converged unknowns predict, one row per body
 
 
 def newton_solve(mech: Mechanism, ctx: StepContext, tol: float = 1e-10) -> NewtonInfo:
@@ -420,7 +422,8 @@ def newton_solve(mech: Mechanism, ctx: StepContext, tol: float = 1e-10) -> Newto
     (first step-halving that decreases the residual 2-norm is accepted, up
     to 20 halvings) on a copy of ``mech.unknowns``.  Returns only once the
     residual norm is below `tol`, leaving the converged vector in
-    ``mech.unknowns``.  Raises SimulationError for a load on an unknown
+    ``mech.unknowns`` and the next knot its accepted residual evaluation
+    predicted in ``knot``.  Raises SimulationError for a load on an unknown
     body or a load that is not a finite 3-vector, for an h or `tol` that
     is not finite and positive and for gravity that is not finite, all
     before any state changes; LineSearchError when no halving reduces the
@@ -440,7 +443,7 @@ def newton_solve(mech: Mechanism, ctx: StepContext, tol: float = 1e-10) -> Newto
         norm = float(np.linalg.norm(f))
         history = [norm]
         if norm < tol:
-            return NewtonInfo(iterations=0, residual_norm=norm, history=history)
+            return NewtonInfo(iterations=0, residual_norm=norm, history=history, knot=(pose[0][:-1], pose[1][:-1]))
         for it in range(1, _MAX_ITERS + 1):
             ds = solve_reduced(mech, assemble_jacobian(mech, layout, pos_blocks, s, pose, f))
 
@@ -465,7 +468,7 @@ def newton_solve(mech: Mechanism, ctx: StepContext, tol: float = 1e-10) -> Newto
             s, f, pose, norm = s_try, f_try, pose_try, norm_try
             history.append(norm)
             if norm < tol:
-                return NewtonInfo(iterations=it, residual_norm=norm, history=history)
+                return NewtonInfo(iterations=it, residual_norm=norm, history=history, knot=(pose[0][:-1], pose[1][:-1]))
         raise NonConvergenceError(
             f"no convergence after {_MAX_ITERS} iterations (residual {norm:.3e})"
         )
@@ -498,9 +501,11 @@ def step(mech: Mechanism, ctx: StepContext, tol: float = 1e-10) -> NewtonInfo:
     """Advance the mechanism by one time step.
 
     Runs the implicit solve from :func:`_predicted_start` (on first use,
-    from the start ``initialize`` makes), applies the
-    position/orientation updates, and shifts the knots by rebinding the
-    mechanism's knot arrays; the solution stays in ``mech.unknowns``.
+    from the start ``initialize`` makes), commits the next knot the
+    solve's accepted residual evaluation predicted (the position and
+    orientation updates at the converged velocities), and shifts the
+    knots by rebinding the mechanism's knot arrays; the solution stays in
+    ``mech.unknowns``.
     Input that :func:`newton_solve` rejects leaves every state array as
     it was; after a failed solve, ``mech.unknowns`` holds its last
     accepted vector.
@@ -515,8 +520,7 @@ def step(mech: Mechanism, ctx: StepContext, tol: float = 1e-10) -> NewtonInfo:
         if mech.unknowns is start:  # rejected before the solve took its copy
             mech.unknowns = last
         raise
-    x3, q3 = mech.x2 + ctx.h * mech.v2, quat.orientation_update(mech.q2, mech.w2, ctx.h)
-    mech.x1, mech.q1, mech.x2, mech.q2 = mech.x2, mech.q2, x3, q3
+    mech.x1, mech.q1, (mech.x2, mech.q2) = mech.x2, mech.q2, info.knot
     mech.v0, mech.w0, mech.v1, mech.w1 = mech.v1, mech.w1, mech.v2.copy(), mech.w2.copy()
     return info
 

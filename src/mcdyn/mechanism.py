@@ -8,10 +8,11 @@ The incidence structure (bodies and constraints as nodes, one edge per
 body-constraint attachment) mirrors the block pattern of the implicit
 step's Newton matrix.  An elimination plan (:func:`elimination_plan`)
 says which bodies go first and lays the sparse sweep over the joints and
-the other bodies in the graph's order, each independent cycle's loop
-joints in one relieved node after the cycle: the step eliminates every
-body with at most three joints first, the full bodies-and-joints view
-none.
+the other bodies, each independent cycle's loop joints in one relieved
+node after the cycle: the step eliminates every body with at most three
+joints first and sweeps the rest in a level order of O(log n) rounds
+(:func:`_level_order`), the full bodies-and-joints view eliminates none
+and sweeps in the graph's children-first order.
 
 The joint kernels read the rotation matrices of a pose, computed once for
 all bodies (:func:`with_world`), and multiply them by constants each kind
@@ -28,7 +29,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
+from itertools import chain, product
 
 import numpy as np
 import yaml
@@ -333,21 +334,91 @@ class EliminationPlan:
     rows: np.ndarray
 
 
-def elimination_plan(mech: Mechanism, is_hub: np.ndarray) -> EliminationPlan:
+def _zero_diagonal(mech: Mechanism, at_hub: np.ndarray) -> set:
+    """The joints whose diagonal block is structurally zero: no end at a body eliminated first."""
+    world = len(mech.body_ids)
+    out = set()
+    for g in mech.groups:
+        first = (~at_hub[g.ends] & (g.ends < world)).any(axis=0)
+        out |= {j for j, f in zip(g.ids, first) if not f}
+    return out
+
+
+def _level_order(order: list, sources: list, stacks: dict, waits: dict, zero: set) -> list:
+    """``order``'s nodes in rounds of mutually non-adjacent nodes, one round eliminated after another.
+
+    Each round takes the eligible nodes whose current degree (fill
+    included) is at most the smallest such degree + 1, greedily, lowest
+    degree first, then earliest in ``order``, and never two adjacent ones
+    (cyclic reduction, Heller, SIAM J. Numer. Anal. 13, 1976; multiple
+    minimum degree, Liu, ACM TOMS 11, 1985).  A chain loses half its nodes
+    per round, so a tree's nodes go in O(log n) rounds at O(n) total work.
+    A relieved node (a key of ``stacks``) is eligible once the nodes
+    ``waits`` lists for it are gone, so its cycle's redundancy still lands
+    in its own pivot; a node of ``zero``, whose diagonal block is
+    structurally zero, once one of its neighbours is, whose Schur update
+    makes that block invertible.  Rounds are listed one after another,
+    each in ``order``'s order.
+    """
+    key = {node: k for k, ids in stacks.items() for node in ids}
+    adj: dict = {v: set() for v in order}
+    for i, j in sources:
+        a, b = key.get(i, i), key.get(j, j)
+        if a != b:
+            adj[a].add(b)
+            adj[b].add(a)
+    pos = {v: k for k, v in enumerate(order)}
+    pending = {v: len(w) for v, w in waits.items()}
+    waiting = {}  # node -> the relieved nodes waiting for it
+    for v, w in waits.items():
+        for n in w:
+            waiting.setdefault(n, []).append(v)
+    zero = set(zero) & set(adj)
+    eligible = {v for v in order if not pending.get(v) and v not in zero}
+    out: list = []
+    while eligible:
+        least = min(len(adj[v]) for v in eligible)
+        taken, blocked = [], set()
+        for v in sorted((v for v in eligible if len(adj[v]) <= least + 1), key=lambda v: (len(adj[v]), pos[v])):
+            if v not in blocked:
+                taken.append(v)
+                blocked |= adj[v]
+        for v in taken:
+            eligible.discard(v)
+            nbrs = adj.pop(v)
+            for a in nbrs:
+                adj[a] |= nbrs
+                adj[a] -= {a, v}
+                if a in zero:
+                    zero.discard(a)
+                    eligible.add(a)
+            for r in waiting.get(v, []):
+                pending[r] -= 1
+                if not pending[r]:
+                    eligible.add(r)
+        out += sorted(taken, key=pos.get)
+    if len(out) != len(order):
+        raise ValueError("no elimination order: some nodes wait for each other")
+    return out
+
+
+def elimination_plan(mech: Mechanism, is_hub: np.ndarray, levelled: bool) -> EliminationPlan:
     """The plan keeping the bodies flagged in ``is_hub`` (per body in id order) as nodes of the sweep.
 
     The layout's rows are the hub rows, then the joint rows.  Blocks come as each kind group's joint diagonals, the pair
     stacks of ``joint_pairs``, the hubs' diagonals, then per kind group
     the couplings (joint, hub) and (hub, joint) at ``hub_sides``, as
-    ``integrator.eliminate_bodies`` supplies them.  The graph's order
-    (children first) over these nodes is the elimination order.  On a
-    tree the later neighbours of each node then already couple to each
-    other, so the sweep creates no fill.  The loop joints of each of the
-    graph's ``cycles`` are stacked into one relieved node placed right
-    after the highest node of the cycle in that order, so the fill stays
-    on the cycle; the relieved node nearest the root is keyed
-    :data:`LOOP_NODE`, each other one (LOOP_NODE, smallest loop joint id).
-    With every body a hub, the layout is the full bodies-and-joints graph,
+    ``integrator.eliminate_bodies`` supplies them.  The loop joints of
+    each of the graph's ``cycles`` are stacked into one relieved node;
+    the one whose cycle reaches nearest the root (in the graph's order)
+    is keyed :data:`LOOP_NODE`, each other one (LOOP_NODE, smallest loop
+    joint id).  Without ``levelled`` the elimination order is the graph's
+    (children first) over these nodes, each relieved node right after the
+    highest node of its cycle: on a tree the later neighbours of each node
+    then already couple to each other, so the sweep creates no fill.  With
+    ``levelled`` (the step's plan) it is :func:`_level_order` of that
+    order, whose rounds the sweep eliminates a level at a time.  With
+    every body a hub, the layout is the full bodies-and-joints graph,
     whose rows are the Newton vector's.
     """
     hubs = np.flatnonzero(is_hub)  # np.isin and np.setdiff1d would import numpy.ma, over 1 MB of RSS
@@ -356,10 +427,12 @@ def elimination_plan(mech: Mechanism, is_hub: np.ndarray) -> EliminationPlan:
     hub_sides = [np.nonzero(at_hub[g.ends]) for g in mech.groups]
     joint_pairs = _joint_pairs(mech.groups, set(hub_ids))
     slices = {b: mech.body_slices[b] for b in hub_ids} | mech.joint_slices
-    rows = np.array([r for sl in slices.values() for r in range(sl.start, sl.stop)], dtype=int)
-    place = np.empty(mech.dim, dtype=int)
-    place[rows] = np.arange(len(rows))
+    rows = np.fromiter(chain.from_iterable(range(sl.start, sl.stop) for sl in slices.values()), dtype=np.intp)
     sizes = {node: sl.stop - sl.start for node, sl in slices.items()}
+    stacked_rows, at_row = {}, 0  # each node's rows of the layout's stacked vector: slices' order
+    for node, size in sizes.items():
+        stacked_rows[node] = range(at_row, at_row + size)
+        at_row += size
     sources = [(j, j) for g in mech.groups for j in g.ids]
     for _, _, pairs, *_ in joint_pairs:
         sources += pairs
@@ -370,16 +443,20 @@ def elimination_plan(mech: Mechanism, is_hub: np.ndarray) -> EliminationPlan:
         sources += [*zip(ids, ends), *zip(ends, ids)]
     tree = [node for node in mech.graph.order if node in sizes]
     at = {node: k for k, node in enumerate(tree)}
-    after = {max(at[n] for n in nodes if n in at): ids for ids, nodes in mech.graph.cycles}
+    after = {max(at[n] for n in nodes if n in at): (ids, nodes) for ids, nodes in mech.graph.cycles}
     nearest_root = max(after, default=-1)
-    order, stacks = [], {}
+    order, stacks, waits = [], {}, {}
     for k, node in enumerate(tree):
         order.append(node)
         if k in after:
-            key = LOOP_NODE if k == nearest_root else (LOOP_NODE, after[k][0])
-            stacks[key] = after[k]
+            ids, nodes = after[k]
+            key = LOOP_NODE if k == nearest_root else (LOOP_NODE, ids[0])
+            stacks[key] = ids
+            waits[key] = [n for n in nodes if n in at]
             order.append(key)
-    layout = symbolic_layout(order, sizes, {n: place[sl] for n, sl in slices.items()}, sources, stacks)
+    if levelled:
+        order = _level_order(order, sources, stacks, waits, _zero_diagonal(mech, at_hub))
+    layout = symbolic_layout(order, sizes, stacked_rows, sources, stacks)
     return EliminationPlan(np.flatnonzero(~is_hub), hubs, hub_sides, joint_pairs, layout, rows)
 
 
@@ -624,7 +701,7 @@ class Mechanism:
             off += joints[jid].rows
         self.dim = off
         self.groups = _kind_groups(self.body_index, joints, self.joint_slices)
-        self.plan = elimination_plan(self, _hubs(self.body_index, joints))
+        self.plan = elimination_plan(self, _hubs(self.body_index, joints), levelled=True)
         self.mass = np.array([bodies[b].mass for b in self.body_ids])
         self.inertia = np.array([bodies[b].inertia for b in self.body_ids])
         self.x1, self.q1, self.v1, self.w1 = (np.array(a, dtype=float) for a in (x, q, v, w))
@@ -645,7 +722,7 @@ class Mechanism:
     @cached_property
     def full_plan(self) -> EliminationPlan:
         """The plan that eliminates no body first: the full bodies-and-joints system, built on first use."""
-        return elimination_plan(self, np.ones(len(self.body_ids), dtype=bool))
+        return elimination_plan(self, np.ones(len(self.body_ids), dtype=bool), levelled=False)
 
     def _cold_start(self) -> None:
         """A new start: (v0, w0) and the unknowns' velocities equal to (v1, w1), zero multipliers."""

@@ -214,12 +214,12 @@ class TestDeflatedPseudoInverse:
 
 
 def captured_loop_pivots(monkeypatch, mech, steps=3):
-    """The relieved pivots that ``steps`` steps of ``mech`` invert."""
+    """The relieved pivots that ``steps`` steps of ``mech`` invert, one by one."""
     blocks, inner = [], block_solver.ldu_inverse
 
     def capture(block, pivot_relief=0.0):
-        if pivot_relief > 0.0:
-            blocks.append(block.copy())
+        if pivot_relief > 0.0:  # a level's relieved pivots of one size come as one stack
+            blocks.extend(block.reshape(-1, *block.shape[-2:]).copy())
         return inner(block, pivot_relief=pivot_relief)
 
     monkeypatch.setattr(block_solver, "ldu_inverse", capture)
@@ -248,8 +248,9 @@ class TestLoopPivotDeflation:
         mech = build()
         for _ in range(3):
             step(mech, StepContext(h=0.01))
-        assert svd_shapes and set(svd_shapes) == {shape}
-        assert len(svd_shapes) == per_factorization * len(factorizations)
+        # the pivots a level relieves are decomposed in one batched SVD per kept shape
+        assert svd_shapes and {s[-2:] for s in svd_shapes} == {shape}
+        assert sum(int(np.prod(s[:-2])) for s in svd_shapes) == per_factorization * len(factorizations)
 
     @pytest.mark.parametrize("build", [
         lambda: make_segmented_chain(2),
@@ -456,6 +457,52 @@ class TestPivotCheck:
         system = chain_system([GOOD, GOOD, SINGULAR, GOOD])
         with pytest.raises(SingularBlockError, match="at node 2: exactly singular 2x2"):
             sparse_ldu_factorize(system)
+
+
+def star_system(leaves):
+    """Leaves 1..n around node 0, all eliminated in one level before it; zero couplings keep each pivot as planted."""
+    diag = {k + 1: np.array(p, dtype=float) for k, p in enumerate(leaves)} | {0: 3.0 * np.eye(2)}
+    offdiag = {}
+    for k in range(1, len(leaves) + 1):
+        offdiag[(k, 0)] = np.zeros((diag[k].shape[0], 2))
+        offdiag[(0, k)] = offdiag[(k, 0)].T.copy()
+    rhs = {k: np.ones(d.shape[0]) for k, d in diag.items()}
+    system = BlockSystem(diag=diag, offdiag=offdiag, order=[*range(1, len(leaves) + 1), 0], rhs=rhs).on_layout(())
+    assert [level.stop - level.start for level in system.layout.levels] == [len(leaves), 1]
+    return system
+
+
+class TestPivotCheckInsideALevel:
+    """One batched inverse per level; a failure names the first failing node in elimination order."""
+
+    def test_ill_conditioned_pivot_before_a_singular_one(self):
+        system = star_system([GOOD, ILL, GOOD, SINGULAR, GOOD])
+        with pytest.raises(SingularBlockError, match=r"^singular diagonal block at node 2: ill-conditioned 2x2") as err:
+            sparse_ldu_factorize(system)
+        assert isinstance(err.value.__cause__, np.linalg.LinAlgError)  # the level's batched inverse raised
+
+    def test_singular_pivot_before_an_ill_conditioned_one(self):
+        system = star_system([GOOD, GOOD, SINGULAR, ILL, GOOD])
+        with pytest.raises(SingularBlockError, match=r"^singular diagonal block at node 3: exactly singular 2x2 block$"):
+            sparse_ldu_factorize(system)
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_ill_conditioned_pivot_alone_is_found_after_the_sweep(self, k):
+        leaves = [GOOD] * 5
+        leaves[k - 1] = ILL
+        with pytest.raises(SingularBlockError, match=f"^singular diagonal block at node {k}: ill-conditioned 2x2") as err:
+            sparse_ldu_factorize(star_system(leaves))
+        assert err.value.__context__ is None
+
+    def test_first_of_two_ill_conditioned_pivots_of_different_sizes(self):
+        big_ill = np.eye(3)
+        big_ill[2, 2] = 1e-14
+        with pytest.raises(SingularBlockError, match="at node 2: ill-conditioned 3x3"):
+            sparse_ldu_factorize(star_system([np.eye(3), big_ill, ILL, GOOD]))
+
+    def test_zero_pivot_without_updates_is_a_dangling_constraint(self):
+        with pytest.raises(DanglingConstraintError, match="constraint node 2 "):
+            sparse_ldu_factorize(star_system([GOOD, np.zeros((2, 2)), SINGULAR]))
 
 
 class TestAugmentLoopNode:

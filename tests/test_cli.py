@@ -60,9 +60,33 @@ def test_simulate_dump_pattern_lists_one_relieved_node_per_loop(tmp_path):
     assert (
         "  relieved nodes: 3\n"
         "    relieved node ('loop', 25): 5 rows, loop joints [25]\n"
-        "    relieved node ('loop', 20): 5 rows, loop joints [20]\n"
         "    relieved node 'loop': 5 rows, loop joints [15]\n"
+        "    relieved node ('loop', 20): 5 rows, loop joints [20]\n"
     ) in text
+
+
+@pytest.mark.parametrize("kind,n,levels", [
+    # each relieved node after its parallelogram's four joints
+    ("segmented_chain", 3, [
+        "    level 1: 5 nodes [27, 24, 21, 16, 13]",
+        "    level 2: 3 nodes [26, 22, 14]",
+        "    level 3: 2 nodes [('loop', 25), 17]",
+        "    level 4: 2 nodes [23, 'loop']",
+        "    level 5: 1 node [19]",
+        "    level 6: 1 node [('loop', 20)]",
+        "    level 7: 1 node [18]",
+    ]),
+    # the chain's two ends and its middle, then what the middle coupled
+    ("pendulum", 5, ["    level 1: 3 nodes [10, 8, 6]", "    level 2: 1 node [9]", "    level 3: 1 node [7]"]),
+])
+def test_simulate_dump_pattern_lists_the_levels(tmp_path, kind, n, levels):
+    mech_path = tmp_path / "mech.yaml"
+    assert main(["gen", "--kind", kind, "--n", str(n), "--out", str(mech_path)]) == 0
+    pattern_path = tmp_path / "pattern.txt"
+    args = ["simulate", str(mech_path), "--duration", "0.02", "--out", str(tmp_path / "traj.csv")]
+    assert main([*args, "--dump-pattern", str(pattern_path)]) == 0
+    text = pattern_path.read_text()
+    assert "\n".join([f"  levels: {len(levels)}", *levels]) + "\n" in text
 
 
 def test_simulate_dump_pattern_names_hubs(tmp_path):

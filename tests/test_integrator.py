@@ -352,7 +352,7 @@ class TestBodyElimination:
         monkeypatch.setattr(mcdyn.integrator, "_pivot_failures", no_batch)
         mech, body_diag, couplings = self.blocks()
         body_diag[3][entries] = value
-        plan = elimination_plan(mech, np.ones(len(mech.body_ids), dtype=bool))
+        plan = elimination_plan(mech, np.ones(len(mech.body_ids), dtype=bool), levelled=False)
         rhs = np.arange(mech.dim, dtype=float)
         system = eliminate_bodies(mech, plan, body_diag, couplings, rhs).joints
         np.testing.assert_array_equal(system.rhs, rhs[plan.rows])
@@ -586,6 +586,21 @@ class TestStateArrays:
 
 
 class TestStep:
+    def test_commits_the_knot_the_converged_residual_predicted(self, monkeypatch):
+        # bit for bit the position and orientation updates at the converged
+        # velocities, which the accepted residual evaluation already made
+        mech = make_segmented_chain(2)
+        ctx = StepContext(h=0.01)
+        update, calls = quat.orientation_update, []
+        monkeypatch.setattr(quat, "orientation_update", lambda *args: calls.append(args) or update(*args))
+        for _ in range(3):
+            x2, q2 = mech.x2.copy(), mech.q2.copy()
+            step(mech, ctx)
+            assert np.array_equal(mech.x2, x2 + ctx.h * mech.v2)
+            assert np.array_equal(mech.q2, update(q2, mech.w2, ctx.h))
+            assert np.array_equal(mech.x1, x2) and np.array_equal(mech.q1, q2)
+        assert calls == []
+
     def test_changed_step_size_raises_and_keeps_state(self):
         mech = make_pendulum(2)
         step(mech, StepContext(h=0.01))

@@ -27,8 +27,19 @@ from conftest import (
     star_mechanism,
 )
 from mcdyn.block_solver import LOOP_NODE, dense_ldu_factorize, dense_ldu_solve, sparse_ldu_factorize, sparse_ldu_solve
-from mcdyn.integrator import StepContext, newton_system_at, run_simulation, solve_reduced
-from mcdyn.mechanism import WORLD, load_mechanism
+from mcdyn.integrator import (
+    StepContext,
+    assemble_residual,
+    build_layout,
+    eliminate_bodies,
+    jacobian_blocks,
+    newton_system_at,
+    position_jacobian_blocks,
+    run_simulation,
+    solve_reduced,
+    step,
+)
+from mcdyn.mechanism import WORLD, elimination_plan, load_mechanism
 from oracles import count_independent_cycles, dense_block_ldu, l_matrix, random_unit_quat, rotmat_from_quat, u_matrix
 from test_integrator import (
     dense_newton_matrix,
@@ -265,6 +276,12 @@ def test_sparse_solve_matches_dense_and_lstsq(solve_case):
     for ref in (x0, x_ls):
         for sol in (x, x_first):
             assert np.linalg.norm(sol[body] - ref[body]) <= 1e-9 * np.linalg.norm(ref[body])
+    # independent of the elimination order (with the residual checks above):
+    # the motion, unique where the multipliers are not, against the planted
+    # solution; they agree to 1.4e-13, where least squares itself is up to
+    # 1.6e-11 off on segmented_chain 8
+    for sol in (x, x_first):
+        assert np.linalg.norm(sol[body] - x0[body]) <= 1e-11 * np.linalg.norm(x0[body])
 
 
 def test_jacobian_matches_finite_differences(random_case):
@@ -295,7 +312,7 @@ def assert_layout_covers_dense_factors(mech, rng):
                 if i != j and block.any():
                     assert (a, b) in pattern
     # fill blocks are the blocks numbered past the diagonal and the pattern
-    n_fill = len(layout.sources) - len(layout.order) - len(layout.pairs)
+    n_fill = len(layout.places) - len(layout.order) - len(layout.pairs)
     assert layout.fill_count == n_fill == len(set(layout.fill_events))
     return layout
 
@@ -306,35 +323,41 @@ def test_layout_covers_dense_factors(random_case):
 
 
 # each builds (mechanism, loops, fill blocks of the step's layout)
-@pytest.mark.parametrize("build", [lambda: (make_closed_chain(4), 1, 6), lambda: (make_segmented_chain(3), 3, 6)])
+@pytest.mark.parametrize("build", [lambda: (make_closed_chain(4), 1, 2), lambda: (make_segmented_chain(3), 3, 10)])
 def test_layout_covers_dense_factors_on_chains(rng, build):
     mech, loops, fill = build()
     layout = assert_layout_covers_dense_factors(mech, rng)
-    # one 5-row relieved node per loop, right after the highest node of its
-    # cycle; the one nearest the root is LOOP_NODE
+    # one 5-row relieved node per loop, after every node of its cycle in the
+    # sweep; the one whose cycle reaches nearest the root is LOOP_NODE
     assert len(layout.relieved) == len(mech.graph.cycles) == loops
-    assert layout.order[layout.relieved[-1]] == LOOP_NODE
-    cycle_of = {}
+    reach = {}
     for k in layout.relieved:
         key = layout.order[k]
         (ids, nodes), = [(ids, nodes) for ids, nodes in mech.graph.cycles if layout.loop_layout[key] == [(i, 5) for i in ids]]
         assert key == LOOP_NODE or key == (LOOP_NODE, ids[0])
-        assert layout.order[k - 1] == max(nodes & set(layout.order), key=layout.order.index)
-        cycle_of[key] = nodes
-    # every diagonal update is in the sweep, and the fill pairs a relieved node with a node of its cycle
+        assert max(layout.order.index(n) for n in nodes & set(layout.order)) < k
+        reach[key] = max(mech.graph.order.index(n) for n in nodes)
+    assert max(reach, key=reach.get) == LOOP_NODE
+    # every diagonal update is in the sweep
     targets = {target for steps in layout.elimination for *_, updates in steps for _, target in updates}
     assert set(layout.relieved) <= targets  # block number of each relieved node's diagonal
     assert layout.fill_count == fill
-    for i, j in layout.fill_events:
-        assert (i in cycle_of and j in cycle_of[i]) or (j in cycle_of and i in cycle_of[j])
+
+
+def children_first_plan(mech):
+    """The step's plan (the same hubs) with the sweep in the graph's children-first order."""
+    is_hub = np.zeros(len(mech.body_ids), dtype=bool)
+    is_hub[mech.plan.hubs] = True
+    return elimination_plan(mech, is_hub, levelled=False)
 
 
 @pytest.mark.parametrize("n,joint", [(1, "revolute"), (5, "ball"), (20, "revolute")])
 def test_pendulum_layout_has_no_fill(n, joint):
-    layout = make_pendulum(n, joint).plan.layout
+    # in children-first order; the step's level order fills (test_level_schedule)
+    layout = children_first_plan(make_pendulum(n, joint)).layout
     assert layout.fill_count == 0
     assert layout.relieved == [] and layout.loop_layout == {}
-    assert len(layout.sources) == len(layout.order) + len(layout.pairs)
+    assert len(layout.places) == len(layout.order) + len(layout.pairs)
 
 
 def test_layout_is_built_once_per_mechanism(monkeypatch):
@@ -404,7 +427,7 @@ def test_branching_tree_layout_has_no_fill(name):
     # children-first order: the later neighbours of a joint are its parent
     # hub, or the joints at its parent body, which already couple to each other
     mech = TREES[name]()
-    layout = mech.plan.layout
+    layout = children_first_plan(mech).layout
     assert not mech.graph.loop_joints
     assert layout.fill_count == 0
     assert len(layout.order) == len(mech.joints) + len(mech.plan.hubs)
@@ -425,9 +448,12 @@ def block_products(mech):
 @pytest.mark.parametrize("build", [lambda n: make_pendulum(n), hub_star, comb], ids=["pendulum", "hub_star", "comb"])
 def test_step_solve_is_linear_in_size(build):
     # a body with d joints eliminated before the sweep would make its joints
-    # a clique costing O(d^3) per factorization: 7x here from 16 to 32 links
-    small, large = build(16), build(32)
-    assert block_products(large) <= 2.1 * block_products(small)
+    # a clique costing O(d^3) per factorization: 7x here from 16 to 32 links.
+    # Each of the level order's O(log n) rounds eliminates a chain's two
+    # ends, with fewer products than its middle nodes, so the products are
+    # affine in n: each doubling may add at most about twice what the last added
+    small, mid, large = build(16), build(32), build(64)
+    assert block_products(large) - block_products(mid) <= 2.1 * (block_products(mid) - block_products(small))
     assert len(large.plan.hubs) == len(small.plan.hubs) <= 1
 
 
@@ -455,3 +481,54 @@ def test_loop_chain_solve_is_linear_in_size():
     for k, mech in ((16, small), (32, large)):
         layout = mech.plan.layout
         assert [layout.segments[r].stop - layout.segments[r].start for r in layout.relieved] == [5] * k
+
+
+LEVEL_CASES = {
+    **{f"pendulum_{n}": lambda n=n: make_pendulum(n) for n in (5, 20, 80, 160)},
+    **{f"segmented_chain_{k}": lambda k=k: make_segmented_chain(k) for k in (4, 16, 48, 96)},
+    "comb_20": lambda: comb(20),
+    "hub_star_20": lambda: hub_star(20),
+    "closed_chain_8": lambda: make_closed_chain(8),
+    **LOOP_MECHANISMS,
+    **{f"random_{seed}": lambda seed=seed: random_mechanism(np.random.default_rng(1000 + seed)) for seed in SEEDS},
+}
+
+
+@pytest.mark.parametrize("name", LEVEL_CASES)
+def test_level_schedule(name):
+    mech = LEVEL_CASES[name]()
+    layout = mech.plan.layout
+    order = layout.order
+    pattern = set(layout.pairs) | set(layout.fill_events)
+    # no two positions of a level share a block, fill included
+    for level in layout.levels:
+        nodes = order[level.start : level.stop]
+        assert not {(a, b) for a in nodes for b in nodes} & pattern
+    assert [level.start for level in layout.levels] == sorted({level.start for level in layout.levels})
+    assert sum(level.stop - level.start for level in layout.levels) == len(order)
+    assert len(layout.levels) <= 2 * int(np.ceil(np.log2(len(order)))) + 2
+    # each relieved node after every sweep node of its cycle
+    for k in layout.relieved:
+        ids = [i for i, _ in layout.loop_layout[order[k]]]
+        (nodes,) = [nodes for cycle, nodes in mech.graph.cycles if cycle == ids]
+        assert all(order.index(n) < k for n in nodes if n in order)
+    # a joint with no end at a body eliminated first gets a Schur update before its pivot
+    first = {mech.body_ids[r] for r in mech.plan.first}
+    updated = {p for steps in layout.elimination for p, *_ in steps}
+    for k, node in enumerate(order):
+        if node in mech.joints and not {mech.joints[node].parent, mech.joints[node].child} & first:
+            assert k in updated
+    # the body rows of a Newton step three steps in, against a children-first
+    # sweep of the same system (at random states off the trajectory the
+    # loop systems are inconsistent and the trees' cond reaches 1e10)
+    ctx = StepContext(h=0.01)
+    for _ in range(3):
+        step(mech, ctx)
+    state = build_layout(mech, ctx)
+    pos_blocks = position_jacobian_blocks(mech, state)
+    f, pose = assemble_residual(mech, state, pos_blocks, mech.unknowns)
+    blocks = jacobian_blocks(mech, state, pos_blocks, mech.unknowns, pose)
+    levelled = solve_reduced(mech, eliminate_bodies(mech, mech.plan, *blocks, f))
+    reference = solve_reduced(mech, eliminate_bodies(mech, children_first_plan(mech), *blocks, f))
+    body = slice(0, 6 * len(mech.body_ids))
+    assert np.linalg.norm(levelled[body] - reference[body]) <= 1e-12 * np.linalg.norm(reference[body])
