@@ -11,8 +11,6 @@ loop-closure constraints into one densely handled node.
 
 from .block_solver import (
     LOOP_NODE,
-    BlockSystem,
-    augment_loop_node,
     dense_ldu_factorize,
     dense_ldu_solve,
     pattern_report,
@@ -53,7 +51,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AngularRateError",
-    "BlockSystem",
     "BodyState",
     "DanglingConstraintError",
     "JointConstraint",
@@ -71,7 +68,6 @@ __all__ = [
     "StepContext",
     "WORLD",
     "angular_momentum",
-    "augment_loop_node",
     "dense_ldu_factorize",
     "dense_ldu_solve",
     "generate_scenario",

@@ -39,7 +39,10 @@ constraint).  Neither solver pivots across blocks.
 
 Pivot blocks are inverted with LAPACK under one conditioning rule,
 checked for all pivots in one batched pass: the inverse must be finite
-and max|A| * max|A^-1| below 1/_SINGULAR_RTOL.  A relieved node's pivot
+and max|A| * max|A^-1| below 1/_SINGULAR_RTOL (:func:`check_pivots`).
+When a batched inverse raises, :func:`name_failure` inverts its pivots
+one at a time to name the first failure; the body pass in
+``integrator`` shares both.  A relieved node's pivot
 instead uses a truncated-SVD pseudo-inverse under one cut, a small
 multiple of the block scale: closed loops of parallel-axis joints carry
 structurally redundant constraint rows, so its Schur complement is
@@ -81,22 +84,55 @@ _LOOP_PIVOT_RELIEF = 1e-10
 # pivot-block inverse
 
 
-def _ill_conditioned(k: int, growth: float) -> str:
-    return f"ill-conditioned {k}x{k} block (max|A| max|A^-1| {growth:.3e})"
+def _singular(node, reason: str) -> SingularBlockError:
+    """The error of a pivot at ``node`` failing for ``reason``; a node None (the dense LDU) gives the bare reason."""
+    return SingularBlockError(reason if node is None else f"singular diagonal block at node {node!r}: {reason}")
 
 
-def _pivot_failures(blocks: list) -> list:
-    """(index, reason) of each pivot failing the conditioning rule, in one batched pass.
+def check_pivots(pivots: np.ndarray, inverses: np.ndarray, starts, checked, nodes, sizes) -> None:
+    """The conditioning rule over the pivots ``checked`` (ascending indices or a slice), in one batched pass.
 
-    ``blocks`` holds m pivots of one size followed by their m inverses.  A
-    NaN in an inverse makes its growth NaN, which fails like a growth at or
-    above 1/_SINGULAR_RTOL.
+    Pivot j holds the cells of the flat ``pivots`` from starts[j] up to the
+    next start (the last to the end), its inverse the same cells of
+    ``inverses``; padding must be zero.  It fails unless max|A| * max|A^-1|
+    is below 1/_SINGULAR_RTOL; a NaN in its inverse fails too.  Raises
+    SingularBlockError for the first failing one, naming nodes[j] and its
+    block size sizes[j].
     """
-    scale = np.abs(np.array(blocks)).max(axis=(1, 2), initial=0.0)
-    growth = scale[: len(blocks) // 2] * scale[len(blocks) // 2 :]
+    growth = (np.maximum.reduceat(np.abs(pivots), starts) * np.maximum.reduceat(np.abs(inverses), starts))[checked]
     if growth.max() * _SINGULAR_RTOL < 1.0:
-        return []
-    return [(j, _ill_conditioned(blocks[0].shape[0], growth[j])) for j in np.flatnonzero(~(growth * _SINGULAR_RTOL < 1.0))]
+        return
+    j = np.flatnonzero(~(growth * _SINGULAR_RTOL < 1.0))[0]
+    k = np.arange(len(starts))[checked][j]
+    raise _singular(nodes[k], f"ill-conditioned {sizes[k]}x{sizes[k]} block (max|A| max|A^-1| {growth[j]:.3e})")
+
+
+def name_failure(pivots: np.ndarray, sizes, nodes, relieved, unreached, err: Exception) -> None:
+    """Raise the error of the first failing pivot, inverted one at a time, once their batched inverse raised ``err``.
+
+    Pivot j is the leading sizes[j] rows and columns of pivots[j], at node
+    nodes[j].  Those at ``relieved`` must get a truncated-SVD inverse, a
+    zero one at ``unreached`` (no update reached it) raises
+    DanglingConstraintError, and the others must pass :func:`ldu_inverse`.
+    Re-raises ``err`` when none fails.
+    """
+    for j, (block, k, node) in enumerate(zip(pivots, sizes, nodes)):
+        block = block[:k, :k]
+        if j in relieved:
+            try:
+                ldu_inverse(block, pivot_relief=_LOOP_PIVOT_RELIEF)
+            except np.linalg.LinAlgError as fail:  # the SVD did not converge; ldu_inverse names the sizes
+                raise SingularBlockError(f"loop pivot at node {node!r}: {fail}") from err
+        elif j in unreached and not block.any():
+            raise DanglingConstraintError(
+                f"constraint node {node!r} reached its pivot with a zero diagonal and no coupling updates"
+            ) from err
+        else:
+            try:
+                ldu_inverse(block)
+            except SingularBlockError as fail:
+                raise _singular(node, str(fail)) from err
+    raise err
 
 
 def ldu_inverse(block: np.ndarray, pivot_relief: float = 0.0) -> np.ndarray:
@@ -148,8 +184,7 @@ def ldu_inverse(block: np.ndarray, pivot_relief: float = 0.0) -> np.ndarray:
         inv = np.linalg.inv(block)
     except np.linalg.LinAlgError as err:
         raise SingularBlockError(f"exactly singular {k}x{k} block") from err
-    for _, reason in _pivot_failures([block, inv]):
-        raise SingularBlockError(reason)
+    check_pivots(block.ravel(), inv.ravel(), [0], slice(None), [None], [k])
     return inv
 
 
@@ -325,15 +360,15 @@ class SymbolicLayout:
     """Topology-only structure of a sparse block system, built once per pattern.
 
     Positions number the nodes of ``order``, the elimination order, which
-    holds the relieved nodes where they are eliminated.  ``segments[k]``
-    are position k's rows in elimination order and ``perm`` maps them to
-    the stacked vector's rows.  ``later[k]`` lists the later neighbours of
-    k (ascending, fill included).  Blocks are numbered too: each
-    position's diagonal, then the pattern's off-diagonal blocks (node ids
-    in ``pairs``), then the fill blocks (``fill_events``);
-    :attr:`elimination` spells out the blocks each elimination touches and
-    :attr:`places` where each block lies in the storage that ``storage``
-    describes (:func:`_where`).  ``levels`` splits the positions into
+    holds the relieved nodes where they are eliminated.  ``sizes[k]`` is
+    position k's block size, ``segments[k]`` its rows in elimination
+    order, and ``perm`` maps those to the stacked vector's rows.
+    ``later[k]`` lists the later neighbours of k (ascending, fill
+    included).  Blocks are numbered too: each position's diagonal, then
+    the pattern's off-diagonal blocks (node ids in ``pairs``), then the
+    fill blocks (``fill_events``), and :attr:`places` says where each
+    block lies in the storage that ``storage`` describes (:func:`_where`).
+    ``levels`` splits the positions into
     maximal runs of consecutive, mutually non-adjacent positions
     (:class:`Level`), each of which the sweep eliminates at once.  A
     level's Schur product cells add into the storage cells
@@ -352,6 +387,7 @@ class SymbolicLayout:
     """
 
     order: list
+    sizes: list
     segments: list
     perm: np.ndarray
     later: list
@@ -386,18 +422,6 @@ class SymbolicLayout:
         vals[self.scatter] = np.concatenate(blocks, axis=None)
         return NodeSystem(layout=self, vals=vals, rhs=rhs)
 
-    @cached_property
-    def elimination(self) -> list:
-        """Per position k, per later neighbour p: (p, block (p, k), block (k, p), its Schur updates as (block (k, q), target block (p, q)))."""
-        at = {node: k for k, node in enumerate(self.order)}
-        slot = {(k, k): k for k in range(len(self.order))}
-        for i, j in self.pairs + self.fill_events:
-            slot[(at[i], at[j])] = len(slot)
-        return [
-            [(p, slot[(p, k)], slot[(k, p)], [(slot[(k, q)], slot[(p, q)]) for q in lk]) for p in lk]
-            for k, lk in enumerate(self.later)
-        ]
-
     def blocks(self, vals: np.ndarray, count: int) -> list:
         """Copies of the first ``count`` blocks of the storage ``vals``, in block numbering."""
         return [vals[base + stride * np.arange(r)[:, None] + np.arange(c)] for base, stride, r, c in self.places[:count]]
@@ -407,7 +431,7 @@ class SymbolicLayout:
         """Each block's (first cell, row stride, rows, columns) in the storage, in block numbering."""
         at = {node: k for k, node in enumerate(self.order)}
         pq = np.array([(k, k) for k in range(len(self.order))] + [(at[i], at[j]) for i, j in self.pairs + self.fill_events], dtype=np.intp)
-        size = np.array([seg.stop - seg.start for seg in self.segments], dtype=np.intp)
+        size = np.array(self.sizes, dtype=np.intp)
         return np.stack([*_where(self.storage, pq[:, 0], pq[:, 1])[:2], size[pq[:, 0]], size[pq[:, 1]]], axis=1)
 
 
@@ -579,6 +603,7 @@ def symbolic_layout(order, sizes, rows, sources, stacks) -> SymbolicLayout:
     row_ends = np.cumsum(size).tolist()
     return SymbolicLayout(
         order=list(order),
+        sizes=size,
         segments=[slice(e - s, e) for s, e in zip(size, row_ends)],
         perm=perm,
         later=later,
@@ -655,26 +680,6 @@ class BlockSystem:
     # per relieved node, the [(constraint id, rows)] stacked into it in stacking order
     loop_layout: dict | None = None
 
-    def assembled(self) -> tuple[np.ndarray, dict]:
-        """Materialize the dense matrix in the system's node order.
-
-        Returns the matrix and a map node -> slice of its rows/columns.
-        """
-        order = self.order
-        sizes = [self.diag[n].shape[0] for n in order]
-        offsets = np.concatenate([[0], np.cumsum(sizes)])
-        slices = {n: slice(offsets[k], offsets[k + 1]) for k, n in enumerate(order)}
-        dim = offsets[-1]
-        full = np.zeros((dim, dim))
-        for n in order:
-            full[slices[n], slices[n]] = self.diag[n]
-        for (i, j), blk in self.offdiag.items():
-            full[slices[i], slices[j]] = blk
-        return full, slices
-
-    def assembled_rhs(self) -> np.ndarray:
-        return np.concatenate([self.rhs[n] for n in self.order])
-
     def on_layout(self, loop_ids) -> NodeSystem:
         """This system on a layout of its own pattern, ``loop_ids`` stacked into one relieved node last.
 
@@ -686,7 +691,7 @@ class BlockSystem:
         order = [n for n in self.order if n not in loop_ids] + [LOOP_NODE] * bool(loop_ids)
         sources = [(n, n) for n in self.diag] + list(self.offdiag)
         layout = symbolic_layout(order, sizes, rows, sources, {LOOP_NODE: loop_ids} if loop_ids else {})
-        return layout.system([*self.diag.values(), *self.offdiag.values()], self.assembled_rhs())
+        return layout.system([*self.diag.values(), *self.offdiag.values()], np.concatenate([self.rhs[n] for n in self.order]))
 
 
 def augment_loop_node(system: BlockSystem, loop_ids) -> BlockSystem:
@@ -705,7 +710,7 @@ def augment_loop_node(system: BlockSystem, loop_ids) -> BlockSystem:
 
 @dataclass
 class SparseFactor:
-    """The factors of a NodeSystem: ``vals`` in its layout's storage, ``inverses`` the pivots' in theirs.
+    """The factors of a NodeSystem, ``vals`` in its layout's storage.
 
     The storage holds D on the diagonal, U = D[k]^-1 A[k, p] above it and
     A[p, k], Schur-updated, below it (L = A[p, k] D[k]^-1 is never formed),
@@ -715,7 +720,6 @@ class SparseFactor:
 
     system: NodeSystem
     vals: np.ndarray
-    inverses: np.ndarray
 
     @property
     def fill_count(self) -> int:
@@ -727,50 +731,11 @@ class SparseFactor:
 
 
 def _check_pivots(lay: SymbolicLayout, vals: np.ndarray, inverses: np.ndarray, stop: int) -> None:
-    """The conditioning rule over the unrelieved pivots before position ``stop``, in one batched pass.
-
-    Raises SingularBlockError naming the first failing node in elimination order.
-    """
+    """:func:`check_pivots` over the unrelieved pivots before position ``stop`` of a sweep's storage."""
     positions = lay.checked[: bisect_left(lay.checked, stop)]
-    if not positions:
-        return
-    vals[lay.ones] = inverses[lay.ones] = 0.0  # the padding takes no part; only the solve reads this storage on
-    growth = np.maximum.reduceat(np.abs(vals[: len(inverses)]), lay.pivot_at)[positions]
-    growth *= np.maximum.reduceat(np.abs(inverses), lay.pivot_at)[positions]
-    for j in np.flatnonzero(~(growth * _SINGULAR_RTOL < 1.0))[:1]:
-        k = positions[j]
-        reason = _ill_conditioned(lay.segments[k].stop - lay.segments[k].start, growth[j])
-        raise SingularBlockError(f"singular diagonal block at node {lay.order[k]!r}: {reason}")
-
-
-def _name_failure(lay: SymbolicLayout, vals: np.ndarray, inverses: np.ndarray, level: Level, err) -> None:
-    """Raise the error of the first failing pivot in elimination order, once ``level``'s batched inverse failed.
-
-    The pivots of the levels before it are checked first (the others'
-    inverses are not made yet; their growth is not read); then the
-    level's pivots are inverted one at a time.  A zero pivot that no
-    update reached raises DanglingConstraintError.
-    """
-    _check_pivots(lay, vals, inverses, level.start)
-    pivots = vals[level.pivots].reshape(level.pivot_shape)
-    for j, k in enumerate(range(level.start, level.stop)):
-        node, size = lay.order[k], lay.segments[k].stop - lay.segments[k].start
-        block = pivots[j, :size, :size]
-        if k in lay.relieved:
-            try:
-                ldu_inverse(block, pivot_relief=_LOOP_PIVOT_RELIEF)
-            except np.linalg.LinAlgError as fail:  # the SVD did not converge; ldu_inverse names the sizes
-                raise SingularBlockError(f"loop pivot at node {node!r}: {fail}") from err
-            continue
-        if not block.any() and all(k not in lk for lk in lay.later[:k]):
-            raise DanglingConstraintError(
-                f"constraint node {node!r} reached its pivot with a zero diagonal and no coupling updates"
-            ) from err
-        try:
-            ldu_inverse(block)
-        except SingularBlockError as fail:
-            raise SingularBlockError(f"singular diagonal block at node {node!r}: {fail}") from err
-    raise err
+    if positions:
+        vals[lay.ones] = inverses[lay.ones] = 0.0  # the padding takes no part; only the solve reads this storage on
+        check_pivots(vals[: len(inverses)], inverses, lay.pivot_at, positions, lay.order, lay.sizes)
 
 
 def sparse_ldu_factorize(system: NodeSystem) -> SparseFactor:
@@ -808,8 +773,15 @@ def sparse_ldu_factorize(system: NodeSystem) -> SparseFactor:
             for at, size in level.relieved:
                 inv[at] = 0.0
                 inv[at, :size, :size] = ldu_inverse(pivots[at, :size, :size], pivot_relief=_LOOP_PIVOT_RELIEF)
-        except np.linalg.LinAlgError as err:
-            _name_failure(lay, vals, inverses, level, err)
+        except np.linalg.LinAlgError as err:  # name the first failure in elimination order
+            _check_pivots(lay, vals, inverses, level.start)  # the later pivots' inverses are not made yet
+            span = range(level.start, level.stop)
+            name_failure(
+                pivots, lay.sizes[level.start : level.stop], lay.order[level.start : level.stop],
+                {k - level.start for k in lay.relieved if k in span},
+                {j for j, k in enumerate(span) if all(k not in lk for lk in lay.later[:k])},
+                err,
+            )
         upper = vals[level.upper].reshape(level.upper_shape)
         upper[...] = inv @ upper
         if level.lower is not None:
@@ -817,7 +789,7 @@ def sparse_ldu_factorize(system: NodeSystem) -> SparseFactor:
             targets = lay.targets[level.sums]
             vals[targets] -= np.bincount(lay.ids[level.schur], schur.ravel(), len(targets))
     _check_pivots(lay, vals, inverses, len(lay.order))
-    return SparseFactor(system=system, vals=vals, inverses=inverses)
+    return SparseFactor(system=system, vals=vals)
 
 
 def sparse_ldu_solve(fact: SparseFactor) -> np.ndarray:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import heun_simulate
-from .block_solver import dense_ldu_factorize, dense_ldu_solve, sparse_ldu_factorize, sparse_ldu_solve
+from .block_solver import NodeSystem, dense_ldu_factorize, dense_ldu_solve, sparse_ldu_factorize, sparse_ldu_solve
 from .errors import SimulationError
 from .integrator import (
     StepContext,
@@ -121,6 +121,16 @@ def run_drift_experiment(sc: Scenario) -> DriftResult:
     )
 
 
+def dense_baseline(system: NodeSystem) -> tuple:
+    """The dense matrix, block sizes and right-hand side of ``system`` in its elimination order."""
+    lay = system.layout
+    at = {node: k for k, node in enumerate(lay.order)}
+    full = np.zeros((len(lay.perm), len(lay.perm)))
+    for (i, j), block in zip([(node, node) for node in lay.order] + lay.pairs, system.blocks):
+        full[lay.segments[at[i]], lay.segments[at[j]]] = block
+    return full, lay.sizes, system.rhs[lay.perm]
+
+
 @dataclass
 class TimingRow:
     n: int
@@ -162,12 +172,7 @@ def run_timing_experiment(
         for _ in range(3):
             step(mech, ctx)
         system = newton_system_at(mech, ctx)
-        dense = None
-        if n <= dense_max:
-            view = system.as_block_system()
-            sizes = [view.diag[node].shape[0] for node in view.order]
-            dense = (view.assembled()[0], sizes, view.assembled_rhs())
-        cases.append((int(n), system, dense))
+        cases.append((int(n), system, dense_baseline(system) if n <= dense_max else None))
 
     best_sparse = [np.inf] * len(cases)
     best_dense = [np.inf] * len(cases)

@@ -43,13 +43,13 @@ import numpy as np
 from . import quaternions as quat
 from .block_solver import (
     NodeSystem,
-    _pivot_failures,
     augment_loop_node,  # unused here; stepbench's tracer still patches this name
-    ldu_inverse,
+    check_pivots,
+    name_failure,
     sparse_ldu_factorize,
     sparse_ldu_solve,
 )
-from .errors import AngularRateError, LineSearchError, NonConvergenceError, SimulationError, SingularBlockError
+from .errors import AngularRateError, LineSearchError, NonConvergenceError, SimulationError
 from .mechanism import (
     EliminationPlan,
     Mechanism,
@@ -276,17 +276,12 @@ def eliminate_bodies(
     eliminating = len(plan.first) > 0
     if eliminating:
         inverse[:n, :3, :3] = np.eye(3) / body_diag[:, :1, :1]
+        sizes = [6] * n
         try:
             inverse[:n, 3:, 3:] = np.linalg.inv(body_diag[:, 3:, 3:])
-        except np.linalg.LinAlgError:
-            for k, bid in enumerate(mech.body_ids):  # one at a time, to name the first failing body
-                try:
-                    ldu_inverse(body_diag[k])
-                except SingularBlockError as err:
-                    raise SingularBlockError(f"singular diagonal block at node {bid!r}: {err}") from None
-            raise
-        for k, reason in _pivot_failures(np.concatenate([body_diag, inverse[:n]]))[:1]:
-            raise SingularBlockError(f"singular diagonal block at node {mech.body_ids[k]!r}: {reason}")
+        except np.linalg.LinAlgError as err:
+            name_failure(body_diag, sizes, mech.body_ids, (), (), err)
+        check_pivots(body_diag.ravel(), inverse[:n].ravel(), np.arange(0, 36 * n, 36), slice(None), mech.body_ids, sizes)
         inverse[plan.hubs] = 0.0  # the sweep pivots the hubs
     body_rhs = np.zeros((n + 1, 6))
     body_rhs[:n] = rhs[: 6 * n].reshape(n, 6)

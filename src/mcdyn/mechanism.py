@@ -27,7 +27,7 @@ the ground are recognized as kinematic loops.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, product
 
@@ -104,9 +104,10 @@ class JointConstraint:
 
     Anchors are constant body-frame vectors from the center of mass to the
     joint; for a world parent the anchor is a world-frame point.  Revolute
-    joints also carry body-frame hinge axes; the two constant vectors n1, n2
-    complete ``axis_b`` to an orthonormal triad in the child frame and span
-    the plane whose alignment the last two rows constrain.
+    joints also carry body-frame hinge axes; the kind group completes
+    ``axis_b`` to an orthonormal triad in the child frame
+    (:func:`_axis_complement`), whose other two vectors span the plane
+    whose alignment the last two rows constrain.
     """
 
     id: int
@@ -117,30 +118,30 @@ class JointConstraint:
     p_b: np.ndarray
     axis_a: np.ndarray | None = None
     axis_b: np.ndarray | None = None
-    n1: np.ndarray = field(init=False, default=None)
-    n2: np.ndarray = field(init=False, default=None)
     orientation_target: np.ndarray | None = None  # fixed_to_world only
 
     def __post_init__(self):
         if self.kind not in ROWS_BY_KIND:
             raise MechanismError(f"joint {self.id}: unknown kind {self.kind!r}")
-        if self.kind == KIND_REVOLUTE:
-            if self.axis_a is None or self.axis_b is None:
-                raise MechanismError(f"joint {self.id}: revolute joint needs both axes")
-            self.n1, self.n2 = _axis_complement(self.axis_b)
+        if self.kind == KIND_REVOLUTE and (self.axis_a is None or self.axis_b is None):
+            raise MechanismError(f"joint {self.id}: revolute joint needs both axes")
 
     @property
     def rows(self) -> int:
         return ROWS_BY_KIND[self.kind]
 
 
-def _axis_complement(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Two unit vectors completing `axis` to an orthonormal triad (deterministic)."""
-    k = int(np.argmin(np.abs(axis)))
-    n1 = np.cross(axis, np.eye(3)[k])
-    n1 = n1 / np.linalg.norm(n1)
-    n2 = np.cross(axis, n1)
-    return n1, n2
+def _axis_complement(axes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(n1, n2): per unit row of the (M, 3) ``axes``, two unit vectors completing it to an orthonormal triad.
+
+    n1 is the axis crossed with the basis vector of its smallest component
+    (the first of equal ones), normalized, and n2 the axis crossed with n1.
+    The norm is the square root of a stacked dot product, which rounds as
+    np.linalg.norm of one vector does.
+    """
+    n1 = quat.cross(axes, np.eye(3)[np.argmin(np.abs(axes), axis=1)])
+    n1 /= np.sqrt(n1[:, None, :] @ n1[:, :, None])[:, 0]
+    return n1, quat.cross(axes, n1)
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +159,8 @@ class JointGroup:
     ``points`` holds the body-frame vectors the residual rotates, as
     columns: the parent's anchor or the child's negated, then for revolute
     joints the parent's hinge axis and a zero column, or the child's n1
-    and n2.  ``levers`` holds -2 [v]× per column v of ``points``, then
-    ``points``.  ``target`` holds rows 1-3 of
+    and n2 (:func:`_axis_complement`).  ``levers`` holds -2 [v]× per
+    column v of ``points``, then ``points``.  ``target`` holds rows 1-3 of
     lmat(orientation_target)^T of each fixed joint, None for other kinds.
     """
 
@@ -246,8 +247,8 @@ def constraint_jacobian_velocity(
 
     The chain rule carries h through the position update and Δ(w) through
     the rotational columns: ``q3`` and ``rot3`` are the predicted pose
-    (:func:`with_world`), ``delta`` stacks quat.update_rotation_jacobian(w2, h)
-    with a zero world row.
+    (:func:`with_world`), ``delta`` stacks quat._update_rotation_jacobian at
+    (w2, its rate scalars, h) with a zero world row.
     """
     return _with_translation(h, joint_jacobian_raw(group, q3, rot3) @ delta[group.ends])
 
@@ -468,10 +469,11 @@ def _kind_groups(body_index: dict, joints: dict, joint_slices: dict) -> list[Joi
         members = [joints[j] for j in sorted(joints) if joints[j].kind == kind]
         if not members:
             continue
-        k = 3 if kind == KIND_REVOLUTE else 1
-        vectors = np.array([  # (2, M, k, 3)
-            [(j.p_a, j.axis_a, np.zeros(3))[:k] for j in members], [(-j.p_b, j.n1, j.n2)[:k] for j in members]
-        ])
+        sides = [[np.array([j.p_a for j in members])], [-np.array([j.p_b for j in members])]]
+        if kind == KIND_REVOLUTE:  # one batched complement per group
+            sides[0] += [np.array([j.axis_a for j in members]), np.zeros((len(members), 3))]
+            sides[1] += _axis_complement(np.array([j.axis_b for j in members]))
+        vectors = np.array(sides).transpose(0, 2, 1, 3)  # (2, M, k, 3): k = 3 for revolute, else 1
         points = vectors.transpose(0, 1, 3, 2).copy()
         groups.append(
             JointGroup(

@@ -140,19 +140,6 @@ def rotate_jacobian(q: np.ndarray, p: np.ndarray) -> np.ndarray:
     return out
 
 
-def from_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
-    """Unit quaternion for a rotation of `angle` radians about `axis`."""
-    axis = np.asarray(axis, dtype=float)
-    half = 0.5 * np.asarray(angle, dtype=float)
-    n = np.linalg.norm(axis, axis=-1, keepdims=True)
-    if (n == 0.0).any():
-        raise ValueError("rotation axis must be nonzero")
-    out = np.empty(np.broadcast_shapes(half.shape, axis.shape[:-1]) + (4,))
-    out[..., 0] = np.cos(half)
-    out[..., 1:] = np.sin(half)[..., None] * axis / n
-    return out
-
-
 def _rate_scalar(w: np.ndarray, h: float) -> np.ndarray:
     """sqrt((2/h)^2 - w.w) per rate; AngularRateError if any ||w|| >= 2/h."""
     arg = (2.0 / h) ** 2 - (w * w).sum(axis=-1)
@@ -193,17 +180,12 @@ def orientation_update_jacobian(q: np.ndarray, w: np.ndarray, h: float) -> np.nd
     return (h / 2.0) * (lmat(q) @ inner)
 
 
-def update_rotation_jacobian(w: np.ndarray, h: float) -> np.ndarray:
-    """Δ(w) = (h^2/4) (s I + w w^T / s - [w]×), s = sqrt((2/h)^2 - w.w): the update's body-frame rotation.
+def _update_rotation_jacobian(w: np.ndarray, s: np.ndarray, h: float) -> np.ndarray:
+    """Δ(w) = (h^2/4) (s I + w w^T / s - [w]×): the update's body-frame rotation, s = _rate_scalar(w, h).
 
     orientation_update_jacobian(q, w, h) == lmat(q3) @ VMAT.T @ Δ(w) for
     any q, with q3 = orientation_update(q, w, h).
     """
-    return _update_rotation_jacobian(w, _rate_scalar(w, h), h)
-
-
-def _update_rotation_jacobian(w: np.ndarray, s: np.ndarray, h: float) -> np.ndarray:
-    """update_rotation_jacobian(w, h) from its rate scalars s = _rate_scalar(w, h)."""
     s = s[..., None]
     out = w[..., :, None] * (w / s)[..., None, :] - skew(w)
     out[..., _DIAG3, _DIAG3] += s

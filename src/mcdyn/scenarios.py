@@ -10,6 +10,7 @@ that the mechanism never reaches below z = 0.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,13 +44,20 @@ class Scenario:
             raise MechanismError(f"unknown scenario kind {self.kind!r}")
         if self.joint_kind not in JOINT_KINDS:
             raise MechanismError(f"unknown joint kind {self.joint_kind!r}")
+        try:
+            operator.index(self.n_links)
+        except TypeError:
+            raise MechanismError(f"n_links must be an integer, got {self.n_links!r}") from None
         if self.n_links < 1:
             raise MechanismError("n_links must be at least 1")
-        for name in ("h", "tolerance", "duration"):
+        for name in ("h", "tolerance", "duration", "link_length", "link_mass"):
             if not math.isfinite(getattr(self, name)):
                 raise MechanismError(f"{name} must be finite, got {getattr(self, name)}")
         if self.h <= 0.0 or self.tolerance <= 0.0 or self.duration < 0.0:
             raise MechanismError("h and tolerance must be positive, duration nonnegative")
+        for name in ("link_length", "link_mass"):
+            if getattr(self, name) <= 0.0:
+                raise MechanismError(f"{name} must be positive, got {getattr(self, name)}")
 
     @property
     def n_steps(self) -> int:

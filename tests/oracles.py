@@ -68,6 +68,27 @@ def quat_from_rotmat(R):
     return q if q[0] >= 0 else -q
 
 
+def from_axis_angle(axis, angle):
+    """Unit quaternion for a rotation of `angle` radians about `axis`; broadcasts over leading axes."""
+    axis = np.asarray(axis, dtype=float)
+    half = 0.5 * np.asarray(angle, dtype=float)
+    n = np.linalg.norm(axis, axis=-1, keepdims=True)
+    if (n == 0.0).any():
+        raise ValueError("rotation axis must be nonzero")
+    out = np.empty(np.broadcast_shapes(half.shape, axis.shape[:-1]) + (4,))
+    out[..., 0] = np.cos(half)
+    out[..., 1:] = np.sin(half)[..., None] * axis / n
+    return out
+
+
+def axis_complement(axis):
+    """The per-joint completion of a unit hinge axis to an orthonormal triad: (n1, n2)."""
+    k = int(np.argmin(np.abs(axis)))
+    n1 = np.cross(axis, np.eye(3)[k])
+    n1 = n1 / np.linalg.norm(n1)
+    return n1, np.cross(axis, n1)
+
+
 def random_unit_quat(rng):
     q = rng.normal(size=4)
     return q / np.linalg.norm(q)
@@ -199,6 +220,37 @@ def dense_block_ldu(matrix, sizes, relieved, relief=1e-10):
     return DenseFactor(matrix=f, offsets=offsets, diag_inv=inverses)
 
 
+def assembled(system):
+    """The dense matrix of a BlockSystem in its node order, and a map node -> slice of its rows/columns."""
+    order = system.order
+    offsets = np.concatenate([[0], np.cumsum([system.diag[n].shape[0] for n in order])])
+    slices = {n: slice(offsets[k], offsets[k + 1]) for k, n in enumerate(order)}
+    full = np.zeros((offsets[-1], offsets[-1]))
+    for n in order:
+        full[slices[n], slices[n]] = system.diag[n]
+    for (i, j), blk in system.offdiag.items():
+        full[slices[i], slices[j]] = blk
+    return full, slices
+
+
+def assembled_rhs(system):
+    """The right-hand side of a BlockSystem in its node order."""
+    return np.concatenate([system.rhs[n] for n in system.order])
+
+
+def elimination(layout):
+    """Per position k of a SymbolicLayout, per later neighbour p: (p, block (p, k), block (k, p),
+    its Schur updates as (block (k, q), target block (p, q))), blocks in the layout's numbering."""
+    at = {node: k for k, node in enumerate(layout.order)}
+    slot = {(k, k): k for k in range(len(layout.order))}
+    for i, j in layout.pairs + layout.fill_events:
+        slot[(at[i], at[j])] = len(slot)
+    return [
+        [(p, slot[(p, k)], slot[(k, p)], [(slot[(k, q)], slot[(p, q)]) for q in lk]) for p in lk]
+        for k, lk in enumerate(layout.later)
+    ]
+
+
 def reconstruct(fact):
     """The matrix L D U that a dense LDU factor represents."""
     return l_matrix(fact) @ d_matrix(fact) @ u_matrix(fact)
@@ -227,7 +279,7 @@ def quaternion_joint_kernels(mech, group, x, q):
         ga, gb = [quat.rotate_jacobian(qa, joint.p_a)], [-quat.rotate_jacobian(qb, joint.p_b)]
         if joint.kind == "revolute":
             axis_w = quat.rotate(qa, joint.axis_a)
-            for n in (joint.n1, joint.n2):
+            for n in axis_complement(joint.axis_b):
                 g.append([quat.rotate(qb, n) @ axis_w])
                 ga.append([quat.rotate(qb, n) @ quat.rotate_jacobian(qa, joint.axis_a)])
                 gb.append([axis_w @ quat.rotate_jacobian(qb, n)])

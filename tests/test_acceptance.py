@@ -23,6 +23,7 @@ from mcdyn.experiments import (
 )
 from mcdyn.integrator import StepContext, angular_momentum, newton_system_at, step
 from mcdyn.scenarios import Scenario
+from oracles import assembled, assembled_rhs
 from test_block_solver import random_loop_system, random_tree_system, solve_dense_reference, sparse_solution_vector
 from test_integrator import (
     dense_newton_matrix,
@@ -144,8 +145,8 @@ def test_criterion_5_solver_equivalence():
         mech = randomized_feasible_state(builder(), ctx, rng, warm_steps=2)
         system = newton_system_at(mech, ctx)
         view = system.as_block_system()
-        full, _ = view.assembled()
-        b = view.assembled_rhs()
+        full, _ = assembled(view)
+        b = assembled_rhs(view)
         x_sparse = sparse_ldu_solve(sparse_ldu_factorize(system))[system.layout.perm]
         sizes = [view.diag[n].shape[0] for n in view.order]
         fact_dense = dense_ldu_factorize(full, sizes, pivot_relief=1e-10)

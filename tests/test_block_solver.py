@@ -19,7 +19,7 @@ from mcdyn.block_solver import (
 )
 from mcdyn.errors import DanglingConstraintError, SingularBlockError
 from mcdyn.integrator import StepContext, step
-from oracles import d_matrix, l_matrix, reconstruct, u_matrix
+from oracles import assembled, assembled_rhs, d_matrix, l_matrix, reconstruct, u_matrix
 
 
 def random_tree_system(rng, n_nodes, min_size=2, max_size=6):
@@ -56,8 +56,8 @@ def random_loop_system(rng, n_nodes, n_attach=3):
 
 
 def solve_dense_reference(system):
-    full, _ = system.assembled()
-    return np.linalg.solve(full, system.assembled_rhs())
+    full, _ = assembled(system)
+    return np.linalg.solve(full, assembled_rhs(system))
 
 
 def sparse_solution_vector(system):
@@ -355,9 +355,9 @@ class TestSparseLdu:
 
     def test_matches_in_package_dense_ldu(self, rng):
         system = random_tree_system(rng, 8)
-        full, _ = system.assembled()
+        full, _ = assembled(system)
         sizes = [system.diag[n].shape[0] for n in system.order]
-        x_dense = dense_ldu_solve(dense_ldu_factorize(full, sizes), system.assembled_rhs())
+        x_dense = dense_ldu_solve(dense_ldu_factorize(full, sizes), assembled_rhs(system))
         x_sparse, _ = sparse_solution_vector(system)
         assert np.linalg.norm(x_sparse - x_dense) / np.linalg.norm(x_dense) < 1e-10
 
@@ -535,7 +535,7 @@ class TestAugmentLoopNode:
         layout = symbolic_layout(order, sizes, rows, sources, stacks)
         assert layout.relieved == [0, 4]
         assert layout.loop_layout == {(LOOP_NODE, 7): [(7, sizes[7]), (8, sizes[8])], LOOP_NODE: [(3, sizes[3])]}
-        fact = sparse_ldu_factorize(layout.system([*system.diag.values(), *system.offdiag.values()], system.assembled_rhs()))
+        fact = sparse_ldu_factorize(layout.system([*system.diag.values(), *system.offdiag.values()], assembled_rhs(system)))
         x_ref = solve_dense_reference(system)
         assert np.linalg.norm(sparse_ldu_solve(fact) - x_ref) <= 1e-9 * np.linalg.norm(x_ref)
 

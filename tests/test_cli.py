@@ -165,6 +165,19 @@ def test_bench_timing_bad_input_is_an_error(tmp_path, capsys, args, message):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("option,value,message", [
+    ("--length", "0", "link_length must be positive"),
+    ("--length", "nan", "link_length must be finite"),
+    ("--mass", "-1", "link_mass must be positive"),
+])
+def test_gen_bad_link_parameter_is_an_error(tmp_path, capsys, option, value, message):
+    mech_path = tmp_path / "m.yaml"
+    code = main(["gen", "--kind", "pendulum", "--n", "2", option, value, "--out", str(mech_path)])
+    assert code == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not mech_path.exists()
+
+
 def test_missing_file_fails(tmp_path, capsys):
     code = main(["simulate", str(tmp_path / "nope.yaml"), "--out", str(tmp_path / "t.csv")])
     assert code == 1

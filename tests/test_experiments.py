@@ -1,7 +1,10 @@
 import numpy as np
+import pytest
 
+from conftest import make_closed_chain, make_pendulum
 from mcdyn.experiments import (
     RunReport,
+    dense_baseline,
     linear_fit,
     run_convergence_experiment,
     run_drift_experiment,
@@ -13,9 +16,10 @@ from mcdyn.experiments import (
     write_timing_csv,
     write_trajectory_csv,
 )
-from mcdyn.integrator import StepContext, run_simulation
+from mcdyn.integrator import StepContext, newton_system_at, run_simulation
 from mcdyn.mechanism import load_mechanism
 from mcdyn.scenarios import Scenario, generate_scenario
+from oracles import assembled, assembled_rhs
 
 
 def read_csv(path):
@@ -89,6 +93,20 @@ class TestTimingExperiment:
         _, header, data = read_csv(path)
         assert header == ["n", "t_sparse_ms", "t_dense_ms"]
         assert data[1][2] == ""  # dense skipped above the cutoff
+
+
+@pytest.mark.parametrize("build", [lambda: make_pendulum(5), lambda: make_closed_chain(4)])
+def test_dense_baseline_is_the_assembled_block_system(build):
+    # bench timing's dense matrix, read straight off the sweep's storage, is
+    # the dict view's, relieved loop node included, in the same node order
+    mech, ctx = build(), StepContext(h=0.01)
+    run_simulation(mech, ctx, 3)
+    system = newton_system_at(mech, ctx)
+    full, sizes, rhs = dense_baseline(system)
+    view = system.as_block_system()
+    np.testing.assert_array_equal(full, assembled(view)[0])
+    np.testing.assert_array_equal(rhs, assembled_rhs(view))
+    assert sizes == [view.diag[node].shape[0] for node in view.order]
 
 
 class TestConvergenceExperiment:

@@ -29,7 +29,7 @@ from mcdyn.integrator import (
 from mcdyn.baselines import heun_simulate
 from mcdyn.mechanism import elimination_plan, load_mechanism, velocities
 from mcdyn.scenarios import Scenario, generate_scenario
-from oracles import euler_free_body
+from oracles import assembled, euler_free_body
 
 
 def free_body(inertia=(0.1, 0.1, 0.05), w=(0.0, 0.0, 0.0), v=(0.0, 0.0, 0.0), x=(0.0, 0.0, 0.0)):
@@ -70,7 +70,7 @@ def hanging_pendulum(n=2):
 def dense_newton_matrix(mech, ctx):
     """The assembled Jacobian, rows and columns in the order of the unknowns."""
     system = newton_system_at(mech, ctx)
-    elim, _ = system.as_block_system().assembled()
+    elim, _ = assembled(system.as_block_system())
     perm = system.layout.perm  # elimination order -> the unknowns' rows
     full = np.empty_like(elim)
     full[np.ix_(perm, perm)] = elim
@@ -349,7 +349,7 @@ class TestBodyElimination:
         def no_batch(*args):
             raise AssertionError("a plan without first bodies ran the batched body check")
 
-        monkeypatch.setattr(mcdyn.integrator, "_pivot_failures", no_batch)
+        monkeypatch.setattr(mcdyn.integrator, "check_pivots", no_batch)
         mech, body_diag, couplings = self.blocks()
         body_diag[3][entries] = value
         plan = elimination_plan(mech, np.ones(len(mech.body_ids), dtype=bool), levelled=False)
@@ -358,6 +358,20 @@ class TestBodyElimination:
         np.testing.assert_array_equal(system.rhs, rhs[plan.rows])
         with pytest.raises(SingularBlockError, match=f"at node 4: {message}"):
             sparse_ldu_factorize(system)
+
+    @pytest.mark.parametrize("entries,value", [(np.s_[3:, 3:], 0.0), (np.s_[5, 5], 1e-16)])
+    def test_body_pass_and_sweep_name_a_bad_body_alike(self, entries, value):
+        # the leaf link 4 reaches both as planted: the body pass of the
+        # step's plan and the sweep of the full plan, its first pivot
+        mech, body_diag, couplings = self.blocks()
+        body_diag[3][entries] = value
+        rhs = np.zeros(mech.dim)
+        with pytest.raises(SingularBlockError) as body_pass:
+            eliminate_bodies(mech, mech.plan, body_diag, couplings, rhs)
+        with pytest.raises(SingularBlockError) as sweep:
+            sparse_ldu_factorize(eliminate_bodies(mech, mech.full_plan, body_diag, couplings, rhs).joints)
+        assert str(body_pass.value) == str(sweep.value)
+        assert str(body_pass.value).startswith("singular diagonal block at node 4: ")
 
     def test_free_body_has_no_joint_sweep(self, monkeypatch):
         # without joints the step is ds = B^-1 f, all bodies at once

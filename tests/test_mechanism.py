@@ -12,6 +12,7 @@ from mcdyn.mechanism import (
     JointConstraint,
     Mechanism,
     RigidBody,
+    _axis_complement,
     constraint_jacobian_position,
     constraint_jacobian_velocity,
     joint_residual,
@@ -21,7 +22,9 @@ from mcdyn.mechanism import (
 )
 from mcdyn.scenarios import Scenario, generate_scenario
 from oracles import (
+    axis_complement,
     count_independent_cycles,
+    from_axis_angle,
     quaternion_joint_kernels,
     random_unit_quat,
     rotmat_from_axis_angle,
@@ -105,26 +108,44 @@ class TestRevoluteResidual:
     def test_rotation_about_hinge_is_free(self, rng):
         joint = _hinge_joint()
         for angle in rng.uniform(-np.pi, np.pi, size=8):
-            q = quat.from_axis_angle([0.0, 1.0, 0.0], angle)
+            q = from_axis_angle([0.0, 1.0, 0.0], angle)
             x = -quat.rotate(q, joint.p_b)
             assert_allclose(residual(joint, {1: (x, q)}), np.zeros(5), atol=1e-13)
 
     def test_off_axis_tilt_matches_matrix_oracle(self):
         joint = _hinge_joint()
         tilt = rotmat_from_axis_angle([1.0, 0.0, 0.0], 0.1)
-        q = quat.from_axis_angle([1.0, 0.0, 0.0], 0.1)
+        q = from_axis_angle([1.0, 0.0, 0.0], 0.1)
         x = -quat.rotate(q, joint.p_b)
         res = residual(joint, {1: (x, q)})
         assert_allclose(res[:3], np.zeros(3), atol=1e-14)
         axis_world = np.array([0.0, 1.0, 0.0])  # world-side hinge
-        expected = [axis_world @ (tilt @ joint.n1), axis_world @ (tilt @ joint.n2)]
+        expected = [axis_world @ (tilt @ n) for n in axis_complement(joint.axis_b)]
         assert np.abs(res[3:]).max() > 1e-3
         assert_allclose(res[3:], expected, atol=1e-12)
 
 
+class TestAxisComplement:
+    def test_batched_triads_are_orthonormal_and_match_the_per_joint_formula(self, rng):
+        axes = rng.normal(size=(2000, 3))
+        axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+        n1, n2 = _axis_complement(axes)
+        triads = np.stack([axes, n1, n2], axis=1)
+        assert np.abs(triads @ triads.transpose(0, 2, 1) - np.eye(3)).max() <= 4 * np.finfo(float).eps
+        per_joint = np.array([axis_complement(axis) for axis in axes]).transpose(1, 0, 2)
+        for got, want in zip((n1, n2), per_joint):
+            assert (np.abs(got - want) <= np.spacing(np.abs(want))).all()  # within 1 ulp
+
+    def test_axis_aligned_axes_match_exactly(self):
+        axes = np.concatenate([np.eye(3), -np.eye(3)])
+        per_joint = np.array([axis_complement(axis) for axis in axes]).transpose(1, 0, 2)
+        for got, want in zip(_axis_complement(axes), per_joint):
+            np.testing.assert_array_equal(got, want)
+
+
 class TestFixedResidual:
     def test_at_target_zero_and_rows(self):
-        q0 = quat.from_axis_angle([0.3, 1.0, -0.2], 0.7)
+        q0 = from_axis_angle([0.3, 1.0, -0.2], 0.7)
         joint = JointConstraint(
             id=2, kind="fixed_to_world", parent=WORLD, child=1,
             p_a=np.array([1.0, 0.0, 0.0]), p_b=np.zeros(3), orientation_target=q0,
@@ -132,7 +153,7 @@ class TestFixedResidual:
         assert joint.rows == 6
         pose = {1: (np.array([1.0, 0.0, 0.0]), q0)}
         assert_allclose(residual(joint, pose), np.zeros(6), atol=1e-15)
-        q1 = quat.multiply(q0, quat.from_axis_angle([0, 0, 1], 0.2))
+        q1 = quat.multiply(q0, from_axis_angle([0, 0, 1], 0.2))
         res = residual(joint, {1: (np.array([1.0, 0.0, 0.0]), q1)})
         assert np.abs(res[3:]).max() > 1e-3
 
@@ -222,7 +243,7 @@ def velocity_blocks(mech, h):
     """{joint id: {body id: (rows, 6) velocity block}} at the mechanism's (v2, w2)."""
     q2, w2 = mech.q2, mech.w2
     delta = np.zeros((len(q2) + 1, 3, 3))
-    delta[:-1] = quat.update_rotation_jacobian(w2, h)
+    delta[:-1] = quat._update_rotation_jacobian(w2, quat._rate_scalar(w2, h), h)
     _, q3, rot3 = predicted_knot(mech, h)
     out = {}
     for group in mech.groups:
@@ -347,7 +368,7 @@ class TestQuaternionFormOracle:
             w2 = rng.normal(size=(n, 3)) * 30.0
             _, q3, rot3 = with_world(x, quat.orientation_update(q2, w2, h))
             delta = np.zeros((n + 1, 3, 3))
-            delta[:n] = quat.update_rotation_jacobian(w2, h)
+            delta[:n] = quat._update_rotation_jacobian(w2, quat._rate_scalar(w2, h), h)
             update = np.zeros((n + 1, 4, 3))  # the world does not move
             update[:n] = quat.orientation_update_jacobian(q2, w2, h)
             for group in mech.groups:

@@ -40,7 +40,16 @@ from mcdyn.integrator import (
     step,
 )
 from mcdyn.mechanism import WORLD, elimination_plan, load_mechanism
-from oracles import count_independent_cycles, dense_block_ldu, l_matrix, random_unit_quat, rotmat_from_quat, u_matrix
+from oracles import (
+    assembled,
+    count_independent_cycles,
+    dense_block_ldu,
+    elimination,
+    l_matrix,
+    random_unit_quat,
+    rotmat_from_quat,
+    u_matrix,
+)
 from test_integrator import (
     dense_newton_matrix,
     dense_schur_complement,
@@ -300,7 +309,7 @@ def assert_layout_covers_dense_factors(mech, rng):
     randomized_feasible_state(mech, ctx, rng, warm_steps=2)
     layout = mech.plan.layout
     schur, sizes = dense_schur_complement(mech, ctx)
-    reduced, _ = reduced_newton_system(mech, ctx, np.zeros(mech.dim)).joints.as_block_system().assembled()
+    reduced, _ = assembled(reduced_newton_system(mech, ctx, np.zeros(mech.dim)).joints.as_block_system())
     assert np.abs(reduced - schur).max() <= 1e-12 * np.abs(schur).max()
     fact = dense_ldu_factorize(schur, sizes, pivot_relief=1e-10)
     pattern = set(layout.pairs) | set(layout.fill_events)
@@ -339,7 +348,7 @@ def test_layout_covers_dense_factors_on_chains(rng, build):
         reach[key] = max(mech.graph.order.index(n) for n in nodes)
     assert max(reach, key=reach.get) == LOOP_NODE
     # every diagonal update is in the sweep
-    targets = {target for steps in layout.elimination for *_, updates in steps for _, target in updates}
+    targets = {target for steps in elimination(layout) for *_, updates in steps for _, target in updates}
     assert set(layout.relieved) <= targets  # block number of each relieved node's diagonal
     assert layout.fill_count == fill
 
@@ -441,7 +450,7 @@ def block_products(mech):
     top of this is linear by construction.
     """
     pairs = sum(len(terms[0]) for _, _, _, terms, _, _ in mech.plan.joint_pairs)
-    sweep = sum(2 + len(updates) for steps in mech.plan.layout.elimination for *_, updates in steps)
+    sweep = sum(2 + len(updates) for steps in elimination(mech.plan.layout) for *_, updates in steps)
     return pairs + sweep
 
 
@@ -466,7 +475,7 @@ def weighted_products(layout):
     """
     size = [seg.stop - seg.start for seg in layout.segments]
     total = sum(n**3 for n in size)
-    for k, steps in enumerate(layout.elimination):
+    for k, steps in enumerate(elimination(layout)):
         later = [p for p, *_ in steps]
         for p in later:
             total += 3 * size[p] * size[k] ** 2 + sum(size[p] * size[k] * size[q] for q in later)
@@ -514,7 +523,7 @@ def test_level_schedule(name):
         assert all(order.index(n) < k for n in nodes if n in order)
     # a joint with no end at a body eliminated first gets a Schur update before its pivot
     first = {mech.body_ids[r] for r in mech.plan.first}
-    updated = {p for steps in layout.elimination for p, *_ in steps}
+    updated = {p for steps in elimination(layout) for p, *_ in steps}
     for k, node in enumerate(order):
         if node in mech.joints and not {mech.joints[node].parent, mech.joints[node].child} & first:
             assert k in updated

@@ -28,6 +28,22 @@ class TestScenarioValidation:
         with pytest.raises(MechanismError, match=f"{field} must be finite"):
             Scenario(kind="pendulum", **{field: value})
 
+    @pytest.mark.parametrize("value", [2.5, 1.0, "3"])
+    def test_non_integer_link_count(self, value):
+        with pytest.raises(MechanismError, match="n_links must be an integer"):
+            Scenario(kind="pendulum", n_links=value)
+
+    @pytest.mark.parametrize("field", ["link_length", "link_mass"])
+    @pytest.mark.parametrize("value,message", [
+        (0.0, "must be positive"),
+        (-1.0, "must be positive"),
+        (float("nan"), "must be finite"),
+        (float("inf"), "must be finite"),
+    ])
+    def test_bad_link_parameters(self, field, value, message):
+        with pytest.raises(MechanismError, match=f"{field} {message}"):
+            Scenario(kind="pendulum", n_links=2, **{field: value})
+
     def test_custom_file_not_generated(self):
         with pytest.raises(MechanismError):
             generate_scenario(Scenario(kind="custom_file"))
