@@ -208,10 +208,6 @@ class DenseFactor:
         o = self.offsets
         return self.matrix[o[i] : o[i + 1], o[j] : o[j + 1]]
 
-    @property
-    def n_blocks(self) -> int:
-        return len(self.offsets) - 1
-
 
 def dense_ldu_factorize(
     matrix: np.ndarray,
@@ -260,7 +256,7 @@ def dense_ldu_factorize(
 def dense_ldu_solve(fact: DenseFactor, b: np.ndarray) -> np.ndarray:
     """Back-substitute a factorized system: returns x with L·D·U·x = b."""
     o = fact.offsets
-    nb = fact.n_blocks
+    nb = len(o) - 1
     x = np.array(b, dtype=float)
 
     def seg(i):
@@ -362,15 +358,15 @@ class SymbolicLayout:
     Positions number the nodes of ``order``, the elimination order, which
     holds the relieved nodes where they are eliminated.  ``sizes[k]`` is
     position k's block size, ``segments[k]`` its rows in elimination
-    order, and ``perm`` maps those to the stacked vector's rows.
-    ``later[k]`` lists the later neighbours of k (ascending, fill
-    included).  Blocks are numbered too: each position's diagonal, then
-    the pattern's off-diagonal blocks (node ids in ``pairs``), then the
-    fill blocks (``fill_events``), and :attr:`places` says where each
+    order, and ``perm`` maps those to the rows of the vector the layout
+    was given.  ``later[k]`` lists the later neighbours of k (ascending,
+    fill included).  Blocks are numbered too: each position's diagonal,
+    then the pattern's off-diagonal blocks (node ids in ``pairs``), then
+    the fill blocks (``fill_events``), and :attr:`places` says where each
     block lies in the storage that ``storage`` describes (:func:`_where`).
-    ``levels`` splits the positions into
-    maximal runs of consecutive, mutually non-adjacent positions
-    (:class:`Level`), each of which the sweep eliminates at once.  A
+    ``levels`` splits the positions into maximal runs of consecutive,
+    mutually non-adjacent positions (:class:`Level`), each of which the
+    sweep eliminates at once.  A
     level's Schur product cells add into the storage cells
     ``targets[sums][ids[schur]]``, its last target taking the padding.
     ``gathered[later]`` holds, per position of a level, its later
@@ -381,9 +377,10 @@ class SymbolicLayout:
     ``loop_layout`` maps each relieved node to the (node id, rows) stacked
     into it.  A system's storage holds ``cells`` cells, zero but 1 at
     ``ones`` (the pivots' padding) and the sources' blocks at ``scatter``;
-    its right-hand side goes to ``rhs_at``.  ``checked`` lists the
-    positions of the other pivots, which the conditioning rule checks, and
-    ``pivot_at`` where each position's pivot starts.
+    its right-hand side goes to ``rhs_at`` (the rows no node holds to the
+    last cell).  ``checked`` lists the positions of the other pivots,
+    which the conditioning rule checks, and ``pivot_at`` where each
+    position's pivot starts.
     """
 
     order: list
@@ -415,7 +412,7 @@ class SymbolicLayout:
     def system(self, blocks: list, rhs: np.ndarray) -> NodeSystem:
         """A system on this layout from ``blocks``, arrays holding the blocks of its sources in order.
 
-        Blocks without a source are zero.  ``rhs`` is in the stacked vector's rows.
+        Blocks without a source are zero.  ``rhs`` is in the rows of the vector the layout was given.
         """
         vals = np.zeros(self.cells)
         vals[self.ones] = 1.0
@@ -441,9 +438,11 @@ def symbolic_layout(order, sizes, rows, sources, stacks) -> SymbolicLayout:
     ``order`` is the elimination order.  Each key of ``stacks`` in it is a
     relieved node: the nodes it maps to are stacked into it in ascending
     id and its pivot is inverted under relief.  ``sizes`` and ``rows``
-    give each other node's block size and its rows in the stacked vector.
-    ``sources`` lists the (row node, column node) of each block a system
-    supplies; other blocks are zero.  The pattern must be symmetric.
+    give each other node's block size and its rows of a vector up to the
+    last row some node holds; the rows no node holds read zero in the
+    solution.  ``sources`` lists the (row node, column node) of each
+    block a system supplies; other blocks are zero.  The pattern must be
+    symmetric.
     """
     stacks = {key: sorted(ids) for key, ids in stacks.items()}
     covered = [node for key in order for node in stacks.get(key, [key])]
@@ -557,9 +556,10 @@ def symbolic_layout(order, sizes, rows, sources, stacks) -> SymbolicLayout:
     numbered[spot] = next(maps)
     del spot
 
-    # solution rows: stacked, then the cells 0, -1 and padding
+    # solution rows: the vector's, then the cells 0, -1 and padding
     perm = np.fromiter(chain.from_iterable(rows[node] for node in covered), dtype=np.intp)
-    extended = np.concatenate([perm, len(perm) + np.arange(3)])
+    dim = int(perm.max(initial=-1)) + 1
+    extended = np.concatenate([perm, dim + np.arange(3)])
     row_of = np.arange(n).repeat(sz)
     row_in = np.arange(len(perm)) - row0[row_of]
     gathered = np.full(totals[4], len(perm), dtype=np.intp)
@@ -598,7 +598,7 @@ def symbolic_layout(order, sizes, rows, sources, stacks) -> SymbolicLayout:
         ))
 
     scatter = next(_cells(src[:, 2], src[:, 5], (base[1] + stride[1] * src[:, 1] + src[:, 4], stride[1])))
-    rhs_at = np.empty(len(perm), dtype=np.intp)
+    rhs_at = np.full(dim, trash, dtype=np.intp)
     rhs_at[perm] = (up_at + w - 1)[row_of] + w[row_of] * row_in
     row_ends = np.cumsum(size).tolist()
     return SymbolicLayout(
@@ -631,8 +631,8 @@ class NodeSystem:
     """One block system's numbers on a :class:`SymbolicLayout`.
 
     ``vals`` is the storage the layout's levels address and ``rhs`` the
-    right-hand side in the stacked vector's rows.  Factorizing reads them
-    and never writes them.
+    right-hand side in the rows of the vector the layout was given.
+    Factorizing reads them and never writes them.
     """
 
     layout: SymbolicLayout
@@ -683,7 +683,7 @@ class BlockSystem:
     def on_layout(self, loop_ids) -> NodeSystem:
         """This system on a layout of its own pattern, ``loop_ids`` stacked into one relieved node last.
 
-        Its stacked vector is the nodes' segments in ``order``.
+        Its vector is the nodes' segments in ``order``.
         """
         sizes = {n: blk.shape[0] for n, blk in self.diag.items()}
         ends = np.cumsum([sizes[n] for n in self.order]).tolist()
@@ -793,15 +793,16 @@ def sparse_ldu_factorize(system: NodeSystem) -> SparseFactor:
 
 
 def sparse_ldu_solve(fact: SparseFactor) -> np.ndarray:
-    """Back-substitute a factored system; returns the solution in the stacked vector's rows.
+    """Back-substitute a factored system; returns the solution in the rows of the vector the layout was given.
 
     The factorization did the forward substitution; the levels, last
     first, give x_k = z_k - U[k, later] x_later in one batched product
-    each, written straight to the stacked rows.
+    each, written straight to the vector's rows; the rows no node holds
+    are zero.
     """
     lay, vals = fact.system.layout, fact.vals
-    x = np.empty(len(lay.perm) + 3)
-    x[-3:-1] = 0.0, -1.0
+    x = np.zeros(len(lay.rhs_at) + 3)
+    x[-2] = -1.0
     for level in reversed(lay.levels):
         c, _, w = level.upper_shape
         x[lay.own[level.rows]] = -(vals[level.upper].reshape(level.upper_shape) @ x[lay.gathered[level.later]].reshape(c, w, 1)).ravel()

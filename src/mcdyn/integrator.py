@@ -229,21 +229,19 @@ def assemble_residual(
 
 @dataclass
 class ReducedSystem:
-    """A Newton-pattern system with the bodies outside the hubs of ``plan`` eliminated.
+    """A Newton-pattern system after the bodies a plan eliminates first are eliminated.
 
     The system is [[B, C], [V, 0]] over (body rows, joint rows), with B the
     block-diagonal body blocks, C the couplings in the bodies' rows and V
-    those in the joints' rows.  With E the bodies eliminated first
-    (``plan.first``), ``joints`` is the system left over the hubs and
-    joints, with the Schur complement -V_E B_E^-1 C_E added to the joint
-    block and the right-hand side f_J - V_E B_E^-1 f_E, on the plan's
-    layout.  ``inverse`` stacks B_E^-1 with zero rows for the hubs and a
-    zero last row for the world, ``body_rhs`` stacks f_B with a zero last
-    row, and ``cols`` keeps each kind group's C blocks, (2, M, 6, rows)
-    on its parent and child side, for the back-substitution.
+    those in the joints' rows.  With E those bodies, ``joints`` is the
+    system left over the hubs and joints on the plan's layout, with the
+    Schur complement -V_E B_E^-1 C_E added to the joint block and the
+    right-hand side f_J - V_E B_E^-1 f_E.  ``inverse`` stacks B_E^-1 with
+    zero rows for the hubs and the world, ``body_rhs`` stacks f_B with a
+    zero last row, and ``cols`` keeps each kind group's C blocks,
+    (2, M, 6, rows) on its parent and child side, for the back-substitution.
     """
 
-    plan: EliminationPlan
     joints: NodeSystem
     inverse: np.ndarray  # (N + 1, 6, 6)
     body_rhs: np.ndarray  # (N + 1, 6)
@@ -261,42 +259,37 @@ def eliminate_bodies(
     holds per kind group the stacked blocks (row, col): (2, M, rows, 6)
     blocks in the joints' rows and (2, M, 6, rows) blocks in the bodies'
     rows, on the parent side, then the child side; world parents
-    contribute nothing.  ``rhs`` is laid out like the unknowns.  Bodies are
-    never adjacent to each other, so the pivots of those eliminated here
-    are their body blocks: the rotational parts are inverted together and
-    all body blocks are checked in one pass, raising SingularBlockError
-    naming the first failing body in id order.  The Schur blocks, the
-    hubs' blocks and their couplings go into the plan's layout, whose
-    sweep pivots the hubs.  A plan that eliminates no body first skips
-    the inversion, the check and the Schur products: the joint diagonal
-    blocks stay zero, and the sweep inverts and checks every body block.
+    contribute nothing.  ``rhs`` and the plan's layout have the unknowns'
+    rows.  Bodies are never adjacent to each other, so the pivots of
+    ``plan.first`` are their body blocks: they are inverted together and
+    checked in one pass, raising SingularBlockError naming the first
+    failing body in id order.  The Schur blocks, the hubs' blocks and
+    their couplings go into the plan's layout, whose sweep alone pivots
+    the hubs; under a plan with no ``first`` the joint diagonal blocks are
+    zero and the sweep pivots every body.
     """
     n = len(mech.body_ids)
-    inverse = np.zeros((n + 1, 6, 6))  # world parents meet the zero last row
-    eliminating = len(plan.first) > 0
-    if eliminating:
-        inverse[:n, :3, :3] = np.eye(3) / body_diag[:, :1, :1]
-        sizes = [6] * n
+    first = plan.first
+    inverse = np.zeros((n + 1, 6, 6))  # hubs and world parents meet zero rows
+    if len(first):
+        pivots = body_diag[first]
+        inverse[first, :3, :3] = np.eye(3) / pivots[:, :1, :1]
         try:
-            inverse[:n, 3:, 3:] = np.linalg.inv(body_diag[:, 3:, 3:])
+            inverse[first, 3:, 3:] = np.linalg.inv(pivots[:, 3:, 3:])
         except np.linalg.LinAlgError as err:
-            name_failure(body_diag, sizes, mech.body_ids, (), (), err)
-        check_pivots(body_diag.ravel(), inverse[:n].ravel(), np.arange(0, 36 * n, 36), slice(None), mech.body_ids, sizes)
-        inverse[plan.hubs] = 0.0  # the sweep pivots the hubs
+            name_failure(pivots, [6] * len(first), [mech.body_ids[r] for r in first], (), (), err)
+        check_pivots(body_diag.ravel(), inverse[:n].ravel(), np.arange(0, 36 * n, 36), first, mech.body_ids, [6] * n)
     body_rhs = np.zeros((n + 1, 6))
     body_rhs[:n] = rhs[: 6 * n].reshape(n, 6)
     rhs = rhs.copy()
     blocks, left, cols, hub_blocks = [], [], [], []  # per group, V B^-1 and C on both sides
     for group, (row, col), hub in zip(mech.groups, couplings, plan.hub_sides):
-        if eliminating:
-            vb = row @ inverse[group.ends]
-            diag = vb @ col
-            blocks.append(-(diag[0] + diag[1]))
-            pull = vb @ body_rhs[group.ends][..., None]
-            rhs[group.rows] -= (pull[0] + pull[1])[..., 0]
-            left.append(vb)
-        else:
-            blocks.append(np.zeros((len(group.ids), group.width, group.width)))
+        vb = row @ inverse[group.ends]
+        diag = vb @ col
+        blocks.append(-(diag[0] + diag[1]))
+        pull = vb @ body_rhs[group.ends][..., None]
+        rhs[group.rows] -= (pull[0] + pull[1])[..., 0]
+        left.append(vb)
         cols.append(col)
         if len(hub[0]):
             hub_blocks += [row[hub], col[hub]]
@@ -307,23 +300,22 @@ def eliminate_bodies(
             stack[twice] -= terms[len(pairs) :]
         blocks.append(stack)
     blocks += [body_diag[plan.hubs], *hub_blocks]
-    joints = plan.layout.system(blocks, rhs[plan.rows])
-    return ReducedSystem(plan=plan, joints=joints, inverse=inverse, body_rhs=body_rhs, cols=cols)
+    joints = plan.layout.system(blocks, rhs)
+    return ReducedSystem(joints=joints, inverse=inverse, body_rhs=body_rhs, cols=cols)
 
 
 def solve_reduced(mech: Mechanism, system: ReducedSystem) -> np.ndarray:
     """The solution of a body-eliminated system, laid out like the unknowns.
 
-    The sparse LDU over the plan's layout gives the hub and joint rows (a
-    mechanism without joints has no sweep); the rows of the bodies
-    eliminated first are then B^-1 (f_B - C x_J), all at once.
+    The sparse LDU over the plan's layout gives the hub and joint rows and
+    zero in the others (a mechanism without joints has no sweep); the rows
+    of the bodies eliminated first are then B^-1 (f_B - C x_J), at once.
     """
     n = len(mech.body_ids)
     x = np.zeros(mech.dim)
     rest = system.body_rhs.copy()
-    plan = system.plan
-    if plan.layout.order:
-        x[plan.rows] = sparse_ldu_solve(sparse_ldu_factorize(system.joints))
+    if system.joints.order:
+        x = sparse_ldu_solve(sparse_ldu_factorize(system.joints))
         for group, col in zip(mech.groups, system.cols):
             np.subtract.at(rest, group.ends, (col @ x[group.rows][..., None])[..., 0])
     # the hubs' rows of B^-1 are zero: this adds to the other bodies' rows only
@@ -388,8 +380,8 @@ def newton_system_at(mech: Mechanism, ctx: StepContext) -> NodeSystem:
     It is evaluated at ``mech.unknowns`` (between steps, the last
     solution), as :func:`newton_solve` called directly starts; a
     :func:`step` would start from its predicted velocities instead.  Its
-    stacked vector is the unknown vector, so ``layout.perm`` maps the
-    unknowns into elimination order.
+    layout's rows are the unknowns', so ``layout.perm`` maps the unknowns
+    into elimination order.
     """
     layout = build_layout(mech, ctx)
     pos_blocks = position_jacobian_blocks(mech, layout)

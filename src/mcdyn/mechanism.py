@@ -29,7 +29,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, product
+from itertools import product
 
 import numpy as np
 import yaml
@@ -323,8 +323,8 @@ class EliminationPlan:
     batch and kept as nodes; ``hub_sides`` holds per kind group the
     (sides, positions) of the joint ends at a hub, and ``joint_pairs``
     the joints coupled through a body eliminated first (:func:`_joint_pairs`).
-    ``layout`` is the sweep's symbolic layout over the joints and hubs;
-    ``rows`` are the Newton vector's rows of its stacked vector.
+    ``layout`` is the sweep's symbolic layout over the joints and hubs, on
+    their rows of the Newton vector.
     """
 
     first: np.ndarray
@@ -332,7 +332,6 @@ class EliminationPlan:
     hub_sides: list
     joint_pairs: list
     layout: SymbolicLayout
-    rows: np.ndarray
 
 
 def _zero_diagonal(mech: Mechanism, at_hub: np.ndarray) -> set:
@@ -406,21 +405,22 @@ def _level_order(order: list, sources: list, stacks: dict, waits: dict, zero: se
 def elimination_plan(mech: Mechanism, is_hub: np.ndarray, levelled: bool) -> EliminationPlan:
     """The plan keeping the bodies flagged in ``is_hub`` (per body in id order) as nodes of the sweep.
 
-    The layout's rows are the hub rows, then the joint rows.  Blocks come as each kind group's joint diagonals, the pair
-    stacks of ``joint_pairs``, the hubs' diagonals, then per kind group
-    the couplings (joint, hub) and (hub, joint) at ``hub_sides``, as
-    ``integrator.eliminate_bodies`` supplies them.  The loop joints of
-    each of the graph's ``cycles`` are stacked into one relieved node;
-    the one whose cycle reaches nearest the root (in the graph's order)
-    is keyed :data:`LOOP_NODE`, each other one (LOOP_NODE, smallest loop
-    joint id).  Without ``levelled`` the elimination order is the graph's
-    (children first) over these nodes, each relieved node right after the
-    highest node of its cycle: on a tree the later neighbours of each node
-    then already couple to each other, so the sweep creates no fill.  With
-    ``levelled`` (the step's plan) it is :func:`_level_order` of that
-    order, whose rounds the sweep eliminates a level at a time.  With
-    every body a hub, the layout is the full bodies-and-joints graph,
-    whose rows are the Newton vector's.
+    The layout holds each hub and joint at its rows of the Newton vector
+    (``body_slices``, ``joint_slices``).  Blocks come as each kind group's
+    joint diagonals, the pair stacks of ``joint_pairs``, the hubs'
+    diagonals, then per kind group the couplings (joint, hub) and (hub,
+    joint) at ``hub_sides``, as ``integrator.eliminate_bodies`` supplies
+    them.  The loop joints of each of the graph's ``cycles`` are stacked
+    into one relieved node; the one whose cycle reaches nearest the root
+    (in the graph's order) is keyed :data:`LOOP_NODE`, each other one
+    (LOOP_NODE, smallest loop joint id).  Without ``levelled`` the
+    elimination order is the graph's (children first) over these nodes,
+    each relieved node right after the highest node of its cycle: on a
+    tree the later neighbours of each node then already couple to each
+    other, so the sweep creates no fill.  With ``levelled`` (the step's
+    plan) it is :func:`_level_order` of that order, whose rounds the sweep
+    eliminates a level at a time.  With every body a hub, the layout is
+    the full bodies-and-joints graph.
     """
     hubs = np.flatnonzero(is_hub)  # np.isin and np.setdiff1d would import numpy.ma, over 1 MB of RSS
     hub_ids = [mech.body_ids[r] for r in hubs]
@@ -428,12 +428,8 @@ def elimination_plan(mech: Mechanism, is_hub: np.ndarray, levelled: bool) -> Eli
     hub_sides = [np.nonzero(at_hub[g.ends]) for g in mech.groups]
     joint_pairs = _joint_pairs(mech.groups, set(hub_ids))
     slices = {b: mech.body_slices[b] for b in hub_ids} | mech.joint_slices
-    rows = np.fromiter(chain.from_iterable(range(sl.start, sl.stop) for sl in slices.values()), dtype=np.intp)
-    sizes = {node: sl.stop - sl.start for node, sl in slices.items()}
-    stacked_rows, at_row = {}, 0  # each node's rows of the layout's stacked vector: slices' order
-    for node, size in sizes.items():
-        stacked_rows[node] = range(at_row, at_row + size)
-        at_row += size
+    rows = {node: range(sl.start, sl.stop) for node, sl in slices.items()}
+    sizes = {node: len(r) for node, r in rows.items()}
     sources = [(j, j) for g in mech.groups for j in g.ids]
     for _, _, pairs, *_ in joint_pairs:
         sources += pairs
@@ -457,8 +453,8 @@ def elimination_plan(mech: Mechanism, is_hub: np.ndarray, levelled: bool) -> Eli
             order.append(key)
     if levelled:
         order = _level_order(order, sources, stacks, waits, _zero_diagonal(mech, at_hub))
-    layout = symbolic_layout(order, sizes, stacked_rows, sources, stacks)
-    return EliminationPlan(np.flatnonzero(~is_hub), hubs, hub_sides, joint_pairs, layout, rows)
+    layout = symbolic_layout(order, sizes, rows, sources, stacks)
+    return EliminationPlan(np.flatnonzero(~is_hub), hubs, hub_sides, joint_pairs, layout)
 
 
 def _kind_groups(body_index: dict, joints: dict, joint_slices: dict) -> list[JointGroup]:
@@ -693,12 +689,11 @@ class Mechanism:
         self.joints = joints
         self.graph = build_graph(bodies, joints)
         self.body_ids = sorted(bodies)
-        self.joint_ids = sorted(joints)
         self.body_index = {b: i for i, b in enumerate(self.body_ids)}
         self.body_slices = {b: slice(6 * i, 6 * i + 6) for i, b in enumerate(self.body_ids)}
         self.joint_slices = {}
         off = 6 * len(self.body_ids)
-        for jid in self.joint_ids:
+        for jid in sorted(joints):
             self.joint_slices[jid] = slice(off, off + joints[jid].rows)
             off += joints[jid].rows
         self.dim = off
@@ -790,9 +785,13 @@ def load_mechanism(source) -> Mechanism:
     if not isinstance(data, dict) or "bodies" not in data:
         raise MechanismError("mechanism description must be a mapping with a 'bodies' list")
 
+    entries = {key: data.get(key, []) for key in ("bodies", "joints")}
+    for key, value in entries.items():
+        if not isinstance(value, list):
+            raise MechanismError(f"mechanism '{key}' must be a list, got {type(value).__name__}")
     bodies: dict = {}
     declared: dict = {}  # body id -> (x, q, v, w)
-    for entry in data.get("bodies", []):
+    for entry in entries["bodies"]:
         body, knots = _parse_body(entry)
         if body.id in bodies:
             raise MechanismError(f"duplicate body id {body.id}")
@@ -801,7 +800,7 @@ def load_mechanism(source) -> Mechanism:
 
     quaternions = {bid: q for bid, (_, q, _, _) in declared.items()}
     joints: dict = {}
-    for entry in data.get("joints", []):
+    for entry in entries["joints"]:
         joint = _parse_joint(entry, quaternions)
         if joint.id in joints or joint.id in bodies:
             raise MechanismError(f"duplicate node id {joint.id}")
@@ -820,7 +819,7 @@ def load_mechanism(source) -> Mechanism:
 def _parse_body(entry: dict) -> tuple[RigidBody, tuple]:
     """A body and its declared (x, q, v, w)."""
     try:
-        bid = int(entry["id"])
+        bid = _integral(entry["id"], "body id")
         mass = float(entry["mass"])
         inertia6 = [float(v) for v in entry["inertia"]]
         x = np.array([float(v) for v in entry["position"]])
@@ -853,17 +852,16 @@ def _parse_body(entry: dict) -> tuple[RigidBody, tuple]:
 def _parse_joint(entry: dict, quaternions: dict) -> JointConstraint:
     """A joint between parsed bodies; ``quaternions`` maps each body id to its declared orientation."""
     try:
-        jid = int(entry["id"])
+        jid = _integral(entry["id"], "joint id")
         kind = str(entry["kind"])
-        parent = entry["parent"]
-        child = int(entry["child"])
+        parent = WORLD if entry["parent"] == WORLD else _integral(entry["parent"], f"joint {jid}: parent")
+        child = _integral(entry["child"], f"joint {jid}: child")
         p_a = np.array([float(v) for v in entry["parent_anchor"]])
         p_b = np.array([float(v) for v in entry["child_anchor"]])
     except (KeyError, TypeError, ValueError) as err:
         raise MechanismError(f"malformed joint entry: {entry!r}") from err
     _require_finite(f"joint {jid}", parent_anchor=p_a, child_anchor=p_b)
     _require_length(f"joint {jid}", 3, parent_anchor=p_a, child_anchor=p_b)
-    parent = WORLD if parent == WORLD else int(parent)
     if child not in quaternions:
         raise MechanismError(f"joint {jid}: unknown child body {child}")
     if parent != WORLD and parent not in quaternions:
@@ -898,6 +896,13 @@ def _parse_joint(entry: dict, quaternions: dict) -> JointConstraint:
         id=jid, kind=kind, parent=parent, child=child,
         p_a=p_a, p_b=p_b, axis_a=axis_a, axis_b=axis_b, orientation_target=target,
     )
+
+
+def _integral(value, what: str) -> int:
+    """``value`` as an int; raises MechanismError naming ``what`` for a bool or a non-integral number."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise MechanismError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _require_finite(owner: str, **fields) -> None:

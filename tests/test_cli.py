@@ -195,6 +195,17 @@ def test_invalid_mechanism_exits_nonzero(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text,message", [
+    ("bodies:\njoints: []\n", "error: mechanism 'bodies' must be a list, got NoneType"),
+    ("bodies: []\njoints: 3\n", "error: mechanism 'joints' must be a list, got int"),
+])
+def test_simulate_non_list_bodies_or_joints_is_an_error(tmp_path, capsys, text, message):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(text)
+    assert main(["simulate", str(bad), "--out", str(tmp_path / "t.csv")]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_simulate_bad_anchor_length_is_an_error(tmp_path, capsys):
     data = generate_scenario(Scenario(kind="pendulum", n_links=2))
     data["joints"][0]["parent_anchor"] = [0.0, 0.0]

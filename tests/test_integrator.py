@@ -7,8 +7,8 @@ from numpy.testing import assert_allclose
 
 import mcdyn.integrator
 import mcdyn.quaternions as quat
-from conftest import make_closed_chain, make_pendulum, make_segmented_chain, mixed_kind_pendulum, star_mechanism
-from mcdyn.block_solver import sparse_ldu_factorize, sparse_ldu_solve
+from conftest import hub_star, make_closed_chain, make_pendulum, make_segmented_chain, mixed_kind_pendulum, star_mechanism
+from mcdyn.block_solver import check_pivots, sparse_ldu_factorize, sparse_ldu_solve
 from mcdyn.errors import AngularRateError, LineSearchError, NewtonError, SimulationError, SingularBlockError
 from mcdyn.integrator import (
     StepContext,
@@ -93,12 +93,12 @@ def dense_schur_complement(mech, ctx):
     """
     full = dense_newton_matrix(mech, ctx)
     first = (6 * mech.plan.first[:, None] + np.arange(6)).ravel()
-    rest = mech.plan.rows
+    layout = mech.plan.layout
+    rest = layout.perm
     schur = full[np.ix_(rest, rest)] - full[np.ix_(rest, first)] @ np.linalg.solve(
         full[np.ix_(first, first)], full[np.ix_(first, rest)]
     )
-    layout = mech.plan.layout
-    return schur[np.ix_(layout.perm, layout.perm)], [seg.stop - seg.start for seg in layout.segments]
+    return schur, [seg.stop - seg.start for seg in layout.segments]
 
 
 def fd_newton_matrix(mech, ctx, eps=1e-6):
@@ -308,8 +308,8 @@ class TestAssembledSystem:
 
 
 class TestBodyElimination:
-    def blocks(self):
-        mech = make_pendulum(4)
+    def blocks(self, mech=None):
+        mech = make_pendulum(4) if mech is None else mech
         ctx = StepContext(h=0.01)
         layout = build_layout(mech, ctx)
         pos_blocks = position_jacobian_blocks(mech, layout)
@@ -355,7 +355,7 @@ class TestBodyElimination:
         plan = elimination_plan(mech, np.ones(len(mech.body_ids), dtype=bool), levelled=False)
         rhs = np.arange(mech.dim, dtype=float)
         system = eliminate_bodies(mech, plan, body_diag, couplings, rhs).joints
-        np.testing.assert_array_equal(system.rhs, rhs[plan.rows])
+        np.testing.assert_array_equal(system.rhs, rhs)
         with pytest.raises(SingularBlockError, match=f"at node 4: {message}"):
             sparse_ldu_factorize(system)
 
@@ -372,6 +372,60 @@ class TestBodyElimination:
             sparse_ldu_factorize(eliminate_bodies(mech, mech.full_plan, body_diag, couplings, rhs).joints)
         assert str(body_pass.value) == str(sweep.value)
         assert str(body_pass.value).startswith("singular diagonal block at node 4: ")
+
+    @pytest.mark.parametrize("entries,value,message", [
+        (np.s_[3:, 3:], 0.0, "exactly singular 6x6 block"),
+        (np.s_[5, 5], 1e-16, "ill-conditioned 6x6 block"),
+    ])
+    def test_only_the_sweep_pivots_a_hub(self, entries, value, message):
+        # the hub 1 of the star is cut from its rods (the joints' parent
+        # side), so no Schur update reaches its pivot: both plans' sweeps
+        # pivot its block as planted, and the body pass never sees it
+        mech, body_diag, couplings = self.blocks(hub_star(6))
+        assert mech.plan.hubs.tolist() == [0]
+        for row, col in couplings:
+            row[0] = col[0] = 0.0
+        body_diag[0][entries] = value
+        rhs = np.zeros(mech.dim)
+        system = eliminate_bodies(mech, mech.plan, body_diag, couplings, rhs).joints
+        with pytest.raises(SingularBlockError) as step_sweep:
+            sparse_ldu_factorize(system)
+        with pytest.raises(SingularBlockError) as full_sweep:
+            sparse_ldu_factorize(eliminate_bodies(mech, mech.full_plan, body_diag, couplings, rhs).joints)
+        assert str(step_sweep.value) == str(full_sweep.value)
+        assert str(step_sweep.value).startswith(f"singular diagonal block at node 1: {message}")
+
+    def test_body_pass_checks_only_the_bodies_eliminated_first(self, monkeypatch):
+        checked = []
+
+        def record(pivots, inverses, starts, at, nodes, sizes):
+            checked.append(np.arange(len(starts))[at].tolist())
+            return check_pivots(pivots, inverses, starts, at, nodes, sizes)
+
+        monkeypatch.setattr(mcdyn.integrator, "check_pivots", record)
+        mech, body_diag, couplings = self.blocks(hub_star(6))
+        system = eliminate_bodies(mech, mech.plan, body_diag, couplings, np.zeros(mech.dim))
+        assert checked == [mech.plan.first.tolist()] == [list(range(1, 7))]
+        assert not system.inverse[mech.plan.hubs].any() and not system.inverse[-1].any()
+
+    def test_sweep_leaves_the_first_bodies_rows_zero(self, monkeypatch, rng):
+        swept = []
+
+        def record(fact):
+            x = sparse_ldu_solve(fact)
+            swept.append(x.copy())  # solve_reduced adds the first bodies' rows in place
+            return x
+
+        monkeypatch.setattr(mcdyn.integrator, "sparse_ldu_solve", record)
+        mech, body_diag, couplings = self.blocks(hub_star(6))
+        rhs = rng.normal(size=mech.dim)
+        x = solve_reduced(mech, eliminate_bodies(mech, mech.plan, body_diag, couplings, rhs))
+        (out,) = swept
+        assert out.shape == (mech.dim,)
+        first = (6 * mech.plan.first[:, None] + np.arange(6)).ravel()
+        assert not out[first].any()
+        kept = np.setdiff1d(np.arange(mech.dim), first)
+        np.testing.assert_array_equal(x[kept], out[kept])
 
     def test_free_body_has_no_joint_sweep(self, monkeypatch):
         # without joints the step is ds = B^-1 f, all bodies at once

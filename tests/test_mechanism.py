@@ -635,6 +635,44 @@ class TestLoader:
         with pytest.raises(MechanismError, match=f"joint {entry['id']}: {field} must have {n} components"):
             load_mechanism(data)
 
+    @pytest.mark.parametrize("data,key,kind", [
+        ({"bodies": None}, "bodies", "NoneType"),
+        ({"bodies": {"id": 1}}, "bodies", "dict"),
+        ({"bodies": 3, "joints": []}, "bodies", "int"),
+        ({"bodies": [], "joints": None}, "joints", "NoneType"),
+        ({"bodies": [], "joints": 3}, "joints", "int"),
+        ({"bodies": [], "joints": "ball"}, "joints", "str"),
+    ])
+    def test_body_and_joint_lists_must_be_lists(self, data, key, kind):
+        with pytest.raises(MechanismError, match=f"mechanism '{key}' must be a list, got {kind}"):
+            load_mechanism(data)
+
+    @pytest.mark.parametrize("group,field,value,message", [
+        ("bodies", "id", 2.5, "body id must be an integer, got 2.5"),
+        ("bodies", "id", True, "body id must be an integer, got True"),
+        ("joints", "id", 3.5, "joint id must be an integer, got 3.5"),
+        ("joints", "id", False, "joint id must be an integer, got False"),
+        ("joints", "child", 2.9, "joint 3: child must be an integer, got 2.9"),
+        ("joints", "child", True, "joint 3: child must be an integer, got True"),
+        ("joints", "parent", 1.5, "joint 4: parent must be an integer, got 1.5"),
+        ("joints", "parent", True, "joint 4: parent must be an integer, got True"),
+    ])
+    def test_non_integral_id_rejected(self, group, field, value, message):
+        # the pendulum's bodies are 1 and 2, its joints 3 (world to 1) and 4 (1 to 2)
+        data = generate_scenario(Scenario(kind="pendulum", n_links=2))
+        entry = data[group][0 if field != "parent" else 1]
+        entry[field] = value
+        with pytest.raises(MechanismError, match=message):
+            load_mechanism(data)
+
+    def test_integral_float_ids_load(self):
+        data = generate_scenario(Scenario(kind="pendulum", n_links=2))
+        data["bodies"][1]["id"] = 2.0
+        data["joints"][1].update(id=4.0, parent=1.0, child=2.0)
+        mech = load_mechanism(data)
+        assert mech.body_ids == [1, 2] and sorted(mech.joints) == [3, 4]
+        assert (mech.joints[4].parent, mech.joints[4].child) == (1, 2)
+
     def test_initial_violation_is_zero_for_generated(self):
         for sc in (
             Scenario(kind="pendulum", n_links=4, joint_kind="ball"),
