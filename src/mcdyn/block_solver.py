@@ -42,9 +42,10 @@ checked for all pivots in one batched pass: the inverse must be finite
 and max|A| * max|A^-1| below 1/_SINGULAR_RTOL (:func:`check_pivots`).
 When a batched inverse raises, :func:`name_failure` inverts its pivots
 one at a time to name the first failure; the body pass in
-``integrator`` shares both.  A relieved node's pivot
-instead uses a truncated-SVD pseudo-inverse under one cut, a small
-multiple of the block scale: closed loops of parallel-axis joints carry
+``integrator`` shares both.  A relieved node's pivot instead gets
+:func:`relieved_inverse`, a truncated-SVD pseudo-inverse under one cut,
+a small multiple of the block scale, in one call for all of a level's
+relieved pivots: closed loops of parallel-axis joints carry
 structurally redundant constraint rows, so its Schur complement is
 rank-deficient by construction, its redundant rows and columns zero to
 rounding.  Those at or below the cut are deflated first (3 of the 5 of
@@ -111,7 +112,7 @@ def name_failure(pivots: np.ndarray, sizes, nodes, relieved, unreached, err: Exc
     """Raise the error of the first failing pivot, inverted one at a time, once their batched inverse raised ``err``.
 
     Pivot j is the leading sizes[j] rows and columns of pivots[j], at node
-    nodes[j].  Those at ``relieved`` must get a truncated-SVD inverse, a
+    nodes[j].  Those at ``relieved`` must pass :func:`relieved_inverse`, a
     zero one at ``unreached`` (no update reached it) raises
     DanglingConstraintError, and the others must pass :func:`ldu_inverse`.
     Re-raises ``err`` when none fails.
@@ -120,8 +121,8 @@ def name_failure(pivots: np.ndarray, sizes, nodes, relieved, unreached, err: Exc
         block = block[:k, :k]
         if j in relieved:
             try:
-                ldu_inverse(block, pivot_relief=_LOOP_PIVOT_RELIEF)
-            except np.linalg.LinAlgError as fail:  # the SVD did not converge; ldu_inverse names the sizes
+                relieved_inverse(block)
+            except np.linalg.LinAlgError as fail:  # the SVD did not converge; relieved_inverse names the sizes
                 raise SingularBlockError(f"loop pivot at node {node!r}: {fail}") from err
         elif j in unreached and not block.any():
             raise DanglingConstraintError(
@@ -135,50 +136,12 @@ def name_failure(pivots: np.ndarray, sizes, nodes, relieved, unreached, err: Exc
     raise err
 
 
-def ldu_inverse(block: np.ndarray, pivot_relief: float = 0.0) -> np.ndarray:
-    """Invert one pivot block, or a stack of them along leading axes, with LAPACK.
+def ldu_inverse(block: np.ndarray) -> np.ndarray:
+    """Invert one pivot block with LAPACK under the conditioning rule.
 
-    Without relief, raises SingularBlockError for an exactly singular block
-    or one failing the conditioning rule.  With ``pivot_relief`` > 0,
-    returns each block's truncated-SVD pseudo-inverse under one cut,
-    ``pivot_relief * max|A|`` of that block: rows and columns of 2-norm at
-    or below the cut are deflated first, the SVD decomposes the rest, and
-    its singular values at or below the cut get weight 0, so deficient
-    directions contribute nothing.  Deflation moves a singular value by at
-    most sqrt(m) cuts (Weyl), so only values in the rounding band of the
-    cut can change.  The blocks of a stack that keep the same numbers of
-    rows and columns are decomposed in one batched SVD (a lone block as a
-    matrix).  An SVD that does not converge raises LinAlgError naming both
-    sizes.
+    Raises SingularBlockError for an exactly singular block or one failing
+    the rule (:func:`check_pivots`).
     """
-    if pivot_relief > 0.0:
-        shape = block.shape
-        stack = block.reshape(-1, *shape[-2:])
-        cut = pivot_relief * np.abs(stack).max(axis=(1, 2), initial=0.0)[:, None]
-        square = stack * stack
-        rows = np.sqrt(square.sum(axis=2)) > cut  # the 2-norms, as np.linalg.norm computes them
-        cols = np.sqrt(square.sum(axis=1)) > cut
-        kept = rows.sum(axis=1) * (shape[-1] + 1) + cols.sum(axis=1)  # the kept shape, as one number
-        out = np.zeros((len(stack), shape[-1], shape[-2]))
-        for nr, nc in (divmod(k, shape[-1] + 1) for k in sorted(set(kept.tolist()))):  # np.unique would import numpy.ma
-            if not nr or not nc:  # nothing kept: a zero inverse
-                continue
-            at = np.flatnonzero(kept == nr * (shape[-1] + 1) + nc)
-            r = np.nonzero(rows[at])[1].reshape(len(at), 1, nr)
-            c = np.nonzero(cols[at])[1].reshape(len(at), 1, nc)
-            part = stack[at[:, None, None], r.transpose(0, 2, 1), c]
-            try:
-                u, sig, vt = np.linalg.svd(part[0] if len(part) == 1 else part, full_matrices=False)
-            except np.linalg.LinAlgError as err:
-                raise np.linalg.LinAlgError(
-                    f"SVD did not converge on the {nr}x{nc} part above the relief cut "
-                    f"of a {shape[-2]}x{shape[-1]} block"
-                ) from err
-            sig = sig.reshape(len(part), -1)
-            weight = np.divide(1.0, sig, out=np.zeros_like(sig), where=sig > cut[at])
-            right = vt.reshape(len(part), -1, nc).transpose(0, 2, 1) * weight[:, None, :]
-            out[at[:, None, None], c.transpose(0, 2, 1), r] = right @ u.reshape(len(part), nr, -1).transpose(0, 2, 1)
-        return out.reshape(shape[:-2] + (shape[-1], shape[-2]))
     k = block.shape[0]
     try:
         inv = np.linalg.inv(block)
@@ -186,6 +149,49 @@ def ldu_inverse(block: np.ndarray, pivot_relief: float = 0.0) -> np.ndarray:
         raise SingularBlockError(f"exactly singular {k}x{k} block") from err
     check_pivots(block.ravel(), inv.ravel(), [0], slice(None), [None], [k])
     return inv
+
+
+def relieved_inverse(block: np.ndarray) -> np.ndarray:
+    """The truncated-SVD pseudo-inverse of a relieved pivot block, or of a stack of them along leading axes.
+
+    Each block has one cut, ``_LOOP_PIVOT_RELIEF * max|A|`` of that block:
+    rows and columns of 2-norm at or below the cut are deflated first (zero
+    padding among them), the SVD decomposes the rest, and its singular
+    values at or below the cut get weight 0, so deficient directions
+    contribute nothing.  Deflation moves a singular value by at most
+    sqrt(m) cuts (Weyl), so only values in the rounding band of the cut
+    can change.  The blocks of a stack that keep the same numbers of rows
+    and columns are decomposed in one batched SVD (a lone block as a
+    matrix).  An SVD that does not converge raises LinAlgError naming both
+    sizes.
+    """
+    shape = block.shape
+    stack = block.reshape(-1, *shape[-2:])
+    cut = _LOOP_PIVOT_RELIEF * np.abs(stack).max(axis=(1, 2), initial=0.0)[:, None]
+    square = stack * stack
+    rows = np.sqrt(square.sum(axis=2)) > cut  # the 2-norms, as np.linalg.norm computes them
+    cols = np.sqrt(square.sum(axis=1)) > cut
+    kept = rows.sum(axis=1) * (shape[-1] + 1) + cols.sum(axis=1)  # the kept shape, as one number
+    out = np.zeros((len(stack), shape[-1], shape[-2]))
+    for nr, nc in (divmod(k, shape[-1] + 1) for k in sorted(set(kept.tolist()))):  # np.unique would import numpy.ma
+        if not nr or not nc:  # nothing kept: a zero inverse
+            continue
+        at = np.flatnonzero(kept == nr * (shape[-1] + 1) + nc)
+        r = np.nonzero(rows[at])[1].reshape(len(at), 1, nr)
+        c = np.nonzero(cols[at])[1].reshape(len(at), 1, nc)
+        part = stack[at[:, None, None], r.transpose(0, 2, 1), c]
+        try:
+            u, sig, vt = np.linalg.svd(part[0] if len(part) == 1 else part, full_matrices=False)
+        except np.linalg.LinAlgError as err:
+            raise np.linalg.LinAlgError(
+                f"SVD did not converge on the {nr}x{nc} part above the relief cut "
+                f"of a {shape[-2]}x{shape[-1]} block"
+            ) from err
+        sig = sig.reshape(len(part), -1)
+        weight = np.divide(1.0, sig, out=np.zeros_like(sig), where=sig > cut[at])
+        right = vt.reshape(len(part), -1, nc).transpose(0, 2, 1) * weight[:, None, :]
+        out[at[:, None, None], c.transpose(0, 2, 1), r] = right @ u.reshape(len(part), nr, -1).transpose(0, 2, 1)
+    return out.reshape(shape[:-2] + (shape[-1], shape[-2]))
 
 
 # ---------------------------------------------------------------------------
@@ -212,14 +218,15 @@ class DenseFactor:
 def dense_ldu_factorize(
     matrix: np.ndarray,
     sizes: list[int] | None = None,
-    pivot_relief: float = 0.0,
+    relieved: bool = False,
 ) -> DenseFactor:
     """Factorize a square matrix in place as L·D·U over a block partition.
 
     ``sizes`` lists the block sizes along the diagonal; omitted means a
     scalar (all-ones) partition.  Processes the diagonal top-left to
     bottom-right with no pivoting; raises SingularBlockError on a singular
-    pivot block.
+    pivot block, or, when ``relieved``, inverts every pivot with
+    :func:`relieved_inverse`.
     """
     f = np.array(matrix, dtype=float)
     if f.ndim != 2 or f.shape[0] != f.shape[1]:
@@ -249,7 +256,7 @@ def dense_ldu_factorize(
             setblk(i, n, diag_inv[i] @ blk(i, n))
         for j in range(n):
             setblk(n, n, blk(n, n) - blk(n, j) @ blk(j, j) @ blk(j, n))
-        diag_inv.append(ldu_inverse(blk(n, n), pivot_relief=pivot_relief))
+        diag_inv.append(relieved_inverse(blk(n, n)) if relieved else ldu_inverse(blk(n, n)))
     return DenseFactor(matrix=f, offsets=offsets, diag_inv=diag_inv)
 
 
@@ -324,15 +331,16 @@ class Level:
 
     Position j of the run owns three stretches of a :class:`NodeSystem`'s
     storage, stacked over the run with m its largest block: an m×m pivot
-    in ``pivots`` (padded with the identity), an m×W row panel in
-    ``upper`` (its blocks to its later neighbours in ascending position,
-    zeros, and its right-hand side as the last column) and an H×m column
-    panel in ``lower`` (the later neighbours' blocks to it, in the same
-    rows; None when no position has a later neighbour), H + 1 = W.
-    ``regular`` indexes the pivots LAPACK inverts; ``relieved`` lists the
-    relieved ones as (indices, block size).  ``schur``, ``sums``,
-    ``later`` and ``rows`` are the run's stretches of the layout's index
-    arrays of those names (:class:`SymbolicLayout`).
+    in ``pivots`` (padded with the identity, a relieved one with zeros),
+    an m×W row panel in ``upper`` (its blocks to its later neighbours in
+    ascending position, zeros, and its right-hand side as the last column)
+    and an H×m column panel in ``lower`` (the later neighbours' blocks to
+    it, in the same rows; None when no position has a later neighbour),
+    H + 1 = W.  ``regular`` indexes the pivots LAPACK inverts and
+    ``relieved`` the others, which one :func:`relieved_inverse` call
+    inverts at size m.  ``schur``, ``sums``, ``later`` and ``rows`` are the
+    run's stretches of the layout's index arrays of those names
+    (:class:`SymbolicLayout`).
     """
 
     start: int
@@ -340,7 +348,7 @@ class Level:
     pivots: slice
     pivot_shape: tuple
     regular: slice | np.ndarray
-    relieved: list
+    relieved: np.ndarray
     upper: slice
     upper_shape: tuple
     lower: slice | None
@@ -376,9 +384,9 @@ class SymbolicLayout:
     ``relieved`` lists the positions of the relieved nodes, ascending, and
     ``loop_layout`` maps each relieved node to the (node id, rows) stacked
     into it.  A system's storage holds ``cells`` cells, zero but 1 at
-    ``ones`` (the pivots' padding) and the sources' blocks at ``scatter``;
-    its right-hand side goes to ``rhs_at`` (the rows no node holds to the
-    last cell).  ``checked`` lists the positions of the other pivots,
+    ``ones`` (the unrelieved pivots' padding) and the sources' blocks at
+    ``scatter``; its right-hand side goes to ``rhs_at`` (the rows no node
+    holds to the last cell).  ``checked`` lists the positions of the other pivots,
     which the conditioning rule checks, and ``pivot_at`` where each
     position's pivot starts.
     """
@@ -432,17 +440,16 @@ class SymbolicLayout:
         return np.stack([*_where(self.storage, pq[:, 0], pq[:, 1])[:2], size[pq[:, 0]], size[pq[:, 1]]], axis=1)
 
 
-def symbolic_layout(order, sizes, rows, sources, stacks) -> SymbolicLayout:
+def symbolic_layout(order, sizes, rows, dim, sources, stacks) -> SymbolicLayout:
     """Eliminate a block pattern symbolically, in the numeric sweep's order, and lay out its storage.
 
     ``order`` is the elimination order.  Each key of ``stacks`` in it is a
     relieved node: the nodes it maps to are stacked into it in ascending
-    id and its pivot is inverted under relief.  ``sizes`` and ``rows``
-    give each other node's block size and its rows of a vector up to the
-    last row some node holds; the rows no node holds read zero in the
-    solution.  ``sources`` lists the (row node, column node) of each
-    block a system supplies; other blocks are zero.  The pattern must be
-    symmetric.
+    id and its pivot goes to :func:`relieved_inverse`.  ``sizes`` and
+    ``rows`` give each other node's block size and its rows of a vector of
+    ``dim`` rows; the rows no node holds read zero in the solution.
+    ``sources`` lists the (row node, column node) of each block a system
+    supplies; other blocks are zero.  The pattern must be symmetric.
     """
     stacks = {key: sorted(ids) for key, ids in stacks.items()}
     covered = [node for key in order for node in stacks.get(key, [key])]
@@ -507,7 +514,8 @@ def symbolic_layout(order, sizes, rows, sources, stacks) -> SymbolicLayout:
             piv = p0 + j * mm * mm
             per.append((lv, mm, hh, piv, u0 + j * mm * (hh + 1), l0 + j * hh * mm, s0 + j * hh * (hh + 1),
                         g0 + j * (hh + 1), r0 + j * mm, size[k], len(later[k]), entry, row))
-            ones += range(piv + (mm + 1) * size[k], piv + mm * mm, mm + 1)  # the pivot's padding
+            if k not in at_relieved:  # a relieved pivot's zero padding is deflated with its negligible lines
+                ones += range(piv + (mm + 1) * size[k], piv + mm * mm, mm + 1)
             row += size[k]
             entry += len(later[k])
         cursor = [x + r for x, r in zip(cursor, reg)]
@@ -558,7 +566,6 @@ def symbolic_layout(order, sizes, rows, sources, stacks) -> SymbolicLayout:
 
     # solution rows: the vector's, then the cells 0, -1 and padding
     perm = np.fromiter(chain.from_iterable(rows[node] for node in covered), dtype=np.intp)
-    dim = int(perm.max(initial=-1)) + 1
     extended = np.concatenate([perm, dim + np.arange(3)])
     row_of = np.arange(n).repeat(sz)
     row_in = np.arange(len(perm)) - row0[row_of]
@@ -576,17 +583,14 @@ def symbolic_layout(order, sizes, rows, sources, stacks) -> SymbolicLayout:
     numbers_at = level_at.tolist()
     for lv, (start, stop, first, reg, (c, mm, hh)) in enumerate(zip(bounds, bounds[1:], starts, region, dims)):
         spans = [slice(a, a + r) for a, r in zip(first, reg)]
-        groups: dict = {}
-        for k in at_relieved.intersection(range(start, stop)):
-            groups.setdefault(size[k], []).append(k - start)
-        regular = [j for j in range(c) if start + j not in at_relieved] if groups else range(c)
+        plain = np.array([k not in at_relieved for k in range(start, stop)])
         levels.append(Level(
             start=start,
             stop=stop,
             pivots=spans[0],
             pivot_shape=(c, mm, mm),
-            regular=slice(None) if len(regular) == c else np.array(regular, dtype=np.intp),
-            relieved=[(np.array(sorted(js), dtype=np.intp), s) for s, js in groups.items()],
+            regular=slice(None) if plain.all() else np.flatnonzero(plain),
+            relieved=np.flatnonzero(~plain),
             upper=spans[1],
             upper_shape=(c, mm, hh + 1),
             lower=spans[2] if hh else None,
@@ -690,7 +694,7 @@ class BlockSystem:
         rows = {n: range(end - sizes[n], end) for n, end in zip(self.order, ends)}
         order = [n for n in self.order if n not in loop_ids] + [LOOP_NODE] * bool(loop_ids)
         sources = [(n, n) for n in self.diag] + list(self.offdiag)
-        layout = symbolic_layout(order, sizes, rows, sources, {LOOP_NODE: loop_ids} if loop_ids else {})
+        layout = symbolic_layout(order, sizes, rows, sum(sizes.values()), sources, {LOOP_NODE: loop_ids} if loop_ids else {})
         return layout.system([*self.diag.values(), *self.offdiag.values()], np.concatenate([self.rhs[n] for n in self.order]))
 
 
@@ -742,8 +746,8 @@ def sparse_ldu_factorize(system: NodeSystem) -> SparseFactor:
     """Graph-ordered LDU factorization: the numeric sweep over a layout, one level at a time.
 
     A level's positions share no block, so they are eliminated together:
-    one batched inverse of its pivots (the relieved ones by truncated
-    SVD, stacked per block size), one batched product for its row panels
+    one batched inverse of its pivots (the relieved ones in one
+    :func:`relieved_inverse` call), one batched product for its row panels
     U = D^-1 [A[k, later] | b_k] and one for the Schur updates
     A[later, k] U, summed into their target blocks.  The right-hand side
     rides along as the panels' last column, so the forward substitution
@@ -770,15 +774,14 @@ def sparse_ldu_factorize(system: NodeSystem) -> SparseFactor:
         inv = inverses[level.pivots].reshape(level.pivot_shape)
         try:
             inv[level.regular] = np.linalg.inv(pivots[level.regular])
-            for at, size in level.relieved:
-                inv[at] = 0.0
-                inv[at, :size, :size] = ldu_inverse(pivots[at, :size, :size], pivot_relief=_LOOP_PIVOT_RELIEF)
+            if len(level.relieved):
+                inv[level.relieved] = relieved_inverse(pivots[level.relieved])
         except np.linalg.LinAlgError as err:  # name the first failure in elimination order
             _check_pivots(lay, vals, inverses, level.start)  # the later pivots' inverses are not made yet
             span = range(level.start, level.stop)
             name_failure(
                 pivots, lay.sizes[level.start : level.stop], lay.order[level.start : level.stop],
-                {k - level.start for k in lay.relieved if k in span},
+                set(level.relieved.tolist()),
                 {j for j, k in enumerate(span) if all(k not in lk for lk in lay.later[:k])},
                 err,
             )

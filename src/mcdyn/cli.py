@@ -78,6 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--tol", type=float, default=1e-10)
     e.add_argument("--joint", default="revolute", choices=["revolute", "ball"])
     e.add_argument("--out", required=True)
+    e.set_defaults(kind="pendulum")
 
     d = bench_sub.add_parser("drift", help="constraint violation, position vs acceleration level")
     d.add_argument("--kind", default="closed_chain", choices=["closed_chain", "segmented_chain", "pendulum"])
@@ -162,26 +163,26 @@ def _cmd_bench(args) -> int:
         slope, intercept, r2 = linear_fit([r.n for r in rows], [r.t_sparse for r in rows])
         print(f"sparse fit: t = {slope * 1e3:.6f} ms/link * n + {intercept * 1e3:.6f} ms (R^2 = {r2:.4f})")
         print("(full bodies-and-joints LDU, the paper's O(n) kernel; not the step's body-first sweep)")
-    elif args.experiment == "energy":
-        sc = Scenario(
-            kind="pendulum", n_links=args.n, joint_kind=args.joint,
-            h=args.h, duration=args.duration, tolerance=args.tol,
-        )
-        result = run_energy_experiment(sc)
-        write_energy_csv(args.out, result)
-        dev = max(abs(e - result.initial_energy) for e in result.energy_variational)
-        print(f"variational max |E - E0| = {dev:.6e} J over {args.duration} s")
-    elif args.experiment == "drift":
+    elif args.experiment in ("energy", "drift"):
+        check_parameter("duration", args.duration, positive=True)
         sc = Scenario(
             kind=args.kind, n_links=args.n, joint_kind=args.joint,
             h=args.h, duration=args.duration, tolerance=args.tol,
         )
-        result = run_drift_experiment(sc)
-        write_drift_csv(args.out, result)
-        print(
-            f"max violation: variational {max(result.violation_variational):.3e}, "
-            f"acceleration-level {max(result.violation_acceleration):.3e}"
-        )
+        if not sc.n_steps:
+            raise SimulationError(f"duration {args.duration} s gives no step of h = {args.h} s")
+        if args.experiment == "energy":
+            result = run_energy_experiment(sc)
+            write_energy_csv(args.out, result)
+            dev = max(abs(e - result.initial_energy) for e in result.energy_variational)
+            print(f"variational max |E - E0| = {dev:.6e} J over {args.duration} s")
+        else:
+            result = run_drift_experiment(sc)
+            write_drift_csv(args.out, result)
+            print(
+                f"max violation: variational {max(result.violation_variational):.3e}, "
+                f"acceleration-level {max(result.violation_acceleration):.3e}"
+            )
     else:
         traces = run_convergence_experiment(args.n_list, tolerance=args.tol, joint_kind=args.joint)
         cfg = {"experiment": "convergence", "n_list": args.n_list, "tolerance": args.tol}

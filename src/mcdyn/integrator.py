@@ -308,16 +308,14 @@ def solve_reduced(mech: Mechanism, system: ReducedSystem) -> np.ndarray:
     """The solution of a body-eliminated system, laid out like the unknowns.
 
     The sparse LDU over the plan's layout gives the hub and joint rows and
-    zero in the others (a mechanism without joints has no sweep); the rows
-    of the bodies eliminated first are then B^-1 (f_B - C x_J), at once.
+    zero in the others; the rows of the bodies eliminated first are then
+    B^-1 (f_B - C x_J), at once.
     """
     n = len(mech.body_ids)
-    x = np.zeros(mech.dim)
+    x = sparse_ldu_solve(sparse_ldu_factorize(system.joints))
     rest = system.body_rhs.copy()
-    if system.joints.order:
-        x = sparse_ldu_solve(sparse_ldu_factorize(system.joints))
-        for group, col in zip(mech.groups, system.cols):
-            np.subtract.at(rest, group.ends, (col @ x[group.rows][..., None])[..., 0])
+    for group, col in zip(mech.groups, system.cols):
+        np.subtract.at(rest, group.ends, (col @ x[group.rows][..., None])[..., 0])
     # the hubs' rows of B^-1 are zero: this adds to the other bodies' rows only
     x[: 6 * n] += (system.inverse[:n] @ rest[:n, :, None]).ravel()
     return x

@@ -166,8 +166,6 @@ class JointGroup:
 
     kind: str
     ids: list
-    parent_ids: list
-    child_ids: list
     points: np.ndarray  # (2, M, 3, k): k = 3 for revolute joints, else 1
     levers: np.ndarray  # (2, M, 3, 4k)
     rows: np.ndarray  # (M, rows)
@@ -257,7 +255,7 @@ def _indices(sl: slice) -> np.ndarray:
     return np.arange(sl.start, sl.stop)
 
 
-def _hubs(body_index: dict, joints: dict) -> np.ndarray:
+def _hubs(groups: list, n: int) -> np.ndarray:
     """Per body in id order, whether the sparse sweep keeps it as a node (a hub).
 
     Eliminating a body with d joints before the sweep couples each ordered
@@ -268,18 +266,16 @@ def _hubs(body_index: dict, joints: dict) -> np.ndarray:
     node of the sweep, where it costs O(d), so the step stays linear in
     the size of any tree.
     """
-    degree = np.zeros(len(body_index), dtype=int)
-    for joint in joints.values():
-        for b in (joint.parent, joint.child):
-            if b != WORLD:
-                degree[body_index[b]] += 1
+    ends = np.concatenate([np.zeros(0, dtype=np.intp), *(g.ends.ravel() for g in groups)])
+    degree = np.bincount(ends, minlength=n + 1)[:n]  # the world, the ends' last row, is no body
     return degree * (degree - 1) > 2 * degree
 
 
-def _joint_pairs(groups: list, hubs: set) -> list:
+def _joint_pairs(groups: list, first: np.ndarray) -> list:
     """Which kind-group stacks couple two joints once the bodies are eliminated.
 
-    Two joints attached to one body outside ``hubs`` get a Schur term from
+    ``first`` flags per row of ``JointGroup.ends`` the bodies eliminated
+    first.  Two joints attached to one such body get a Schur term from
     it, one per ordered pair; a pair sharing two such bodies gets one block,
     the sum of both terms.  Returns per (row group, column group) with such
     pairs the tuple (row group, column group, pairs, rows, cols, twice).
@@ -291,12 +287,11 @@ def _joint_pairs(groups: list, hubs: set) -> list:
     the terms after them add to the pairs ``twice``, those sharing both
     bodies.
     """
-    attached: dict = {}  # body id -> [(group, side, position)]
+    attached: dict = {}  # body row -> [(group, side, position)]
     for g, group in enumerate(groups):
-        for side, ends in enumerate((group.parent_ids, group.child_ids)):
-            for i, b in enumerate(ends):
-                if b != WORLD and b not in hubs:
-                    attached.setdefault(b, []).append((g, side, i))
+        sides, positions = np.nonzero(first[group.ends])
+        for side, i, b in zip(sides.tolist(), positions.tolist(), group.ends[sides, positions].tolist()):
+            attached.setdefault(b, []).append((g, side, i))
     stacks: dict = {}  # (row group, column group) -> ({(row id, column id): pair}, [first terms], [second terms])
     for b in sorted(attached):
         for (g, s, i), (h, t, j) in product(attached[b], attached[b]):
@@ -334,13 +329,11 @@ class EliminationPlan:
     layout: SymbolicLayout
 
 
-def _zero_diagonal(mech: Mechanism, at_hub: np.ndarray) -> set:
-    """The joints whose diagonal block is structurally zero: no end at a body eliminated first."""
-    world = len(mech.body_ids)
+def _zero_diagonal(groups: list, first: np.ndarray) -> set:
+    """The joints whose diagonal block is structurally zero: no end at a body ``first`` flags (per row of the ends)."""
     out = set()
-    for g in mech.groups:
-        first = (~at_hub[g.ends] & (g.ends < world)).any(axis=0)
-        out |= {j for j, f in zip(g.ids, first) if not f}
+    for g in groups:
+        out |= {j for j, f in zip(g.ids, first[g.ends].any(axis=0)) if not f}
     return out
 
 
@@ -425,8 +418,9 @@ def elimination_plan(mech: Mechanism, is_hub: np.ndarray, levelled: bool) -> Eli
     hubs = np.flatnonzero(is_hub)  # np.isin and np.setdiff1d would import numpy.ma, over 1 MB of RSS
     hub_ids = [mech.body_ids[r] for r in hubs]
     at_hub = np.append(is_hub, False)  # the world, the ends' last row, is no hub
+    first = np.append(~is_hub, False)  # nor is it eliminated first
     hub_sides = [np.nonzero(at_hub[g.ends]) for g in mech.groups]
-    joint_pairs = _joint_pairs(mech.groups, set(hub_ids))
+    joint_pairs = _joint_pairs(mech.groups, first)
     slices = {b: mech.body_slices[b] for b in hub_ids} | mech.joint_slices
     rows = {node: range(sl.start, sl.stop) for node, sl in slices.items()}
     sizes = {node: len(r) for node, r in rows.items()}
@@ -435,7 +429,7 @@ def elimination_plan(mech: Mechanism, is_hub: np.ndarray, levelled: bool) -> Eli
         sources += pairs
     sources += [(b, b) for b in hub_ids]
     for g, (sides, positions) in zip(mech.groups, hub_sides):
-        ends = [(g.parent_ids, g.child_ids)[s][i] for s, i in zip(sides, positions)]
+        ends = [mech.body_ids[b] for b in g.ends[sides, positions]]
         ids = [g.ids[i] for i in positions]
         sources += [*zip(ids, ends), *zip(ends, ids)]
     tree = [node for node in mech.graph.order if node in sizes]
@@ -452,8 +446,8 @@ def elimination_plan(mech: Mechanism, is_hub: np.ndarray, levelled: bool) -> Eli
             waits[key] = [n for n in nodes if n in at]
             order.append(key)
     if levelled:
-        order = _level_order(order, sources, stacks, waits, _zero_diagonal(mech, at_hub))
-    layout = symbolic_layout(order, sizes, rows, sources, stacks)
+        order = _level_order(order, sources, stacks, waits, _zero_diagonal(mech.groups, first))
+    layout = symbolic_layout(order, sizes, rows, mech.dim, sources, stacks)
     return EliminationPlan(np.flatnonzero(~is_hub), hubs, hub_sides, joint_pairs, layout)
 
 
@@ -475,8 +469,6 @@ def _kind_groups(body_index: dict, joints: dict, joint_slices: dict) -> list[Joi
             JointGroup(
                 kind=kind,
                 ids=[j.id for j in members],
-                parent_ids=[j.parent for j in members],
-                child_ids=[j.child for j in members],
                 points=points,
                 levers=np.concatenate([*(-2.0 * quat.skew(vectors)).transpose(2, 0, 1, 3, 4), points], axis=-1),
                 rows=np.array([_indices(joint_slices[j.id]) for j in members]),
@@ -698,7 +690,7 @@ class Mechanism:
             off += joints[jid].rows
         self.dim = off
         self.groups = _kind_groups(self.body_index, joints, self.joint_slices)
-        self.plan = elimination_plan(self, _hubs(self.body_index, joints), levelled=True)
+        self.plan = elimination_plan(self, _hubs(self.groups, len(self.body_ids)), levelled=True)
         self.mass = np.array([bodies[b].mass for b in self.body_ids])
         self.inertia = np.array([bodies[b].inertia for b in self.body_ids])
         self.x1, self.q1, self.v1, self.w1 = (np.array(a, dtype=float) for a in (x, q, v, w))

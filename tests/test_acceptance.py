@@ -149,7 +149,7 @@ def test_criterion_5_solver_equivalence():
         b = assembled_rhs(view)
         x_sparse = sparse_ldu_solve(sparse_ldu_factorize(system))[system.layout.perm]
         sizes = [view.diag[n].shape[0] for n in view.order]
-        fact_dense = dense_ldu_factorize(full, sizes, pivot_relief=1e-10)
+        fact_dense = dense_ldu_factorize(full, sizes, relieved=True)
         x_dense = dense_ldu_solve(fact_dense, b)
         worst_mech = max(
             worst_mech, np.linalg.norm(x_sparse - x_dense) / np.linalg.norm(x_dense)

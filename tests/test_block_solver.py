@@ -13,6 +13,7 @@ from mcdyn.block_solver import (
     dense_ldu_solve,
     ldu_inverse,
     pattern_report,
+    relieved_inverse,
     sparse_ldu_factorize,
     sparse_ldu_solve,
     symbolic_layout,
@@ -82,7 +83,7 @@ class TestLduInverse:
 
     def test_relief_suppresses_deficient_directions(self):
         a = np.diag([2.0, 0.0])
-        inv = ldu_inverse(a, pivot_relief=1e-10)
+        inv = relieved_inverse(a)
         assert_allclose(inv[0, 0], 0.5)
         # relieved direction contributes at most ~1/scale, not 1/epsilon
         assert abs(inv[1, 1]) <= 1.0
@@ -95,29 +96,28 @@ class TestLduInverse:
         a = rng.normal(size=(6, 4)) @ rng.normal(size=(4, 6))
         # minimum-norm least-squares solutions for every unit right-hand side
         pinv = np.linalg.lstsq(a, np.eye(6), rcond=1e-10)[0]
-        assert_allclose(ldu_inverse(a, pivot_relief=1e-10), pinv, atol=1e-12)
+        assert_allclose(relieved_inverse(a), pinv, atol=1e-12)
 
     @pytest.mark.parametrize("build", [lambda: make_closed_chain(4), lambda: make_segmented_chain(3)])
     def test_relief_stable_under_rounding_noise(self, rng, monkeypatch, build):
         # the loop-node pivots of a real step are rank-deficient; noise at
         # the level of rounding must not change which inverse is chosen
         blocks = []
-        inner = block_solver.ldu_inverse
+        inner = block_solver.relieved_inverse
 
-        def capture(block, pivot_relief=0.0):
-            if pivot_relief > 0.0:
-                blocks.append(block.copy())
-            return inner(block, pivot_relief=pivot_relief)
+        def capture(block):
+            blocks.append(block.copy())
+            return inner(block)
 
-        monkeypatch.setattr(block_solver, "ldu_inverse", capture)
+        monkeypatch.setattr(block_solver, "relieved_inverse", capture)
         step(build(), StepContext(h=0.01))
         monkeypatch.undo()
         assert blocks
         for a in blocks:
-            inv = ldu_inverse(a, pivot_relief=1e-10)
+            inv = relieved_inverse(a)
             for _ in range(20):
                 noise = rng.normal(size=a.shape) * 1e-15 * np.abs(a).max()
-                moved = ldu_inverse(a + noise, pivot_relief=1e-10) - inv
+                moved = relieved_inverse(a + noise) - inv
                 assert np.linalg.norm(moved) <= 1e-8 * np.linalg.norm(inv)
 
 
@@ -138,7 +138,7 @@ def svd_shapes(monkeypatch):
 
 
 def assert_truncated_pinv(inv, a):
-    """``inv`` equals pinv and lstsq of ``a`` truncated at ldu_inverse's cut, to 1e-12 relative."""
+    """``inv`` equals pinv and lstsq of ``a`` truncated at relieved_inverse's cut, to 1e-12 relative."""
     rcond = RELIEF * np.abs(a).max() / np.linalg.norm(a, 2)  # the same absolute cut
     for ref in (np.linalg.pinv(a, rcond=rcond), np.linalg.lstsq(a, np.eye(len(a)), rcond=rcond)[0]):
         assert np.linalg.norm(inv - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -161,7 +161,7 @@ class TestDeflatedPseudoInverse:
     ])
     def test_planted_zero_rows_and_columns(self, rng, svd_shapes, n, rows, cols, rank):
         a = planted(rng, n, rows, cols, rank)
-        inv = ldu_inverse(a, pivot_relief=RELIEF)
+        inv = relieved_inverse(a)
         assert svd_shapes == [(len(rows), len(cols))]
         assert_truncated_pinv(inv, a)
 
@@ -176,7 +176,7 @@ class TestDeflatedPseudoInverse:
         a[:4, 5] = 1.01 * cut * u[:, 0]  # kept
         a[:4, 6] = 0.99 * cut * u[:, 3]  # deflated
         svd_shapes.clear()
-        inv = ldu_inverse(a, pivot_relief=RELIEF)
+        inv = relieved_inverse(a)
         assert svd_shapes == [(5, 6)]
         assert_truncated_pinv(inv, a)
         assert not inv[:, 5].any() and not inv[6].any()
@@ -189,40 +189,39 @@ class TestDeflatedPseudoInverse:
         rot = np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2.0)
         a[4:, 4:] = rot @ np.diag([2.0 * cut, 0.9 * cut]) @ rot.T
         svd_shapes.clear()
-        inv = ldu_inverse(a, pivot_relief=RELIEF)
+        inv = relieved_inverse(a)
         assert svd_shapes == [(6, 6)]
         assert np.linalg.norm(inv, 2) == pytest.approx(1.0 / (2.0 * cut), rel=1e-3)
 
     @pytest.mark.parametrize("rows,cols", [([0, 3, 4, 6, 8], [1, 2, 7]), ([2, 5], [0, 1, 3, 4])])
     def test_kept_row_and_column_counts_differ(self, rng, svd_shapes, rows, cols):
         a = planted(rng, 9, rows, cols, min(len(rows), len(cols)))
-        inv = ldu_inverse(a, pivot_relief=RELIEF)
+        inv = relieved_inverse(a)
         assert svd_shapes == [(len(rows), len(cols))]
         assert_truncated_pinv(inv, a)
 
     @pytest.mark.parametrize("n", [1, 5, 30])
     def test_all_zero_block_gives_zeros(self, n):
-        inv = ldu_inverse(np.zeros((n, n)), pivot_relief=RELIEF)
+        inv = relieved_inverse(np.zeros((n, n)))
         assert inv.shape == (n, n) and not inv.any()
 
     def test_rotated_block_is_not_deflated(self, rng, svd_shapes):
         q, _ = np.linalg.qr(rng.normal(size=(10, 10)))
         a = q @ planted(rng, 10, [0, 2, 5, 7], [1, 2, 5, 8], 3) @ q.T
-        inv = ldu_inverse(a, pivot_relief=RELIEF)
+        inv = relieved_inverse(a)
         assert svd_shapes == [(10, 10)]
         assert_truncated_pinv(inv, a)
 
 
 def captured_loop_pivots(monkeypatch, mech, steps=3):
     """The relieved pivots that ``steps`` steps of ``mech`` invert, one by one."""
-    blocks, inner = [], block_solver.ldu_inverse
+    blocks, inner = [], block_solver.relieved_inverse
 
-    def capture(block, pivot_relief=0.0):
-        if pivot_relief > 0.0:  # a level's relieved pivots of one size come as one stack
-            blocks.extend(block.reshape(-1, *block.shape[-2:]).copy())
-        return inner(block, pivot_relief=pivot_relief)
+    def capture(block):  # a level's relieved pivots come as one stack
+        blocks.extend(block.reshape(-1, *block.shape[-2:]).copy())
+        return inner(block)
 
-    monkeypatch.setattr(block_solver, "ldu_inverse", capture)
+    monkeypatch.setattr(block_solver, "relieved_inverse", capture)
     for _ in range(steps):
         step(mech, StepContext(h=0.01))
     monkeypatch.undo()
@@ -264,7 +263,7 @@ class TestLoopPivotDeflation:
             u, sig, vt = np.linalg.svd(a)
             keep = sig > RELIEF * np.abs(a).max()
             full = (vt[keep].T / sig[keep]) @ u[:, keep].T
-            inv = ldu_inverse(a, pivot_relief=RELIEF)
+            inv = relieved_inverse(a)
             assert np.linalg.norm(inv - full) <= 1e-12 * np.linalg.norm(full)
 
     def test_svd_failure_names_the_loop_pivot_and_both_sizes(self, monkeypatch):
@@ -505,6 +504,51 @@ class TestPivotCheckInsideALevel:
             sparse_ldu_factorize(star_system([GOOD, np.zeros((2, 2)), SINGULAR]))
 
 
+def two_size_relieved_level(rng):
+    """Leaves 1-4 of a star around node 0; 1 and 2 + 3 stacked into relieved nodes of sizes 2 and 5 in its first level."""
+    sizes = {0: 3, 1: 2, 2: 2, 3: 3, 4: 3}
+    diag = {n: rng.normal(size=(k, k)) + 4.0 * np.eye(k) for n, k in sizes.items()}
+    offdiag = {}
+    for leaf in range(1, 5):
+        offdiag[(leaf, 0)] = rng.normal(size=(sizes[leaf], 3))
+        offdiag[(0, leaf)] = rng.normal(size=(3, sizes[leaf]))
+    system = BlockSystem(diag=diag, offdiag=offdiag, order=[1, 2, 3, 4, 0], rhs={n: rng.normal(size=k) for n, k in sizes.items()})
+    rows = dict(zip(system.order, np.split(np.arange(13), [2, 4, 7, 10])))
+    stacks = {(LOOP_NODE, 1): [1], LOOP_NODE: [2, 3]}
+    sources = [(n, n) for n in diag] + list(offdiag)
+    layout = symbolic_layout([(LOOP_NODE, 1), LOOP_NODE, 4, 0], sizes, rows, 13, sources, stacks)
+    assert [(level.start, level.stop) for level in layout.levels] == [(0, 3), (3, 4)]
+    assert layout.sizes == [2, 5, 3, 3]
+    return system, layout.system([*diag.values(), *offdiag.values()], assembled_rhs(system))
+
+
+class TestRelievedLevel:
+    """A level's relieved pivots, whatever their sizes, are padded with zeros and inverted in one call."""
+
+    def test_one_relieved_inverse_call_for_two_block_sizes(self, rng, monkeypatch):
+        system, on_layout = two_size_relieved_level(rng)
+        calls, inner = [], block_solver.relieved_inverse
+
+        def capture(block):
+            calls.append(block.shape)
+            return inner(block)
+
+        monkeypatch.setattr(block_solver, "relieved_inverse", capture)
+        x = sparse_ldu_solve(sparse_ldu_factorize(on_layout))
+        assert calls == [(2, 5, 5)]
+        x_ref = solve_dense_reference(system)
+        assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
+
+    def test_relieved_padding_is_zero_and_regular_padding_the_identity(self, rng):
+        _, on_layout = two_size_relieved_level(rng)
+        level = on_layout.layout.levels[0]
+        assert level.relieved.tolist() == [0, 1] and level.regular.tolist() == [2]
+        pivots = on_layout.vals[level.pivots].reshape(level.pivot_shape)
+        assert not pivots[0, 2:].any() and not pivots[0, :, 2:].any()
+        assert_allclose(pivots[2, 3:, 3:], np.eye(2), atol=0)
+        assert not pivots[2, 3:, :3].any() and not pivots[2, :3, 3:].any()
+
+
 class TestAugmentLoopNode:
     def test_empty_set_is_identity(self, rng):
         system = random_tree_system(rng, 4)
@@ -532,7 +576,7 @@ class TestAugmentLoopNode:
         stacks = {(LOOP_NODE, 7): [8, 7], LOOP_NODE: [3]}  # order is 8, 7, ..., 0
         order = [(LOOP_NODE, 7), 6, 5, 4, LOOP_NODE, 2, 1, 0]
         sources = [(n, n) for n in system.diag] + list(system.offdiag)
-        layout = symbolic_layout(order, sizes, rows, sources, stacks)
+        layout = symbolic_layout(order, sizes, rows, ends[-1], sources, stacks)
         assert layout.relieved == [0, 4]
         assert layout.loop_layout == {(LOOP_NODE, 7): [(7, sizes[7]), (8, sizes[8])], LOOP_NODE: [(3, sizes[3])]}
         fact = sparse_ldu_factorize(layout.system([*system.diag.values(), *system.offdiag.values()], assembled_rhs(system)))

@@ -151,6 +151,20 @@ def test_bench_non_finite_duration_is_an_error(tmp_path, capsys, experiment, val
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("experiment", [["energy", "--n", "1"], ["drift", "--kind", "closed_chain", "--n", "4"]])
+@pytest.mark.parametrize("duration,message", [
+    ("0", "error: duration must be finite and positive, got 0.0"),
+    ("-1", "error: duration must be finite and positive, got -1.0"),
+    ("0.001", "error: duration 0.001 s gives no step of h = 0.01 s"),
+])
+def test_bench_duration_without_a_step_is_an_error(tmp_path, capsys, experiment, duration, message):
+    out_path = tmp_path / "out.csv"
+    code = main(["bench", *experiment, "--h", "0.01", "--duration", duration, "--out", str(out_path)])
+    assert code == 1
+    assert capsys.readouterr().err == message + "\n"
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("args,message", [
     (["--n-list", "2,3", "--repeats", "0"], "repeats must be at least 1"),
     (["--n-list", ","], "the timing fit needs at least two distinct sizes"),

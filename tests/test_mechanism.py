@@ -248,7 +248,8 @@ def velocity_blocks(mech, h):
     out = {}
     for group in mech.groups:
         blk_a, blk_b = constraint_jacobian_velocity(group, q3, rot3, delta, h)
-        for k, (jid, a, b) in enumerate(zip(group.ids, group.parent_ids, group.child_ids)):
+        for k, jid in enumerate(group.ids):
+            a, b = mech.joints[jid].parent, mech.joints[jid].child
             out[jid] = {b: blk_b[k]}
             if a != WORLD:
                 out[jid][a] = blk_a[k]

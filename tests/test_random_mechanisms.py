@@ -257,7 +257,7 @@ def test_sparse_solve_matches_dense_and_lstsq(solve_case):
     lay = system.layout
     perm = lay.perm  # elimination order -> the unknowns' rows
     sizes = [seg.stop - seg.start for seg in lay.segments]
-    # relieving every pivot, as dense_ldu_factorize's pivot_relief does, would
+    # relieving every pivot, as dense_ldu_factorize(relieved=True) does, would
     # invert the tree pivots by SVD, which differs from their LU inverse by
     # eps·cond: 1.6e-9 of x on segmented_chain 8 (cond 5.5e9 on the range)
     dense = dense_block_ldu(full[np.ix_(perm, perm)], sizes, lay.relieved)
@@ -311,7 +311,7 @@ def assert_layout_covers_dense_factors(mech, rng):
     schur, sizes = dense_schur_complement(mech, ctx)
     reduced, _ = assembled(reduced_newton_system(mech, ctx, np.zeros(mech.dim)).joints.as_block_system())
     assert np.abs(reduced - schur).max() <= 1e-12 * np.abs(schur).max()
-    fact = dense_ldu_factorize(schur, sizes, pivot_relief=1e-10)
+    fact = dense_ldu_factorize(schur, sizes, relieved=True)
     pattern = set(layout.pairs) | set(layout.fill_events)
     offsets = fact.offsets
     for factor in (l_matrix(fact), u_matrix(fact)):
