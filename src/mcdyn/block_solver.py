@@ -418,13 +418,12 @@ class SymbolicLayout:
         return len(self.fill_events)
 
     def system(self, blocks: list, rhs: np.ndarray) -> NodeSystem:
-        """A system on this layout from ``blocks``, arrays holding the blocks of its sources in order.
+        """A system on this layout from ``blocks``, the blocks of its sources in order; those of one pair add up.
 
         Blocks without a source are zero.  ``rhs`` is in the rows of the vector the layout was given.
         """
-        vals = np.zeros(self.cells)
+        vals = np.bincount(self.scatter, np.concatenate(blocks, axis=None), self.cells)
         vals[self.ones] = 1.0
-        vals[self.scatter] = np.concatenate(blocks, axis=None)
         return NodeSystem(layout=self, vals=vals, rhs=rhs)
 
     def blocks(self, vals: np.ndarray, count: int) -> list:
@@ -449,7 +448,8 @@ def symbolic_layout(order, sizes, rows, dim, sources, stacks) -> SymbolicLayout:
     ``rows`` give each other node's block size and its rows of a vector of
     ``dim`` rows; the rows no node holds read zero in the solution.
     ``sources`` lists the (row node, column node) of each block a system
-    supplies; other blocks are zero.  The pattern must be symmetric.
+    supplies; a pair may repeat, and its blocks then add up.  Other blocks
+    are zero.  The pattern must be symmetric.
     """
     stacks = {key: sorted(ids) for key, ids in stacks.items()}
     covered = [node for key in order for node in stacks.get(key, [key])]

@@ -21,7 +21,7 @@ from .experiments import (
     write_trajectory_csv,
 )
 from .integrator import StepContext, run_simulation
-from .mechanism import check_parameter, load_mechanism, save_mechanism
+from .mechanism import load_mechanism, save_mechanism, step_count
 from .scenarios import Scenario, generate_scenario
 
 
@@ -99,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args) -> int:
-    check_parameter("duration", args.duration, positive=True)
+    n_steps = step_count(args.duration, args.h)
     mech = load_mechanism(args.mechanism)
     ctx = StepContext(h=args.h, gravity=args.gravity)
     mech.initialize(args.h)
@@ -111,7 +111,6 @@ def _cmd_simulate(args) -> int:
                 f"{len(plan.layout.order) - hubs} joint nodes" + f"; hubs kept as nodes: {hubs}" * bool(hubs) + "\n"
             )
             fh.write(pattern_report(plan.layout) + "\n")
-    n_steps = int(round(args.duration / args.h))
     records = run_simulation(mech, ctx, n_steps, tol=args.tol, record_bodies=True)
     report = RunReport(
         config={
@@ -164,13 +163,11 @@ def _cmd_bench(args) -> int:
         print(f"sparse fit: t = {slope * 1e3:.6f} ms/link * n + {intercept * 1e3:.6f} ms (R^2 = {r2:.4f})")
         print("(full bodies-and-joints LDU, the paper's O(n) kernel; not the step's body-first sweep)")
     elif args.experiment in ("energy", "drift"):
-        check_parameter("duration", args.duration, positive=True)
+        step_count(args.duration, args.h)  # rejects a bad step count before anything runs
         sc = Scenario(
             kind=args.kind, n_links=args.n, joint_kind=args.joint,
             h=args.h, duration=args.duration, tolerance=args.tol,
         )
-        if not sc.n_steps:
-            raise SimulationError(f"duration {args.duration} s gives no step of h = {args.h} s")
         if args.experiment == "energy":
             result = run_energy_experiment(sc)
             write_energy_csv(args.out, result)

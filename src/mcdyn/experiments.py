@@ -210,8 +210,10 @@ def run_timing_experiment(
 def run_convergence_experiment(n_list, tolerance: float = 1e-10, joint_kind: str = "revolute") -> dict:
     """Residual norm per Newton iteration for the first step from rest.
 
-    Returns {n: [||f|| before iterating, after iteration 1, ...]}.
+    Returns {n: [||f|| before iterating, after iteration 1, ...]}; SimulationError if ``n_list`` is empty.
     """
+    if not len(n_list):
+        raise SimulationError("the convergence experiment needs at least one size, got none")
     out = {}
     for n in n_list:
         sc = Scenario(kind="pendulum", n_links=int(n), joint_kind=joint_kind, tolerance=tolerance)

@@ -263,10 +263,11 @@ def eliminate_bodies(
     rows.  Bodies are never adjacent to each other, so the pivots of
     ``plan.first`` are their body blocks: they are inverted together and
     checked in one pass, raising SingularBlockError naming the first
-    failing body in id order.  The Schur blocks, the hubs' blocks and
-    their couplings go into the plan's layout, whose sweep alone pivots
-    the hubs; under a plan with no ``first`` the joint diagonal blocks are
-    zero and the sweep pivots every body.
+    failing body in id order.  The Schur blocks, one term per eliminated
+    body and joint pair (the layout adds the terms of one pair), the
+    hubs' blocks and their couplings go into the plan's layout, whose
+    sweep alone pivots the hubs; under a plan with no ``first`` the joint
+    diagonal blocks are zero and the sweep pivots every body.
     """
     n = len(mech.body_ids)
     first = plan.first
@@ -291,14 +292,8 @@ def eliminate_bodies(
         rhs[group.rows] -= (pull[0] + pull[1])[..., 0]
         left.append(vb)
         cols.append(col)
-        if len(hub[0]):
-            hub_blocks += [row[hub], col[hub]]
-    for g, h, pairs, rows, cs, twice in plan.joint_pairs:
-        terms = left[g][rows] @ cols[h][cs]
-        stack = -terms[: len(pairs)]
-        if len(twice):
-            stack[twice] -= terms[len(pairs) :]
-        blocks.append(stack)
+        hub_blocks += [row[hub], col[hub]]
+    blocks += [-(left[g][rows] @ cols[h][cs]) for g, h, _, rows, cs in plan.joint_pairs]
     blocks += [body_diag[plan.hubs], *hub_blocks]
     joints = plan.layout.system(blocks, rhs)
     return ReducedSystem(joints=joints, inverse=inverse, body_rhs=body_rhs, cols=cols)

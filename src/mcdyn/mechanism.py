@@ -272,41 +272,34 @@ def _hubs(groups: list, n: int) -> np.ndarray:
 
 
 def _joint_pairs(groups: list, first: np.ndarray) -> list:
-    """Which kind-group stacks couple two joints once the bodies are eliminated.
+    """The Schur terms that couple two joints once the bodies are eliminated, stacked per pair of kind groups.
 
     ``first`` flags per row of ``JointGroup.ends`` the bodies eliminated
     first.  Two joints attached to one such body get a Schur term from
-    it, one per ordered pair; a pair sharing two such bodies gets one block,
-    the sum of both terms.  Returns per (row group, column group) with such
-    pairs the tuple (row group, column group, pairs, rows, cols, twice).
-    ``pairs`` are the ordered (row joint id, column joint id) whose blocks
-    the stack holds.  ``rows`` and ``cols`` index the terms as (side,
-    position) arrays into the groups' stacks with a leading sides axis
-    (``JointGroup.ends``): the row joint's side and position, and the
-    column joint's.  The first ``len(pairs)`` terms are the pairs in order;
-    the terms after them add to the pairs ``twice``, those sharing both
-    bodies.
+    it, one per ordered pair; a pair sharing two such bodies is listed
+    twice, and its two terms add up in the layout.  Returns per (row
+    group, column group) with such terms the tuple (row group, column
+    group, pairs, rows, cols).  ``pairs`` are the ordered (row joint id,
+    column joint id) of the terms.  ``rows`` and ``cols`` index the terms
+    as (side, position) arrays into the groups' stacks with a leading
+    sides axis (``JointGroup.ends``): the row joint's side and position,
+    and the column joint's.
     """
     attached: dict = {}  # body row -> [(group, side, position)]
     for g, group in enumerate(groups):
         sides, positions = np.nonzero(first[group.ends])
         for side, i, b in zip(sides.tolist(), positions.tolist(), group.ends[sides, positions].tolist()):
             attached.setdefault(b, []).append((g, side, i))
-    stacks: dict = {}  # (row group, column group) -> ({(row id, column id): pair}, [first terms], [second terms])
+    stacks: dict = {}  # (row group, column group) -> [((row id, column id), (side, position, side, position))]
     for b in sorted(attached):
         for (g, s, i), (h, t, j) in product(attached[b], attached[b]):
-            key = (groups[g].ids[i], groups[h].ids[j])
-            if key[0] != key[1]:
-                pairs, first, second = stacks.setdefault((g, h), ({}, [], []))
-                if key in pairs:
-                    second.append((pairs[key], s, i, t, j))
-                else:
-                    pairs[key] = len(pairs)
-                    first.append((pairs[key], s, i, t, j))
+            if groups[g].ids[i] != groups[h].ids[j]:
+                stacks.setdefault((g, h), []).append(((groups[g].ids[i], groups[h].ids[j]), (s, i, t, j)))
     out = []
-    for (g, h), (pairs, first, second) in stacks.items():
-        terms = np.array(first + second, dtype=int).T
-        out.append((g, h, list(pairs), (terms[1], terms[2]), (terms[3], terms[4]), terms[0][len(pairs) :]))
+    for (g, h), terms in stacks.items():
+        pairs, at = zip(*terms)
+        s, i, t, j = np.array(at).T
+        out.append((g, h, list(pairs), (s, i), (t, j)))
     return out
 
 
@@ -316,8 +309,8 @@ class EliminationPlan:
 
     ``first`` and ``hubs`` are the body rows (id order) eliminated in one
     batch and kept as nodes; ``hub_sides`` holds per kind group the
-    (sides, positions) of the joint ends at a hub, and ``joint_pairs``
-    the joints coupled through a body eliminated first (:func:`_joint_pairs`).
+    (sides, positions) of the joint ends at a hub, and ``joint_pairs`` the
+    Schur terms coupling the joints of a body eliminated first (:func:`_joint_pairs`).
     ``layout`` is the sweep's symbolic layout over the joints and hubs, on
     their rows of the Newton vector.
     """
@@ -400,20 +393,20 @@ def elimination_plan(mech: Mechanism, is_hub: np.ndarray, levelled: bool) -> Eli
 
     The layout holds each hub and joint at its rows of the Newton vector
     (``body_slices``, ``joint_slices``).  Blocks come as each kind group's
-    joint diagonals, the pair stacks of ``joint_pairs``, the hubs'
+    joint diagonals, the term stacks of ``joint_pairs``, the hubs'
     diagonals, then per kind group the couplings (joint, hub) and (hub,
     joint) at ``hub_sides``, as ``integrator.eliminate_bodies`` supplies
-    them.  The loop joints of each of the graph's ``cycles`` are stacked
-    into one relieved node; the one whose cycle reaches nearest the root
-    (in the graph's order) is keyed :data:`LOOP_NODE`, each other one
-    (LOOP_NODE, smallest loop joint id).  Without ``levelled`` the
-    elimination order is the graph's (children first) over these nodes,
-    each relieved node right after the highest node of its cycle: on a
-    tree the later neighbours of each node then already couple to each
-    other, so the sweep creates no fill.  With ``levelled`` (the step's
-    plan) it is :func:`_level_order` of that order, whose rounds the sweep
-    eliminates a level at a time.  With every body a hub, the layout is
-    the full bodies-and-joints graph.
+    them; the terms of a pair shared by two bodies add up.  The loop
+    joints of each of the graph's ``cycles`` are stacked into one relieved
+    node; the one whose cycle reaches nearest the root (in the graph's
+    order) is keyed :data:`LOOP_NODE`, each other one (LOOP_NODE, smallest
+    loop joint id).  Without ``levelled`` the elimination order is the
+    graph's (children first) over these nodes, each relieved node right
+    after the highest node of its cycle: on a tree the later neighbours of
+    each node then already couple to each other, so the sweep creates no
+    fill.  With ``levelled`` (the step's plan) it is :func:`_level_order`
+    of that order, whose rounds the sweep eliminates a level at a time.
+    With every body a hub, the layout is the full bodies-and-joints graph.
     """
     hubs = np.flatnonzero(is_hub)  # np.isin and np.setdiff1d would import numpy.ma, over 1 MB of RSS
     hub_ids = [mech.body_ids[r] for r in hubs]
@@ -424,9 +417,7 @@ def elimination_plan(mech: Mechanism, is_hub: np.ndarray, levelled: bool) -> Eli
     slices = {b: mech.body_slices[b] for b in hub_ids} | mech.joint_slices
     rows = {node: range(sl.start, sl.stop) for node, sl in slices.items()}
     sizes = {node: len(r) for node, r in rows.items()}
-    sources = [(j, j) for g in mech.groups for j in g.ids]
-    for _, _, pairs, *_ in joint_pairs:
-        sources += pairs
+    sources = [(j, j) for g in mech.groups for j in g.ids] + [p for _, _, pairs, *_ in joint_pairs for p in pairs]
     sources += [(b, b) for b in hub_ids]
     for g, (sides, positions) in zip(mech.groups, hub_sides):
         ends = [mech.body_ids[b] for b in g.ends[sides, positions]]
@@ -633,6 +624,18 @@ def check_parameter(name: str, value, positive: bool) -> None:
         raise SimulationError(f"{name} must be finite{' and positive' * positive}, got {value}")
 
 
+def step_count(duration: float, h: float) -> int:
+    """The steps of ``h`` in ``duration``, rounded; SimulationError unless both are finite and positive and that is at least one."""
+    check_parameter("duration", duration, positive=True)
+    check_parameter("h", h, positive=True)
+    steps = duration / h
+    if not np.isfinite(steps):
+        raise SimulationError(f"duration {duration} s gives too many steps of h = {h} s")
+    if round(steps) < 1:
+        raise SimulationError(f"duration {duration} s gives no step of h = {h} s")
+    return round(steps)
+
+
 def max_violation(groups, x: np.ndarray, q: np.ndarray, rot: np.ndarray) -> float:
     """Largest absolute joint residual entry at stacked poses (:func:`with_world`); NaN if any entry is NaN."""
     return float(np.max([np.abs(joint_residual(g, x, q, rot)).max() for g in groups], initial=0.0))
@@ -748,10 +751,11 @@ class Mechanism:
             )
 
     def poses(self, at: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Stacked poses of committed knot 1 or 2 and their rotations, world row included."""
-        if at not in (1, 2):
+        """Stacked poses of committed knot 1 or 2 (any value equal to one) and their rotations, world row included."""
+        knots = {1: (self.x1, self.q1), 2: (self.x2, self.q2)}
+        if at not in knots:
             raise ValueError("knot selector must be 1 or 2")
-        return with_world(getattr(self, f"x{at}"), getattr(self, f"q{at}"))
+        return with_world(*knots[at])
 
     def max_constraint_violation(self, at: int = 2) -> float:
         return max_violation(self.groups, *self.poses(at))

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MechanismError
+from .mechanism import step_count
 
 KINDS = ("pendulum", "closed_chain", "segmented_chain", "free_body")
 JOINT_KINDS = ("revolute", "ball")
@@ -61,7 +62,7 @@ class Scenario:
 
     @property
     def n_steps(self) -> int:
-        return int(round(self.duration / self.h))
+        return step_count(self.duration, self.h)
 
 
 def _rod_inertia(mass: float, length: float, radius: float) -> list:

@@ -401,6 +401,25 @@ class TestSparseLdu:
         for blk1, blk2 in zip(fact1.blocks, fact2.blocks, strict=True):
             assert np.array_equal(blk1, blk2)
 
+    def test_blocks_of_a_repeated_source_pair_add_up(self, rng):
+        system = random_tree_system(rng, 6)
+        sizes = {n: blk.shape[0] for n, blk in system.diag.items()}
+        ends = np.cumsum([sizes[n] for n in system.order]).tolist()
+        rows = {n: range(end - sizes[n], end) for n, end in zip(system.order, ends)}
+        pair = next(iter(system.offdiag))
+        extra = rng.normal(size=system.offdiag[pair].shape)
+        sources = [(n, n) for n in system.diag] + list(system.offdiag) + [pair]
+        layout = symbolic_layout(system.order, sizes, rows, ends[-1], sources, {})
+        blocks = [*system.diag.values(), *system.offdiag.values(), extra]
+        on_layout = layout.system(blocks, assembled_rhs(system))
+        summed = BlockSystem(system.diag, system.offdiag | {pair: system.offdiag[pair] + extra}, system.order, system.rhs)
+        view = on_layout.as_block_system()
+        assert view.offdiag.keys() == summed.offdiag.keys()
+        for key, block in summed.offdiag.items():
+            np.testing.assert_array_equal(view.offdiag[key], block)
+        x_ref = solve_dense_reference(summed)
+        assert np.linalg.norm(sparse_ldu_solve(sparse_ldu_factorize(on_layout)) - x_ref) <= 1e-9 * np.linalg.norm(x_ref)
+
     def test_dangling_constraint_detected(self, rng):
         # zero-diagonal node eliminated before receiving any update
         diag = {0: np.zeros((3, 3)), 1: rng.normal(size=(6, 6)) + 4 * np.eye(6)}

@@ -165,6 +165,23 @@ def test_bench_duration_without_a_step_is_an_error(tmp_path, capsys, experiment,
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("experiment", [["energy", "--n", "1"], ["drift", "--kind", "closed_chain", "--n", "4"]])
+def test_bench_duration_with_too_many_steps_is_an_error(tmp_path, capsys, experiment):
+    out_path = tmp_path / "out.csv"
+    code = main(["bench", *experiment, "--h", "1e-300", "--duration", "1e300", "--out", str(out_path)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: duration 1e+300 s gives too many steps of h = 1e-300 s\n"
+    assert not out_path.exists()
+
+
+def test_bench_convergence_without_a_size_is_an_error(tmp_path, capsys):
+    out_path = tmp_path / "conv.csv"
+    code = main(["bench", "convergence", "--n-list", ",", "--out", str(out_path)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: the convergence experiment needs at least one size, got none\n"
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("args,message", [
     (["--n-list", "2,3", "--repeats", "0"], "repeats must be at least 1"),
     (["--n-list", ","], "the timing fit needs at least two distinct sizes"),
@@ -242,3 +259,20 @@ def test_simulate_bad_step_or_duration_is_an_error(tmp_path, capsys, option, val
     assert code == 1
     assert f"error: {option[2:]} must be finite and positive" in capsys.readouterr().err
     assert not traj_path.exists()
+
+
+@pytest.mark.parametrize("h,duration,message", [
+    ("0.01", "0.004", "error: duration 0.004 s gives no step of h = 0.01 s"),
+    ("1e-300", "1e300", "error: duration 1e+300 s gives too many steps of h = 1e-300 s"),
+])
+def test_simulate_duration_without_a_whole_step_count_is_an_error(tmp_path, capsys, h, duration, message):
+    mech_path = tmp_path / "pendulum.yaml"
+    save_mechanism(generate_scenario(Scenario(kind="pendulum", n_links=2)), mech_path)
+    traj_path, pattern_path = tmp_path / "t.csv", tmp_path / "pattern.txt"
+    code = main([
+        "simulate", str(mech_path), "--h", h, "--duration", duration,
+        "--out", str(traj_path), "--dump-pattern", str(pattern_path),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == message + "\n"
+    assert not traj_path.exists() and not pattern_path.exists()

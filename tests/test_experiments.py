@@ -16,6 +16,7 @@ from mcdyn.experiments import (
     write_timing_csv,
     write_trajectory_csv,
 )
+from mcdyn.errors import SimulationError
 from mcdyn.integrator import StepContext, newton_system_at, run_simulation
 from mcdyn.mechanism import load_mechanism
 from mcdyn.scenarios import Scenario, generate_scenario
@@ -125,6 +126,10 @@ class TestConvergenceExperiment:
         a = run_convergence_experiment([2])
         b = run_convergence_experiment([2])
         assert a == b
+
+    def test_no_size_is_an_error(self):
+        with pytest.raises(SimulationError, match="at least one size"):
+            run_convergence_experiment([])
 
 
 class TestTrajectoryReport:

@@ -701,3 +701,13 @@ class TestMaxViolation:
             bad[row] *= np.nan
             assert np.isnan(max_violation(mech.groups, bad, q, rot))
         assert max_violation([], x, q, rot) == 0.0
+
+    def test_knot_selector_is_looked_up_by_value(self):
+        mech = make_pendulum(3)
+        mech.bodies[1].state.x2[:] = np.array([np.nan, 0.0, 0.0])
+        for got, want in zip(mech.poses(1.0), mech.poses(1)):
+            np.testing.assert_array_equal(got, want)
+        assert mech.max_constraint_violation(at=True) == mech.max_constraint_violation(at=1) < 1e-12
+        for at in (1.5, 3, "1"):
+            with pytest.raises(ValueError, match="knot selector must be 1 or 2"):
+                mech.poses(at)
