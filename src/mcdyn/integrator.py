@@ -36,6 +36,7 @@ context is single-threaded; independent mechanisms may run in parallel.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,6 +55,7 @@ from .mechanism import (
     EliminationPlan,
     Mechanism,
     check_parameter,
+    check_time_step,
     constraint_jacobian_position,
     constraint_jacobian_velocity,
     joint_residual,
@@ -404,14 +406,15 @@ def newton_solve(mech: Mechanism, ctx: StepContext, tol: float = 1e-10) -> Newto
     residual norm is below `tol`, leaving the converged vector in
     ``mech.unknowns`` and the next knot its accepted residual evaluation
     predicted in ``knot``.  Raises SimulationError for a load on an unknown
-    body or a load that is not a finite 3-vector, for an h or `tol` that
-    is not finite and positive and for gravity that is not finite, all
+    body or a load that is not a finite 3-vector, for an h that
+    :func:`check_time_step` rejects, for a `tol` that is not a finite
+    positive number and for gravity that is not a finite number, all
     before any state changes; LineSearchError when no halving reduces the
     residual, and NonConvergenceError when _MAX_ITERS iterations do not
     reach `tol`; either way the last accepted vector is left in
     ``mech.unknowns``.
     """
-    check_parameter("h", ctx.h, positive=True)
+    check_time_step(ctx.h)
     check_parameter("tol", tol, positive=True)
     check_parameter("gravity", ctx.gravity, positive=False)
     layout = build_layout(mech, ctx)  # reads no knot that initializing sets
@@ -554,10 +557,13 @@ def run_simulation(
     tol: float = 1e-10,
     record_bodies: bool = False,
 ) -> list[StepRecord]:
-    """Step `n_steps` times under ``ctx``, returning one record per committed step."""
+    """Step `n_steps` times under ``ctx``, one record per committed step; SimulationError first unless `n_steps` is an integer >= 0."""
+    count = operator.index(n_steps) if hasattr(n_steps, "__index__") else -1
+    if count < 0:
+        raise SimulationError(f"n_steps must be a non-negative integer, got {n_steps!r}")
     mech.ensure_initialized(ctx.h)
     records = []
-    for k in range(1, n_steps + 1):
+    for k in range(1, count + 1):
         info = step(mech, ctx, tol=tol)
         rec = StepRecord(
             step=k,

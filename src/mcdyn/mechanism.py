@@ -26,6 +26,9 @@ the ground are recognized as kinematic loops.
 
 from __future__ import annotations
 
+import math
+import numbers
+import sys
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
@@ -125,6 +128,8 @@ class JointConstraint:
             raise MechanismError(f"joint {self.id}: unknown kind {self.kind!r}")
         if self.kind == KIND_REVOLUTE and (self.axis_a is None or self.axis_b is None):
             raise MechanismError(f"joint {self.id}: revolute joint needs both axes")
+        if self.parent == self.child:
+            raise MechanismError(f"joint {self.id}: parent and child must differ")
 
     @property
     def rows(self) -> int:
@@ -479,11 +484,11 @@ def _kind_groups(body_index: dict, joints: dict, joint_slices: dict) -> list[Joi
 
 @dataclass
 class MechanismGraph:
-    """Elimination order, loop-closure set and independent cycles of the incidence graph.
+    """Elimination order, loop-closure set and independent cycles of the body-joint graph.
 
-    ``order`` lists the tree's body and constraint nodes children-before-
-    parent with the root last; the loop-closure constraints in
-    ``loop_joints`` are left out of it.  ``parent`` maps each non-root tree
+    ``order`` lists the walk's tree (:func:`build_graph`), body and joint
+    nodes, children-before-parent with the root last; the loop joints in
+    ``loop_joints`` never enter it.  ``parent`` maps each non-root tree
     node to its parent.  ``cycles`` holds one (loop joint ids ascending,
     tree nodes) pair per independent cycle: the fundamental cycles of the
     loop joints (the tree path between a loop joint's two ends), those
@@ -498,88 +503,58 @@ class MechanismGraph:
 
 
 def build_graph(bodies: dict, joints: dict) -> MechanismGraph:
-    """DFS the incidence graph: elimination order plus loop-closure set.
+    """Walk the mechanism depth first from body to body: elimination order plus loop-closure set.
 
-    A virtual world vertex ties all world attachments together so loops
-    closed through the ground are found as DFS back edges.  Neighbor lists
-    iterate in ascending id for reproducible orderings.  The root is the
-    virtual world vertex when the mechanism is grounded (making the
-    smallest-id world joint the last-eliminated node), else the
-    smallest-id body.
+    Bodies are the walk's vertices and joints its edges; a virtual world
+    vertex ties all world attachments together, so a chain closed through
+    the ground closes a loop too.  The walk starts at the world when the
+    mechanism is grounded (making the smallest-id world joint the
+    last-eliminated node), else at the smallest-id body, and each body
+    takes its joints in ascending id.  A joint whose far end is already in
+    the tree closes a loop: it is recorded with its two ends and never
+    enters the tree.  Any other joint enters it together with its far body.
     """
     if not bodies:
         raise MechanismError("mechanism has no bodies")
-    adjacency: dict = {b: [] for b in bodies}
-    world_joints = []
-    for jid, joint in joints.items():
-        adjacency[jid] = []
-        if joint.parent == WORLD:
-            world_joints.append(jid)
-        else:
-            adjacency[jid].append(joint.parent)
-            adjacency[joint.parent].append(jid)
-        adjacency[jid].append(joint.child)
-        adjacency[joint.child].append(jid)
-    if world_joints:
-        adjacency[WORLD] = sorted(world_joints)
-        for jid in world_joints:
-            adjacency[jid].insert(0, WORLD)
-    for k in adjacency:
-        if k != WORLD:
-            adjacency[k] = sorted(adjacency[k], key=_id_sort_key)
-
-    root = WORLD if world_joints else min(bodies)
-    visited = {root}
+    incident: dict = {b: [] for b in (*bodies, WORLD)}
+    for jid in sorted(joints):
+        incident[joints[jid].parent].append(jid)
+        incident[joints[jid].child].append(jid)
+    root = WORLD if incident[WORLD] else min(bodies)
     discovery = [] if root == WORLD else [root]
-    parent: dict = {}
-    depth = {root: 0}
-    loops: dict = {}  # loop joint -> its two ends in the tree
-    stack = [(root, None, iter(adjacency[root]))]
+    parent: dict = {root: None}  # tree node -> its parent
+    loops: dict = {}  # loop joint -> the body that met it and its far end, an ancestor in the tree
+    stack = [(root, iter(incident[root]))]
     while stack:
-        u, par, it = stack[-1]
-        v = next(it, None)
-        if v is None:
+        u, it = stack[-1]
+        jid = next(it, None)
+        if jid is None:
             stack.pop()
-            continue
-        if v == par or v in loops:
-            continue
-        if v in visited:
-            # Back edge: u is a constraint whose second attachment is already
-            # in the tree, so u closes a kinematic loop.
-            if u not in joints:
-                raise MechanismError(
-                    f"unexpected cycle through node {u!r}; duplicate joint edges?"
-                )
-            loops[u] = (par, v)
-            assert discovery[-1] == u
-            discovery.pop()
-            parent.pop(u, None)
-            visited.discard(u)
-            stack.pop()
-            continue
-        visited.add(v)
-        if v != WORLD:
-            discovery.append(v)
-        parent[v] = u
-        depth[v] = depth[u] + 1
-        stack.append((v, u, iter(adjacency[v])))
+        elif jid not in parent and jid not in loops:  # else the joint u was reached by, or a loop joint
+            joint = joints[jid]
+            v = joint.child if joint.parent == u else joint.parent
+            if v in parent:
+                loops[jid] = (u, v)
+            else:
+                parent[jid], parent[v] = u, jid
+                discovery += [jid, v]
+                stack.append((v, iter(incident[v])))
 
-    unreached = [n for n in adjacency if n not in visited and n not in loops and n != WORLD]
+    unreached = sorted(n for n in (*bodies, *joints) if n not in parent and n not in loops)
     if unreached:
-        raise MechanismError(
-            f"mechanism graph is disconnected; unreachable nodes: {sorted(unreached, key=_id_sort_key)}"
-        )
-    cycles = _independent_cycles(loops, parent, depth)
-    parent = {n: p for n, p in parent.items() if p != WORLD and n != WORLD}
-    return MechanismGraph(order=list(reversed(discovery)), parent=parent, loop_joints=set(loops), cycles=cycles)
+        raise MechanismError(f"mechanism graph is disconnected; unreachable nodes: {unreached}")
+    cycles = _independent_cycles(loops, parent)
+    parent = {n: p for n, p in parent.items() if p not in (None, WORLD)}
+    return MechanismGraph(order=discovery[::-1], parent=parent, loop_joints=set(loops), cycles=cycles)
 
 
-def _independent_cycles(loops: dict, parent: dict, depth: dict) -> list:
+def _independent_cycles(loops: dict, parent: dict) -> list:
     """The fundamental cycles of the loop joints, merged where they share a body or joint.
 
-    ``loops`` maps each loop joint to its two ends; ``parent`` and
-    ``depth`` describe the DFS tree.  Each cycle climbs from both ends to
-    their common ancestor, the deeper end first, in O(cycle length).
+    ``loops`` maps each loop joint to the body that met it and its far
+    end, and ``parent`` each node of the walk's tree to its parent.  A
+    depth-first walk meets a loop joint first from its deeper end, so the
+    far end is an ancestor and each cycle climbs to it in O(cycle length).
     Returns (loop joint ids ascending, tree nodes without the world) per
     merged cycle, by smallest loop joint id.
     """
@@ -597,8 +572,6 @@ def _independent_cycles(loops: dict, parent: dict, depth: dict) -> list:
         a, b = loops[u]
         path = {a, b}
         while a != b:
-            if depth[a] < depth[b]:
-                a, b = b, a
             a = parent[a]
             path.add(a)
         path.discard(WORLD)
@@ -614,20 +587,27 @@ def _independent_cycles(loops: dict, parent: dict, depth: dict) -> list:
     return sorted(merged.values(), key=lambda cycle: cycle[0][0])
 
 
-def _id_sort_key(n):
-    return (0, n) if isinstance(n, int) else (1, str(n))
-
-
 def check_parameter(name: str, value, positive: bool) -> None:
-    """Raise SimulationError naming ``name`` unless ``value`` is finite (and > 0 if ``positive``)."""
-    if not (np.isfinite(value) and (value > 0 or not positive)):
-        raise SimulationError(f"{name} must be finite{' and positive' * positive}, got {value}")
+    """Raise SimulationError naming ``name`` unless ``value`` is a finite real number (and > 0 if ``positive``)."""
+    if not (isinstance(value, numbers.Real) and math.isfinite(value) and (value > 0 or not positive)):
+        raise SimulationError(f"{name} must be finite{' and positive' * positive}, got {value!r}")
+
+
+def check_time_step(h) -> None:
+    """Raise SimulationError naming h unless it is finite and positive and (2/h)^2 is a normal float.
+
+    Every orientation update takes sqrt((2/h)^2 - w.w), so (2/h)^2 must
+    neither overflow nor round towards zero: about 1.5e-154 < h < 1.3e154.
+    """
+    check_parameter("h", h, positive=True)
+    if not sys.float_info.min <= (rate := 2.0 / float(h)) * rate < math.inf:
+        raise SimulationError(f"h must lie between about 1.5e-154 and 1.3e154, got {h!r}")
 
 
 def step_count(duration: float, h: float) -> int:
-    """The steps of ``h`` in ``duration``, rounded; SimulationError unless both are finite and positive and that is at least one."""
+    """The steps of ``h`` in ``duration``, rounded; SimulationError unless both are valid (:func:`check_time_step`) and that is at least one."""
     check_parameter("duration", duration, positive=True)
-    check_parameter("h", h, positive=True)
+    check_time_step(h)
     steps = duration / h
     if not np.isfinite(steps):
         raise SimulationError(f"duration {duration} s gives too many steps of h = {h} s")
@@ -729,10 +709,10 @@ class Mechanism:
         The previous knot is reconstructed so that one discrete update from
         it reproduces the current pose exactly; the current velocities fill
         (v0, w0) and double as the cold-start guess for the first implicit
-        solve, and every multiplier restarts at zero.  Raises SimulationError unless h
-        is finite and positive.
+        solve, and every multiplier restarts at zero.  Raises SimulationError,
+        changing nothing, for an h that :func:`check_time_step` rejects.
         """
-        check_parameter("h", h, positive=True)
+        check_time_step(h)
         # lmat(identity) is the identity, so this is the bare step quaternion
         q_step = quat.orientation_update(quat.identity(), self.w1, h)
         self.x1 = self.x2 - h * self.v1
@@ -862,8 +842,6 @@ def _parse_joint(entry: dict, quaternions: dict) -> JointConstraint:
         raise MechanismError(f"joint {jid}: unknown child body {child}")
     if parent != WORLD and parent not in quaternions:
         raise MechanismError(f"joint {jid}: unknown parent body {parent}")
-    if parent == child:
-        raise MechanismError(f"joint {jid}: parent and child must differ")
     axis_a = axis_b = None
     if kind == KIND_REVOLUTE:
         try:

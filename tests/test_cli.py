@@ -168,10 +168,34 @@ def test_bench_duration_without_a_step_is_an_error(tmp_path, capsys, experiment,
 @pytest.mark.parametrize("experiment", [["energy", "--n", "1"], ["drift", "--kind", "closed_chain", "--n", "4"]])
 def test_bench_duration_with_too_many_steps_is_an_error(tmp_path, capsys, experiment):
     out_path = tmp_path / "out.csv"
-    code = main(["bench", *experiment, "--h", "1e-300", "--duration", "1e300", "--out", str(out_path)])
+    code = main(["bench", *experiment, "--h", "1e-150", "--duration", "1e300", "--out", str(out_path)])
     assert code == 1
-    assert capsys.readouterr().err == "error: duration 1e+300 s gives too many steps of h = 1e-300 s\n"
+    assert capsys.readouterr().err == "error: duration 1e+300 s gives too many steps of h = 1e-150 s\n"
     assert not out_path.exists()
+
+
+# ten steps each, but (2/h)^2 overflows or falls below the normal floats
+STEPS_OUTSIDE_THE_RATE_RANGE = [("1e-200", "1e-199"), ("1e200", "1e201")]
+
+
+@pytest.mark.parametrize("h,duration", STEPS_OUTSIDE_THE_RATE_RANGE)
+def test_bench_energy_step_outside_the_rate_range_is_an_error(tmp_path, capsys, h, duration):
+    out_path = tmp_path / "e.csv"
+    code = main(["bench", "energy", "--n", "2", "--h", h, "--duration", duration, "--out", str(out_path)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: h must lie between about 1.5e-154 and 1.3e154, got {float(h)!r}\n"
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("h,duration", STEPS_OUTSIDE_THE_RATE_RANGE)
+def test_simulate_step_outside_the_rate_range_is_an_error(tmp_path, capsys, h, duration):
+    mech_path = tmp_path / "p2.yaml"
+    save_mechanism(generate_scenario(Scenario(kind="pendulum", n_links=2)), mech_path)
+    traj_path = tmp_path / "t.csv"
+    code = main(["simulate", str(mech_path), "--h", h, "--duration", duration, "--out", str(traj_path)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: h must lie between about 1.5e-154 and 1.3e154, got {float(h)!r}\n"
+    assert not traj_path.exists()
 
 
 def test_bench_convergence_without_a_size_is_an_error(tmp_path, capsys):
@@ -263,7 +287,7 @@ def test_simulate_bad_step_or_duration_is_an_error(tmp_path, capsys, option, val
 
 @pytest.mark.parametrize("h,duration,message", [
     ("0.01", "0.004", "error: duration 0.004 s gives no step of h = 0.01 s"),
-    ("1e-300", "1e300", "error: duration 1e+300 s gives too many steps of h = 1e-300 s"),
+    ("1e-150", "1e300", "error: duration 1e+300 s gives too many steps of h = 1e-150 s"),
 ])
 def test_simulate_duration_without_a_whole_step_count_is_an_error(tmp_path, capsys, h, duration, message):
     mech_path = tmp_path / "pendulum.yaml"

@@ -1,3 +1,4 @@
+import re
 import weakref
 from dataclasses import replace
 
@@ -27,7 +28,7 @@ from mcdyn.integrator import (
     total_energy,
 )
 from mcdyn.baselines import heun_simulate
-from mcdyn.mechanism import elimination_plan, load_mechanism, velocities
+from mcdyn.mechanism import elimination_plan, load_mechanism, step_count, velocities
 from mcdyn.scenarios import Scenario, generate_scenario
 from oracles import assembled, euler_free_body
 
@@ -551,6 +552,9 @@ BAD_PARAMETERS = [
     ("gravity", {"h": 0.01, "gravity": np.inf}, {}),
     ("tol", {"h": 0.01}, {"tol": -1.0}),
     ("tol", {"h": 0.01}, {"tol": np.nan}),
+    ("h", {"h": "0.01"}, {}),
+    ("tol", {"h": 0.01}, {"tol": "1e-10"}),
+    ("gravity", {"h": 0.01, "gravity": None}, {}),
 ]
 
 
@@ -561,6 +565,7 @@ class TestStepParameters:
         x_before, s_before = mech.x2.copy(), mech.unknowns.copy()
         with pytest.raises(SimulationError, match=f"^{name} must be finite") as err:
             step(mech, StepContext(**ctx_args), **step_args)
+        assert str(err.value).endswith(f"got {({**ctx_args, **step_args})[name]!r}")
         assert not isinstance(err.value, NewtonError)
         assert mech.h is None
         np.testing.assert_array_equal(mech.x2, x_before)
@@ -572,6 +577,50 @@ class TestStepParameters:
         with pytest.raises(SimulationError, match="^h must be finite and positive"):
             mech.initialize(h)
         assert mech.h == 0.01
+
+    # (2/h)^2, which every orientation update takes, overflows or falls below the normal floats
+    @pytest.mark.parametrize("h", [1e-200, 1e200])
+    def test_step_outside_the_rate_range_rejected_before_solving(self, h):
+        mech = load_mechanism(generate_scenario(Scenario(kind="pendulum", n_links=2)))
+        x_before, s_before = mech.x2.copy(), mech.unknowns.copy()
+        with pytest.raises(SimulationError, match=f"^h must lie between about 1.5e-154 and 1.3e154, got {re.escape(repr(h))}$"):
+            step(mech, StepContext(h=h))
+        assert mech.h is None
+        np.testing.assert_array_equal(mech.x2, x_before)
+        np.testing.assert_array_equal(mech.unknowns, s_before)
+
+    @pytest.mark.parametrize("h", [1e-200, 1e200])
+    def test_initialize_outside_the_rate_range_rejected(self, h):
+        mech = make_pendulum(2)
+        q1 = mech.q1.copy()
+        with pytest.raises(SimulationError, match="^h must lie between") as err:
+            mech.initialize(h)
+        assert not isinstance(err.value, AngularRateError)
+        assert mech.h == 0.01
+        np.testing.assert_array_equal(mech.q1, q1)
+
+    @pytest.mark.parametrize("h", [1.5e-154, 1.3e154])
+    def test_steps_at_the_ends_of_the_rate_range_initialize(self, h):
+        mech = load_mechanism(generate_scenario(Scenario(kind="pendulum", n_links=2)))
+        mech.initialize(h)
+        assert mech.h == h
+
+    @pytest.mark.parametrize("duration,h", [(1e-199, 1e-200), (1e201, 1e200)])
+    def test_step_count_rejects_a_step_outside_the_rate_range(self, duration, h):
+        with pytest.raises(SimulationError, match="^h must lie between"):
+            step_count(duration, h)
+
+    @pytest.mark.parametrize("n_steps", [-3, 2.5, "2", None])
+    def test_run_simulation_rejects_a_step_count_that_is_no_non_negative_integer(self, n_steps):
+        mech = load_mechanism(generate_scenario(Scenario(kind="pendulum", n_links=2)))
+        with pytest.raises(SimulationError, match=f"^n_steps must be a non-negative integer, got {re.escape(repr(n_steps))}$"):
+            run_simulation(mech, StepContext(h=0.01), n_steps)
+        assert mech.h is None
+
+    def test_run_simulation_takes_any_integer_step_count(self):
+        mech = load_mechanism(generate_scenario(Scenario(kind="pendulum", n_links=2)))
+        assert run_simulation(mech, StepContext(h=0.01), 0) == []
+        assert [r.step for r in run_simulation(mech, StepContext(h=0.01), np.int64(2))] == [1, 2]
 
 
 KNOTS = ("x1", "q1", "x2", "q2", "v0", "w0", "v1", "w1", "v2", "w2")

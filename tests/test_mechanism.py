@@ -30,6 +30,7 @@ from oracles import (
     rotmat_from_axis_angle,
     rotmat_from_quat,
 )
+from test_random_mechanisms import hinged_by_two_balls, loops_sharing_a_body
 
 
 def one_joint(joint, states):
@@ -379,6 +380,18 @@ class TestQuaternionFormOracle:
                 assert_relative_gap(blk_b[..., 3:], dq_b @ update[group.ends[1]])
 
 
+def floating_ring():
+    """Four ungrounded links in a square, each joined to the next by a ball joint (ids 5-8)."""
+    corners = [np.array(c, dtype=float) for c in [(0, 0, 0), (1, 0, 0), (1, 0, 1), (0, 0, 1)]]
+    mid = [(corners[i] + corners[(i + 1) % 4]) / 2 for i in range(4)]
+    bodies = [{"id": i + 1, "mass": 1.0, "inertia": [0.1, 0.1, 0.05, 0, 0, 0], "position": list(mid[i]),
+               "quaternion": [1, 0, 0, 0]} for i in range(4)]
+    joints = [{"id": 5 + i, "kind": "ball", "parent": (i - 1) % 4 + 1, "child": i + 1,
+               "parent_anchor": list(corners[i] - mid[i - 1]), "child_anchor": list(corners[i] - mid[i])}
+              for i in range(4)]
+    return load_mechanism({"bodies": bodies, "joints": joints})
+
+
 class TestGraph:
     def test_single_body_fixed_joint(self):
         mech = load_mechanism(
@@ -518,6 +531,22 @@ class TestGraph:
             edges.append((index[jid], index[j.child]))
         assert count_independent_cycles(len(index), edges) == k
 
+    @pytest.mark.parametrize("build,order,loops,cycles", [
+        (floating_ring, [2, 7, 3, 8, 4, 5, 1], {6}, [([6], {1, 2, 3, 4, 5, 7, 8})]),
+        # two joints between bodies 1 and 2: the second closes a loop
+        (hinged_by_two_balls, [2, 4, 1, 3], {5}, [([5], {1, 2, 4})]),
+        (lambda: make_closed_chain(4), [4, 8, 3, 7, 2, 6, 1, 5], {9}, [([9], {1, 2, 3, 4, 5, 6, 7, 8})]),
+        (lambda: loops_sharing_a_body(np.random.default_rng(0)), [5, 11, 4, 10, 3, 8, 2, 7, 1, 6], {9, 12},
+         [([9, 12], {1, 2, 3, 4, 5, 7, 8, 10, 11})]),
+    ], ids=["floating_ring", "hinged_by_two_balls", "closed_chain_4", "loops_sharing_a_body"])
+    def test_walk_order_loop_joints_and_cycles(self, build, order, loops, cycles):
+        # each body takes its joints in ascending id from the world (or the
+        # smallest body); a joint whose far end is in the tree closes a loop
+        graph = build().graph
+        assert graph.order == order
+        assert graph.loop_joints == loops
+        assert graph.cycles == cycles
+
     def test_disconnected_raises(self):
         body = {"id": 1, "mass": 1.0, "inertia": [0.1, 0.1, 0.1, 0, 0, 0],
                 "position": [0, 0, 0], "quaternion": [1, 0, 0, 0]}
@@ -566,6 +595,19 @@ class TestLoader:
                  "joints": [{"id": 2, "kind": "ball", "parent": "world", "child": 7,
                              "parent_anchor": [0, 0, 0], "child_anchor": [0, 0, 0]}]}
             )
+
+    def test_joint_on_one_body_rejected(self):
+        with pytest.raises(MechanismError, match="^joint 2: parent and child must differ$"):
+            load_mechanism(
+                {"bodies": [self._body()],
+                 "joints": [{"id": 2, "kind": "ball", "parent": 1, "child": 1,
+                             "parent_anchor": [0, 0, 0], "child_anchor": [0, 0, 0]}]}
+            )
+
+    def test_joint_constraint_on_one_body_rejected(self):
+        # the type holds the rule, so a mechanism built without the loader meets it too
+        with pytest.raises(MechanismError, match="^joint 3: parent and child must differ$"):
+            JointConstraint(id=3, kind="ball", parent=2, child=2, p_a=np.zeros(3), p_b=np.zeros(3))
 
     def test_bad_axis(self):
         with pytest.raises(MechanismError, match="axis"):
