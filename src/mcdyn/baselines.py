@@ -17,7 +17,10 @@ import numpy as np
 
 from . import quaternions as quat
 from .integrator import StepContext, eliminate_bodies, mechanical_energy, solve_reduced, stacked_loads
-from .mechanism import Mechanism, constraint_jacobian_position, max_violation, velocities, with_world
+from .mechanism import (
+    Mechanism, check_parameter, check_step_count, check_time_step, constraint_jacobian_position, max_violation,
+    velocities, with_world,
+)
 
 _EZ = np.array([0.0, 0.0, 1.0])
 _DIRECTIONAL_EPS = 1e-5
@@ -116,13 +119,18 @@ def heun_simulate(mech: Mechanism, ctx: StepContext, n_steps: int) -> list[Basel
     """Integrate with Heun's method; the mechanism's state is left untouched.
 
     Raises SimulationError, before integrating, for a load on an unknown
-    body or a load that is not a finite 3-vector.
+    body or a load that is not a finite 3-vector, for an h that
+    :func:`check_time_step` rejects, for gravity that is not a finite
+    number and for an `n_steps` that is not an integer >= 0.
     """
+    check_time_step(ctx.h)
+    check_parameter("gravity", ctx.gravity, positive=False)
+    count = check_step_count(n_steps)
     loads = stacked_loads(mech, ctx)
     state = _State.committed(mech)
     h = ctx.h
     records = []
-    for k in range(1, n_steps + 1):
+    for k in range(1, count + 1):
         k1 = _acceleration_rates(mech, state, ctx, loads)
         k2 = _acceleration_rates(mech, state.shifted(k1, h), ctx, loads)
         q = state.q + 0.5 * h * (k1.q + k2.q)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import gc
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -46,21 +46,6 @@ class RunReport:
     records: list
 
 
-def _scenario_config(sc: Scenario, **extra) -> dict:
-    cfg = {
-        "kind": sc.kind,
-        "n_links": sc.n_links,
-        "joint_kind": sc.joint_kind,
-        "h": sc.h,
-        "duration": sc.duration,
-        "tolerance": sc.tolerance,
-        "link_length": sc.link_length,
-        "link_mass": sc.link_mass,
-    }
-    cfg.update(extra)
-    return cfg
-
-
 def _build(sc: Scenario):
     mech = load_mechanism(generate_scenario(sc))
     ctx = StepContext(h=sc.h)
@@ -73,52 +58,42 @@ def _build(sc: Scenario):
 
 
 @dataclass
-class EnergyResult:
+class ComparisonResult:
+    """The variational stepper against the explicit baseline from one start: per-step energy and max violation."""
+
     config: dict
     times: list
     energy_variational: list
     energy_explicit: list
+    violation_variational: list
+    violation_acceleration: list
     initial_energy: float
 
 
-def run_energy_experiment(sc: Scenario) -> EnergyResult:
-    """Per-step total energy of the variational stepper and the explicit baseline."""
+def _compare(sc: Scenario, experiment: str) -> ComparisonResult:
     mech, ctx = _build(sc)
     e0 = total_energy(mech, ctx)
+    base = heun_simulate(mech, ctx, sc.n_steps)  # leaves the committed state for the variational run
     records = run_simulation(mech, ctx, sc.n_steps, tol=sc.tolerance)
-
-    mech_b, ctx_b = _build(sc)
-    base = heun_simulate(mech_b, ctx_b, sc.n_steps)
-    return EnergyResult(
-        config=_scenario_config(sc, experiment="energy"),
+    return ComparisonResult(
+        config={**asdict(sc), "experiment": experiment},
         times=[r.time for r in records],
         energy_variational=[r.energy for r in records],
         energy_explicit=[r.energy for r in base],
+        violation_variational=[r.max_violation for r in records],
+        violation_acceleration=[r.max_violation for r in base],
         initial_energy=e0,
     )
 
 
-@dataclass
-class DriftResult:
-    config: dict
-    times: list
-    violation_variational: list
-    violation_acceleration: list
+def run_energy_experiment(sc: Scenario) -> ComparisonResult:
+    """Per-step total energy of the variational stepper and the explicit baseline."""
+    return _compare(sc, "energy")
 
 
-def run_drift_experiment(sc: Scenario) -> DriftResult:
+def run_drift_experiment(sc: Scenario) -> ComparisonResult:
     """Max constraint violation per step, position-level vs acceleration-level."""
-    mech, ctx = _build(sc)
-    records = run_simulation(mech, ctx, sc.n_steps, tol=sc.tolerance)
-
-    mech_b, ctx_b = _build(sc)
-    base = heun_simulate(mech_b, ctx_b, sc.n_steps)
-    return DriftResult(
-        config=_scenario_config(sc, experiment="drift"),
-        times=[r.time for r in records],
-        violation_variational=[r.max_violation for r in records],
-        violation_acceleration=[r.max_violation for r in base],
-    )
+    return _compare(sc, "drift")
 
 
 def dense_baseline(system: NodeSystem) -> tuple:
@@ -273,14 +248,14 @@ def write_trajectory_csv(path, report: RunReport) -> None:
     _write_csv(path, report.config, header, rows)
 
 
-def write_energy_csv(path, result: EnergyResult) -> None:
+def write_energy_csv(path, result: ComparisonResult) -> None:
     header = ["time", "energy_variational", "energy_explicit"]
     rows = zip(result.times, result.energy_variational, result.energy_explicit)
     cfg = dict(result.config, initial_energy=result.initial_energy)
     _write_csv(path, cfg, header, rows)
 
 
-def write_drift_csv(path, result: DriftResult) -> None:
+def write_drift_csv(path, result: ComparisonResult) -> None:
     header = ["time", "violation_variational", "violation_acceleration"]
     rows = zip(result.times, result.violation_variational, result.violation_acceleration)
     _write_csv(path, result.config, header, rows)

@@ -36,7 +36,6 @@ context is single-threaded; independent mechanisms may run in parallel.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,6 +54,7 @@ from .mechanism import (
     EliminationPlan,
     Mechanism,
     check_parameter,
+    check_step_count,
     check_time_step,
     constraint_jacobian_position,
     constraint_jacobian_velocity,
@@ -531,8 +531,10 @@ def angular_momentum(body, h: float) -> np.ndarray:
     The discrete momentum (h/2)(sqrt((2/h)^2 - w.w) J w - w x J w) of the
     interval ending at the current pose, rotated into the world frame,
     equals J w + O(h^2) and is the quantity the stepper conserves exactly
-    for an isolated torque-free body.
+    for an isolated torque-free body.  SimulationError for an h that
+    :func:`check_time_step` rejects.
     """
+    check_time_step(h)
     st = body.state
     s1 = quat._rate_scalar(st.w1, h)
     Jw = body.inertia @ st.w1
@@ -558,9 +560,7 @@ def run_simulation(
     record_bodies: bool = False,
 ) -> list[StepRecord]:
     """Step `n_steps` times under ``ctx``, one record per committed step; SimulationError first unless `n_steps` is an integer >= 0."""
-    count = operator.index(n_steps) if hasattr(n_steps, "__index__") else -1
-    if count < 0:
-        raise SimulationError(f"n_steps must be a non-negative integer, got {n_steps!r}")
+    count = check_step_count(n_steps)
     mech.ensure_initialized(ctx.h)
     records = []
     for k in range(1, count + 1):

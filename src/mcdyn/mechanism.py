@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 import sys
 import weakref
 from dataclasses import dataclass
@@ -614,6 +615,14 @@ def step_count(duration: float, h: float) -> int:
     if round(steps) < 1:
         raise SimulationError(f"duration {duration} s gives no step of h = {h} s")
     return round(steps)
+
+
+def check_step_count(n_steps) -> int:
+    """``n_steps`` as an int; SimulationError unless it is an integer >= 0."""
+    count = operator.index(n_steps) if hasattr(n_steps, "__index__") else -1
+    if count < 0:
+        raise SimulationError(f"n_steps must be a non-negative integer, got {n_steps!r}")
+    return count
 
 
 def max_violation(groups, x: np.ndarray, q: np.ndarray, rot: np.ndarray) -> float:

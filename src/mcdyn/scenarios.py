@@ -113,30 +113,23 @@ def generate_scenario(sc: Scenario) -> dict:
     a single unconstrained rod.
     """
     if sc.kind == "free_body":
-        return {
-            "bodies": [_rod_body(1, (0.0, 0.0, 0.0), (0.0, 0.0, 1.0), sc)],
-            "joints": [],
-        }
+        return {"bodies": [_rod_body(1, (0.0, 0.0, 0.0), (0.0, 0.0, 1.0), sc)], "joints": []}
     if sc.kind == "pendulum":
-        return _chain(sc)
+        n, length = sc.n_links, sc.link_length
+        centers = [((i - 0.5) * length, 0.0, n * length) for i in range(1, n + 1)]
+        return _chain(sc, centers, [(1.0, 0.0, 0.0)] * n, (0.0, 0.0, n * length))
     if sc.kind == "closed_chain":
         return _closed_chain(sc)
     return _segmented_chain(sc)
 
 
-def _chain(sc: Scenario) -> dict:
-    n = sc.n_links
-    length = sc.link_length
-    z0 = n * length
-    half = length / 2.0
-    bodies = []
-    joints = []
-    for i in range(1, n + 1):
-        bodies.append(_rod_body(i, ((i - 0.5) * length, 0.0, z0), (1.0, 0.0, 0.0), sc))
-        if i == 1:
-            joints.append(_joint(n + i, sc.joint_kind, "world", i, (0.0, 0.0, z0), (0.0, 0.0, -half)))
-        else:
-            joints.append(_joint(n + i, sc.joint_kind, i - 1, i, (0.0, 0.0, half), (0.0, 0.0, -half)))
+def _chain(sc: Scenario, centers, directions, pivot) -> dict:
+    """Rods 1..n at ``centers`` along ``directions``, jointed end to end, rod 1 to the world at ``pivot``."""
+    n = len(centers)
+    half = sc.link_length / 2.0
+    bodies = [_rod_body(i, c, d, sc) for i, (c, d) in enumerate(zip(centers, directions), start=1)]
+    joints = [_joint(n + 1, sc.joint_kind, "world", 1, pivot, (0.0, 0.0, -half))]
+    joints += [_joint(n + i, sc.joint_kind, i - 1, i, (0.0, 0.0, half), (0.0, 0.0, -half)) for i in range(2, n + 1)]
     return {"bodies": bodies, "joints": joints}
 
 
@@ -154,26 +147,17 @@ def _closed_chain(sc: Scenario) -> dict:
     if n < 3:
         raise MechanismError("closed_chain needs at least 3 links to articulate")
     length = sc.link_length
-    z0 = n * length
-    half = length / 2.0
     circum = length / (2.0 * math.sin(math.pi / n))
-    center = np.array([-circum, 0.0, z0])
+    center = np.array([-circum, 0.0, n * length])
     verts = [
         center + circum * np.array([math.sin(math.pi / 2 + 2 * math.pi * k / n), 0.0,
                                     math.cos(math.pi / 2 + 2 * math.pi * k / n)])
         for k in range(n + 1)
     ]
-    bodies = []
-    joints = []
-    for i in range(1, n + 1):
-        a, b = verts[i - 1], verts[i]
-        bodies.append(_rod_body(i, (a + b) / 2.0, b - a, sc))
-        if i == 1:
-            joints.append(_joint(n + i, sc.joint_kind, "world", i, verts[0], (0.0, 0.0, -half)))
-        else:
-            joints.append(_joint(n + i, sc.joint_kind, i - 1, i, (0.0, 0.0, half), (0.0, 0.0, -half)))
-    joints.append(_joint(2 * n + 1, sc.joint_kind, "world", n, verts[0], (0.0, 0.0, half)))
-    return {"bodies": bodies, "joints": joints}
+    edges = list(zip(verts, verts[1:]))
+    chain = _chain(sc, [(a + b) / 2.0 for a, b in edges], [b - a for a, b in edges], verts[0])
+    chain["joints"].append(_joint(2 * n + 1, sc.joint_kind, "world", n, verts[0], (0.0, 0.0, length / 2.0)))
+    return chain
 
 
 def _segmented_chain(sc: Scenario) -> dict:

@@ -1,7 +1,11 @@
+import re
+
 import numpy as np
+import pytest
 from numpy.testing import assert_allclose
 
 from conftest import make_closed_chain, make_pendulum
+from mcdyn.errors import SimulationError
 from mcdyn.baselines import _State, _acceleration_rates, heun_simulate
 from mcdyn.integrator import StepContext, run_simulation, stacked_loads, total_energy
 from test_integrator import free_body
@@ -74,3 +78,34 @@ class TestHeun:
         assert_allclose(mech.bodies[1].state.x2, x_before)
         for name in names:
             np.testing.assert_array_equal(getattr(mech, name), arrays_before[name])
+
+
+class TestHeunInputs:
+    """The baseline takes h, gravity and the step count by the variational stepper's rules."""
+
+    @pytest.mark.parametrize("n_steps", [-3, 2.5, "2", None])
+    def test_step_count_that_is_no_non_negative_integer_rejected(self, n_steps):
+        with pytest.raises(SimulationError, match=f"^n_steps must be a non-negative integer, got {re.escape(repr(n_steps))}$"):
+            heun_simulate(make_pendulum(2), StepContext(h=0.01), n_steps)
+
+    def test_any_integer_step_count_taken(self):
+        assert heun_simulate(make_pendulum(2), StepContext(h=0.01), 0) == []
+        assert [r.step for r in heun_simulate(make_pendulum(2), StepContext(h=0.01), np.int64(2))] == [1, 2]
+
+    # a negative h would integrate backwards, a tiny one return records; a huge or NaN one ended in a
+    # SingularBlockError, a string in a numpy type error
+    @pytest.mark.parametrize("h,message", [
+        (-0.01, "be finite and positive"),
+        (np.nan, "be finite and positive"),
+        ("0.01", "be finite and positive"),
+        (1e-200, "lie between about 1.5e-154 and 1.3e154"),
+        (1e200, "lie between about 1.5e-154 and 1.3e154"),
+    ])
+    def test_bad_time_step_rejected_before_integrating(self, h, message):
+        with pytest.raises(SimulationError, match=f"^h must {message}, got {re.escape(repr(h))}$"):
+            heun_simulate(make_pendulum(2), StepContext(h=h), 3)
+
+    @pytest.mark.parametrize("gravity", [np.nan, np.inf, "9.81", None])
+    def test_bad_gravity_rejected_before_integrating(self, gravity):
+        with pytest.raises(SimulationError, match=f"^gravity must be finite, got {re.escape(repr(gravity))}$"):
+            heun_simulate(make_pendulum(2), StepContext(h=0.01, gravity=gravity), 3)

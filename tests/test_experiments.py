@@ -82,6 +82,17 @@ class TestDriftExperiment:
         assert max(result.violation_acceleration) > 1e2 * max(result.violation_variational)
 
 
+def test_energy_and_drift_read_one_paired_run():
+    sc = Scenario(kind="closed_chain", n_links=4, duration=0.2)
+    energy, drift = run_energy_experiment(sc), run_drift_experiment(sc)
+    assert len(energy.times) == 20 and energy.times == drift.times
+    for name in ("energy_variational", "energy_explicit", "violation_variational", "violation_acceleration"):
+        assert getattr(energy, name) == getattr(drift, name), name
+    assert energy.initial_energy == drift.initial_energy
+    assert (energy.config.pop("experiment"), drift.config.pop("experiment")) == ("energy", "drift")
+    assert energy.config == drift.config
+
+
 class TestTimingExperiment:
     def test_rows_and_dense_cutoff(self, tmp_path):
         rows = run_timing_experiment([2, 4], repeats=2, dense_max=3)

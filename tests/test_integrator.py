@@ -806,6 +806,17 @@ class TestStep:
         w0 = np.array([0.3, -0.5, 0.8])
         assert np.linalg.norm(L0 - quat.rotate(quat.identity(), J @ w0)) < 1e-2
 
+    # 1e-200 overflowed (2/h)^2, 0 divided by zero and NaN returned NaN momentum
+    @pytest.mark.parametrize("h,message", [
+        (1e-200, "lie between about 1.5e-154 and 1.3e154"),
+        (0.0, "be finite and positive"),
+        (np.nan, "be finite and positive"),
+    ])
+    def test_angular_momentum_rejects_a_bad_time_step(self, h, message):
+        mech = free_body(inertia=(1.0, 2.0, 3.0), w=(0.3, -0.5, 0.8))
+        with pytest.raises(SimulationError, match=f"^h must {message}, got {re.escape(repr(h))}$"):
+            angular_momentum(mech.bodies[1], h)
+
 
 def record_starts(monkeypatch):
     """The unknowns every newton_solve call starts from, appended as copies."""

@@ -85,6 +85,21 @@ class TestPendulum:
         assert np.isclose(body.inertia[0, 0], 2.5 * (3 * 0.05**2 + 0.25) / 12)
 
 
+    def test_exact_geometry(self):
+        data = generate_scenario(Scenario(kind="pendulum", n_links=3, link_length=0.7))
+        z0 = 2.0999999999999996  # 3 * 0.7
+        assert [(b["id"], b["position"], b["quaternion"]) for b in data["bodies"]] == [
+            (1, [0.35, 0.0, z0], [0.7071067811865476, 0.0, 0.7071067811865475, 0.0]),
+            (2, [1.0499999999999998, 0.0, z0], [0.7071067811865476, 0.0, 0.7071067811865475, 0.0]),
+            (3, [1.75, 0.0, z0], [0.7071067811865476, 0.0, 0.7071067811865475, 0.0]),
+        ]
+        assert [(j["id"], j["parent"], j["child"], j["parent_anchor"], j["child_anchor"]) for j in data["joints"]] == [
+            (4, "world", 1, [0.0, 0.0, z0], [0.0, 0.0, -0.35]),
+            (5, 1, 2, [0.0, 0.0, 0.35], [0.0, 0.0, -0.35]),
+            (6, 2, 3, [0.0, 0.0, 0.35], [0.0, 0.0, -0.35]),
+        ]
+
+
 class TestClosedChain:
     def test_counts_and_loop(self):
         data = generate_scenario(Scenario(kind="closed_chain", n_links=4))
@@ -92,6 +107,16 @@ class TestClosedChain:
         assert len(data["joints"]) == 5
         mech = load_mechanism(data)
         assert len(mech.graph.loop_joints) == 1
+
+    def test_exact_joint_table(self):
+        data = generate_scenario(Scenario(kind="closed_chain", n_links=4))
+        assert [(j["id"], j["parent"], j["child"], j["parent_anchor"], j["child_anchor"]) for j in data["joints"]] == [
+            (5, "world", 1, [0.0, 0.0, 4.0], [0.0, 0.0, -0.5]),
+            (6, 1, 2, [0.0, 0.0, 0.5], [0.0, 0.0, -0.5]),
+            (7, 2, 3, [0.0, 0.0, 0.5], [0.0, 0.0, -0.5]),
+            (8, 3, 4, [0.0, 0.0, 0.5], [0.0, 0.0, -0.5]),
+            (9, "world", 4, [0.0, 0.0, 4.0], [0.0, 0.0, 0.5]),  # the closing joint, back to the pivot
+        ]
 
     def test_too_short_raises(self):
         with pytest.raises(MechanismError):
