@@ -111,6 +111,7 @@ def _cmd_simulate(args) -> int:
                 f"{len(plan.layout.order) - hubs} joint nodes" + f"; hubs kept as nodes: {hubs}" * bool(hubs) + "\n"
             )
             fh.write(pattern_report(plan.layout) + "\n")
+    open(args.out, "a").close()  # an unwritable --out fails here, not after the run
     records = run_simulation(mech, ctx, n_steps, tol=args.tol, record_bodies=True)
     report = RunReport(
         config={
@@ -168,6 +169,7 @@ def _cmd_bench(args) -> int:
             kind=args.kind, n_links=args.n, joint_kind=args.joint,
             h=args.h, duration=args.duration, tolerance=args.tol,
         )
+        open(args.out, "a").close()  # an unwritable --out fails here, not after the run
         if args.experiment == "energy":
             result = run_energy_experiment(sc)
             write_energy_csv(args.out, result)
@@ -198,7 +200,7 @@ def main(argv=None) -> int:
         if args.command == "gen":
             return _cmd_gen(args)
         return _cmd_bench(args)
-    except SimulationError as err:
+    except (SimulationError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

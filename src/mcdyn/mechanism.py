@@ -51,6 +51,7 @@ KIND_FIXED = "fixed_to_world"
 ROWS_BY_KIND = {KIND_BALL: 3, KIND_REVOLUTE: 5, KIND_FIXED: 6}
 
 _ASSEMBLY_TOL = 1e-8
+_INERTIA_ORDER = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])  # (xx, yy, zz, xy, xz, yz) into the symmetric 3x3
 
 
 def _row_view(name: str) -> property:
@@ -753,8 +754,8 @@ class Mechanism:
 def load_mechanism(source) -> Mechanism:
     """Build and validate a mechanism from a description dict or YAML file path.
 
-    Raises MechanismError on any invariant violation: non-finite numbers,
-    bad masses or inertia, non-unit quaternions or axes, unknown references, inconsistent assembly,
+    Raises MechanismError on any invariant violation: a missing, mistyped, mis-sized or non-finite
+    number, bad masses or inertia, non-unit quaternions or axes, unknown references, inconsistent assembly,
     or a disconnected constraint graph.
     """
     if isinstance(source, dict):
@@ -803,78 +804,48 @@ def load_mechanism(source) -> Mechanism:
 
 def _parse_body(entry: dict) -> tuple[RigidBody, tuple]:
     """A body and its declared (x, q, v, w)."""
-    try:
-        bid = _integral(entry["id"], "body id")
-        mass = float(entry["mass"])
-        inertia6 = [float(v) for v in entry["inertia"]]
-        x = np.array([float(v) for v in entry["position"]])
-        q = np.array([float(v) for v in entry["quaternion"]])
-        v = np.array([float(c) for c in entry.get("velocity", (0.0, 0.0, 0.0))])
-        w = np.array([float(c) for c in entry.get("angular_velocity", (0.0, 0.0, 0.0))])
-    except (KeyError, TypeError, ValueError) as err:
-        raise MechanismError(f"malformed body entry: {entry!r}") from err
+    if not isinstance(entry, dict):
+        raise MechanismError(f"malformed body entry: {entry!r}")
+    bid = _integral(entry.get("id"), "body id")
     if bid < 0:
         raise MechanismError(f"body id must be nonnegative, got {bid}")
-    _require_finite(
-        f"body {bid}", mass=mass, inertia=inertia6, position=x, quaternion=q,
-        velocity=v, angular_velocity=w,
-    )
+    owner = f"body {bid}"
+    mass = _numbers(owner, entry, "mass", None, None)
     if mass <= 0.0:
-        raise MechanismError(f"body {bid}: mass must be positive")
-    if len(inertia6) != 6:
-        raise MechanismError(f"body {bid}: inertia needs 6 entries (xx, yy, zz, xy, xz, yz)")
-    ixx, iyy, izz, ixy, ixz, iyz = inertia6
-    J = np.array([[ixx, ixy, ixz], [ixy, iyy, iyz], [ixz, iyz, izz]])
+        raise MechanismError(f"{owner}: mass must be positive")
+    J = _numbers(owner, entry, "inertia", 6, None)[_INERTIA_ORDER]
     if np.any(np.linalg.eigvalsh(J) <= 0.0):
-        raise MechanismError(f"body {bid}: inertia matrix is not positive definite")
-    if x.shape != (3,) or v.shape != (3,) or w.shape != (3,):
-        raise MechanismError(f"body {bid}: vectors must have 3 components")
-    if q.shape != (4,) or abs(np.linalg.norm(q) - 1.0) > 1e-9:
-        raise MechanismError(f"body {bid}: quaternion must be unit (wxyz order)")
+        raise MechanismError(f"{owner}: inertia matrix is not positive definite")
+    x = _numbers(owner, entry, "position", 3, None)
+    q = _unit(owner, entry, "quaternion", 4, None)  # wxyz
+    v = _numbers(owner, entry, "velocity", 3, (0.0, 0.0, 0.0))
+    w = _numbers(owner, entry, "angular_velocity", 3, (0.0, 0.0, 0.0))
     return RigidBody(id=bid, mass=mass, inertia=J), (x, q, v, w)
 
 
 def _parse_joint(entry: dict, quaternions: dict) -> JointConstraint:
     """A joint between parsed bodies; ``quaternions`` maps each body id to its declared orientation."""
-    try:
-        jid = _integral(entry["id"], "joint id")
-        kind = str(entry["kind"])
-        parent = WORLD if entry["parent"] == WORLD else _integral(entry["parent"], f"joint {jid}: parent")
-        child = _integral(entry["child"], f"joint {jid}: child")
-        p_a = np.array([float(v) for v in entry["parent_anchor"]])
-        p_b = np.array([float(v) for v in entry["child_anchor"]])
-    except (KeyError, TypeError, ValueError) as err:
-        raise MechanismError(f"malformed joint entry: {entry!r}") from err
-    _require_finite(f"joint {jid}", parent_anchor=p_a, child_anchor=p_b)
-    _require_length(f"joint {jid}", 3, parent_anchor=p_a, child_anchor=p_b)
+    if not isinstance(entry, dict):
+        raise MechanismError(f"malformed joint entry: {entry!r}")
+    jid = _integral(entry.get("id"), "joint id")
+    owner = f"joint {jid}"
+    kind = str(entry.get("kind"))
+    parent = WORLD if entry.get("parent") == WORLD else _integral(entry.get("parent"), f"{owner}: parent")
+    child = _integral(entry.get("child"), f"{owner}: child")
+    p_a = _numbers(owner, entry, "parent_anchor", 3, None)
+    p_b = _numbers(owner, entry, "child_anchor", 3, None)
     if child not in quaternions:
-        raise MechanismError(f"joint {jid}: unknown child body {child}")
+        raise MechanismError(f"{owner}: unknown child body {child}")
     if parent != WORLD and parent not in quaternions:
-        raise MechanismError(f"joint {jid}: unknown parent body {parent}")
-    axis_a = axis_b = None
+        raise MechanismError(f"{owner}: unknown parent body {parent}")
+    axis_a = axis_b = target = None
     if kind == KIND_REVOLUTE:
-        try:
-            axis_a = np.array([float(v) for v in entry["parent_axis"]])
-            axis_b = np.array([float(v) for v in entry["child_axis"]])
-        except (KeyError, TypeError, ValueError) as err:
-            raise MechanismError(f"joint {jid}: revolute joint needs parent/child axes") from err
-        _require_finite(f"joint {jid}", parent_axis=axis_a, child_axis=axis_b)
-        _require_length(f"joint {jid}", 3, parent_axis=axis_a, child_axis=axis_b)
-        for name, ax in (("parent_axis", axis_a), ("child_axis", axis_b)):
-            if abs(np.linalg.norm(ax) - 1.0) > 1e-9:
-                raise MechanismError(f"joint {jid}: {name} must be a unit vector")
-    target = None
+        axis_a = _unit(owner, entry, "parent_axis", 3, None)
+        axis_b = _unit(owner, entry, "child_axis", 3, None)
     if kind == KIND_FIXED:
         if parent != WORLD:
-            raise MechanismError(f"joint {jid}: fixed joints attach to the world")
-        if "orientation_target" in entry:
-            target = np.array([float(v) for v in entry["orientation_target"]])
-            _require_finite(f"joint {jid}", orientation_target=target)
-            _require_length(f"joint {jid}", 4, orientation_target=target)
-            if abs(np.linalg.norm(target) - 1.0) > 1e-9:
-                raise MechanismError(f"joint {jid}: orientation_target must be unit")
-        else:
-            target = quaternions[child].copy()
+            raise MechanismError(f"{owner}: fixed joints attach to the world")
+        target = _unit(owner, entry, "orientation_target", 4, quaternions[child])
     return JointConstraint(
         id=jid, kind=kind, parent=parent, child=child,
         p_a=p_a, p_b=p_b, axis_a=axis_a, axis_b=axis_b, orientation_target=target,
@@ -882,22 +853,38 @@ def _parse_joint(entry: dict, quaternions: dict) -> JointConstraint:
 
 
 def _integral(value, what: str) -> int:
-    """``value`` as an int; raises MechanismError naming ``what`` for a bool or a non-integral number."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """``value`` as an int; raises MechanismError naming ``what`` unless it is an integer or an integral float."""
+    integral = isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not integral:
         raise MechanismError(f"{what} must be an integer, got {value!r}")
     return int(value)
 
 
-def _require_finite(owner: str, **fields) -> None:
-    for name, value in fields.items():
-        if not np.isfinite(value).all():
-            raise MechanismError(f"{owner}: {name} is not finite: {value}")
+def _numbers(owner: str, entry: dict, key: str, n: int | None, default):
+    """Field ``key`` of ``entry`` (``default`` if absent): one finite float, or with ``n`` an array of n of them.
+
+    A numeric string counts as a number (PyYAML reads ``1e-3`` as one); anything else raises MechanismError.
+    """
+    value = entry.get(key, default)
+    try:
+        out = np.array(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        out = None
+    if value is None or out is None or out.ndim != (n is not None):
+        raise MechanismError(f"{owner}: {key} must be {f'a list of {n} numbers' if n else 'a number'}, got {value!r}")
+    if n is not None and out.size != n:
+        raise MechanismError(f"{owner}: {key} must have {n} components, got {out.size}")
+    if not np.isfinite(out).all():
+        raise MechanismError(f"{owner}: {key} is not finite: {value}")
+    return out if n else float(out)
 
 
-def _require_length(owner: str, n: int, **fields) -> None:
-    for name, value in fields.items():
-        if value.shape != (n,):
-            raise MechanismError(f"{owner}: {name} must have {n} components, got {value.size}")
+def _unit(owner: str, entry: dict, key: str, n: int, default) -> np.ndarray:
+    """:func:`_numbers`, and MechanismError unless the vector has unit norm (to 1e-9)."""
+    out = _numbers(owner, entry, key, n, default)
+    if abs(np.linalg.norm(out) - 1.0) > 1e-9:
+        raise MechanismError(f"{owner}: {key} must be a unit vector")
+    return out
 
 
 def save_mechanism(data: dict, path) -> None:

@@ -10,7 +10,7 @@ that the mechanism never reaches below z = 0.
 from __future__ import annotations
 
 import math
-import operator
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,15 +45,13 @@ class Scenario:
             raise MechanismError(f"unknown scenario kind {self.kind!r}")
         if self.joint_kind not in JOINT_KINDS:
             raise MechanismError(f"unknown joint kind {self.joint_kind!r}")
-        try:
-            operator.index(self.n_links)
-        except TypeError:
-            raise MechanismError(f"n_links must be an integer, got {self.n_links!r}") from None
+        if isinstance(self.n_links, bool) or not hasattr(self.n_links, "__index__"):
+            raise MechanismError(f"n_links must be an integer, got {self.n_links!r}")
         if self.n_links < 1:
             raise MechanismError("n_links must be at least 1")
         for name in ("h", "tolerance", "duration", "link_length", "link_mass"):
-            if not math.isfinite(getattr(self, name)):
-                raise MechanismError(f"{name} must be finite, got {getattr(self, name)}")
+            if not (isinstance(value := getattr(self, name), numbers.Real) and math.isfinite(value)):
+                raise MechanismError(f"{name} must be finite, got {value!r}")
         if self.h <= 0.0 or self.tolerance <= 0.0 or self.duration < 0.0:
             raise MechanismError("h and tolerance must be positive, duration nonnegative")
         for name in ("link_length", "link_mass"):

@@ -332,6 +332,31 @@ class TestDenseLdu:
         with pytest.raises(SingularBlockError):
             dense_ldu_factorize(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
+    @pytest.mark.parametrize("matrix,sizes,message", [
+        (np.ones((2, 3)), None, "expected a square matrix"),
+        (np.ones(4), None, "expected a square matrix"),
+        (np.eye(4), [2, 1], "block sizes do not cover the matrix"),
+        (np.eye(4), [2, 3], "block sizes do not cover the matrix"),
+    ])
+    def test_bad_shape_or_partition_rejected(self, matrix, sizes, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            dense_ldu_factorize(matrix, sizes)
+
+
+class TestSymbolicLayoutInput:
+    # a two-node chain 0 - 1, one row each
+    SIZES, ROWS, SOURCES = {0: 1, 1: 1}, {0: range(0, 1), 1: range(1, 2)}, [(0, 0), (1, 1), (0, 1), (1, 0)]
+
+    @pytest.mark.parametrize("order", [[0], [0, 1, 1], [0, 2], []])
+    def test_order_must_cover_every_node_once(self, order):
+        with pytest.raises(ValueError, match="^elimination order does not cover all nodes$"):
+            symbolic_layout(order, self.SIZES, self.ROWS, 2, self.SOURCES, {})
+
+    def test_relieved_node_covers_its_stack(self):
+        with pytest.raises(ValueError, match="^elimination order does not cover all nodes$"):
+            symbolic_layout([LOOP_NODE, 1], self.SIZES, self.ROWS, 2, self.SOURCES, {LOOP_NODE: [0, 1]})
+        assert symbolic_layout([LOOP_NODE], self.SIZES, self.ROWS, 2, self.SOURCES, {LOOP_NODE: [0, 1]}).order
+
 
 class TestSparseLdu:
     def test_single_node(self, rng):

@@ -300,3 +300,47 @@ def test_simulate_duration_without_a_whole_step_count_is_an_error(tmp_path, caps
     assert code == 1
     assert capsys.readouterr().err == message + "\n"
     assert not traj_path.exists() and not pattern_path.exists()
+
+
+@pytest.mark.parametrize("text", ["a,b", "2.5", "3,x"])
+def test_bad_n_list_is_a_usage_error(tmp_path, capsys, text):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["bench", "convergence", "--n-list", text, "--out", str(tmp_path / "conv.csv")])
+    assert exit_info.value.code == 2
+    assert f"argument --n-list: bad n-list {text!r}" in capsys.readouterr().err
+
+
+def test_gen_unwritable_output_is_an_error(tmp_path, capsys):
+    out_path = tmp_path / "missing" / "p.yaml"
+    assert main(["gen", "--kind", "pendulum", "--n", "2", "--out", str(out_path)]) == 1
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: {str(out_path)!r}\n"
+
+
+def test_simulate_unwritable_output_is_an_error_before_the_run(tmp_path, capsys, monkeypatch):
+    mech_path = tmp_path / "p2.yaml"
+    save_mechanism(generate_scenario(Scenario(kind="pendulum", n_links=2)), mech_path)
+    monkeypatch.setattr("mcdyn.cli.run_simulation", lambda *args, **kwargs: pytest.fail("the run started"))
+    code = main(["simulate", str(mech_path), "--duration", "0.02", "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
+
+
+@pytest.mark.parametrize("experiment,runner", [
+    (["energy", "--n", "1"], "run_energy_experiment"),
+    (["drift", "--kind", "closed_chain", "--n", "4"], "run_drift_experiment"),
+])
+def test_bench_unwritable_output_is_an_error_before_the_run(tmp_path, capsys, monkeypatch, experiment, runner):
+    out_path = tmp_path / "missing" / "e.csv"
+    monkeypatch.setattr(f"mcdyn.cli.{runner}", lambda *args, **kwargs: pytest.fail("the run started"))
+    code = main(["bench", *experiment, "--duration", "0.02", "--out", str(out_path)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: {str(out_path)!r}\n"
+
+
+def test_simulate_output_file_written_over(tmp_path):
+    # the early check opens --out without truncating it; the run then writes it whole
+    mech_path, traj_path = tmp_path / "p2.yaml", tmp_path / "t.csv"
+    save_mechanism(generate_scenario(Scenario(kind="pendulum", n_links=2)), mech_path)
+    traj_path.write_text("stale\n" * 1000)
+    assert main(["simulate", str(mech_path), "--duration", "0.02", "--out", str(traj_path)]) == 0
+    assert "stale" not in traj_path.read_text()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -724,6 +726,102 @@ class TestLoader:
         ):
             mech = load_mechanism(generate_scenario(sc))
             assert mech.max_constraint_violation() < 1e-12
+
+
+def _set(group, index, **fields):
+    """An edit of a description: update entry ``index`` of ``group`` with ``fields``."""
+    return lambda data: data[group][index].update(fields)
+
+
+def _drop(group, index, key):
+    return lambda data: data[group][index].pop(key)
+
+
+class TestLoaderMessages:
+    """Each input rule of the loader, pinned by its whole message.
+
+    Every edit is made to TestLoader's fixed-joint pendulum: bodies 1 and 2
+    hang from the world on revolute joints 3 and 4, and body 5 is held by
+    fixed joint 6.
+    """
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda d: d.update(bodies=[], joints=[]), "mechanism has no bodies"),
+        (lambda d: d.pop("bodies"), "mechanism description must be a mapping with a 'bodies' list"),
+        (lambda d: d["bodies"].append([1, 2]), "malformed body entry: [1, 2]"),
+        (lambda d: d["joints"].append("ball"), "malformed joint entry: 'ball'"),
+        (_set("joints", 2, id=5), "duplicate node id 5"),
+        (_set("bodies", 0, id=-1), "body id must be nonnegative, got -1"),
+        (_set("bodies", 0, id="1"), "body id must be an integer, got '1'"),
+        (_drop("bodies", 0, "id"), "body id must be an integer, got None"),
+        (_set("joints", 1, parent="base"), "joint 4: parent must be an integer, got 'base'"),
+        (_set("joints", 0, kind="prismatic"), "joint 3: unknown kind 'prismatic'"),
+        (_drop("bodies", 1, "mass"), "body 2: mass must be a number, got None"),
+        (_set("bodies", 1, mass="heavy"), "body 2: mass must be a number, got 'heavy'"),
+        (_set("bodies", 1, mass=[1.0]), "body 2: mass must be a number, got [1.0]"),
+        (_set("bodies", 0, inertia=[0.1] * 5), "body 1: inertia must have 6 components, got 5"),
+        (_set("bodies", 0, inertia="111000"), "body 1: inertia must be a list of 6 numbers, got '111000'"),
+        (_set("bodies", 1, position=[0.0, 0.0]), "body 2: position must have 3 components, got 2"),
+        (_set("bodies", 1, position="123"), "body 2: position must be a list of 3 numbers, got '123'"),
+        (_set("bodies", 1, position=[[0, 0, 0]]), "body 2: position must be a list of 3 numbers, got [[0, 0, 0]]"),
+        (_set("bodies", 1, position={"x": 0}), "body 2: position must be a list of 3 numbers, got {'x': 0}"),
+        (_set("bodies", 1, position=[0, [0], 0]), "body 2: position must be a list of 3 numbers, got [0, [0], 0]"),
+        (_set("bodies", 1, position=[None, 0, 0]), "body 2: position is not finite: [None, 0, 0]"),
+        (_set("bodies", 2, velocity=[0.0] * 4), "body 5: velocity must have 3 components, got 4"),
+        (_set("bodies", 2, velocity=None), "body 5: velocity must be a list of 3 numbers, got None"),
+        (_set("bodies", 2, angular_velocity=[]), "body 5: angular_velocity must have 3 components, got 0"),
+        (_set("bodies", 0, quaternion=[1.0, 0.0, 0.0]), "body 1: quaternion must have 4 components, got 3"),
+        (_set("bodies", 0, quaternion=[1.0, 1.0, 0.0, 0.0]), "body 1: quaternion must be a unit vector"),
+        (_set("joints", 1, parent=9), "joint 4: unknown parent body 9"),
+        (_drop("joints", 1, "parent_axis"), "joint 4: parent_axis must be a list of 3 numbers, got None"),
+        (_set("joints", 1, child_axis=[0.0, 0.5, 0.0]), "joint 4: child_axis must be a unit vector"),
+        (_set("joints", 2, parent=1), "joint 6: fixed joints attach to the world"),
+        (_set("joints", 2, orientation_target=[1.0, 1.0, 0.0, 0.0]), "joint 6: orientation_target must be a unit vector"),
+        (_set("joints", 2, orientation_target=None), "joint 6: orientation_target must be a list of 4 numbers, got None"),
+    ])
+    def test_message(self, edit, message):
+        data = TestLoader._pendulum_and_fixed_body()
+        edit(data)
+        with pytest.raises(MechanismError, match=f"^{re.escape(message)}$"):
+            load_mechanism(data)
+
+    @pytest.mark.parametrize("fields,message", [
+        ({"kind": "prismatic"}, "joint 3: unknown kind 'prismatic'"),
+        ({"kind": "revolute", "axis_a": np.array([0.0, 1.0, 0.0])}, "joint 3: revolute joint needs both axes"),
+    ])
+    def test_joint_constraint_message(self, fields, message):
+        # the type holds these rules, so a mechanism built without the loader meets them too
+        with pytest.raises(MechanismError, match=f"^{re.escape(message)}$"):
+            JointConstraint(id=3, parent=WORLD, child=1, p_a=np.zeros(3), p_b=np.zeros(3), **fields)
+
+    @pytest.mark.parametrize("text,message", [
+        ("bodies: [\n", "malformed mechanism file {path}: "),
+        ("- 1\n- 2\n", "mechanism description must be a mapping with a 'bodies' list"),
+    ])
+    def test_file_message(self, tmp_path, text, message):
+        path = tmp_path / "m.yaml"
+        path.write_text(text)
+        with pytest.raises(MechanismError, match=f"^{re.escape(message.format(path=path))}"):
+            load_mechanism(path)
+
+    def test_numeric_strings_read_as_numbers(self, tmp_path):
+        # PyYAML reads 1e0, 1e-1 and 1e-3 (no dot) as strings
+        path = tmp_path / "m.yaml"
+        path.write_text(
+            "bodies:\n- {id: 1, mass: 1e0, inertia: [1e-1, 1e-1, 1e-1, 0, 0, 0], position: [1e-3, 0, 0],\n"
+            "   quaternion: [1, 0, 0, 0], velocity: ['2', 0, 0]}\n"
+        )
+        mech = load_mechanism(path)
+        assert mech.mass.tolist() == [1.0] and mech.inertia.tolist() == [(0.1 * np.eye(3)).tolist()]
+        assert mech.x2.tolist() == [[0.001, 0.0, 0.0]] and mech.v1.tolist() == [[2.0, 0.0, 0.0]]
+
+    def test_default_target_is_the_childs_orientation(self):
+        data = TestLoader._pendulum_and_fixed_body()
+        data["bodies"][2]["quaternion"] = [0.6, 0.8, 0.0, 0.0]
+        del data["joints"][2]["orientation_target"]
+        mech = load_mechanism(data)
+        assert mech.joints[6].orientation_target.tolist() == [0.6, 0.8, 0.0, 0.0]
+        assert mech.max_constraint_violation() < 1e-15
 
 
 class TestMaxViolation:

@@ -44,6 +44,21 @@ class TestScenarioValidation:
         with pytest.raises(MechanismError, match=f"{field} {message}"):
             Scenario(kind="pendulum", n_links=2, **{field: value})
 
+    @pytest.mark.parametrize("field,value", [
+        ("h", "0.01"), ("tolerance", [1]), ("duration", None), ("link_length", None), ("link_mass", "1"),
+    ])
+    def test_non_number_rejected(self, field, value):
+        with pytest.raises(MechanismError, match=f"^{field} must be finite, got {value!r}$".replace("[", r"\[")):
+            Scenario(kind="pendulum", **{field: value})
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_bool_link_count_rejected(self, value):
+        with pytest.raises(MechanismError, match=f"^n_links must be an integer, got {value}$"):
+            Scenario(kind="pendulum", n_links=value)
+
+    def test_integer_like_link_count_taken(self):
+        assert Scenario(kind="pendulum", n_links=np.int64(3)).n_links == 3
+
     def test_custom_file_not_generated(self):
         with pytest.raises(MechanismError):
             generate_scenario(Scenario(kind="custom_file"))
