@@ -285,8 +285,8 @@ def eliminate_bodies(
     body_rhs = np.zeros((n + 1, 6))
     body_rhs[:n] = rhs[: 6 * n].reshape(n, 6)
     rhs = rhs.copy()
-    blocks, left, cols, hub_blocks = [], [], [], []  # per group, V B^-1 and C on both sides
-    for group, (row, col), hub in zip(mech.groups, couplings, plan.hub_sides):
+    blocks, left, cols = [], [], []  # per group, V B^-1 and C on both sides
+    for group, (row, col) in zip(mech.groups, couplings):
         vb = row @ inverse[group.ends]
         diag = vb @ col
         blocks.append(-(diag[0] + diag[1]))
@@ -294,9 +294,8 @@ def eliminate_bodies(
         rhs[group.rows] -= (pull[0] + pull[1])[..., 0]
         left.append(vb)
         cols.append(col)
-        hub_blocks += [row[hub], col[hub]]
     blocks += [-(left[g][rows] @ cols[h][cs]) for g, h, _, rows, cs in plan.joint_pairs]
-    blocks += [body_diag[plan.hubs], *hub_blocks]
+    blocks += [body_diag[plan.hubs], *(block[hub] for k, hub in plan.hub_sides for block in couplings[k])]
     joints = plan.layout.system(blocks, rhs)
     return ReducedSystem(joints=joints, inverse=inverse, body_rhs=body_rhs, cols=cols)
 

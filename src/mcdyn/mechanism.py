@@ -29,8 +29,10 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+import os
 import sys
 import weakref
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
@@ -315,11 +317,11 @@ class EliminationPlan:
     """Which bodies a Newton-pattern system eliminates first, and the sparse sweep of the rest.
 
     ``first`` and ``hubs`` are the body rows (id order) eliminated in one
-    batch and kept as nodes; ``hub_sides`` holds per kind group the
-    (sides, positions) of the joint ends at a hub, and ``joint_pairs`` the
-    Schur terms coupling the joints of a body eliminated first (:func:`_joint_pairs`).
-    ``layout`` is the sweep's symbolic layout over the joints and hubs, on
-    their rows of the Newton vector.
+    batch and kept as nodes; ``hub_sides`` lists (kind group index, (sides,
+    positions)) of the joint ends at a hub, for each group with one, and
+    ``joint_pairs`` the Schur terms coupling the joints of a body eliminated
+    first (:func:`_joint_pairs`).  ``layout`` is the sweep's symbolic layout
+    over the joints and hubs, on their rows of the Newton vector.
     """
 
     first: np.ndarray
@@ -361,13 +363,8 @@ def _level_order(order: list, sources: list, stacks: dict, waits: dict, zero: se
             adj[a].add(b)
             adj[b].add(a)
     pos = {v: k for k, v in enumerate(order)}
-    pending = {v: len(w) for v, w in waits.items()}
-    waiting = {}  # node -> the relieved nodes waiting for it
-    for v, w in waits.items():
-        for n in w:
-            waiting.setdefault(n, []).append(v)
     zero = set(zero) & set(adj)
-    eligible = {v for v in order if not pending.get(v) and v not in zero}
+    eligible = {v for v in order if not waits.get(v) and v not in zero}
     out: list = []
     while eligible:
         least = min(len(adj[v]) for v in eligible)
@@ -385,10 +382,7 @@ def _level_order(order: list, sources: list, stacks: dict, waits: dict, zero: se
                 if a in zero:
                     zero.discard(a)
                     eligible.add(a)
-            for r in waiting.get(v, []):
-                pending[r] -= 1
-                if not pending[r]:
-                    eligible.add(r)
+        eligible |= {r for r, w in waits.items() if r in adj and adj.keys().isdisjoint(w)}
         out += sorted(taken, key=pos.get)
     if len(out) != len(order):
         raise ValueError("no elimination order: some nodes wait for each other")
@@ -401,9 +395,9 @@ def elimination_plan(mech: Mechanism, is_hub: np.ndarray, levelled: bool) -> Eli
     The layout holds each hub and joint at its rows of the Newton vector
     (``body_slices``, ``joint_slices``).  Blocks come as each kind group's
     joint diagonals, the term stacks of ``joint_pairs``, the hubs'
-    diagonals, then per kind group the couplings (joint, hub) and (hub,
-    joint) at ``hub_sides``, as ``integrator.eliminate_bodies`` supplies
-    them; the terms of a pair shared by two bodies add up.  The loop
+    diagonals, then per entry of ``hub_sides`` the couplings (joint, hub)
+    and (hub, joint), as ``integrator.eliminate_bodies`` supplies them;
+    the terms of a pair shared by two bodies add up.  The loop
     joints of each of the graph's ``cycles`` are stacked into one relieved
     node; the one whose cycle reaches nearest the root (in the graph's
     order) is keyed :data:`LOOP_NODE`, each other one (LOOP_NODE, smallest
@@ -419,16 +413,16 @@ def elimination_plan(mech: Mechanism, is_hub: np.ndarray, levelled: bool) -> Eli
     hub_ids = [mech.body_ids[r] for r in hubs]
     at_hub = np.append(is_hub, False)  # the world, the ends' last row, is no hub
     first = np.append(~is_hub, False)  # nor is it eliminated first
-    hub_sides = [np.nonzero(at_hub[g.ends]) for g in mech.groups]
+    hub_sides = [(k, np.nonzero(at_hub[g.ends])) for k, g in enumerate(mech.groups) if at_hub[g.ends].any()]
     joint_pairs = _joint_pairs(mech.groups, first)
     slices = {b: mech.body_slices[b] for b in hub_ids} | mech.joint_slices
     rows = {node: range(sl.start, sl.stop) for node, sl in slices.items()}
     sizes = {node: len(r) for node, r in rows.items()}
     sources = [(j, j) for g in mech.groups for j in g.ids] + [p for _, _, pairs, *_ in joint_pairs for p in pairs]
     sources += [(b, b) for b in hub_ids]
-    for g, (sides, positions) in zip(mech.groups, hub_sides):
-        ends = [mech.body_ids[b] for b in g.ends[sides, positions]]
-        ids = [g.ids[i] for i in positions]
+    for k, (sides, positions) in hub_sides:
+        ends = [mech.body_ids[b] for b in mech.groups[k].ends[sides, positions]]
+        ids = [mech.groups[k].ids[i] for i in positions]
         sources += [*zip(ids, ends), *zip(ends, ids)]
     tree = [node for node in mech.graph.order if node in sizes]
     at = {node: k for k, node in enumerate(tree)}
@@ -752,14 +746,16 @@ class Mechanism:
 
 
 def load_mechanism(source) -> Mechanism:
-    """Build and validate a mechanism from a description dict or YAML file path.
+    """Build and validate a mechanism from a description mapping or a YAML file path (str, bytes or os.PathLike).
 
     Raises MechanismError on any invariant violation: a missing, mistyped, mis-sized or non-finite
     number, bad masses or inertia, non-unit quaternions or axes, unknown references, inconsistent assembly,
     or a disconnected constraint graph.
     """
-    if isinstance(source, dict):
+    if isinstance(source, Mapping):
         data = source
+    elif not isinstance(source, (str, bytes, os.PathLike)):  # open() would take an int as a descriptor and close it
+        raise MechanismError(f"mechanism source must be a mapping or a file path, got {type(source).__name__}")
     else:
         try:
             with open(source, "r", encoding="utf-8") as fh:
@@ -768,7 +764,7 @@ def load_mechanism(source) -> Mechanism:
             raise MechanismError(f"cannot read mechanism file {source}: {err}") from err
         except yaml.YAMLError as err:
             raise MechanismError(f"malformed mechanism file {source}: {err}") from err
-    if not isinstance(data, dict) or "bodies" not in data:
+    if not isinstance(data, Mapping) or "bodies" not in data:
         raise MechanismError("mechanism description must be a mapping with a 'bodies' list")
 
     entries = {key: data.get(key, []) for key in ("bodies", "joints")}

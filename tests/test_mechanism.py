@@ -1,4 +1,6 @@
+import os
 import re
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from mcdyn.mechanism import (
     Mechanism,
     RigidBody,
     _axis_complement,
+    _level_order,
     constraint_jacobian_position,
     constraint_jacobian_velocity,
     joint_residual,
@@ -556,6 +559,16 @@ class TestGraph:
         with pytest.raises(MechanismError, match="disconnected"):
             load_mechanism({"bodies": [body, other], "joints": []})
 
+    @pytest.mark.parametrize("order,sources,stacks,waits,zero", [
+        # a zero-diagonal node waits for a neighbour's Schur update, and it has none
+        ([1, 2], [(1, 1), (2, 2)], {}, {}, {2}),
+        # two relieved nodes, each waiting for the other to go first
+        (["a", "b"], [(1, 1), (2, 2)], {"a": [1], "b": [2]}, {"a": ["b"], "b": ["a"]}, set()),
+    ], ids=["zero-diagonal-alone", "relieved-wait-for-each-other"])
+    def test_level_order_without_an_order_raises(self, order, sources, stacks, waits, zero):
+        with pytest.raises(ValueError, match="^no elimination order: some nodes wait for each other$"):
+            _level_order(order, sources, stacks, waits, zero)
+
 
 class TestLoader:
     def _body(self, **overrides):
@@ -573,6 +586,38 @@ class TestLoader:
         mech = load_mechanism(path)
         assert len(mech.bodies) == 3
         assert mech.max_constraint_violation() < 1e-12
+
+    @pytest.mark.parametrize("as_source", [str, os.fsencode], ids=["str", "bytes"])
+    def test_path_given_as_str_or_bytes_loads(self, tmp_path, as_source):
+        from mcdyn.mechanism import save_mechanism
+
+        path = tmp_path / "mech.yaml"
+        save_mechanism(generate_scenario(Scenario(kind="pendulum", n_links=3)), path)
+        assert len(load_mechanism(as_source(path)).bodies) == 3
+
+    def test_mapping_that_is_no_dict_loads(self):
+        data = generate_scenario(Scenario(kind="pendulum", n_links=3))
+        assert len(load_mechanism(MappingProxyType(data)).bodies) == 3
+
+    @pytest.mark.parametrize("source", [None, [{"bodies": []}], 1.5], ids=["none", "list", "float"])
+    def test_source_that_is_no_mapping_or_path_rejected(self, source):
+        message = f"^mechanism source must be a mapping or a file path, got {type(source).__name__}$"
+        with pytest.raises(MechanismError, match=message):
+            load_mechanism(source)
+
+    def test_file_descriptor_rejected_and_left_open(self, tmp_path):
+        # open() takes an int as a descriptor and closes it on leaving its block
+        from mcdyn.mechanism import save_mechanism
+
+        path = tmp_path / "mech.yaml"
+        save_mechanism(generate_scenario(Scenario(kind="pendulum", n_links=1)), path)
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            with pytest.raises(MechanismError, match="^mechanism source must be a mapping or a file path, got int$"):
+                load_mechanism(fd)
+            os.fstat(fd)  # raises OSError had the descriptor been closed
+        finally:
+            os.close(fd)
 
     def test_bad_mass(self):
         with pytest.raises(MechanismError, match="mass"):
