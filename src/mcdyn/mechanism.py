@@ -53,6 +53,7 @@ KIND_FIXED = "fixed_to_world"
 ROWS_BY_KIND = {KIND_BALL: 3, KIND_REVOLUTE: 5, KIND_FIXED: 6}
 
 _ASSEMBLY_TOL = 1e-8
+_ZERO = (0.0, 0.0, 0.0)  # a velocity's default
 _INERTIA_ORDER = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])  # (xx, yy, zz, xy, xz, yz) into the symmetric 3x3
 
 
@@ -750,7 +751,9 @@ def load_mechanism(source) -> Mechanism:
 
     Raises MechanismError on any invariant violation: a missing, mistyped, mis-sized or non-finite
     number, bad masses or inertia, non-unit quaternions or axes, unknown references, inconsistent assembly,
-    or a disconnected constraint graph.
+    or a disconnected constraint graph.  Each numeric field is read and checked once for all entries
+    (:func:`_read_stacked`); only a description with a fault is walked entry by entry (:func:`_read_walked`),
+    which names the first fault in entry order, every body before any joint.
     """
     if isinstance(source, Mapping):
         data = source
@@ -771,9 +774,87 @@ def load_mechanism(source) -> Mechanism:
     for key, value in entries.items():
         if not isinstance(value, list):
             raise MechanismError(f"mechanism '{key}' must be a list, got {type(value).__name__}")
+    try:
+        parts = _read_stacked(entries["bodies"], entries["joints"])
+    except (MechanismError, TypeError, ValueError, OverflowError):  # a fault: the walk names the first one
+        parts = _read_walked(entries["bodies"], entries["joints"])
+    mech = Mechanism(*parts)
+    viol = mech.max_constraint_violation(at=2)
+    if not viol <= _ASSEMBLY_TOL:
+        raise MechanismError(
+            f"assembly inconsistent: initial constraint violation {viol:.3e} exceeds {_ASSEMBLY_TOL}"
+        )
+    return mech
+
+
+def _read_stacked(body_entries: list, joint_entries: list) -> tuple:
+    """(bodies, joints, x, q, v, w) for :class:`Mechanism`, each numeric field read and checked once for all entries.
+
+    Applies the rules of :func:`_read_walked` and reads the same numbers by
+    the same float conversion, but raises on any fault without naming it.
+    """
+    if not all(isinstance(entry, dict) for entry in body_entries + joint_entries):
+        raise MechanismError("malformed entry")
+    ids = [_integral(entry.get("id"), "body id") for entry in body_entries]
+    if min(ids, default=0) < 0 or len(set(ids)) < len(ids):
+        raise MechanismError("bad body ids")
+    mass, inertia, x, q, v, w = (
+        _stacked([entry.get(key, default) for entry in body_entries], shape) for key, shape, default in (
+            ("mass", (), None), ("inertia", (6,), None), ("position", (3,), None),
+            ("quaternion", (4,), None), ("velocity", (3,), _ZERO), ("angular_velocity", (3,), _ZERO),
+        )
+    )
+    inertia = inertia[:, _INERTIA_ORDER]
+    if np.any(mass <= 0.0) or np.any(np.linalg.eigvalsh(inertia) <= 0.0) or _off_unit(q).any():
+        raise MechanismError("bad mass, inertia or quaternion")
+    bodies = {bid: RigidBody(id=bid, mass=m, inertia=J) for bid, m, J in zip(ids, mass.tolist(), inertia)}
+    quaternions = dict(zip(ids, q))
+
+    jids = [_integral(entry.get("id"), "joint id") for entry in joint_entries]
+    kinds = [str(entry.get("kind")) for entry in joint_entries]
+    parents = [WORLD if e.get("parent") == WORLD else _integral(e.get("parent"), "parent") for e in joint_entries]
+    children = [_integral(entry.get("child"), "child") for entry in joint_entries]
+    ends = {*parents, *children} - {WORLD}
+    if len(set(jids)) < len(jids) or not bodies.keys().isdisjoint(jids) or not ends <= bodies.keys():
+        raise MechanismError("bad joint ids or references")
+    fields = [{"p_a": p_a, "p_b": p_b} for p_a, p_b in zip(*(
+        _stacked([entry.get(key) for entry in joint_entries], (3,)) for key in ("parent_anchor", "child_anchor")
+    ))]
+    targets = {i: quaternions[c] for i, (k, c) in enumerate(zip(kinds, children)) if k == KIND_FIXED}  # default targets
+    if any(parents[i] != WORLD for i in targets):
+        raise MechanismError("fixed joint off the world")
+    for kind, key, field, n in (
+        (KIND_REVOLUTE, "parent_axis", "axis_a", 3),
+        (KIND_REVOLUTE, "child_axis", "axis_b", 3),
+        (KIND_FIXED, "orientation_target", "orientation_target", 4),
+    ):
+        members = [i for i, k in enumerate(kinds) if k == kind]
+        values = _stacked([joint_entries[i].get(key, targets.get(i)) for i in members], (n,))
+        if _off_unit(values).any():
+            raise MechanismError(f"{key} off unit norm")
+        for i, value in zip(members, values):
+            fields[i][field] = value
+    joints = {
+        jid: JointConstraint(id=jid, kind=kind, parent=parent, child=child, **f)
+        for jid, kind, parent, child, f in zip(jids, kinds, parents, children, fields)
+    }
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    return bodies, joints, x[order], q[order], v[order], w[order]
+
+
+def _stacked(values: list, shape: tuple) -> np.ndarray:
+    """``values`` as one (len(values), *shape) float array; MechanismError unless each has ``shape`` and is finite."""
+    out = np.array(values, dtype=float) if values else np.zeros((0, *shape))
+    if out.shape != (len(values), *shape) or not np.isfinite(out).all():
+        raise MechanismError("a missing, mistyped, mis-sized or non-finite number")
+    return out
+
+
+def _read_walked(body_entries: list, joint_entries: list) -> tuple:
+    """(bodies, joints, x, q, v, w) for :class:`Mechanism`, read entry by entry: MechanismError names the first fault."""
     bodies: dict = {}
     declared: dict = {}  # body id -> (x, q, v, w)
-    for entry in entries["bodies"]:
+    for entry in body_entries:
         body, knots = _parse_body(entry)
         if body.id in bodies:
             raise MechanismError(f"duplicate body id {body.id}")
@@ -782,20 +863,14 @@ def load_mechanism(source) -> Mechanism:
 
     quaternions = {bid: q for bid, (_, q, _, _) in declared.items()}
     joints: dict = {}
-    for entry in entries["joints"]:
+    for entry in joint_entries:
         joint = _parse_joint(entry, quaternions)
         if joint.id in joints or joint.id in bodies:
             raise MechanismError(f"duplicate node id {joint.id}")
         joints[joint.id] = joint
 
     ids = sorted(bodies)
-    mech = Mechanism(bodies, joints, *(np.array([declared[b][k] for b in ids]) for k in range(4)))
-    viol = mech.max_constraint_violation(at=2)
-    if not viol <= _ASSEMBLY_TOL:
-        raise MechanismError(
-            f"assembly inconsistent: initial constraint violation {viol:.3e} exceeds {_ASSEMBLY_TOL}"
-        )
-    return mech
+    return bodies, joints, *(np.array([declared[b][k] for b in ids]) for k in range(4))
 
 
 def _parse_body(entry: dict) -> tuple[RigidBody, tuple]:
@@ -814,8 +889,8 @@ def _parse_body(entry: dict) -> tuple[RigidBody, tuple]:
         raise MechanismError(f"{owner}: inertia matrix is not positive definite")
     x = _numbers(owner, entry, "position", 3, None)
     q = _unit(owner, entry, "quaternion", 4, None)  # wxyz
-    v = _numbers(owner, entry, "velocity", 3, (0.0, 0.0, 0.0))
-    w = _numbers(owner, entry, "angular_velocity", 3, (0.0, 0.0, 0.0))
+    v = _numbers(owner, entry, "velocity", 3, _ZERO)
+    w = _numbers(owner, entry, "angular_velocity", 3, _ZERO)
     return RigidBody(id=bid, mass=mass, inertia=J), (x, q, v, w)
 
 
@@ -850,6 +925,8 @@ def _parse_joint(entry: dict, quaternions: dict) -> JointConstraint:
 
 def _integral(value, what: str) -> int:
     """``value`` as an int; raises MechanismError naming ``what`` unless it is an integer or an integral float."""
+    if type(value) is int:  # the common case, without the slower ABC test
+        return value
     integral = isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer()
     if isinstance(value, bool) or not integral:
         raise MechanismError(f"{what} must be an integer, got {value!r}")
@@ -876,11 +953,20 @@ def _numbers(owner: str, entry: dict, key: str, n: int | None, default):
 
 
 def _unit(owner: str, entry: dict, key: str, n: int, default) -> np.ndarray:
-    """:func:`_numbers`, and MechanismError unless the vector has unit norm (to 1e-9)."""
+    """:func:`_numbers`, and MechanismError unless the vector has unit norm (:func:`_off_unit`)."""
     out = _numbers(owner, entry, key, n, default)
-    if abs(np.linalg.norm(out) - 1.0) > 1e-9:
+    if _off_unit(out):
         raise MechanismError(f"{owner}: {key} must be a unit vector")
     return out
+
+
+def _off_unit(vectors: np.ndarray) -> np.ndarray:
+    """Whether the norm of each vector along the last axis is off 1 by more than 1e-9: the loader's one unit-norm rule.
+
+    The squares add up column by column, so a vector and the same row of a stack round alike.
+    """
+    squares = vectors * vectors
+    return np.abs(np.sqrt(sum(squares[..., k] for k in range(vectors.shape[-1]))) - 1.0) > 1e-9
 
 
 def save_mechanism(data: dict, path) -> None:

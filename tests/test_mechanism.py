@@ -1,19 +1,35 @@
+import copy
 import os
 import re
+import sys
+from dataclasses import fields
+from itertools import product
 from types import MappingProxyType
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import conftest
+import mcdyn.mechanism as mechanism
 import mcdyn.quaternions as quat
-from conftest import make_closed_chain, make_pendulum, make_segmented_chain, mixed_kind_pendulum, star_mechanism
+import test_random_mechanisms
+from conftest import (
+    comb,
+    hub_star_description,
+    make_closed_chain,
+    make_pendulum,
+    make_segmented_chain,
+    mixed_kind_pendulum,
+    star_mechanism,
+)
 from mcdyn.block_solver import LOOP_NODE
 from mcdyn.errors import MechanismError
 from mcdyn.integrator import StepContext, newton_system_at
 from mcdyn.mechanism import (
     WORLD,
     JointConstraint,
+    JointGroup,
     Mechanism,
     RigidBody,
     _axis_complement,
@@ -23,6 +39,7 @@ from mcdyn.mechanism import (
     joint_residual,
     load_mechanism,
     max_violation,
+    save_mechanism,
     with_world,
 )
 from mcdyn.scenarios import Scenario, generate_scenario
@@ -35,7 +52,7 @@ from oracles import (
     rotmat_from_axis_angle,
     rotmat_from_quat,
 )
-from test_random_mechanisms import hinged_by_two_balls, loops_sharing_a_body
+from test_random_mechanisms import hinged_by_two_balls, loops_sharing_a_body, random_mechanism, two_disjoint_loops
 
 
 def one_joint(joint, states):
@@ -896,3 +913,233 @@ class TestMaxViolation:
         for at in (1.5, 3, "1"):
             with pytest.raises(ValueError, match="knot selector must be 1 or 2"):
                 mech.poses(at)
+
+
+# ---------------------------------------------------------------------------
+# the batched loader against the per-entry walk
+
+
+class _Captured(Exception):
+    pass
+
+
+def description_of(build):
+    """The description ``build`` hands to load_mechanism, captured there."""
+
+    def capture(data):
+        raise _Captured(data)
+
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (conftest, test_random_mechanisms, sys.modules[__name__]):
+            patch.setattr(module, "load_mechanism", capture)
+        with pytest.raises(_Captured) as caught:
+            build()
+    return caught.value.args[0]
+
+
+def _grid() -> dict:
+    """Name -> builder of the description of each named case of the loader's differential grid."""
+    cases = {}
+    for kind, sizes in (("pendulum", (1, 2, 5, 12)), ("closed_chain", (3, 4, 8)), ("segmented_chain", (1, 2, 4)),
+                        ("free_body", (1,))):
+        for n, joint_kind in product(sizes, ("revolute", "ball")):
+            sc = Scenario(kind=kind, n_links=n, joint_kind=joint_kind)
+            cases[f"{kind}-{n}-{joint_kind}"] = lambda sc=sc: generate_scenario(sc)
+    cases |= {
+        "star": lambda: description_of(star_mechanism),
+        "comb": lambda: description_of(comb),
+        "hub_star": hub_star_description,
+        "mixed_kind_pendulum": lambda: description_of(mixed_kind_pendulum),
+        "floating_ring": lambda: description_of(floating_ring),
+        "fixed_joint_pendulum": TestLoader._pendulum_and_fixed_body,
+        "hinged_by_two_balls": lambda: description_of(hinged_by_two_balls),
+        "two_disjoint_loops": lambda: description_of(lambda: two_disjoint_loops(np.random.default_rng(4004))),
+    }
+    return cases
+
+
+GRID = _grid()
+
+
+def plain(value):
+    """``value`` with numpy scalars and arrays as Python floats and lists, for YAML."""
+    if isinstance(value, dict):
+        return {k: plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return [plain(v) for v in value]
+    return value.item() if isinstance(value, np.generic) else value
+
+
+def walked(monkeypatch, source):
+    """``source`` loaded entry by entry, as the loader does on a fault."""
+
+    def fault(*args):
+        raise MechanismError("walk")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(mechanism, "_read_stacked", fault)
+        return load_mechanism(source)
+
+
+def batched(monkeypatch, source):
+    """``source`` loaded by the batched pass, failing should it walk."""
+    with monkeypatch.context() as patch:
+        patch.setattr(mechanism, "_read_walked", lambda *args: pytest.fail("valid input took the walk"))
+        return load_mechanism(source)
+
+
+def assert_same_value(got, want, what):
+    if isinstance(want, np.ndarray):
+        assert isinstance(got, np.ndarray) and got.dtype == want.dtype, what
+        assert got.shape == want.shape and np.array_equal(got, want), what
+    else:
+        assert type(got) is type(want) and got == want, what
+
+
+def assert_same_mechanism(got, want):
+    for name in ("mass", "inertia", "x1", "q1", "x2", "q2", "v0", "w0", "v1", "w1"):
+        assert_same_value(getattr(got, name), getattr(want, name), name)
+    assert list(got.bodies) == list(want.bodies) and list(got.joints) == list(want.joints)
+    for bid, body in want.bodies.items():
+        for f in fields(RigidBody):
+            assert_same_value(getattr(got.bodies[bid], f.name), getattr(body, f.name), f"body {bid} {f.name}")
+    for jid, joint in want.joints.items():
+        for f in fields(JointConstraint):
+            assert_same_value(getattr(got.joints[jid], f.name), getattr(joint, f.name), f"joint {jid} {f.name}")
+    assert len(got.groups) == len(want.groups)
+    for g, h in zip(got.groups, want.groups):
+        for f in fields(JointGroup):
+            assert_same_value(getattr(g, f.name), getattr(h, f.name), f"{h.kind} group {f.name}")
+    assert got.plan.layout.order == want.plan.layout.order
+
+
+def assert_batched_is_walked(monkeypatch, tmp_path, data):
+    """Both readers build the same mechanism from ``data``, given as a dict and as a YAML file."""
+    path = tmp_path / "m.yaml"
+    save_mechanism(plain(data), path)
+    for source in (data, path):
+        assert_same_mechanism(batched(monkeypatch, source), walked(monkeypatch, source))
+
+
+class TestBatchedLoader:
+    """The batched pass builds what the per-entry walk builds, and names a fault as the walk does."""
+
+    @pytest.mark.parametrize("name", GRID)
+    def test_named_case_matches_the_walk(self, monkeypatch, tmp_path, name):
+        assert_batched_is_walked(monkeypatch, tmp_path, GRID[name]())
+
+    @pytest.mark.parametrize("loops", [True, False], ids=["loops", "tree"])
+    def test_random_mechanisms_match_the_walk(self, monkeypatch, tmp_path, loops):
+        for seed in range(60):  # 120 seeds over both cases
+            rng = np.random.default_rng((5000 if loops else 6000) + seed)
+            assert_batched_is_walked(monkeypatch, tmp_path, description_of(lambda: random_mechanism(rng, loops)))
+
+    @staticmethod
+    def outcome(load):
+        """The message of the MechanismError ``load()`` raises, or the mechanism it builds."""
+        try:
+            return load()
+        except MechanismError as err:
+            return str(err)
+
+    def assert_same_outcome(self, monkeypatch, data):
+        got = self.outcome(lambda: load_mechanism(copy.deepcopy(data)))
+        want = self.outcome(lambda: walked(monkeypatch, copy.deepcopy(data)))
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert_same_mechanism(got, want)
+        return want
+
+    @pytest.mark.parametrize("edit,message", [
+        # a later entry's earlier field comes after an earlier entry's later one
+        (lambda d: (_set("bodies", 1, mass=np.nan)(d), _set("bodies", 0, angular_velocity=[0, None, 0])(d)),
+         "body 1: angular_velocity is not finite: [0, None, 0]"),
+        # every body comes before any joint
+        (lambda d: (_set("joints", 0, parent_anchor=[0.0])(d), _set("bodies", 2, quaternion=[0.5, 0.5, 0.5, 0.6])(d)),
+         "body 5: quaternion must be a unit vector"),
+        (lambda d: (_set("joints", 2, child=9)(d), _set("joints", 1, child_axis="y")(d)),
+         "joint 4: child_axis must be a list of 3 numbers, got 'y'"),
+        (_set("joints", 1, parent=2), "joint 4: parent and child must differ"),
+        (_set("joints", 0, parent=1, child=1), "joint 3: parent and child must differ"),
+        (_set("bodies", 2, id=2), "duplicate body id 2"),
+        (_set("joints", 2, id=3), "duplicate node id 3"),
+        (_set("joints", 2, id=5), "duplicate node id 5"),
+        (_set("joints", 0, child=7), "joint 3: unknown child body 7"),
+        (_set("joints", 1, parent=0), "joint 4: unknown parent body 0"),
+        (_set("joints", 2, parent=2), "joint 6: fixed joints attach to the world"),
+        (_set("joints", 1, kind="ball", parent=2, child=2), "joint 4: parent and child must differ"),
+        (_set("joints", 2, kind="slider"), "joint 6: unknown kind 'slider'"),
+        (lambda d: (_set("bodies", 2, id=-5)(d), _set("joints", 2, child=-5)(d)), "body id must be nonnegative, got -5"),
+    ])
+    def test_first_fault_in_entry_order(self, monkeypatch, edit, message):
+        data = TestLoader._pendulum_and_fixed_body()
+        edit(data)
+        assert self.assert_same_outcome(monkeypatch, data) == message
+
+    CORRUPTIONS = {
+        "none": lambda v: None,
+        "nan": lambda v: np.nan if np.ndim(v) == 0 else [np.nan, *v[1:]],
+        "str": lambda v: "x",
+        "nested": lambda v: [v],
+        "short": lambda v: [] if np.ndim(v) == 0 else list(v[:-1]),
+        "numeric_str": lambda v: repr(float(v)) if np.ndim(v) == 0 else [repr(float(c)) for c in v],
+    }
+
+    def corrupt(self, rng, data, taken):
+        """One field of an entry not in ``taken`` replaced by a drawn corruption, or an id or reference changed."""
+        free = [(g, i) for g in ("bodies", "joints") for i in range(len(data[g])) if (g, i) not in taken]
+        group, index = free[int(rng.integers(len(free)))]
+        taken.add((group, index))
+        entry = data[group][index]
+        ids = [e["id"] for e in data["bodies"]] + [e["id"] for e in data["joints"]]
+        if rng.random() < 0.2:  # an id or a reference
+            key = str(rng.choice(["id", "parent", "child"] if group == "joints" else ["id"]))
+            pool = [*ids, WORLD, 99]
+            entry[key] = pool[int(rng.integers(len(pool)))]
+            return
+        numeric = [k for k, v in entry.items() if k not in ("id", "kind", "parent", "child")]
+        key = numeric[int(rng.integers(len(numeric)))]
+        entry[key] = self.CORRUPTIONS[str(rng.choice(list(self.CORRUPTIONS)))](entry[key])
+
+    @pytest.mark.parametrize("base", ["fixed_joint_pendulum", "mixed_kind_pendulum", "star", "closed_chain-4-ball"])
+    def test_seeded_corruptions_fail_as_the_walk_does(self, monkeypatch, base):
+        rng = np.random.default_rng(7000)
+        outcomes = set()
+        for _ in range(80):
+            data, taken = GRID[base](), set()
+            for _ in range(int(rng.integers(1, 3))):
+                self.corrupt(rng, data, taken)
+            outcome = self.assert_same_outcome(monkeypatch, data)
+            outcomes.add(outcome if isinstance(outcome, str) else "loaded")
+        assert "loaded" in outcomes and len(outcomes) > 20  # numeric strings load, the rest fail in many ways
+
+    def test_numeric_strings_in_every_field_load(self, monkeypatch, tmp_path):
+        data = TestLoader._pendulum_and_fixed_body()
+        for entry in data["bodies"] + data["joints"]:
+            for key, value in entry.items():
+                if key not in ("id", "kind", "parent", "child"):
+                    entry[key] = self.CORRUPTIONS["numeric_str"](value)
+        assert_batched_is_walked(monkeypatch, tmp_path, data)
+
+    @pytest.mark.parametrize("direction", [[0.5, 0.5, 0.5, 0.5], [-0.476, -0.286, -0.006, -0.832]])
+    def test_unit_norm_edge_is_decided_alike(self, monkeypatch, direction):
+        # quaternions whose norm is off 1 by a few ulps either side of 1e-9; along the
+        # second direction, np.linalg.norm of one vector rounds differently there.  Body 9
+        # hangs by its center from the tip of a ball pendulum, so its orientation is free.
+        data = generate_scenario(Scenario(kind="pendulum", n_links=3, joint_kind="ball"))
+        body = {"id": 9, "mass": 1.0, "inertia": [0.1, 0.1, 0.1, 0, 0, 0], "position": [3.0, 0.0, 3.0]}
+        data["joints"].append({"id": 10, "kind": "ball", "parent": 3, "child": 9,
+                               "parent_anchor": [0.0, 0.0, 0.5], "child_anchor": [0.0, 0.0, 0.0]})
+        direction = np.array(direction)
+        scale = (1.0 + 1e-9) / np.linalg.norm(direction)
+        decided = []
+        for k in range(-6, 7):
+            body["quaternion"] = list(direction * (scale + k * np.spacing(scale)))
+            off = bool(mechanism._off_unit(np.array(body["quaternion"])))
+            alone = self.assert_same_outcome(monkeypatch, {"bodies": [body]})
+            among = self.assert_same_outcome(monkeypatch, dict(data, bodies=data["bodies"] + [body]))
+            message = "body 9: quaternion must be a unit vector"
+            assert (alone, among) == (message, message) if off else not isinstance(alone, str) and not isinstance(among, str)
+            decided.append(off)
+        assert True in decided and False in decided
