@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quaternions as quat
-from .integrator import StepContext, eliminate_bodies, mechanical_energy, solve_reduced, stacked_loads
+from .integrator import StepContext, eliminate_bodies, impulse_blocks, mechanical_energy, solve_reduced, stacked_loads
 from .mechanism import (
     Mechanism, check_parameter, check_step_count, check_time_step, constraint_jacobian_position, max_violation,
     velocities, with_world,
@@ -93,7 +93,7 @@ def _acceleration_rates(mech: Mechanism, state: np.ndarray, ctx: StepContext, lo
     couplings = []
     for group, blocks, bias in zip(mech.groups, _coupling_blocks(mech, state), _rate_bias(mech, state, rates)):
         rhs[group.rows] = -bias
-        couplings.append((blocks, -blocks.transpose(0, 1, 3, 2)))
+        couplings.append((blocks, impulse_blocks(blocks)))
     sol = solve_reduced(mech, eliminate_bodies(mech, mech.plan, body_diag, couplings, rhs))
     rates[:, _V], rates[:, _W] = velocities(sol, n)
     return rates

@@ -174,14 +174,25 @@ def _predicted_pose(layout: SystemLayout, v2: np.ndarray, w2: np.ndarray) -> tup
 # residual
 
 
+def impulse_blocks(pos: np.ndarray) -> np.ndarray:
+    """The impulse directions -P^T of (2, M, rows, 6) blocks P, C-contiguous: products with a transposed view are slower."""
+    return np.negative(pos.transpose(0, 1, 3, 2), order="C")
+
+
+def body_sums(mech: Mechanism, terms: list) -> np.ndarray:
+    """(N + 1, 6) sums of each kind group's (2, M, 6) ``terms`` at its ends (the world's row last), in np.add.at's order from zero."""
+    n = len(mech.body_ids)
+    return np.bincount(mech.end_cells, np.concatenate([np.zeros(0), *terms], axis=None), 6 * (n + 1)).reshape(n + 1, 6)
+
+
 def position_jacobian_blocks(mech: Mechanism, layout: SystemLayout) -> list:
-    """Knot-2 (parent, child) position-Jacobian blocks of every kind group.
+    """Per kind group, the knot-2 (parent, child) position-Jacobian blocks and their :func:`impulse_blocks`.
 
     These depend only on committed poses, so one computation serves every
     residual and Jacobian evaluation within a step's solve.
     """
     _, q2, rot2 = with_world(layout.x2, layout.q2)
-    return [constraint_jacobian_position(group, q2, rot2) for group in mech.groups]
+    return [(pos, impulse_blocks(pos)) for pos in (constraint_jacobian_position(g, q2, rot2) for g in mech.groups)]
 
 
 def assemble_residual(
@@ -202,10 +213,9 @@ def assemble_residual(
     v2, w2 = velocities(s, n)
     pose = _predicted_pose(layout, v2, w2)
     f = np.empty(mech.dim)
-    pull = np.zeros((n + 1, 6))  # the last row collects the world's share
-    for group, pos in zip(mech.groups, pos_blocks):
-        np.add.at(pull, group.ends, (s[group.rows][:, None, :] @ pos)[..., 0, :])
+    for group in mech.groups:
         f[group.rows] = joint_residual(group, *pose[:3])
+    pull = body_sums(mech, [(s[g.rows][:, None, :] @ pos)[..., 0, :] for g, (pos, _) in zip(mech.groups, pos_blocks)])
     jw2 = (mech.inertia @ w2[:, :, None])[..., 0]
     s2 = pose[3][:, None]
     body = f[: 6 * n].reshape(n, 6)
@@ -309,9 +319,7 @@ def solve_reduced(mech: Mechanism, system: ReducedSystem) -> np.ndarray:
     """
     n = len(mech.body_ids)
     x = sparse_ldu_solve(sparse_ldu_factorize(system.joints))
-    rest = system.body_rhs.copy()
-    for group, col in zip(mech.groups, system.cols):
-        np.subtract.at(rest, group.ends, (col @ x[group.rows][..., None])[..., 0])
+    rest = system.body_rhs - body_sums(mech, [(col @ x[g.rows][..., None])[..., 0] for g, col in zip(mech.groups, system.cols)])
     # the hubs' rows of B^-1 are zero: this adds to the other bodies' rows only
     x[: 6 * n] += (system.inverse[:n] @ rest[:n, :, None]).ravel()
     return x
@@ -345,8 +353,8 @@ def jacobian_blocks(
         J * s2 - jw[:, :, None] * (w2[:, None, :] / s2) + quat.skew(w2) @ J - quat.skew(jw)
     )
     couplings = [
-        (constraint_jacobian_velocity(group, q3, rot3, delta, h), -pos.transpose(0, 1, 3, 2))
-        for group, pos in zip(mech.groups, pos_blocks)
+        (constraint_jacobian_velocity(group, q3, rot3, delta, h), impulse)
+        for group, (_, impulse) in zip(mech.groups, pos_blocks)
     ]
     return body_diag, couplings
 

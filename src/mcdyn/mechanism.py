@@ -265,8 +265,8 @@ def _indices(sl: slice) -> np.ndarray:
     return np.arange(sl.start, sl.stop)
 
 
-def _hubs(groups: list, n: int) -> np.ndarray:
-    """Per body in id order, whether the sparse sweep keeps it as a node (a hub).
+def _hubs(ends: np.ndarray, n: int) -> np.ndarray:
+    """Per body in id order, whether the sparse sweep keeps it as a node (a hub); ``ends`` lists every joint's end rows.
 
     Eliminating a body with d joints before the sweep couples each ordered
     pair of them: d(d - 1) joint-pair blocks in place of the 2d body-joint
@@ -276,7 +276,6 @@ def _hubs(groups: list, n: int) -> np.ndarray:
     node of the sweep, where it costs O(d), so the step stays linear in
     the size of any tree.
     """
-    ends = np.concatenate([np.zeros(0, dtype=np.intp), *(g.ends.ravel() for g in groups)])
     degree = np.bincount(ends, minlength=n + 1)[:n]  # the world, the ends' last row, is no body
     return degree * (degree - 1) > 2 * degree
 
@@ -343,18 +342,19 @@ def _zero_diagonal(groups: list, first: np.ndarray) -> set:
 def _level_order(order: list, sources: list, stacks: dict, waits: dict, zero: set) -> list:
     """``order``'s nodes in rounds of mutually non-adjacent nodes, one round eliminated after another.
 
-    Each round takes the eligible nodes whose current degree (fill
-    included) is at most the smallest such degree + 1, greedily, lowest
-    degree first, then earliest in ``order``, and never two adjacent ones
-    (cyclic reduction, Heller, SIAM J. Numer. Anal. 13, 1976; multiple
-    minimum degree, Liu, ACM TOMS 11, 1985).  A chain loses half its nodes
-    per round, so a tree's nodes go in O(log n) rounds at O(n) total work.
-    A relieved node (a key of ``stacks``) is eligible once the nodes
-    ``waits`` lists for it are gone, so its cycle's redundancy still lands
-    in its own pivot; a node of ``zero``, whose diagonal block is
-    structurally zero, once one of its neighbours is, whose Schur update
-    makes that block invertible.  Rounds are listed one after another,
-    each in ``order``'s order.
+    Each round takes the eligible relieved nodes (keys of ``stacks``) and
+    the other eligible nodes whose current degree (fill included) is at
+    most the smallest such degree + 1, greedily, lowest degree first, then
+    earliest in ``order``, and never two adjacent ones (cyclic reduction,
+    Heller, SIAM J. Numer. Anal. 13, 1976; multiple minimum degree, Liu,
+    ACM TOMS 11, 1985).  A chain loses half its nodes per round, so a
+    tree's nodes go in O(log n) rounds at O(n) total work.  A relieved
+    node is eligible once the nodes ``waits`` lists for it are gone, so
+    its cycle's redundancy still lands in its own pivot, and sets no
+    threshold (a chain's end cycle would cut its round to two nodes); a
+    node of ``zero``, whose diagonal block is structurally zero, once one
+    of its neighbours is, whose Schur update makes that block invertible.
+    Rounds are listed one after another, each in ``order``'s order.
     """
     key = {node: k for k, ids in stacks.items() for node in ids}
     adj: dict = {v: set() for v in order}
@@ -368,9 +368,9 @@ def _level_order(order: list, sources: list, stacks: dict, waits: dict, zero: se
     eligible = {v for v in order if not waits.get(v) and v not in zero}
     out: list = []
     while eligible:
-        least = min(len(adj[v]) for v in eligible)
+        least = min((len(adj[v]) for v in eligible if v not in stacks), default=0)
         taken, blocked = [], set()
-        for v in sorted((v for v in eligible if len(adj[v]) <= least + 1), key=lambda v: (len(adj[v]), pos[v])):
+        for v in sorted((v for v in eligible if v in stacks or len(adj[v]) <= least + 1), key=lambda v: (len(adj[v]), pos[v])):
             if v not in blocked:
                 taken.append(v)
                 blocked |= adj[v]
@@ -678,7 +678,9 @@ class Mechanism:
             off += joints[jid].rows
         self.dim = off
         self.groups = _kind_groups(self.body_index, joints, self.joint_slices)
-        self.plan = elimination_plan(self, _hubs(self.groups, len(self.body_ids)), levelled=True)
+        ends = np.concatenate([np.zeros(0, dtype=np.intp), *(g.ends.ravel() for g in self.groups)])
+        self.end_cells = (6 * ends[:, None] + np.arange(6)).ravel()  # per group end, its row's 6 cells of (N + 1, 6)
+        self.plan = elimination_plan(self, _hubs(ends, len(self.body_ids)), levelled=True)
         self.mass = np.array([bodies[b].mass for b in self.body_ids])
         self.inertia = np.array([bodies[b].inertia for b in self.body_ids])
         self.x1, self.q1, self.v1, self.w1 = (np.array(a, dtype=float) for a in (x, q, v, w))

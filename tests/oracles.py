@@ -290,3 +290,23 @@ def quaternion_joint_kernels(mech, group, x, q):
             gb.append(target)
         out.append((np.concatenate(g), np.concatenate(ga), np.concatenate(gb), qa, qb))
     return tuple(np.array(part) for part in zip(*out))
+
+
+def add_at_body_sums(mech, terms):
+    """np.add.at of each kind group's (2, M, 6) ``terms`` into (N + 1, 6) body rows at the group's ends, group after group."""
+    out = np.zeros((len(mech.body_ids) + 1, 6))
+    for group, term in zip(mech.groups, terms):
+        np.add.at(out, group.ends, term)
+    return out
+
+
+def subtract_at_back_substitution(mech, system, swept):
+    """The unknowns of a body-eliminated system from the sweep's solution ``swept``: the rows of the
+    bodies eliminated first are B^-1 (f_B - C x_J), C x_J taken off f_B joint end by joint end with np.subtract.at."""
+    n = len(mech.body_ids)
+    rest = system.body_rhs.copy()
+    for group, col in zip(mech.groups, system.cols):
+        np.subtract.at(rest, group.ends, (col @ swept[group.rows][..., None])[..., 0])
+    out = swept.copy()
+    out[: 6 * n] += (system.inverse[:n] @ rest[:n, :, None]).ravel()
+    return out

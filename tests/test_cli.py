@@ -70,11 +70,10 @@ def test_simulate_dump_pattern_lists_one_relieved_node_per_loop(tmp_path):
     ("segmented_chain", 3, [
         "    level 1: 5 nodes [27, 24, 21, 16, 13]",
         "    level 2: 3 nodes [26, 22, 14]",
-        "    level 3: 2 nodes [('loop', 25), 17]",
+        "    level 3: 3 nodes [('loop', 25), 19, 17]",
         "    level 4: 2 nodes [23, 'loop']",
-        "    level 5: 1 node [19]",
-        "    level 6: 1 node [('loop', 20)]",
-        "    level 7: 1 node [18]",
+        "    level 5: 1 node [('loop', 20)]",
+        "    level 6: 1 node [18]",
     ]),
     # the chain's two ends and its middle, then what the middle coupled
     ("pendulum", 5, ["    level 1: 3 nodes [10, 8, 6]", "    level 2: 1 node [9]", "    level 3: 1 node [7]"]),

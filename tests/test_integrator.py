@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import mcdyn.baselines
 import mcdyn.integrator
 import mcdyn.quaternions as quat
-from conftest import hub_star, make_closed_chain, make_pendulum, make_segmented_chain, mixed_kind_pendulum, star_mechanism
+from conftest import comb, hub_star, make_closed_chain, make_pendulum, make_segmented_chain, mixed_kind_pendulum, star_mechanism
 from mcdyn.block_solver import check_pivots, sparse_ldu_factorize, sparse_ldu_solve
 from mcdyn.errors import AngularRateError, LineSearchError, NewtonError, SimulationError, SingularBlockError
 from mcdyn.integrator import (
@@ -30,7 +31,7 @@ from mcdyn.integrator import (
 from mcdyn.baselines import heun_simulate
 from mcdyn.mechanism import elimination_plan, load_mechanism, step_count, velocities
 from mcdyn.scenarios import Scenario, generate_scenario
-from oracles import assembled, euler_free_body
+from oracles import add_at_body_sums, assembled, euler_free_body, subtract_at_back_substitution
 
 
 def free_body(inertia=(0.1, 0.1, 0.05), w=(0.0, 0.0, 0.0), v=(0.0, 0.0, 0.0), x=(0.0, 0.0, 0.0)):
@@ -446,6 +447,89 @@ class TestBodyElimination:
         system = reduced_newton_system(mech, ctx, residual_at(mech, ctx))
         x = sparse_ldu_solve(sparse_ldu_factorize(system.joints))
         assert x.shape == (mech.dim,) and not x.any()
+
+
+def initialized_ring():
+    from test_mechanism import floating_ring  # imported here: test_mechanism imports this module
+
+    mech = floating_ring()
+    mech.initialize(0.01)
+    return mech
+
+
+def initialized_free_body():
+    mech = free_body(w=(0.3, -0.5, 0.8))
+    mech.initialize(0.01)
+    return mech
+
+
+SCATTER_CASES = {
+    "free_body": initialized_free_body,  # no joints: nothing to scatter
+    "hub_star_20": lambda: hub_star(20),
+    "comb_10": comb,
+    "floating_ring": initialized_ring,
+    "mixed_kind_pendulum": mixed_kind_pendulum,  # three kind groups, scattered in group order
+    "segmented_chain_3": lambda: make_segmented_chain(3),
+}
+
+
+class TestBodyScatters:
+    """The per-body sums of impulse terms (one np.bincount each) against np.add.at references."""
+
+    @staticmethod
+    def perturbed(name, rng):
+        mech = SCATTER_CASES[name]()
+        mech.unknowns += rng.normal(size=mech.dim) * 0.05
+        return mech
+
+    @pytest.mark.parametrize("name", SCATTER_CASES)
+    def test_residual_pull_matches_add_at_bit_for_bit(self, monkeypatch, rng, name):
+        mech = self.perturbed(name, rng)
+        layout = build_layout(mech, StepContext(h=0.01))
+        pos_blocks = position_jacobian_blocks(mech, layout)
+        f, _ = assemble_residual(mech, layout, pos_blocks, mech.unknowns)
+        monkeypatch.setattr(mcdyn.integrator, "body_sums", add_at_body_sums)
+        reference, _ = assemble_residual(mech, layout, pos_blocks, mech.unknowns)
+        np.testing.assert_array_equal(f, reference)
+
+    @pytest.mark.parametrize("name", SCATTER_CASES)
+    def test_back_substitution_matches_subtract_at(self, rng, name):
+        mech = self.perturbed(name, rng)
+        rhs = rng.normal(size=mech.dim)
+        system = reduced_newton_system(mech, StepContext(h=0.01), rhs)
+        swept = sparse_ldu_solve(sparse_ldu_factorize(system.joints))
+        reference = subtract_at_back_substitution(mech, system, swept)
+        x = solve_reduced(mech, system)
+        assert_allclose(x, reference, rtol=1e-12, atol=1e-13 * np.abs(reference).max())
+
+    @pytest.mark.parametrize("name", SCATTER_CASES)
+    def test_impulse_blocks_are_contiguous_negated_transposes(self, rng, name):
+        mech = self.perturbed(name, rng)
+        layout = build_layout(mech, StepContext(h=0.01))
+        pos_blocks = position_jacobian_blocks(mech, layout)
+        _, pose = assemble_residual(mech, layout, pos_blocks, mech.unknowns)
+        _, couplings = jacobian_blocks(mech, layout, pos_blocks, mech.unknowns, pose)
+        assert len(couplings) == len(pos_blocks) == len(mech.groups)
+        for (pos, impulse), (_, col) in zip(pos_blocks, couplings):
+            assert col is impulse and col.flags.c_contiguous
+            np.testing.assert_array_equal(col, -pos.transpose(0, 1, 3, 2))
+
+    @pytest.mark.parametrize("name", SCATTER_CASES)
+    def test_baseline_couplings_are_contiguous(self, monkeypatch, name):
+        seen = []
+        eliminate = mcdyn.baselines.eliminate_bodies
+
+        def record(mech, plan, body_diag, couplings, rhs):
+            seen.extend(couplings)
+            return eliminate(mech, plan, body_diag, couplings, rhs)
+
+        monkeypatch.setattr(mcdyn.baselines, "eliminate_bodies", record)
+        mech = SCATTER_CASES[name]()
+        heun_simulate(mech, StepContext(h=0.01), 1)
+        assert len(seen) == 2 * len(mech.groups)  # two stages
+        for row, col in seen:
+            assert col.flags.c_contiguous
+            np.testing.assert_array_equal(col, -row.transpose(0, 1, 3, 2))
 
 
 class TestLoopNodeRelief:

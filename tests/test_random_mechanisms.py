@@ -332,7 +332,7 @@ def test_layout_covers_dense_factors(random_case):
 
 
 # each builds (mechanism, loops, fill blocks of the step's layout)
-@pytest.mark.parametrize("build", [lambda: (make_closed_chain(4), 1, 2), lambda: (make_segmented_chain(3), 3, 10)])
+@pytest.mark.parametrize("build", [lambda: (make_closed_chain(4), 1, 2), lambda: (make_segmented_chain(3), 3, 12)])
 def test_layout_covers_dense_factors_on_chains(rng, build):
     mech, loops, fill = build()
     layout = assert_layout_covers_dense_factors(mech, rng)
@@ -540,3 +540,23 @@ def test_level_schedule(name):
     reference = solve_reduced(mech, eliminate_bodies(mech, children_first_plan(mech), *blocks, f))
     body = slice(0, 6 * len(mech.body_ids))
     assert np.linalg.norm(levelled[body] - reference[body]) <= 1e-12 * np.linalg.norm(reference[body])
+
+
+# per mechanism: levels, levels holding a relieved node (one relieved_inverse call each), fill blocks, storage cells;
+# these count work, not time, so they do not depend on the host
+SCHEDULE_WORK = {
+    "segmented_chain_4": (lambda: make_segmented_chain(4), (6, 3, 18, 3101)),
+    "segmented_chain_16": (lambda: make_segmented_chain(16), (8, 3, 106, 12701)),
+    "segmented_chain_48": (lambda: make_segmented_chain(48), (10, 3, 356, 38351)),
+    "segmented_chain_96": (lambda: make_segmented_chain(96), (11, 3, 736, 76751)),
+    "closed_chain_8": (lambda: make_closed_chain(8), (5, 1, 8, 971)),
+}
+
+
+@pytest.mark.parametrize("name", SCHEDULE_WORK)
+def test_schedule_work_counts(name):
+    # relieved nodes set no round's degree threshold (mechanism._level_order)
+    build, expected = SCHEDULE_WORK[name]
+    layout = build().plan.layout
+    relieved_levels = sum(1 for level in layout.levels if len(level.relieved))
+    assert (len(layout.levels), relieved_levels, layout.fill_count, layout.cells) == expected

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import mcdyn
 
-LIMIT = 3527
+LIMIT = 3537
 
 
 def line_counts(root: Path) -> dict:
