@@ -5,8 +5,9 @@ enforced at the position level through impulses.  Time stepping is implicit
 and structure-preserving.  Each Newton system is solved by eliminating
 every body with at most three joints in one batched pass, then a
 graph-ordered sparse block LDU over the joints and the remaining hub
-bodies that runs in linear time on loop-free mechanisms and stacks
-loop-closure constraints into one densely handled node.
+bodies that runs in linear time on loop-free mechanisms.  The loop-closure
+joints of each independent cycle form one relieved node, whose pivot is
+inverted by a truncated-SVD pseudo-inverse.
 """
 
 from .block_solver import (

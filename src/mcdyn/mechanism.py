@@ -753,9 +753,13 @@ def load_mechanism(source) -> Mechanism:
 
     Raises MechanismError on any invariant violation: a missing, mistyped, mis-sized or non-finite
     number, bad masses or inertia, non-unit quaternions or axes, unknown references, inconsistent assembly,
-    or a disconnected constraint graph.  Each numeric field is read and checked once for all entries
-    (:func:`_read_stacked`); only a description with a fault is walked entry by entry (:func:`_read_walked`),
-    which names the first fault in entry order, every body before any joint.
+    or a disconnected constraint graph.  Each rule runs once over all entries (:func:`_read`); only a rule
+    that fails looks for the first entry, in list order, that breaks it, so of several faults the first
+    rule's is named.  The rules run in this order: entry types; body ids (integral, nonnegative, unique);
+    mass (> 0), inertia (positive definite), position, quaternion (unit norm), velocity, angular_velocity;
+    joint ids and duplicate node ids; parent, child, parent_anchor, child_anchor; known child, then parent
+    bodies; fixed joints on the world; parent_axis, child_axis, orientation_target (each unit norm); then
+    :class:`JointConstraint`'s own rules, joint by joint.
     """
     if isinstance(source, Mapping):
         data = source
@@ -776,11 +780,7 @@ def load_mechanism(source) -> Mechanism:
     for key, value in entries.items():
         if not isinstance(value, list):
             raise MechanismError(f"mechanism '{key}' must be a list, got {type(value).__name__}")
-    try:
-        parts = _read_stacked(entries["bodies"], entries["joints"])
-    except (MechanismError, TypeError, ValueError, OverflowError):  # a fault: the walk names the first one
-        parts = _read_walked(entries["bodies"], entries["joints"])
-    mech = Mechanism(*parts)
+    mech = Mechanism(*_read(entries["bodies"], entries["joints"]))
     viol = mech.max_constraint_violation(at=2)
     if not viol <= _ASSEMBLY_TOL:
         raise MechanismError(
@@ -789,53 +789,56 @@ def load_mechanism(source) -> Mechanism:
     return mech
 
 
-def _read_stacked(body_entries: list, joint_entries: list) -> tuple:
-    """(bodies, joints, x, q, v, w) for :class:`Mechanism`, each numeric field read and checked once for all entries.
+def _read(body_entries: list, joint_entries: list) -> tuple:
+    """(bodies, joints, x, q, v, w) for :class:`Mechanism`, each rule of :func:`load_mechanism` checked once for all entries."""
+    for what, group in (("body", body_entries), ("joint", joint_entries)):
+        _check([not isinstance(entry, dict) for entry in group], lambda i: f"malformed {what} entry: {group[i]!r}")
+    ids = _integers([entry.get("id") for entry in body_entries], lambda i: "body id", ())
+    if min(ids, default=0) < 0:
+        _check([bid < 0 for bid in ids], lambda i: f"body id must be nonnegative, got {ids[i]}")
+    if len(set(ids)) < len(ids):
+        _check([ids.index(bid) < k for k, bid in enumerate(ids)], lambda i: f"duplicate body id {ids[i]}")
 
-    Applies the rules of :func:`_read_walked` and reads the same numbers by
-    the same float conversion, but raises on any fault without naming it.
-    """
-    if not all(isinstance(entry, dict) for entry in body_entries + joint_entries):
-        raise MechanismError("malformed entry")
-    ids = [_integral(entry.get("id"), "body id") for entry in body_entries]
-    if min(ids, default=0) < 0 or len(set(ids)) < len(ids):
-        raise MechanismError("bad body ids")
-    mass, inertia, x, q, v, w = (
-        _stacked([entry.get(key, default) for entry in body_entries], shape) for key, shape, default in (
-            ("mass", (), None), ("inertia", (6,), None), ("position", (3,), None),
-            ("quaternion", (4,), None), ("velocity", (3,), _ZERO), ("angular_velocity", (3,), _ZERO),
-        )
-    )
-    inertia = inertia[:, _INERTIA_ORDER]
-    if np.any(mass <= 0.0) or np.any(np.linalg.eigvalsh(inertia) <= 0.0) or _off_unit(q).any():
-        raise MechanismError("bad mass, inertia or quaternion")
+    def field(key, shape, default):
+        return _stacked([entry.get(key, default) for entry in body_entries], shape, key, ("body", ids))
+
+    mass = field("mass", (), None)
+    _check((mass <= 0.0).tolist(), lambda i: f"body {ids[i]}: mass must be positive")
+    inertia = field("inertia", (6,), None)[:, _INERTIA_ORDER]
+    _check((np.linalg.eigvalsh(inertia) <= 0.0).any(axis=1).tolist(), lambda i: f"body {ids[i]}: inertia matrix is not positive definite")
+    x = field("position", (3,), None)
+    q = _unit_vectors([entry.get("quaternion") for entry in body_entries], (4,), "quaternion", ("body", ids))  # wxyz
+    v = field("velocity", (3,), _ZERO)
+    w = field("angular_velocity", (3,), _ZERO)
     bodies = {bid: RigidBody(id=bid, mass=m, inertia=J) for bid, m, J in zip(ids, mass.tolist(), inertia)}
     quaternions = dict(zip(ids, q))
 
-    jids = [_integral(entry.get("id"), "joint id") for entry in joint_entries]
-    kinds = [str(entry.get("kind")) for entry in joint_entries]
-    parents = [WORLD if e.get("parent") == WORLD else _integral(e.get("parent"), "parent") for e in joint_entries]
-    children = [_integral(entry.get("child"), "child") for entry in joint_entries]
-    ends = {*parents, *children} - {WORLD}
-    if len(set(jids)) < len(jids) or not bodies.keys().isdisjoint(jids) or not ends <= bodies.keys():
-        raise MechanismError("bad joint ids or references")
+    jids = _integers([entry.get("id") for entry in joint_entries], lambda i: "joint id", ())
+    if len(set(jids)) < len(jids) or not bodies.keys().isdisjoint(jids):
+        _check([jid in bodies or jids.index(jid) < k for k, jid in enumerate(jids)], lambda i: f"duplicate node id {jids[i]}")
+
+    parents = _integers([entry.get("parent") for entry in joint_entries], lambda i: f"joint {jids[i]}: parent", (WORLD,))
+    children = _integers([entry.get("child") for entry in joint_entries], lambda i: f"joint {jids[i]}: child", ())
     fields = [{"p_a": p_a, "p_b": p_b} for p_a, p_b in zip(*(
-        _stacked([entry.get(key) for entry in joint_entries], (3,)) for key in ("parent_anchor", "child_anchor")
+        _stacked([entry.get(key) for entry in joint_entries], (3,), key, ("joint", jids)) for key in ("parent_anchor", "child_anchor")
     ))]
-    targets = {i: quaternions[c] for i, (k, c) in enumerate(zip(kinds, children)) if k == KIND_FIXED}  # default targets
-    if any(parents[i] != WORLD for i in targets):
-        raise MechanismError("fixed joint off the world")
-    for kind, key, field, n in (
-        (KIND_REVOLUTE, "parent_axis", "axis_a", 3),
-        (KIND_REVOLUTE, "child_axis", "axis_b", 3),
-        (KIND_FIXED, "orientation_target", "orientation_target", 4),
+    if not {*parents, *children} - {WORLD} <= bodies.keys():
+        _check([c not in bodies for c in children], lambda i: f"joint {jids[i]}: unknown child body {children[i]}")
+        _check([p not in bodies and p != WORLD for p in parents], lambda i: f"joint {jids[i]}: unknown parent body {parents[i]}")
+    kinds = [str(entry.get("kind")) for entry in joint_entries]
+    members = {kind: [i for i, k in enumerate(kinds) if k == kind] for kind in (KIND_REVOLUTE, KIND_FIXED)}
+    fixed = members[KIND_FIXED]
+    _check([parents[i] != WORLD for i in fixed], lambda k: f"joint {jids[fixed[k]]}: fixed joints attach to the world")
+    for kind, key, name, shape in (
+        (KIND_REVOLUTE, "parent_axis", "axis_a", (3,)),
+        (KIND_REVOLUTE, "child_axis", "axis_b", (3,)),
+        (KIND_FIXED, "orientation_target", "orientation_target", (4,)),
     ):
-        members = [i for i, k in enumerate(kinds) if k == kind]
-        values = _stacked([joint_entries[i].get(key, targets.get(i)) for i in members], (n,))
-        if _off_unit(values).any():
-            raise MechanismError(f"{key} off unit norm")
-        for i, value in zip(members, values):
-            fields[i][field] = value
+        at = members[kind]
+        # a target defaults to the child's orientation
+        values = [joint_entries[i].get(key, quaternions[children[i]] if kind == KIND_FIXED else None) for i in at]
+        for i, value in zip(at, _unit_vectors(values, shape, key, ("joint", [jids[i] for i in at]))):
+            fields[i][name] = value
     joints = {
         jid: JointConstraint(id=jid, kind=kind, parent=parent, child=child, **f)
         for jid, kind, parent, child, f in zip(jids, kinds, parents, children, fields)
@@ -844,121 +847,65 @@ def _read_stacked(body_entries: list, joint_entries: list) -> tuple:
     return bodies, joints, x[order], q[order], v[order], w[order]
 
 
-def _stacked(values: list, shape: tuple) -> np.ndarray:
-    """``values`` as one (len(values), *shape) float array; MechanismError unless each has ``shape`` and is finite."""
-    out = np.array(values, dtype=float) if values else np.zeros((0, *shape))
-    if out.shape != (len(values), *shape) or not np.isfinite(out).all():
-        raise MechanismError("a missing, mistyped, mis-sized or non-finite number")
+def _check(bad, message) -> None:
+    """MechanismError ``message(i)`` for the first index i that the list of flags ``bad`` marks, if any."""
+    if True in bad:
+        raise MechanismError(message(bad.index(True)))
+
+
+def _integers(values: list, what, kept: tuple) -> list:
+    """``values`` as ints, those in ``kept`` left as they are; MechanismError ``what(i)`` for the first other value i
+    that is neither an integer nor an integral float."""
+    out = [value if type(value) is int or value in kept else _integral(value) for value in values]
+    if None in out:
+        i = out.index(None)
+        raise MechanismError(f"{what(i)} must be an integer, got {values[i]!r}")
     return out
 
 
-def _read_walked(body_entries: list, joint_entries: list) -> tuple:
-    """(bodies, joints, x, q, v, w) for :class:`Mechanism`, read entry by entry: MechanismError names the first fault."""
-    bodies: dict = {}
-    declared: dict = {}  # body id -> (x, q, v, w)
-    for entry in body_entries:
-        body, knots = _parse_body(entry)
-        if body.id in bodies:
-            raise MechanismError(f"duplicate body id {body.id}")
-        bodies[body.id] = body
-        declared[body.id] = knots
-
-    quaternions = {bid: q for bid, (_, q, _, _) in declared.items()}
-    joints: dict = {}
-    for entry in joint_entries:
-        joint = _parse_joint(entry, quaternions)
-        if joint.id in joints or joint.id in bodies:
-            raise MechanismError(f"duplicate node id {joint.id}")
-        joints[joint.id] = joint
-
-    ids = sorted(bodies)
-    return bodies, joints, *(np.array([declared[b][k] for b in ids]) for k in range(4))
-
-
-def _parse_body(entry: dict) -> tuple[RigidBody, tuple]:
-    """A body and its declared (x, q, v, w)."""
-    if not isinstance(entry, dict):
-        raise MechanismError(f"malformed body entry: {entry!r}")
-    bid = _integral(entry.get("id"), "body id")
-    if bid < 0:
-        raise MechanismError(f"body id must be nonnegative, got {bid}")
-    owner = f"body {bid}"
-    mass = _numbers(owner, entry, "mass", None, None)
-    if mass <= 0.0:
-        raise MechanismError(f"{owner}: mass must be positive")
-    J = _numbers(owner, entry, "inertia", 6, None)[_INERTIA_ORDER]
-    if np.any(np.linalg.eigvalsh(J) <= 0.0):
-        raise MechanismError(f"{owner}: inertia matrix is not positive definite")
-    x = _numbers(owner, entry, "position", 3, None)
-    q = _unit(owner, entry, "quaternion", 4, None)  # wxyz
-    v = _numbers(owner, entry, "velocity", 3, _ZERO)
-    w = _numbers(owner, entry, "angular_velocity", 3, _ZERO)
-    return RigidBody(id=bid, mass=mass, inertia=J), (x, q, v, w)
-
-
-def _parse_joint(entry: dict, quaternions: dict) -> JointConstraint:
-    """A joint between parsed bodies; ``quaternions`` maps each body id to its declared orientation."""
-    if not isinstance(entry, dict):
-        raise MechanismError(f"malformed joint entry: {entry!r}")
-    jid = _integral(entry.get("id"), "joint id")
-    owner = f"joint {jid}"
-    kind = str(entry.get("kind"))
-    parent = WORLD if entry.get("parent") == WORLD else _integral(entry.get("parent"), f"{owner}: parent")
-    child = _integral(entry.get("child"), f"{owner}: child")
-    p_a = _numbers(owner, entry, "parent_anchor", 3, None)
-    p_b = _numbers(owner, entry, "child_anchor", 3, None)
-    if child not in quaternions:
-        raise MechanismError(f"{owner}: unknown child body {child}")
-    if parent != WORLD and parent not in quaternions:
-        raise MechanismError(f"{owner}: unknown parent body {parent}")
-    axis_a = axis_b = target = None
-    if kind == KIND_REVOLUTE:
-        axis_a = _unit(owner, entry, "parent_axis", 3, None)
-        axis_b = _unit(owner, entry, "child_axis", 3, None)
-    if kind == KIND_FIXED:
-        if parent != WORLD:
-            raise MechanismError(f"{owner}: fixed joints attach to the world")
-        target = _unit(owner, entry, "orientation_target", 4, quaternions[child])
-    return JointConstraint(
-        id=jid, kind=kind, parent=parent, child=child,
-        p_a=p_a, p_b=p_b, axis_a=axis_a, axis_b=axis_b, orientation_target=target,
-    )
-
-
-def _integral(value, what: str) -> int:
-    """``value`` as an int; raises MechanismError naming ``what`` unless it is an integer or an integral float."""
-    if type(value) is int:  # the common case, without the slower ABC test
-        return value
+def _integral(value) -> int | None:
+    """``value`` as an int if it is an integer or an integral float, else None; a bool is neither."""
     integral = isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer()
-    if isinstance(value, bool) or not integral:
-        raise MechanismError(f"{what} must be an integer, got {value!r}")
-    return int(value)
+    return None if isinstance(value, bool) or not integral else int(value)
 
 
-def _numbers(owner: str, entry: dict, key: str, n: int | None, default):
-    """Field ``key`` of ``entry`` (``default`` if absent): one finite float, or with ``n`` an array of n of them.
+def _stacked(values: list, shape: tuple, key: str, owners: tuple) -> np.ndarray:
+    """The values of field ``key`` as one (len(values), *shape) float array, read at once.
+
+    Should that fail, they are read one by one (:func:`_numbers`): the first with a fault raises MechanismError
+    naming its entry, "{word} {ids[i]}" for value i and ``owners`` = (word, ids).
+    """
+    try:
+        out = np.array(values, dtype=float) if values else np.zeros((0, *shape))
+    except (TypeError, ValueError, OverflowError):
+        out = None
+    if out is None or out.shape != (len(values), *shape) or not np.isfinite(out).all():
+        out = np.array([_numbers(f"{owners[0]} {owners[1][i]}", key, value, shape) for i, value in enumerate(values)])
+    return out
+
+
+def _numbers(owner: str, key: str, value, shape: tuple) -> np.ndarray:
+    """``value`` of field ``key`` as a float array of ``shape``: () for one finite number, (n,) for a list of n.
 
     A numeric string counts as a number (PyYAML reads ``1e-3`` as one); anything else raises MechanismError.
     """
-    value = entry.get(key, default)
     try:
         out = np.array(value, dtype=float)
     except (TypeError, ValueError, OverflowError):
         out = None
-    if value is None or out is None or out.ndim != (n is not None):
-        raise MechanismError(f"{owner}: {key} must be {f'a list of {n} numbers' if n else 'a number'}, got {value!r}")
-    if n is not None and out.size != n:
-        raise MechanismError(f"{owner}: {key} must have {n} components, got {out.size}")
+    if value is None or out is None or out.ndim != len(shape):
+        raise MechanismError(f"{owner}: {key} must be {f'a list of {shape[0]} numbers' if shape else 'a number'}, got {value!r}")
+    if out.shape != shape:
+        raise MechanismError(f"{owner}: {key} must have {shape[0]} components, got {out.size}")
     if not np.isfinite(out).all():
         raise MechanismError(f"{owner}: {key} is not finite: {value}")
-    return out if n else float(out)
+    return out
 
 
-def _unit(owner: str, entry: dict, key: str, n: int, default) -> np.ndarray:
-    """:func:`_numbers`, and MechanismError unless the vector has unit norm (:func:`_off_unit`)."""
-    out = _numbers(owner, entry, key, n, default)
-    if _off_unit(out):
-        raise MechanismError(f"{owner}: {key} must be a unit vector")
+def _unit_vectors(values: list, shape: tuple, key: str, owners: tuple) -> np.ndarray:
+    """:func:`_stacked`, and MechanismError naming the entry of the first vector off unit norm (:func:`_off_unit`)."""
+    out = _stacked(values, shape, key, owners)
+    _check(_off_unit(out).tolist(), lambda i: f"{owners[0]} {owners[1][i]}: {key} must be a unit vector")
     return out
 
 

@@ -13,6 +13,7 @@ import numpy as np
 
 import mcdyn.quaternions as quat
 from mcdyn.block_solver import DenseFactor
+from mcdyn.mechanism import WORLD, JointConstraint, Mechanism, RigidBody
 
 
 def rotmat_from_quat(q):
@@ -310,3 +311,34 @@ def subtract_at_back_substitution(mech, system, swept):
     out = swept.copy()
     out[: 6 * n] += (system.inverse[:n] @ rest[:n, :, None]).ravel()
     return out
+
+
+def unchecked_mechanism(data):
+    """The Mechanism a valid description declares, converted entry by entry without a check of its own.
+
+    Each field goes through np.array(..., dtype=float); an inertia's (xx, yy, zz, xy, xz, yz) fill the
+    symmetric matrix, a missing velocity is zero and a fixed joint's missing orientation_target is its
+    child's quaternion.  Only the RigidBody, JointConstraint and Mechanism constructors check anything.
+    """
+    bodies, knots = {}, {}
+    for entry in data["bodies"]:
+        bid = int(entry["id"])
+        xx, yy, zz, xy, xz, yz = np.array(entry["inertia"], dtype=float)
+        inertia = np.array([[xx, xy, xz], [xy, yy, yz], [xz, yz, zz]])
+        bodies[bid] = RigidBody(id=bid, mass=float(np.array(entry["mass"], dtype=float)), inertia=inertia)
+        knots[bid] = [np.array(entry[key], dtype=float) for key in ("position", "quaternion")]
+        knots[bid] += [np.array(entry.get(key, (0, 0, 0)), dtype=float) for key in ("velocity", "angular_velocity")]
+    joints = {}
+    for entry in data.get("joints", []):
+        jid, kind, child = int(entry["id"]), str(entry["kind"]), int(entry["child"])
+        extra = {}
+        if kind == "revolute":
+            extra = {"axis_a": np.array(entry["parent_axis"], dtype=float), "axis_b": np.array(entry["child_axis"], dtype=float)}
+        if kind == "fixed_to_world":
+            extra = {"orientation_target": np.array(entry.get("orientation_target", knots[child][1]), dtype=float)}
+        joints[jid] = JointConstraint(
+            id=jid, kind=kind, parent=WORLD if entry["parent"] == WORLD else int(entry["parent"]), child=child,
+            p_a=np.array(entry["parent_anchor"], dtype=float), p_b=np.array(entry["child_anchor"], dtype=float), **extra,
+        )
+    ids = sorted(bodies)
+    return Mechanism(bodies, joints, *(np.array([knots[b][k] for b in ids]) for k in range(4)))

@@ -51,6 +51,7 @@ from oracles import (
     random_unit_quat,
     rotmat_from_axis_angle,
     rotmat_from_quat,
+    unchecked_mechanism,
 )
 from test_random_mechanisms import hinged_by_two_balls, loops_sharing_a_body, random_mechanism, two_disjoint_loops
 
@@ -916,7 +917,7 @@ class TestMaxViolation:
 
 
 # ---------------------------------------------------------------------------
-# the batched loader against the per-entry walk
+# the loader against a conversion without checks, and the order of its rules
 
 
 class _Captured(Exception):
@@ -937,6 +938,19 @@ def description_of(build):
     return caught.value.args[0]
 
 
+def _shuffled_fixed_joint_pendulum():
+    """TestLoader's fixed-joint pendulum with its entries out of id order and products of inertia; body 5 is
+    turned, and its fixed joint takes the default target."""
+    data = TestLoader._pendulum_and_fixed_body()
+    data["bodies"] = [data["bodies"][k] for k in (1, 0, 2)]
+    data["joints"].reverse()
+    for k, body in enumerate(data["bodies"]):
+        body["inertia"] = [0.3, 0.4, 0.5, 0.01 * (k + 1), 0.02, 0.03]
+    data["bodies"][2]["quaternion"] = [0.6, 0.8, 0.0, 0.0]
+    del data["joints"][0]["orientation_target"]
+    return data
+
+
 def _grid() -> dict:
     """Name -> builder of the description of each named case of the loader's differential grid."""
     cases = {}
@@ -952,6 +966,7 @@ def _grid() -> dict:
         "mixed_kind_pendulum": lambda: description_of(mixed_kind_pendulum),
         "floating_ring": lambda: description_of(floating_ring),
         "fixed_joint_pendulum": TestLoader._pendulum_and_fixed_body,
+        "shuffled_fixed_joint_pendulum": _shuffled_fixed_joint_pendulum,
         "hinged_by_two_balls": lambda: description_of(hinged_by_two_balls),
         "two_disjoint_loops": lambda: description_of(lambda: two_disjoint_loops(np.random.default_rng(4004))),
     }
@@ -968,24 +983,6 @@ def plain(value):
     if isinstance(value, (list, tuple, np.ndarray)):
         return [plain(v) for v in value]
     return value.item() if isinstance(value, np.generic) else value
-
-
-def walked(monkeypatch, source):
-    """``source`` loaded entry by entry, as the loader does on a fault."""
-
-    def fault(*args):
-        raise MechanismError("walk")
-
-    with monkeypatch.context() as patch:
-        patch.setattr(mechanism, "_read_stacked", fault)
-        return load_mechanism(source)
-
-
-def batched(monkeypatch, source):
-    """``source`` loaded by the batched pass, failing should it walk."""
-    with monkeypatch.context() as patch:
-        patch.setattr(mechanism, "_read_walked", lambda *args: pytest.fail("valid input took the walk"))
-        return load_mechanism(source)
 
 
 def assert_same_value(got, want, what):
@@ -1013,53 +1010,66 @@ def assert_same_mechanism(got, want):
     assert got.plan.layout.order == want.plan.layout.order
 
 
-def assert_batched_is_walked(monkeypatch, tmp_path, data):
-    """Both readers build the same mechanism from ``data``, given as a dict and as a YAML file."""
+def assert_loads_as_converted(tmp_path, data):
+    """``data``, given as a dict and as a YAML file, loads bit for bit as :func:`unchecked_mechanism` converts it."""
     path = tmp_path / "m.yaml"
     save_mechanism(plain(data), path)
     for source in (data, path):
-        assert_same_mechanism(batched(monkeypatch, source), walked(monkeypatch, source))
+        assert_same_mechanism(load_mechanism(source), unchecked_mechanism(data))
+
+
+def outcome(data):
+    """The message of the MechanismError loading ``data`` raises, or the mechanism it builds, checked against
+    :func:`unchecked_mechanism`."""
+    try:
+        mech = load_mechanism(copy.deepcopy(data))
+    except MechanismError as err:
+        return str(err)
+    assert_same_mechanism(mech, unchecked_mechanism(data))
+    return mech
 
 
 class TestBatchedLoader:
-    """The batched pass builds what the per-entry walk builds, and names a fault as the walk does."""
+    """The one-pass loader builds what a conversion without checks builds, and names the first fault of the first failing rule."""
 
     @pytest.mark.parametrize("name", GRID)
-    def test_named_case_matches_the_walk(self, monkeypatch, tmp_path, name):
-        assert_batched_is_walked(monkeypatch, tmp_path, GRID[name]())
+    def test_named_case_matches_the_conversion(self, tmp_path, name):
+        assert_loads_as_converted(tmp_path, GRID[name]())
 
     @pytest.mark.parametrize("loops", [True, False], ids=["loops", "tree"])
-    def test_random_mechanisms_match_the_walk(self, monkeypatch, tmp_path, loops):
+    def test_random_mechanisms_match_the_conversion(self, tmp_path, loops):
         for seed in range(60):  # 120 seeds over both cases
             rng = np.random.default_rng((5000 if loops else 6000) + seed)
-            assert_batched_is_walked(monkeypatch, tmp_path, description_of(lambda: random_mechanism(rng, loops)))
-
-    @staticmethod
-    def outcome(load):
-        """The message of the MechanismError ``load()`` raises, or the mechanism it builds."""
-        try:
-            return load()
-        except MechanismError as err:
-            return str(err)
-
-    def assert_same_outcome(self, monkeypatch, data):
-        got = self.outcome(lambda: load_mechanism(copy.deepcopy(data)))
-        want = self.outcome(lambda: walked(monkeypatch, copy.deepcopy(data)))
-        if isinstance(want, str):
-            assert got == want
-        else:
-            assert_same_mechanism(got, want)
-        return want
+            assert_loads_as_converted(tmp_path, description_of(lambda: random_mechanism(rng, loops)))
 
     @pytest.mark.parametrize("edit,message", [
-        # a later entry's earlier field comes after an earlier entry's later one
+        # a later entry's earlier field comes before an earlier entry's later one
         (lambda d: (_set("bodies", 1, mass=np.nan)(d), _set("bodies", 0, angular_velocity=[0, None, 0])(d)),
-         "body 1: angular_velocity is not finite: [0, None, 0]"),
-        # every body comes before any joint
+         "body 2: mass is not finite: nan"),
+        # body ids come before any body field
+        (lambda d: (_set("bodies", 0, mass=np.nan)(d), _set("bodies", 2, id=2)(d)), "duplicate body id 2"),
+        # every body rule comes before any joint rule
         (lambda d: (_set("joints", 0, parent_anchor=[0.0])(d), _set("bodies", 2, quaternion=[0.5, 0.5, 0.5, 0.6])(d)),
          "body 5: quaternion must be a unit vector"),
-        (lambda d: (_set("joints", 2, child=9)(d), _set("joints", 1, child_axis="y")(d)),
-         "joint 4: child_axis must be a list of 3 numbers, got 'y'"),
+        # ends come before anchors
+        (lambda d: (_set("joints", 0, child_anchor=None)(d), _set("joints", 2, parent=1.5)(d)),
+         "joint 6: parent must be an integer, got 1.5"),
+        # unknown children come before unknown parents, and references before axes
+        (lambda d: (_set("joints", 1, parent=0)(d), _set("joints", 2, child=9)(d)), "joint 6: unknown child body 9"),
+        (lambda d: (_set("joints", 2, child=9)(d), _set("joints", 1, child_axis="y")(d)), "joint 6: unknown child body 9"),
+        # a fixed joint off the world comes before the axes
+        (lambda d: (_set("joints", 0, parent_axis=[0.0, 2.0, 0.0])(d), _set("joints", 2, parent=1)(d)),
+         "joint 6: fixed joints attach to the world"),
+        # parent axes come before child axes, and axes before JointConstraint's own rules
+        (lambda d: (_set("joints", 0, child_axis=[0.0, 0.5, 0.0])(d), _set("joints", 1, parent_axis=[0.0, 0.5, 0.0])(d)),
+         "joint 4: parent_axis must be a unit vector"),
+        (lambda d: (_set("joints", 0, kind="slider")(d), _drop("joints", 1, "parent_axis")(d)),
+         "joint 4: parent_axis must be a list of 3 numbers, got None"),
+        # within one rule, the first entry in list order
+        (lambda d: (_set("joints", 1, parent_axis=[0.0, 2.0, 0.0])(d), _set("joints", 0, parent_axis=[0.0, 0.5, 0.0])(d)),
+         "joint 3: parent_axis must be a unit vector"),
+        (_set("bodies", 1, mass=0.0), "body 2: mass must be positive"),
+        (_set("bodies", 2, inertia=[0.1, 0.1, 0.1, 0.2, 0.0, 0.0]), "body 5: inertia matrix is not positive definite"),
         (_set("joints", 1, parent=2), "joint 4: parent and child must differ"),
         (_set("joints", 0, parent=1, child=1), "joint 3: parent and child must differ"),
         (_set("bodies", 2, id=2), "duplicate body id 2"),
@@ -1072,10 +1082,10 @@ class TestBatchedLoader:
         (_set("joints", 2, kind="slider"), "joint 6: unknown kind 'slider'"),
         (lambda d: (_set("bodies", 2, id=-5)(d), _set("joints", 2, child=-5)(d)), "body id must be nonnegative, got -5"),
     ])
-    def test_first_fault_in_entry_order(self, monkeypatch, edit, message):
+    def test_first_fault_of_the_first_failing_rule(self, edit, message):
         data = TestLoader._pendulum_and_fixed_body()
         edit(data)
-        assert self.assert_same_outcome(monkeypatch, data) == message
+        assert outcome(data) == message
 
     CORRUPTIONS = {
         "none": lambda v: None,
@@ -1086,44 +1096,65 @@ class TestBatchedLoader:
         "numeric_str": lambda v: repr(float(v)) if np.ndim(v) == 0 else [repr(float(c)) for c in v],
     }
 
-    def corrupt(self, rng, data, taken):
-        """One field of an entry not in ``taken`` replaced by a drawn corruption, or an id or reference changed."""
+    def corrupt(self, rng, data, taken) -> set:
+        """One field of an entry not in ``taken`` replaced by a drawn corruption, or an id or reference changed.
+
+        Returns what a fault the edit causes may be named by: the entry's owner, under its old and new id,
+        and a new id or reference.
+        """
         free = [(g, i) for g in ("bodies", "joints") for i in range(len(data[g])) if (g, i) not in taken]
         group, index = free[int(rng.integers(len(free)))]
         taken.add((group, index))
         entry = data[group][index]
+        word = "body" if group == "bodies" else "joint"
+        named = {f"{word} {entry['id']}"}
         ids = [e["id"] for e in data["bodies"]] + [e["id"] for e in data["joints"]]
         if rng.random() < 0.2:  # an id or a reference
             key = str(rng.choice(["id", "parent", "child"] if group == "joints" else ["id"]))
             pool = [*ids, WORLD, 99]
             entry[key] = pool[int(rng.integers(len(pool)))]
-            return
+            return named | {f"{word} {entry['id']}", str(entry[key]), repr(entry[key])}
         numeric = [k for k, v in entry.items() if k not in ("id", "kind", "parent", "child")]
         key = numeric[int(rng.integers(len(numeric)))]
         entry[key] = self.CORRUPTIONS[str(rng.choice(list(self.CORRUPTIONS)))](entry[key])
+        return named
+
+    @staticmethod
+    def assert_fault_named(data, named, message):
+        """``message`` names one of ``named``, or rejects a description read whole, as its unchecked conversion is."""
+        if message.startswith("assembly inconsistent"):
+            violation = unchecked_mechanism(data).max_constraint_violation()
+            assert message == f"assembly inconsistent: initial constraint violation {violation:.3e} exceeds 1e-08"
+        elif message.startswith("mechanism graph is disconnected"):
+            with pytest.raises(MechanismError, match=f"^{re.escape(message)}$"):
+                unchecked_mechanism(data)
+        else:
+            assert any(re.search(rf"(?<!\w){re.escape(name)}(?!\w)", message) for name in named), (message, named)
 
     @pytest.mark.parametrize("base", ["fixed_joint_pendulum", "mixed_kind_pendulum", "star", "closed_chain-4-ball"])
-    def test_seeded_corruptions_fail_as_the_walk_does(self, monkeypatch, base):
+    def test_seeded_corruptions_load_or_name_an_edit(self, base):
         rng = np.random.default_rng(7000)
         outcomes = set()
         for _ in range(80):
-            data, taken = GRID[base](), set()
+            data, taken, named = GRID[base](), set(), set()
             for _ in range(int(rng.integers(1, 3))):
-                self.corrupt(rng, data, taken)
-            outcome = self.assert_same_outcome(monkeypatch, data)
-            outcomes.add(outcome if isinstance(outcome, str) else "loaded")
+                named |= self.corrupt(rng, data, taken)
+            got = outcome(data)
+            if isinstance(got, str):
+                self.assert_fault_named(data, named, got)
+            outcomes.add(got if isinstance(got, str) else "loaded")
         assert "loaded" in outcomes and len(outcomes) > 20  # numeric strings load, the rest fail in many ways
 
-    def test_numeric_strings_in_every_field_load(self, monkeypatch, tmp_path):
+    def test_numeric_strings_in_every_field_load(self, tmp_path):
         data = TestLoader._pendulum_and_fixed_body()
         for entry in data["bodies"] + data["joints"]:
             for key, value in entry.items():
                 if key not in ("id", "kind", "parent", "child"):
                     entry[key] = self.CORRUPTIONS["numeric_str"](value)
-        assert_batched_is_walked(monkeypatch, tmp_path, data)
+        assert_loads_as_converted(tmp_path, data)
 
     @pytest.mark.parametrize("direction", [[0.5, 0.5, 0.5, 0.5], [-0.476, -0.286, -0.006, -0.832]])
-    def test_unit_norm_edge_is_decided_alike(self, monkeypatch, direction):
+    def test_unit_norm_edge_is_decided_alike(self, direction):
         # quaternions whose norm is off 1 by a few ulps either side of 1e-9; along the
         # second direction, np.linalg.norm of one vector rounds differently there.  Body 9
         # hangs by its center from the tip of a ball pendulum, so its orientation is free.
@@ -1137,8 +1168,8 @@ class TestBatchedLoader:
         for k in range(-6, 7):
             body["quaternion"] = list(direction * (scale + k * np.spacing(scale)))
             off = bool(mechanism._off_unit(np.array(body["quaternion"])))
-            alone = self.assert_same_outcome(monkeypatch, {"bodies": [body]})
-            among = self.assert_same_outcome(monkeypatch, dict(data, bodies=data["bodies"] + [body]))
+            alone = outcome({"bodies": [body]})
+            among = outcome(dict(data, bodies=data["bodies"] + [body]))
             message = "body 9: quaternion must be a unit vector"
             assert (alone, among) == (message, message) if off else not isinstance(alone, str) and not isinstance(among, str)
             decided.append(off)
