@@ -9,7 +9,8 @@ Two solvers live here:
 - A graph-ordered sparse LDU, split into a :class:`SymbolicLayout` built
   once per pattern (elimination order, node rows, neighbours with fill,
   relieved nodes, levels, and where each block lives in a system's
-  storage) and a numeric sweep over a :class:`NodeSystem`'s storage.  The
+  storage) from one :class:`SymbolicElimination` of the pattern's graph,
+  and a numeric sweep over a :class:`NodeSystem`'s storage.  The
   sweep goes one level at a time, a level being a run of consecutive
   nodes of the order that share no block, so they are eliminated
   together with a few batched numpy calls and nothing loops over nodes.
@@ -286,16 +287,20 @@ def dense_ldu_solve(fact: DenseFactor, b: np.ndarray) -> np.ndarray:
 def _cells(rows: np.ndarray, cols: np.ndarray, *maps):
     """The cells first + stride a + b of rectangles of ``rows`` × ``cols``, per map (first, stride) of them.
 
-    Each map gives the first cell and row stride of every rectangle;
-    the cells run rectangle by rectangle, row by row.  Yields them map by
-    map, so a caller can drop one before the next is made.
+    The rectangles are expanded into rows and columns once.  A map gives
+    the first cell and row stride of the first rectangles, all or some,
+    and its cells are theirs, rectangle by rectangle, row by row.  Yields
+    them map by map, so a caller can drop one before the next is made.
     """
     rect = np.arange(len(rows)).repeat(rows)
     a = np.arange(len(rect)) - _starts(rows).repeat(rows)
     width = cols[rect]
-    b = np.arange(width.sum()) - _starts(width).repeat(width)
+    cells_before = np.append(0, width.cumsum())
+    b = np.arange(cells_before[-1]) - cells_before[:-1].repeat(width)
+    rows_before = np.append(0, rows.cumsum())
     for first, stride in maps:
-        yield (first[rect] + stride[rect] * a).repeat(width) + b
+        r = rows_before[len(first)]
+        yield (first[rect[:r]] + stride[rect[:r]] * a[:r]).repeat(width[:r]) + b[: cells_before[r]]
 
 
 def _where(storage: tuple, p: np.ndarray, q: np.ndarray) -> tuple:
@@ -439,139 +444,205 @@ class SymbolicLayout:
         return np.stack([*_where(self.storage, pq[:, 0], pq[:, 1])[:2], size[pq[:, 0]], size[pq[:, 1]]], axis=1)
 
 
-def symbolic_layout(order, sizes, rows, dim, sources, stacks) -> SymbolicLayout:
-    """Eliminate a block pattern symbolically, in the numeric sweep's order, and lay out its storage.
+class SymbolicElimination:
+    """A block pattern's graph eliminated one vertex at a time: the symbolic factorization (George & Liu, 1981).
 
-    ``order`` is the elimination order.  Each key of ``stacks`` in it is a
-    relieved node: the nodes it maps to are stacked into it in ascending
-    id and its pivot goes to :func:`relieved_inverse`.  ``sizes`` and
-    ``rows`` give each other node's block size and its rows of a vector of
-    ``dim`` rows; the rows no node holds read zero in the solution.
-    ``sources`` lists the (row node, column node) of each block a system
-    supplies; a pair may repeat, and its blocks then add up.  Other blocks
-    are zero.  The pattern must be symmetric.
+    A vertex stands for each node of ``order``, numbered by its place
+    there; a key of ``stacks`` (a relieved node) stands for the nodes it
+    maps to, stacked in ascending id.  ``sizes`` gives each other node's
+    block size and ``sources`` the (row node, column node) of each block a
+    system supplies, an edge where it joins two vertices; the pattern is
+    symmetric.  ``adj`` maps each vertex not yet eliminated to its
+    neighbours, fill included.  Whatever rule picks the vertices,
+    :meth:`eliminate` lists them in ``taken`` and each one's neighbours
+    then, its later neighbours, in ``later``.  ``nodes`` numbers the nodes
+    vertex by vertex; ``vertex`` and ``node_sizes`` give each one's vertex
+    and block size, and ``ends`` each source's (row, column) node numbers.
     """
-    stacks = {key: sorted(ids) for key, ids in stacks.items()}
-    covered = [node for key in order for node in stacks.get(key, [key])]
-    if len(covered) != len(sizes) or set(covered) != set(sizes):
-        raise ValueError("elimination order does not cover all nodes")
-    n = len(order)
-    place, size = {}, []  # node -> (position, row offset in it, rows); rows per position
-    for k, key in enumerate(order):
-        offset = 0
-        for node in stacks.get(key, [key]):
-            place[node] = (k, offset, sizes[node])
-            offset += sizes[node]
-        size.append(offset)
-    relieved = [k for k, key in enumerate(order) if key in stacks]
-    at_relieved = set(relieved)
 
-    # per source: its row node's position, offset and rows, then its column node's
-    src = np.fromiter(chain.from_iterable(place[i] + place[j] for i, j in sources), dtype=np.intp).reshape(-1, 6)
-    pattern = dict.fromkeys(zip(src[:, 0].tolist(), src[:, 3].tolist()))  # (row position, column position), first seen first
-    neighbours = [set() for _ in range(n)]
-    for p, q in pattern:
-        neighbours[p].add(q)
-    later, fill = [], []
-    for k in range(n):
-        lk = sorted(p for p in neighbours[k] if p > k)
-        for p in lk:
-            missing = [q for q in lk if q != p and q not in neighbours[p]]
-            neighbours[p].update(missing)
-            fill += [(p, q) for q in missing]
-        later.append(lk)
-    bounds, blocked = [0], set()
-    for k in range(n):
-        if k in blocked:
+    def __init__(self, order, sizes, sources, stacks):
+        self.keys = list(order)
+        self.sizes = sizes
+        self.stacks = {key: sorted(ids) for key, ids in stacks.items()}
+        stacked = [self.stacks.get(key, [key]) for key in self.keys]
+        self.nodes = [node for ids in stacked for node in ids]
+        if len(self.nodes) != len(sizes) or set(self.nodes) != set(sizes):
+            raise ValueError("elimination order does not cover all nodes")
+        self.node_sizes = np.array([sizes[node] for node in self.nodes], dtype=np.intp)
+        self.vertex = np.arange(len(self.keys)).repeat([len(ids) for ids in stacked])
+        number = {node: t for t, node in enumerate(self.nodes)}
+        self.ends = np.fromiter(map(number.__getitem__, chain.from_iterable(sources)), np.intp, 2 * len(sources)).reshape(-1, 2)
+        a, b = self.vertex[self.ends.T]
+        self.adj = {v: set() for v in range(len(self.keys))}
+        for i, j in zip(a[a != b].tolist(), b[a != b].tolist()):  # (j, i) is a source too
+            self.adj[i].add(j)
+        self.taken, self.later = [], []
+
+    def eliminate(self, v) -> set:
+        """Take vertex ``v`` out of the graph and join its neighbours pairwise; returns those neighbours."""
+        nbrs = self.adj.pop(v)
+        for a in nbrs:
+            joined = self.adj[a]
+            joined |= nbrs
+            joined -= {a, v}
+        self.taken.append(v)
+        self.later.append(nbrs)
+        return nbrs
+
+
+def in_order(order, sizes, sources, stacks) -> SymbolicElimination:
+    """The :class:`SymbolicElimination` of a pattern taking its vertices in ``order``."""
+    elim = SymbolicElimination(order, sizes, sources, stacks)
+    for v in range(len(order)):
+        elim.eliminate(v)
+    return elim
+
+
+def symbolic_layout(elim: SymbolicElimination, rows, dim) -> SymbolicLayout:
+    """Lay out the storage of a block pattern in the order its symbolic elimination ``elim`` took its vertices.
+
+    The later neighbours are the elimination's; the fill (each pair of a
+    position's later neighbours that no source joins, added by the first
+    position to hold both) and the levels are read from them in array
+    passes, and the cells of the Schur products' target blocks and of the
+    sources' blocks come from one expansion (:func:`_cells`).  Each
+    relieved node's pivot goes to :func:`relieved_inverse`.  ``rows``
+    gives each node's rows of a vector of ``dim`` rows; the rows no node
+    holds read zero in the solution.  A source pair may repeat, and its
+    blocks then add up; blocks without a source are zero.  The pattern
+    must be symmetric.
+    """
+    n = len(elim.taken)
+    taken = np.array(elim.taken, dtype=np.intp)
+    at = np.empty(len(elim.keys), dtype=np.intp)  # each vertex's position in the elimination order
+    at[taken] = np.arange(n)
+    order = [elim.keys[v] for v in elim.taken]
+    stacks = elim.stacks
+    is_relieved = np.array([key in stacks for key in order], dtype=bool)
+    relieved = np.flatnonzero(is_relieved).tolist()
+
+    # nodes, numbered vertex by vertex: position, row offset in it; rows per position
+    node_at = at[elim.vertex]
+    rows_before = np.concatenate([[0], elim.node_sizes.cumsum()])
+    vertex_first = np.searchsorted(elim.vertex, np.arange(len(elim.keys) + 1))
+    node_offset = rows_before[:-1] - rows_before[vertex_first[elim.vertex]]
+    size = (rows_before[vertex_first[1:]] - rows_before[vertex_first[:-1]])[taken]
+
+    # Entries e list each k's later neighbours ep (owner ek, ascending)
+    # with their row offset eoff in k's column panel.  A level ends before
+    # a later neighbour of one of its positions: before each position k
+    # whose last earlier neighbour is in k's level.
+    deg = np.fromiter(map(len, elim.later), np.intp, n)
+    ek = np.arange(n).repeat(deg)
+    ekey = ek * n + at[np.fromiter(chain.from_iterable(elim.later), np.intp, deg.sum())]
+    ekey.sort()
+    ep = ekey - ek * n
+    estart = _starts(deg)
+    cum = np.concatenate([[0], size[ep].cumsum()])
+    eoff = cum[:-1] - cum[estart].repeat(deg)
+    width = cum[estart + deg] - cum[estart]
+    points = ep.tolist()
+    later = [points[s : s + d] for s, d in zip(estart.tolist(), deg.tolist())]
+    last = np.full(n, -1, dtype=np.intp)
+    np.maximum.at(last, ep, ek)
+    bounds = [0]
+    for k, j in enumerate(last.tolist()):
+        if j >= bounds[-1]:
             bounds.append(k)
-            blocked = set()
-        blocked |= neighbours[k]
     bounds = list(dict.fromkeys(bounds + [n]))
 
-    # Entries e list each k's later neighbours ep (owner ek) with their
-    # row offset eoff in k's column panel.  Per level: its positions c,
-    # padded block m and row-panel width h + 1, and the cells of its
-    # pivots, row panels, column panels, Schur products, gathered rows and
-    # own rows; the storage holds every level's pivots, then row panels,
-    # then column panels, then one cell for padding.  Per position k:
-    # its level, m, h and where each of its six stretches starts.
-    entries, width = [], []
-    for k, lk in enumerate(later):
-        offset = 0
-        for p in lk:
-            entries.append((k, p, offset))
-            offset += size[p]
-        width.append(offset)
-    dims = [(b - a, max(size[a:b]), max(width[a:b])) for a, b in zip(bounds, bounds[1:])]
-    region = [(c * m * m, c * m * (h + 1), c * h * m, c * h * (h + 1), c * (h + 1), c * m) for c, m, h in dims]
+    # Per level: its positions c, padded block m and row-panel width h + 1,
+    # and the cells of its pivots, row panels, column panels, Schur
+    # products, gathered rows and own rows; the storage holds every level's
+    # pivots, then row panels, then column panels, then one cell for
+    # padding.  Per position k: its level, m, h and where each of its six
+    # stretches starts.
+    size_at, width_at = size.tolist(), width.tolist()
+    dims = [(b - a, max(size_at[a:b]), max(width_at[a:b])) for a, b in zip(bounds, bounds[1:])]
+    stretch = [(m * m, m * (h + 1), h * m, h * (h + 1), h + 1, m) for _, m, h in dims]
+    region = [[c * x for x in st] for (c, _, _), st in zip(dims, stretch)]
     totals = [sum(r) for r in zip(*region)] or [0] * 6
-    cursor = [0, totals[0], totals[0] + totals[1], 0, 0, 0]
-    starts, per, ones, row, entry = [], [], [], 0, 0
-    for lv, ((c, mm, hh), reg, first) in enumerate(zip(dims, region, bounds)):
-        starts.append(cursor)
-        p0, u0, l0, s0, g0, r0 = cursor
-        for j, k in enumerate(range(first, first + c)):
-            piv = p0 + j * mm * mm
-            per.append((lv, mm, hh, piv, u0 + j * mm * (hh + 1), l0 + j * hh * mm, s0 + j * hh * (hh + 1),
-                        g0 + j * (hh + 1), r0 + j * mm, size[k], len(later[k]), entry, row))
-            if k not in at_relieved:  # a relieved pivot's zero padding is deflated with its negligible lines
-                ones += range(piv + (mm + 1) * size[k], piv + mm * mm, mm + 1)
-            row += size[k]
-            entry += len(later[k])
-        cursor = [x + r for x, r in zip(cursor, reg)]
+    cursor, first = [], [0, totals[0], totals[0] + totals[1], 0, 0, 0]
+    for reg in region:
+        cursor.append(first)
+        first = [x + r for x, r in zip(first, reg)]
+    lev = np.arange(len(dims)).repeat(np.diff(bounds))
+    st = np.array(stretch, dtype=np.intp).reshape(-1, 6)[lev]
+    piv_at, up_at, lo_at, s_at, g_at, r_at = (np.array(cursor, dtype=np.intp).reshape(-1, 6)[lev] + (np.arange(n) - np.array(bounds)[lev])[:, None] * st).T
+    w, m = st[:, 4], st[:, 5]
+    h = w - 1
+    pad = np.where(is_relieved, 0, m - size)  # a relieved pivot's zero padding is deflated with its negligible lines
+    ones = (piv_at + (m + 1) * size).repeat(pad) + (m + 1).repeat(pad) * (np.arange(pad.sum()) - _starts(pad).repeat(pad))
     trash = sum(totals[:3])
-    lev, m, h, piv_at, up_at, lo_at, s_at, g_at, r_at, sz, deg, estart, row0 = np.array(per, dtype=np.intp).reshape(-1, 13).T
-    w = h + 1
-    ek, ep, eoff = np.array(entries, dtype=np.intp).reshape(-1, 3).T
-    levels_n = len(dims)
+    row0 = _starts(size)
+
+    # per source: its row node's position, offset and rows, then its column node's
+    src = np.array([node_at, node_offset, elim.node_sizes])[:, elim.ends.T].swapaxes(0, 1).reshape(6, -1)
+    pattern = dict.fromkeys((src[0] * n + src[3]).tolist())  # (row position p, column position q) as p n + q, first seen first
 
     # one lookup for the Schur blocks and the sources' blocks
     E = len(ep)
-    storage = (n, ek * n + ep, eoff, piv_at, up_at, lo_at, m, w)
+    storage = (n, ekey, eoff, piv_at, up_at, lo_at, m, w)
     pp = deg * deg
     tk = np.arange(n).repeat(pp)
     pair = np.arange(len(tk)) - _starts(pp).repeat(pp)
     e1, e2 = estart[tk] + pair // deg[tk], estart[tk] + pair % deg[tk]
-    base, stride, key = ((v[: len(tk)], v[len(tk) :]) for v in _where(
-        storage, np.concatenate([ep[e1], src[:, 0]]), np.concatenate([ep[e2], src[:, 3]])
-    ))
+    p1, p2 = ep[e1], ep[e2]
+    base, stride, block = _where(storage, np.concatenate([p1, src[0]]), np.concatenate([p2, src[3]]))
+
+    # Fill: the pairs of k's later neighbours that no source joins, each
+    # added by the first k to hold both, by k and then the pair's positions.
+    fill = dict.fromkeys(pq for pq in (p1 * n + p2)[p1 != p2].tolist() if pq not in pattern)
 
     # Schur cells: per eliminated k, the blocks (p, q) of its later
     # neighbours, then their right-hand sides.  Numbers go level by level
     # to the distinct target blocks' cells, then to the level's padding:
-    # slot K - 1 of a level's K slots of block keys.
+    # slot K - 1 of a level's K slots of block keys.  The sources' blocks
+    # follow; their cells are the scatter map.
     owner = np.concatenate([tk, ek])
-    nr = sz[np.concatenate([ep[e1], ep])]
-    nc = np.concatenate([sz[ep[e2]], np.ones_like(ep)])
-    cell0 = np.concatenate([base[0], up_at[ep] + w[ep] - 1])
-    cell_stride = np.concatenate([stride[0], w[ep]])
-    first = s_at[owner] + np.concatenate([eoff[e1] * w[tk] + eoff[e2], eoff * w[ek] + h[ek]])
+    nr = size[np.concatenate([p1, ep])]
+    nc = np.concatenate([size[p2], np.ones_like(ep)])
     K = 2 * E + 2 * n + 1
-    slot = lev[owner] * K + np.concatenate([key[0], 2 * E + n + ep])
-    count = np.zeros(levels_n * K, dtype=np.intp)
+    slot = lev[owner] * K + np.concatenate([block[: len(tk)], 2 * E + n + ep])
+    count = np.zeros(len(dims) * K, dtype=np.intp)
     count[slot] = nr * nc  # a block targeted twice in a level is numbered once
     count[K - 1 :: K] = 1
     number = count.cumsum() - count
     level_at = np.append(number[::K], count.sum())  # a level's numbers, its padding's last
-    # one cell map at a time: storage cells by number, then S cells by number within the level
-    maps = _cells(nr, nc, (cell0, cell_stride), (number[slot], nc), (first, w[owner]), (number[slot] - level_at[lev[owner]], nc))
-    targets = np.full(level_at[-1], trash, dtype=np.intp)
+    # one expansion: the Schur blocks' storage cells, then the sources'
+    # (the scatter map), numbers, S cells and numbers within the level
+    s_first = s_at[owner] + np.concatenate([eoff[e1] * w[tk] + eoff[e2], eoff * w[ek] + h[ek]])
+    maps = _cells(
+        np.concatenate([nr, src[2]]),
+        np.concatenate([nc, src[5]]),
+        (
+            np.concatenate([base[: len(tk)], up_at[ep] + w[ep] - 1, base[len(tk) :] + stride[len(tk) :] * src[1] + src[4]]),
+            np.concatenate([stride[: len(tk)], w[ep], stride[len(tk) :]]),
+        ),
+        (number[slot], nc),
+        (s_first, w[owner]),
+        (number[slot] - level_at[lev[owner]], nc),
+    )
     cell = next(maps)
-    targets[next(maps)] = cell
-    del cell
+    targets = np.full(level_at[-1], trash, dtype=np.intp)
+    numbers = next(maps)
+    targets[numbers] = cell[: len(numbers)]
+    scatter = cell[len(numbers) :].copy()
+    del cell, numbers
     numbered = (np.diff(level_at) - 1).astype(np.int32).repeat([r[3] for r in region])  # bincount's input: half the memory, as fast
     spot = next(maps)
     numbered[spot] = next(maps)
     del spot
 
     # solution rows: the vector's, then the cells 0, -1 and padding
+    covered = [node for key in order for node in stacks.get(key, [key])]
     perm = np.fromiter(chain.from_iterable(rows[node] for node in covered), dtype=np.intp)
     extended = np.concatenate([perm, dim + np.arange(3)])
-    row_of = np.arange(n).repeat(sz)
+    row_of = np.arange(n).repeat(size)
     row_in = np.arange(len(perm)) - row0[row_of]
     gathered = np.full(totals[4], len(perm), dtype=np.intp)
     gathered[g_at + h] = len(perm) + 1
-    row_at = sz[ep]  # each entry's rows: its later neighbour's
+    row_at = size[ep]  # each entry's rows: its later neighbour's
     within = np.arange(row_at.sum()) - _starts(row_at).repeat(row_at)
     gathered[(g_at[ek] + eoff).repeat(row_at) + within] = row0[ep].repeat(row_at) + within
     gathered = extended[gathered]
@@ -581,40 +652,39 @@ def symbolic_layout(order, sizes, rows, dim, sources, stacks) -> SymbolicLayout:
 
     levels = []
     numbers_at = level_at.tolist()
-    for lv, (start, stop, first, reg, (c, mm, hh)) in enumerate(zip(bounds, bounds[1:], starts, region, dims)):
+    for lv, (start, stop, first, reg, (_, mm, hh)) in enumerate(zip(bounds, bounds[1:], cursor, region, dims)):
         spans = [slice(a, a + r) for a, r in zip(first, reg)]
-        plain = np.array([k not in at_relieved for k in range(start, stop)])
+        plain = ~is_relieved[start:stop]
         levels.append(Level(
             start=start,
             stop=stop,
             pivots=spans[0],
-            pivot_shape=(c, mm, mm),
+            pivot_shape=(stop - start, mm, mm),
             regular=slice(None) if plain.all() else np.flatnonzero(plain),
             relieved=np.flatnonzero(~plain),
             upper=spans[1],
-            upper_shape=(c, mm, hh + 1),
+            upper_shape=(stop - start, mm, hh + 1),
             lower=spans[2] if hh else None,
-            lower_shape=(c, hh, mm),
+            lower_shape=(stop - start, hh, mm),
             schur=spans[3],
             sums=slice(numbers_at[lv], numbers_at[lv + 1]),
             later=spans[4],
             rows=spans[5],
         ))
 
-    scatter = next(_cells(src[:, 2], src[:, 5], (base[1] + stride[1] * src[:, 1] + src[:, 4], stride[1])))
     rhs_at = np.full(dim, trash, dtype=np.intp)
     rhs_at[perm] = (up_at + w - 1)[row_of] + w[row_of] * row_in
     row_ends = np.cumsum(size).tolist()
     return SymbolicLayout(
-        order=list(order),
-        sizes=size,
-        segments=[slice(e - s, e) for s, e in zip(size, row_ends)],
+        order=order,
+        sizes=size.tolist(),
+        segments=[slice(e - s, e) for s, e in zip(size.tolist(), row_ends)],
         perm=perm,
         later=later,
         relieved=relieved,
-        pairs=[(order[p], order[q]) for p, q in pattern if p != q],
-        fill_events=[(order[p], order[q]) for p, q in fill],
-        loop_layout={key: [(node, sizes[node]) for node in ids] for key, ids in stacks.items()},
+        pairs=[(order[pq // n], order[pq % n]) for pq in pattern if pq // n != pq % n],
+        fill_events=[(order[pq // n], order[pq % n]) for pq in fill],
+        loop_layout={key: [(node, elim.sizes[node]) for node in ids] for key, ids in stacks.items()},
         levels=levels,
         ids=numbered,
         targets=targets,
@@ -622,10 +692,10 @@ def symbolic_layout(order, sizes, rows, dim, sources, stacks) -> SymbolicLayout:
         own=own,
         storage=storage,
         cells=trash + 1,
-        ones=np.array(ones, dtype=np.intp),
+        ones=ones,
         scatter=scatter,
         rhs_at=rhs_at,
-        checked=[k for k in range(n) if k not in at_relieved],
+        checked=np.flatnonzero(~is_relieved).tolist(),
         pivot_at=piv_at,
     )
 
@@ -694,7 +764,8 @@ class BlockSystem:
         rows = {n: range(end - sizes[n], end) for n, end in zip(self.order, ends)}
         order = [n for n in self.order if n not in loop_ids] + [LOOP_NODE] * bool(loop_ids)
         sources = [(n, n) for n in self.diag] + list(self.offdiag)
-        layout = symbolic_layout(order, sizes, rows, sum(sizes.values()), sources, {LOOP_NODE: loop_ids} if loop_ids else {})
+        elim = in_order(order, sizes, sources, {LOOP_NODE: loop_ids} if loop_ids else {})
+        layout = symbolic_layout(elim, rows, sum(sizes.values()))
         return layout.system([*self.diag.values(), *self.offdiag.values()], np.concatenate([self.rhs[n] for n in self.order]))
 
 

@@ -12,7 +12,8 @@ the other bodies, each independent cycle's loop joints in one relieved
 node after the cycle: the step eliminates every body with at most three
 joints first and sweeps the rest in a level order of O(log n) rounds
 (:func:`_level_order`), the full bodies-and-joints view eliminates none
-and sweeps in the graph's children-first order.
+and sweeps in the graph's children-first order.  Either order comes with
+one symbolic elimination, which the sweep's layout is laid out from.
 
 The joint kernels read the rotation matrices of a pose, computed once for
 all bodies (:func:`with_world`), and multiply them by constants each kind
@@ -35,13 +36,13 @@ import weakref
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import chain
 
 import numpy as np
 import yaml
 
 from . import quaternions as quat
-from .block_solver import LOOP_NODE, SymbolicLayout, symbolic_layout
+from .block_solver import LOOP_NODE, SymbolicElimination, SymbolicLayout, in_order, symbolic_layout
 from .errors import MechanismError, SimulationError
 
 WORLD = "world"
@@ -55,6 +56,10 @@ ROWS_BY_KIND = {KIND_BALL: 3, KIND_REVOLUTE: 5, KIND_FIXED: 6}
 _ASSEMBLY_TOL = 1e-8
 _ZERO = (0.0, 0.0, 0.0)  # a velocity's default
 _INERTIA_ORDER = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])  # (xx, yy, zz, xy, xz, yz) into the symmetric 3x3
+_KEYS = {
+    "body": {"id", "mass", "inertia", "position", "quaternion", "velocity", "angular_velocity"},
+    "joint": {"id", "kind", "parent", "child", "parent_anchor", "child_anchor", "parent_axis", "child_axis", "orientation_target"},
+}
 
 
 def _row_view(name: str) -> property:
@@ -286,29 +291,33 @@ def _joint_pairs(groups: list, first: np.ndarray) -> list:
     ``first`` flags per row of ``JointGroup.ends`` the bodies eliminated
     first.  Two joints attached to one such body get a Schur term from
     it, one per ordered pair; a pair sharing two such bodies is listed
-    twice, and its two terms add up in the layout.  Returns per (row
-    group, column group) with such terms the tuple (row group, column
-    group, pairs, rows, cols).  ``pairs`` are the ordered (row joint id,
-    column joint id) of the terms.  ``rows`` and ``cols`` index the terms
-    as (side, position) arrays into the groups' stacks with a leading
-    sides axis (``JointGroup.ends``): the row joint's side and position,
-    and the column joint's.
+    twice, and its two terms add up in the layout.  The terms run body by
+    body, each body's joint ends (at most three, :func:`_hubs`) in group,
+    side and position order.  Returns per (row group, column group) with
+    such terms, in the order of their first term, the tuple (row group,
+    column group, pairs, rows, cols).  ``pairs`` are the ordered (row
+    joint id, column joint id) of the terms.  ``rows`` and ``cols`` index
+    the terms as (side, position) arrays into the groups' stacks with a
+    leading sides axis (``JointGroup.ends``): the row joint's side and
+    position, and the column joint's.
     """
-    attached: dict = {}  # body row -> [(group, side, position)]
-    for g, group in enumerate(groups):
-        sides, positions = np.nonzero(first[group.ends])
-        for side, i, b in zip(sides.tolist(), positions.tolist(), group.ends[sides, positions].tolist()):
-            attached.setdefault(b, []).append((g, side, i))
-    stacks: dict = {}  # (row group, column group) -> [((row id, column id), (side, position, side, position))]
-    for b in sorted(attached):
-        for (g, s, i), (h, t, j) in product(attached[b], attached[b]):
-            if groups[g].ids[i] != groups[h].ids[j]:
-                stacks.setdefault((g, h), []).append(((groups[g].ids[i], groups[h].ids[j]), (s, i, t, j)))
+    found = [np.array([np.full(len(i), k), s, i, g.ends[s, i], np.array(g.ids)[i]])
+             for k, g in enumerate(groups) for s, i in [np.nonzero(first[g.ends])]]
+    group, side, pos, body, ids = np.concatenate([np.zeros((5, 0), dtype=np.intp), *found], axis=1)
+    by = np.argsort(body, kind="stable")
+    at = body[by]
+    start, stop = np.searchsorted(at, at), np.searchsorted(at, at, side="right")  # each end's body's run
+    v = start[:, None] + np.arange((stop - start).max(initial=0))
+    u, j = np.nonzero(v < stop[:, None])
+    u, v = by[u], by[v[u, j]]
+    keep = u != v  # a joint's two ends are on two bodies
+    u, v = u[keep], v[keep]
+    stack = group[u] * len(groups) + group[v]
     out = []
-    for (g, h), terms in stacks.items():
-        pairs, at = zip(*terms)
-        s, i, t, j = np.array(at).T
-        out.append((g, h, list(pairs), (s, i), (t, j)))
+    for k in dict.fromkeys(stack.tolist()):
+        t = stack == k
+        a, b = u[t], v[t]
+        out.append((k // len(groups), k % len(groups), list(zip(ids[a].tolist(), ids[b].tolist())), (side[a], pos[a]), (side[b], pos[b])))
     return out
 
 
@@ -339,55 +348,46 @@ def _zero_diagonal(groups: list, first: np.ndarray) -> set:
     return out
 
 
-def _level_order(order: list, sources: list, stacks: dict, waits: dict, zero: set) -> list:
-    """``order``'s nodes in rounds of mutually non-adjacent nodes, one round eliminated after another.
+def _level_order(elim: SymbolicElimination, waits: dict, zero: set) -> None:
+    """Eliminate ``elim``'s vertices in rounds of mutually non-adjacent ones, round after round.
 
-    Each round takes the eligible relieved nodes (keys of ``stacks``) and
-    the other eligible nodes whose current degree (fill included) is at
-    most the smallest such degree + 1, greedily, lowest degree first, then
-    earliest in ``order``, and never two adjacent ones (cyclic reduction,
-    Heller, SIAM J. Numer. Anal. 13, 1976; multiple minimum degree, Liu,
-    ACM TOMS 11, 1985).  A chain loses half its nodes per round, so a
-    tree's nodes go in O(log n) rounds at O(n) total work.  A relieved
-    node is eligible once the nodes ``waits`` lists for it are gone, so
-    its cycle's redundancy still lands in its own pivot, and sets no
-    threshold (a chain's end cycle would cut its round to two nodes); a
+    Each round takes the eligible relieved nodes (keys of ``elim.stacks``)
+    and the other eligible vertices whose current degree (fill included) is
+    at most the smallest such degree + 1, greedily, lowest degree first,
+    then earliest in ``elim``'s order, and never two adjacent ones (cyclic
+    reduction, Heller, SIAM J. Numer. Anal. 13, 1976; multiple minimum
+    degree, Liu, ACM TOMS 11, 1985).  A chain loses half its nodes per
+    round, so a tree's nodes go in O(log n) rounds at O(n) total work.  A
+    relieved node is eligible once the nodes ``waits`` lists for it are
+    gone, so its cycle's redundancy still lands in its own pivot, and sets
+    no threshold (a chain's end cycle would cut its round to two nodes); a
     node of ``zero``, whose diagonal block is structurally zero, once one
     of its neighbours is, whose Schur update makes that block invertible.
-    Rounds are listed one after another, each in ``order``'s order.
+    A round's vertices are eliminated in ``elim``'s order, as the sweep
+    takes them, so this elimination is the layout's own: each position's
+    later neighbours, fill included (:func:`symbolic_layout`).
     """
-    key = {node: k for k, ids in stacks.items() for node in ids}
-    adj: dict = {v: set() for v in order}
-    for i, j in sources:
-        a, b = key.get(i, i), key.get(j, j)
-        if a != b:
-            adj[a].add(b)
-            adj[b].add(a)
-    pos = {v: k for k, v in enumerate(order)}
-    zero = set(zero) & set(adj)
-    eligible = {v for v in order if not waits.get(v) and v not in zero}
-    out: list = []
+    vertex = {key: v for v, key in enumerate(elim.keys)}
+    adj = elim.adj
+    relieved = {vertex[key] for key in elim.stacks}
+    waits = {vertex[key]: {vertex[node] for node in nodes} for key, nodes in waits.items()}
+    zero = {vertex[node] for node in zero if node in vertex}
+    eligible = {v for v in adj if not waits.get(v) and v not in zero}
     while eligible:
-        least = min((len(adj[v]) for v in eligible if v not in stacks), default=0)
+        least = min((len(adj[v]) for v in eligible if v not in relieved), default=0)
         taken, blocked = [], set()
-        for v in sorted((v for v in eligible if v in stacks or len(adj[v]) <= least + 1), key=lambda v: (len(adj[v]), pos[v])):
+        for _, v in sorted((len(adj[v]), v) for v in eligible if v in relieved or len(adj[v]) <= least + 1):
             if v not in blocked:
                 taken.append(v)
                 blocked |= adj[v]
-        for v in taken:
-            eligible.discard(v)
-            nbrs = adj.pop(v)
-            for a in nbrs:
-                adj[a] |= nbrs
-                adj[a] -= {a, v}
-                if a in zero:
-                    zero.discard(a)
-                    eligible.add(a)
+        eligible.difference_update(taken)
+        for v in sorted(taken):
+            woken = zero.intersection(elim.eliminate(v))
+            zero -= woken
+            eligible |= woken
         eligible |= {r for r, w in waits.items() if r in adj and adj.keys().isdisjoint(w)}
-        out += sorted(taken, key=pos.get)
-    if len(out) != len(order):
+    if adj:
         raise ValueError("no elimination order: some nodes wait for each other")
-    return out
 
 
 def elimination_plan(mech: Mechanism, is_hub: np.ndarray, levelled: bool) -> EliminationPlan:
@@ -406,9 +406,12 @@ def elimination_plan(mech: Mechanism, is_hub: np.ndarray, levelled: bool) -> Eli
     graph's (children first) over these nodes, each relieved node right
     after the highest node of its cycle: on a tree the later neighbours of
     each node then already couple to each other, so the sweep creates no
-    fill.  With ``levelled`` (the step's plan) it is :func:`_level_order`
-    of that order, whose rounds the sweep eliminates a level at a time.
-    With every body a hub, the layout is the full bodies-and-joints graph.
+    fill.  With ``levelled`` (the step's plan) :func:`_level_order` picks
+    the order from that one, round by round.  Either way one symbolic
+    elimination (:class:`~mcdyn.block_solver.SymbolicElimination`) both
+    orders the nodes and finds each one's later neighbours, fill included,
+    and the layout is laid out from it.  With every body a hub, the layout is
+    the full bodies-and-joints graph.
     """
     hubs = np.flatnonzero(is_hub)  # np.isin and np.setdiff1d would import numpy.ma, over 1 MB of RSS
     hub_ids = [mech.body_ids[r] for r in hubs]
@@ -439,8 +442,11 @@ def elimination_plan(mech: Mechanism, is_hub: np.ndarray, levelled: bool) -> Eli
             waits[key] = [n for n in nodes if n in at]
             order.append(key)
     if levelled:
-        order = _level_order(order, sources, stacks, waits, _zero_diagonal(mech.groups, first))
-    layout = symbolic_layout(order, sizes, rows, mech.dim, sources, stacks)
+        elim = SymbolicElimination(order, sizes, sources, stacks)
+        _level_order(elim, waits, _zero_diagonal(mech.groups, first))
+    else:
+        elim = in_order(order, sizes, sources, stacks)
+    layout = symbolic_layout(elim, rows, mech.dim)
     return EliminationPlan(np.flatnonzero(~is_hub), hubs, hub_sides, joint_pairs, layout)
 
 
@@ -751,11 +757,12 @@ class Mechanism:
 def load_mechanism(source) -> Mechanism:
     """Build and validate a mechanism from a description mapping or a YAML file path (str, bytes or os.PathLike).
 
-    Raises MechanismError on any invariant violation: a missing, mistyped, mis-sized or non-finite
-    number, bad masses or inertia, non-unit quaternions or axes, unknown references, inconsistent assembly,
-    or a disconnected constraint graph.  Each rule runs once over all entries (:func:`_read`); only a rule
-    that fails looks for the first entry, in list order, that breaks it, so of several faults the first
-    rule's is named.  The rules run in this order: entry types; body ids (integral, nonnegative, unique);
+    Raises MechanismError on any invariant violation: an unknown key, a missing, mistyped, mis-sized or
+    non-finite number, bad masses or inertia, non-unit quaternions or axes, unknown references, inconsistent
+    assembly, or a disconnected constraint graph.  Each rule runs once over all entries (:func:`_read`); only a
+    rule that fails looks for the first entry, in list order, that breaks it, so of several faults the first
+    rule's is named.  The rules run in this order: entry types; keys (each known for a body or a joint, the
+    entry named by the id it gives); body ids (integral, nonnegative, unique);
     mass (> 0), inertia (positive definite), position, quaternion (unit norm), velocity, angular_velocity;
     joint ids and duplicate node ids; parent, child, parent_anchor, child_anchor; known child, then parent
     bodies; fixed joints on the world; parent_axis, child_axis, orientation_target (each unit norm); then
@@ -791,8 +798,13 @@ def load_mechanism(source) -> Mechanism:
 
 def _read(body_entries: list, joint_entries: list) -> tuple:
     """(bodies, joints, x, q, v, w) for :class:`Mechanism`, each rule of :func:`load_mechanism` checked once for all entries."""
-    for what, group in (("body", body_entries), ("joint", joint_entries)):
+    groups = (("body", body_entries), ("joint", joint_entries))
+    for what, group in groups:
         _check([not isinstance(entry, dict) for entry in group], lambda i: f"malformed {what} entry: {group[i]!r}")
+    for what, group in groups:
+        if not _KEYS[what].issuperset(chain.from_iterable(group)):
+            unknown = [next((key for key in entry if key not in _KEYS[what]), None) for entry in group]
+            _check([key is not None for key in unknown], lambda i: f"{what} {group[i].get('id')}: unknown key {unknown[i]!r}")
     ids = _integers([entry.get("id") for entry in body_entries], lambda i: "body id", ())
     if min(ids, default=0) < 0:
         _check([bid < 0 for bid in ids], lambda i: f"body id must be nonnegative, got {ids[i]}")
@@ -854,9 +866,9 @@ def _check(bad, message) -> None:
 
 
 def _integers(values: list, what, kept: tuple) -> list:
-    """``values`` as ints, those in ``kept`` left as they are; MechanismError ``what(i)`` for the first other value i
-    that is neither an integer nor an integral float."""
-    out = [value if type(value) is int or value in kept else _integral(value) for value in values]
+    """``values`` as ints, the strings in ``kept`` left as they are; MechanismError ``what(i)`` for the first other
+    value i that is neither an integer nor an integral float."""
+    out = [value if type(value) is int or isinstance(value, str) and value in kept else _integral(value) for value in values]
     if None in out:
         i = out.index(None)
         raise MechanismError(f"{what(i)} must be an integer, got {values[i]!r}")

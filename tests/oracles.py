@@ -9,6 +9,8 @@ form, which the library's rotation-matrix kernels replaced: the (3, 4)
 derivatives of each rotated vector, reduced to body-frame rotations.
 """
 
+from itertools import product
+
 import numpy as np
 
 import mcdyn.quaternions as quat
@@ -250,6 +252,65 @@ def elimination(layout):
         [(p, slot[(p, k)], slot[(k, p)], [(slot[(k, q)], slot[(p, q)]) for q in lk]) for p in lk]
         for k, lk in enumerate(layout.later)
     ]
+
+
+def set_walk_elimination(order, sources, stacks):
+    """A block pattern eliminated symbolically in ``order`` by walking neighbour sets, position by position.
+
+    The reference for ``block_solver.SymbolicElimination``.  Positions
+    number ``order``, each key of ``stacks`` standing for the nodes it maps
+    to; ``sources`` are (row node, column node) pairs of a symmetric
+    pattern.  Returns per position its later neighbours (ascending, fill
+    included); the fill blocks as (node, node), in the order the walk adds
+    them; the pattern's off-diagonal pairs as (node, node), first seen
+    first; and the level bounds: where each maximal run of consecutive,
+    mutually non-adjacent positions starts, then len(order).
+    """
+    at = {node: k for k, key in enumerate(order) for node in stacks.get(key, [key])}
+    pattern = dict.fromkeys((at[i], at[j]) for i, j in sources)
+    neighbours = [set() for _ in order]
+    for p, q in pattern:
+        neighbours[p].add(q)
+    later, fill = [], []
+    for k in range(len(order)):
+        lk = sorted(p for p in neighbours[k] if p > k)
+        for p in lk:
+            missing = [q for q in lk if q != p and q not in neighbours[p]]
+            neighbours[p].update(missing)
+            fill += [(p, q) for q in missing]
+        later.append(lk)
+    bounds, blocked = [0], set()
+    for k in range(len(order)):
+        if k in blocked:
+            bounds.append(k)
+            blocked = set()
+        blocked |= neighbours[k]
+    bounds = list(dict.fromkeys(bounds + [len(order)]))
+    return later, [(order[p], order[q]) for p, q in fill], [(order[p], order[q]) for p, q in pattern if p != q], bounds
+
+
+def joint_pairs_by_body(groups, first):
+    """``mechanism._joint_pairs`` found body by body: per body that ``first`` flags, every ordered pair of its joints.
+
+    Returns the same (row group, column group, pairs, rows, cols) stacks,
+    keyed in the order of their first term.
+    """
+    attached = {}  # body row -> [(group, side, position)]
+    for g, group in enumerate(groups):
+        sides, positions = np.nonzero(first[group.ends])
+        for side, i, b in zip(sides.tolist(), positions.tolist(), group.ends[sides, positions].tolist()):
+            attached.setdefault(b, []).append((g, side, i))
+    stacks = {}  # (row group, column group) -> [((row id, column id), (side, position, side, position))]
+    for b in sorted(attached):
+        for (g, s, i), (h, t, j) in product(attached[b], attached[b]):
+            if groups[g].ids[i] != groups[h].ids[j]:
+                stacks.setdefault((g, h), []).append(((groups[g].ids[i], groups[h].ids[j]), (s, i, t, j)))
+    out = []
+    for (g, h), terms in stacks.items():
+        pairs, at = zip(*terms)
+        s, i, t, j = np.array(at).T
+        out.append((g, h, list(pairs), (s, i), (t, j)))
+    return out
 
 
 def reconstruct(fact):

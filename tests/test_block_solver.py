@@ -11,6 +11,7 @@ from mcdyn.block_solver import (
     augment_loop_node,
     dense_ldu_factorize,
     dense_ldu_solve,
+    in_order,
     ldu_inverse,
     pattern_report,
     relieved_inverse,
@@ -350,12 +351,12 @@ class TestSymbolicLayoutInput:
     @pytest.mark.parametrize("order", [[0], [0, 1, 1], [0, 2], []])
     def test_order_must_cover_every_node_once(self, order):
         with pytest.raises(ValueError, match="^elimination order does not cover all nodes$"):
-            symbolic_layout(order, self.SIZES, self.ROWS, 2, self.SOURCES, {})
+            in_order(order, self.SIZES, self.SOURCES, {})
 
     def test_relieved_node_covers_its_stack(self):
         with pytest.raises(ValueError, match="^elimination order does not cover all nodes$"):
-            symbolic_layout([LOOP_NODE, 1], self.SIZES, self.ROWS, 2, self.SOURCES, {LOOP_NODE: [0, 1]})
-        assert symbolic_layout([LOOP_NODE], self.SIZES, self.ROWS, 2, self.SOURCES, {LOOP_NODE: [0, 1]}).order
+            in_order([LOOP_NODE, 1], self.SIZES, self.SOURCES, {LOOP_NODE: [0, 1]})
+        assert symbolic_layout(in_order([LOOP_NODE], self.SIZES, self.SOURCES, {LOOP_NODE: [0, 1]}), self.ROWS, 2).order
 
 
 class TestSparseLdu:
@@ -434,7 +435,7 @@ class TestSparseLdu:
         pair = next(iter(system.offdiag))
         extra = rng.normal(size=system.offdiag[pair].shape)
         sources = [(n, n) for n in system.diag] + list(system.offdiag) + [pair]
-        layout = symbolic_layout(system.order, sizes, rows, ends[-1], sources, {})
+        layout = symbolic_layout(in_order(system.order, sizes, sources, {}), rows, ends[-1])
         blocks = [*system.diag.values(), *system.offdiag.values(), extra]
         on_layout = layout.system(blocks, assembled_rhs(system))
         summed = BlockSystem(system.diag, system.offdiag | {pair: system.offdiag[pair] + extra}, system.order, system.rhs)
@@ -560,7 +561,7 @@ def two_size_relieved_level(rng):
     rows = dict(zip(system.order, np.split(np.arange(13), [2, 4, 7, 10])))
     stacks = {(LOOP_NODE, 1): [1], LOOP_NODE: [2, 3]}
     sources = [(n, n) for n in diag] + list(offdiag)
-    layout = symbolic_layout([(LOOP_NODE, 1), LOOP_NODE, 4, 0], sizes, rows, 13, sources, stacks)
+    layout = symbolic_layout(in_order([(LOOP_NODE, 1), LOOP_NODE, 4, 0], sizes, sources, stacks), rows, 13)
     assert [(level.start, level.stop) for level in layout.levels] == [(0, 3), (3, 4)]
     assert layout.sizes == [2, 5, 3, 3]
     return system, layout.system([*diag.values(), *offdiag.values()], assembled_rhs(system))
@@ -620,7 +621,7 @@ class TestAugmentLoopNode:
         stacks = {(LOOP_NODE, 7): [8, 7], LOOP_NODE: [3]}  # order is 8, 7, ..., 0
         order = [(LOOP_NODE, 7), 6, 5, 4, LOOP_NODE, 2, 1, 0]
         sources = [(n, n) for n in system.diag] + list(system.offdiag)
-        layout = symbolic_layout(order, sizes, rows, ends[-1], sources, stacks)
+        layout = symbolic_layout(in_order(order, sizes, sources, stacks), rows, ends[-1])
         assert layout.relieved == [0, 4]
         assert layout.loop_layout == {(LOOP_NODE, 7): [(7, sizes[7]), (8, sizes[8])], LOOP_NODE: [(3, sizes[3])]}
         fact = sparse_ldu_factorize(layout.system([*system.diag.values(), *system.offdiag.values()], assembled_rhs(system)))

@@ -23,7 +23,7 @@ from conftest import (
     mixed_kind_pendulum,
     star_mechanism,
 )
-from mcdyn.block_solver import LOOP_NODE
+from mcdyn.block_solver import LOOP_NODE, SymbolicElimination
 from mcdyn.errors import MechanismError
 from mcdyn.integrator import StepContext, newton_system_at
 from mcdyn.mechanism import (
@@ -585,7 +585,7 @@ class TestGraph:
     ], ids=["zero-diagonal-alone", "relieved-wait-for-each-other"])
     def test_level_order_without_an_order_raises(self, order, sources, stacks, waits, zero):
         with pytest.raises(ValueError, match="^no elimination order: some nodes wait for each other$"):
-            _level_order(order, sources, stacks, waits, zero)
+            _level_order(SymbolicElimination(order, dict.fromkeys([1, 2], 1), sources, stacks), waits, zero)
 
 
 class TestLoader:
@@ -818,6 +818,10 @@ class TestLoaderMessages:
         (_set("bodies", 0, id="1"), "body id must be an integer, got '1'"),
         (_drop("bodies", 0, "id"), "body id must be an integer, got None"),
         (_set("joints", 1, parent="base"), "joint 4: parent must be an integer, got 'base'"),
+        (_set("joints", 1, parent=np.array([1, 2])), "joint 4: parent must be an integer, got array([1, 2])"),
+        (_set("joints", 1, child=np.array([1, 2])), "joint 4: child must be an integer, got array([1, 2])"),
+        (_set("bodies", 1, velocty=[1.0, 0.0, 0.0]), "body 2: unknown key 'velocty'"),
+        (_set("joints", 2, axis=[0.0, 1.0, 0.0]), "joint 6: unknown key 'axis'"),
         (_set("joints", 0, kind="prismatic"), "joint 3: unknown kind 'prismatic'"),
         (_drop("bodies", 1, "mass"), "body 2: mass must be a number, got None"),
         (_set("bodies", 1, mass="heavy"), "body 2: mass must be a number, got 'heavy'"),
@@ -1046,6 +1050,9 @@ class TestBatchedLoader:
         # a later entry's earlier field comes before an earlier entry's later one
         (lambda d: (_set("bodies", 1, mass=np.nan)(d), _set("bodies", 0, angular_velocity=[0, None, 0])(d)),
          "body 2: mass is not finite: nan"),
+        # entry types come before keys, and keys before body ids
+        (lambda d: (_set("bodies", 0, mas=1.0)(d), d["joints"].append("ball")), "malformed joint entry: 'ball'"),
+        (lambda d: (_set("bodies", 0, id=-1)(d), _set("joints", 2, colour="red")(d)), "joint 6: unknown key 'colour'"),
         # body ids come before any body field
         (lambda d: (_set("bodies", 0, mass=np.nan)(d), _set("bodies", 2, id=2)(d)), "duplicate body id 2"),
         # every body rule comes before any joint rule

@@ -45,9 +45,11 @@ from oracles import (
     count_independent_cycles,
     dense_block_ldu,
     elimination,
+    joint_pairs_by_body,
     l_matrix,
     random_unit_quat,
     rotmat_from_quat,
+    set_walk_elimination,
     u_matrix,
 )
 from test_integrator import (
@@ -560,3 +562,48 @@ def test_schedule_work_counts(name):
     layout = build().plan.layout
     relieved_levels = sum(1 for level in layout.levels if len(level.relieved))
     assert (len(layout.levels), relieved_levels, layout.fill_count, layout.cells) == expected
+
+
+ELIMINATION_CASES = {
+    "segmented_chain_3": lambda: make_segmented_chain(3),
+    "segmented_chain_16": lambda: make_segmented_chain(16),
+    "closed_chain_8": lambda: make_closed_chain(8),
+    "hub_star": hub_star,
+    "comb": comb,
+    "mixed_kind_pendulum": mixed_kind_pendulum,
+    "hinged_by_two_balls": hinged_by_two_balls,
+    **{f"random_{seed}": lambda seed=seed: random_mechanism(np.random.default_rng(7000 + seed)) for seed in range(24)},
+}
+
+
+@pytest.mark.parametrize("name", ELIMINATION_CASES)
+def test_plans_match_the_set_walk_elimination(name, monkeypatch):
+    # the step's levelled elimination and the full plan's children-first one
+    # each find their later neighbours and fill as a set walk in their order does
+    laid, build = [], mcdyn.mechanism.symbolic_layout
+
+    def recorded(elim, *args):
+        laid.append((elim, build(elim, *args)))
+        return laid[-1][1]
+
+    monkeypatch.setattr(mcdyn.mechanism, "symbolic_layout", recorded)
+    mech = ELIMINATION_CASES[name]()
+    plans = (mech.plan, mech.full_plan)
+    assert [id(layout) for _, layout in laid] == [id(plan.layout) for plan in plans]
+    assert mech.graph.loop_joints or not name.startswith("random")
+    for elim, layout in laid:
+        sources = [(elim.nodes[i], elim.nodes[j]) for i, j in elim.ends.tolist()]
+        later, fill, pairs, bounds = set_walk_elimination(layout.order, sources, elim.stacks)
+        assert layout.later == later
+        assert layout.fill_events == fill
+        assert layout.pairs == pairs
+        assert [(level.start, level.stop) for level in layout.levels] == list(zip(bounds, bounds[1:]))
+    for plan in plans:
+        first = np.zeros(len(mech.body_ids) + 1, dtype=bool)
+        first[plan.first] = True
+        reference = joint_pairs_by_body(mech.groups, first)
+        assert len(plan.joint_pairs) == len(reference)
+        for got, want in zip(plan.joint_pairs, reference):
+            assert got[:3] == want[:3]
+            for a, b in zip((*got[3], *got[4]), (*want[3], *want[4])):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
