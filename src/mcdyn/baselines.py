@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quaternions as quat
+from .errors import SimulationError
 from .integrator import StepContext, eliminate_bodies, impulse_blocks, mechanical_energy, solve_reduced, stacked_loads
 from .mechanism import (
     Mechanism, check_parameter, check_step_count, check_time_step, constraint_jacobian_position, max_violation,
@@ -100,7 +101,7 @@ def _acceleration_rates(mech: Mechanism, state: np.ndarray, ctx: StepContext, lo
 
 
 def heun_simulate(mech: Mechanism, ctx: StepContext, n_steps: int) -> list[BaselineRecord]:
-    """Integrate with Heun's method; the mechanism's state is left untouched.
+    """Integrate with Heun's method, ending before a state that is not finite or a failed solve; leaves the mechanism as is.
 
     Raises SimulationError, before integrating, for a load on an unknown
     body or a load that is not a finite 3-vector, for an h that
@@ -115,10 +116,15 @@ def heun_simulate(mech: Mechanism, ctx: StepContext, n_steps: int) -> list[Basel
     h = ctx.h
     records = []
     for k in range(1, count + 1):
-        k1 = _acceleration_rates(mech, y, ctx, loads)
-        k2 = _acceleration_rates(mech, y + h * k1, ctx, loads)
+        try:
+            k1 = _acceleration_rates(mech, y, ctx, loads)
+            k2 = _acceleration_rates(mech, y + h * k1, ctx, loads)
+        except SimulationError:
+            break
         y = y + 0.5 * h * (k1 + k2)
         y[:, _Q] /= np.linalg.norm(y[:, _Q], axis=1, keepdims=True)
+        if not np.isfinite(y).all():
+            break
         records.append(
             BaselineRecord(
                 step=k,

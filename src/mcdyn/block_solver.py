@@ -43,22 +43,20 @@ checked for all pivots in one batched pass: the inverse must be finite
 and max|A| * max|A^-1| below 1/_SINGULAR_RTOL (:func:`check_pivots`).
 When a batched inverse raises, :func:`name_failure` inverts its pivots
 one at a time to name the first failure; the body pass in
-``integrator`` shares both.  A relieved node's pivot instead gets
-:func:`relieved_inverse`, a truncated-SVD pseudo-inverse under one cut,
-a small multiple of the block scale, in one call for all of a level's
-relieved pivots: closed loops of parallel-axis joints carry
-structurally redundant constraint rows, so its Schur complement is
-rank-deficient by construction, its redundant rows and columns zero to
-rounding.  Those at or below the cut are deflated first (3 of the 5 of
-each planar parallelogram), the SVD decomposes only the rest, and its
-singular values at or below the same cut are dropped.  This selects one
-multiplier solution out of the affine family, stably under rounding,
-without affecting body motion (null-space components of the multipliers
-do not enter the equations of motion); the iteration still drives the
-true residual to tolerance.  The redundancy of a cycle involves only its
-own joints, all eliminated before its relieved node, so the nodes after
-it see an exact Schur complement through the pseudo-inverse; this is why
-cycles that share a body or joint must share one relieved node.
+``integrator`` shares both.  A relieved node's pivot is rank-deficient
+by construction, since closed loops of parallel-axis joints carry
+structurally redundant constraint rows (the 5 rows of each planar
+parallelogram have rank 2), so it gets :func:`relieved_inverse`, a
+truncated-SVD pseudo-inverse: one batched SVD of a level's relieved
+pivots, whose singular values at or below a small multiple of their
+block's scale get weight 0.  This selects one multiplier solution out
+of the affine family, stably under rounding, without affecting body
+motion (null-space components of the multipliers do not enter the
+equations of motion); the iteration still drives the true residual to
+tolerance.  The redundancy of a cycle involves only its own joints, all
+eliminated before its relieved node, so the nodes after it see an exact
+Schur complement through the pseudo-inverse; this is why cycles that
+share a body or joint must share one relieved node.
 """
 
 from __future__ import annotations
@@ -78,7 +76,7 @@ LOOP_NODE = "loop"
 # An unrelieved block fails once max|A| * max|A^-1| reaches 1/_SINGULAR_RTOL.
 _SINGULAR_RTOL = 1e-13
 
-# A relieved pivot's one cut, relative to max|A|: rows, columns and singular values at or below it go.
+# A relieved pivot's one cut, relative to max|A|: singular values at or below it get weight 0.
 _LOOP_PIVOT_RELIEF = 1e-10
 
 
@@ -123,8 +121,8 @@ def name_failure(pivots: np.ndarray, sizes, nodes, relieved, unreached, err: Exc
         if j in relieved:
             try:
                 relieved_inverse(block)
-            except np.linalg.LinAlgError as fail:  # the SVD did not converge; relieved_inverse names the sizes
-                raise SingularBlockError(f"loop pivot at node {node!r}: {fail}") from err
+            except np.linalg.LinAlgError:
+                raise SingularBlockError(f"loop pivot at node {node!r}: SVD did not converge on its {k}x{k} block") from err
         elif j in unreached and not block.any():
             raise DanglingConstraintError(
                 f"constraint node {node!r} reached its pivot with a zero diagonal and no coupling updates"
@@ -155,44 +153,16 @@ def ldu_inverse(block: np.ndarray) -> np.ndarray:
 def relieved_inverse(block: np.ndarray) -> np.ndarray:
     """The truncated-SVD pseudo-inverse of a relieved pivot block, or of a stack of them along leading axes.
 
-    Each block has one cut, ``_LOOP_PIVOT_RELIEF * max|A|`` of that block:
-    rows and columns of 2-norm at or below the cut are deflated first (zero
-    padding among them), the SVD decomposes the rest, and its singular
-    values at or below the cut get weight 0, so deficient directions
-    contribute nothing.  Deflation moves a singular value by at most
-    sqrt(m) cuts (Weyl), so only values in the rounding band of the cut
-    can change.  The blocks of a stack that keep the same numbers of rows
-    and columns are decomposed in one batched SVD (a lone block as a
-    matrix).  An SVD that does not converge raises LinAlgError naming both
-    sizes.
+    The stack is decomposed in one batched SVD.  Each block has one cut,
+    ``_LOOP_PIVOT_RELIEF * max|A|`` of that block: its singular values at
+    or below the cut get weight 0, so deficient directions (zero padding
+    among them) contribute nothing.  An SVD that does not converge raises
+    LinAlgError.
     """
-    shape = block.shape
-    stack = block.reshape(-1, *shape[-2:])
-    cut = _LOOP_PIVOT_RELIEF * np.abs(stack).max(axis=(1, 2), initial=0.0)[:, None]
-    square = stack * stack
-    rows = np.sqrt(square.sum(axis=2)) > cut  # the 2-norms, as np.linalg.norm computes them
-    cols = np.sqrt(square.sum(axis=1)) > cut
-    kept = rows.sum(axis=1) * (shape[-1] + 1) + cols.sum(axis=1)  # the kept shape, as one number
-    out = np.zeros((len(stack), shape[-1], shape[-2]))
-    for nr, nc in (divmod(k, shape[-1] + 1) for k in sorted(set(kept.tolist()))):  # np.unique would import numpy.ma
-        if not nr or not nc:  # nothing kept: a zero inverse
-            continue
-        at = np.flatnonzero(kept == nr * (shape[-1] + 1) + nc)
-        r = np.nonzero(rows[at])[1].reshape(len(at), 1, nr)
-        c = np.nonzero(cols[at])[1].reshape(len(at), 1, nc)
-        part = stack[at[:, None, None], r.transpose(0, 2, 1), c]
-        try:
-            u, sig, vt = np.linalg.svd(part[0] if len(part) == 1 else part, full_matrices=False)
-        except np.linalg.LinAlgError as err:
-            raise np.linalg.LinAlgError(
-                f"SVD did not converge on the {nr}x{nc} part above the relief cut "
-                f"of a {shape[-2]}x{shape[-1]} block"
-            ) from err
-        sig = sig.reshape(len(part), -1)
-        weight = np.divide(1.0, sig, out=np.zeros_like(sig), where=sig > cut[at])
-        right = vt.reshape(len(part), -1, nc).transpose(0, 2, 1) * weight[:, None, :]
-        out[at[:, None, None], c.transpose(0, 2, 1), r] = right @ u.reshape(len(part), nr, -1).transpose(0, 2, 1)
-    return out.reshape(shape[:-2] + (shape[-1], shape[-2]))
+    cut = _LOOP_PIVOT_RELIEF * np.abs(block).max(axis=(-2, -1), initial=0.0)[..., None]
+    u, sig, vt = np.linalg.svd(block, full_matrices=False)
+    weight = np.divide(1.0, sig, out=np.zeros_like(sig), where=sig > cut)
+    return np.swapaxes(vt, -1, -2) * weight[..., None, :] @ np.swapaxes(u, -1, -2)
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +541,7 @@ def symbolic_layout(elim: SymbolicElimination, rows, dim) -> SymbolicLayout:
     piv_at, up_at, lo_at, s_at, g_at, r_at = (np.array(cursor, dtype=np.intp).reshape(-1, 6)[lev] + (np.arange(n) - np.array(bounds)[lev])[:, None] * st).T
     w, m = st[:, 4], st[:, 5]
     h = w - 1
-    pad = np.where(is_relieved, 0, m - size)  # a relieved pivot's zero padding is deflated with its negligible lines
+    pad = np.where(is_relieved, 0, m - size)  # a relieved pivot's zero padding gets singular values 0, which weigh 0
     ones = (piv_at + (m + 1) * size).repeat(pad) + (m + 1).repeat(pad) * (np.arange(pad.sum()) - _starts(pad).repeat(pad))
     trash = sum(totals[:3])
     row0 = _starts(size)

@@ -180,8 +180,9 @@ def _cmd_bench(args) -> int:
             write_drift_csv(args.out, result)
             print(
                 f"max violation: variational {max(result.violation_variational):.3e}, "
-                f"acceleration-level {max(result.violation_acceleration):.3e}"
+                f"acceleration-level {max(result.violation_acceleration, default=float('nan')):.3e}"
             )
+        print("explicit baseline: " + ("ran every step" if result.explicit_stop is None else f"stopped at step {result.explicit_stop}"))
     else:
         traces = run_convergence_experiment(args.n_list, tolerance=args.tol, joint_kind=args.joint)
         cfg = {"experiment": "convergence", "n_list": args.n_list, "tolerance": args.tol}

@@ -9,8 +9,8 @@ Schemas:
 
 - trajectory: step, time, body, x, y, z, qw, qx, qy, qz, vx, vy, vz,
   wx, wy, wz, energy, max_violation, newton_iterations, residual
-- energy: time, energy_variational, energy_explicit
-- drift: time, violation_variational, violation_acceleration
+- energy: time, energy_variational, energy_explicit (blank past its stop)
+- drift: time, violation_variational, violation_acceleration (likewise)
 - timing: n, t_sparse_ms, t_dense_ms (dense blank where not measured)
 - convergence: n, iteration, residual
 """
@@ -20,6 +20,7 @@ from __future__ import annotations
 import gc
 import time
 from dataclasses import asdict, dataclass
+from itertools import zip_longest
 
 import numpy as np
 
@@ -68,6 +69,7 @@ class ComparisonResult:
     violation_variational: list
     violation_acceleration: list
     initial_energy: float
+    explicit_stop: int | None  # the step where the explicit run stopped (a state not finite, a failed solve); None if none
 
 
 def _compare(sc: Scenario, experiment: str) -> ComparisonResult:
@@ -83,6 +85,7 @@ def _compare(sc: Scenario, experiment: str) -> ComparisonResult:
         violation_variational=[r.max_violation for r in records],
         violation_acceleration=[r.max_violation for r in base],
         initial_energy=e0,
+        explicit_stop=len(base) + 1 if len(base) < sc.n_steps else None,
     )
 
 
@@ -250,14 +253,14 @@ def write_trajectory_csv(path, report: RunReport) -> None:
 
 def write_energy_csv(path, result: ComparisonResult) -> None:
     header = ["time", "energy_variational", "energy_explicit"]
-    rows = zip(result.times, result.energy_variational, result.energy_explicit)
+    rows = zip_longest(result.times, result.energy_variational, result.energy_explicit)
     cfg = dict(result.config, initial_energy=result.initial_energy)
     _write_csv(path, cfg, header, rows)
 
 
 def write_drift_csv(path, result: ComparisonResult) -> None:
     header = ["time", "violation_variational", "violation_acceleration"]
-    rows = zip(result.times, result.violation_variational, result.violation_acceleration)
+    rows = zip_longest(result.times, result.violation_variational, result.violation_acceleration)
     _write_csv(path, result.config, header, rows)
 
 

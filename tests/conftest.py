@@ -6,6 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from mcdyn import quaternions as quat
 from mcdyn.mechanism import load_mechanism
 from mcdyn.scenarios import Scenario, generate_scenario
 
@@ -31,6 +32,33 @@ def make_segmented_chain(k=2, h=0.01):
     mech = load_mechanism(generate_scenario(Scenario(kind="segmented_chain", n_links=k)))
     mech.initialize(h)
     return mech
+
+
+def rotated_segmented_chain(k=6, angle=0.7, axis=(1.0, 1.0, 1.0)):
+    """segmented_chain k turned by ``angle`` about ``axis`` through the origin, so no hinge lies along a world axis."""
+    data = generate_scenario(Scenario(kind="segmented_chain", n_links=k))
+    turn = np.concatenate([[np.cos(angle / 2.0)], np.sin(angle / 2.0) * np.asarray(axis) / np.linalg.norm(axis)])
+    for body in data["bodies"]:
+        body["position"] = quat.rotate(turn, np.array(body["position"])).tolist()
+        body["quaternion"] = quat.multiply(turn, np.array(body["quaternion"])).tolist()
+    for joint in data["joints"]:
+        if joint["parent"] == "world":  # its anchor and axis are world-frame
+            joint["parent_anchor"] = quat.rotate(turn, np.array(joint["parent_anchor"])).tolist()
+            joint["parent_axis"] = quat.rotate(turn, np.array(joint["parent_axis"])).tolist()
+    return _initialized(data)
+
+
+def far_hinged_segmented_chain(k=4):
+    """segmented_chain k with a world hinge at its far end: its k cycles merge into one relieved node of 5k + 5 rows."""
+    data = generate_scenario(Scenario(kind="segmented_chain", n_links=k))
+    far = data["bodies"][-2]  # the last segment's bottom-left rod, whose +z end is the far vertex
+    end = np.array(far["position"]) + quat.rotate(np.array(far["quaternion"]), np.array([0.0, 0.0, 0.5]))
+    data["joints"].append({
+        "id": 9 * k + 1, "kind": "revolute", "parent": "world", "child": far["id"],
+        "parent_anchor": end.tolist(), "child_anchor": [0.0, 0.0, 0.5],
+        "parent_axis": [0.0, 1.0, 0.0], "child_axis": [0.0, 1.0, 0.0],
+    })
+    return _initialized(data)
 
 
 def star_mechanism():

@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 import mcdyn.block_solver as block_solver
 import mcdyn.integrator
-from conftest import make_closed_chain, make_segmented_chain
+from conftest import far_hinged_segmented_chain, make_closed_chain, make_segmented_chain, rotated_segmented_chain
 from mcdyn.block_solver import (
     LOOP_NODE,
     BlockSystem,
@@ -153,7 +153,7 @@ def planted(rng, n, rows, cols, rank):
 
 
 class TestDeflatedPseudoInverse:
-    """The relieved inverse decomposes only the rows and columns above the cut."""
+    """The relieved inverse decomposes the whole block in one SVD and weighs values at or below the cut 0."""
 
     @pytest.mark.parametrize("n,rows,cols,rank", [
         (10, [0, 2, 5, 7], [1, 2, 5, 8], 2),
@@ -163,24 +163,26 @@ class TestDeflatedPseudoInverse:
     def test_planted_zero_rows_and_columns(self, rng, svd_shapes, n, rows, cols, rank):
         a = planted(rng, n, rows, cols, rank)
         inv = relieved_inverse(a)
-        assert svd_shapes == [(len(rows), len(cols))]
+        assert svd_shapes == [(n, n)]
         assert_truncated_pinv(inv, a)
 
     def test_rows_and_columns_just_below_and_just_above_the_cut(self, rng, svd_shapes):
         # rank-3 block in rows 0-3, columns 0-4; the near-cut lines above it lie
-        # in its row or column space, those below it are orthogonal to both
+        # in its row or column space, those below it are orthogonal to both and
+        # so are singular vectors of singular value 0.99·cut
         a = planted(rng, 8, range(4), range(5), 3)
         cut = RELIEF * np.abs(a).max()
         u, _, vt = np.linalg.svd(a[:4, :5])
         a[4, :5] = 1.01 * cut * vt[0]  # kept: it changes the inverse by ~1e-10 relative
-        a[5, :5] = 0.99 * cut * vt[3]  # deflated
+        a[5, :5] = 0.99 * cut * vt[3]  # weight 0
         a[:4, 5] = 1.01 * cut * u[:, 0]  # kept
-        a[:4, 6] = 0.99 * cut * u[:, 3]  # deflated
+        a[:4, 6] = 0.99 * cut * u[:, 3]  # weight 0
         svd_shapes.clear()
         inv = relieved_inverse(a)
-        assert svd_shapes == [(5, 6)]
+        assert svd_shapes == [(8, 8)]
         assert_truncated_pinv(inv, a)
-        assert not inv[:, 5].any() and not inv[6].any()
+        scale = np.linalg.norm(inv)
+        assert np.linalg.norm(inv[:, 5]) <= 1e-14 * scale and np.linalg.norm(inv[6]) <= 1e-14 * scale
 
     def test_singular_values_at_the_cut_inside_kept_lines_get_weight_zero(self, rng, svd_shapes):
         # a 45-degree rotation spreads singular values 2·cut and 0.9·cut over
@@ -198,8 +200,20 @@ class TestDeflatedPseudoInverse:
     def test_kept_row_and_column_counts_differ(self, rng, svd_shapes, rows, cols):
         a = planted(rng, 9, rows, cols, min(len(rows), len(cols)))
         inv = relieved_inverse(a)
-        assert svd_shapes == [(len(rows), len(cols))]
+        assert svd_shapes == [(9, 9)]
         assert_truncated_pinv(inv, a)
+
+    def test_each_block_of_a_stack_has_its_own_cut(self, rng, svd_shapes):
+        # singular value 1e-6 of a unit-scale block: far above its own cut, below that of a block 1e6 times larger
+        q1, _ = np.linalg.qr(rng.normal(size=(5, 5)))
+        q2, _ = np.linalg.qr(rng.normal(size=(5, 5)))
+        small = q1 @ np.diag([1.0, 0.5, 1e-6, 0.0, 0.0]) @ q2.T
+        large = 1e6 * (rng.normal(size=(5, 5)) + 4.0 * np.eye(5))
+        inv = relieved_inverse(np.stack([small, large]))
+        assert svd_shapes == [(2, 5, 5)]
+        assert np.linalg.norm(inv[0], 2) == pytest.approx(1e6, rel=1e-6)
+        for one, a in zip(inv, (small, large)):
+            assert np.linalg.norm(one - relieved_inverse(a)) <= 1e-12 * np.linalg.norm(one)
 
     @pytest.mark.parametrize("n", [1, 5, 30])
     def test_all_zero_block_gives_zeros(self, n):
@@ -230,32 +244,38 @@ def captured_loop_pivots(monkeypatch, mech, steps=3):
 
 
 class TestLoopPivotDeflation:
-    """Planar loop pivots: only the rows and columns above the relief cut reach the SVD."""
+    """Planar loop pivots: a level's relieved pivots reach the SVD whole, in one batched call."""
 
-    @pytest.mark.parametrize("build,deflated", [
-        (lambda: make_segmented_chain(6), ((2, 2), 6)),  # of each parallelogram's 5x5 pivot, six per factorization
-        (lambda: make_closed_chain(4), ((2, 2), 1)),  # of 5x5
+    @pytest.mark.parametrize("build,per_factorization", [
+        (lambda: make_segmented_chain(6), 6),  # one 5x5 pivot per parallelogram
+        (lambda: make_closed_chain(4), 1),
     ])
-    def test_step_decomposes_only_the_deflated_pivot(self, monkeypatch, svd_shapes, build, deflated):
-        shape, per_factorization = deflated
+    def test_step_makes_one_svd_of_whole_pivots_per_relieved_call(self, monkeypatch, svd_shapes, build, per_factorization):
         factorizations, factorize = [], mcdyn.integrator.sparse_ldu_factorize
+        calls, inner = [], block_solver.relieved_inverse
 
         def counted(system):
             factorizations.append(system)
             return factorize(system)
 
+        def capture(block):
+            calls.append(block.shape)
+            return inner(block)
+
         monkeypatch.setattr(mcdyn.integrator, "sparse_ldu_factorize", counted)
+        monkeypatch.setattr(block_solver, "relieved_inverse", capture)
         mech = build()
         for _ in range(3):
             step(mech, StepContext(h=0.01))
-        # the pivots a level relieves are decomposed in one batched SVD per kept shape
-        assert svd_shapes and {s[-2:] for s in svd_shapes} == {shape}
+        assert svd_shapes == calls and {s[-2:] for s in svd_shapes} == {(5, 5)}
         assert sum(int(np.prod(s[:-2])) for s in svd_shapes) == per_factorization * len(factorizations)
 
     @pytest.mark.parametrize("build", [
         lambda: make_segmented_chain(2),
         lambda: make_segmented_chain(6),
         lambda: make_closed_chain(4),
+        rotated_segmented_chain,  # 5x5 pivots with 3 rows and columns above the cut, of rank 2
+        far_hinged_segmented_chain,  # one 25x25 pivot with 10 rows and columns above the cut, of rank 10
     ])
     def test_captured_pivots_match_the_full_truncated_svd(self, monkeypatch, build):
         blocks = captured_loop_pivots(monkeypatch, build())
@@ -267,7 +287,18 @@ class TestLoopPivotDeflation:
             inv = relieved_inverse(a)
             assert np.linalg.norm(inv - full) <= 1e-12 * np.linalg.norm(full)
 
-    def test_svd_failure_names_the_loop_pivot_and_both_sizes(self, monkeypatch):
+    @pytest.mark.parametrize("build", [rotated_segmented_chain, far_hinged_segmented_chain])
+    def test_kicked_run_converges_on_the_position_constraints(self, build):
+        # the golden kick: steps 0-9 push each body with a force drawn per axis from N(0, (m g)^2)
+        mech, ctx = build(), StepContext(h=0.01)
+        rng = np.random.default_rng(1)
+        kick = {b: rng.normal(0.0, mech.bodies[b].mass * ctx.gravity, 3) for b in mech.body_ids}
+        for k in range(30):
+            ctx.forces = kick if k < 10 else {}
+            assert step(mech, ctx, tol=1e-10).residual_norm < 1e-10
+            assert mech.max_constraint_violation(at=2) <= 1e-9
+
+    def test_svd_failure_names_the_loop_pivot_and_its_size(self, monkeypatch):
         def no_convergence(a, *args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
 
@@ -276,10 +307,7 @@ class TestLoopPivotDeflation:
         with pytest.raises(SingularBlockError) as err:
             step(mech, StepContext(h=0.01))
         # the deepest parallelogram's relieved node is the first to reach its pivot
-        assert str(err.value) == (
-            "loop pivot at node ('loop', 52): SVD did not converge on the 2x2 part above "
-            "the relief cut of a 5x5 block"
-        )
+        assert str(err.value) == "loop pivot at node ('loop', 52): SVD did not converge on its 5x5 block"
 
 
 class TestDenseLdu:

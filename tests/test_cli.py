@@ -2,6 +2,7 @@ import pytest
 
 from conftest import hub_star_description
 from mcdyn.cli import main
+from mcdyn.errors import SingularBlockError
 from mcdyn.mechanism import save_mechanism
 from mcdyn.scenarios import Scenario, generate_scenario
 
@@ -138,6 +139,19 @@ def test_bench_energy_and_drift(tmp_path):
         == 0
     )
     assert e_path.exists() and d_path.exists()
+
+
+@pytest.mark.parametrize("experiment", [["energy", "--n", "1"], ["drift", "--kind", "closed_chain", "--n", "4"]])
+def test_bench_prints_where_the_explicit_baseline_stopped(tmp_path, capsys, monkeypatch, experiment):
+    def fail(*args):
+        raise SingularBlockError("planted")
+
+    out_path = tmp_path / "e.csv"
+    assert main(["bench", *experiment, "--duration", "0.05", "--out", str(out_path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "explicit baseline: ran every step"
+    monkeypatch.setattr("mcdyn.baselines.solve_reduced", fail)
+    assert main(["bench", *experiment, "--duration", "0.05", "--out", str(out_path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "explicit baseline: stopped at step 1"
 
 
 @pytest.mark.parametrize("experiment", [["energy", "--n", "1"], ["drift", "--kind", "closed_chain", "--n", "4"]])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import mcdyn.baselines as baselines
 from conftest import make_closed_chain, make_pendulum
 from mcdyn.experiments import (
     RunReport,
@@ -16,7 +17,7 @@ from mcdyn.experiments import (
     write_timing_csv,
     write_trajectory_csv,
 )
-from mcdyn.errors import SimulationError
+from mcdyn.errors import SimulationError, SingularBlockError
 from mcdyn.integrator import StepContext, newton_system_at, run_simulation
 from mcdyn.mechanism import load_mechanism
 from mcdyn.scenarios import Scenario, generate_scenario
@@ -91,6 +92,51 @@ def test_energy_and_drift_read_one_paired_run():
     assert energy.initial_energy == drift.initial_energy
     assert (energy.config.pop("experiment"), drift.config.pop("experiment")) == ("energy", "drift")
     assert energy.config == drift.config
+
+
+class TestExplicitStop:
+    """The explicit baseline ends at its first non-finite state or failed solve; the comparison records where."""
+
+    def test_non_finite_rate_ends_the_baseline(self, tmp_path, monkeypatch):
+        rates, calls = baselines._acceleration_rates, []
+
+        def planted(*args):
+            calls.append(None)
+            out = rates(*args)
+            if len(calls) == 7:  # step 4's first stage
+                out[0, 7] = np.nan
+            return out
+
+        monkeypatch.setattr(baselines, "_acceleration_rates", planted)
+        result = run_energy_experiment(Scenario(kind="pendulum", n_links=2, duration=0.1))
+        assert result.explicit_stop == 4
+        assert len(result.energy_explicit) == len(result.violation_acceleration) == 3
+        assert len(result.times) == len(result.energy_variational) == 10
+        path = tmp_path / "energy.csv"
+        write_energy_csv(path, result)
+        _, _, rows = read_csv(path)
+        assert [row[2] == "" for row in rows] == [False] * 3 + [True] * 7
+        assert all(row[1] for row in rows)
+
+    def test_raising_solve_ends_the_baseline(self, tmp_path, monkeypatch):
+        solve, calls = baselines.solve_reduced, []
+
+        def planted(*args):
+            calls.append(None)
+            if len(calls) == 6:  # step 3's second stage
+                raise SingularBlockError("planted")
+            return solve(*args)
+
+        monkeypatch.setattr(baselines, "solve_reduced", planted)
+        result = run_drift_experiment(Scenario(kind="closed_chain", n_links=4, duration=0.1))
+        assert result.explicit_stop == 3
+        assert len(result.energy_explicit) == len(result.violation_acceleration) == 2
+        assert len(result.violation_variational) == 10
+        path = tmp_path / "drift.csv"
+        write_drift_csv(path, result)
+        _, _, rows = read_csv(path)
+        assert [row[2] == "" for row in rows] == [False] * 2 + [True] * 8
+        assert all(row[1] for row in rows)
 
 
 class TestTimingExperiment:

@@ -13,12 +13,21 @@ import pytest
 
 from conftest import star_mechanism
 from mcdyn.integrator import StepContext, angular_momentum, step
+from mcdyn.mechanism import load_mechanism
+from mcdyn.scenarios import Scenario, generate_scenario
 from test_mechanism import floating_ring
 
 H = 0.01
 KICK_STEPS = 10
 FREE_STEPS = 290
 TOL = 1e-12
+
+
+def floating_segmented_chain(k=3):
+    """segmented_chain k without its world hinge: k parallelogram loops floating free."""
+    data = generate_scenario(Scenario(kind="segmented_chain", n_links=k))
+    data["joints"] = [joint for joint in data["joints"] if joint["parent"] != "world"]
+    return load_mechanism(data)
 
 
 def momentum(mech) -> tuple[np.ndarray, np.ndarray]:
@@ -49,8 +58,10 @@ def momentum_drift(mech, seed: int) -> tuple[float, float]:
 # The drift of P is rounding: joint impulses cancel in it at any Newton iterate.  That of L follows
 # the Newton tolerance.  Over seeds 0-4 at tol 1e-12 the largest drifts before this test was added
 # were 3.3e-16 (P) and 3.7e-13 (L) on the star, 1.1e-16 and 2.1e-13 on the ring; the bounds are
-# 30 and 10 times the larger of each.
-@pytest.mark.parametrize("build", [star_mechanism, floating_ring], ids=["star", "floating_ring"])
+# 30 and 10 times the larger of each.  The floating segmented chain, whose loops go through the
+# relieved pivots' pseudo-inverse, drifted at most 4.4e-16 and 2.0e-14.
+@pytest.mark.parametrize("build", [star_mechanism, floating_ring, floating_segmented_chain],
+                         ids=["star", "floating_ring", "floating_segmented_chain"])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_free_mechanism_conserves_momentum(build, seed):
     drift_p, drift_l = momentum_drift(build(), seed)
