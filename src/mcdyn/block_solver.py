@@ -61,7 +61,6 @@ share a body or joint must share one relieved node.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -385,7 +384,7 @@ class SymbolicLayout:
     ones: np.ndarray
     scatter: np.ndarray
     rhs_at: np.ndarray
-    checked: list
+    checked: np.ndarray
     pivot_at: np.ndarray
 
     @property
@@ -665,7 +664,7 @@ def symbolic_layout(elim: SymbolicElimination, rows, dim) -> SymbolicLayout:
         ones=ones,
         scatter=scatter,
         rhs_at=rhs_at,
-        checked=np.flatnonzero(~is_relieved).tolist(),
+        checked=np.flatnonzero(~is_relieved),
         pivot_at=piv_at,
     )
 
@@ -777,8 +776,8 @@ class SparseFactor:
 
 def _check_pivots(lay: SymbolicLayout, vals: np.ndarray, inverses: np.ndarray, stop: int) -> None:
     """:func:`check_pivots` over the unrelieved pivots before position ``stop`` of a sweep's storage."""
-    positions = lay.checked[: bisect_left(lay.checked, stop)]
-    if positions:
+    positions = lay.checked[: lay.checked.searchsorted(stop)]
+    if positions.size:
         vals[lay.ones] = inverses[lay.ones] = 0.0  # the padding takes no part; only the solve reads this storage on
         check_pivots(vals[: len(inverses)], inverses, lay.pivot_at, positions, lay.order, lay.sizes)
 

@@ -22,7 +22,7 @@ from .experiments import (
 )
 from .integrator import StepContext, run_simulation
 from .mechanism import load_mechanism, save_mechanism, step_count
-from .scenarios import Scenario, generate_scenario
+from .scenarios import JOINT_KINDS, KINDS, Scenario, generate_scenario
 
 
 def _parse_n_list(text: str) -> list:
@@ -38,14 +38,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="Maximal-coordinate rigid-body dynamics: simulate, generate, benchmark.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # One parent parser per shared option.  Commands given a parent share its action, default
+    # included, so --duration, whose default differs per command, is added to each command.
+    joint, out, h, tol = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    joint.add_argument("--joint", default="revolute", choices=JOINT_KINDS)
+    out.add_argument("--out", required=True, help="output file path")
+    h.add_argument("--h", type=float, default=0.01, help="time step in seconds")
+    tol.add_argument("--tol", type=float, default=1e-10, help="solver tolerance")
 
-    sim = sub.add_parser("simulate", help="integrate a mechanism file and write a trajectory CSV")
+    sim = sub.add_parser("simulate", parents=[h, tol, out], help="integrate a mechanism file and write a trajectory CSV")
     sim.add_argument("mechanism", help="mechanism description file (YAML)")
-    sim.add_argument("--h", type=float, default=0.01, help="time step in seconds")
     sim.add_argument("--duration", type=float, default=10.0, help="simulated time in seconds")
-    sim.add_argument("--tol", type=float, default=1e-10, help="solver tolerance")
     sim.add_argument("--gravity", type=float, default=9.81, help="gravitational acceleration")
-    sim.add_argument("--out", required=True, help="trajectory CSV path")
     sim.add_argument(
         "--dump-pattern",
         metavar="FILE",
@@ -53,47 +57,32 @@ def build_parser() -> argparse.ArgumentParser:
         "then the sparse sweep's block pattern",
     )
 
-    gen = sub.add_parser("gen", help="generate a benchmark mechanism file")
-    gen.add_argument("--kind", required=True, choices=["pendulum", "closed_chain", "segmented_chain", "free_body"])
+    gen = sub.add_parser("gen", parents=[joint, out], help="generate a benchmark mechanism file")
+    gen.add_argument("--kind", required=True, choices=KINDS)
     gen.add_argument("--n", type=int, default=1, help="links (pendulum/chain) or segments (segmented)")
-    gen.add_argument("--joint", default="revolute", choices=["revolute", "ball"])
     gen.add_argument("--length", type=float, default=1.0, help="link length in meters")
     gen.add_argument("--mass", type=float, default=1.0, help="link mass in kilograms")
-    gen.add_argument("--out", required=True, help="mechanism file path")
 
     bench = sub.add_parser("bench", help="run a benchmark experiment")
     bench_sub = bench.add_subparsers(dest="experiment", required=True)
 
-    t = bench_sub.add_parser("timing", help="per-step solve time, sparse vs dense")
+    t = bench_sub.add_parser("timing", parents=[joint, out], help="per-step solve time, sparse vs dense")
     t.add_argument("--n-list", type=_parse_n_list, default=[5, 10, 20, 40, 80, 100, 160])
     t.add_argument("--repeats", type=int, default=100)
     t.add_argument("--dense-max", type=int, default=10, help="largest n for the dense baseline")
-    t.add_argument("--joint", default="revolute", choices=["revolute", "ball"])
-    t.add_argument("--out", required=True)
 
-    e = bench_sub.add_parser("energy", help="energy trace, variational vs explicit")
+    e = bench_sub.add_parser("energy", parents=[h, tol, joint, out], help="energy trace, variational vs explicit")
     e.add_argument("--n", type=int, default=2)
-    e.add_argument("--h", type=float, default=0.01)
     e.add_argument("--duration", type=float, default=60.0)
-    e.add_argument("--tol", type=float, default=1e-10)
-    e.add_argument("--joint", default="revolute", choices=["revolute", "ball"])
-    e.add_argument("--out", required=True)
     e.set_defaults(kind="pendulum")
 
-    d = bench_sub.add_parser("drift", help="constraint violation, position vs acceleration level")
+    d = bench_sub.add_parser("drift", parents=[h, tol, joint, out], help="constraint violation, position vs acceleration level")
     d.add_argument("--kind", default="closed_chain", choices=["closed_chain", "segmented_chain", "pendulum"])
     d.add_argument("--n", type=int, default=4)
-    d.add_argument("--h", type=float, default=0.01)
     d.add_argument("--duration", type=float, default=10.0)
-    d.add_argument("--tol", type=float, default=1e-10)
-    d.add_argument("--joint", default="revolute", choices=["revolute", "ball"])
-    d.add_argument("--out", required=True)
 
-    c = bench_sub.add_parser("convergence", help="first-step Newton residual traces")
+    c = bench_sub.add_parser("convergence", parents=[tol, joint, out], help="first-step Newton residual traces")
     c.add_argument("--n-list", type=_parse_n_list, default=[1, 10, 100])
-    c.add_argument("--tol", type=float, default=1e-10)
-    c.add_argument("--joint", default="revolute", choices=["revolute", "ball"])
-    c.add_argument("--out", required=True)
 
     return parser
 

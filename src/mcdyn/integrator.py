@@ -430,38 +430,28 @@ def newton_solve(mech: Mechanism, ctx: StepContext, tol: float = 1e-10) -> Newto
     s = mech.unknowns.copy()
     try:
         f, pose = assemble_residual(mech, layout, pos_blocks, s)
-        norm = float(np.linalg.norm(f))
-        history = [norm]
-        if norm < tol:
-            return NewtonInfo(iterations=0, residual_norm=norm, history=history, knot=(pose[0][:-1], pose[1][:-1]))
-        for it in range(1, _MAX_ITERS + 1):
+        history = [float(np.linalg.norm(f))]
+        for it in range(_MAX_ITERS + 1):
+            if history[-1] < tol:
+                return NewtonInfo(iterations=it, residual_norm=history[-1], history=history, knot=(pose[0][:-1], pose[1][:-1]))
+            if it == _MAX_ITERS:
+                raise NonConvergenceError(f"no convergence after {_MAX_ITERS} iterations (residual {history[-1]:.3e})")
             ds = solve_reduced(mech, assemble_jacobian(mech, layout, pos_blocks, s, pose, f))
-
-            alpha = 1.0
-            accepted = False
-            for _ in range(_MAX_HALVINGS + 1):
-                s_try = s - alpha * ds
+            for k in range(_MAX_HALVINGS + 1):
+                s_try = s - 0.5**k * ds
                 try:
                     f_try, pose_try = assemble_residual(mech, layout, pos_blocks, s_try)
-                    norm_try = float(np.linalg.norm(f_try))
                 except AngularRateError:
-                    norm_try = np.inf
-                if norm_try < norm:
-                    accepted = True
+                    continue
+                if (norm := float(np.linalg.norm(f_try))) < history[-1]:
                     break
-                alpha *= 0.5
-            if not accepted:
+            else:
                 raise LineSearchError(
-                    f"line search stalled at residual {norm:.3e} after {_MAX_HALVINGS} halvings; last Newton step "
-                    f"norm {np.linalg.norm(ds):.3e}, residual history [{', '.join(f'{r:.3e}' for r in history)}]"
+                    f"line search stalled at residual {history[-1]:.3e} after {_MAX_HALVINGS} halvings; last Newton "
+                    f"step norm {np.linalg.norm(ds):.3e}, residual history [{', '.join(f'{r:.3e}' for r in history)}]"
                 )
-            s, f, pose, norm = s_try, f_try, pose_try, norm_try
+            s, f, pose = s_try, f_try, pose_try
             history.append(norm)
-            if norm < tol:
-                return NewtonInfo(iterations=it, residual_norm=norm, history=history, knot=(pose[0][:-1], pose[1][:-1]))
-        raise NonConvergenceError(
-            f"no convergence after {_MAX_ITERS} iterations (residual {norm:.3e})"
-        )
     finally:
         mech.unknowns = s
 
