@@ -187,22 +187,19 @@ class DenseFactor:
 
 def dense_ldu_factorize(
     matrix: np.ndarray,
-    sizes: list[int] | None = None,
+    sizes: list[int],
     relieved: bool = False,
 ) -> DenseFactor:
     """Factorize a square matrix in place as L·D·U over a block partition.
 
-    ``sizes`` lists the block sizes along the diagonal; omitted means a
-    scalar (all-ones) partition.  Processes the diagonal top-left to
-    bottom-right with no pivoting; raises SingularBlockError on a singular
-    pivot block, or, when ``relieved``, inverts every pivot with
-    :func:`relieved_inverse`.
+    ``sizes`` lists the block sizes along the diagonal.  Processes the
+    diagonal top-left to bottom-right with no pivoting; raises
+    SingularBlockError on a singular pivot block, or, when ``relieved``,
+    inverts every pivot with :func:`relieved_inverse`.
     """
     f = np.array(matrix, dtype=float)
     if f.ndim != 2 or f.shape[0] != f.shape[1]:
         raise ValueError("expected a square matrix")
-    if sizes is None:
-        sizes = [1] * f.shape[0]
     if sum(sizes) != f.shape[0]:
         raise ValueError("block sizes do not cover the matrix")
     offsets = [0]
@@ -818,11 +815,11 @@ def sparse_ldu_factorize(system: NodeSystem) -> SparseFactor:
                 inv[level.relieved] = relieved_inverse(pivots[level.relieved])
         except np.linalg.LinAlgError as err:  # name the first failure in elimination order
             _check_pivots(lay, vals, inverses, level.start)  # the later pivots' inverses are not made yet
-            span = range(level.start, level.stop)
+            reached = set(chain.from_iterable(lay.later[: level.start]))  # a level's positions share no block
             name_failure(
                 pivots, lay.sizes[level.start : level.stop], lay.order[level.start : level.stop],
                 set(level.relieved.tolist()),
-                {j for j, k in enumerate(span) if all(k not in lk for lk in lay.later[:k])},
+                {k - level.start for k in range(level.start, level.stop) if k not in reached},
                 err,
             )
         upper = vals[level.upper].reshape(level.upper_shape)

@@ -8,7 +8,6 @@ import sys
 from .block_solver import pattern_report
 from .errors import SimulationError
 from .experiments import (
-    RunReport,
     linear_fit,
     run_convergence_experiment,
     run_drift_experiment,
@@ -102,17 +101,14 @@ def _cmd_simulate(args) -> int:
             fh.write(pattern_report(plan.layout) + "\n")
     open(args.out, "a").close()  # an unwritable --out fails here, not after the run
     records = run_simulation(mech, ctx, n_steps, tol=args.tol, record_bodies=True)
-    report = RunReport(
-        config={
-            "mechanism": args.mechanism,
-            "h": args.h,
-            "duration": args.duration,
-            "tolerance": args.tol,
-            "gravity": args.gravity,
-        },
-        records=records,
-    )
-    write_trajectory_csv(args.out, report)
+    config = {
+        "mechanism": args.mechanism,
+        "h": args.h,
+        "duration": args.duration,
+        "tolerance": args.tol,
+        "gravity": args.gravity,
+    }
+    write_trajectory_csv(args.out, records, config)
     print(f"wrote {len(records)} steps to {args.out}")
     return 0
 

@@ -39,14 +39,6 @@ from .mechanism import load_mechanism
 from .scenarios import Scenario, generate_scenario
 
 
-@dataclass
-class RunReport:
-    """One simulation run: configuration and per-step records."""
-
-    config: dict
-    records: list
-
-
 def _build(sc: Scenario):
     mech = load_mechanism(generate_scenario(sc))
     ctx = StepContext(h=sc.h)
@@ -118,8 +110,8 @@ class TimingRow:
 
 def run_timing_experiment(
     n_list,
-    repeats: int = 100,
-    dense_max: int = 10,
+    repeats: int,
+    dense_max: int,
     joint_kind: str = "revolute",
 ) -> list[TimingRow]:
     """Best-of-`repeats` wall time of one factorize-and-substitute pass.
@@ -185,7 +177,7 @@ def run_timing_experiment(
     ]
 
 
-def run_convergence_experiment(n_list, tolerance: float = 1e-10, joint_kind: str = "revolute") -> dict:
+def run_convergence_experiment(n_list, tolerance: float, joint_kind: str = "revolute") -> dict:
     """Residual norm per Newton iteration for the first step from rest.
 
     Returns {n: [||f|| before iterating, after iteration 1, ...]}; SimulationError if ``n_list`` is empty.
@@ -234,7 +226,7 @@ def _write_csv(path, config: dict, header: list, rows) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def write_trajectory_csv(path, report: RunReport) -> None:
+def write_trajectory_csv(path, records: list, config: dict) -> None:
     header = [
         "step", "time", "body",
         "x", "y", "z", "qw", "qx", "qy", "qz",
@@ -242,13 +234,13 @@ def write_trajectory_csv(path, report: RunReport) -> None:
         "energy", "max_violation", "newton_iterations", "residual",
     ]
     rows = []
-    for rec in report.records:
+    for rec in records:
         for bid, x, q, v, w in rec.bodies or []:
             rows.append(
                 [rec.step, rec.time, bid, *x, *q, *v, *w,
                  rec.energy, rec.max_violation, rec.iterations, rec.residual]
             )
-    _write_csv(path, report.config, header, rows)
+    _write_csv(path, config, header, rows)
 
 
 def write_energy_csv(path, result: ComparisonResult) -> None:

@@ -121,8 +121,8 @@ class SystemLayout:
     """The committed state one step's stacked residual is read against.
 
     The arrays have one row per body in id order, like the mechanism's
-    state arrays.  The w1 terms of the rotational momentum balance do not
-    change during a step and are computed once.
+    state arrays.  The w1 terms of the rotational momentum balance and the
+    knot-2 blocks do not change during a step and are computed once.
     """
 
     h: float
@@ -134,6 +134,7 @@ class SystemLayout:
     torque2: np.ndarray  # (N, 3), twice the body torque
     jw1s1: np.ndarray  # (N, 3), J w1 sqrt((2/h)^2 - w1.w1)
     cross1: np.ndarray  # (N, 3), w1 x J w1
+    pos_blocks: list  # per kind group, from position_jacobian_blocks
 
 
 def build_layout(mech: Mechanism, ctx: StepContext) -> SystemLayout:
@@ -154,6 +155,7 @@ def build_layout(mech: Mechanism, ctx: StepContext) -> SystemLayout:
         torque2=2.0 * torque,
         jw1s1=jw1 * quat._rate_scalar(w1, ctx.h)[:, None],
         cross1=quat.cross(w1, jw1),
+        pos_blocks=position_jacobian_blocks(mech),
     )
 
 
@@ -185,28 +187,28 @@ def body_sums(mech: Mechanism, terms: list) -> np.ndarray:
     return np.bincount(mech.end_cells, np.concatenate([np.zeros(0), *terms], axis=None), 6 * (n + 1)).reshape(n + 1, 6)
 
 
-def position_jacobian_blocks(mech: Mechanism, layout: SystemLayout) -> list:
+def position_jacobian_blocks(mech: Mechanism) -> list:
     """Per kind group, the knot-2 (parent, child) position-Jacobian blocks and their :func:`impulse_blocks`.
 
-    These depend only on committed poses, so one computation serves every
-    residual and Jacobian evaluation within a step's solve.
+    These depend only on committed poses, so one computation (the layout's
+    ``pos_blocks``) serves every evaluation within a step's solve.
     """
-    _, q2, rot2 = with_world(layout.x2, layout.q2)
+    _, q2, rot2 = with_world(mech.x2, mech.q2)
     return [(pos, impulse_blocks(pos)) for pos in (constraint_jacobian_position(g, q2, rot2) for g in mech.groups)]
 
 
 def assemble_residual(
-    mech: Mechanism, layout: SystemLayout, pos_blocks: list, s: np.ndarray
+    mech: Mechanism, layout: SystemLayout, s: np.ndarray
 ) -> tuple[np.ndarray, tuple]:
     """Stacked residual at the unknowns ``s`` (body rows, then joint rows), and the pose it read.
 
     Joint rows evaluate at the predicted next knot so that the converged
     step satisfies the constraints at the position level.  Body rows
     subtract the impulse pull, the transposed knot-2 position Jacobian
-    (``pos_blocks`` from :func:`position_jacobian_blocks`) applied to the
-    multipliers.  Returns (f, pose), ``pose`` the predicted knot of
-    :func:`_predicted_pose`, which :func:`jacobian_blocks` at the same
-    unknowns reads.  Raises AngularRateError when some ||w2|| >= 2/h.
+    (``layout.pos_blocks``) applied to the multipliers.  Returns (f, pose),
+    ``pose`` the predicted knot of :func:`_predicted_pose`, which
+    :func:`jacobian_blocks` at the same unknowns reads.  Raises
+    AngularRateError when some ||w2|| >= 2/h.
     """
     n = len(mech.body_ids)
     h = layout.h
@@ -215,7 +217,7 @@ def assemble_residual(
     f = np.empty(mech.dim)
     for group in mech.groups:
         f[group.rows] = joint_residual(group, *pose[:3])
-    pull = body_sums(mech, [(s[g.rows][:, None, :] @ pos)[..., 0, :] for g, (pos, _) in zip(mech.groups, pos_blocks)])
+    pull = body_sums(mech, [(s[g.rows][:, None, :] @ pos)[..., 0, :] for g, (pos, _) in zip(mech.groups, layout.pos_blocks)])
     jw2 = (mech.inertia @ w2[:, :, None])[..., 0]
     s2 = pose[3][:, None]
     body = f[: 6 * n].reshape(n, 6)
@@ -326,7 +328,7 @@ def solve_reduced(mech: Mechanism, system: ReducedSystem) -> np.ndarray:
 
 
 def jacobian_blocks(
-    mech: Mechanism, layout: SystemLayout, pos_blocks: list, s: np.ndarray, pose: tuple
+    mech: Mechanism, layout: SystemLayout, s: np.ndarray, pose: tuple
 ) -> tuple[np.ndarray, list]:
     """The exact Jacobian of the residual at the unknowns ``s``, as stacked blocks.
 
@@ -354,13 +356,13 @@ def jacobian_blocks(
     )
     couplings = [
         (constraint_jacobian_velocity(group, q3, rot3, delta, h), impulse)
-        for group, (_, impulse) in zip(mech.groups, pos_blocks)
+        for group, (_, impulse) in zip(mech.groups, layout.pos_blocks)
     ]
     return body_diag, couplings
 
 
 def assemble_jacobian(
-    mech: Mechanism, layout: SystemLayout, pos_blocks: list, s: np.ndarray, pose: tuple, f: np.ndarray
+    mech: Mechanism, layout: SystemLayout, s: np.ndarray, pose: tuple, f: np.ndarray
 ) -> ReducedSystem:
     """The Newton system at the unknowns ``s`` with the bodies outside the hubs eliminated.
 
@@ -369,7 +371,7 @@ def assemble_jacobian(
     :func:`eliminate_bodies` under ``mech.plan``; :func:`solve_reduced`
     solves the result.
     """
-    return eliminate_bodies(mech, mech.plan, *jacobian_blocks(mech, layout, pos_blocks, s, pose), f)
+    return eliminate_bodies(mech, mech.plan, *jacobian_blocks(mech, layout, s, pose), f)
 
 
 def newton_system_at(mech: Mechanism, ctx: StepContext) -> NodeSystem:
@@ -386,10 +388,9 @@ def newton_system_at(mech: Mechanism, ctx: StepContext) -> NodeSystem:
     into elimination order.
     """
     layout = build_layout(mech, ctx)
-    pos_blocks = position_jacobian_blocks(mech, layout)
     s = mech.unknowns
-    f, pose = assemble_residual(mech, layout, pos_blocks, s)
-    return eliminate_bodies(mech, mech.full_plan, *jacobian_blocks(mech, layout, pos_blocks, s, pose), f).joints
+    f, pose = assemble_residual(mech, layout, s)
+    return eliminate_bodies(mech, mech.full_plan, *jacobian_blocks(mech, layout, s, pose), f).joints
 
 
 # ---------------------------------------------------------------------------
@@ -426,21 +427,20 @@ def newton_solve(mech: Mechanism, ctx: StepContext, tol: float = 1e-10) -> Newto
     check_parameter("gravity", ctx.gravity, positive=False)
     layout = build_layout(mech, ctx)  # reads no knot that initializing sets
     mech.ensure_initialized(ctx.h)
-    pos_blocks = position_jacobian_blocks(mech, layout)
     s = mech.unknowns.copy()
     try:
-        f, pose = assemble_residual(mech, layout, pos_blocks, s)
+        f, pose = assemble_residual(mech, layout, s)
         history = [float(np.linalg.norm(f))]
         for it in range(_MAX_ITERS + 1):
             if history[-1] < tol:
                 return NewtonInfo(iterations=it, residual_norm=history[-1], history=history, knot=(pose[0][:-1], pose[1][:-1]))
             if it == _MAX_ITERS:
                 raise NonConvergenceError(f"no convergence after {_MAX_ITERS} iterations (residual {history[-1]:.3e})")
-            ds = solve_reduced(mech, assemble_jacobian(mech, layout, pos_blocks, s, pose, f))
+            ds = solve_reduced(mech, assemble_jacobian(mech, layout, s, pose, f))
             for k in range(_MAX_HALVINGS + 1):
                 s_try = s - 0.5**k * ds
                 try:
-                    f_try, pose_try = assemble_residual(mech, layout, pos_blocks, s_try)
+                    f_try, pose_try = assemble_residual(mech, layout, s_try)
                 except AngularRateError:
                     continue
                 if (norm := float(np.linalg.norm(f_try))) < history[-1]:
@@ -546,7 +546,7 @@ class StepRecord:
     max_violation: float
     iterations: int
     residual: float
-    bodies: list | None = None  # (id, x, q, v, w) snapshots when requested
+    bodies: list | None  # (id, x, q, v, w) snapshots when requested
 
 
 def run_simulation(
@@ -569,9 +569,7 @@ def run_simulation(
             max_violation=mech.max_constraint_violation(at=2),
             iterations=info.iterations,
             residual=info.residual_norm,
+            bodies=list(zip(mech.body_ids, mech.x2.copy(), mech.q2.copy(), mech.v1.copy(), mech.w1.copy())) if record_bodies else None,
         )
-        if record_bodies:
-            knots = (mech.x2.copy(), mech.q2.copy(), mech.v1.copy(), mech.w1.copy())
-            rec.bodies = list(zip(mech.body_ids, *knots))
         records.append(rec)
     return records

@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 import mcdyn.block_solver as block_solver
 import mcdyn.integrator
-from conftest import far_hinged_segmented_chain, make_closed_chain, make_segmented_chain, rotated_segmented_chain
+from conftest import far_hinged_segmented_chain, make_closed_chain, make_pendulum, make_segmented_chain, rotated_segmented_chain
 from mcdyn.block_solver import (
     LOOP_NODE,
     BlockSystem,
@@ -20,7 +20,7 @@ from mcdyn.block_solver import (
     symbolic_layout,
 )
 from mcdyn.errors import DanglingConstraintError, SingularBlockError
-from mcdyn.integrator import StepContext, step
+from mcdyn.integrator import StepContext, assemble_jacobian, assemble_residual, build_layout, step
 from oracles import assembled, assembled_rhs, d_matrix, l_matrix, reconstruct, u_matrix
 
 
@@ -312,7 +312,7 @@ class TestLoopPivotDeflation:
 
 class TestDenseLdu:
     def test_identity(self):
-        fact = dense_ldu_factorize(np.eye(5))
+        fact = dense_ldu_factorize(np.eye(5), [1] * 5)
         assert_allclose(l_matrix(fact), np.eye(5))
         assert_allclose(d_matrix(fact), np.eye(5))
         assert_allclose(u_matrix(fact), np.eye(5))
@@ -320,14 +320,14 @@ class TestDenseLdu:
         assert_allclose(dense_ldu_solve(fact, b), b)
 
     def test_two_by_two_hand_elimination(self):
-        fact = dense_ldu_factorize(np.array([[4.0, 2.0], [1.0, 3.0]]))
+        fact = dense_ldu_factorize(np.array([[4.0, 2.0], [1.0, 3.0]]), [1, 1])
         assert_allclose(l_matrix(fact), [[1.0, 0.0], [0.25, 1.0]])
         assert_allclose(d_matrix(fact), np.diag([4.0, 2.5]))
         assert_allclose(u_matrix(fact), [[1.0, 0.5], [0.0, 1.0]])
 
     def test_reconstruction_scalarwise(self, rng):
         f = rng.normal(size=(6, 6)) + 4.0 * np.eye(6)
-        fact = dense_ldu_factorize(f)
+        fact = dense_ldu_factorize(f, [1] * 6)
         assert np.abs(reconstruct(fact) - f).max() < 1e-10
 
     def test_reconstruction_blockwise(self, rng):
@@ -343,23 +343,23 @@ class TestDenseLdu:
         f = rng.normal(size=(n, n)) + 4.0 * np.eye(n)
         b = rng.normal(size=n)
         x_block = dense_ldu_solve(dense_ldu_factorize(f, sizes), b)
-        x_scalar = dense_ldu_solve(dense_ldu_factorize(f), b)
+        x_scalar = dense_ldu_solve(dense_ldu_factorize(f, [1] * n), b)
         assert_allclose(x_block, x_scalar, atol=1e-11)
 
     def test_solve_residual(self, rng):
         f = rng.normal(size=(12, 12)) + 5.0 * np.eye(12)
         b = rng.normal(size=12)
-        x = dense_ldu_solve(dense_ldu_factorize(f), b)
+        x = dense_ldu_solve(dense_ldu_factorize(f, [1] * 12), b)
         assert np.linalg.norm(f @ x - b) / np.linalg.norm(b) < 1e-10
 
     def test_zero_rhs(self, rng):
         f = rng.normal(size=(4, 4)) + 4.0 * np.eye(4)
-        assert_allclose(dense_ldu_solve(dense_ldu_factorize(f), np.zeros(4)), np.zeros(4))
+        assert_allclose(dense_ldu_solve(dense_ldu_factorize(f, [1] * 4), np.zeros(4)), np.zeros(4))
 
     def test_scalar_zero_pivot_raises(self):
         # scalar partition cannot recover from a zero leading pivot
         with pytest.raises(SingularBlockError):
-            dense_ldu_factorize(np.array([[0.0, 1.0], [1.0, 0.0]]))
+            dense_ldu_factorize(np.array([[0.0, 1.0], [1.0, 0.0]]), [1, 1])
 
     @pytest.mark.parametrize("matrix,sizes,message", [
         (np.ones((2, 3)), None, "expected a square matrix"),
@@ -575,6 +575,20 @@ class TestPivotCheckInsideALevel:
     def test_zero_pivot_without_updates_is_a_dangling_constraint(self):
         with pytest.raises(DanglingConstraintError, match="constraint node 2 "):
             sparse_ldu_factorize(star_system([GOOD, np.zeros((2, 2)), SINGULAR]))
+
+    def test_zero_first_level_pivot_of_a_long_step_system_is_a_dangling_constraint(self):
+        # pendulum 800's step system, its first joint's pivot zeroed: no
+        # position before the first level reaches it
+        mech = make_pendulum(800)
+        layout = build_layout(mech, StepContext(h=0.01))
+        _, pose = assemble_residual(mech, layout, mech.unknowns)
+        system = assemble_jacobian(mech, layout, mech.unknowns, pose, np.zeros(mech.dim)).joints
+        lay, level = system.layout, system.layout.levels[0]
+        k = lay.order.index(801)
+        assert level.start <= k < level.stop
+        system.vals[level.pivots].reshape(level.pivot_shape)[k - level.start] = 0.0
+        with pytest.raises(DanglingConstraintError, match="^constraint node 801 reached its pivot with a zero diagonal"):
+            sparse_ldu_factorize(system)
 
 
 def two_size_relieved_level(rng):

@@ -26,6 +26,22 @@ def test_gen_and_simulate_round_trip(tmp_path, capsys):
     assert len(lines) == 1 + 20 * 2  # header + steps x bodies
 
 
+def test_simulate_writes_its_config_lines_then_the_header(tmp_path):
+    mech_path = tmp_path / "pendulum.yaml"
+    traj_path = tmp_path / "traj.csv"
+    assert main(["gen", "--kind", "pendulum", "--n", "2", "--out", str(mech_path)]) == 0
+    args = ["--h", "0.01", "--duration", "0.05", "--tol", "1e-10", "--gravity", "9.81", "--out", str(traj_path)]
+    assert main(["simulate", str(mech_path), *args]) == 0
+    assert traj_path.read_text().splitlines()[:6] == [
+        "# duration = 0.05",
+        "# gravity = 9.81",
+        "# h = 0.01",
+        f"# mechanism = {mech_path}",
+        "# tolerance = 1e-10",
+        "step,time,body,x,y,z,qw,qx,qy,qz,vx,vy,vz,wx,wy,wz,energy,max_violation,newton_iterations,residual",
+    ]
+
+
 def test_simulate_dump_pattern(tmp_path):
     mech_path = tmp_path / "chain.yaml"
     assert main(["gen", "--kind", "closed_chain", "--n", "4", "--out", str(mech_path)]) == 0

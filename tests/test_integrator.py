@@ -22,7 +22,6 @@ from mcdyn.integrator import (
     jacobian_blocks,
     newton_solve,
     newton_system_at,
-    position_jacobian_blocks,
     run_simulation,
     solve_reduced,
     step,
@@ -82,9 +81,8 @@ def dense_newton_matrix(mech, ctx):
 def reduced_newton_system(mech, ctx, rhs):
     """The Newton loop's body-eliminated system at the current unknowns, right-hand side ``rhs``."""
     layout = build_layout(mech, ctx)
-    pos_blocks = position_jacobian_blocks(mech, layout)
-    _, pose = assemble_residual(mech, layout, pos_blocks, mech.unknowns)
-    return assemble_jacobian(mech, layout, pos_blocks, mech.unknowns, pose, rhs)
+    _, pose = assemble_residual(mech, layout, mech.unknowns)
+    return assemble_jacobian(mech, layout, mech.unknowns, pose, rhs)
 
 
 def dense_schur_complement(mech, ctx):
@@ -107,13 +105,12 @@ def fd_newton_matrix(mech, ctx, eps=1e-6):
     """Central differences of the stacked residual at the current unknowns."""
     layout = build_layout(mech, ctx)
     s0 = mech.unknowns
-    pos_blocks = position_jacobian_blocks(mech, layout)
     cols = []
     for j in range(mech.dim):
         e = np.zeros(mech.dim)
         e[j] = eps
-        fp, _ = assemble_residual(mech, layout, pos_blocks, s0 + e)
-        fm, _ = assemble_residual(mech, layout, pos_blocks, s0 - e)
+        fp, _ = assemble_residual(mech, layout, s0 + e)
+        fm, _ = assemble_residual(mech, layout, s0 - e)
         cols.append((fp - fm) / (2 * eps))
     return np.stack(cols, axis=1)
 
@@ -133,8 +130,7 @@ def randomized_feasible_state(mech, ctx, rng, warm_steps=3):
 
 def residual_at(mech, ctx):
     """The stacked residual at the current unknowns."""
-    layout = build_layout(mech, ctx)
-    return assemble_residual(mech, layout, position_jacobian_blocks(mech, layout), mech.unknowns)[0]
+    return assemble_residual(mech, build_layout(mech, ctx), mech.unknowns)[0]
 
 
 def body_residual(mech, bid, ctx):
@@ -314,9 +310,8 @@ class TestBodyElimination:
         mech = make_pendulum(4) if mech is None else mech
         ctx = StepContext(h=0.01)
         layout = build_layout(mech, ctx)
-        pos_blocks = position_jacobian_blocks(mech, layout)
-        _, pose = assemble_residual(mech, layout, pos_blocks, mech.unknowns)
-        body_diag, couplings = jacobian_blocks(mech, layout, pos_blocks, mech.unknowns, pose)
+        _, pose = assemble_residual(mech, layout, mech.unknowns)
+        body_diag, couplings = jacobian_blocks(mech, layout, mech.unknowns, pose)
         return mech, body_diag, couplings
 
     def test_singular_body_block_names_the_body(self):
@@ -486,10 +481,9 @@ class TestBodyScatters:
     def test_residual_pull_matches_add_at_bit_for_bit(self, monkeypatch, rng, name):
         mech = self.perturbed(name, rng)
         layout = build_layout(mech, StepContext(h=0.01))
-        pos_blocks = position_jacobian_blocks(mech, layout)
-        f, _ = assemble_residual(mech, layout, pos_blocks, mech.unknowns)
+        f, _ = assemble_residual(mech, layout, mech.unknowns)
         monkeypatch.setattr(mcdyn.integrator, "body_sums", add_at_body_sums)
-        reference, _ = assemble_residual(mech, layout, pos_blocks, mech.unknowns)
+        reference, _ = assemble_residual(mech, layout, mech.unknowns)
         np.testing.assert_array_equal(f, reference)
 
     @pytest.mark.parametrize("name", SCATTER_CASES)
@@ -506,11 +500,10 @@ class TestBodyScatters:
     def test_impulse_blocks_are_contiguous_negated_transposes(self, rng, name):
         mech = self.perturbed(name, rng)
         layout = build_layout(mech, StepContext(h=0.01))
-        pos_blocks = position_jacobian_blocks(mech, layout)
-        _, pose = assemble_residual(mech, layout, pos_blocks, mech.unknowns)
-        _, couplings = jacobian_blocks(mech, layout, pos_blocks, mech.unknowns, pose)
-        assert len(couplings) == len(pos_blocks) == len(mech.groups)
-        for (pos, impulse), (_, col) in zip(pos_blocks, couplings):
+        _, pose = assemble_residual(mech, layout, mech.unknowns)
+        _, couplings = jacobian_blocks(mech, layout, mech.unknowns, pose)
+        assert len(couplings) == len(layout.pos_blocks) == len(mech.groups)
+        for (pos, impulse), (_, col) in zip(layout.pos_blocks, couplings):
             assert col is impulse and col.flags.c_contiguous
             np.testing.assert_array_equal(col, -pos.transpose(0, 1, 3, 2))
 
@@ -581,9 +574,9 @@ class TestNewton:
         residual = mcdyn.integrator.assemble_residual
         calls = []
 
-        def growing(mech, layout, pos, s):
+        def growing(mech, layout, s):
             calls.append(s)
-            f, pose = residual(mech, layout, pos, s)
+            f, pose = residual(mech, layout, s)
             return f + (100.0 if len(calls) > 1 else 0.0), pose
 
         monkeypatch.setattr(mcdyn.integrator, "assemble_residual", growing)
@@ -976,7 +969,7 @@ class TestPredictedStart:
         starts = []
         residual = mcdyn.integrator.assemble_residual
         monkeypatch.setattr(
-            mcdyn.integrator, "assemble_residual", lambda m, lay, pos, s: starts.append(s.copy()) or residual(m, lay, pos, s)
+            mcdyn.integrator, "assemble_residual", lambda m, lay, s: starts.append(s.copy()) or residual(m, lay, s)
         )
         start = mech.unknowns.copy()
         newton_solve(mech, ctx)

@@ -34,7 +34,6 @@ from mcdyn.integrator import (
     eliminate_bodies,
     jacobian_blocks,
     newton_system_at,
-    position_jacobian_blocks,
     run_simulation,
     solve_reduced,
     step,
@@ -535,9 +534,8 @@ def test_level_schedule(name):
     for _ in range(3):
         step(mech, ctx)
     state = build_layout(mech, ctx)
-    pos_blocks = position_jacobian_blocks(mech, state)
-    f, pose = assemble_residual(mech, state, pos_blocks, mech.unknowns)
-    blocks = jacobian_blocks(mech, state, pos_blocks, mech.unknowns, pose)
+    f, pose = assemble_residual(mech, state, mech.unknowns)
+    blocks = jacobian_blocks(mech, state, mech.unknowns, pose)
     levelled = solve_reduced(mech, eliminate_bodies(mech, mech.plan, *blocks, f))
     reference = solve_reduced(mech, eliminate_bodies(mech, children_first_plan(mech), *blocks, f))
     body = slice(0, 6 * len(mech.body_ids))

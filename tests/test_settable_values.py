@@ -11,7 +11,7 @@ from pathlib import Path
 
 import mcdyn
 
-LIMIT = 28
+LIMIT = 23
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
